@@ -220,11 +220,13 @@ func printStats(st server.StatsJSON) {
 		fmt.Printf("            flush IO: writes=%d syncs=%d (%.2f writes/flush)\n",
 			st.Log.FlushWrites, st.Log.FlushSyncs,
 			float64(st.Log.FlushWrites)/float64(st.Log.Flushes))
+		fmt.Printf("            flush cause: demand=%d pressure=%d tick=%d\n",
+			st.Log.FlushesDemand, st.Log.FlushesPressure, st.Log.FlushesTick)
 	}
 	if st.Log.DevWrites > 0 || st.Log.DevSyncs > 0 {
-		fmt.Printf("log device  writes=%d vec_writes=%d syncs=%d seg_syncs=%d seg_sync_skips=%d\n",
+		fmt.Printf("log device  writes=%d vec_writes=%d syncs=%d seg_syncs=%d seg_sync_skips=%d extends=%d\n",
 			st.Log.DevWrites, st.Log.DevVecWrites, st.Log.DevSyncs,
-			st.Log.DevSegSyncs, st.Log.DevSegSyncSkips)
+			st.Log.DevSegSyncs, st.Log.DevSegSyncSkips, st.Log.DevExtends)
 	}
 	hitPct := 0.0
 	if tot := st.Buffer.Hits + st.Buffer.Misses; tot > 0 {

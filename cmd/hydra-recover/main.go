@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -24,17 +25,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hydra-recover: -log is required")
 		os.Exit(2)
 	}
-	dev, err := wal.OpenFile(*path)
-	if err != nil {
+	if err := report(os.Stdout, *path, *verbose); err != nil {
 		fmt.Fprintf(os.Stderr, "hydra-recover: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// report scans the log at path and writes the summary to w. The file
+// is only read: a crashed server's log keeps its preallocated tail.
+func report(w io.Writer, path string, verbose bool) error {
+	dev, err := wal.OpenFile(path)
+	if err != nil {
+		return err
 	}
 	defer dev.Close()
 
 	sc, err := wal.NewScanner(dev, 0)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hydra-recover: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	type txnSum struct {
 		records   int
@@ -48,8 +56,8 @@ func main() {
 		r := sc.Record()
 		total++
 		byType[r.Type]++
-		if *verbose {
-			fmt.Printf("%10d  %-10s txn=%-6d prev=%d page=%d payload=%dB\n",
+		if verbose {
+			fmt.Fprintf(w, "%10d  %-10s txn=%-6d prev=%d page=%d payload=%dB\n",
 				r.LSN, r.Type, r.TxnID, int64(r.PrevLSN), r.PageID, len(r.Payload))
 		}
 		if r.TxnID == 0 {
@@ -69,15 +77,14 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "hydra-recover: log corrupt: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("log corrupt: %w", err)
 	}
-	size, _ := dev.Size()
-	fmt.Printf("log: %d bytes, %d records, usable to LSN %d", size, total, sc.Pos())
-	if int64(sc.Pos()) < size {
-		fmt.Printf(" (torn tail: %d trailing bytes)", size-int64(sc.Pos()))
+	// The log is what the scan found; the file may run on past it.
+	fmt.Fprintf(w, "log: %d bytes, %d records", sc.Pos(), total)
+	if size, _ := dev.Size(); int64(sc.Pos()) < size {
+		fmt.Fprintf(w, " (file continues for %d bytes: preallocated space or a torn record)", size-int64(sc.Pos()))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	var types []wal.RecType
 	for t := range byType {
@@ -85,7 +92,7 @@ func main() {
 	}
 	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
 	for _, t := range types {
-		fmt.Printf("  %-10s %d\n", t, byType[t])
+		fmt.Fprintf(w, "  %-10s %d\n", t, byType[t])
 	}
 
 	winners, losers := 0, 0
@@ -96,6 +103,7 @@ func main() {
 			losers++
 		}
 	}
-	fmt.Printf("transactions: %d total, %d complete, %d losers (would be rolled back at restart)\n",
+	fmt.Fprintf(w, "transactions: %d total, %d complete, %d losers (would be rolled back at restart)\n",
 		len(txns), winners, losers)
+	return nil
 }

@@ -131,6 +131,9 @@ func render(w *os.File, st, prev *server.StatsJSON, dt time.Duration) {
 	fmt.Fprintf(w, "flushio write=%-9s sync=%-9s %.2f writes/flush  %.2f segsync/flush  skipped=%d\n",
 		r(st.Log.DevWrites, p.Log.DevWrites), r(st.Log.DevSegSyncs, p.Log.DevSegSyncs),
 		wpf, spf, st.Log.DevSegSyncSkips)
+	fmt.Fprintf(w, "flushby demand=%-8s pressure=%-8s tick=%-8s extends=%d\n",
+		r(st.Log.FlushesDemand, p.Log.FlushesDemand), r(st.Log.FlushesPressure, p.Log.FlushesPressure),
+		r(st.Log.FlushesTick, p.Log.FlushesTick), st.Log.DevExtends)
 
 	fmt.Fprintf(w, "lock    acquire=%-9s wait=%-9s deadlock=%-6d timeout=%-6d escal=%d\n",
 		r(st.Lock.Acquires, p.Lock.Acquires), r(st.Lock.Waits, p.Lock.Waits),

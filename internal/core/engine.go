@@ -281,12 +281,27 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 			return e.log.WaitFlushed(wal.LSN(pageLSN))
 		},
 	})
-	var err error
-	e.log, err = wal.New(dev, wal.Options{
+	n, err := store.NumPages()
+	if err != nil {
+		return nil, err
+	}
+	// The log's end is found by scanning; the last checkpoint is as far
+	// back as that scan needs to start.
+	var scanFrom wal.LSN
+	if n > 0 {
+		master, _, err := e.readMeta()
+		if err != nil {
+			return nil, err
+		}
+		if master != wal.NilLSN {
+			scanFrom = master
+		}
+	}
+	e.log, err = wal.NewFrom(dev, wal.Options{
 		Kind:        cfg.LogKind,
 		BufferSize:  cfg.LogBufferSize,
 		SyncOnFlush: cfg.SyncCommit,
-	})
+	}, scanFrom)
 	if err != nil {
 		return nil, err
 	}
@@ -297,10 +312,6 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 	})
 	e.mvcc = newVerTable()
 
-	n, err := store.NumPages()
-	if err != nil {
-		return nil, err
-	}
 	if n == 0 {
 		// Fresh database: allocate and persist the meta page.
 		f, err := e.pool.NewPage(page.TypeMeta)

@@ -244,6 +244,10 @@ type logStatsJSON struct {
 	GroupInserts  uint64 `json:"group_inserts"`
 	FlushWrites   uint64 `json:"flush_writes"`
 	FlushSyncs    uint64 `json:"flush_syncs"`
+	// What started the flushes; the three sum to Flushes.
+	FlushesDemand   uint64 `json:"flushes_demand"`
+	FlushesPressure uint64 `json:"flushes_pressure"`
+	FlushesTick     uint64 `json:"flushes_tick"`
 	// Device-side submission counters (zero when the device does not
 	// report stats): the per-flush syscall budget the batched flush
 	// path is judged on.
@@ -252,6 +256,7 @@ type logStatsJSON struct {
 	DevSyncs        uint64 `json:"dev_syncs"`
 	DevSegSyncs     uint64 `json:"dev_seg_syncs"`
 	DevSegSyncSkips uint64 `json:"dev_seg_sync_skips"`
+	DevExtends      uint64 `json:"dev_extends"`
 }
 
 type bufStatsJSON struct {
@@ -305,9 +310,12 @@ func Snapshot(e *core.Engine, fr *FlightRecorder) StatsJSON {
 			Flushes: st.Log.Flushes, FlushedBytes: st.Log.FlushedBytes,
 			MutexAcquires: st.Log.MutexAcquires, GroupInserts: st.Log.GroupInserts,
 			FlushWrites: st.Log.FlushWrites, FlushSyncs: st.Log.FlushSyncs,
-			DevWrites: st.Log.Dev.Writes, DevVecWrites: st.Log.Dev.VecWrites,
+			FlushesDemand: st.Log.FlushesDemand, FlushesPressure: st.Log.FlushesPressure,
+			FlushesTick: st.Log.FlushesTick,
+			DevWrites:   st.Log.Dev.Writes, DevVecWrites: st.Log.Dev.VecWrites,
 			DevSyncs: st.Log.Dev.Syncs, DevSegSyncs: st.Log.Dev.SegSyncs,
 			DevSegSyncSkips: st.Log.Dev.SegSyncSkips,
+			DevExtends:      st.Log.Dev.Extends,
 		},
 		Buffer: bufStatsJSON{
 			Hits: st.Buffer.Hits, Misses: st.Buffer.Misses,
@@ -435,11 +443,15 @@ func writeMetrics(w io.Writer, e *core.Engine, fr *FlightRecorder) {
 	writePromCounter(w, "hydra_log_group_inserts_total", st.Log.GroupInserts)
 	writePromCounter(w, "hydra_log_flush_writes_total", st.Log.FlushWrites)
 	writePromCounter(w, "hydra_log_flush_syncs_total", st.Log.FlushSyncs)
+	writePromCounter(w, "hydra_log_flushes_demand_total", st.Log.FlushesDemand)
+	writePromCounter(w, "hydra_log_flushes_pressure_total", st.Log.FlushesPressure)
+	writePromCounter(w, "hydra_log_flushes_tick_total", st.Log.FlushesTick)
 	writePromCounter(w, "hydra_wal_dev_writes_total", st.Log.Dev.Writes)
 	writePromCounter(w, "hydra_wal_dev_vec_writes_total", st.Log.Dev.VecWrites)
 	writePromCounter(w, "hydra_wal_dev_syncs_total", st.Log.Dev.Syncs)
 	writePromCounter(w, "hydra_wal_dev_seg_syncs_total", st.Log.Dev.SegSyncs)
 	writePromCounter(w, "hydra_wal_dev_seg_sync_skips_total", st.Log.Dev.SegSyncSkips)
+	writePromCounter(w, "hydra_wal_dev_extends_total", st.Log.Dev.Extends)
 
 	writePromCounter(w, "hydra_buffer_hits_total", st.Buffer.Hits)
 	writePromCounter(w, "hydra_buffer_misses_total", st.Buffer.Misses)

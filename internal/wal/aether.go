@@ -194,9 +194,8 @@ func (l *Log) insertConsolidated(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	}
 	lsn := base + offset
 	l.ring.copyIn(lsn, rec)
-	l.fr.complete(lsn, lsn+n)
+	l.filled(lsn, lsn+n)
 	l.ca.finish(s, groupSize, n)
 	l.noteInsert(n)
-	l.kickFlusher()
 	return LSN(lsn), nil
 }

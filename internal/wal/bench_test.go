@@ -2,7 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -40,11 +44,7 @@ func benchWrapFlush(b *testing.B, vectored bool) {
 		if _, err := l.insertSerial(rec, nil); err != nil {
 			b.Fatal(err)
 		}
-		select {
-		case <-l.kick:
-		default:
-		}
-		if err := l.flushOnce(); err != nil {
+		if err := l.flushOnce(causeDemand); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,6 +201,50 @@ func BenchmarkLogAppendSegmented(b *testing.B) {
 				b.ReportMetric(float64(st.Dev.SegSyncs)/float64(st.Flushes), "segsyncs/flush")
 			}
 			d.Close()
+		})
+	}
+}
+
+// BenchmarkCommitFileDevice is the durable-commit path on a real file:
+// each committer runs begin, update, commit, wait for durability, end —
+// the records and the one wait of an autocommitted SET — against a
+// FileDevice in a temp dir. syncs/commit is the figure the
+// demand-driven flusher is judged on (1.00 with one committer, below
+// it when two share syncs); µs/commit is mostly the device's sync.
+func BenchmarkCommitFileDevice(b *testing.B) {
+	for _, committers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("%dcommitters", committers), func(b *testing.B) {
+			dev, err := OpenFile(filepath.Join(b.TempDir(), "wal.log"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer dev.Close()
+			l, err := New(dev, Options{Kind: Consolidated, SyncOnFlush: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			payload := bytes.Repeat([]byte("u"), 256)
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for c := 0; c < committers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if err := commitTxn(l, uint64(c+1), payload); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			b.StopTimer()
+			st := l.StatsSnapshot()
+			b.ReportMetric(float64(st.FlushSyncs)/float64(b.N), "syncs/commit")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/commit")
 		})
 	}
 }

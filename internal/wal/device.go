@@ -2,8 +2,10 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"hydra/internal/obs"
 )
@@ -40,6 +42,17 @@ type VectorWriter interface {
 	WriteVec(offs []int64, bufs [][]byte) (int, error)
 }
 
+// EndSetter is the optional interface of a device that can hold bytes
+// past the end of the log: a torn last record, or the never-written
+// tail of a preallocated file. SetEnd(off) declares off the end of log
+// and discards whatever lies beyond it, so Size reports off, reads past
+// it come back short, and the region reads as zeros once the log grows
+// over it again. New calls it with the end it found by scanning, before
+// the first append.
+type EndSetter interface {
+	SetEnd(off int64) error
+}
+
 // DeviceStats are cumulative per-device submission counters — the
 // syscall-shaped events behind a flush. They are the ground truth for
 // the "1 vectored submission per touched segment, fsync only dirty"
@@ -51,6 +64,7 @@ type DeviceStats struct {
 	Syncs        uint64 // Sync calls
 	SegSyncs     uint64 // segment files actually fsynced
 	SegSyncSkips uint64 // live segments skipped at Sync because clean
+	Extends      uint64 // preallocation steps (FileDevice: one per logChunk of log)
 }
 
 // StatsReporter is the optional device-counter surface.
@@ -63,6 +77,7 @@ type StatsReporter interface {
 type devCounters struct {
 	writes, vecWrites, syncs obs.Counter
 	segSyncs, segSyncSkips   obs.Counter
+	extends                  obs.Counter
 }
 
 func (c *devCounters) DeviceStats() DeviceStats {
@@ -72,12 +87,36 @@ func (c *devCounters) DeviceStats() DeviceStats {
 		Syncs:        c.syncs.Load(),
 		SegSyncs:     c.segSyncs.Load(),
 		SegSyncSkips: c.segSyncSkips.Load(),
+		Extends:      c.extends.Load(),
 	}
 }
 
-// FileDevice is a Device backed by a regular file.
+// logChunk is the step in which FileDevice preallocates its file ahead
+// of the write frontier. Within a chunk a flush changes no file
+// metadata (size, block map), so the fdatasync that follows it is a
+// plain data write-out rather than a file-system journal commit.
+const logChunk = 16 << 20
+
+// FileDevice is a Device backed by one regular file whose offsets are
+// LSNs. The file is preallocated in logChunk steps (space reserved, no
+// data written), so it is usually longer than the log: the logical end
+// is tracked here, found by New's scan after a crash, and a clean Close
+// trims the file back to it.
 type FileDevice struct {
 	f *os.File
+
+	// end is the logical end of log: what Size reports and ReadAt
+	// clamps to. Until SetEnd or a write moves it, it is the file size
+	// found at open — an upper bound the Scanner's zero-length-word
+	// rule refines.
+	end atomic.Int64
+	// alloc is the file's physical size, end <= alloc.
+	alloc atomic.Int64
+	// extMu serializes changes of the file's extent (preallocation,
+	// SetEnd).
+	//
+	//hydra:vet:coarse -- taken once per logChunk of log and at open; the protected operation is the file-size change itself
+	extMu sync.Mutex
 
 	// vecMu guards the staging buffer reused across WriteVec calls
 	// (one flusher normally calls it, but the device must stay safe
@@ -98,13 +137,67 @@ func OpenFile(path string) (*FileDevice, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	return &FileDevice{f: f}, nil
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: stat %s: %w", path, err)
+	}
+	d := &FileDevice{f: f}
+	d.end.Store(st.Size())
+	d.alloc.Store(st.Size())
+	return d, nil
+}
+
+// reserve makes sure the file covers [0, end), preallocating up to the
+// next logChunk boundary when it does not.
+func (d *FileDevice) reserve(end int64) error {
+	if end <= d.alloc.Load() {
+		return nil
+	}
+	d.extMu.Lock()
+	defer d.extMu.Unlock()
+	cur := d.alloc.Load()
+	if end <= cur {
+		return nil
+	}
+	to := (end + logChunk - 1) / logChunk * logChunk
+	if err := preallocate(d.f, cur, to-cur); err != nil {
+		return fmt.Errorf("wal: preallocate log to %d: %w", to, err)
+	}
+	d.alloc.Store(to)
+	d.stats.extends.Inc()
+	return nil
+}
+
+// extendSparse grows f to size without reserving blocks: the portable
+// stand-in for fallocate. The sync puts the new size on disk now, so
+// later data syncs inside the extension need not.
+func extendSparse(f *os.File, size int64) error {
+	if err := f.Truncate(size); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// wrote advances the logical end over a completed write.
+func (d *FileDevice) wrote(end int64) {
+	for {
+		cur := d.end.Load()
+		if end <= cur || d.end.CompareAndSwap(cur, end) {
+			return
+		}
+	}
 }
 
 // WriteAt implements Device.
 func (d *FileDevice) WriteAt(b []byte, off int64) (int, error) {
 	d.stats.writes.Inc()
-	return d.f.WriteAt(b, off)
+	if err := d.reserve(off + int64(len(b))); err != nil {
+		return 0, err
+	}
+	n, err := d.f.WriteAt(b, off)
+	d.wrote(off + int64(n))
+	return n, err
 }
 
 // WriteVec implements VectorWriter: adjacent pairs are gathered into
@@ -116,6 +209,12 @@ func (d *FileDevice) WriteVec(offs []int64, bufs [][]byte) (int, error) {
 		return 0, fmt.Errorf("wal: WriteVec: %d offsets for %d buffers", len(offs), len(bufs))
 	}
 	d.stats.vecWrites.Inc()
+	if k := len(offs); k > 0 {
+		// Pairs are sorted by offset: the last one ends the vector.
+		if err := d.reserve(offs[k-1] + int64(len(bufs[k-1]))); err != nil {
+			return 0, err
+		}
+	}
 	written := 0
 	d.vecMu.Lock()
 	defer d.vecMu.Unlock()
@@ -142,6 +241,7 @@ func (d *FileDevice) WriteVec(offs []int64, bufs [][]byte) (int, error) {
 		d.stats.writes.Inc()
 		n, err := d.f.WriteAt(run, offs[i])
 		written += n
+		d.wrote(offs[i] + int64(n))
 		if err != nil {
 			return written, fmt.Errorf("wal: vectored write at %d: %w", offs[i], err)
 		}
@@ -150,26 +250,63 @@ func (d *FileDevice) WriteVec(offs []int64, bufs [][]byte) (int, error) {
 	return written, nil
 }
 
-// ReadAt implements Device.
-func (d *FileDevice) ReadAt(b []byte, off int64) (int, error) { return d.f.ReadAt(b, off) }
+// ReadAt implements Device. Reads stop at the logical end of log, not
+// at the end of the preallocated file.
+func (d *FileDevice) ReadAt(b []byte, off int64) (int, error) {
+	lim := d.end.Load() - off
+	if lim >= int64(len(b)) {
+		return d.f.ReadAt(b, off)
+	}
+	if lim <= 0 {
+		return 0, io.EOF
+	}
+	n, err := d.f.ReadAt(b[:lim], off)
+	if err == nil {
+		err = io.EOF
+	}
+	return n, err
+}
 
-// Sync implements Device.
+// Sync implements Device. Data only: the file's size and block map
+// change in reserve, never in a write.
 func (d *FileDevice) Sync() error {
 	d.stats.syncs.Inc()
-	return d.f.Sync()
+	return datasync(d.f)
 }
 
-// Size implements Device.
-func (d *FileDevice) Size() (int64, error) {
-	st, err := d.f.Stat()
-	if err != nil {
-		return 0, err
+// Size implements Device: the logical end of log.
+func (d *FileDevice) Size() (int64, error) { return d.end.Load(), nil }
+
+// SetEnd implements EndSetter by cutting the file at off; the next
+// write preallocates afresh, so the dropped bytes read back as zeros.
+func (d *FileDevice) SetEnd(off int64) error {
+	d.extMu.Lock()
+	defer d.extMu.Unlock()
+	if off < 0 || off > d.end.Load() {
+		return fmt.Errorf("wal: set end %d outside log [0, %d]", off, d.end.Load())
 	}
-	return st.Size(), nil
+	if off < d.alloc.Load() {
+		if err := d.f.Truncate(off); err != nil {
+			return fmt.Errorf("wal: cut log at %d: %w", off, err)
+		}
+		d.alloc.Store(off)
+	}
+	d.end.Store(off)
+	return nil
 }
 
-// Close implements Device.
-func (d *FileDevice) Close() error { return d.f.Close() }
+// Close implements Device, trimming the preallocated tail first so a
+// cleanly closed log file is exactly its records.
+func (d *FileDevice) Close() error {
+	var terr error
+	if end := d.end.Load(); end < d.alloc.Load() {
+		terr = d.f.Truncate(end)
+	}
+	if err := d.f.Close(); err != nil {
+		return err
+	}
+	return terr
+}
 
 // DeviceStats implements StatsReporter.
 func (d *FileDevice) DeviceStats() DeviceStats { return d.stats.DeviceStats() }
@@ -320,6 +457,12 @@ func (d *MemDevice) Size() (int64, error) {
 
 // Close implements Device.
 func (d *MemDevice) Close() error { return nil }
+
+// SetEnd implements EndSetter.
+func (d *MemDevice) SetEnd(off int64) error {
+	d.Truncate(off)
+	return nil
+}
 
 // Truncate cuts the device at off, simulating a crash that lost the
 // tail (including torn writes when off lands mid-record).

@@ -61,8 +61,7 @@ func TestFlushWrapAroundSingleSubmission(t *testing.T) {
 	if _, err := l.insertSerial(rec, nil); err != nil {
 		t.Fatal(err)
 	}
-	<-l.kick // consume: no flusher is running
-	if err := l.flushOnce(); err != nil {
+	if err := l.flushOnce(causeDemand); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,8 +117,7 @@ func TestFlushWrapAroundSequentialFallback(t *testing.T) {
 	if _, err := l.insertSerial(rec, nil); err != nil {
 		t.Fatal(err)
 	}
-	<-l.kick
-	if err := l.flushOnce(); err != nil {
+	if err := l.flushOnce(causeDemand); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.Writes() - preWrites; got != 2 {
@@ -141,12 +139,16 @@ func TestFlusherDeathUnblocksRingFullInserters(t *testing.T) {
 			dev := NewMem()
 			bang := errors.New("disk on fire")
 			dev.FailAfter(1, bang) // first flush write dies
-			l, err := New(dev, Options{Kind: kind, SyncOnFlush: true})
+			// The minimum ring: the six ~128 KiB records below need
+			// 768 KiB, so it fills and the later inserters block whether
+			// or not the flusher has died yet.
+			l, err := New(dev, Options{Kind: kind, BufferSize: EncodedSize(MaxPayload), SyncOnFlush: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The minimum ring (one max record) fills after ~2 records
-			// of half that size; later inserters must block.
+			if l.opts.BufferSize != 512<<10 {
+				t.Fatalf("minimum ring is %d bytes, test assumes 512 KiB", l.opts.BufferSize)
+			}
 			payload := bytes.Repeat([]byte("x"), MaxPayload/2)
 			const inserters = 6
 			errs := make(chan error, inserters)
@@ -171,10 +173,10 @@ func TestFlusherDeathUnblocksRingFullInserters(t *testing.T) {
 					t.Fatalf("inserters still hung %d/%d after flusher death", inserters-i, inserters)
 				}
 			}
-			// The minimum ring (512KiB) fits at most 3 of the 6
-			// ~128KiB records before the dead flusher's frontier, so
-			// at least 3 inserters must have been refused or unblocked
-			// with the flusher's error rather than hanging.
+			// The ring fits at most 3 of the 6 records before the dead
+			// flusher's frontier, so at least 3 inserters must have been
+			// refused or unblocked with the flusher's error rather than
+			// hanging.
 			if sawErr < inserters-3 {
 				t.Fatalf("only %d/%d inserters saw the poisoned log", sawErr, inserters)
 			}

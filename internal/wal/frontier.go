@@ -19,8 +19,9 @@ func newFrontier() *frontier {
 	return &frontier{pending: make(map[uint64]uint64)}
 }
 
-// complete marks [start, end) as filled and returns true if the
-// contiguous frontier advanced.
+// complete marks [start, end) as filled. It reports whether that
+// closed a gap: the contiguous frontier moved past end, over intervals
+// other writers had completed out of order.
 func (f *frontier) complete(start, end uint64) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -30,16 +31,17 @@ func (f *frontier) complete(start, end uint64) bool {
 		return false
 	}
 	// Advance through any now-contiguous pending intervals.
+	upTo := end
 	for {
-		if next, ok := f.pending[end]; ok {
-			delete(f.pending, end)
-			end = next
+		if next, ok := f.pending[upTo]; ok {
+			delete(f.pending, upTo)
+			upTo = next
 			continue
 		}
 		break
 	}
-	f.filled.Store(end)
-	return true
+	f.filled.Store(upTo)
+	return upTo > end
 }
 
 // Filled returns the contiguously-filled LSN frontier.

@@ -91,6 +91,14 @@ type Stats struct {
 	FlushWrites   uint64 // write submissions issued by the flusher (a vectored submission counts once)
 	FlushSyncs    uint64 // Device.Sync calls issued by the flusher
 
+	// What started each flush; the three sum to Flushes. Demand: a
+	// committer, a WAL-rule caller or Close was waiting on the durable
+	// frontier. Pressure: the ring was more than half full. Tick: the
+	// FlushInterval timer found records nobody was waiting for.
+	FlushesDemand   uint64
+	FlushesPressure uint64
+	FlushesTick     uint64
+
 	// Dev carries the device-side submission counters when the device
 	// reports them (FileDevice, MemDevice, SegmentedDevice): the
 	// syscall-shaped ground truth behind FlushWrites/FlushSyncs.
@@ -121,8 +129,10 @@ type Log struct {
 	// to sleep) on every flush advance of a shared condvar.
 	waitMu  sync.Mutex
 	waiters waiterHeap
+	parked  atomic.Int32 // committers in waitFlushedSlow; see filled
 
 	kick        chan struct{}
+	kickCause   atomic.Uint32 // flushCause bits of the kicks since the flusher last woke
 	done        chan struct{}
 	closed      atomic.Bool
 	flushOnceMu sync.Mutex   // serializes flushOnce (flusher vs Close)
@@ -141,8 +151,19 @@ type Log struct {
 		flushes, flushedBytes   obs.Counter
 		mutexAcquires, groupIns obs.Counter
 		flushWrites, flushSyncs obs.Counter
+		flushesBy               [numFlushCauses]obs.Counter
 	}
 }
+
+// flushCause says what started a flush.
+type flushCause uint32
+
+const (
+	causeTick flushCause = iota
+	causePressure
+	causeDemand
+	numFlushCauses
+)
 
 type ringBuf struct {
 	buf  []byte
@@ -170,21 +191,28 @@ func (r *ringBuf) slices(start, end uint64) ([]byte, []byte) {
 	return r.buf[i:], r.buf[:j]
 }
 
-// New creates a log manager over dev, resuming at the device's
-// current size (i.e. the next LSN continues the existing log).
-func New(dev Device, opts Options) (*Log, error) {
+// New creates a log manager over dev, continuing the log found on it.
+func New(dev Device, opts Options) (*Log, error) { return NewFrom(dev, opts, 0) }
+
+// NewFrom is New for a caller that knows a record boundary inside the
+// log (the engine: its last checkpoint), sparing the scan for the end
+// of log everything below it. The next LSN is the end of the last
+// valid record at or after from; a torn record or preallocated space
+// past it is dropped from the device before the first append, so no
+// later scan can mistake it for log.
+func NewFrom(dev Device, opts Options, from LSN) (*Log, error) {
 	opts.fill()
 	if opts.BufferSize < EncodedSize(MaxPayload) {
 		return nil, fmt.Errorf("wal: buffer %d smaller than max record", opts.BufferSize)
 	}
-	size, err := dev.Size()
+	end, err := findEnd(dev, from)
 	if err != nil {
-		return nil, fmt.Errorf("wal: device size: %w", err)
+		return nil, err
 	}
 	l := &Log{
 		opts: opts,
 		dev:  dev,
-		next: uint64(size),
+		next: uint64(end),
 		ring: ringBuf{buf: make([]byte, opts.BufferSize), mask: uint64(opts.BufferSize) - 1},
 		fr:   newFrontier(),
 		kick: make(chan struct{}, 1),
@@ -200,6 +228,30 @@ func New(dev Device, opts Options) (*Log, error) {
 	}
 	go l.flusher()
 	return l, nil
+}
+
+// findEnd scans dev forward from the record boundary from (the start
+// of the log when from lies beyond the device) and makes the end of the
+// last valid record the device's end of log.
+func findEnd(dev Device, from LSN) (LSN, error) {
+	sc, err := NewScanner(dev, from)
+	if err != nil {
+		return 0, err
+	}
+	if sc.pos > sc.end {
+		sc.pos = 0
+	}
+	for sc.advance() {
+	}
+	if err := sc.Err(); err != nil {
+		return 0, err
+	}
+	if es, ok := dev.(EndSetter); ok && sc.pos < sc.end {
+		if err := es.SetEnd(sc.pos); err != nil {
+			return 0, err
+		}
+	}
+	return sc.Pos(), nil
 }
 
 // ErrClosed is returned by operations on a closed log.
@@ -307,7 +359,7 @@ func (l *Log) allocateLocked(n uint64, c *obs.PhaseClock, t0 *int64) (uint64, er
 		if l.closed.Load() {
 			return 0, ErrClosed
 		}
-		l.kickFlusher()
+		l.kickFlusher(causePressure)
 		if c != nil && *t0 == 0 {
 			*t0 = obs.Now()
 		}
@@ -315,6 +367,12 @@ func (l *Log) allocateLocked(n uint64, c *obs.PhaseClock, t0 *int64) (uint64, er
 	}
 	lsn := l.next
 	l.next += n
+	// Inserts alone never start a flush — the commit record that
+	// follows a transaction's first records would miss it — except to
+	// keep a filling ring from becoming a full one.
+	if l.next-l.flushed.Load() > uint64(l.opts.BufferSize)/2 {
+		l.kickFlusher(causePressure)
+	}
 	return lsn, nil
 }
 
@@ -338,7 +396,6 @@ func (l *Log) insertSerial(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	l.mu.Unlock()
 	l.noteInsertWait(c, t0)
 	l.noteInsert(n)
-	l.kickFlusher()
 	return LSN(lsn), nil
 }
 
@@ -357,10 +414,19 @@ func (l *Log) insertDecoupled(rec []byte, c *obs.PhaseClock) (LSN, error) {
 		return 0, err
 	}
 	l.ring.copyIn(lsn, rec) // outside the mutex
-	l.fr.complete(lsn, lsn+n)
+	l.filled(lsn, lsn+n)
 	l.noteInsert(n)
-	l.kickFlusher()
 	return LSN(lsn), nil
+}
+
+// filled completes an out-of-mutex copy into [start, end). A committer
+// whose own record is in the ring but sits behind a slower writer's gap
+// kicks the flusher in vain; when the gap closes with such a committer
+// parked, the writer that closed it passes the kick on.
+func (l *Log) filled(start, end uint64) {
+	if l.fr.complete(start, end) && l.parked.Load() > 0 {
+		l.kickFlusher(causeDemand)
+	}
 }
 
 // lockInsertMu acquires the allocation mutex for an insert path. With
@@ -400,7 +466,13 @@ func (l *Log) noteInsert(n uint64) {
 	l.stats.insertedBytes.Add(n)
 }
 
-func (l *Log) kickFlusher() {
+// kickFlusher wakes the flush daemon, noting why. The cause is
+// published before the wakeup, so the flusher that consumes the kick
+// sees it.
+func (l *Log) kickFlusher(why flushCause) {
+	if bit := uint32(1) << why; l.kickCause.Load()&bit == 0 {
+		l.kickCause.Or(bit)
+	}
 	select {
 	case l.kick <- struct{}{}:
 	default:
@@ -513,7 +585,9 @@ func (l *Log) WaitFlushedC(lsn LSN, c *obs.PhaseClock) error {
 // waitFlushedSlow registers as a group-commit waiter and parks until
 // the durable frontier passes target or the log dies.
 func (l *Log) waitFlushedSlow(target uint64) error {
-	l.kickFlusher()
+	l.parked.Add(1) // before the kick: see filled
+	defer l.parked.Add(-1)
+	l.kickFlusher(causeDemand)
 	ws := obs.LatchStart(obs.TierWALWait)
 	l.waitMu.Lock()
 	obs.LatchDone(obs.TierWALWait, ws)
@@ -606,7 +680,7 @@ func (l *Log) Close() error {
 	if l.closed.Swap(true) {
 		return nil
 	}
-	flushErr := l.flushOnce() // final synchronous drain
+	flushErr := l.flushOnce(causeDemand) // final synchronous drain
 	if flushErr != nil {
 		// The drain failed: records still in the ring will never become
 		// durable. Poison and wake any ring-full inserter that raced
@@ -648,6 +722,10 @@ func (l *Log) StatsSnapshot() Stats {
 		GroupInserts:  l.stats.groupIns.Load(),
 		FlushWrites:   l.stats.flushWrites.Load(),
 		FlushSyncs:    l.stats.flushSyncs.Load(),
+
+		FlushesDemand:   l.stats.flushesBy[causeDemand].Load(),
+		FlushesPressure: l.stats.flushesBy[causePressure].Load(),
+		FlushesTick:     l.stats.flushesBy[causeTick].Load(),
 	}
 	if l.dsr != nil {
 		s.Dev = l.dsr.DeviceStats()
@@ -655,6 +733,11 @@ func (l *Log) StatsSnapshot() Stats {
 	return s
 }
 
+// flusher is the flush daemon. Nothing an insert does wakes it (bar
+// ring pressure): it runs when somebody needs the durable frontier to
+// move, and each run takes everything filled so far, so the records
+// that arrived while the device was busy share the next sync. That is
+// the whole group-commit policy — there is no gather delay to tune.
 func (l *Log) flusher() {
 	ticker := time.NewTicker(l.opts.FlushInterval)
 	defer ticker.Stop()
@@ -669,7 +752,7 @@ func (l *Log) flusher() {
 		// flush about to run covers whatever those kicks announced, so
 		// consuming them now spares redundant no-op flush cycles.
 		l.drainWakeups(ticker)
-		if err := l.flushOnce(); err != nil {
+		if err := l.flushOnce(l.takeCause()); err != nil {
 			l.poison(err)
 			// Ring-full inserters parked in allocateLocked wait on a
 			// frontier that will never advance again; wake them so
@@ -682,7 +765,24 @@ func (l *Log) flusher() {
 			l.failWaiters(err)
 			return
 		}
+		// The tick is for records nobody asks about: it counts from the
+		// last flush, so a log kept flushing by its committers never
+		// pays a sync for a transaction's first records on the side.
+		ticker.Reset(l.opts.FlushInterval)
 	}
+}
+
+// takeCause consumes the causes of the kicks since the last call and
+// returns the strongest; with no kick, the wakeup was the tick.
+func (l *Log) takeCause() flushCause {
+	bits := l.kickCause.Swap(0)
+	switch {
+	case bits&(1<<causeDemand) != 0:
+		return causeDemand
+	case bits != 0:
+		return causePressure
+	}
+	return causeTick
 }
 
 // drainWakeups consumes pending kick and tick signals without
@@ -702,7 +802,7 @@ func (l *Log) drainWakeups(ticker *time.Ticker) {
 // durable frontier. With a VectorWriter device, both wrap-around ring
 // slices go down as one vectored submission; otherwise they are two
 // sequential writes.
-func (l *Log) flushOnce() error {
+func (l *Log) flushOnce(cause flushCause) error {
 	l.flushOnceMu.Lock()
 	defer l.flushOnceMu.Unlock()
 	start := l.flushed.Load()
@@ -742,6 +842,7 @@ func (l *Log) flushOnce() error {
 	}
 	l.flushed.Store(end)
 	l.stats.flushes.Add(1)
+	l.stats.flushesBy[cause].Inc()
 	l.stats.flushedBytes.Add(end - start)
 	// Wake space waiters, and exactly the commit waiters this flush
 	// satisfied.

@@ -1,21 +1,37 @@
 package wal
 
 import (
-	"errors"
+	"encoding/binary"
 	"fmt"
+	"io"
 )
 
 // Scanner iterates the records of a log device from a starting LSN.
-// A torn tail (crash mid-write) terminates iteration cleanly; true
-// corruption below the torn point surfaces as an error.
+//
+// The end of the log is found, not given: the device may hold a
+// never-written preallocated tail or the remains of a flush a crash cut
+// short. A zero length word is a clean end (nothing was ever written
+// there). A record that fails its length or CRC check is a torn tail —
+// a crash can leave the last flush at full length with part of it still
+// zeros — and also ends iteration cleanly, unless a valid record
+// follows it: then it lies inside the log and surfaces as ErrCorrupt.
 type Scanner struct {
 	dev Device
 	pos int64
 	end int64
 	rec Record
 	err error
-	buf []byte
+
+	// win holds the device bytes [winOff, winOff+len(win)); chunk is
+	// how far past a request a refill reads ahead.
+	win    []byte
+	winOff int64
+	chunk  int64
 }
+
+// scanChunk is a sequential scan's read-ahead: recovery reads the log
+// in device requests of this size, not two per record.
+const scanChunk = 1 << 20
 
 // NewScanner returns a Scanner positioned at start.
 func NewScanner(dev Device, start LSN) (*Scanner, error) {
@@ -23,60 +39,100 @@ func NewScanner(dev Device, start LSN) (*Scanner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: scanner: %w", err)
 	}
-	return &Scanner{dev: dev, pos: int64(start), end: size}, nil
+	return &Scanner{dev: dev, pos: int64(start), end: size, chunk: scanChunk}, nil
 }
 
 // Next advances to the next record, reporting false at end of log,
 // at a torn tail, or on error (see Err).
 func (s *Scanner) Next() bool {
-	if s.err != nil || s.pos >= s.end {
+	if !s.advance() {
+		return false
+	}
+	// Detach payload from the read window so callers may retain it.
+	s.rec.Payload = append([]byte(nil), s.rec.Payload...)
+	return true
+}
+
+// advance is Next with the record's payload still aliasing the read
+// window (valid until the following call).
+func (s *Scanner) advance() bool {
+	if s.err != nil {
 		return false
 	}
 	remaining := s.end - s.pos
 	if remaining < headerSize {
 		return false // torn tail shorter than a header
 	}
-	// Read the fixed header to learn the record length, then the rest.
-	var hdr [headerSize]byte
-	if n, err := s.dev.ReadAt(hdr[:], s.pos); n < headerSize {
-		if err != nil {
-			s.err = fmt.Errorf("wal: scan read header at %d: %w", s.pos, err)
-		}
+	hdr := s.peek(headerSize)
+	if hdr == nil {
 		return false
 	}
-	total := int64(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
+	total := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	if total == 0 {
+		return false // clean end of log
+	}
 	if total < headerSize || total > headerSize+MaxPayload {
-		s.err = fmt.Errorf("wal: scan at %d: %w: implausible length %d", s.pos, ErrCorrupt, total)
-		return false
+		return s.bad(fmt.Errorf("%w: implausible length %d", ErrCorrupt, total))
 	}
 	if total > remaining {
 		return false // torn tail mid-record
 	}
-	if int64(cap(s.buf)) < total {
-		s.buf = make([]byte, total)
-	}
-	b := s.buf[:total]
-	if n, err := s.dev.ReadAt(b, s.pos); int64(n) < total {
-		if err != nil {
-			s.err = fmt.Errorf("wal: scan read at %d: %w", s.pos, err)
-		}
+	b := s.peek(total)
+	if b == nil {
 		return false
 	}
 	rec, length, derr := Decode(b)
 	if derr != nil {
-		if errors.Is(derr, ErrTorn) {
-			// Legitimate crash artifact; stop silently.
-			return false
-		}
-		s.err = fmt.Errorf("wal: scan at %d: %w", s.pos, derr)
-		return false
+		return s.bad(derr)
 	}
 	rec.LSN = LSN(s.pos)
-	// Detach payload from the scratch buffer so callers may retain it.
-	rec.Payload = append([]byte(nil), rec.Payload...)
 	s.rec = rec
 	s.pos += int64(length)
 	return true
+}
+
+// peek returns the n bytes at s.pos (the caller keeps n within the
+// device), refilling the window from the device when it does not cover
+// them. It returns nil, recording any device error, when the device
+// comes up short.
+func (s *Scanner) peek(n int64) []byte {
+	if i := s.pos - s.winOff; i >= 0 && i+n <= int64(len(s.win)) {
+		return s.win[i : i+n]
+	}
+	want := min(max(n, s.chunk), s.end-s.pos)
+	if int64(cap(s.win)) < want {
+		s.win = make([]byte, want)
+	}
+	s.win, s.winOff = s.win[:want], s.pos
+	got, err := s.dev.ReadAt(s.win, s.pos)
+	s.win = s.win[:got]
+	if int64(got) >= n {
+		return s.win[:n]
+	}
+	if err != nil && err != io.EOF {
+		s.err = fmt.Errorf("wal: scan read at %d: %w", s.pos, err)
+	}
+	return nil
+}
+
+// bad ends iteration at the undecodable record at s.pos: as an error if
+// a valid record follows, as a torn tail otherwise. The bad record's
+// own length word cannot be trusted to locate its successor, so every
+// offset it could start at — up to one maximal record away — is tried.
+// It always returns false.
+func (s *Scanner) bad(cause error) bool {
+	w := s.peek(min(s.end-s.pos, 2*int64(headerSize+MaxPayload)))
+	for i := 1; i+headerSize <= len(w); i++ {
+		total := int(binary.LittleEndian.Uint32(w[i:]))
+		if total < headerSize || i+total > len(w) {
+			continue
+		}
+		if _, _, err := Decode(w[i : i+total]); err == nil {
+			s.err = fmt.Errorf("wal: scan at %d: %w (valid record follows at %d)", s.pos, cause, s.pos+int64(i))
+			break
+		}
+	}
+	return false
 }
 
 // Record returns the current record. Valid after Next reports true.
@@ -96,6 +152,7 @@ func ReadRecordAt(dev Device, lsn LSN) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
+	sc.chunk = 0 // one record: no read-ahead
 	if !sc.Next() {
 		if sc.Err() != nil {
 			return Record{}, sc.Err()

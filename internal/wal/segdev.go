@@ -332,6 +332,36 @@ func (d *SegmentedDevice) Size() (int64, error) {
 	return d.size, nil
 }
 
+// SetEnd implements EndSetter: the segment holding off is cut there and
+// every later segment deleted.
+func (d *SegmentedDevice) SetEnd(off int64) error {
+	d.lock()
+	defer d.unlock()
+	if off < d.base || off > d.size {
+		return fmt.Errorf("wal: set end %d outside log [%d, %d]", off, d.base, d.size)
+	}
+	for start, f := range d.segs {
+		switch {
+		case start >= off:
+			delete(d.segs, start)
+			delete(d.dirty, start)
+			if err := f.Close(); err != nil {
+				return err
+			}
+			if err := os.Remove(d.segPath(start)); err != nil {
+				return err
+			}
+		case start+d.segSize > off:
+			if err := f.Truncate(off - start); err != nil {
+				return fmt.Errorf("wal: cut segment %d at %d: %w", start, off, err)
+			}
+			d.dirty[start] = struct{}{}
+		}
+	}
+	d.size = off
+	return nil
+}
+
 // Close implements Device.
 func (d *SegmentedDevice) Close() error {
 	d.lock()
