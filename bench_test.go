@@ -38,7 +38,7 @@ func BenchmarkE1_DORAvsConventional(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		x := workload.LockExecutor{Engine: e}
+		x := workload.TxnExecutor{Engine: e}
 		var seq uint64
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -147,7 +147,7 @@ func BenchmarkE4_SingleThreadVsScalable(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			x := workload.LockExecutor{Engine: e}
+			x := workload.TxnExecutor{Engine: e}
 			var seq uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -197,7 +197,7 @@ func BenchmarkE5_SLI(b *testing.B) {
 					agent = e.Locks().NewAgent()
 					defer agent.Close()
 				}
-				x := workload.LockExecutor{Engine: e, Agent: agent}
+				x := workload.TxnExecutor{Engine: e, Intent: core.Intent{Agent: agent}}
 				s := w.NewSampler(seq)
 				for pb.Next() {
 					if err := w.RunOne(s, x); err != nil {
@@ -303,7 +303,7 @@ func BenchmarkE8_RecoveryELR(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			x := workload.LockExecutor{Engine: e}
+			x := workload.TxnExecutor{Engine: e}
 			var seq uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

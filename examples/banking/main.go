@@ -42,7 +42,7 @@ func main() {
 			go func(w int) {
 				defer wg.Done()
 				src := rng.New(uint64(w))
-				x := workload.LockExecutor{Engine: engine}
+				x := workload.TxnExecutor{Engine: engine}
 				n := uint64(0)
 				for time.Now().Before(deadline) {
 					if err := bank.RunOne(src, x); err != nil {

@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	convTPS := drive(func(w int, src *rng.Source) error {
-		return tatp.RunOne(src, workload.LockExecutor{Engine: conv})
+		return tatp.RunOne(src, workload.TxnExecutor{Engine: conv})
 	})
 	st := conv.StatsSnapshot()
 	fmt.Printf("conventional: %8.0f tps  (lock table ops: %d, waits: %d)\n",

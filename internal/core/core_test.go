@@ -627,7 +627,7 @@ func TestSLIAgentTransactions(t *testing.T) {
 	tbl, _ := e.CreateTable("t")
 	agent := e.Locks().NewAgent()
 	for i := uint64(0); i < 20; i++ {
-		tx := e.BeginWithAgent(agent)
+		tx := e.Begin(Intent{Agent: agent})
 		if err := tx.Insert(tbl, i, []byte("v")); err != nil {
 			t.Fatal(err)
 		}

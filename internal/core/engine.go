@@ -74,13 +74,14 @@ type Config struct {
 	// record's insertion rather than after its flush.
 	ELR bool
 
-	// MVCC enables undo-based version chains and the snapshot-read
-	// path (BeginSnapshot): writers keep before-images reachable from
-	// the row, stamped with their commit LSN, and read-only snapshot
-	// transactions resolve reads against them with zero lock-manager
-	// traffic. Off by default in both named configurations — writers
-	// pay a version install per logged op, so it is opted into by
-	// read-mostly workloads.
+	// MVCC enables undo-based version chains: writers keep
+	// before-images reachable from the row, stamped with their commit
+	// LSN. It is the one switch behind Intent: with it on, ReadOnly
+	// transactions read a snapshot with zero lock-manager traffic and
+	// Optimistic ones run under snapshot isolation; with it off both
+	// fall back to locks. Off by default in both named configurations —
+	// writers pay a version install per logged op, so it is opted into
+	// by read-mostly workloads.
 	MVCC bool
 
 	// MaxSnapshotAge, when positive, bounds how long one snapshot pin
@@ -148,13 +149,12 @@ var (
 	ErrExists      = errors.New("core: key already exists")
 	ErrNotFound    = errors.New("core: key not found")
 	ErrTxnDone     = errors.New("core: transaction already finished")
-	// ErrReadOnlyTxn rejects write operations on snapshot transactions.
-	ErrReadOnlyTxn = errors.New("core: read-only snapshot transaction")
-	// ErrMVCCDisabled rejects BeginSnapshot when Config.MVCC is off.
-	ErrMVCCDisabled = errors.New("core: MVCC disabled (Config.MVCC)")
+	// ErrReadOnlyTxn rejects write operations (and ReadForUpdate) on a
+	// transaction begun with Intent.ReadOnly.
+	ErrReadOnlyTxn = errors.New("core: read-only transaction")
 	// ErrWriteConflict aborts a snapshot-isolation writer whose write
 	// set intersects a transaction that committed after its snapshot
-	// (first committer wins). Retryable: ExecSI re-runs the body on a
+	// (first committer wins). Retryable: Exec re-runs the body on a
 	// fresh snapshot, like deadlock/timeout victims on the locked path.
 	ErrWriteConflict = errors.New("core: snapshot write conflict (first committer wins)")
 	// ErrSnapshotExpired reports that the transaction's snapshot pin

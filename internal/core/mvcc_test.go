@@ -23,37 +23,6 @@ func mvccEngine(t testing.TB) *Engine {
 	return memEngine(t, mvccConfig())
 }
 
-func TestSnapshotRequiresMVCC(t *testing.T) {
-	e := memEngine(t, Scalable())
-	if _, err := e.BeginSnapshot(); !errors.Is(err, ErrMVCCDisabled) {
-		t.Fatalf("BeginSnapshot without MVCC: %v", err)
-	}
-}
-
-func TestSnapshotReadOnly(t *testing.T) {
-	e := mvccEngine(t)
-	tbl, _ := e.CreateTable("t")
-	s, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Insert(tbl, 1, []byte("x")); !errors.Is(err, ErrReadOnlyTxn) {
-		t.Fatalf("Insert on snapshot: %v", err)
-	}
-	if err := s.Update(tbl, 1, []byte("x")); !errors.Is(err, ErrReadOnlyTxn) {
-		t.Fatalf("Update on snapshot: %v", err)
-	}
-	if err := s.Delete(tbl, 1); !errors.Is(err, ErrReadOnlyTxn) {
-		t.Fatalf("Delete on snapshot: %v", err)
-	}
-	if _, err := s.ReadForUpdate(tbl, 1); !errors.Is(err, ErrReadOnlyTxn) {
-		t.Fatalf("ReadForUpdate on snapshot: %v", err)
-	}
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A snapshot pinned before an update keeps serving the old value after
 // the writer commits; a fresh snapshot sees the new one.
 func TestSnapshotSeesPreWriteState(t *testing.T) {
@@ -62,10 +31,7 @@ func TestSnapshotSeesPreWriteState(t *testing.T) {
 	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("old")) }); err != nil {
 		t.Fatal(err)
 	}
-	s, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{ReadOnly: true})
 	if err := e.Exec(func(tx *Txn) error { return tx.Update(tbl, 1, []byte("new")) }); err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +45,7 @@ func TestSnapshotSeesPreWriteState(t *testing.T) {
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := e.Begin(Intent{ReadOnly: true})
 	defer s2.Commit()
 	if v, err := s2.Read(tbl, 1); err != nil || string(v) != "new" {
 		t.Fatalf("fresh snapshot read %q, %v; want new", v, err)
@@ -99,10 +62,7 @@ func TestSnapshotInsertDeleteVisibility(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{ReadOnly: true})
 	defer s.Commit()
 	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 5, []byte{5}) }); err != nil {
 		t.Fatal(err)
@@ -149,10 +109,7 @@ func TestSnapshotPendingAndAbortedInvisible(t *testing.T) {
 	if err := w.Insert(tbl, 2, []byte("dirty")); err != nil {
 		t.Fatal(err)
 	}
-	s, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{ReadOnly: true})
 	if v, err := s.Read(tbl, 1); err != nil || string(v) != "keep" {
 		t.Fatalf("pending update leaked: %q, %v", v, err)
 	}
@@ -166,10 +123,7 @@ func TestSnapshotPendingAndAbortedInvisible(t *testing.T) {
 		t.Fatalf("after abort: %q, %v", v, err)
 	}
 	s.Commit()
-	s2, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := e.Begin(Intent{ReadOnly: true})
 	defer s2.Commit()
 	if v, err := s2.Read(tbl, 1); err != nil || string(v) != "keep" {
 		t.Fatalf("aborted update visible to later snapshot: %q, %v", v, err)
@@ -191,10 +145,7 @@ func TestSnapshotZeroLockTraffic(t *testing.T) {
 		}
 	}
 	before := e.StatsSnapshot()
-	s, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{ReadOnly: true})
 	for i := uint64(0); i < 100; i++ {
 		if _, err := s.Read(tbl, i); err != nil {
 			t.Fatal(err)
@@ -247,10 +198,7 @@ func TestVersionChainGC(t *testing.T) {
 
 	// A pinned snapshot holds the watermark: versions accumulate while
 	// it lives and are swept when it releases.
-	s, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{ReadOnly: true})
 	for i := 0; i < 50; i++ {
 		if err := e.Exec(func(tx *Txn) error { return tx.Update(tbl, 1, []byte("w")) }); err != nil {
 			t.Fatal(err)
@@ -298,10 +246,7 @@ func TestSnapshotAfterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := e2.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e2.Begin(Intent{ReadOnly: true})
 	defer s.Commit()
 	if v, err := s.Read(tbl2, 1); err != nil || string(v) != "durable" {
 		t.Fatalf("post-recovery snapshot read %q, %v", v, err)
@@ -412,10 +357,7 @@ func TestSnapshotScanChunkBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{ReadOnly: true})
 	defer s.Commit()
 	// Post-snapshot churn: delete keys at and around chunk edges
 	// (including the first and last), rewrite some, insert new ones.
@@ -522,10 +464,7 @@ func TestStressSnapshotScanConcurrentDeleteNoOmission(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		s, err := e.BeginSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := e.Begin(Intent{ReadOnly: true})
 		n := 0
 		prev := int64(-1)
 		if err := s.Scan(tbl, 0, rows-1, func(k uint64, v []byte) bool {
@@ -564,14 +503,8 @@ func TestSnapshotPinReleasedAfterClose(t *testing.T) {
 	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("v")) }); err != nil {
 		t.Fatal(err)
 	}
-	s1, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := e.Begin(Intent{ReadOnly: true})
+	s2 := e.Begin(Intent{ReadOnly: true})
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -667,10 +600,7 @@ func TestStressSnapshotScanNoTearing(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		s, err := e.BeginSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := e.Begin(Intent{ReadOnly: true})
 		seen := map[string]int{}
 		n := 0
 		if err := s.Scan(tbl, 0, rows-1, func(k uint64, v []byte) bool {
@@ -745,10 +675,7 @@ func TestStressSnapshotNeverSeesAborted(t *testing.T) {
 	}()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		s, err := e.BeginSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := e.Begin(Intent{ReadOnly: true})
 		v, err := s.Read(tbl, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -793,10 +720,7 @@ func TestStressLongSnapshotDoesNotStallWriters(t *testing.T) {
 		return n
 	}
 	base := write(300 * time.Millisecond)
-	s, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{ReadOnly: true})
 	pinned := write(300 * time.Millisecond)
 	// The snapshot still reads its pinned state after all that traffic.
 	if v, rerr := s.Read(tbl, 0); rerr != nil || string(v) == "" {

@@ -1,4 +1,4 @@
-// Retry policy shared by Exec and ExecSI: which errors are worth
+// Retry policy of Engine.Exec: which errors are worth
 // re-running a transaction for, and how long to back off between
 // attempts so victims don't re-collide immediately.
 package core
@@ -11,7 +11,7 @@ import (
 	"hydra/internal/lock"
 )
 
-// maxTxnRetries bounds how many times Exec/ExecSI re-run a retryable
+// maxTxnRetries bounds how many times Exec re-runs a retryable
 // victim before surfacing the error (so 1 + maxTxnRetries attempts).
 const maxTxnRetries = 10
 

@@ -6,9 +6,11 @@
 //
 // Protocol:
 //
-//  1. Begin pins a snapshot exactly like a read-only snapshot
-//     transaction. Reads resolve against it with zero lock-manager
-//     traffic, overlaid with the transaction's own buffered writes.
+//  1. Begin (Intent.Optimistic, or ReadOnly, with Config.MVCC on) pins
+//     a snapshot. Reads resolve against it with zero lock-manager
+//     traffic, overlaid with the transaction's own buffered writes. A
+//     read-only snapshot transaction is the same thing with a write
+//     set that stays empty: its Commit has nothing to validate or log.
 //  2. Writes never touch the heap: each Insert/Update/Delete folds
 //     into the write set as the key's net effect relative to the
 //     snapshot (insert-then-delete nets out; delete-then-insert nets
@@ -22,12 +24,13 @@
 //  4. Validation, under those X locks: a chain head on any written
 //     key that is pending or stamped after the snapshot means some
 //     transaction committed the row since this one began — the
-//     second committer aborts with ErrWriteConflict (retryable;
-//     nothing was logged, so the abort releases nothing into the
-//     chains). The snapshot's own pin guarantees a conflicting node
-//     cannot have been GC'd (the watermark never passes the pin).
-//  5. Apply: the buffered writes run through the ordinary write
-//     methods (siApply flags the re-entry), which log, install
+//     second committer's Commit returns ErrWriteConflict (retryable)
+//     with the transaction still active; nothing was logged, so the
+//     caller's Abort releases nothing into the chains. The snapshot's
+//     own pin guarantees a conflicting node cannot have been GC'd (the
+//     watermark never passes the pin).
+//  5. Apply: the buffered writes run through the ordinary logged
+//     write bodies (Txn.insert/update/delete), which log, install
 //     version nodes, and maintain indexes exactly like a locked
 //     writer. The commit record then publishes stamp + floor under
 //     publishMu, so read-only snapshots and locked writers
@@ -40,7 +43,6 @@ import (
 	"sort"
 
 	"hydra/internal/lock"
-	"hydra/internal/obs"
 )
 
 // siWrite kinds: the net effect a buffered key carries.
@@ -58,65 +60,9 @@ type siWrite struct {
 	value []byte // owned copy; nil for deletes
 }
 
-// BeginSnapshotRW starts a snapshot-isolation writer transaction:
-// reads see a fixed snapshot (like BeginSnapshot) and writes buffer
-// locally until Commit, which validates first-committer-wins and
-// aborts with ErrWriteConflict if any written key was committed by
-// another transaction after this one's snapshot. Requires Config.MVCC.
-func (e *Engine) BeginSnapshotRW() (*Txn, error) {
-	if !e.cfg.MVCC {
-		return nil, ErrMVCCDisabled
-	}
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	t := e.Begin()
-	t.snapRW = true
-	t.path = obs.PathSIWrite
-	t.snap = e.mvcc.pin(t.id)
-	if t.writeSet == nil {
-		t.writeSet = make(map[verKey]siWrite)
-	}
-	e.mvcc.siBegins.Inc()
-	return t, nil
-}
-
-// ExecSI runs fn in a snapshot-isolation writer transaction,
-// committing on nil and aborting on error. Write conflicts, expired
-// snapshots, and lock victims (deadlock/timeout during the commit
-// apply) are retried on a fresh snapshot with the shared capped
-// backoff.
-func (e *Engine) ExecSI(fn func(tx *Txn) error) error {
-	for attempt := 0; ; attempt++ {
-		t, err := e.BeginSnapshotRW()
-		if err != nil {
-			return err
-		}
-		err = fn(t)
-		if err == nil {
-			if err = t.Commit(); err == nil {
-				return nil
-			}
-		}
-		if t.state == txnActive {
-			if aerr := t.Abort(); aerr != nil {
-				return fmt.Errorf("core: abort after %v: %w", err, aerr)
-			}
-		}
-		if retryableTxnErr(err) && attempt < maxTxnRetries {
-			retrySleep(attempt)
-			continue
-		}
-		return err
-	}
-}
-
-// siRead is Read/ReadForUpdate on the SI path: the transaction's own
+// siRead is Read/ReadForUpdate in snapshot mode: the transaction's own
 // buffered write wins, otherwise the pinned snapshot answers.
 func (t *Txn) siRead(tbl *Table, key uint64) ([]byte, error) {
-	if t.snapExpired.Load() {
-		return nil, ErrSnapshotExpired
-	}
 	if w, ok := t.writeSet[verKey{table: tbl.ID, key: key}]; ok {
 		if w.kind == siWriteDelete {
 			return nil, notFound(tbl, key)
@@ -126,80 +72,16 @@ func (t *Txn) siRead(tbl *Table, key uint64) ([]byte, error) {
 	return t.snapshotRead(tbl, key)
 }
 
-// siStage records w as key's buffered effect, tracking first-touch
-// order in siKeys (the scan overlay iterates it; commit sorts it).
-func (t *Txn) siStage(k verKey, w siWrite) {
-	if _, ok := t.writeSet[k]; !ok {
-		t.siKeys = append(t.siKeys, k)
-	}
-	t.writeSet[k] = w
-}
-
-// siBaseExists reports whether key is visible at the snapshot. Used
-// only on a key's first touch; afterwards the write set is
-// authoritative.
-func (t *Txn) siBaseExists(tbl *Table, key uint64) (bool, error) {
-	_, err := t.snapshotRead(tbl, key)
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, ErrNotFound) {
-		return false, nil
-	}
-	return false, err
-}
-
 // siInsert buffers an insert; duplicate keys (against the snapshot
 // overlaid with the write set) fail with ErrExists.
 func (t *Txn) siInsert(tbl *Table, key uint64, value []byte) error {
-	if t.snapExpired.Load() {
-		return ErrSnapshotExpired
-	}
-	k := verKey{table: tbl.ID, key: key}
-	if w, ok := t.writeSet[k]; ok {
-		if w.kind == siWritePut {
-			return fmt.Errorf("%w: table %s key %d", ErrExists, tbl.Name, key)
-		}
-		w.kind = siWritePut
-		w.value = append([]byte(nil), value...)
-		t.writeSet[k] = w
-		return nil
-	}
-	exists, err := t.siBaseExists(tbl, key)
-	if err != nil {
-		return err
-	}
-	if exists {
-		return fmt.Errorf("%w: table %s key %d", ErrExists, tbl.Name, key)
-	}
-	t.siStage(k, siWrite{tbl: tbl, kind: siWritePut, value: append([]byte(nil), value...)})
-	return nil
+	return t.siBuffer(tbl, key, siWritePut, false, value)
 }
 
 // siUpdate buffers an update; a key absent from the snapshot + write
 // set fails with ErrNotFound.
 func (t *Txn) siUpdate(tbl *Table, key uint64, value []byte) error {
-	if t.snapExpired.Load() {
-		return ErrSnapshotExpired
-	}
-	k := verKey{table: tbl.ID, key: key}
-	if w, ok := t.writeSet[k]; ok {
-		if w.kind == siWriteDelete {
-			return notFound(tbl, key)
-		}
-		w.value = append([]byte(nil), value...)
-		t.writeSet[k] = w
-		return nil
-	}
-	exists, err := t.siBaseExists(tbl, key)
-	if err != nil {
-		return err
-	}
-	if !exists {
-		return notFound(tbl, key)
-	}
-	t.siStage(k, siWrite{tbl: tbl, kind: siWritePut, base: true, value: append([]byte(nil), value...)})
-	return nil
+	return t.siBuffer(tbl, key, siWritePut, true, value)
 }
 
 // siDelete buffers a delete; a key absent from the snapshot + write
@@ -207,27 +89,44 @@ func (t *Txn) siUpdate(tbl *Table, key uint64, value []byte) error {
 // inserted nets out: the entry stays for validation but applies
 // nothing.
 func (t *Txn) siDelete(tbl *Table, key uint64) error {
+	return t.siBuffer(tbl, key, siWriteDelete, true, nil)
+}
+
+// siBuffer folds one write into the write set as the key's net effect.
+// wantPresent says whether the operation needs the key to exist
+// (Update, Delete) or to be absent (Insert); presence is the write
+// set's answer once the key is staged and the snapshot's on first
+// touch, which is also when base is fixed and the key joins siKeys
+// (the scan overlay iterates it; commit sorts it).
+func (t *Txn) siBuffer(tbl *Table, key uint64, kind byte, wantPresent bool, value []byte) error {
 	if t.snapExpired.Load() {
 		return ErrSnapshotExpired
 	}
 	k := verKey{table: tbl.ID, key: key}
-	if w, ok := t.writeSet[k]; ok {
-		if w.kind == siWriteDelete {
-			return notFound(tbl, key)
+	w, staged := t.writeSet[k]
+	present := w.kind == siWritePut
+	if !staged {
+		_, err := t.snapshotRead(tbl, key)
+		if err != nil && !errors.Is(err, ErrNotFound) {
+			return err
 		}
-		w.kind = siWriteDelete
-		w.value = nil
-		t.writeSet[k] = w
-		return nil
+		present = err == nil
+		w = siWrite{tbl: tbl, base: present}
 	}
-	exists, err := t.siBaseExists(tbl, key)
-	if err != nil {
-		return err
-	}
-	if !exists {
+	if present != wantPresent {
+		if present {
+			return fmt.Errorf("%w: table %s key %d", ErrExists, tbl.Name, key)
+		}
 		return notFound(tbl, key)
 	}
-	t.siStage(k, siWrite{tbl: tbl, kind: siWriteDelete, base: true})
+	w.kind, w.value = kind, nil
+	if kind == siWritePut {
+		w.value = append([]byte(nil), value...)
+	}
+	if !staged {
+		t.siKeys = append(t.siKeys, k)
+	}
+	t.writeSet[k] = w
 	return nil
 }
 
@@ -235,8 +134,8 @@ func (t *Txn) siDelete(tbl *Table, key uint64) error {
 // order, with the transaction's buffered writes — puts override or
 // extend the snapshot rows, deletes hide them.
 func (t *Txn) siScan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte) bool) error {
-	if t.snapExpired.Load() {
-		return ErrSnapshotExpired
+	if len(t.siKeys) == 0 {
+		return t.snapshotScan(tbl, lo, hi, fn)
 	}
 	type overlay struct {
 		key uint64
@@ -292,33 +191,17 @@ func (t *Txn) siScan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte
 	return nil
 }
 
-// abortSIUnlogged retires an SI transaction that has logged nothing —
-// the conflict and expiry exits out of commitSI. Locks release, the
-// handle retires (dropping the snapshot pin), and err surfaces as the
-// retryable abort cause. Nothing was logged, so nothing enters the
-// version chains.
-func (t *Txn) abortSIUnlogged(err error) error {
-	e := t.e
-	t.releaseLocks(true)
-	obs.TraceEvent(obs.EvAbort, t.id, 0, 0)
-	t.finish(txnAborted)
-	e.aborts.Inc()
-	return err
-}
-
-// commitSI validates and applies a snapshot-isolation writer.
-// See the package comment at the top of this file for the protocol.
-func (t *Txn) commitSI() error {
-	if err := t.checkActive(); err != nil {
-		return err
-	}
-	e := t.e
+// applyWriteSet is the snapshot-isolation half of Commit: lock the
+// write set in global order, validate first-committer-wins, and run
+// the buffered writes through the logged write bodies (see the
+// protocol at the top of this file). On any error the transaction is
+// still active and the caller's Abort cleans up: the cheap unlogged
+// retire after an expired snapshot, a lock victim or a lost
+// validation (nothing reached the heap), the normal undo path after a
+// partial apply.
+func (t *Txn) applyWriteSet() error {
 	if t.snapExpired.Load() {
-		return t.abortSIUnlogged(ErrSnapshotExpired)
-	}
-	if len(t.writeSet) == 0 {
-		// Read-only SI transaction: nothing to validate or log.
-		return t.finishSnapshot(txnCommitted)
+		return ErrSnapshotExpired
 	}
 	keys := t.siKeys
 	sort.Slice(keys, func(i, j int) bool {
@@ -328,8 +211,6 @@ func (t *Txn) commitSI() error {
 		}
 		return a.key < b.key
 	})
-	// Lock in global (table, key) order; a lock error leaves the
-	// transaction active and the caller's Abort releases everything.
 	for _, k := range keys {
 		if err := t.acquire(lock.TableName(k.table), lock.IX); err != nil {
 			return err
@@ -342,16 +223,14 @@ func (t *Txn) commitSI() error {
 	// verTable.hasConflict for why the chain head check is sufficient
 	// and why the pin makes it sound against GC.
 	for _, k := range keys {
-		if e.mvcc.hasConflict(k.table, k.key, t.snap, &t.clock) {
-			e.mvcc.siConflicts.Inc()
-			return t.abortSIUnlogged(ErrWriteConflict)
+		if t.e.mvcc.hasConflict(k.table, k.key, t.snap, &t.clock) {
+			t.e.mvcc.siConflicts.Inc()
+			return ErrWriteConflict
 		}
 	}
-	// Apply through the ordinary write methods (siApply routes past
-	// the buffering branch): validation passed under the X locks, so
-	// for every written key the heap state equals the snapshot state
-	// and the staged existence decisions hold.
-	t.siApply = true
+	// Validation passed under the X locks, so for every written key the
+	// heap state equals the snapshot state and the staged existence
+	// decisions hold.
 	for _, k := range keys {
 		w := t.writeSet[k]
 		var err error
@@ -359,24 +238,16 @@ func (t *Txn) commitSI() error {
 		case w.kind == siWriteDelete && !w.base:
 			continue // insert-then-delete nets out
 		case w.kind == siWriteDelete:
-			err = t.Delete(w.tbl, k.key)
+			err = t.delete(w.tbl, k.key)
 		case w.base:
-			err = t.Update(w.tbl, k.key, w.value)
+			err = t.update(w.tbl, k.key, w.value)
 		default:
-			err = t.Insert(w.tbl, k.key, w.value)
+			err = t.insert(w.tbl, k.key, w.value)
 		}
 		if err != nil {
-			// Partially applied: the transaction is logged and active;
-			// the caller's Abort runs the normal undo path.
-			t.siApply = false
 			return err
 		}
 	}
-	t.siApply = false
-	if err := t.commitLogged(); err != nil {
-		return err
-	}
-	e.mvcc.siCommits.Inc()
 	return nil
 }
 
@@ -406,7 +277,7 @@ func (e *Engine) expireStaleSnapshots() int {
 	}
 	e.activeMu.Lock()
 	for _, id := range expired {
-		if t := e.active[id]; t != nil && (t.snapRO || t.snapRW) {
+		if t := e.active[id]; t != nil && t.mode.snapshot {
 			t.snapExpired.Store(true)
 		}
 	}

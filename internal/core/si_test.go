@@ -4,18 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestSIRequiresMVCC(t *testing.T) {
-	e := memEngine(t, Scalable())
-	if _, err := e.BeginSnapshotRW(); !errors.Is(err, ErrMVCCDisabled) {
-		t.Fatalf("BeginSnapshotRW without MVCC: %v", err)
-	}
-}
 
 func TestSIReadYourWritesAndNetEffects(t *testing.T) {
 	e := mvccEngine(t)
@@ -23,10 +17,7 @@ func TestSIReadYourWritesAndNetEffects(t *testing.T) {
 	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("base")) }); err != nil {
 		t.Fatal(err)
 	}
-	s, err := e.BeginSnapshotRW()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{Optimistic: true})
 	// Existence errors are decided against snapshot + write set.
 	if err := s.Insert(tbl, 1, []byte("dup")); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate insert: %v", err)
@@ -107,10 +98,7 @@ func TestSIScanMergesOverlay(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := e.BeginSnapshotRW()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{Optimistic: true})
 	if err := s.Delete(tbl, 20); err != nil { // hide a snapshot row
 		t.Fatal(err)
 	}
@@ -193,14 +181,8 @@ func TestSIFirstCommitterWins(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			t1, err := e.BeginSnapshotRW()
-			if err != nil {
-				t.Fatal(err)
-			}
-			t2, err := e.BeginSnapshotRW()
-			if err != nil {
-				t.Fatal(err)
-			}
+			t1 := e.Begin(Intent{Optimistic: true})
+			t2 := e.Begin(Intent{Optimistic: true})
 			if err := tc.first(t1, tbl); err != nil {
 				t.Fatal(err)
 			}
@@ -210,14 +192,19 @@ func TestSIFirstCommitterWins(t *testing.T) {
 			if err := t1.Commit(); err != nil {
 				t.Fatalf("first committer: %v", err)
 			}
-			err = t2.Commit()
+			err := t2.Commit()
 			if tc.wantConflict {
 				if !errors.Is(err, ErrWriteConflict) {
 					t.Fatalf("second committer: %v, want ErrWriteConflict", err)
 				}
-				st := e.StatsSnapshot().Mvcc
-				if st.SIConflictAborts == 0 {
-					t.Fatal("conflict abort not counted")
+				// The loser is still active; its Abort is the cheap
+				// unlogged retire, and the loss is counted exactly once.
+				if err := t2.Abort(); err != nil {
+					t.Fatalf("abort of the loser: %v", err)
+				}
+				st := e.StatsSnapshot()
+				if st.Mvcc.SIConflictAborts != 1 || st.Aborts != 1 {
+					t.Fatalf("si_conflict_aborts = %d, aborts = %d, want 1 and 1", st.Mvcc.SIConflictAborts, st.Aborts)
 				}
 			} else if err != nil {
 				t.Fatalf("second committer on disjoint keys: %v", err)
@@ -235,10 +222,7 @@ func TestSIAbortReleasesNothingIntoChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.StatsSnapshot().Mvcc
-	s, err := e.BeginSnapshotRW()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{Optimistic: true})
 	if err := s.Update(tbl, 1, []byte("discard")); err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +264,7 @@ func TestSIConflictsWithLockedWriter(t *testing.T) {
 	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("base")) }); err != nil {
 		t.Fatal(err)
 	}
-	s, err := e.BeginSnapshotRW()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{Optimistic: true})
 	if err := s.Update(tbl, 1, []byte("si")); err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +273,9 @@ func TestSIConflictsWithLockedWriter(t *testing.T) {
 	}
 	if err := s.Commit(); !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("SI commit after locked commit: %v, want ErrWriteConflict", err)
+	}
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
 	}
 	if err := e.Exec(func(tx *Txn) error {
 		v, err := tx.Read(tbl, 1)
@@ -307,15 +291,15 @@ func TestSIConflictsWithLockedWriter(t *testing.T) {
 	}
 }
 
-// ExecSI retries a write conflict on a fresh snapshot and succeeds.
-func TestExecSIRetriesConflict(t *testing.T) {
+// Exec retries a write conflict on a fresh snapshot and succeeds.
+func TestExecRetriesSIConflict(t *testing.T) {
 	e := mvccEngine(t)
 	tbl, _ := e.CreateTable("t")
 	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte{0}) }); err != nil {
 		t.Fatal(err)
 	}
 	attempts := 0
-	if err := e.ExecSI(func(tx *Txn) error {
+	if err := e.Exec(func(tx *Txn) error {
 		attempts++
 		if attempts == 1 {
 			// Stage the write first so its snapshot predates the
@@ -326,7 +310,7 @@ func TestExecSIRetriesConflict(t *testing.T) {
 			return e.Exec(func(w *Txn) error { return w.Update(tbl, 1, []byte{9}) })
 		}
 		return tx.Update(tbl, 1, []byte{1})
-	}); err != nil {
+	}, Intent{Optimistic: true}); err != nil {
 		t.Fatal(err)
 	}
 	if attempts != 2 {
@@ -368,7 +352,7 @@ func TestSIHotKeyStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := uint64((w + i) % hotKeys)
-				err := e.ExecSI(func(tx *Txn) error {
+				err := e.Exec(func(tx *Txn) error {
 					v, err := tx.Read(tbl, k)
 					if err != nil {
 						return err
@@ -377,7 +361,7 @@ func TestSIHotKeyStress(t *testing.T) {
 					var buf [8]byte
 					binary.LittleEndian.PutUint64(buf[:], n+1)
 					return tx.Update(tbl, k, buf[:])
-				})
+				}, Intent{Optimistic: true})
 				if err == nil {
 					committed[k].Add(1)
 				} else if !retryableTxnErr(err) {
@@ -416,6 +400,97 @@ func TestSIHotKeyStress(t *testing.T) {
 	}
 }
 
+// TestSIRetryNeverTouchesForeignTxn is the behaviour behind the race
+// TestSIHotKeyStress reports: a retry loop that looks at a handle after
+// the call that retired it can find it recycled into another
+// goroutine's live transaction and abort that one. Optimistic writers
+// fight over one key (so conflict losers are retired and their handles
+// recycled constantly) while locked transactions on the same engine
+// stay open across scheduling points; no locked transaction may see
+// ErrTxnDone or lose its own write.
+func TestSIRetryNeverTouchesForeignTxn(t *testing.T) {
+	e := mvccEngine(t)
+	tbl, _ := e.CreateTable("t")
+	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 0, make([]byte, 8)) }); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		fighters = 6
+		bystand  = 4
+		rounds   = 150
+	)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < fighters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				err := e.Exec(func(tx *Txn) error {
+					v, err := tx.Read(tbl, 0)
+					if err != nil {
+						return err
+					}
+					runtime.Gosched() // widen the conflict window
+					binary.LittleEndian.PutUint64(v, binary.LittleEndian.Uint64(v)+1)
+					return tx.Update(tbl, 0, v)
+				}, Intent{Optimistic: true})
+				if err != nil && !retryableTxnErr(err) {
+					t.Errorf("fighter: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	var bwg sync.WaitGroup
+	for w := 1; w <= bystand; w++ {
+		bwg.Add(1)
+		go func(w int) {
+			defer bwg.Done()
+			for i := 0; i < rounds; i++ {
+				key := uint64(w*rounds + i)
+				tx := e.Begin()
+				if err := tx.Insert(tbl, key, []byte("mine")); err != nil {
+					t.Errorf("bystander insert: %v", err)
+					return
+				}
+				for j := 0; j < 4; j++ {
+					runtime.Gosched()
+					if v, err := tx.Read(tbl, key); err != nil || string(v) != "mine" {
+						t.Errorf("bystander lost its own write mid-transaction: %q, %v", v, err)
+						return
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("bystander commit: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	bwg.Wait()
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := e.Exec(func(tx *Txn) error {
+		for key := uint64(rounds); key < uint64((bystand+1)*rounds); key++ {
+			if _, err := tx.Read(tbl, key); err != nil {
+				return fmt.Errorf("committed bystander row %d: %w", key, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A pin older than MaxSnapshotAge is expired: the watermark advances
 // (GC reclaims the chains it pinned) and the owner's next read fails
 // with ErrSnapshotExpired.
@@ -427,10 +502,7 @@ func TestMaxSnapshotAgeExpiresPin(t *testing.T) {
 	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("v0")) }); err != nil {
 		t.Fatal(err)
 	}
-	s, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{ReadOnly: true})
 	// Grow the chain the pin holds live.
 	for i := 0; i < 4; i++ {
 		if err := e.Exec(func(tx *Txn) error { return tx.Update(tbl, 1, []byte{byte(i)}) }); err != nil {
@@ -462,8 +534,8 @@ func TestMaxSnapshotAgeExpiresPin(t *testing.T) {
 	}
 }
 
-// An expired SI writer fails at commit with the retryable error and
-// releases everything.
+// An expired SI writer fails at commit with the retryable error; the
+// caller's Abort then releases everything.
 func TestMaxSnapshotAgeExpiresSIWriter(t *testing.T) {
 	cfg := mvccConfig()
 	cfg.MaxSnapshotAge = time.Nanosecond
@@ -472,10 +544,7 @@ func TestMaxSnapshotAgeExpiresSIWriter(t *testing.T) {
 	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("v0")) }); err != nil {
 		t.Fatal(err)
 	}
-	s, err := e.BeginSnapshotRW()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(Intent{Optimistic: true})
 	if err := s.Update(tbl, 1, []byte("mine")); err != nil {
 		t.Fatal(err)
 	}
@@ -484,6 +553,9 @@ func TestMaxSnapshotAgeExpiresSIWriter(t *testing.T) {
 	}
 	if err := s.Commit(); !errors.Is(err, ErrSnapshotExpired) {
 		t.Fatalf("commit on expired snapshot: %v", err)
+	}
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
 	}
 	if err := e.Exec(func(tx *Txn) error {
 		v, err := tx.Read(tbl, 1)
@@ -509,9 +581,7 @@ func TestMaxSnapshotAgeSampledFromWriters(t *testing.T) {
 	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("v0")) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.BeginSnapshot(); err != nil {
-		t.Fatal(err)
-	}
+	e.Begin(Intent{ReadOnly: true})
 	for i := 0; i < 2*expireEvery; i++ {
 		if err := e.Exec(func(tx *Txn) error { return tx.Update(tbl, 1, []byte{byte(i)}) }); err != nil {
 			t.Fatal(err)

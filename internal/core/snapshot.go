@@ -1,5 +1,12 @@
-// Snapshot-read execution path: lock-free read-only transactions over
-// the MVCC version chains (see mvcc.go for the version store itself).
+// Snapshot-read execution path: lock-free reads over the MVCC version
+// chains (see mvcc.go for the version store itself). A transaction
+// begun with Intent.ReadOnly or Intent.Optimistic on an engine with
+// Config.MVCC reads a fixed snapshot of the database: the state as of
+// the newest published commit at begin. Point reads and scans —
+// including rows deleted or rewritten by transactions committing
+// concurrently — all resolve against that one state; reads take no
+// transactional locks, writers never block the reader, and it never
+// blocks writers.
 package core
 
 import (
@@ -9,64 +16,13 @@ import (
 	"hydra/internal/btree"
 	"hydra/internal/heap"
 	"hydra/internal/invariant"
-	"hydra/internal/obs"
 	"hydra/internal/wal"
 )
 
-// BeginSnapshot starts a read-only transaction that reads a fixed
-// snapshot of the database: the state as of the newest published
-// commit at begin. Point reads and scans — including rows deleted or
-// rewritten by transactions committing concurrently — all resolve
-// against that one state; reads take no transactional locks, writers
-// never block this transaction, and it never blocks writers. Write
-// operations (and ReadForUpdate) fail with ErrReadOnlyTxn. Requires
-// Config.MVCC.
-func (e *Engine) BeginSnapshot() (*Txn, error) {
-	if !e.cfg.MVCC {
-		return nil, ErrMVCCDisabled
-	}
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	t := e.Begin()
-	t.snapRO = true
-	t.path = obs.PathROSnap
-	t.snap = e.mvcc.pin(t.id)
-	// Counted here, not in pin: SI writers pin too but count under
-	// siBegins.
-	e.mvcc.snapBegins.Inc()
-	return t, nil
-}
-
-// MVCCEnabled reports whether the engine was opened with Config.MVCC
-// (i.e. BeginSnapshot is available).
-func (e *Engine) MVCCEnabled() bool { return e.cfg.MVCC }
-
-// ExecSnapshot runs fn in a read-only snapshot transaction: the
-// lock-free analogue of Exec for pure reads. There is no retry loop —
-// snapshot transactions cannot deadlock or time out.
-func (e *Engine) ExecSnapshot(fn func(tx *Txn) error) error {
-	t, err := e.BeginSnapshot()
-	if err != nil {
-		return err
-	}
-	if err := fn(t); err != nil {
-		// Abort on a snapshot transaction only fails on reuse of a
-		// finished handle; join rather than drop it so a pin leak could
-		// never pass silently.
-		return errors.Join(err, t.Abort())
-	}
-	return t.Commit()
-}
-
-// SnapshotLSN returns the snapshot a snapshot transaction (read-only
-// or SI writer) pinned at begin, or 0 for locked transactions.
-func (t *Txn) SnapshotLSN() uint64 {
-	if !t.snapRO && !t.snapRW {
-		return 0
-	}
-	return t.snap
-}
+// SnapshotLSN returns the snapshot a snapshot-mode transaction pinned
+// at begin, or 0 for transactions the lock manager (or a partition
+// owner) isolates.
+func (t *Txn) SnapshotLSN() uint64 { return t.snap }
 
 // notFound renders the canonical missing-key error.
 func notFound(tbl *Table, key uint64) error {

@@ -72,7 +72,7 @@ func TestConcurrentCommitAbortStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				var tx *Txn
 				if agent != nil {
-					tx = e.BeginWithAgent(agent)
+					tx = e.Begin(Intent{Agent: agent})
 				} else {
 					tx = e.Begin()
 				}

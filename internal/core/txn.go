@@ -31,10 +31,44 @@ const (
 	txnAborted
 )
 
+// Intent names what a transaction is for; Begin and Exec pick the
+// concurrency-control mechanism from it and from Config.MVCC:
+//
+//	intent      Config.MVCC on                 Config.MVCC off
+//	(zero)      2PL                            2PL
+//	ReadOnly    MVCC snapshot, no locks        IS/S locks
+//	Optimistic  snapshot isolation (si.go)     2PL (strictly stronger)
+//	Owned       no locks: the caller owns the data, either way
+//
+// ReadOnly refuses writes with ErrReadOnlyTxn whichever mechanism
+// serves it. Agent routes whatever lock traffic remains through an SLI
+// agent (one agent per worker goroutine).
+type Intent struct {
+	ReadOnly   bool
+	Optimistic bool
+	Agent      *lock.Agent
+	// Owned, when non-zero, declares that the caller guarantees
+	// isolation by construction (DORA: each datum is accessed only by
+	// its owning executor), so the lock manager is skipped entirely.
+	// The value is the phase-profile path the transaction folds under.
+	Owned obs.TxnPath
+}
+
+// txnMode is the Intent a transaction began with plus the mechanism
+// Begin resolved it to. It is set once, in Begin.
+type txnMode struct {
+	Intent
+	// snapshot: reads resolve against the snapshot pinned at begin
+	// with no lock traffic (snapshot.go) and writes buffer until Commit
+	// validates first-committer-wins (si.go). A read-only snapshot
+	// transaction is simply one whose write set stays empty.
+	snapshot bool
+}
+
 // Txn is a transaction handle. A Txn is normally confined to one
-// goroutine; transactions started with BeginNoLock may have their
-// operations executed by multiple DORA executors, so the log chain
-// and undo list are mutex-protected.
+// goroutine; partition-owned transactions (Intent.Owned) may have
+// their operations executed by multiple DORA executors, so the log
+// chain and undo list are mutex-protected.
 //
 // Handles are recycled through a per-engine pool: Begin draws a
 // retired Txn (with its lock holder, undo slice, and encode scratch
@@ -42,37 +76,30 @@ const (
 // never be used after Commit or Abort returns — it may already be
 // another transaction.
 type Txn struct {
-	e      *Engine
-	id     uint64
-	state  txnState
-	agent  *lock.Agent  // non-nil when SLI is active for this worker
-	noLock bool         // DORA: partition ownership replaces locking
-	locks  *lock.Holder // caller-owned lock set (see lock.Holder)
+	e     *Engine
+	id    uint64
+	state txnState
+	mode  txnMode
+	locks *lock.Holder // caller-owned lock set (see lock.Holder)
 
-	// path tags which execution path runs the transaction (DORA sets
-	// it after Begin; conventional transactions keep PathConv).
+	// path tags which mechanism runs the transaction in the phase
+	// profile; Begin derives it from mode.
 	path obs.TxnPath
 
-	// Snapshot-read state (see snapshot.go). snapRO marks a read-only
-	// snapshot transaction pinned to snap; verTxn/verNodes track the
-	// versions a writing transaction installed — commit and abort both
-	// stamp them (through the shared verTxn), and abort additionally
-	// prunes the touched chains once the stamp is published.
+	// snap is the snapshot a snapshot-mode transaction pinned at begin
+	// (0 otherwise). verTxn/verNodes track the versions a writing
+	// transaction installed — commit and abort both stamp them (through
+	// the shared verTxn), and abort additionally prunes the touched
+	// chains once the stamp is published.
 	snap     uint64
-	snapRO   bool
 	verTxn   *verTxn
 	verNodes []*verNode
-	// Snapshot-isolation writer state (see si.go). snapRW marks an SI
-	// writer: reads resolve against snap like snapRO, writes buffer
-	// into writeSet and reach the heap only inside Commit, after
-	// first-committer-wins validation. siApply is set for that apply
-	// window so the ordinary write methods run their real bodies
-	// instead of re-buffering. snapExpired is flipped by the
+	// Snapshot-mode write buffering (see si.go): writes fold into
+	// writeSet and reach the heap only inside Commit, after
+	// first-committer-wins validation. snapExpired is flipped by the
 	// MaxSnapshotAge expirer (under the engine's activeMu, so it never
 	// lands on a recycled handle); the transaction observes it on its
 	// next read or commit as ErrSnapshotExpired.
-	snapRW      bool
-	siApply     bool
 	writeSet    map[verKey]siWrite
 	siKeys      []verKey // insertion-ordered writeSet keys (scan overlay, commit sort scratch)
 	snapExpired atomic.Bool
@@ -143,8 +170,13 @@ func (t *Txn) arenaRowRecord(key uint64, value []byte) []byte {
 	return rec
 }
 
-// Begin starts a transaction.
-func (e *Engine) Begin() *Txn {
+// Begin starts a transaction. With no Intent it is an ordinary locked
+// (2PL) read-write transaction; see Intent for what the one optional
+// argument selects. Begin and Exec are the only ways in.
+func (e *Engine) Begin(opts ...Intent) *Txn {
+	if len(opts) > 1 {
+		panic("core: Begin takes at most one Intent")
+	}
 	id := e.txnSeq.Add(1)
 	var t *Txn
 	if v := e.txnPool.Get(); v != nil {
@@ -159,46 +191,62 @@ func (e *Engine) Begin() *Txn {
 	invariant.PoolGot("core.Begin", t)
 	t.id = id
 	t.state = txnActive
-	t.agent = nil
-	t.noLock = false
+	t.mode = txnMode{}
+	if len(opts) == 1 {
+		t.mode.Intent = opts[0]
+		t.mode.snapshot = e.cfg.MVCC && t.mode.Owned == 0 && (t.mode.ReadOnly || t.mode.Optimistic)
+	}
 	t.lastLSN = wal.NilLSN
 	t.firstLSN = wal.NilLSN
 	t.logged = false
 	t.snap = 0
-	t.snapRO = false
-	t.snapRW = false
-	t.siApply = false
 	t.snapExpired.Store(false)
 	t.verTxn = nil
 	// No clock Reset here: finish's fold drains every lap to zero, so a
 	// pooled handle's clock is already clean; Start just restamps.
-	t.path = obs.PathConv
+	t.path = t.mode.Owned // the zero TxnPath is PathConv
 	t.clock.Start(obs.Now())
 	e.activeMu.Lock()
 	e.active[id] = t
 	e.activeMu.Unlock()
 	obs.TraceEvent(obs.EvBegin, id, 0, 0)
+	if t.mode.snapshot {
+		t.snap = e.mvcc.pin(id)
+		if t.mode.ReadOnly {
+			t.path = obs.PathROSnap
+			e.mvcc.snapBegins.Inc()
+		} else {
+			t.path = obs.PathSIWrite
+			e.mvcc.siBegins.Inc()
+			if t.writeSet == nil {
+				t.writeSet = make(map[verKey]siWrite)
+			}
+		}
+	}
 	return t
 }
 
-// finish retires the transaction from the active registry and
-// recycles the handle.
-func (t *Txn) finish(state txnState) {
+// finish is the last step of every transaction: trace the outcome,
+// fold the phase clock, drop the snapshot pin and the active-registry
+// entry, recycle the handle, and count the commit or abort. lsn is the
+// commit record's position (NilLSN when nothing was logged).
+func (t *Txn) finish(state txnState, lsn wal.LSN) {
 	t.state = state
 	e := t.e
+	oc, ev, counter := obs.OutcomeCommit, obs.EvCommit, &e.commits
+	if state == txnAborted {
+		oc, ev, counter = obs.OutcomeAbort, obs.EvAbort, &e.aborts
+	}
+	obs.TraceEvent(ev, t.id, uint64(lsn), 0)
 	// Fold the critical-path breakdown before the handle is recycled;
 	// the same numbers feed the slow-transaction reservoir so a
 	// tail-worthy transaction is captured without re-reading the clock.
 	end := obs.Now()
 	total := end - t.clock.StartTime()
-	oc := obs.OutcomeCommit
-	if state == txnAborted {
-		oc = obs.OutcomeAbort
-	}
 	var phases [obs.NumPhases]int64
 	obs.TxnPhases.Fold(t.path, oc, &t.clock, total, &phases)
 	obs.SlowTxns.Offer(t.id, t.path, oc, end, total, &phases)
-	if t.snapRO || t.snapRW {
+	if t.mode.snapshot {
 		// Unpin the snapshot; if it was the oldest, the watermark
 		// advances and release sweeps newly dead versions. A pin the
 		// MaxSnapshotAge expirer already removed makes this a no-op.
@@ -238,32 +286,22 @@ func (t *Txn) finish(state txnState) {
 	t.arena = t.arena[:0]
 	invariant.PoolPut("core.finish", t)
 	e.txnPool.Put(t)
+	counter.Inc()
 }
 
-// BeginWithAgent starts a transaction whose lock acquisitions go
-// through an SLI agent (one agent per worker goroutine).
-func (e *Engine) BeginWithAgent(a *lock.Agent) *Txn {
-	t := e.Begin()
-	t.agent = a
-	return t
-}
-
-// BeginNoLock starts a transaction that skips the lock manager
-// entirely. Callers (the DORA layer) must guarantee isolation by
-// construction — each datum is accessed only by its owning executor.
-func (e *Engine) BeginNoLock() *Txn {
-	t := e.Begin()
-	t.noLock = true
-	return t
+// retire is the one exit for a transaction whose remaining work is in
+// memory only — every transaction that logged nothing (read-only,
+// snapshot, SI conflict loser) and the end of a logged Abort. It works
+// even while the engine is closing: the locks and the snapshot pin
+// MUST be released on every path, or the lock table and the GC
+// watermark stay held for the life of the process.
+func (t *Txn) retire(state txnState) {
+	t.releaseLocks(state == txnAborted)
+	t.finish(state, wal.NilLSN)
 }
 
 // ID returns the transaction id.
 func (t *Txn) ID() uint64 { return t.id }
-
-// SetPath tags the execution path folded into the phase profile when
-// the transaction finishes. The DORA layer calls it right after
-// Begin; conventional transactions keep the default PathConv.
-func (t *Txn) SetPath(p obs.TxnPath) { t.path = p }
 
 // Clock returns the transaction's phase clock. DORA executors use it
 // to attribute queue and service time to the transaction they are
@@ -272,11 +310,11 @@ func (t *Txn) SetPath(p obs.TxnPath) { t.path = p }
 func (t *Txn) Clock() *obs.PhaseClock { return &t.clock }
 
 func (t *Txn) acquire(name lock.Name, mode lock.Mode) error {
-	if t.noLock {
+	if t.mode.Owned != 0 {
 		return nil
 	}
-	if t.agent != nil {
-		return t.agent.AcquireFor(t.locks, name, mode)
+	if t.mode.Agent != nil {
+		return t.mode.Agent.AcquireFor(t.locks, name, mode)
 	}
 	return t.locks.Acquire(name, mode)
 }
@@ -339,6 +377,18 @@ func (t *Txn) logOp(op *OpRecord) (wal.LSN, error) {
 	return lsn, nil
 }
 
+// checkWrite is checkActive for the operations a read-only intent
+// refuses, whichever mechanism serves it.
+func (t *Txn) checkWrite() error {
+	if err := t.checkActive(); err != nil {
+		return err
+	}
+	if t.mode.ReadOnly {
+		return ErrReadOnlyTxn
+	}
+	return nil
+}
+
 // Read returns the value stored under key in table. On a snapshot
 // transaction it resolves against the pinned snapshot without touching
 // the lock manager.
@@ -346,40 +396,20 @@ func (t *Txn) Read(tbl *Table, key uint64) ([]byte, error) {
 	if err := t.checkActive(); err != nil {
 		return nil, err
 	}
-	if t.snapRO {
-		return t.snapshotRead(tbl, key)
-	}
-	if t.snapRW {
+	if t.mode.snapshot {
 		return t.siRead(tbl, key)
 	}
-	if err := t.acquire(lock.TableName(tbl.ID), lock.IS); err != nil {
-		return nil, err
-	}
-	if err := t.acquire(lock.RowName(tbl.ID, key), lock.S); err != nil {
-		return nil, err
-	}
-	packed, err := tbl.Index.GetC(key, &t.clock)
-	if err != nil {
-		return nil, indexReadErr(err, tbl, key)
-	}
-	rec, err := tbl.Heap.ReadC(heap.Unpack(packed), &t.clock)
-	if err != nil {
-		return nil, err
-	}
-	return rowValue(rec), nil
+	return t.lockedRead(tbl, key, lock.IS, lock.S)
 }
 
 // ReadForUpdate returns the value under key while taking the row lock
 // exclusively up front. Read-modify-write transactions use it to
 // avoid S-to-X conversion deadlocks on hot rows.
 func (t *Txn) ReadForUpdate(tbl *Table, key uint64) ([]byte, error) {
-	if err := t.checkActive(); err != nil {
+	if err := t.checkWrite(); err != nil {
 		return nil, err
 	}
-	if t.snapRO {
-		return nil, ErrReadOnlyTxn
-	}
-	if t.snapRW {
+	if t.mode.snapshot {
 		// SI never locks up front: the read serves the snapshot (plus
 		// the txn's own buffered writes), and the usual follow-up write
 		// puts the key in the write set, where first-committer-wins
@@ -387,10 +417,14 @@ func (t *Txn) ReadForUpdate(tbl *Table, key uint64) ([]byte, error) {
 		// exists for on the locked path.
 		return t.siRead(tbl, key)
 	}
-	if err := t.acquire(lock.TableName(tbl.ID), lock.IX); err != nil {
+	return t.lockedRead(tbl, key, lock.IX, lock.X)
+}
+
+func (t *Txn) lockedRead(tbl *Table, key uint64, tableMode, rowMode lock.Mode) ([]byte, error) {
+	if err := t.acquire(lock.TableName(tbl.ID), tableMode); err != nil {
 		return nil, err
 	}
-	if err := t.acquire(lock.RowName(tbl.ID, key), lock.X); err != nil {
+	if err := t.acquire(lock.RowName(tbl.ID, key), rowMode); err != nil {
 		return nil, err
 	}
 	packed, err := tbl.Index.GetC(key, &t.clock)
@@ -406,22 +440,53 @@ func (t *Txn) ReadForUpdate(tbl *Table, key uint64) ([]byte, error) {
 
 // Insert adds a new row; it fails with ErrExists for duplicate keys.
 func (t *Txn) Insert(tbl *Table, key uint64, value []byte) error {
-	if err := t.checkActive(); err != nil {
+	if err := t.checkWrite(); err != nil {
 		return err
 	}
-	if t.snapRO {
-		return ErrReadOnlyTxn
-	}
-	if t.snapRW && !t.siApply {
+	if t.mode.snapshot {
 		return t.siInsert(tbl, key, value)
 	}
+	return t.insert(tbl, key, value)
+}
+
+// Update replaces the value of an existing row.
+func (t *Txn) Update(tbl *Table, key uint64, value []byte) error {
+	if err := t.checkWrite(); err != nil {
+		return err
+	}
+	if t.mode.snapshot {
+		return t.siUpdate(tbl, key, value)
+	}
+	return t.update(tbl, key, value)
+}
+
+// Delete removes a row.
+func (t *Txn) Delete(tbl *Table, key uint64) error {
+	if err := t.checkWrite(); err != nil {
+		return err
+	}
+	if t.mode.snapshot {
+		return t.siDelete(tbl, key)
+	}
+	return t.delete(tbl, key)
+}
+
+// lockWrite opens every logged write: the lazy begin record, then the
+// IX table and X row locks. insert, update and delete below are the
+// logged bodies; a snapshot-mode Commit runs its buffered write set
+// through them once validation has passed (si.go).
+func (t *Txn) lockWrite(tbl *Table, key uint64) error {
 	if err := t.ensureBegin(); err != nil {
 		return err
 	}
 	if err := t.acquire(lock.TableName(tbl.ID), lock.IX); err != nil {
 		return err
 	}
-	if err := t.acquire(lock.RowName(tbl.ID, key), lock.X); err != nil {
+	return t.acquire(lock.RowName(tbl.ID, key), lock.X)
+}
+
+func (t *Txn) insert(tbl *Table, key uint64, value []byte) error {
+	if err := t.lockWrite(tbl, key); err != nil {
 		return err
 	}
 	if _, err := tbl.Index.GetC(key, &t.clock); err == nil {
@@ -447,24 +512,8 @@ func (t *Txn) Insert(tbl *Table, key uint64, value []byte) error {
 	return tbl.maintainSecondariesC(key, nil, value, &t.clock)
 }
 
-// Update replaces the value of an existing row.
-func (t *Txn) Update(tbl *Table, key uint64, value []byte) error {
-	if err := t.checkActive(); err != nil {
-		return err
-	}
-	if t.snapRO {
-		return ErrReadOnlyTxn
-	}
-	if t.snapRW && !t.siApply {
-		return t.siUpdate(tbl, key, value)
-	}
-	if err := t.ensureBegin(); err != nil {
-		return err
-	}
-	if err := t.acquire(lock.TableName(tbl.ID), lock.IX); err != nil {
-		return err
-	}
-	if err := t.acquire(lock.RowName(tbl.ID, key), lock.X); err != nil {
+func (t *Txn) update(tbl *Table, key uint64, value []byte) error {
+	if err := t.lockWrite(tbl, key); err != nil {
 		return err
 	}
 	packed, err := tbl.Index.GetC(key, &t.clock)
@@ -513,24 +562,8 @@ func (t *Txn) Update(tbl *Table, key uint64, value []byte) error {
 	return tbl.maintainSecondariesC(key, rowValue(before), value, &t.clock)
 }
 
-// Delete removes a row.
-func (t *Txn) Delete(tbl *Table, key uint64) error {
-	if err := t.checkActive(); err != nil {
-		return err
-	}
-	if t.snapRO {
-		return ErrReadOnlyTxn
-	}
-	if t.snapRW && !t.siApply {
-		return t.siDelete(tbl, key)
-	}
-	if err := t.ensureBegin(); err != nil {
-		return err
-	}
-	if err := t.acquire(lock.TableName(tbl.ID), lock.IX); err != nil {
-		return err
-	}
-	if err := t.acquire(lock.RowName(tbl.ID, key), lock.X); err != nil {
+func (t *Txn) delete(tbl *Table, key uint64) error {
+	if err := t.lockWrite(tbl, key); err != nil {
 		return err
 	}
 	packed, err := tbl.Index.GetC(key, &t.clock)
@@ -558,10 +591,7 @@ func (t *Txn) Scan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte) 
 	if err := t.checkActive(); err != nil {
 		return err
 	}
-	if t.snapRO {
-		return t.snapshotScan(tbl, lo, hi, fn)
-	}
-	if t.snapRW {
+	if t.mode.snapshot {
 		return t.siScan(tbl, lo, hi, fn)
 	}
 	if err := t.acquire(lock.TableName(tbl.ID), lock.S); err != nil {
@@ -579,45 +609,67 @@ func (t *Txn) Scan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte) 
 // Commit makes the transaction durable and releases its locks. Under
 // ELR, locks are released as soon as the commit record is in the log
 // buffer; the call still blocks for durability before returning.
+//
+// The contract is the same in every mode: a Commit (or CommitAsync, or
+// CommitWait) that returns an error leaves the transaction active, and
+// the caller must Abort it.
 func (t *Txn) Commit() error {
-	if t.snapRO {
-		return t.finishSnapshot(txnCommitted)
-	}
-	if t.snapRW {
-		return t.commitSI()
-	}
-	if err := t.checkActive(); err != nil {
+	lsn, err := t.CommitAsync()
+	if err != nil || lsn == wal.NilLSN {
 		return err
 	}
-	e := t.e
-	if !t.logged {
-		// Read-only: nothing to log or flush.
-		t.releaseLocks(false)
-		obs.TraceEvent(obs.EvCommit, t.id, 0, 0)
-		t.finish(txnCommitted)
-		e.commits.Inc()
-		return nil
-	}
-	return t.commitLogged()
+	return t.CommitWait(lsn)
 }
 
-// commitLogged is the durable half of Commit for a transaction that
-// wrote at least one record: append the commit record (publishing
-// version stamps when the transaction installed any), release locks
-// (ELR: before the flush wait), wait for durability, and retire the
-// handle. Shared by the locked path and the SI apply path.
-func (t *Txn) commitLogged() error {
+// CommitAsync is the first half of Commit, everything that does not
+// block on the log device: a snapshot-mode writer validates and applies
+// its write set, then the commit record is appended (publishing version
+// stamps when the transaction installed any) and, under ELR, the locks
+// are released. The DORA fast path runs it on the owning executor so
+// the executor never stalls on a group-commit flush; the coordinator
+// completes the commit with CommitWait, which is the only part that
+// blocks.
+//
+// The returned LSN is the commit record's position. A transaction that
+// logged nothing commits fully here and returns NilLSN; the handle is
+// retired and CommitWait must NOT be called.
+func (t *Txn) CommitAsync() (wal.LSN, error) {
+	if t.state != txnActive {
+		return wal.NilLSN, ErrTxnDone
+	}
+	if len(t.writeSet) > 0 {
+		if err := t.applyWriteSet(); err != nil {
+			return wal.NilLSN, err
+		}
+	}
+	if !t.logged {
+		t.retire(txnCommitted)
+		return wal.NilLSN, nil
+	}
 	e := t.e
+	if e.closed.Load() {
+		return wal.NilLSN, ErrClosed
+	}
 	commitLSN, err := e.appendCommitRecord(t)
 	if err != nil {
-		return err
+		return wal.NilLSN, err
 	}
-	t.mu.Lock()
-	t.lastLSN = commitLSN // under mu: checkpoint ATT snapshots read it
-	t.mu.Unlock()
+	t.setLastLSN(commitLSN)
+	if t.mode.snapshot {
+		e.mvcc.siCommits.Inc()
+	}
 	if e.cfg.ELR {
 		t.releaseLocks(false)
 	}
+	return commitLSN, nil
+}
+
+// CommitWait is the durable tail of every logged commit: wait for the
+// commit record's durability (under SyncCommit), release the locks if
+// ELR did not already, write the end record, and retire the handle.
+// commitLSN must be the non-nil value CommitAsync returned.
+func (t *Txn) CommitWait(commitLSN wal.LSN) error {
+	e := t.e
 	if e.cfg.SyncCommit {
 		if err := e.log.WaitFlushedC(commitLSN, &t.clock); err != nil {
 			return err
@@ -630,84 +682,33 @@ func (t *Txn) commitLogged() error {
 	if _, err := e.log.AppendFieldsC(wal.RecEnd, t.id, commitLSN, 0, 0, nil, &t.clock); err != nil {
 		return err
 	}
-	obs.TraceEvent(obs.EvCommit, t.id, uint64(commitLSN), 0)
-	t.finish(txnCommitted)
-	e.commits.Inc()
-	return nil
-}
-
-// CommitAsync performs the executor half of a split commit: it
-// appends the commit record and releases the transaction's locks
-// immediately (early lock release), WITHOUT waiting for durability.
-// The DORA fast path runs it on the owning executor so the executor
-// never stalls on a group-commit flush; the coordinator completes the
-// commit with CommitWait, which is the only part that blocks.
-//
-// The returned LSN is the commit record's position. A read-only
-// transaction (nothing logged) commits fully here and returns NilLSN;
-// the handle is retired and CommitWait must NOT be called. On error
-// the transaction is still active and the caller must Abort it.
-func (t *Txn) CommitAsync() (wal.LSN, error) {
-	if err := t.checkActive(); err != nil {
-		return wal.NilLSN, err
-	}
-	e := t.e
-	if !t.logged {
-		t.releaseLocks(false)
-		obs.TraceEvent(obs.EvCommit, t.id, 0, 0)
-		t.finish(txnCommitted)
-		e.commits.Inc()
-		return wal.NilLSN, nil
-	}
-	commitLSN, err := e.appendCommitRecord(t)
-	if err != nil {
-		return wal.NilLSN, err
-	}
-	t.mu.Lock()
-	t.lastLSN = commitLSN // under mu: checkpoint ATT snapshots read it
-	t.mu.Unlock()
-	t.releaseLocks(false)
-	return commitLSN, nil
-}
-
-// CommitWait completes a commit begun with CommitAsync: it waits for
-// the commit record's durability (under SyncCommit), writes the end
-// record, and retires the handle. commitLSN must be the value
-// CommitAsync returned, and it must not be NilLSN. After CommitWait
-// returns — success or error — the handle must not be used again.
-func (t *Txn) CommitWait(commitLSN wal.LSN) error {
-	e := t.e
-	if e.cfg.SyncCommit {
-		if err := e.log.WaitFlushedC(commitLSN, &t.clock); err != nil {
-			return err
-		}
-	}
-	if _, err := e.log.AppendFieldsC(wal.RecEnd, t.id, commitLSN, 0, 0, nil, &t.clock); err != nil {
-		return err
-	}
-	obs.TraceEvent(obs.EvCommit, t.id, uint64(commitLSN), 0)
-	t.finish(txnCommitted)
-	e.commits.Inc()
+	t.finish(txnCommitted, commitLSN)
 	return nil
 }
 
 // Abort rolls the transaction back, writing compensation records so
-// a crash mid-abort resumes correctly, and releases its locks.
+// a crash mid-abort resumes correctly, and releases its locks. A
+// transaction that logged nothing (read-only, snapshot, an SI writer
+// whose buffered write set never reached the heap) just retires.
 func (t *Txn) Abort() error {
-	if t.snapRO || (t.snapRW && !t.logged) {
-		// Nothing logged: releasing locks and the snapshot pin is the
-		// whole rollback (an SI writer's buffered write set is simply
-		// discarded — nothing ever entered the heap or the chains).
-		return t.finishSnapshot(txnAborted)
-	}
-	if err := t.checkActive(); err != nil {
-		return err
+	if t.state != txnActive {
+		return ErrTxnDone
 	}
 	e := t.e
 	if t.logged {
+		if e.closed.Load() {
+			return ErrClosed
+		}
 		lsn, err := e.log.AppendFieldsC(wal.RecAbort, t.id, t.lastLSN, 0, 0, nil, &t.clock)
 		if err != nil {
-			return err
+			// The log refuses even the abort record: it is poisoned, so
+			// nothing this process writes can become durable any more and
+			// restart recovery rolls this loser back from the durable
+			// prefix. Holding the handle would only leak its locks, its
+			// active entry and its log-truncation horizon; retire it
+			// un-rolled-back and say so.
+			t.retire(txnAborted)
+			return fmt.Errorf("core: abort left to restart recovery: %w", err)
 		}
 		t.setLastLSN(lsn)
 		var uc undoCtx
@@ -733,43 +734,15 @@ func (t *Txn) Abort() error {
 			if _, err := e.appendPublished(t, wal.RecEnd); err != nil {
 				return err
 			}
+			// With the stamp published the aborted nodes are ordinary
+			// dead versions; prune the chains they sit on so an abort
+			// with no snapshot pinned leaves no garbage behind.
+			e.mvcc.retireAborted(t.verNodes, &t.clock)
 		} else if _, err := e.log.AppendFieldsC(wal.RecEnd, t.id, t.lastLSN, 0, 0, nil, &t.clock); err != nil {
 			return err
 		}
 	}
-	t.releaseLocks(true)
-	// With the stamp published the aborted nodes are ordinary dead
-	// versions; prune the chains they sit on so an abort with no
-	// snapshot pinned leaves no garbage behind.
-	if len(t.verNodes) > 0 {
-		e.mvcc.retireAborted(t.verNodes, &t.clock)
-	}
-	obs.TraceEvent(obs.EvAbort, t.id, 0, 0)
-	t.finish(txnAborted)
-	e.aborts.Inc()
-	return nil
-}
-
-// finishSnapshot retires a read-only snapshot transaction (both
-// Commit and Abort land here). It succeeds even while the engine is
-// closing: nothing was logged, so the only work is in-memory — and the
-// snapshot pin MUST be released on every path, or the GC watermark
-// stays held back for the life of the process.
-func (t *Txn) finishSnapshot(state txnState) error {
-	if t.state != txnActive {
-		return ErrTxnDone
-	}
-	e := t.e
-	t.releaseLocks(state == txnAborted)
-	if state == txnAborted {
-		obs.TraceEvent(obs.EvAbort, t.id, 0, 0)
-		t.finish(txnAborted)
-		e.aborts.Inc()
-	} else {
-		obs.TraceEvent(obs.EvCommit, t.id, 0, 0)
-		t.finish(txnCommitted)
-		e.commits.Inc()
-	}
+	t.retire(txnAborted)
 	return nil
 }
 
@@ -782,11 +755,11 @@ func (t *Txn) setLastLSN(lsn wal.LSN) {
 }
 
 func (t *Txn) releaseLocks(aborting bool) {
-	if t.agent != nil {
+	if a := t.mode.Agent; a != nil {
 		if aborting {
-			t.agent.OnAbortFor(t.locks)
+			a.OnAbortFor(t.locks)
 		} else {
-			t.agent.OnCommitFor(t.locks)
+			a.OnCommitFor(t.locks)
 		}
 		return
 	}
@@ -830,23 +803,27 @@ func (e *Engine) applyOp(op *OpRecord, lsn uint64, maintainIndex bool) error {
 	return nil
 }
 
-// Exec runs fn inside a transaction, committing on nil and aborting
-// on error; deadlock and timeout victims are retried with the shared
-// capped exponential backoff (see retry.go) so re-runs of the same
-// contenders don't re-collide in lockstep.
-func (e *Engine) Exec(fn func(*Txn) error) error {
+// Exec runs fn inside a transaction begun with opts (see Begin),
+// committing on nil and aborting on error. It is the one retry loop:
+// lock victims (deadlock, timeout) in any mode and write-conflict or
+// expired-snapshot losers under SI are re-run on a fresh transaction
+// with the shared capped exponential backoff (see retry.go) so re-runs
+// of the same contenders don't re-collide in lockstep. fn must leave
+// committing and aborting to Exec.
+func (e *Engine) Exec(fn func(*Txn) error, opts ...Intent) error {
 	for attempt := 0; ; attempt++ {
-		t := e.Begin()
+		t := e.Begin(opts...)
 		err := fn(t)
 		if err == nil {
 			if err = t.Commit(); err == nil {
 				return nil
 			}
 		}
-		if t.state == txnActive {
-			if aerr := t.Abort(); aerr != nil {
-				return fmt.Errorf("core: abort after %v: %w", err, aerr)
-			}
+		// fn failed or Commit refused; either way the transaction is
+		// still active, and this Abort is the only call that retires it.
+		// The handle is never touched again afterwards.
+		if aerr := t.Abort(); aerr != nil {
+			return fmt.Errorf("core: abort after %v: %w", err, aerr)
 		}
 		if retryableTxnErr(err) && attempt < maxTxnRetries {
 			retrySleep(attempt)

@@ -417,9 +417,8 @@ func (d *Engine) ExecSingle(a Action) error {
 // to serve its partition while the group commit flushes.
 func (d *Engine) runWholeTxn(home int, j job, n int) error {
 	c := d.getCtx()
-	c.tx = d.core.BeginNoLock()
+	c.tx = d.core.Begin(core.Intent{Owned: obs.PathDoraSingle})
 	tx := c.tx
-	tx.SetPath(obs.PathDoraSingle)
 	c.pending.Store(1)
 	j.ctx = c
 	j.tid = tx.ID()
@@ -427,10 +426,7 @@ func (d *Engine) runWholeTxn(home int, j job, n int) error {
 	if !d.exec[home].queue.Put(j) {
 		// Closed before the job was accepted; nothing ran.
 		d.putCtx(c)
-		if aerr := tx.Abort(); aerr != nil {
-			return fmt.Errorf("dora: abort after %v: %w", ErrClosed, aerr)
-		}
-		return ErrClosed
+		return abortAfter(tx, ErrClosed)
 	}
 	d.singleTxns.Inc()
 	timeoutC := c.arm(d.opts.LockTimeout)
@@ -459,9 +455,7 @@ func (d *Engine) runWholeTxn(home int, j job, n int) error {
 	d.putCtx(c)
 	if err != nil {
 		if !finished {
-			if aerr := tx.Abort(); aerr != nil {
-				return fmt.Errorf("dora: abort after %v: %w", err, aerr)
-			}
+			err = abortAfter(tx, err)
 		}
 		if timedOut && errors.Is(err, errCanceled) {
 			return fmt.Errorf("%w (single-partition txn of %d actions)", ErrTimeout, n)
@@ -469,9 +463,28 @@ func (d *Engine) runWholeTxn(home int, j job, n int) error {
 		return err
 	}
 	if lsn != wal.NilLSN {
-		return tx.CommitWait(lsn)
+		return commitWait(tx, lsn)
 	}
 	return nil // read-only: the executor committed it fully
+}
+
+// abortAfter rolls tx back because of err and returns what the caller
+// reports: err, or both errors when the rollback failed too.
+func abortAfter(tx *core.Txn, err error) error {
+	if aerr := tx.Abort(); aerr != nil {
+		return fmt.Errorf("dora: abort after %v: %w", err, aerr)
+	}
+	return err
+}
+
+// commitWait finishes a split commit on the coordinator. Like every
+// core commit call, a CommitWait that fails leaves the transaction
+// active, so it is aborted here rather than leaked.
+func commitWait(tx *core.Txn, lsn wal.LSN) error {
+	if err := tx.CommitWait(lsn); err != nil {
+		return abortAfter(tx, err)
+	}
+	return nil
 }
 
 // execCross coordinates a multi-partition transaction: fan out each
@@ -480,9 +493,8 @@ func (d *Engine) runWholeTxn(home int, j job, n int) error {
 // before the durability wait (partition-level early lock release).
 func (d *Engine) execCross(phases []Phase) error {
 	c := d.getCtx()
-	c.tx = d.core.BeginNoLock()
+	c.tx = d.core.Begin(core.Intent{Owned: obs.PathDoraCross})
 	tx := c.tx
-	tx.SetPath(obs.PathDoraCross)
 	tid := tx.ID()
 	d.crossTxns.Inc()
 	var result error
@@ -527,9 +539,12 @@ func (d *Engine) execCross(phases []Phase) error {
 				// outstanding action then reports in — swept and
 				// still-queued ones as canceled, running ones when
 				// their body returns — so the countdown drains fully.
+				// The timeout is recorded before the flag is raised: an
+				// executor that sees the flag reports errCanceled, which
+				// must not win the first-error slot.
+				c.setErr(fmt.Errorf("%w (phase of %d actions)", ErrTimeout, len(ph)))
 				c.canceled.Store(true)
 				d.timeouts.Inc()
-				c.setErr(fmt.Errorf("%w (phase of %d actions)", ErrTimeout, len(ph)))
 				c.forEachTouched(func(id int) {
 					d.exec[id].queue.Put(job{kind: jobCancel, tid: tid})
 				})
@@ -558,14 +573,12 @@ func (d *Engine) execCross(phases []Phase) error {
 			// locks now, wait durability after (early lock release at
 			// partition granularity).
 			d.releaseTouched(c, tid)
-			err := tx.CommitWait(lsn)
+			err := commitWait(tx, lsn)
 			d.putCtx(c)
 			return err
 		}
 	}
-	if aerr := tx.Abort(); aerr != nil {
-		result = fmt.Errorf("dora: abort after %v: %w", result, aerr)
-	}
+	result = abortAfter(tx, result)
 	d.releaseTouched(c, tid)
 	d.putCtx(c)
 	return result

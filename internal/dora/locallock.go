@@ -1,8 +1,6 @@
 package dora
 
 import (
-	"fmt"
-
 	"hydra/internal/core"
 	"hydra/internal/obs"
 	"hydra/internal/wal"
@@ -209,18 +207,12 @@ func (d *Engine) runWhole(ls *localState, j job) {
 	if err != nil {
 		// Roll back here, before touching any other job: the partition
 		// must never see this transaction's uncommitted effects.
-		if aerr := tx.Abort(); aerr != nil {
-			err = fmt.Errorf("dora: abort after %v: %w", err, aerr)
-		}
-		c.wholeDone(err, true, wal.NilLSN)
+		c.wholeDone(abortAfter(tx, err), true, wal.NilLSN)
 		return
 	}
 	lsn, cerr := tx.CommitAsync()
 	if cerr != nil {
-		if aerr := tx.Abort(); aerr != nil {
-			cerr = fmt.Errorf("dora: abort after %v: %w", cerr, aerr)
-		}
-		c.wholeDone(cerr, true, wal.NilLSN)
+		c.wholeDone(abortAfter(tx, cerr), true, wal.NilLSN)
 		return
 	}
 	// Committed (or, for NilLSN, fully finished read-only). The

@@ -77,7 +77,7 @@ func E10(s Scale) (*Report, error) {
 		convW.HotFrac = hotFrac
 		doraW.HotFrac = hotFrac
 
-		xc := workload.LockExecutor{Engine: conv}
+		xc := workload.TxnExecutor{Engine: conv}
 		convSrc := make([]*workload.Sampler, threads)
 		for w := range convSrc {
 			convSrc[w] = convW.NewSampler(uint64(w) ^ uint64(hotFrac*1000)<<16)

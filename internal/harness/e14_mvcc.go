@@ -63,7 +63,7 @@ func E14(s Scale) (*Report, error) {
 		var opsBySnap [2]float64
 		for _, snapFrac := range []float64{0, 1} {
 			w.SnapFrac = snapFrac
-			x := workload.LockExecutor{Engine: e}
+			x := workload.TxnExecutor{Engine: e}
 			src := make([]*workload.Sampler, threads)
 			for i := range src {
 				src[i] = w.NewSampler(uint64(i)<<8 ^ uint64(writeFrac*100) ^ uint64(snapFrac*7))

@@ -111,14 +111,14 @@ func E15(s Scale) (*Report, error) {
 		seed := uint64(hotFrac*1000) << 16
 
 		w.SIFrac = 0
-		lockedTPS, err := runCell(w, workload.LockExecutor{Engine: e}, seed)
+		lockedTPS, err := runCell(w, workload.TxnExecutor{Engine: e}, seed)
 		if err != nil {
 			return nil, fmt.Errorf("E15 locked (hot %.2f): %w", hotFrac, err)
 		}
 
 		w.SIFrac = 1
 		before := e.StatsSnapshot().Mvcc
-		siTPS, err := runCell(w, workload.LockExecutor{Engine: e}, seed^0x5151)
+		siTPS, err := runCell(w, workload.TxnExecutor{Engine: e}, seed^0x5151)
 		if err != nil {
 			return nil, fmt.Errorf("E15 si (hot %.2f): %w", hotFrac, err)
 		}
@@ -156,7 +156,7 @@ func E15(s Scale) (*Report, error) {
 	}
 	st := e.StatsSnapshot()
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("si conflict-abort rate by hot-frac: %v (commit attempts lost to first-committer-wins, after ExecSI's internal retries succeeded or gave up)", rates),
+		fmt.Sprintf("si conflict-abort rate by hot-frac: %v (commit attempts lost to first-committer-wins, after Exec's retries succeeded or gave up)", rates),
 		fmt.Sprintf("si totals: begins=%d commits=%d conflict_aborts=%d; lock_bypasses=%d (reads the SI path never sent to the lock manager)",
 			st.Mvcc.SIBegins, st.Mvcc.SICommits, st.Mvcc.SIConflictAborts, st.Lock.Bypasses),
 		"expected shape: si/locked ≈ 1 at hot-frac 0 (validation is cheap, conflicts absent) and degrading as the hot set concentrates — the conflict-rate column should climb in step, the locked cell pays the same contention as lock waits instead",

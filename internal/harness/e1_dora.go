@@ -63,7 +63,7 @@ func E1(s Scale) (*Report, error) {
 	// Warm both pools so the first sweep cells are not measuring
 	// load-time writebacks.
 	warm := workerSources("e1warm", 2)
-	xw := workload.LockExecutor{Engine: conv}
+	xw := workload.TxnExecutor{Engine: conv}
 	for i := 0; i < 2000; i++ {
 		if err := convW.RunOne(warm[0], xw); err != nil {
 			return nil, err
@@ -81,7 +81,7 @@ func E1(s Scale) (*Report, error) {
 
 	for _, threads := range s.Threads() {
 		// Conventional cell.
-		xc := workload.LockExecutor{Engine: conv}
+		xc := workload.TxnExecutor{Engine: conv}
 		convSrc := workerSources("e1conv", threads)
 		convOps, convDur, err := RunWorkers(threads, s.Window(), func(w int) (uint64, error) {
 			src := convSrc[w]

@@ -54,7 +54,7 @@ func E4(s Scale) (*Report, error) {
 	for _, threads := range s.Threads() {
 		tps := make([]float64, len(systems))
 		for i := range systems {
-			x := workload.LockExecutor{Engine: engines[i]}
+			x := workload.TxnExecutor{Engine: engines[i]}
 			srcs := workerSources("e4"+systems[i].name, threads)
 			ops, dur, err := RunWorkers(threads, s.Window(), func(w int) (uint64, error) {
 				var n uint64

@@ -53,7 +53,7 @@ func E5(s Scale) (*Report, error) {
 				samplers[i] = w.NewSampler(uint64(1000*threads + i))
 			}
 			ops, dur, err := RunWorkers(threads, s.Window(), func(wk int) (uint64, error) {
-				x := workload.LockExecutor{Engine: e, Agent: agents[wk]}
+				x := workload.TxnExecutor{Engine: e, Intent: core.Intent{Agent: agents[wk]}}
 				var n uint64
 				for i := 0; i < 32; i++ {
 					if err := w.RunOne(samplers[wk], x); err != nil {

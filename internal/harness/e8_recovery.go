@@ -52,7 +52,7 @@ func E8(s Scale) (*Report, error) {
 				samplers[j] = w.NewSampler(uint64(j))
 				hists[j] = &hist.H{}
 			}
-			x := workload.LockExecutor{Engine: e}
+			x := workload.TxnExecutor{Engine: e}
 			ops, dur, err := RunWorkers(threads, s.Window(), func(wk int) (uint64, error) {
 				var n uint64
 				for j := 0; j < 8; j++ {

@@ -65,7 +65,7 @@ func E9(s Scale) (*Report, error) {
 			return nil, err
 		}
 		srcs := workerSources("e9"+v.name, threads)
-		x := workload.LockExecutor{Engine: e}
+		x := workload.TxnExecutor{Engine: e}
 		// Warm the pool and runtime before the measured window so every
 		// variant starts from comparable state.
 		warm := workerSources("e9warm"+v.name, 1)[0]

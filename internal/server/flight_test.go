@@ -246,10 +246,7 @@ func TestFlightRecorderMVCCGCStall(t *testing.T) {
 	// The long snapshot: pinned and never released until the incident
 	// fires. Writers keep the chains growing the whole time, so every
 	// poll sees {old pin, growth} together.
-	snap, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := e.Begin(core.Intent{ReadOnly: true})
 	stopWriters := make(chan struct{})
 	writersDone := make(chan struct{})
 	go func() {

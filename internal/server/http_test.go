@@ -471,10 +471,7 @@ func TestMVCCMetricsExposition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := e.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := e.Begin(core.Intent{ReadOnly: true})
 	for i := uint64(0); i < 64; i++ {
 		if _, err := s.Read(tbl, i); err != nil {
 			t.Fatal(err)
@@ -490,13 +487,10 @@ func TestMVCCMetricsExposition(t *testing.T) {
 	}
 	// SI writer traffic: one commit and one deterministic
 	// first-committer-wins abort, so both si counters are non-zero.
-	if err := e.ExecSI(func(tx *core.Txn) error { return tx.Update(tbl, 2, []byte("si")) }); err != nil {
+	if err := e.Exec(func(tx *core.Txn) error { return tx.Update(tbl, 2, []byte("si")) }, core.Intent{Optimistic: true}); err != nil {
 		t.Fatal(err)
 	}
-	loser, err := e.BeginSnapshotRW()
-	if err != nil {
-		t.Fatal(err)
-	}
+	loser := e.Begin(core.Intent{Optimistic: true})
 	if err := loser.Update(tbl, 3, []byte("l")); err != nil {
 		t.Fatal(err)
 	}
@@ -505,6 +499,9 @@ func TestMVCCMetricsExposition(t *testing.T) {
 	}
 	if err := loser.Commit(); !errors.Is(err, core.ErrWriteConflict) {
 		t.Fatalf("loser commit: %v, want ErrWriteConflict", err)
+	}
+	if err := loser.Abort(); err != nil {
+		t.Fatal(err)
 	}
 
 	body := get(t, ts.URL+"/metrics")

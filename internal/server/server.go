@@ -188,9 +188,14 @@ func (s *Server) dispatch(line string, txn **core.Txn) (string, bool) {
 		if *txn == nil {
 			return "-ERR no transaction", false
 		}
-		err := (*txn).Commit()
+		tx := *txn
 		*txn = nil
-		if err != nil {
+		if err := tx.Commit(); err != nil {
+			// A failed commit leaves the transaction active; without
+			// this abort its locks, its active entry and its
+			// log-truncation horizon would outlive the connection. The
+			// client is told why the COMMIT failed, not how the abort went.
+			_ = tx.Abort()
 			return errReply(err), false
 		}
 		return "+OK", false
@@ -258,16 +263,14 @@ func (s *Server) data(cmd string, fields []string, txn **core.Txn) string {
 	}
 
 	// Run within the open transaction, or autocommit. Autocommitted
-	// reads ride the MVCC snapshot path when the engine has it: a wire
-	// GET/SCAN then takes zero lock-manager traffic.
+	// reads say so: the engine then serves a wire GET/SCAN from an MVCC
+	// snapshot with zero lock-manager traffic when it has one, and
+	// under IS/S locks when it does not.
 	run := func(fn func(tx *core.Txn) error) error {
 		if *txn != nil {
 			return fn(*txn)
 		}
-		if s.engine.MVCCEnabled() && (cmd == "GET" || cmd == "SCAN") {
-			return s.engine.ExecSnapshot(fn)
-		}
-		return s.engine.Exec(fn)
+		return s.engine.Exec(fn, core.Intent{ReadOnly: cmd == "GET" || cmd == "SCAN"})
 	}
 
 	switch cmd {

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"errors"
 	"net"
 	"os"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hydra/internal/buffer"
 	"hydra/internal/core"
@@ -126,6 +128,65 @@ func TestExplicitTransactions(t *testing.T) {
 	}
 	if v, err := c.Get("kv", 2); err != nil || v != "committed" {
 		t.Fatalf("committed read: %q, %v", v, err)
+	}
+}
+
+// A wire COMMIT that fails must not leak the transaction: the server
+// aborts the still-active handle, so its row locks are free for the
+// next connection instead of costing it a lock timeout. Conventional
+// keeps the locks across the flush wait (no ELR), which is the case
+// that used to leak.
+func TestFailedWireCommitReleasesLocks(t *testing.T) {
+	cfg := core.Conventional()
+	dev := wal.NewMem()
+	e, err := core.OpenWith(cfg, buffer.NewMemStore(), dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(e)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	t.Cleanup(func() {
+		s.Close()
+		e.Close()
+	})
+	c1, c2 := dial(t, ln.Addr().String()), dial(t, ln.Addr().String())
+	if err := c1.CreateTable("kv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Set("kv", 1, "base"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Set("kv", 1, "doomed"); err != nil {
+		t.Fatal(err)
+	}
+	dev.FailAfter(1, errors.New("injected device death"))
+	if err := c1.Commit(); err == nil || !strings.Contains(err.Error(), "injected device death") {
+		t.Fatalf("COMMIT on a dead log device: %v", err)
+	}
+	if st := e.StatsSnapshot(); st.Aborts != 1 {
+		t.Fatalf("aborts = %d after the failed COMMIT, want 1", st.Aborts)
+	}
+	// A second connection gets the row's lock at once (cfg.LockTimeout
+	// is 2 s; a leaked X lock would turn this GET into an -ERR after
+	// it). The log is dead, so the rollback was left to restart
+	// recovery and the value read is not asserted.
+	start := time.Now()
+	if _, err := c2.Get("kv", 1); err != nil {
+		t.Fatalf("row still locked after the failed COMMIT: %v", err)
+	}
+	if d := time.Since(start); d > cfg.LockTimeout/2 {
+		t.Fatalf("second connection waited %v for the row lock", d)
+	}
+	// And the first connection is back in autocommit mode.
+	if err := c1.Begin(); err != nil {
+		t.Fatalf("BEGIN after a failed COMMIT: %v", err)
 	}
 }
 

@@ -25,19 +25,20 @@ type Micro struct {
 	HotKeys uint64
 	HotFrac float64
 
-	// SnapFrac routes that fraction of read operations through an MVCC
-	// snapshot transaction on Engine instead of the Executor's locked
-	// path. It requires core.Config.MVCC; the read-mostly crossover
-	// experiment sweeps it to show lock traffic flat-lining while
-	// hydra_mvcc_snapshot_reads climbs.
+	// SnapFrac runs that fraction of read operations on Engine with
+	// read-only intent instead of through the Executor: on an engine
+	// with core.Config.MVCC they become lock-free snapshot reads. The
+	// read-mostly crossover experiment sweeps it to show lock traffic
+	// flat-lining while hydra_mvcc_snapshot_reads climbs.
 	SnapFrac float64
 
-	// SIFrac routes that fraction of write operations through a
-	// snapshot-isolation writer transaction (Engine.ExecSI) instead of
-	// the Executor's path: snapshot read, buffered write, commit-time
-	// first-committer-wins validation. Requires core.Config.MVCC. The
-	// SI crossover experiment sweeps hot-set contention to measure the
-	// conflict-abort rate against locked-writer throughput.
+	// SIFrac runs that fraction of write operations on Engine with
+	// optimistic intent instead of through the Executor: with
+	// core.Config.MVCC that is snapshot isolation (snapshot read,
+	// buffered write, commit-time first-committer-wins validation,
+	// conflict victims retried by Exec). The SI crossover experiment
+	// sweeps hot-set contention to measure the conflict-abort rate
+	// against locked-writer throughput.
 	SIFrac float64
 
 	Engine *core.Engine
@@ -116,63 +117,36 @@ func (s *Sampler) Next() uint64 {
 // Src exposes the sampler's random source for mix decisions.
 func (s *Sampler) Src() *rng.Source { return s.src }
 
-// RunOne executes one read or read-modify-write operation.
+// RunOne executes one read or read-modify-write operation. A conflict
+// that survives every retry of an optimistic write surfaces to the
+// harness as an aborted operation.
 func (w *Micro) RunOne(s *Sampler, x Executor) error {
 	k := s.Next()
 	if s.src.Float64() >= w.WriteFrac {
-		if w.SnapFrac > 0 && s.src.Float64() < w.SnapFrac {
-			return w.snapshotRead(k)
-		}
-		return x.Run(w.Table, k, func(tx *core.Txn) error {
-			_, err := tx.Read(w.Table, k)
-			if errors.Is(err, core.ErrNotFound) {
-				return nil
+		read := func(tx *core.Txn) error {
+			// Misses are tolerated on either read path.
+			if _, err := tx.Read(w.Table, k); err != nil && !errors.Is(err, core.ErrNotFound) {
+				return err
 			}
-			return err
-		})
+			return nil
+		}
+		if w.SnapFrac > 0 && s.src.Float64() < w.SnapFrac {
+			return w.Engine.Exec(read, core.Intent{ReadOnly: true})
+		}
+		return x.Run(w.Table, k, read)
 	}
-	if w.SIFrac > 0 && s.src.Float64() < w.SIFrac {
-		return w.siWrite(k)
-	}
-	return x.Run(w.Table, k, func(tx *core.Txn) error {
+	rmw := func(tx *core.Txn) error {
 		v, err := tx.ReadForUpdate(w.Table, k)
 		if err != nil {
 			return err
 		}
 		copy(v, U64(DecU64(v)+1))
 		return tx.Update(w.Table, k, v)
-	})
-}
-
-// siWrite runs one read-modify-write increment as a snapshot-isolation
-// writer: the read takes no locks, the update buffers, and commit
-// validates first-committer-wins (ExecSI retries conflict victims). A
-// conflict that survives every retry surfaces to the harness as an
-// aborted operation.
-func (w *Micro) siWrite(k uint64) error {
-	return w.Engine.ExecSI(func(tx *core.Txn) error {
-		v, err := tx.Read(w.Table, k)
-		if err != nil {
-			return err
-		}
-		copy(v, U64(DecU64(v)+1))
-		return tx.Update(w.Table, k, v)
-	})
-}
-
-// snapshotRead serves one read from a pinned snapshot: no lock
-// manager traffic, version-chain resolution when a writer has the row
-// in flight. Misses are tolerated like the locked read path.
-func (w *Micro) snapshotRead(k uint64) error {
-	t, err := w.Engine.BeginSnapshot()
-	if err != nil {
-		return err
 	}
-	if _, err := t.Read(w.Table, k); err != nil && !errors.Is(err, core.ErrNotFound) {
-		t.Abort()
-		return err
+	if w.SIFrac > 0 && s.src.Float64() < w.SIFrac {
+		return w.Engine.Exec(rmw, core.Intent{Optimistic: true})
 	}
-	return t.Commit()
+	return x.Run(w.Table, k, rmw)
 }
 
 // TotalWrites sums the per-key write counters (the first 8 bytes of

@@ -6,18 +6,15 @@
 //
 // Transactions run through an Executor, which abstracts the two
 // execution models under study: conventional thread-to-transaction
-// (lock manager, optionally with SLI agents) and DORA
-// thread-to-data (partitioned executors, no lock table).
+// (core.Engine.Exec under whatever core.Intent the experiment picks)
+// and DORA thread-to-data (partitioned executors, no lock table).
 package workload
 
 import (
 	"encoding/binary"
-	"errors"
-	"time"
 
 	"hydra/internal/core"
 	"hydra/internal/dora"
-	"hydra/internal/lock"
 )
 
 // Executor runs one transaction body routed by its primary key.
@@ -28,55 +25,19 @@ type Executor interface {
 	Run(tbl *core.Table, key uint64, fn func(tx *core.Txn) error) error
 }
 
-// LockExecutor is the conventional model: any worker runs any
-// transaction, isolation comes from the centralized lock manager.
-type LockExecutor struct {
+// TxnExecutor is the thread-to-transaction model: any worker runs any
+// transaction through Engine.Exec, and Intent says how it is isolated
+// — the zero Intent is the conventional centralized lock manager,
+// Agent routes lock acquisition through SLI, Optimistic and ReadOnly
+// let the engine pick snapshot isolation when it has MVCC.
+type TxnExecutor struct {
 	Engine *core.Engine
-	// Agent, when set, routes lock acquisition through SLI.
-	Agent *lock.Agent
+	Intent core.Intent
 }
 
 // Run implements Executor.
-func (x LockExecutor) Run(_ *core.Table, _ uint64, fn func(tx *core.Txn) error) error {
-	if x.Agent == nil {
-		return x.Engine.Exec(fn)
-	}
-	// Agent path: same retry policy as Engine.Exec (capped backoff
-	// with jitter between attempts) but with agent txns.
-	for attempt := 0; ; attempt++ {
-		t := x.Engine.BeginWithAgent(x.Agent)
-		err := fn(t)
-		if err == nil {
-			if err = t.Commit(); err == nil {
-				return nil
-			}
-		}
-		if aerr := t.Abort(); aerr != nil && err == nil {
-			err = aerr
-		}
-		if attempt < 10 && retryable(err) {
-			time.Sleep(core.BackoffDelay(attempt))
-			continue
-		}
-		return err
-	}
-}
-
-func retryable(err error) bool {
-	return errors.Is(err, lock.ErrDeadlock) || errors.Is(err, lock.ErrTimeout)
-}
-
-// SIExecutor is the snapshot-isolation model: reads resolve against a
-// pinned snapshot with zero lock-manager traffic, writes buffer and
-// validate first-committer-wins at commit. Conflict victims retry
-// inside ExecSI with the shared backoff.
-type SIExecutor struct {
-	Engine *core.Engine
-}
-
-// Run implements Executor.
-func (x SIExecutor) Run(_ *core.Table, _ uint64, fn func(tx *core.Txn) error) error {
-	return x.Engine.ExecSI(fn)
+func (x TxnExecutor) Run(_ *core.Table, _ uint64, fn func(tx *core.Txn) error) error {
+	return x.Engine.Exec(fn, x.Intent)
 }
 
 // DoraExecutor is the thread-to-data model: the transaction body is

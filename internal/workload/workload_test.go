@@ -26,7 +26,7 @@ func TestTATPLoadAndMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := LockExecutor{Engine: e}
+	x := TxnExecutor{Engine: e}
 	src := rng.New(1)
 	for i := 0; i < 2000; i++ {
 		if err := w.RunOne(src, x); err != nil {
@@ -77,7 +77,7 @@ func TestTATPWithSLIAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	agent := e.Locks().NewAgent()
-	x := LockExecutor{Engine: e, Agent: agent}
+	x := TxnExecutor{Engine: e, Intent: core.Intent{Agent: agent}}
 	src := rng.New(3)
 	for i := 0; i < 1000; i++ {
 		if err := w.RunOne(src, x); err != nil {
@@ -99,7 +99,7 @@ func TestTPCBConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := LockExecutor{Engine: e}
+	x := TxnExecutor{Engine: e}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -139,7 +139,7 @@ func TestTPCCInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := LockExecutor{Engine: e}
+	x := TxnExecutor{Engine: e}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -166,7 +166,7 @@ func TestMicroWriteConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := LockExecutor{Engine: e}
+	x := TxnExecutor{Engine: e}
 	const workers, per = 4, 250
 	var wg sync.WaitGroup
 	var writes [workers]uint64
