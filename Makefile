@@ -97,12 +97,13 @@ bench-dora:
 # ./... picks up the WAL flush benchmarks (bench_test.go) too; the
 # explicit wal run below it asserts the vectored path's counters are
 # live, not just that the benchmarks compile. The final server tests
-# assert the hydra_dora_* families appear in /metrics and /stats under
-# live DORA load, the hydra_mvcc_* families (and the lock-bypass
-# counter) under snapshot-read traffic, and that the transaction
-# phase-accounting families
-# (hydra_txn_phase_*, the slow-transaction reservoir counters, and the
-# hydra_incidents_total kinds) appear under committed traffic. The
+# guard the observability contract: TestEverySurfaceCarriesEveryLeaf
+# fills every field of the snapshot with a distinct value and requires
+# it on /stats, /metrics (one TYPE line per family) and in the text
+# hydra-cli and hydra-top print; TestSurfaceKeepsParentNames holds the
+# family names and /stats keys of testdata/parent_*.txt; the
+# *MetricsExposition tests drive live DORA, snapshot-read and committed
+# traffic and assert the values it moves. The
 # accounting itself is budgeted at <=3% ns/op and zero extra allocs/op
 # on the commit/lock/DORA hot paths — regressions show up in the bench
 # targets above against the figures recorded in EXPERIMENTS.md.
@@ -110,4 +111,4 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^$$' -bench 'BenchmarkFlushWrap|BenchmarkSegmentedSync|BenchmarkCommitFileDevice' -benchtime 20x ./internal/wal/
 	$(GO) test -run '^$$' -bench 'BenchmarkAcquireReleaseChurn' -benchtime 20x ./internal/lock/
-	$(GO) test -run 'TestDoraMetricsExposition|TestPhaseMetricsExposition|TestMVCCMetricsExposition' -count=1 ./internal/server/
+	$(GO) test -run 'TestEverySurfaceCarriesEveryLeaf|TestSurfaceKeepsParentNames|MetricsExposition' -count=1 ./internal/server/

@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -179,7 +180,7 @@ func runOne(c *server.Client, line string) error {
 			if err != nil {
 				return err
 			}
-			printStats(st)
+			printStats(os.Stdout, st)
 			return nil
 		}
 		s, err := c.Stats()
@@ -198,68 +199,24 @@ func runOne(c *server.Client, line string) error {
 	return nil
 }
 
-// printStats renders the full snapshot the way the harness tables do:
-// counters grouped by subsystem, distributions as p50/p90/p99/max.
-func printStats(st server.StatsJSON) {
-	fmt.Printf("uptime      %s\n", (time.Duration(st.UptimeSec * float64(time.Second))).Round(time.Second))
-	fmt.Printf("txns        commits=%d aborts=%d\n", st.Commits, st.Aborts)
-	fmt.Printf("lock        acquires=%d table_ops=%d inherited=%d waits=%d\n",
-		st.Lock.Acquires, st.Lock.TableOps, st.Lock.Inherited, st.Lock.Waits)
-	fmt.Printf("            deadlocks=%d timeouts=%d upgrades=%d escalations=%d\n",
-		st.Lock.Deadlocks, st.Lock.Timeouts, st.Lock.Upgrades, st.Lock.Escalations)
-	fmt.Printf("lock heads  allocs=%d recycles=%d retires=%d heat_evictions=%d\n",
-		st.Lock.HeadAllocs, st.Lock.HeadRecycles, st.Lock.HeadRetires, st.Lock.HeatEvictions)
-	if st.LockWait.Count > 0 {
-		fmt.Printf("lock wait   %s\n", st.LockWait.Summary)
-	}
-	fmt.Printf("log         inserts=%d bytes=%d flushes=%d mutex_acquires=%d group_inserts=%d\n",
-		st.Log.Inserts, st.Log.InsertedBytes, st.Log.Flushes, st.Log.MutexAcquires, st.Log.GroupInserts)
-	if st.Log.Flushes > 0 {
-		fmt.Printf("            group-commit batch=%.1f records/flush\n",
-			float64(st.Log.Inserts)/float64(st.Log.Flushes))
-		fmt.Printf("            flush IO: writes=%d syncs=%d (%.2f writes/flush)\n",
-			st.Log.FlushWrites, st.Log.FlushSyncs,
-			float64(st.Log.FlushWrites)/float64(st.Log.Flushes))
-		fmt.Printf("            flush cause: demand=%d pressure=%d tick=%d\n",
-			st.Log.FlushesDemand, st.Log.FlushesPressure, st.Log.FlushesTick)
-	}
-	if st.Log.DevWrites > 0 || st.Log.DevSyncs > 0 {
-		fmt.Printf("log device  writes=%d vec_writes=%d syncs=%d seg_syncs=%d seg_sync_skips=%d extends=%d\n",
-			st.Log.DevWrites, st.Log.DevVecWrites, st.Log.DevSyncs,
-			st.Log.DevSegSyncs, st.Log.DevSegSyncSkips, st.Log.DevExtends)
-	}
-	hitPct := 0.0
-	if tot := st.Buffer.Hits + st.Buffer.Misses; tot > 0 {
-		hitPct = 100 * float64(st.Buffer.Hits) / float64(tot)
-	}
-	fmt.Printf("buffer      hits=%d misses=%d (%.2f%% hit) evictions=%d writebacks=%d\n",
-		st.Buffer.Hits, st.Buffer.Misses, hitPct, st.Buffer.Evictions, st.Buffer.Writebacks)
-	if st.Dora.SinglePartition+st.Dora.CrossPartition > 0 {
-		fmt.Printf("dora        actions=%d single=%d cross=%d rvps=%d local_waits=%d timeouts=%d\n",
-			st.Dora.ActionsExecuted, st.Dora.SinglePartition, st.Dora.CrossPartition,
-			st.Dora.RendezvousCrossed, st.Dora.LocalWaits, st.Dora.Timeouts)
-		fmt.Printf("            batches=%d jobs=%d service %s\n",
-			st.Dora.Batches, st.Dora.BatchedJobs, st.Dora.Service.Summary)
-	}
-	if st.Mvcc.SnapshotBegins > 0 || st.Mvcc.Installs > 0 {
-		fmt.Printf("mvcc        snapshots=%d reads=%d chain_reads=%d lock_bypasses=%d\n",
-			st.Mvcc.SnapshotBegins, st.Mvcc.SnapshotReads, st.Mvcc.ChainReads, st.Lock.Bypasses)
-		fmt.Printf("            installs=%d live_nodes=%d gc_nodes=%d sweeps=%d floor=%d active=%d\n",
-			st.Mvcc.Installs, st.Mvcc.LiveNodes, st.Mvcc.GCNodes, st.Mvcc.GCSweeps,
-			st.Mvcc.SnapshotFloor, st.Mvcc.ActiveSnapshots)
-		fmt.Printf("            si_begins=%d si_commits=%d si_conflict_aborts=%d snapshots_expired=%d\n",
-			st.Mvcc.SIBegins, st.Mvcc.SICommits, st.Mvcc.SIConflictAborts, st.Mvcc.SnapshotsExpired)
-	}
+// printStats renders the full snapshot: every counter of every group
+// from the metric walk, the derived ratios, then the distributions the
+// walk leaves to tables (latch tiers, phase profile, slow tail).
+func printStats(w io.Writer, st server.StatsJSON) {
+	fmt.Fprintf(w, "uptime    %s  tracer enabled=%v\n",
+		(time.Duration(st.UptimeSec * float64(time.Second))).Round(time.Second), st.TraceEnabled)
+	server.WriteGroups(w, &st, nil, 0)
+	server.WriteDerived(w, &st)
 	if len(st.Latches) > 0 {
-		fmt.Println("latch tiers (sampled time-to-acquire)")
+		fmt.Fprintln(w, "latch tiers (sampled time-to-acquire)")
 		for _, t := range st.Latches {
-			fmt.Printf("  %-12s ops=%-10d %s\n", t.Tier, t.Ops, t.Acquire.Summary)
+			fmt.Fprintf(w, "  %-12s ops=%-10d %s\n", t.Tier, t.Ops, t.Acquire.Summary)
 		}
 	}
 	if len(st.Phases) > 0 {
-		fmt.Println("phase profile (per path/outcome, critical-path wall time)")
+		fmt.Fprintln(w, "phase profile (per path/outcome, critical-path wall time)")
 		for _, cell := range st.Phases {
-			fmt.Printf("  %-20s n=%-10d total %s\n",
+			fmt.Fprintf(w, "  %-20s n=%-10d total %s\n",
 				cell.Path+"/"+cell.Outcome, cell.Count, cell.Total.Summary)
 			names := make([]string, 0, len(cell.Phase))
 			for name := range cell.Phase {
@@ -267,25 +224,23 @@ func printStats(st server.StatsJSON) {
 			}
 			sort.Strings(names)
 			for _, name := range names {
-				fmt.Printf("    %-18s %s\n", name, cell.Phase[name].Summary)
+				fmt.Fprintf(w, "    %-18s %s\n", name, cell.Phase[name].Summary)
 			}
 		}
 	}
 	if st.Slow.Admitted > 0 {
-		fmt.Printf("slow txns   admitted=%d rotated=%d window=%s retained=%d\n",
-			st.Slow.Admitted, st.Slow.Rotated,
+		fmt.Fprintf(w, "slow txns   window=%s retained=%d\n",
 			time.Duration(st.Slow.WindowNs).Round(time.Second), len(st.Slow.Entries))
 		for i, e := range st.Slow.Entries {
 			if i == 5 {
-				fmt.Printf("  ... %d more\n", len(st.Slow.Entries)-i)
+				fmt.Fprintf(w, "  ... %d more\n", len(st.Slow.Entries)-i)
 				break
 			}
-			fmt.Printf("  txn=%-10d %s/%s total=%s\n",
+			fmt.Fprintf(w, "  txn=%-10d %s/%s total=%s\n",
 				e.Txn, e.Path, e.Outcome, time.Duration(e.TotalNs))
 		}
 	}
 	if st.Incidents > 0 {
-		fmt.Printf("incidents   %d captured (GET /incidents on the observability port)\n", st.Incidents)
+		fmt.Fprintf(w, "incidents   %d captured (GET /incidents on the observability port)\n", st.Incidents)
 	}
-	fmt.Printf("tracer      enabled=%v events=%d\n", st.TraceEnabled, st.TraceEvents)
 }

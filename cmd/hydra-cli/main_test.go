@@ -1,0 +1,93 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"testing"
+
+	"hydra/internal/core"
+	"hydra/internal/dora"
+	"hydra/internal/server"
+)
+
+// liveSnapshot drives locked, snapshot-read and DORA traffic so every
+// group of the snapshot has something to show.
+func liveSnapshot(t *testing.T) server.StatsJSON {
+	t.Helper()
+	cfg := core.Scalable()
+	cfg.MVCC = true
+	e, err := core.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tbl, err := e.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dora.New(e, dora.Options{Executors: 2})
+	defer d.Close()
+	for i := uint64(0); i < 20; i++ {
+		if err := e.Exec(func(tx *core.Txn) error { return tx.Insert(tbl, i, []byte("v")) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ExecSingle(dora.Action{Table: tbl, Key: i, Fn: func(tx *core.Txn) error {
+			_, err := tx.Read(tbl, i)
+			return err
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return server.Snapshot(e, nil)
+}
+
+// TestPrintStatsShowsEveryCounter walks the snapshot's JSON, not the
+// metric plan: every number of every group must be on the screen as
+// key=value, every distribution as its summary, and the derived figures
+// and tables must still be there.
+func TestPrintStatsShowsEveryCounter(t *testing.T) {
+	st := liveSnapshot(t)
+	var out bytes.Buffer
+	printStats(&out, st)
+	text := out.String()
+
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	// Printed in their own formats, not as key=value.
+	own := map[string]bool{"uptime_sec": true, "incidents": true, "window_ns": true}
+	var check func(obj map[string]any)
+	check = func(obj map[string]any) {
+		for k, v := range obj {
+			switch x := v.(type) {
+			case json.Number:
+				if want := k + "=" + x.String(); !own[k] && !strings.Contains(text, want) {
+					t.Errorf("STATS FULL output lacks %s", want)
+				}
+			case map[string]any:
+				if sum, ok := x["summary"].(string); ok {
+					if x["count"].(json.Number) != "0" && !strings.Contains(text, sum) {
+						t.Errorf("STATS FULL output lacks the %s distribution", k)
+					}
+				} else {
+					check(x)
+				}
+			}
+		}
+	}
+	check(doc)
+	for _, want := range []string{"buffer hit=", "records/flush", "writes/flush", "% recycled", "% single-partition",
+		"latch tiers", "phase profile", "conv/commit", "slow txns", "queue_depths=[0 0]"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("STATS FULL output lacks %q", want)
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -74,137 +75,14 @@ func fetch(c *http.Client, url string) (*server.StatsJSON, error) {
 	return &st, nil
 }
 
-// rate formats the delta of a cumulative counter as an events/second
-// figure, or "-" on the first frame.
-func rate(cur, prev uint64, dt time.Duration) string {
-	if dt <= 0 || cur < prev {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f/s", float64(cur-prev)/dt.Seconds())
-}
-
-func render(w *os.File, st, prev *server.StatsJSON, dt time.Duration) {
-	var p server.StatsJSON
-	haveRates := prev != nil
-	if haveRates {
-		p = *prev
-	}
-	r := func(cur, prv uint64) string {
-		if !haveRates {
-			return "-"
-		}
-		return rate(cur, prv, dt)
-	}
-
-	fmt.Fprintf(w, "hydra-top  up %s  trace=%v(%d events)\n\n",
-		(time.Duration(st.UptimeSec * float64(time.Second))).Round(time.Second),
-		st.TraceEnabled, st.TraceEvents)
-
-	fmt.Fprintf(w, "txn     commits=%-10d %-9s aborts=%-8d %-9s\n",
-		st.Commits, r(st.Commits, p.Commits), st.Aborts, r(st.Aborts, p.Aborts))
-
-	hitPct := 0.0
-	if tot := st.Buffer.Hits + st.Buffer.Misses; tot > 0 {
-		hitPct = 100 * float64(st.Buffer.Hits) / float64(tot)
-	}
-	fmt.Fprintf(w, "buffer  hit=%6.2f%%  fetch=%-9s evict=%-8s writeback=%s\n",
-		hitPct, r(st.Buffer.Hits+st.Buffer.Misses, p.Buffer.Hits+p.Buffer.Misses),
-		r(st.Buffer.Evictions, p.Buffer.Evictions),
-		r(st.Buffer.Writebacks, p.Buffer.Writebacks))
-
-	batch := 0.0
-	if st.Log.Flushes > 0 {
-		batch = float64(st.Log.Inserts) / float64(st.Log.Flushes)
-	}
-	fmt.Fprintf(w, "log     insert=%-9s flush=%-9s batch=%.1f rec/flush  group=%d\n",
-		r(st.Log.Inserts, p.Log.Inserts), r(st.Log.Flushes, p.Log.Flushes),
-		batch, st.Log.GroupInserts)
-
-	// Per-flush syscall budget of the batched flush path: write
-	// submissions and fsyncs per flush (vectored target: 1 write per
-	// touched segment, fsyncs only for dirty segments).
-	wpf, spf := 0.0, 0.0
-	if st.Log.Flushes > 0 {
-		wpf = float64(st.Log.FlushWrites) / float64(st.Log.Flushes)
-		spf = float64(st.Log.DevSegSyncs) / float64(st.Log.Flushes)
-	}
-	fmt.Fprintf(w, "flushio write=%-9s sync=%-9s %.2f writes/flush  %.2f segsync/flush  skipped=%d\n",
-		r(st.Log.DevWrites, p.Log.DevWrites), r(st.Log.DevSegSyncs, p.Log.DevSegSyncs),
-		wpf, spf, st.Log.DevSegSyncSkips)
-	fmt.Fprintf(w, "flushby demand=%-8s pressure=%-8s tick=%-8s extends=%d\n",
-		r(st.Log.FlushesDemand, p.Log.FlushesDemand), r(st.Log.FlushesPressure, p.Log.FlushesPressure),
-		r(st.Log.FlushesTick, p.Log.FlushesTick), st.Log.DevExtends)
-
-	fmt.Fprintf(w, "lock    acquire=%-9s wait=%-9s deadlock=%-6d timeout=%-6d escal=%d\n",
-		r(st.Lock.Acquires, p.Lock.Acquires), r(st.Lock.Waits, p.Lock.Waits),
-		st.Lock.Deadlocks, st.Lock.Timeouts, st.Lock.Escalations)
-
-	// Lock-head lifecycle: a healthy freelist keeps the recycle rate
-	// tracking the alloc-path miss rate (allocs stay flat once warm);
-	// heat evictions mean distinct-name conflict churn is hitting the
-	// bounded heat table's cap.
-	recyclePct := 0.0
-	if tot := st.Lock.HeadAllocs + st.Lock.HeadRecycles; tot > 0 {
-		recyclePct = 100 * float64(st.Lock.HeadRecycles) / float64(tot)
-	}
-	fmt.Fprintf(w, "lockhead alloc=%-8s recycle=%-8s retire=%-8s %5.1f%% recycled  heatevict=%d\n",
-		r(st.Lock.HeadAllocs, p.Lock.HeadAllocs), r(st.Lock.HeadRecycles, p.Lock.HeadRecycles),
-		r(st.Lock.HeadRetires, p.Lock.HeadRetires), recyclePct, st.Lock.HeatEvictions)
-	if st.LockWait.Count > 0 {
-		fmt.Fprintf(w, "        wait dist: %s\n", st.LockWait.Summary)
-	}
-
-	// Thread-to-data execution: the single/cross split is the fast-path
-	// hit ratio; batch is jobs moved per executor wakeup; depth sums
-	// the instantaneous executor backlogs.
-	if txns := st.Dora.SinglePartition + st.Dora.CrossPartition; txns > 0 {
-		singlePct := 100 * float64(st.Dora.SinglePartition) / float64(txns)
-		doraBatch := 0.0
-		if st.Dora.Batches > 0 {
-			doraBatch = float64(st.Dora.BatchedJobs) / float64(st.Dora.Batches)
-		}
-		depth := 0
-		for _, d := range st.Dora.QueueDepths {
-			depth += d
-		}
-		fmt.Fprintf(w, "dora    action=%-9s single=%5.1f%%  rvp=%-9s waits=%-7d timeout=%-6d batch=%.1f depth=%d\n",
-			r(st.Dora.ActionsExecuted, p.Dora.ActionsExecuted), singlePct,
-			r(st.Dora.RendezvousCrossed, p.Dora.RendezvousCrossed),
-			st.Dora.LocalWaits, st.Dora.Timeouts, doraBatch, depth)
-		if st.Dora.Service.Count > 0 {
-			fmt.Fprintf(w, "        service: p50=%s p99=%s  inbox wait: p50=%s p99=%s\n",
-				ns(st.Dora.Service.P50Ns), ns(st.Dora.Service.P99Ns),
-				ns(st.Dora.Wait.P50Ns), ns(st.Dora.Wait.P99Ns))
-		}
-	}
-
-	// Snapshot reads resolve against version chains without touching
-	// the lock manager; bypass tracks the lock requests they skipped.
-	// live/active are instantaneous gauges (chain nodes retained,
-	// snapshots pinned); oldest is the GC watermark's age.
-	if st.Mvcc.SnapshotBegins > 0 || st.Mvcc.Installs > 0 {
-		fmt.Fprintf(w, "mvcc    snapread=%-8s chain=%-9s bypass=%-9s install=%-8s live=%-7d gc=%d\n",
-			r(st.Mvcc.SnapshotReads, p.Mvcc.SnapshotReads),
-			r(st.Mvcc.ChainReads, p.Mvcc.ChainReads),
-			r(st.Lock.Bypasses, p.Lock.Bypasses),
-			r(st.Mvcc.Installs, p.Mvcc.Installs),
-			st.Mvcc.LiveNodes, st.Mvcc.GCNodes)
-		if st.Mvcc.ActiveSnapshots > 0 {
-			fmt.Fprintf(w, "        snapshots active=%d oldest=%s floor=%d\n",
-				st.Mvcc.ActiveSnapshots,
-				time.Duration(st.Mvcc.OldestSnapshotAgeNs).Round(time.Millisecond),
-				st.Mvcc.SnapshotFloor)
-		}
-		// SI writers: conflict tracks first-committer-wins losers,
-		// expired counts pins cut loose by MaxSnapshotAge.
-		if st.Mvcc.SIBegins > 0 || st.Mvcc.SnapshotsExpired > 0 {
-			fmt.Fprintf(w, "        si begin=%-9s commit=%-8s conflict=%-8s expired=%d\n",
-				r(st.Mvcc.SIBegins, p.Mvcc.SIBegins),
-				r(st.Mvcc.SICommits, p.Mvcc.SICommits),
-				r(st.Mvcc.SIConflictAborts, p.Mvcc.SIConflictAborts),
-				st.Mvcc.SnapshotsExpired)
-		}
-	}
+// render draws one frame: every counter of every group from the metric
+// walk (with its rate once there is a previous frame), the derived
+// ratios, then the latch, phase and slow tables.
+func render(w io.Writer, st, prev *server.StatsJSON, dt time.Duration) {
+	fmt.Fprintf(w, "hydra-top  up %s  trace=%v\n\n",
+		(time.Duration(st.UptimeSec * float64(time.Second))).Round(time.Second), st.TraceEnabled)
+	server.WriteGroups(w, st, prev, dt)
+	server.WriteDerived(w, st)
 
 	fmt.Fprintf(w, "\n%-12s %10s  %9s %9s %9s %9s\n",
 		"latch tier", "acquires", "p50", "p90", "p99", "max")
@@ -224,7 +102,7 @@ func render(w *os.File, st, prev *server.StatsJSON, dt time.Duration) {
 // time. Shares are estimated from mean*count per phase histogram, so
 // they are approximate under the factor-of-two bucketing, but they
 // answer the triage question — where do these transactions spend time.
-func renderPhases(w *os.File, st *server.StatsJSON) {
+func renderPhases(w io.Writer, st *server.StatsJSON) {
 	if len(st.Phases) == 0 {
 		return
 	}
@@ -263,10 +141,9 @@ func renderPhases(w *os.File, st *server.StatsJSON) {
 // renderTail prints the worst-K slow-transaction reservoir (top few
 // entries with their dominant phase) and the incident count from the
 // stall flight recorder.
-func renderTail(w *os.File, st *server.StatsJSON) {
+func renderTail(w io.Writer, st *server.StatsJSON) {
 	if st.Slow.Admitted > 0 && len(st.Slow.Entries) > 0 {
-		fmt.Fprintf(w, "\nslow    admitted=%d rotated=%d window=%s  worst:\n",
-			st.Slow.Admitted, st.Slow.Rotated, time.Duration(st.Slow.WindowNs).Round(time.Second))
+		fmt.Fprintf(w, "\nslow    window=%s  worst:\n", time.Duration(st.Slow.WindowNs).Round(time.Second))
 		for i, e := range st.Slow.Entries {
 			if i == 5 {
 				break

@@ -65,9 +65,13 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats are cumulative pool counters.
+// Stats are cumulative pool counters; the tags define each metric for
+// every surface (DESIGN.md §7).
 type Stats struct {
-	Hits, Misses, Evictions, Writebacks uint64
+	Hits       uint64 `json:"hits"`
+	Misses     uint64 `json:"misses"`
+	Evictions  uint64 `json:"evictions"`
+	Writebacks uint64 `json:"writebacks"`
 }
 
 // ErrNoFrames is returned when every frame in the target shard is

@@ -441,13 +441,14 @@ func (e *Engine) Close() error {
 	return e.store.Close()
 }
 
-// Stats aggregates subsystem counters.
+// Stats aggregates subsystem counters, one metric group per member.
 type Stats struct {
-	Commits, Aborts uint64
-	Lock            lock.Stats
-	Log             wal.Stats
-	Buffer          buffer.Stats
-	Mvcc            MvccStats
+	Commits uint64       `json:"commits"`
+	Aborts  uint64       `json:"aborts"`
+	Lock    lock.Stats   `json:"lock"`
+	Log     wal.Stats    `json:"log"`
+	Buffer  buffer.Stats `json:"buffer"`
+	Mvcc    MvccStats    `json:"mvcc"`
 }
 
 // StatsSnapshot returns engine-wide counters.

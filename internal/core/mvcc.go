@@ -544,24 +544,25 @@ func (vt *verTable) sweep(w uint64) {
 	vt.gcSweeps.Inc()
 }
 
-// MvccStats aggregates the version store's counters.
+// MvccStats aggregates the version store's counters; the tags define
+// each metric for every surface (DESIGN.md §7).
 type MvccStats struct {
-	SnapshotBegins uint64 // read-only snapshots pinned
-	SnapshotReads  uint64 // reads + scans served on the snapshot path
-	ChainReads     uint64 // reads answered from a version chain
-	Installs       uint64 // version nodes installed
-	GCNodes        uint64 // nodes reclaimed
-	GCSweeps       uint64 // whole-table sweeps
-	LiveNodes      int64  // nodes currently linked
-	SnapshotFloor  uint64 // newest published commit-or-abort LSN
+	SnapshotBegins uint64 `json:"snapshot_begins"`               // read-only snapshots pinned
+	SnapshotReads  uint64 `json:"snapshot_reads"`                // reads + scans served on the snapshot path
+	ChainReads     uint64 `json:"chain_reads"`                   // reads answered from a version chain
+	Installs       uint64 `json:"installs"`                      // version nodes installed
+	GCNodes        uint64 `json:"gc_nodes"`                      // nodes reclaimed
+	GCSweeps       uint64 `json:"gc_sweeps"`                     // whole-table sweeps
+	LiveNodes      int64  `json:"live_nodes" metric:"gauge"`     // nodes currently linked
+	SnapshotFloor  uint64 `json:"snapshot_floor" metric:"gauge"` // newest published commit-or-abort LSN
 
-	SIBegins         uint64 // snapshot-isolation writers begun
-	SICommits        uint64 // SI writers committed
-	SIConflictAborts uint64 // SI writers aborted by first-committer-wins
-	SnapshotsExpired uint64 // pins expired by Config.MaxSnapshotAge
+	SIBegins         uint64 `json:"si_begins"`          // snapshot-isolation writers begun
+	SICommits        uint64 `json:"si_commits"`         // SI writers committed
+	SIConflictAborts uint64 `json:"si_conflict_aborts"` // SI writers aborted by first-committer-wins
+	SnapshotsExpired uint64 `json:"snapshots_expired"`  // pins expired by Config.MaxSnapshotAge
 
-	ActiveSnapshots     int   // snapshots currently pinned
-	OldestSnapshotAgeNs int64 // age of the oldest pinned snapshot
+	ActiveSnapshots     int   `json:"active_snapshots" metric:"gauge"`       // snapshots currently pinned
+	OldestSnapshotAgeNs int64 `json:"oldest_snapshot_age_ns" metric:"gauge"` // age of the oldest pinned snapshot
 }
 
 func (vt *verTable) statsSnapshot() MvccStats {

@@ -6,24 +6,30 @@ import (
 	"hydra/internal/hist"
 )
 
-// Stats reports executor activity.
-type Stats struct {
+// Counters are the cumulative executor counters; the tags define each
+// metric for every surface (DESIGN.md §7).
+type Counters struct {
 	// ActionsExecuted counts action bodies run on executors.
-	ActionsExecuted uint64
+	ActionsExecuted uint64 `json:"actions_executed" metric:"name=hydra_dora_actions_total"`
 	// RendezvousCrossed counts phase barriers joined (cross path).
-	RendezvousCrossed uint64
+	RendezvousCrossed uint64 `json:"rendezvous_crossed" metric:"name=hydra_dora_rendezvous_total"`
 	// LocalWaits counts jobs parked on a partition-local lock.
-	LocalWaits uint64
+	LocalWaits uint64 `json:"local_waits"`
 	// Timeouts counts transactions canceled at a rendezvous.
-	Timeouts uint64
+	Timeouts uint64 `json:"timeouts"`
 	// SinglePartition counts transactions shipped whole (fast path).
-	SinglePartition uint64
+	SinglePartition uint64 `json:"single_partition_txns" metric:"name=hydra_dora_txns_total,label=path:single"`
 	// CrossPartition counts transactions through the coordinator.
-	CrossPartition uint64
+	CrossPartition uint64 `json:"cross_partition_txns" metric:"name=hydra_dora_txns_total,label=path:cross"`
 	// Batches counts executor inbox drains; BatchedJobs the jobs they
 	// moved. BatchedJobs/Batches is the amortization factor.
-	Batches     uint64
-	BatchedJobs uint64
+	Batches     uint64 `json:"batches"`
+	BatchedJobs uint64 `json:"batched_jobs"`
+}
+
+// Stats reports executor activity.
+type Stats struct {
+	Counters
 	// QueueDepths is the instantaneous backlog per executor;
 	// QueueCaps the matching inbox capacities (the flight recorder
 	// compares them to detect executors pinned at capacity).
@@ -38,18 +44,20 @@ type Stats struct {
 // StatsSnapshot returns cumulative counters.
 func (d *Engine) StatsSnapshot() Stats {
 	s := Stats{
-		ActionsExecuted:   d.executed.Load(),
-		RendezvousCrossed: d.rvps.Load(),
-		LocalWaits:        d.localWaits.Load(),
-		Timeouts:          d.timeouts.Load(),
-		SinglePartition:   d.singleTxns.Load(),
-		CrossPartition:    d.crossTxns.Load(),
-		Batches:           d.batches.Load(),
-		BatchedJobs:       d.batchedJobs.Load(),
-		QueueDepths:       make([]int, len(d.exec)),
-		QueueCaps:         make([]int, len(d.exec)),
-		Service:           d.service.Snapshot(),
-		Wait:              d.wait.Snapshot(),
+		Counters: Counters{
+			ActionsExecuted:   d.executed.Load(),
+			RendezvousCrossed: d.rvps.Load(),
+			LocalWaits:        d.localWaits.Load(),
+			Timeouts:          d.timeouts.Load(),
+			SinglePartition:   d.singleTxns.Load(),
+			CrossPartition:    d.crossTxns.Load(),
+			Batches:           d.batches.Load(),
+			BatchedJobs:       d.batchedJobs.Load(),
+		},
+		QueueDepths: make([]int, len(d.exec)),
+		QueueCaps:   make([]int, len(d.exec)),
+		Service:     d.service.Snapshot(),
+		Wait:        d.wait.Snapshot(),
 	}
 	for i, ex := range d.exec {
 		s.QueueDepths[i] = ex.queue.Len()

@@ -47,33 +47,35 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats are cumulative lock-manager counters.
+// Stats are cumulative lock-manager counters. Each field's tags are the
+// metric's one definition: every surface (/stats, /metrics, STATS FULL,
+// hydra-cli, hydra-top) derives from them (DESIGN.md §7).
 type Stats struct {
-	Acquires   uint64 // logical acquisitions requested
-	TableOps   uint64 // acquisitions that reached the lock table
-	Inherited  uint64 // acquisitions satisfied from an SLI agent cache
-	Waits      uint64 // acquisitions that blocked
-	Deadlocks  uint64
-	Timeouts   uint64
-	Upgrades   uint64
-	ReleaseAll uint64
+	Acquires   uint64 `json:"acquires"`  // logical acquisitions requested
+	TableOps   uint64 `json:"table_ops"` // acquisitions that reached the lock table
+	Inherited  uint64 `json:"inherited"` // acquisitions satisfied from an SLI agent cache
+	Waits      uint64 `json:"waits"`     // acquisitions that blocked
+	Deadlocks  uint64 `json:"deadlocks"`
+	Timeouts   uint64 `json:"timeouts"`
+	Upgrades   uint64 `json:"upgrades"`
+	ReleaseAll uint64 `json:"release_all"`
 	// Escalations counts row->table lock escalations; EscalatedAcqs
 	// counts row requests absorbed by an escalated table lock.
-	Escalations   uint64
-	EscalatedAcqs uint64
+	Escalations   uint64 `json:"escalations"`
+	EscalatedAcqs uint64 `json:"escalated_acquires"`
 	// Lock-head lifecycle: HeadAllocs counts fresh lockHead
 	// allocations on table misses, HeadRecycles misses served from the
 	// partition freelist instead, HeadRetires empty heads returned to
 	// it. HeatEvictions counts heat-table entries dropped to keep the
 	// per-partition conflict history under its cap.
-	HeadAllocs    uint64
-	HeadRecycles  uint64
-	HeadRetires   uint64
-	HeatEvictions uint64
+	HeadAllocs    uint64 `json:"head_allocs"`
+	HeadRecycles  uint64 `json:"head_recycles"`
+	HeadRetires   uint64 `json:"head_retires"`
+	HeatEvictions uint64 `json:"heat_evictions"`
 	// Bypasses counts logical acquisitions the MVCC snapshot-read path
 	// skipped entirely: reads that, on the locked path, would have gone
 	// through Acquire but instead resolved against version chains.
-	Bypasses uint64
+	Bypasses uint64 `json:"bypasses"`
 }
 
 type grant struct {

@@ -198,7 +198,7 @@ func BenchmarkLogAppendSegmented(b *testing.B) {
 			st := l.StatsSnapshot()
 			if st.Flushes > 0 {
 				b.ReportMetric(float64(st.FlushWrites)/float64(st.Flushes), "writes/flush")
-				b.ReportMetric(float64(st.Dev.SegSyncs)/float64(st.Flushes), "segsyncs/flush")
+				b.ReportMetric(float64(st.SegSyncs)/float64(st.Flushes), "segsyncs/flush")
 			}
 			d.Close()
 		})

@@ -59,12 +59,12 @@ type EndSetter interface {
 // claim: obs-striped counters the Log surfaces through StatsSnapshot
 // so /metrics and hydra-top can show submissions per flush live.
 type DeviceStats struct {
-	Writes       uint64 // physical write submissions (one per contiguous run / segment file)
-	VecWrites    uint64 // WriteVec calls (batched submissions)
-	Syncs        uint64 // Sync calls
-	SegSyncs     uint64 // segment files actually fsynced
-	SegSyncSkips uint64 // live segments skipped at Sync because clean
-	Extends      uint64 // preallocation steps (FileDevice: one per logChunk of log)
+	Writes       uint64 `json:"dev_writes" metric:"name=hydra_wal_dev_writes_total"`                 // physical write submissions (one per contiguous run / segment file)
+	VecWrites    uint64 `json:"dev_vec_writes" metric:"name=hydra_wal_dev_vec_writes_total"`         // WriteVec calls (batched submissions)
+	Syncs        uint64 `json:"dev_syncs" metric:"name=hydra_wal_dev_syncs_total"`                   // Sync calls
+	SegSyncs     uint64 `json:"dev_seg_syncs" metric:"name=hydra_wal_dev_seg_syncs_total"`           // segment files actually fsynced
+	SegSyncSkips uint64 `json:"dev_seg_sync_skips" metric:"name=hydra_wal_dev_seg_sync_skips_total"` // live segments skipped at Sync because clean
+	Extends      uint64 `json:"dev_extends" metric:"name=hydra_wal_dev_extends_total"`               // preallocation steps (FileDevice: one per logChunk of log)
 }
 
 // StatsReporter is the optional device-counter surface.

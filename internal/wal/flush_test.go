@@ -399,14 +399,14 @@ func TestLogOverSegmentedUsesVectoredPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := l.StatsSnapshot()
-	if st.Dev.VecWrites == 0 {
+	if st.VecWrites == 0 {
 		t.Fatal("segmented device never saw a vectored submission")
 	}
-	if st.FlushWrites != st.Dev.VecWrites {
+	if st.FlushWrites != st.VecWrites {
 		t.Fatalf("flusher submissions %d != device WriteVec calls %d (flusher bypassed the vectored path)",
-			st.FlushWrites, st.Dev.VecWrites)
+			st.FlushWrites, st.VecWrites)
 	}
-	if st.Dev.SegSyncs == 0 {
+	if st.SegSyncs == 0 {
 		t.Fatal("no segment fsyncs recorded")
 	}
 	recs, err := ScanAll(d, 0)
@@ -522,11 +522,11 @@ func TestSegmentedVectoredTruncateStress(t *testing.T) {
 		pos += LSN(EncodedSize(len(r.Payload)))
 	}
 	st := l.StatsSnapshot()
-	if st.Dev.VecWrites == 0 {
+	if st.VecWrites == 0 {
 		t.Fatal("stress never exercised the vectored path")
 	}
 	t.Logf("flushes=%d vec_writes=%d seg_syncs=%d seg_sync_skips=%d truncated_to=%d scanned=%d",
-		st.Flushes, st.Dev.VecWrites, st.Dev.SegSyncs, st.Dev.SegSyncSkips, base, len(recs))
+		st.Flushes, st.VecWrites, st.SegSyncs, st.SegSyncSkips, base, len(recs))
 }
 
 // The flush daemon coalesces pending kicks: a burst of inserts while

@@ -80,29 +80,32 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats are cumulative log-manager counters.
+// Stats are cumulative log-manager counters; the tags define each
+// metric for every surface (DESIGN.md §7).
 type Stats struct {
-	Inserts       uint64 // records inserted
-	InsertedBytes uint64
-	Flushes       uint64 // flush IOs issued
-	FlushedBytes  uint64
-	MutexAcquires uint64 // allocation-mutex acquisitions (consolidation wins show here)
-	GroupInserts  uint64 // records that joined a consolidation group led by another
-	FlushWrites   uint64 // write submissions issued by the flusher (a vectored submission counts once)
-	FlushSyncs    uint64 // Device.Sync calls issued by the flusher
+	Inserts       uint64 `json:"inserts"` // records inserted
+	InsertedBytes uint64 `json:"inserted_bytes"`
+	Flushes       uint64 `json:"flushes"` // flush IOs issued
+	FlushedBytes  uint64 `json:"flushed_bytes"`
+	MutexAcquires uint64 `json:"mutex_acquires"` // allocation-mutex acquisitions (consolidation wins show here)
+	GroupInserts  uint64 `json:"group_inserts"`  // records that joined a consolidation group led by another
+	FlushWrites   uint64 `json:"flush_writes"`   // write submissions issued by the flusher (a vectored submission counts once)
+	FlushSyncs    uint64 `json:"flush_syncs"`    // Device.Sync calls issued by the flusher
 
 	// What started each flush; the three sum to Flushes. Demand: a
 	// committer, a WAL-rule caller or Close was waiting on the durable
 	// frontier. Pressure: the ring was more than half full. Tick: the
 	// FlushInterval timer found records nobody was waiting for.
-	FlushesDemand   uint64
-	FlushesPressure uint64
-	FlushesTick     uint64
+	FlushesDemand   uint64 `json:"flushes_demand"`
+	FlushesPressure uint64 `json:"flushes_pressure"`
+	FlushesTick     uint64 `json:"flushes_tick"`
 
-	// Dev carries the device-side submission counters when the device
-	// reports them (FileDevice, MemDevice, SegmentedDevice): the
+	// DeviceStats carries the device-side submission counters when the
+	// device reports them (FileDevice, MemDevice, SegmentedDevice): the
 	// syscall-shaped ground truth behind FlushWrites/FlushSyncs.
-	Dev DeviceStats
+	// Embedded, so they sit flat beside the log's own counters on the
+	// wire (log.dev_*).
+	DeviceStats
 }
 
 // Log is the log manager: an in-memory ring buffer filled by Insert
@@ -728,7 +731,7 @@ func (l *Log) StatsSnapshot() Stats {
 		FlushesTick:     l.stats.flushesBy[causeTick].Load(),
 	}
 	if l.dsr != nil {
-		s.Dev = l.dsr.DeviceStats()
+		s.DeviceStats = l.dsr.DeviceStats()
 	}
 	return s
 }
