@@ -72,10 +72,12 @@ bench-json:
 # bench-wal runs the WAL flush-path benchmarks with enough iterations
 # for the per-flush metrics (writes/flush, segsyncs/sync) to settle:
 # the numbers cited in EXPERIMENTS.md E11 come from this target. The
-# commit benchmark (syncs/commit, µs/commit on a real file; E16) gets
-# more iterations: its unit is one device sync.
+# commit benchmark (syncs/commit, µs/commit on real files, over wal.log
+# and over 4 MiB segments; E16) gets more iterations: its unit is one
+# device sync. It fails the target when one committer pays more than
+# one sync per commit or a file is extended inside a preallocated step.
 bench-wal:
-	$(GO) test -run '^$$' -bench 'BenchmarkFlushWrap|BenchmarkSegmentedSync|BenchmarkSegmentedWriteVec|BenchmarkLogAppendSegmented' -benchtime 200x -benchmem ./internal/wal/
+	$(GO) test -run '^$$' -bench 'BenchmarkFlushWrapVectored|BenchmarkSegmentedSync|BenchmarkSegmentedWriteVec|BenchmarkLogAppendSegmented' -benchtime 200x -benchmem ./internal/wal/
 	$(GO) test -run '^$$' -bench 'BenchmarkCommitFileDevice' -benchtime 5000x ./internal/wal/
 
 # bench-lock runs the lock-manager benchmarks, including the
@@ -96,7 +98,9 @@ bench-dora:
 # without paying for a timed run (CI's guard against bench rot).
 # ./... picks up the WAL flush benchmarks (bench_test.go) too; the
 # explicit wal run below it asserts the vectored path's counters are
-# live, not just that the benchmarks compile. The final server tests
+# live, not just that the benchmarks compile, and that a durable commit
+# on either file layout costs one sync and no file extension
+# (BenchmarkCommitFileDevice fails otherwise). The final server tests
 # guard the observability contract: TestEverySurfaceCarriesEveryLeaf
 # fills every field of the snapshot with a distinct value and requires
 # it on /stats, /metrics (one TYPE line per family) and in the text
@@ -109,6 +113,6 @@ bench-dora:
 # targets above against the figures recorded in EXPERIMENTS.md.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -run '^$$' -bench 'BenchmarkFlushWrap|BenchmarkSegmentedSync|BenchmarkCommitFileDevice' -benchtime 20x ./internal/wal/
+	$(GO) test -run '^$$' -bench 'BenchmarkFlushWrapVectored|BenchmarkSegmentedSync|BenchmarkCommitFileDevice' -benchtime 20x ./internal/wal/
 	$(GO) test -run '^$$' -bench 'BenchmarkAcquireReleaseChurn' -benchtime 20x ./internal/lock/
 	$(GO) test -run 'TestEverySurfaceCarriesEveryLeaf|TestSurfaceKeepsParentNames|MetricsExposition' -count=1 ./internal/server/

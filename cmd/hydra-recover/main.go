@@ -5,6 +5,7 @@
 // Usage:
 //
 //	hydra-recover -log /path/to/wal.log [-v]
+//	hydra-recover -log /path/to/wal [-v]     (a directory of segments)
 package main
 
 import (
@@ -18,7 +19,7 @@ import (
 )
 
 func main() {
-	path := flag.String("log", "", "path to wal.log")
+	path := flag.String("log", "", "path to wal.log, or to a directory of log segments")
 	verbose := flag.Bool("v", false, "print every record")
 	flag.Parse()
 	if *path == "" {
@@ -31,18 +32,37 @@ func main() {
 	}
 }
 
-// report scans the log at path and writes the summary to w. The file
-// is only read: a crashed server's log keeps its preallocated tail.
+// openLog opens the flat log file, or the directory of segments, at
+// path.
+func openLog(path string) (*wal.FileDevice, error) {
+	if st, err := os.Stat(path); err != nil || !st.IsDir() {
+		return wal.OpenFile(path)
+	}
+	size, err := wal.SegmentSize(path)
+	if err != nil {
+		return nil, err
+	}
+	return wal.OpenSegmented(path, size)
+}
+
+// report scans the log at path and writes the summary to w. The log
+// is only read: a crashed server's keeps its preallocated tail.
 func report(w io.Writer, path string, verbose bool) error {
-	dev, err := wal.OpenFile(path)
+	dev, err := openLog(path)
 	if err != nil {
 		return err
 	}
 	defer dev.Close()
 
-	sc, err := wal.NewScanner(dev, 0)
+	// A recycled log starts at its oldest segment, which starts
+	// mid-record.
+	base := wal.LSN(dev.Base())
+	sc, err := wal.NewScanner(dev, base)
 	if err != nil {
 		return err
+	}
+	if base > 0 && sc.SeekRecord() {
+		fmt.Fprintf(w, "log recycled below %d; first record at %d\n", base, sc.Pos())
 	}
 	type txnSum struct {
 		records   int

@@ -54,3 +54,61 @@ func TestReportOverCrashedLog(t *testing.T) {
 		}
 	}
 }
+
+// A log in segments that checkpoints have recycled has no LSN 0, its
+// oldest segment starts mid-record, and after a crash its newest ends
+// in preallocated space. The report reads it given only the directory.
+func TestReportOverRecycledCrashedSegments(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	dev, err := wal.OpenSegmented(dir, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.New(dev, wal.Options{SyncOnFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close() // after the report, as above
+	defer l.Close()
+	recLen := wal.LSN(wal.EncodedSize(0))
+	const txns = 12
+	var last wal.LSN
+	for id := uint64(1); id <= txns; id++ {
+		if _, err := l.Append(&wal.Record{Type: wal.RecBegin, TxnID: id, PrevLSN: wal.NilLSN}); err != nil {
+			t.Fatal(err)
+		}
+		if id == txns { // the loser
+			break
+		}
+		if last, err = l.Append(&wal.Record{Type: wal.RecCommit, TxnID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.WaitFlushed(last + recLen); err != nil {
+		t.Fatal(err)
+	}
+	// Recycle everything below txn 5's begin record.
+	horizon := 8 * recLen
+	if n, err := dev.TruncateBefore(horizon); err != nil || n == 0 {
+		t.Fatalf("TruncateBefore(%d) removed %d segments, %v", horizon, n, err)
+	}
+	base := wal.LSN(dev.Base())
+	first := (base + recLen - 1) / recLen * recLen // the first record boundary at or above base
+	if base == 0 || base == first {
+		t.Fatalf("base %d, first record %d: the oldest segment does not start mid-record", base, first)
+	}
+
+	var out bytes.Buffer
+	if err := report(&out, dir, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("log recycled below %d; first record at %d", base, first),
+		fmt.Sprintf("log: %d bytes, %d records (file continues for", (2*txns-1)*recLen, 2*txns-1-int(first/recLen)),
+		"1 losers",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+}

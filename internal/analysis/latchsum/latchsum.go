@@ -84,12 +84,12 @@ var Hierarchy = map[string]int{
 	// Tier 4: short bookkeeping mutexes — leaves of the hierarchy;
 	// nothing may be acquired under them (and lockscope/blockscope
 	// separately forbid blocking there).
-	"buffer.shard.mu":        invariant.TierPoolShard,
-	"buffer.FileStore.mu":    invariant.TierFileStore,
-	"wal.Log.mu":             invariant.TierWALLog,
-	"wal.Log.waitMu":         invariant.TierWALWait,
-	"wal.SegmentedDevice.mu": invariant.TierWALDevice,
-	"sync2.Queue.mu":         invariant.TierDoraQueue,
+	"buffer.shard.mu":     invariant.TierPoolShard,
+	"buffer.FileStore.mu": invariant.TierFileStore,
+	"wal.Log.mu":          invariant.TierWALLog,
+	"wal.Log.waitMu":      invariant.TierWALWait,
+	"wal.FileDevice.mu":   invariant.TierWALDevice,
+	"sync2.Queue.mu":      invariant.TierDoraQueue,
 }
 
 // FuncSummary is one function's transitive latch footprint: the

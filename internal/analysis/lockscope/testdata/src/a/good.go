@@ -59,7 +59,7 @@ func (c *checkpointer) checkpoint(id uint64) error {
 	return c.store.WritePage(id)
 }
 
-// segdev mirrors wal.SegmentedDevice: the device-level mutex is
+// segdev mirrors wal.FileDevice: the device-level mutex is
 // declared coarse because rotation must mutate the segment map, the
 // dirty set, and the file set atomically — IO under it is the design,
 // and the dirty-set bookkeeping it guards is what keeps Sync at

@@ -106,13 +106,12 @@ func (e *Engine) Checkpoint() error {
 	invariant.Acquired(invariant.TierEngineCkpt, "core.Engine.ckptMu")
 	defer invariant.Released(invariant.TierEngineCkpt, "core.Engine.ckptMu")
 
-	// When the log device supports segment recycling, a checkpoint
-	// doubles as the page cleaner: flushing dirty pages first empties
-	// the DPT so the truncation horizon can advance. (Without
-	// recycling the checkpoint stays fully fuzzy.)
-	_, recycling := e.logDev.(interface {
-		TruncateBefore(wal.LSN) (int, error)
-	})
+	// When the log is cut into segments that can be recycled, a
+	// checkpoint doubles as the page cleaner: flushing dirty pages
+	// first empties the DPT so the truncation horizon can advance.
+	// (Without recycling the checkpoint stays fully fuzzy.)
+	segs, _ := e.logDev.(*wal.FileDevice)
+	recycling := segs != nil && segs.Bounded()
 	if recycling {
 		if err := e.pool.FlushAll(); err != nil {
 			return err
@@ -162,12 +161,9 @@ func (e *Engine) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	// With the master durable, everything below the horizon is dead:
-	// recycle old log segments if the device supports it.
-	if tr, ok := e.logDev.(interface {
-		TruncateBefore(wal.LSN) (int, error)
-	}); ok {
-		if _, err := tr.TruncateBefore(horizon); err != nil {
+	// With the master durable, everything below the horizon is dead.
+	if recycling {
+		if _, err := segs.TruncateBefore(horizon); err != nil {
 			return fmt.Errorf("core: log truncation: %w", err)
 		}
 	}

@@ -17,6 +17,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -52,9 +53,9 @@ type Config struct {
 	LogKind wal.BufferKind
 	// LogBufferSize is the WAL ring size. Default 8 MiB.
 	LogBufferSize int
-	// LogSegmentBytes, when positive (and Dir is set), stores the WAL
-	// as fixed-size segment files that checkpoints recycle; 0 keeps a
-	// single flat file.
+	// LogSegmentBytes, when positive (and Dir is set), cuts the WAL
+	// into segment files of that size, which checkpoints recycle; 0
+	// keeps it in one file that only grows.
 	LogSegmentBytes int64
 	// SyncCommit forces commits to wait for log durability.
 	SyncCommit bool
@@ -235,26 +236,40 @@ func Open(cfg Config) (*Engine, error) {
 	cfg.fill()
 	var store buffer.PageStore
 	var dev wal.Device
-	var err error
 	if cfg.Dir == "" {
 		store = buffer.NewMemStore()
 		dev = wal.NewMem()
 	} else {
-		store, err = buffer.OpenFileStore(filepath.Join(cfg.Dir, "pages.db"))
+		fd, err := openLog(cfg.Dir, cfg.LogSegmentBytes)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.LogSegmentBytes > 0 {
-			dev, err = wal.OpenSegmented(filepath.Join(cfg.Dir, "wal"), cfg.LogSegmentBytes)
-		} else {
-			dev, err = wal.OpenFile(filepath.Join(cfg.Dir, "wal.log"))
-		}
+		dev = fd
+		store, err = buffer.OpenFileStore(filepath.Join(cfg.Dir, "pages.db"))
 		if err != nil {
-			store.Close()
+			fd.Close()
 			return nil, err
 		}
 	}
 	return OpenWith(cfg, store, dev)
+}
+
+// openLog opens the log kept in dir: the flat file wal.log, or, when
+// segBytes is positive, segments of that size under wal/. A directory
+// that holds the other layout is refused — opening it would start an
+// empty log beside a populated pages.db.
+func openLog(dir string, segBytes int64) (*wal.FileDevice, error) {
+	flat, segs := filepath.Join(dir, "wal.log"), filepath.Join(dir, "wal")
+	if segBytes > 0 {
+		if _, err := os.Stat(flat); err == nil {
+			return nil, fmt.Errorf("core: LogSegmentBytes is %d but the log here is the flat file %s, not segments under %s", segBytes, flat, segs)
+		}
+		return wal.OpenSegmented(segs, segBytes)
+	}
+	if ents, _ := os.ReadDir(segs); len(ents) > 0 { // an error means no wal/: nothing to refuse
+		return nil, fmt.Errorf("core: LogSegmentBytes is 0 but the log here is in segments under %s, not the flat file %s", segs, flat)
+	}
+	return wal.OpenFile(flat)
 }
 
 // OpenWith opens an engine over explicit stores; tests use it to

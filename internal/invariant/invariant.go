@@ -36,6 +36,6 @@ const (
 	TierFileStore   = 72 // buffer.FileStore.mu
 	TierWALLog      = 80 // wal.Log.mu
 	TierWALWait     = 82 // wal.Log.waitMu
-	TierWALDevice   = 84 // wal.SegmentedDevice.mu
+	TierWALDevice   = 84 // wal.FileDevice.mu
 	TierDoraQueue   = 90 // sync2.Queue.mu (DORA executor inboxes)
 )

@@ -21,7 +21,7 @@ const (
 	TierFileStore              // buffer.FileStore.mu
 	TierWALLog                 // wal.Log.mu
 	TierWALWait                // wal.Log.waitMu
-	TierWALDevice              // wal.SegmentedDevice.mu
+	TierWALDevice              // wal.FileDevice.mu
 	TierDoraQueue              // sync2.Queue.mu (DORA executor inboxes)
 	TierMVCCShard              // core.verShard.mu (MVCC version chains)
 

@@ -4,23 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// benchWrapFlush measures one wrap-around flush (the worst case for
-// submission count: two ring regions) through either the vectored or
-// the sequential device path, and reports the measured per-flush
-// write-submission count as writes/flush.
-func benchWrapFlush(b *testing.B, vectored bool) {
+// BenchmarkFlushWrapVectored measures one wrap-around flush (the worst
+// case for submission count: two ring regions, one WriteVec) and
+// reports the measured per-flush write-submission count as
+// writes/flush.
+func BenchmarkFlushWrapVectored(b *testing.B) {
 	mem := NewMem()
-	var dev Device = mem
-	if !vectored {
-		dev = &plainDev{d: mem}
-	}
-	l := newStoppedLog(b, dev, Options{Kind: Serial, SyncOnFlush: true})
+	l := newStoppedLog(b, mem, Options{Kind: Serial, SyncOnFlush: true})
 
 	ringSize := uint64(l.opts.BufferSize)
 	startAt := ringSize - 64 // every iteration's region wraps here
@@ -50,22 +45,14 @@ func benchWrapFlush(b *testing.B, vectored bool) {
 	}
 	b.StopTimer()
 	st := l.StatsSnapshot()
-	b.ReportMetric(float64(mem.Writes())/float64(b.N), "writes/flush")
+	b.ReportMetric(float64(mem.DeviceStats().Writes)/float64(b.N), "writes/flush")
 	b.ReportMetric(float64(st.FlushSyncs)/float64(b.N), "syncs/flush")
 }
 
-// BenchmarkFlushWrapVectored: the batched path — one WriteVec
-// submission carries both ring regions of a wrapped flush.
-func BenchmarkFlushWrapVectored(b *testing.B) { benchWrapFlush(b, true) }
-
-// BenchmarkFlushWrapSequential: the before shape — one WriteAt per
-// ring region (2 writes per wrapped flush).
-func BenchmarkFlushWrapSequential(b *testing.B) { benchWrapFlush(b, false) }
-
 // benchSegSync measures Sync over a segmented device with liveSegs
 // segments of which exactly one is dirtied per iteration, reporting
-// how many files were actually fsynced per Sync. The dirty-only path
-// fsyncs 1; the pre-change behavior fsynced all liveSegs.
+// how many files were actually synced per Sync. The dirty-only path
+// syncs 1; syncing every live segment costs liveSegs.
 func benchSegSync(b *testing.B, liveSegs int, dirtyAll bool) {
 	dir, err := os.MkdirTemp("", "hydra-bench-seg")
 	if err != nil {
@@ -90,8 +77,8 @@ func benchSegSync(b *testing.B, liveSegs int, dirtyAll bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if dirtyAll {
-			// Simulate the pre-change all-segments sync cost: touch
-			// every live segment so Sync must fsync each one.
+			// The all-segments sync cost: touch every live segment
+			// so Sync must sync each one.
 			for s := 0; s < liveSegs; s++ {
 				if _, err := d.WriteAt([]byte{1}, int64(s)*segSize); err != nil {
 					b.Fatal(err)
@@ -163,7 +150,7 @@ func BenchmarkSegmentedWriteVec(b *testing.B) {
 }
 
 // BenchmarkLogAppendSegmented drives the full insert→flush→sync
-// pipeline over a SegmentedDevice for each buffer kind, the
+// pipeline over 4 MiB segments for each buffer kind, the
 // end-to-end number behind the EXPERIMENTS entry.
 func BenchmarkLogAppendSegmented(b *testing.B) {
 	for _, kind := range BufferKinds() {
@@ -205,46 +192,58 @@ func BenchmarkLogAppendSegmented(b *testing.B) {
 	}
 }
 
-// BenchmarkCommitFileDevice is the durable-commit path on a real file:
-// each committer runs begin, update, commit, wait for durability, end —
-// the records and the one wait of an autocommitted SET — against a
-// FileDevice in a temp dir. syncs/commit is the figure the
-// demand-driven flusher is judged on (1.00 with one committer, below
-// it when two share syncs); µs/commit is mostly the device's sync.
+// BenchmarkCommitFileDevice is the durable-commit path on real files,
+// over both layouts of the one device: each committer runs begin,
+// update, commit, wait for durability, end — the records and the one
+// wait of an autocommitted SET. syncs/commit is the figure the
+// demand-driven flusher is judged on (1.00 with one committer, below it
+// when two share syncs); µs/commit is mostly the device's sync. It
+// fails when one committer pays more than one sync per commit, or when
+// the device extends a file more often than once per preallocation
+// step — either would put metadata back into the commit path's sync.
 func BenchmarkCommitFileDevice(b *testing.B) {
-	for _, committers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("%dcommitters", committers), func(b *testing.B) {
-			dev, err := OpenFile(filepath.Join(b.TempDir(), "wal.log"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer dev.Close()
-			l, err := New(dev, Options{Kind: Consolidated, SyncOnFlush: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer l.Close()
-			payload := bytes.Repeat([]byte("u"), 256)
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for c := 0; c < committers; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						if err := commitTxn(l, uint64(c+1), payload); err != nil {
-							b.Error(err)
-							return
+	for _, sh := range []devShape{{"wal.log", 0}, {"4MiB-segments", 4 << 20}} {
+		for _, committers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/%dcommitters", sh.name, committers), func(b *testing.B) {
+				dev := sh.open(b, b.TempDir())
+				defer dev.Close()
+				l, err := New(dev, Options{Kind: Consolidated, SyncOnFlush: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer l.Close()
+				payload := bytes.Repeat([]byte("u"), 256)
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for c := 0; c < committers; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						for next.Add(1) <= int64(b.N) {
+							if err := commitTxn(l, uint64(c+1), payload); err != nil {
+								b.Error(err)
+								return
+							}
 						}
-					}
-				}(c)
-			}
-			wg.Wait()
-			b.StopTimer()
-			st := l.StatsSnapshot()
-			b.ReportMetric(float64(st.FlushSyncs)/float64(b.N), "syncs/commit")
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/commit")
-		})
+					}(c)
+				}
+				wg.Wait()
+				b.StopTimer()
+				st := l.StatsSnapshot()
+				syncs := float64(st.FlushSyncs) / float64(b.N)
+				b.ReportMetric(syncs, "syncs/commit")
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/commit")
+				b.ReportMetric(float64(st.Extends), "dev_extends")
+				// One stray sync is the tick finding the last end record
+				// before the snapshot; more is the policy failing.
+				if committers == 1 && st.FlushSyncs > uint64(b.N+1+b.N/200) {
+					b.Fatalf("%d syncs for %d commits by one committer, want one each", st.FlushSyncs, b.N)
+				}
+				if end, _ := dev.Size(); int64(st.Extends) > (end+sh.step()-1)/sh.step() {
+					b.Fatalf("%d dev_extends for %d bytes of log in %d-byte steps: a file was extended inside a preallocated step", st.Extends, end, sh.step())
+				}
+			})
+		}
 	}
 }

@@ -1,20 +1,31 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"path/filepath"
 	"sync"
-	"sync/atomic"
 
+	"hydra/internal/invariant"
 	"hydra/internal/obs"
 )
 
 // Device is the stable storage the log is flushed to. Offsets are
-// LSNs: the log file image is the concatenation of all records.
+// LSNs: the log image is the concatenation of all records.
 type Device interface {
 	// WriteAt writes b at the given log offset.
 	WriteAt(b []byte, off int64) (int, error)
+	// WriteVec writes each bufs[i] at offs[i] and returns the total
+	// bytes written: a whole flush group as one call, so the flush
+	// daemon issues one submission per wakeup instead of one per ring
+	// slice. The pairs must be sorted by offset and non-overlapping
+	// (the flusher's wrap-around slices are contiguous, which lets an
+	// implementation gather adjacent pairs into a single write), and
+	// len(offs) must equal len(bufs).
+	WriteVec(offs []int64, bufs [][]byte) (int, error)
 	// ReadAt reads into b from the given log offset. Short reads at
 	// end of log return io.EOF semantics via n < len(b).
 	ReadAt(b []byte, off int64) (int, error)
@@ -22,149 +33,268 @@ type Device interface {
 	Sync() error
 	// Size returns the current log length in bytes.
 	Size() (int64, error)
+	// SetEnd declares off the end of log and discards whatever the
+	// device holds beyond it — a torn last record, or the never-written
+	// tail of a preallocated file — so Size reports off, reads past it
+	// come back short, and the region reads as zeros once the log grows
+	// over it again. New calls it with the end it found by scanning,
+	// before the first append.
+	SetEnd(off int64) error
+	// DeviceStats returns the device's cumulative submission counters.
+	DeviceStats() DeviceStats
 	// Close releases the device.
 	Close() error
 }
 
-// VectorWriter is the optional batched-submission interface: a device
-// implementing it accepts a whole flush group — several (offset,
-// buffer) pairs — as one call, so the flush daemon issues one
-// submission per wakeup instead of one syscall per ring slice. The
-// pairs must be sorted by offset and non-overlapping (the flusher's
-// wrap-around slices are contiguous, which lets implementations
-// gather adjacent pairs into single writes). The emulation today is
-// gather-into-staging + pwrite per contiguous run; the interface is
-// shaped so a pwritev or io_uring backend can slot in without
-// touching the flush daemon.
-type VectorWriter interface {
-	// WriteVec writes each bufs[i] at offs[i] and returns the total
-	// bytes written. len(offs) must equal len(bufs).
-	WriteVec(offs []int64, bufs [][]byte) (int, error)
-}
-
-// EndSetter is the optional interface of a device that can hold bytes
-// past the end of the log: a torn last record, or the never-written
-// tail of a preallocated file. SetEnd(off) declares off the end of log
-// and discards whatever lies beyond it, so Size reports off, reads past
-// it come back short, and the region reads as zeros once the log grows
-// over it again. New calls it with the end it found by scanning, before
-// the first append.
-type EndSetter interface {
-	SetEnd(off int64) error
-}
-
 // DeviceStats are cumulative per-device submission counters — the
 // syscall-shaped events behind a flush. They are the ground truth for
-// the "1 vectored submission per touched segment, fsync only dirty"
-// claim: obs-striped counters the Log surfaces through StatsSnapshot
-// so /metrics and hydra-top can show submissions per flush live.
+// the "1 vectored submission per touched segment, sync only dirty"
+// claim: the Log surfaces them through StatsSnapshot so /metrics and
+// hydra-top can show submissions per flush live.
 type DeviceStats struct {
 	Writes       uint64 `json:"dev_writes" metric:"name=hydra_wal_dev_writes_total"`                 // physical write submissions (one per contiguous run / segment file)
 	VecWrites    uint64 `json:"dev_vec_writes" metric:"name=hydra_wal_dev_vec_writes_total"`         // WriteVec calls (batched submissions)
 	Syncs        uint64 `json:"dev_syncs" metric:"name=hydra_wal_dev_syncs_total"`                   // Sync calls
-	SegSyncs     uint64 `json:"dev_seg_syncs" metric:"name=hydra_wal_dev_seg_syncs_total"`           // segment files actually fsynced
+	SegSyncs     uint64 `json:"dev_seg_syncs" metric:"name=hydra_wal_dev_seg_syncs_total"`           // segment files actually synced
 	SegSyncSkips uint64 `json:"dev_seg_sync_skips" metric:"name=hydra_wal_dev_seg_sync_skips_total"` // live segments skipped at Sync because clean
-	Extends      uint64 `json:"dev_extends" metric:"name=hydra_wal_dev_extends_total"`               // preallocation steps (FileDevice: one per logChunk of log)
+	Extends      uint64 `json:"dev_extends" metric:"name=hydra_wal_dev_extends_total"`               // preallocation steps (FileDevice: one per logChunk of a segment)
 }
 
-// StatsReporter is the optional device-counter surface.
-type StatsReporter interface {
-	DeviceStats() DeviceStats
-}
-
-// devCounters is the embedded obs-backed counter block shared by the
-// Device implementations.
-type devCounters struct {
-	writes, vecWrites, syncs obs.Counter
-	segSyncs, segSyncSkips   obs.Counter
-	extends                  obs.Counter
-}
-
-func (c *devCounters) DeviceStats() DeviceStats {
-	return DeviceStats{
-		Writes:       c.writes.Load(),
-		VecWrites:    c.vecWrites.Load(),
-		Syncs:        c.syncs.Load(),
-		SegSyncs:     c.segSyncs.Load(),
-		SegSyncSkips: c.segSyncSkips.Load(),
-		Extends:      c.extends.Load(),
-	}
-}
-
-// logChunk is the step in which FileDevice preallocates its file ahead
-// of the write frontier. Within a chunk a flush changes no file
+// logChunk is the step in which FileDevice preallocates a segment file
+// ahead of the write frontier. Within a step a flush changes no file
 // metadata (size, block map), so the fdatasync that follows it is a
 // plain data write-out rather than a file-system journal commit.
 const logChunk = 16 << 20
 
-// FileDevice is a Device backed by one regular file whose offsets are
-// LSNs. The file is preallocated in logChunk steps (space reserved, no
-// data written), so it is usually longer than the log: the logical end
-// is tracked here, found by New's scan after a crash, and a clean Close
-// trims the file back to it.
+// unbounded is the size of OpenFile's one segment.
+const unbounded = math.MaxInt64
+
+// FileDevice is the file-backed Device: the log's bytes cut into
+// segments of segSize, one file each, named by the log offset it
+// starts at. A segment's file is created when the log first reaches it
+// and preallocated in logChunk steps (space reserved, no data written),
+// so the files are usually longer than the log: the logical end is
+// tracked here, found by New's scan after a crash, and a clean Close
+// trims the files back to it. Once a checkpoint has moved past a
+// segment, TruncateBefore deletes its file — the log recycling every
+// production WAL needs. OpenFile's flat wal.log is the same device with
+// one segment that never ends: its file offsets are LSNs and there is
+// never a whole segment to recycle.
 type FileDevice struct {
-	f *os.File
+	dir     string
+	flat    string // OpenFile: the one segment's file name; see segName
+	segSize int64
 
-	// end is the logical end of log: what Size reports and ReadAt
-	// clamps to. Until SetEnd or a write moves it, it is the file size
-	// found at open — an upper bound the Scanner's zero-length-word
-	// rule refines.
-	end atomic.Int64
-	// alloc is the file's physical size, end <= alloc.
-	alloc atomic.Int64
-	// extMu serializes changes of the file's extent (preallocation,
-	// SetEnd).
+	// mu makes segment-map updates atomic with the file operations
+	// that realize them (create, cut and delete of segment files). It
+	// is held across the IO on purpose: a gathered write's staging
+	// buffer IS the IO buffer. Nothing queues behind it on the commit
+	// path — the flush daemon is the only writer; restart and backup
+	// are the readers.
 	//
-	//hydra:vet:coarse -- taken once per logChunk of log and at open; the protected operation is the file-size change itself
-	extMu sync.Mutex
+	//hydra:vet:coarse -- device-level lock: segment rotation must mutate the map and the file set atomically, and the staging buffer doubles as the IO buffer
+	mu    sync.Mutex
+	segs  map[int64]*segment // start offset -> file
+	dirty map[int64]struct{} // segments written since the last Sync
+	// size is the logical end of log: what Size reports and ReadAt
+	// clamps to. Until SetEnd or a write moves it, it is the end of the
+	// last file found at open — an upper bound the Scanner's
+	// zero-length-word rule refines.
+	size int64
+	base int64 // lowest retained offset (truncation point)
 
-	// vecMu guards the staging buffer reused across WriteVec calls
-	// (one flusher normally calls it, but the device must stay safe
-	// under concurrent use). It is held across the write on purpose:
-	// the staging buffer IS the IO buffer, so releasing before the
-	// pwrite would let the next gather scribble over in-flight data.
-	//
-	//hydra:vet:coarse -- staging buffer doubles as the IO buffer; the write must complete before the next gather reuses it
-	vecMu  sync.Mutex
-	vecBuf []byte
+	vecBuf []byte // WriteVec's staging buffer, reused across calls
 
-	stats devCounters
+	stats struct { // striped: scraped while the flusher counts
+		writes, vecWrites, syncs obs.Counter
+		segSyncs, segSyncSkips   obs.Counter
+		extends                  obs.Counter
+	}
 }
 
-// OpenFile opens (creating if needed) a file-backed log device.
+type segment struct {
+	f *os.File
+	// alloc is the file's physical size; a write below it changes no
+	// file metadata.
+	alloc int64
+}
+
+// OpenFile opens a log device kept in the one file path, which the
+// first write creates.
 func OpenFile(path string) (*FileDevice, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+	return open(&FileDevice{dir: filepath.Dir(path), flat: filepath.Base(path), segSize: unbounded})
+}
+
+// OpenSegmented opens (creating if needed) a log device kept in dir as
+// segment files of segSize bytes.
+func OpenSegmented(dir string, segSize int64) (*FileDevice, error) {
+	if segSize <= 0 {
+		return nil, fmt.Errorf("wal: segment size must be positive")
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: stat %s: %w", path, err)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
 	}
-	d := &FileDevice{f: f}
-	d.end.Store(st.Size())
-	d.alloc.Store(st.Size())
+	return open(&FileDevice{dir: dir, segSize: segSize})
+}
+
+// SegmentSize returns a segment size under which the segment files in
+// dir open, for a reader that was not told the size the log was written
+// with (hydra-recover): consecutive segments start one size apart, and
+// a lone segment fits any size that divides its start.
+func SegmentSize(dir string) (int64, error) {
+	starts, err := (&FileDevice{dir: dir}).list()
+	switch {
+	case err != nil:
+		return 0, err
+	case len(starts) == 0:
+		return 0, fmt.Errorf("wal: no log segments in %s", dir)
+	case len(starts) > 1:
+		return starts[1] - starts[0], nil
+	case starts[0] > 0:
+		return starts[0], nil
+	}
+	return unbounded, nil
+}
+
+// segName names the file of the segment that starts at start: the one
+// place that knows the two layouts apart.
+func (d *FileDevice) segName(start int64) string {
+	if d.flat != "" {
+		return d.flat
+	}
+	return fmt.Sprintf("seg-%020d.wal", start)
+}
+
+func (d *FileDevice) segPath(start int64) string { return filepath.Join(d.dir, d.segName(start)) }
+
+func (d *FileDevice) segStart(off int64) int64 { return off - off%d.segSize }
+
+// list returns the start offsets of the segment files in d.dir,
+// ascending.
+func (d *FileDevice) list() ([]int64, error) {
+	entries, err := os.ReadDir(d.dir) // sorted by name, so by start
+	if err != nil {
+		return nil, fmt.Errorf("wal: open log: %w", err)
+	}
+	var starts []int64
+	for _, ent := range entries {
+		// A file is a segment when some start names it. A name without
+		// a number leaves start 0: the flat file's.
+		var start int64
+		fmt.Sscanf(ent.Name(), "seg-%d.wal", &start)
+		if start >= 0 && ent.Name() == d.segName(start) {
+			starts = append(starts, start)
+		}
+	}
+	return starts, nil
+}
+
+// open adopts the segment files already on disk.
+func open(d *FileDevice) (*FileDevice, error) {
+	d.segs = make(map[int64]*segment)
+	d.dirty = make(map[int64]struct{})
+	starts, err := d.list()
+	if err != nil {
+		return nil, err
+	}
+	for _, start := range starts {
+		if err := d.adopt(start); err != nil {
+			d.Close() // the segments adopted so far
+			return nil, fmt.Errorf("wal: open log: %w", err)
+		}
+	}
+	if len(starts) > 0 {
+		d.base = starts[0]
+	}
 	return d, nil
 }
 
-// reserve makes sure the file covers [0, end), preallocating up to the
-// next logChunk boundary when it does not.
-func (d *FileDevice) reserve(end int64) error {
-	if end <= d.alloc.Load() {
+// adopt opens the existing file of the segment that starts at start,
+// the highest so far. The start must be a multiple of the segment size
+// and the file no longer than it: a log written with another size would
+// be mis-addressed at every offset.
+func (d *FileDevice) adopt(start int64) error {
+	f, err := os.OpenFile(d.segPath(start), os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	st, err := f.Stat()
+	if err == nil && (start%d.segSize != 0 || st.Size() > d.segSize) {
+		err = fmt.Errorf("%s starts at %d and holds %d bytes: not a segment of %d bytes (was the log written with another segment size?)",
+			d.segPath(start), start, st.Size(), d.segSize)
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	d.segs[start] = &segment{f: f, alloc: st.Size()}
+	d.size = start + st.Size()
+	return nil
+}
+
+// lock acquires d.mu with latch profiling and the hydradebug
+// tier-order assertion.
+func (d *FileDevice) lock() {
+	ls := obs.LatchStart(obs.TierWALDevice)
+	d.mu.Lock()
+	obs.LatchDone(obs.TierWALDevice, ls)
+	invariant.Acquired(invariant.TierWALDevice, "wal.FileDevice.mu")
+}
+
+func (d *FileDevice) unlock() {
+	invariant.Released(invariant.TierWALDevice, "wal.FileDevice.mu")
+	d.mu.Unlock()
+}
+
+// segFor returns the segment that starts at start, creating its file
+// when the log first reaches it. The first preallocation step, the
+// file's size and its directory entry go to disk here, so the flush
+// path's data-only syncs suffice from then on. Caller holds d.mu.
+func (d *FileDevice) segFor(start int64) (*segment, error) {
+	if s, ok := d.segs[start]; ok {
+		return s, nil
+	}
+	f, err := os.OpenFile(d.segPath(start), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: create log segment: %w", err)
+	}
+	s := &segment{f: f}
+	if err = d.reserve(s, 1); err == nil {
+		if err = datasync(f); err == nil {
+			err = syncDir(d.dir)
+		}
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(d.segPath(start))
+		return nil, fmt.Errorf("wal: create log segment at %d: %w", start, err)
+	}
+	d.segs[start] = s
+	return s, nil
+}
+
+// syncDir makes the directory's entries durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return f.Sync()
+}
+
+// reserve makes sure s's file covers its first end bytes, preallocating
+// up to the next logChunk boundary — or the end of the segment — when
+// it does not.
+func (d *FileDevice) reserve(s *segment, end int64) error {
+	if end <= s.alloc {
 		return nil
 	}
-	d.extMu.Lock()
-	defer d.extMu.Unlock()
-	cur := d.alloc.Load()
-	if end <= cur {
-		return nil
+	to := min((end+logChunk-1)/logChunk*logChunk, d.segSize)
+	if err := preallocate(s.f, s.alloc, to-s.alloc); err != nil {
+		return fmt.Errorf("wal: preallocate log segment to %d: %w", to, err)
 	}
-	to := (end + logChunk - 1) / logChunk * logChunk
-	if err := preallocate(d.f, cur, to-cur); err != nil {
-		return fmt.Errorf("wal: preallocate log to %d: %w", to, err)
-	}
-	d.alloc.Store(to)
+	s.alloc = to
 	d.stats.extends.Inc()
 	return nil
 }
@@ -179,150 +309,269 @@ func extendSparse(f *os.File, size int64) error {
 	return f.Sync()
 }
 
-// wrote advances the logical end over a completed write.
-func (d *FileDevice) wrote(end int64) {
-	for {
-		cur := d.end.Load()
-		if end <= cur || d.end.CompareAndSwap(cur, end) {
-			return
-		}
-	}
-}
-
 // WriteAt implements Device.
 func (d *FileDevice) WriteAt(b []byte, off int64) (int, error) {
-	d.stats.writes.Inc()
-	if err := d.reserve(off + int64(len(b))); err != nil {
-		return 0, err
-	}
-	n, err := d.f.WriteAt(b, off)
-	d.wrote(off + int64(n))
-	return n, err
+	d.lock()
+	defer d.unlock()
+	return d.writeVec([]int64{off}, [][]byte{b})
 }
 
-// WriteVec implements VectorWriter: adjacent pairs are gathered into
-// a staging buffer and written with one pwrite per contiguous run —
-// the portable emulation of pwritev. A single-pair vector degenerates
-// to one plain write with no copy.
+// WriteVec implements Device: the vector is split at segment
+// boundaries, adjacent pieces that land in one segment are gathered
+// into a staging buffer, and each such run goes down as one pwrite —
+// the portable emulation of pwritev, shaped so that a pwritev or
+// io_uring backend can slot in behind the same call. A run of a single
+// piece is written in place, with no copy.
 func (d *FileDevice) WriteVec(offs []int64, bufs [][]byte) (int, error) {
 	if len(offs) != len(bufs) {
 		return 0, fmt.Errorf("wal: WriteVec: %d offsets for %d buffers", len(offs), len(bufs))
 	}
+	d.lock()
+	defer d.unlock()
 	d.stats.vecWrites.Inc()
-	if k := len(offs); k > 0 {
-		// Pairs are sorted by offset: the last one ends the vector.
-		if err := d.reserve(offs[k-1] + int64(len(bufs[k-1]))); err != nil {
-			return 0, err
-		}
-	}
-	written := 0
-	d.vecMu.Lock()
-	defer d.vecMu.Unlock()
-	for i := 0; i < len(offs); {
-		// Extend the run while the next pair is adjacent.
-		j, end := i+1, offs[i]+int64(len(bufs[i]))
-		for j < len(offs) && offs[j] == end {
-			end += int64(len(bufs[j]))
-			j++
-		}
-		var run []byte
-		if j == i+1 {
-			run = bufs[i] // single buffer: write in place, no copy
-		} else {
-			need := int(end - offs[i])
-			if cap(d.vecBuf) < need {
-				d.vecBuf = make([]byte, need)
-			}
-			run = d.vecBuf[:0]
-			for k := i; k < j; k++ {
-				run = append(run, bufs[k]...)
-			}
-		}
-		d.stats.writes.Inc()
-		n, err := d.f.WriteAt(run, offs[i])
-		written += n
-		d.wrote(offs[i] + int64(n))
-		if err != nil {
-			return written, fmt.Errorf("wal: vectored write at %d: %w", offs[i], err)
-		}
-		i = j
-	}
-	return written, nil
+	return d.writeVec(offs, bufs)
 }
 
-// ReadAt implements Device. Reads stop at the logical end of log, not
-// at the end of the preallocated file.
+func (d *FileDevice) writeVec(offs []int64, bufs [][]byte) (int, error) {
+	var (
+		written int
+		run     []byte // the pending run; aliases the caller's buffer until a second piece joins it
+		runOff  int64
+		staged  bool // run lives in d.vecBuf
+	)
+	for i, b := range bufs {
+		off := offs[i]
+		for len(b) > 0 {
+			piece := b[:min(int64(len(b)), d.segStart(off)+d.segSize-off)]
+			b = b[len(piece):]
+			// A piece extends the run when it is adjacent to it and in
+			// the same segment, that is, not at a segment's start.
+			if len(run) > 0 && (off != runOff+int64(len(run)) || off == d.segStart(off)) {
+				n, err := d.writeRun(run, runOff)
+				written += n
+				if err != nil {
+					return written, err
+				}
+				run, staged = nil, false
+			}
+			switch {
+			case len(run) == 0:
+				run, runOff = piece, off
+			case !staged:
+				d.vecBuf = append(d.vecBuf[:0], run...)
+				staged = true
+				fallthrough
+			default:
+				d.vecBuf = append(d.vecBuf, piece...)
+				run = d.vecBuf
+			}
+			off += int64(len(piece))
+		}
+	}
+	if len(run) == 0 {
+		return written, nil
+	}
+	n, err := d.writeRun(run, runOff)
+	return written + n, err
+}
+
+// writeRun writes b, which lies within one segment, at log offset off.
+func (d *FileDevice) writeRun(b []byte, off int64) (int, error) {
+	start := d.segStart(off)
+	s, err := d.segFor(start)
+	if err != nil {
+		return 0, err
+	}
+	if err := d.reserve(s, off-start+int64(len(b))); err != nil {
+		return 0, err
+	}
+	d.stats.writes.Inc()
+	n, err := s.f.WriteAt(b, off-start)
+	d.dirty[start] = struct{}{}
+	d.size = max(d.size, off+int64(n))
+	if err != nil {
+		return n, fmt.Errorf("wal: log write at %d: %w", off, err)
+	}
+	return n, nil
+}
+
+// ReadAt implements Device, splitting reads at segment boundaries and
+// stopping at the logical end of log, not at the end of a preallocated
+// file. Reading below the truncation point is an error.
 func (d *FileDevice) ReadAt(b []byte, off int64) (int, error) {
-	lim := d.end.Load() - off
-	if lim >= int64(len(b)) {
-		return d.f.ReadAt(b, off)
-	}
-	if lim <= 0 {
-		return 0, io.EOF
-	}
-	n, err := d.f.ReadAt(b[:lim], off)
-	if err == nil {
-		err = io.EOF
-	}
-	return n, err
-}
-
-// Sync implements Device. Data only: the file's size and block map
-// change in reserve, never in a write.
-func (d *FileDevice) Sync() error {
-	d.stats.syncs.Inc()
-	return datasync(d.f)
-}
-
-// Size implements Device: the logical end of log.
-func (d *FileDevice) Size() (int64, error) { return d.end.Load(), nil }
-
-// SetEnd implements EndSetter by cutting the file at off; the next
-// write preallocates afresh, so the dropped bytes read back as zeros.
-func (d *FileDevice) SetEnd(off int64) error {
-	d.extMu.Lock()
-	defer d.extMu.Unlock()
-	if off < 0 || off > d.end.Load() {
-		return fmt.Errorf("wal: set end %d outside log [0, %d]", off, d.end.Load())
-	}
-	if off < d.alloc.Load() {
-		if err := d.f.Truncate(off); err != nil {
-			return fmt.Errorf("wal: cut log at %d: %w", off, err)
+	d.lock()
+	defer d.unlock()
+	read := 0
+	for read < len(b) && off < d.size {
+		start := d.segStart(off)
+		piece := b[read:]
+		piece = piece[:min(int64(len(piece)), min(start+d.segSize, d.size)-off)]
+		n := 0
+		if s, ok := d.segs[start]; ok {
+			var err error
+			if n, err = s.f.ReadAt(piece, off-start); err != nil && err != io.EOF {
+				return read + n, err
+			}
+		} else if start < d.base {
+			return read, fmt.Errorf("wal: read at %d below truncation point %d", off, d.base)
 		}
-		d.alloc.Store(off)
+		// What the file does not hold of a piece inside the log was
+		// never written: a hole, which reads as zeros.
+		clear(piece[n:])
+		read += len(piece)
+		off += int64(len(piece))
 	}
-	d.end.Store(off)
+	if read < len(b) {
+		return read, io.EOF
+	}
+	return read, nil
+}
+
+// Sync implements Device: only segments written since the last Sync
+// are synced, and data only — a file's size and block map change in
+// reserve, never in a write. A segment whose sync fails stays dirty, so
+// a retry covers it again.
+func (d *FileDevice) Sync() error {
+	d.lock()
+	defer d.unlock()
+	d.stats.syncs.Inc()
+	if clean := len(d.segs) - len(d.dirty); clean > 0 {
+		d.stats.segSyncSkips.Add(uint64(clean))
+	}
+	for start := range d.dirty {
+		if err := datasync(d.segs[start].f); err != nil {
+			return err
+		}
+		delete(d.dirty, start)
+		d.stats.segSyncs.Inc()
+	}
 	return nil
 }
 
-// Close implements Device, trimming the preallocated tail first so a
-// cleanly closed log file is exactly its records.
-func (d *FileDevice) Close() error {
-	var terr error
-	if end := d.end.Load(); end < d.alloc.Load() {
-		terr = d.f.Truncate(end)
-	}
-	if err := d.f.Close(); err != nil {
-		return err
-	}
-	return terr
+// Size implements Device: the logical end of log.
+func (d *FileDevice) Size() (int64, error) {
+	d.lock()
+	defer d.unlock()
+	return d.size, nil
 }
 
-// DeviceStats implements StatsReporter.
-func (d *FileDevice) DeviceStats() DeviceStats { return d.stats.DeviceStats() }
+// SetEnd implements Device: the segment holding off is cut there and
+// every later one deleted. The next write preallocates afresh, so the
+// dropped bytes read back as zeros.
+func (d *FileDevice) SetEnd(off int64) error {
+	d.lock()
+	defer d.unlock()
+	if off < d.base || off > d.size {
+		return fmt.Errorf("wal: set end %d outside log [%d, %d]", off, d.base, d.size)
+	}
+	for start, s := range d.segs {
+		switch keep := off - start; {
+		case keep <= 0:
+			if err := d.drop(start); err != nil {
+				return err
+			}
+		case keep < s.alloc:
+			if err := s.f.Truncate(keep); err != nil {
+				return fmt.Errorf("wal: cut log at %d: %w", off, err)
+			}
+			s.alloc = keep
+		}
+	}
+	d.size = off
+	return nil
+}
+
+// drop closes and deletes the segment file that starts at start. The
+// segment leaves the live map first: after a failed close or remove its
+// file is closed or in an unknown state, and retaining it would surface
+// "file already closed" on every later read or sync. Caller holds d.mu.
+func (d *FileDevice) drop(start int64) error {
+	s := d.segs[start]
+	delete(d.segs, start)
+	delete(d.dirty, start)
+	if err := s.f.Close(); err != nil {
+		return err
+	}
+	return os.Remove(d.segPath(start))
+}
+
+// TruncateBefore deletes every segment that lies entirely below lsn
+// and returns how many that was. The caller guarantees no record at or
+// above its recovery horizon lives below lsn (see core's
+// truncation-point computation).
+func (d *FileDevice) TruncateBefore(lsn LSN) (int, error) {
+	d.lock()
+	defer d.unlock()
+	removed := 0
+	for start := range d.segs {
+		if int64(lsn)-start >= d.segSize {
+			if err := d.drop(start); err != nil {
+				return removed, err
+			}
+			removed++
+		}
+	}
+	d.base = max(d.base, d.segStart(int64(lsn)))
+	return removed, nil
+}
+
+// Bounded reports whether the log is cut into segments that
+// TruncateBefore can give back.
+func (d *FileDevice) Bounded() bool { return d.segSize < unbounded }
+
+// Base returns the lowest retained log offset.
+func (d *FileDevice) Base() int64 {
+	d.lock()
+	defer d.unlock()
+	return d.base
+}
+
+// Segments returns the number of live segment files.
+func (d *FileDevice) Segments() int {
+	d.lock()
+	defer d.unlock()
+	return len(d.segs)
+}
+
+// Close implements Device, trimming the preallocated tails first so a
+// cleanly closed log is exactly its records.
+func (d *FileDevice) Close() error {
+	d.lock()
+	defer d.unlock()
+	var err error
+	for start, s := range d.segs {
+		if keep := max(d.size-start, 0); keep < s.alloc {
+			err = errors.Join(err, s.f.Truncate(keep))
+		}
+		err = errors.Join(err, s.f.Close())
+	}
+	clear(d.segs)
+	clear(d.dirty)
+	return err
+}
+
+// DeviceStats implements Device.
+func (d *FileDevice) DeviceStats() DeviceStats {
+	return DeviceStats{
+		Writes:       d.stats.writes.Load(),
+		VecWrites:    d.stats.vecWrites.Load(),
+		Syncs:        d.stats.syncs.Load(),
+		SegSyncs:     d.stats.segSyncs.Load(),
+		SegSyncSkips: d.stats.segSyncSkips.Load(),
+		Extends:      d.stats.extends.Load(),
+	}
+}
 
 // MemDevice is an in-memory Device for tests and for CPU-bound
 // experiments that must exclude disk latency. An optional per-sync
 // artificial latency models a disk for group-commit experiments.
 type MemDevice struct {
-	mu        sync.Mutex
-	data      []byte
-	syncs     int
-	writes    int    // write submissions (WriteAt calls + one per WriteVec)
-	vecWrites int    // WriteVec calls
-	SyncFn    func() // optional hook invoked (unlocked) on every Sync
-	failAt    int64  // if >0, writes past this offset fail (fault injection)
-	failErr   error
+	mu      sync.Mutex
+	data    []byte
+	stats   DeviceStats // Writes: WriteAt calls + one per WriteVec, whatever its length
+	SyncFn  func()      // optional hook invoked (unlocked) on every Sync
+	failAt  int64       // if >0, writes past this offset fail (fault injection)
+	failErr error
 }
 
 // NewMem returns an empty in-memory device.
@@ -340,7 +589,7 @@ func (d *MemDevice) FailAfter(off int64, err error) {
 func (d *MemDevice) WriteAt(b []byte, off int64) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.writes++
+	d.stats.Writes++
 	return d.writeAtLocked(b, off)
 }
 
@@ -368,7 +617,7 @@ func (d *MemDevice) writeAtLocked(b []byte, off int64) (int, error) {
 	return len(b), nil
 }
 
-// WriteVec implements VectorWriter: the whole vector lands in one
+// WriteVec implements Device: the whole vector lands in one
 // submission (memory has no seek cost, so no gathering is needed —
 // the counter is what matters for tests asserting batch shape).
 func (d *MemDevice) WriteVec(offs []int64, bufs [][]byte) (int, error) {
@@ -377,8 +626,8 @@ func (d *MemDevice) WriteVec(offs []int64, bufs [][]byte) (int, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.vecWrites++
-	d.writes++
+	d.stats.VecWrites++
+	d.stats.Writes++
 	written := 0
 	for i, b := range bufs {
 		n, err := d.writeAtLocked(b, offs[i])
@@ -404,7 +653,7 @@ func (d *MemDevice) ReadAt(b []byte, off int64) (int, error) {
 // Sync implements Device.
 func (d *MemDevice) Sync() error {
 	d.mu.Lock()
-	d.syncs++
+	d.stats.Syncs++
 	fn := d.SyncFn
 	d.mu.Unlock()
 	if fn != nil {
@@ -413,39 +662,12 @@ func (d *MemDevice) Sync() error {
 	return nil
 }
 
-// Syncs returns the number of Sync calls, for asserting group-commit
-// batching in tests.
-func (d *MemDevice) Syncs() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.syncs
-}
-
-// Writes returns the number of write submissions (a WriteVec call
-// counts once, whatever its vector length), for asserting flush batch
-// shape in tests.
-func (d *MemDevice) Writes() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.writes
-}
-
-// VecWrites returns the number of WriteVec calls.
-func (d *MemDevice) VecWrites() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.vecWrites
-}
-
-// DeviceStats implements StatsReporter.
+// DeviceStats implements Device; tests assert group-commit batching
+// and flush batch shape on it.
 func (d *MemDevice) DeviceStats() DeviceStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return DeviceStats{
-		Writes:    uint64(d.writes),
-		VecWrites: uint64(d.vecWrites),
-		Syncs:     uint64(d.syncs),
-	}
+	return d.stats
 }
 
 // Size implements Device.
@@ -458,18 +680,13 @@ func (d *MemDevice) Size() (int64, error) {
 // Close implements Device.
 func (d *MemDevice) Close() error { return nil }
 
-// SetEnd implements EndSetter.
+// SetEnd implements Device. Tests cut the device with it to simulate a
+// crash that lost the tail (a torn write when off lands mid-record).
 func (d *MemDevice) SetEnd(off int64) error {
-	d.Truncate(off)
-	return nil
-}
-
-// Truncate cuts the device at off, simulating a crash that lost the
-// tail (including torn writes when off lands mid-record).
-func (d *MemDevice) Truncate(off int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if off < int64(len(d.data)) {
 		d.data = d.data[:off]
 	}
+	return nil
 }

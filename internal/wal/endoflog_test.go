@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -50,25 +49,6 @@ func wantTxns(t testing.TB, dev Device, ids ...uint64) {
 	}
 }
 
-// kill abandons a FileDevice the way SIGKILL would: the descriptor
-// goes away, the file keeps its preallocated tail.
-func kill(t testing.TB, l *Log, d *FileDevice) {
-	t.Helper()
-	if err := d.f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l.Close() // stops the flusher; its writes fail on the closed file
-}
-
-func fileSize(t testing.TB, path string) int64 {
-	t.Helper()
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st.Size()
-}
-
 // A log cut mid-record must resume at the end of the last whole record,
 // not after the torn bytes: before, New resumed at the device size and
 // every later commit sat behind garbage no scan could cross.
@@ -78,7 +58,7 @@ func TestResumeAfterTornTailMem(t *testing.T) {
 	commitN(t, l, 0, 3)
 	last := l.NextLSN() - recLen
 	l.Close()
-	dev.Truncate(int64(last) + 20) // mid-way through txn 2
+	dev.SetEnd(int64(last) + 20) // mid-way through txn 2
 
 	l = newTestLog(t, Serial, dev)
 	if got := l.NextLSN(); got != last {
@@ -92,118 +72,178 @@ func TestResumeAfterTornTailMem(t *testing.T) {
 	wantTxns(t, dev, 0, 1, 10, 11)
 }
 
-// The same over a preallocated file, where a torn record keeps its full
-// length and reads as half record, half zeros.
-func TestResumeAfterHalfZeroRecordFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	dev, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := newTestLog(t, Consolidated, dev)
-	commitN(t, l, 0, 3)
-	last := int64(l.NextLSN()) - recLen
-	kill(t, l, dev)
-	if fileSize(t, path) != logChunk {
-		t.Fatalf("killed log file is %d bytes, want one %d-byte chunk", fileSize(t, path), logChunk)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(make([]byte, recLen/2), last+recLen/2); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+// The same over files, where a torn record keeps its full length in the
+// preallocated space and reads as half record, half zeros, and the
+// segments past it must go.
+func TestResumeAfterTornTailFile(t *testing.T) {
+	eachShape(t, 128, func(t *testing.T, sh devShape, dir string) {
+		d := sh.open(t, dir)
+		l := newTestLog(t, Consolidated, d)
+		commitN(t, l, 0, 6) // 306 bytes: segments 0, 128, 256
+		kill(t, l, d)
+		// Tear txn 3 (bytes 153..204): its second half and everything
+		// after it never reached the disk. (The crash image where a later
+		// write reached the disk and an earlier one did not is out of
+		// scope.)
+		const last = 3 * recLen
+		sh.plainWrite(t, dir, make([]byte, 6*recLen-(last+recLen/2)), last+recLen/2)
 
-	dev, err = OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l = newTestLog(t, Consolidated, dev)
-	if got := int64(l.NextLSN()); got != last {
-		t.Fatalf("resumed at %d, want %d", got, last)
-	}
-	commitN(t, l, 10, 2)
-	l.Close()
-	dev.Close()
+		d = sh.open(t, dir)
+		l = newTestLog(t, Consolidated, d)
+		if got := l.NextLSN(); got != last {
+			t.Fatalf("resumed at %d, want %d", got, last)
+		}
+		if d.Segments() != sh.segments(last) {
+			t.Fatalf("%d segments left for a %d-byte log, want %d", d.Segments(), last, sh.segments(last))
+		}
+		commitN(t, l, 10, 3)
+		l.Close()
+		d.Close()
 
-	dev, err = OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-	l = newTestLog(t, Consolidated, dev)
-	defer l.Close()
-	wantTxns(t, dev, 0, 1, 10, 11)
+		d = sh.open(t, dir)
+		defer d.Close()
+		l = newTestLog(t, Consolidated, d)
+		defer l.Close()
+		wantTxns(t, d, 0, 1, 2, 10, 11, 12)
+	})
 }
 
-// Kill the process after every append and reopen the file as it is —
-// preallocated tail and all: the log is exactly what was flushed, every
-// reader sees exactly that, and it keeps growing from there.
-func TestCrashAtEveryAppendPreallocatedFile(t *testing.T) {
-	for k := 0; k <= 6; k++ {
-		path := filepath.Join(t.TempDir(), "wal.log")
-		dev, err := OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l := newTestLog(t, Consolidated, dev)
-		var ids []uint64
-		if k > 0 {
-			commitN(t, l, 0, k)
-			for i := 0; i < k; i++ {
-				ids = append(ids, uint64(i))
+// Kill the process after every append and reopen the files as they are
+// — preallocated tails and all: the log is exactly what was flushed,
+// every reader sees exactly that, and it keeps growing from there.
+func TestCrashAtEveryAppend(t *testing.T) {
+	eachShape(t, 128, func(t *testing.T, sh devShape, _ string) {
+		for k := 0; k <= 6; k++ {
+			dir := t.TempDir()
+			dev := sh.open(t, dir)
+			l := newTestLog(t, Consolidated, dev)
+			var ids []uint64
+			if k > 0 {
+				commitN(t, l, 0, k)
+				for i := 0; i < k; i++ {
+					ids = append(ids, uint64(i))
+				}
 			}
-		}
-		kill(t, l, dev)
+			kill(t, l, dev)
 
-		// A reader that never runs New (hydra-recover, ScanAll): the
-		// device's size is only an upper bound, the scan finds the end.
-		dev, err = OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTxns(t, dev, ids...)
+			// A reader that never runs New (hydra-recover, ScanAll): the
+			// device's size is only an upper bound, the scan finds the end.
+			dev = sh.open(t, dir)
+			wantTxns(t, dev, ids...)
 
-		// New finds the same end and makes it the device's.
-		l = newTestLog(t, Consolidated, dev)
-		end := int64(k * recLen)
-		if got := int64(l.NextLSN()); got != end {
-			t.Fatalf("k=%d: resumed at %d, want %d", k, got, end)
-		}
-		if sz, _ := dev.Size(); sz != end {
-			t.Fatalf("k=%d: device size %d, want the logical end %d", k, sz, end)
-		}
-		buf := make([]byte, 2*recLen)
-		if n, _ := dev.ReadAt(buf, end-min(end, recLen)); int64(n) != min(end, recLen) {
-			t.Fatalf("k=%d: read across the logical end returned %d bytes, want %d", k, n, min(end, recLen))
-		}
-		if n, _ := dev.ReadAt(buf, end+5); n != 0 {
-			t.Fatalf("k=%d: read past the logical end returned %d bytes", k, n)
-		}
+			// New finds the same end and makes it the device's.
+			l = newTestLog(t, Consolidated, dev)
+			end := int64(k * recLen)
+			if got := int64(l.NextLSN()); got != end {
+				t.Fatalf("k=%d: resumed at %d, want %d", k, got, end)
+			}
+			if sz, _ := dev.Size(); sz != end {
+				t.Fatalf("k=%d: device size %d, want the logical end %d", k, sz, end)
+			}
+			buf := make([]byte, 2*recLen)
+			if n, _ := dev.ReadAt(buf, end-min(end, recLen)); int64(n) != min(end, recLen) {
+				t.Fatalf("k=%d: read across the logical end returned %d bytes, want %d", k, n, min(end, recLen))
+			}
+			if n, _ := dev.ReadAt(buf, end+5); n != 0 {
+				t.Fatalf("k=%d: read past the logical end returned %d bytes", k, n)
+			}
 
-		commitN(t, l, 100, 1)
-		if fileSize(t, path) != logChunk {
-			t.Fatalf("k=%d: live log file is %d bytes, want one preallocated chunk", k, fileSize(t, path))
+			commitN(t, l, 100, 1)
+			live := sh.logFiles(t, dir)
+			if len(live) != sh.segments(end+recLen) {
+				t.Fatalf("k=%d: live log is %d files, want %d", k, len(live), sh.segments(end+recLen))
+			}
+			for path, size := range live {
+				if size != sh.step() {
+					t.Fatalf("k=%d: live %s is %d bytes, want one preallocated step of %d", k, path, size, sh.step())
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// A clean close leaves exactly the records.
+			if got := total(sh.logFiles(t, dir)); got != end+recLen {
+				t.Fatalf("k=%d: closed log is %d bytes on disk, want %d", k, got, end+recLen)
+			}
+			dev = sh.open(t, dir)
+			wantTxns(t, dev, append(ids, 100)...)
+			dev.Close()
 		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := dev.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// A clean close leaves exactly the records.
-		if got := fileSize(t, path); got != end+recLen {
-			t.Fatalf("k=%d: closed log file is %d bytes, want %d", k, got, end+recLen)
-		}
-		dev, err = OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTxns(t, dev, append(ids, 100)...)
-		dev.Close()
+	})
+}
+
+// The crash image only a preallocating, segmented device can leave: a
+// flush that crossed into a new segment died after creating it, so the
+// last written segment ends in preallocated zeros and its successor is
+// there, preallocated and empty. The log ends at the last valid record
+// and the successor goes.
+func TestCrashWithEmptyPreallocatedSuccessor(t *testing.T) {
+	sh := devShapes(128)[1]
+	dir := t.TempDir()
+	d := sh.open(t, dir)
+	l := newTestLog(t, Consolidated, d)
+	commitN(t, l, 0, 2) // 102 bytes, all in segment 0
+	kill(t, l, d)
+	succ, _ := sh.file(dir, 128)
+	if err := os.WriteFile(succ, make([]byte, 128), 0o644); err != nil {
+		t.Fatal(err)
 	}
+
+	d = sh.open(t, dir)
+	if sz, _ := d.Size(); sz != 256 {
+		t.Fatalf("device size %d before the scan, want the end of the successor, 256", sz)
+	}
+	wantTxns(t, d, 0, 1)
+	l = newTestLog(t, Consolidated, d)
+	if got := l.NextLSN(); got != 2*recLen {
+		t.Fatalf("resumed at %d, want %d", got, 2*recLen)
+	}
+	if _, err := os.Stat(succ); !os.IsNotExist(err) || d.Segments() != 1 {
+		t.Fatalf("the empty successor survived: stat err = %v, %d segments", err, d.Segments())
+	}
+	commitN(t, l, 10, 2) // grows back over the boundary
+	l.Close()
+	d.Close()
+
+	d = sh.open(t, dir)
+	defer d.Close()
+	wantTxns(t, d, 0, 1, 10, 11)
+}
+
+// The formats are unchanged: a log written with plain file IO in the
+// layout of the two devices this one replaced — wal.log with LSN = file
+// offset, or wal/seg-<start>.wal, files as long as the bytes written —
+// and crashed with a torn tail opens, ends at the last whole record and
+// grows from there.
+func TestOpensEarlierLayoutWithTornTail(t *testing.T) {
+	eachShape(t, 128, func(t *testing.T, sh devShape, dir string) {
+		var img []byte
+		for i := 0; i < 6; i++ {
+			rec := make([]byte, recLen)
+			if _, err := Encode(&Record{Type: RecCommit, TxnID: uint64(i), Payload: []byte("0123456789")}, rec); err != nil {
+				t.Fatal(err)
+			}
+			img = append(img, rec...)
+		}
+		sh.plainWrite(t, dir, img[:5*recLen+20], 0) // txn 5 torn
+
+		d := sh.open(t, dir)
+		wantTxns(t, d, 0, 1, 2, 3, 4)
+		l := newTestLog(t, Serial, d)
+		if got := l.NextLSN(); got != 5*recLen {
+			t.Fatalf("resumed at %d, want %d", got, 5*recLen)
+		}
+		commitN(t, l, 10, 2)
+		l.Close()
+		d.Close()
+
+		d = sh.open(t, dir)
+		defer d.Close()
+		wantTxns(t, d, 0, 1, 2, 3, 4, 10, 11)
+	})
 }
 
 // A bad record is a torn tail only when nothing valid follows it.
@@ -278,48 +318,6 @@ func TestNewFromScansFromBoundary(t *testing.T) {
 	}
 }
 
-// The segmented device gets the torn-tail fix (SetEnd cuts the segment
-// and drops later ones) but not preallocation.
-func TestResumeAfterTornTailSegmented(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	d, err := OpenSegmented(dir, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := newTestLog(t, Serial, d)
-	commitN(t, l, 0, 6) // 306 bytes: segments 0, 128, 256
-	l.Close()
-	d.Close()
-	// Tear txn 3 (bytes 153..204), leaving txn 4's and 5's segment intact:
-	// the crash image where a later write reached the disk and an
-	// earlier one did not is out of scope, so cut everything from there.
-	if err := os.Truncate(d.segPath(128), 40); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(d.segPath(256)); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err = OpenSegmented(dir, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l = newTestLog(t, Serial, d)
-	if got := l.NextLSN(); got != 3*recLen {
-		t.Fatalf("resumed at %d, want %d", got, 3*recLen)
-	}
-	commitN(t, l, 10, 3)
-	l.Close()
-	d.Close()
-
-	d, err = OpenSegmented(dir, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	wantTxns(t, d, 0, 1, 2, 10, 11, 12)
-}
-
 // commitTxn logs one transaction the way core does for an autocommitted
 // write: begin, update, commit, wait for durability, end.
 func commitTxn(l *Log, id uint64, row []byte) error {
@@ -360,8 +358,8 @@ func TestSerialCommitsCostOneSyncEach(t *testing.T) {
 				}
 			}
 			st := l.StatsSnapshot()
-			if dev.Syncs() != n || st.FlushSyncs != n {
-				t.Fatalf("%d commits cost %d device syncs (%d by the flusher), want exactly %d", n, dev.Syncs(), st.FlushSyncs, n)
+			if dev.DeviceStats().Syncs != n || st.FlushSyncs != n {
+				t.Fatalf("%d commits cost %d device syncs (%d by the flusher), want exactly %d", n, dev.DeviceStats().Syncs, st.FlushSyncs, n)
 			}
 			if st.FlushesDemand != n || st.FlushesPressure != 0 || st.FlushesTick != 0 {
 				t.Fatalf("flush causes demand=%d pressure=%d tick=%d, want %d/0/0", st.FlushesDemand, st.FlushesPressure, st.FlushesTick, n)
@@ -451,25 +449,5 @@ func TestGapCloserPassesTheKickOn(t *testing.T) {
 	}
 	if l.FilledLSN() != 200 {
 		t.Fatalf("filled frontier %d, want 200", l.FilledLSN())
-	}
-}
-
-// FileDevice counts its preallocation steps.
-func TestFileDeviceExtendsPerChunk(t *testing.T) {
-	dev, err := OpenFile(filepath.Join(t.TempDir(), "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-	for _, w := range []struct {
-		off  int64
-		want uint64
-	}{{0, 1}, {logChunk / 2, 1}, {logChunk - 1, 2}, {logChunk + 10, 2}} {
-		if _, err := dev.WriteAt([]byte("ab"), w.off); err != nil {
-			t.Fatal(err)
-		}
-		if got := dev.DeviceStats().Extends; got != w.want {
-			t.Fatalf("after a write at %d: %d extends, want %d", w.off, got, w.want)
-		}
 	}
 }

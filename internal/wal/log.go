@@ -100,8 +100,7 @@ type Stats struct {
 	FlushesPressure uint64 `json:"flushes_pressure"`
 	FlushesTick     uint64 `json:"flushes_tick"`
 
-	// DeviceStats carries the device-side submission counters when the
-	// device reports them (FileDevice, MemDevice, SegmentedDevice): the
+	// DeviceStats carries the device-side submission counters: the
 	// syscall-shaped ground truth behind FlushWrites/FlushSyncs.
 	// Embedded, so they sit flat beside the log's own counters on the
 	// wire (log.dev_*).
@@ -113,8 +112,6 @@ type Stats struct {
 type Log struct {
 	opts Options
 	dev  Device
-	vw   VectorWriter  // l.dev's batched path, nil when unsupported
-	dsr  StatsReporter // l.dev's counter surface, nil when unsupported
 
 	mu    sync.Mutex // guards next and space accounting
 	space *sync.Cond // signaled when flushed advances
@@ -221,8 +218,6 @@ func NewFrom(dev Device, opts Options, from LSN) (*Log, error) {
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	l.vw, _ = dev.(VectorWriter)
-	l.dsr, _ = dev.(StatsReporter)
 	l.space = sync.NewCond(&l.mu)
 	l.fr.filled.Store(l.next)
 	l.flushed.Store(l.next)
@@ -249,8 +244,8 @@ func findEnd(dev Device, from LSN) (LSN, error) {
 	if err := sc.Err(); err != nil {
 		return 0, err
 	}
-	if es, ok := dev.(EndSetter); ok && sc.pos < sc.end {
-		if err := es.SetEnd(sc.pos); err != nil {
+	if sc.pos < sc.end {
+		if err := dev.SetEnd(sc.pos); err != nil {
 			return 0, err
 		}
 	}
@@ -716,7 +711,7 @@ func (l *Log) Close() error {
 
 // StatsSnapshot returns a copy of the cumulative counters.
 func (l *Log) StatsSnapshot() Stats {
-	s := Stats{
+	return Stats{
 		Inserts:       l.stats.inserts.Load(),
 		InsertedBytes: l.stats.insertedBytes.Load(),
 		Flushes:       l.stats.flushes.Load(),
@@ -729,11 +724,9 @@ func (l *Log) StatsSnapshot() Stats {
 		FlushesDemand:   l.stats.flushesBy[causeDemand].Load(),
 		FlushesPressure: l.stats.flushesBy[causePressure].Load(),
 		FlushesTick:     l.stats.flushesBy[causeTick].Load(),
+
+		DeviceStats: l.dev.DeviceStats(),
 	}
-	if l.dsr != nil {
-		s.DeviceStats = l.dsr.DeviceStats()
-	}
-	return s
 }
 
 // flusher is the flush daemon. Nothing an insert does wakes it (bar
@@ -802,9 +795,8 @@ func (l *Log) drainWakeups(ticker *time.Ticker) {
 }
 
 // flushOnce writes [flushed, filled) to the device and advances the
-// durable frontier. With a VectorWriter device, both wrap-around ring
-// slices go down as one vectored submission; otherwise they are two
-// sequential writes.
+// durable frontier. Both wrap-around ring slices go down as one
+// vectored submission.
 func (l *Log) flushOnce(cause flushCause) error {
 	l.flushOnceMu.Lock()
 	defer l.flushOnceMu.Unlock()
@@ -814,28 +806,15 @@ func (l *Log) flushOnce(cause flushCause) error {
 		return nil
 	}
 	a, b := l.ring.slices(start, end)
-	if l.vw != nil {
-		l.vecOffs = append(l.vecOffs[:0], int64(start))
-		l.vecBufs = append(l.vecBufs[:0], a)
-		if len(b) > 0 {
-			l.vecOffs = append(l.vecOffs, int64(start)+int64(len(a)))
-			l.vecBufs = append(l.vecBufs, b)
-		}
-		l.stats.flushWrites.Inc()
-		if _, err := l.vw.WriteVec(l.vecOffs, l.vecBufs); err != nil {
-			return fmt.Errorf("wal: flush write: %w", err)
-		}
-	} else {
-		l.stats.flushWrites.Inc()
-		if _, err := l.dev.WriteAt(a, int64(start)); err != nil {
-			return fmt.Errorf("wal: flush write: %w", err)
-		}
-		if len(b) > 0 {
-			l.stats.flushWrites.Inc()
-			if _, err := l.dev.WriteAt(b, int64(start)+int64(len(a))); err != nil {
-				return fmt.Errorf("wal: flush write (wrap): %w", err)
-			}
-		}
+	l.vecOffs = append(l.vecOffs[:0], int64(start))
+	l.vecBufs = append(l.vecBufs[:0], a)
+	if len(b) > 0 {
+		l.vecOffs = append(l.vecOffs, int64(start)+int64(len(a)))
+		l.vecBufs = append(l.vecBufs, b)
+	}
+	l.stats.flushWrites.Inc()
+	if _, err := l.dev.WriteVec(l.vecOffs, l.vecBufs); err != nil {
+		return fmt.Errorf("wal: flush write: %w", err)
 	}
 	if l.opts.SyncOnFlush {
 		l.stats.flushSyncs.Inc()

@@ -116,23 +116,43 @@ func (s *Scanner) peek(n int64) []byte {
 }
 
 // bad ends iteration at the undecodable record at s.pos: as an error if
-// a valid record follows, as a torn tail otherwise. The bad record's
-// own length word cannot be trusted to locate its successor, so every
-// offset it could start at — up to one maximal record away — is tried.
-// It always returns false.
+// a valid record follows, as a torn tail otherwise. It always returns
+// false.
 func (s *Scanner) bad(cause error) bool {
+	if at, ok := s.nextValid(1); ok {
+		s.err = fmt.Errorf("wal: scan at %d: %w (valid record follows at %d)", s.pos, cause, at)
+	}
+	return false
+}
+
+// nextValid returns the offset of the first record that decodes at
+// s.pos+from or later. What lies before it cannot be trusted to say
+// where it starts, so every offset up to one maximal record away is
+// tried.
+func (s *Scanner) nextValid(from int) (int64, bool) {
 	w := s.peek(min(s.end-s.pos, 2*int64(headerSize+MaxPayload)))
-	for i := 1; i+headerSize <= len(w); i++ {
+	for i := from; i+headerSize <= len(w); i++ {
 		total := int(binary.LittleEndian.Uint32(w[i:]))
 		if total < headerSize || i+total > len(w) {
 			continue
 		}
 		if _, _, err := Decode(w[i : i+total]); err == nil {
-			s.err = fmt.Errorf("wal: scan at %d: %w (valid record follows at %d)", s.pos, cause, s.pos+int64(i))
-			break
+			return s.pos + int64(i), true
 		}
 	}
-	return false
+	return 0, false
+}
+
+// SeekRecord moves a scanner whose position need not be a record
+// boundary — the base of a recycled log, whose oldest segment starts
+// mid-record — forward to the first record that decodes, reporting
+// whether there is one.
+func (s *Scanner) SeekRecord() bool {
+	at, ok := s.nextValid(0)
+	if ok {
+		s.pos = at
+	}
+	return ok
 }
 
 // Record returns the current record. Valid after Next reports true.

@@ -283,7 +283,7 @@ func TestWaitFlushedGroupCommit(t *testing.T) {
 	}
 	wg.Wait()
 	// Group commit must have batched: far fewer syncs than commits.
-	if s := dev.Syncs(); s >= n {
+	if s := dev.DeviceStats().Syncs; s >= n {
 		t.Errorf("no batching: %d syncs for %d commits", s, n)
 	}
 	l.Close()
@@ -302,7 +302,7 @@ func TestTornTailScan(t *testing.T) {
 	}
 	l.Close()
 	// Cut mid-way through the last record.
-	dev.Truncate(int64(last) + 5)
+	dev.SetEnd(int64(last) + 5)
 	recs, err := ScanAll(dev, 0)
 	if err != nil {
 		t.Fatalf("torn tail produced error: %v", err)
