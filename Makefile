@@ -72,10 +72,13 @@ bench-json:
 # bench-wal runs the WAL flush-path benchmarks with enough iterations
 # for the per-flush metrics (writes/flush, segsyncs/sync) to settle:
 # the numbers cited in EXPERIMENTS.md E11 come from this target. The
-# commit benchmark (syncs/commit, µs/commit on real files, over wal.log
-# and over 4 MiB segments; E16) gets more iterations: its unit is one
-# device sync. It fails the target when one committer pays more than
-# one sync per commit or a file is extended inside a preallocated step.
+# commit benchmark (syncs/commit, µs/commit, dev_prewrite_bytes on real
+# files, over wal.log and over 4 MiB segments, rows of 256 B, 2 KiB and
+# 4 KiB; E16) gets more iterations: its unit is one device sync. It
+# fails the target when one committer pays more than one sync per
+# commit, a file is extended inside a preallocated step, a flush costs
+# more than one write per segment, or zeros are pre-written more than
+# once per stride.
 bench-wal:
 	$(GO) test -run '^$$' -bench 'BenchmarkFlushWrapVectored|BenchmarkSegmentedSync|BenchmarkSegmentedWriteVec|BenchmarkLogAppendSegmented' -benchtime 200x -benchmem ./internal/wal/
 	$(GO) test -run '^$$' -bench 'BenchmarkCommitFileDevice' -benchtime 5000x ./internal/wal/
@@ -99,7 +102,8 @@ bench-dora:
 # ./... picks up the WAL flush benchmarks (bench_test.go) too; the
 # explicit wal run below it asserts the vectored path's counters are
 # live, not just that the benchmarks compile, and that a durable commit
-# on either file layout costs one sync and no file extension
+# on either file layout, at every row size, costs one sync, one write,
+# no file extension and at most a stride of pre-written zeros per stride
 # (BenchmarkCommitFileDevice fails otherwise). The final server tests
 # guard the observability contract: TestEverySurfaceCarriesEveryLeaf
 # fills every field of the snapshot with a distinct value and requires

@@ -17,10 +17,17 @@
 //	STATS                        -> +VALUE <counters>
 //	STATS FULL                   -> +VALUE <one-line JSON snapshot>
 //	QUIT                         -> +BYE, closes the connection
+//
+// A client may pipeline: send a batch of requests without waiting and
+// read the replies, which come back in order, afterwards. The server
+// writes replies out when it has no further complete request buffered,
+// so a batch costs about one write per read, and a request sent alone
+// one of each. A line may be up to 1 MiB long.
 package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -135,27 +142,55 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	r := bufio.NewScanner(conn)
-	r.Buffer(make([]byte, 64*1024), 1024*1024)
+	r := bufio.NewReaderSize(conn, 64*1024)
 	w := bufio.NewWriter(conn)
+	defer w.Flush() // whatever was answered before the connection ends
 	var txn *core.Txn
 	defer func() {
 		if txn != nil {
 			txn.Abort()
 		}
 	}()
-	for r.Scan() {
-		line := strings.TrimRight(r.Text(), "\r")
-		reply, quit := s.dispatch(line, &txn)
-		fmt.Fprintf(w, "%s\n", reply)
-		if err := w.Flush(); err != nil {
-			return
+	var long []byte // a line longer than r's buffer is assembled here
+	for {
+		// Flush on drain: replies leave in one write(2) when the next
+		// read could block, that is, when no further complete request
+		// is buffered. A pipelined batch is answered in as few writes as
+		// it took reads; a lone request still costs one read, one write.
+		if buffered, _ := r.Peek(r.Buffered()); bytes.IndexByte(buffered, '\n') < 0 {
+			if err := w.Flush(); err != nil {
+				return
+			}
 		}
-		if quit {
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull && len(long) <= maxLine {
+				line, err = r.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			if len(long) > maxLine {
+				return // as a Scanner with that limit did: the connection ends
+			}
+			line = long
+		}
+		// At end of input a last line without its newline still counts.
+		if len(line) > 0 {
+			reply, quit := s.dispatch(string(bytes.TrimRight(line, "\r\n")), &txn)
+			w.WriteString(reply) // a write error is sticky: Flush reports it
+			w.WriteByte('\n')
+			if quit {
+				return
+			}
+		}
+		if err != nil {
 			return
 		}
 	}
 }
+
+// maxLine is the longest request line a connection may send.
+const maxLine = 1024 * 1024
 
 // dispatch executes one command line and returns the reply (which may
 // contain embedded newlines for multi-row responses).
@@ -169,7 +204,7 @@ func (s *Server) dispatch(line string, txn **core.Txn) (string, bool) {
 	case "PING":
 		return "+PONG", false
 	case "QUIT":
-		return "+BYE", false
+		return "+BYE", true
 	case "CREATE":
 		if len(fields) != 2 {
 			return "-ERR usage: CREATE <table>", false

@@ -193,57 +193,73 @@ func BenchmarkLogAppendSegmented(b *testing.B) {
 }
 
 // BenchmarkCommitFileDevice is the durable-commit path on real files,
-// over both layouts of the one device: each committer runs begin,
-// update, commit, wait for durability, end — the records and the one
-// wait of an autocommitted SET. syncs/commit is the figure the
-// demand-driven flusher is judged on (1.00 with one committer, below it
-// when two share syncs); µs/commit is mostly the device's sync. It
-// fails when one committer pays more than one sync per commit, or when
-// the device extends a file more often than once per preallocation
-// step — either would put metadata back into the commit path's sync.
+// over both layouts of the one device and three row sizes: each
+// committer runs begin, update, commit, wait for durability, end — the
+// records and the one wait of an autocommitted SET. syncs/commit is the
+// figure the demand-driven flusher is judged on (1.00 with one
+// committer, below it when two share syncs); µs/commit is mostly the
+// device's sync, and the row size sets how often a commit enters a
+// block of the file for the first time (a 4 KiB row: every time), which
+// is what the pre-write takes out of it. It fails when one committer
+// pays more than one sync per commit, when the device extends a file
+// more often than once per preallocation step, when a flush costs more
+// than one write per segment it touches, or when zeros are written more
+// than once per stride — each would put metadata, or a second
+// submission, back into the commit path.
 func BenchmarkCommitFileDevice(b *testing.B) {
 	for _, sh := range []devShape{{"wal.log", 0}, {"4MiB-segments", 4 << 20}} {
-		for _, committers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/%dcommitters", sh.name, committers), func(b *testing.B) {
-				dev := sh.open(b, b.TempDir())
-				defer dev.Close()
-				l, err := New(dev, Options{Kind: Consolidated, SyncOnFlush: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer l.Close()
-				payload := bytes.Repeat([]byte("u"), 256)
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				for c := 0; c < committers; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						for next.Add(1) <= int64(b.N) {
-							if err := commitTxn(l, uint64(c+1), payload); err != nil {
-								b.Error(err)
-								return
+		for _, row := range []int{256, 2 << 10, 4 << 10} {
+			for _, committers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%dB/%dcommitters", sh.name, row, committers), func(b *testing.B) {
+					dev := sh.open(b, b.TempDir())
+					defer dev.Close()
+					l, err := New(dev, Options{Kind: Consolidated, SyncOnFlush: true})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer l.Close()
+					payload := bytes.Repeat([]byte("u"), row)
+					var next atomic.Int64
+					var wg sync.WaitGroup
+					b.ResetTimer()
+					for c := 0; c < committers; c++ {
+						wg.Add(1)
+						go func(c int) {
+							defer wg.Done()
+							for next.Add(1) <= int64(b.N) {
+								if err := commitTxn(l, uint64(c+1), payload); err != nil {
+									b.Error(err)
+									return
+								}
 							}
-						}
-					}(c)
-				}
-				wg.Wait()
-				b.StopTimer()
-				st := l.StatsSnapshot()
-				syncs := float64(st.FlushSyncs) / float64(b.N)
-				b.ReportMetric(syncs, "syncs/commit")
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/commit")
-				b.ReportMetric(float64(st.Extends), "dev_extends")
-				// One stray sync is the tick finding the last end record
-				// before the snapshot; more is the policy failing.
-				if committers == 1 && st.FlushSyncs > uint64(b.N+1+b.N/200) {
-					b.Fatalf("%d syncs for %d commits by one committer, want one each", st.FlushSyncs, b.N)
-				}
-				if end, _ := dev.Size(); int64(st.Extends) > (end+sh.step()-1)/sh.step() {
-					b.Fatalf("%d dev_extends for %d bytes of log in %d-byte steps: a file was extended inside a preallocated step", st.Extends, end, sh.step())
-				}
-			})
+						}(c)
+					}
+					wg.Wait()
+					b.StopTimer()
+					st := l.StatsSnapshot()
+					syncs := float64(st.FlushSyncs) / float64(b.N)
+					b.ReportMetric(syncs, "syncs/commit")
+					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/commit")
+					b.ReportMetric(float64(st.Extends), "dev_extends")
+					b.ReportMetric(float64(st.PrewriteBytes), "dev_prewrite_bytes")
+					// One stray sync is the tick finding the last end record
+					// before the snapshot; more is the policy failing.
+					if committers == 1 && st.FlushSyncs > uint64(b.N+1+b.N/200) {
+						b.Fatalf("%d syncs for %d commits by one committer, want one each", st.FlushSyncs, b.N)
+					}
+					end, _ := dev.Size()
+					if int64(st.Extends) > (end+sh.step()-1)/sh.step() {
+						b.Fatalf("%d dev_extends for %d bytes of log in %d-byte steps: a file was extended inside a preallocated step", st.Extends, end, sh.step())
+					}
+					segs := uint64(sh.segments(end))
+					if st.Writes > st.FlushWrites+segs-1 {
+						b.Fatalf("%d dev_writes for %d flushes over %d segments, want one per flush and segment touched", st.Writes, st.FlushWrites, segs)
+					}
+					if st.PrewriteBytes > uint64(end)+segs*prewriteStride {
+						b.Fatalf("%d dev_prewrite_bytes for %d bytes of log in %d segments: zeros written more than once per %d-byte stride", st.PrewriteBytes, end, segs, prewriteStride)
+					}
+				})
+			}
 		}
 	}
 }

@@ -58,13 +58,35 @@ type DeviceStats struct {
 	SegSyncs     uint64 `json:"dev_seg_syncs" metric:"name=hydra_wal_dev_seg_syncs_total"`           // segment files actually synced
 	SegSyncSkips uint64 `json:"dev_seg_sync_skips" metric:"name=hydra_wal_dev_seg_sync_skips_total"` // live segments skipped at Sync because clean
 	Extends      uint64 `json:"dev_extends" metric:"name=hydra_wal_dev_extends_total"`               // preallocation steps (FileDevice: one per logChunk of a segment)
+	// Zeros written ahead of the log so later flushes overwrite (see
+	// prewriteStride); such a write is not counted in Writes.
+	PrewriteBytes uint64 `json:"dev_prewrite_bytes" metric:"name=hydra_wal_dev_prewrite_bytes_total"`
 }
 
 // logChunk is the step in which FileDevice preallocates a segment file
-// ahead of the write frontier. Within a step a flush changes no file
-// metadata (size, block map), so the fdatasync that follows it is a
-// plain data write-out rather than a file-system journal commit.
+// ahead of the write frontier. Within a step a flush never changes the
+// file's size. Its block map is another matter: fallocate hands out
+// unwritten extents (and the sparse fallback holes), the first write
+// into a block converts or allocates it, and the fdatasync after that
+// write is a file-system journal commit, about twice the cost of one
+// that only writes data out. prewriteStride is what keeps the commit
+// path off such blocks.
 const logChunk = 16 << 20
+
+// prewriteStride is how far ahead of the log FileDevice keeps a segment
+// file's blocks written. A flush that ends beyond what was written
+// before also writes zeros from its end up to the next multiple of the
+// stride, and the one fdatasync after it commits the block-map change
+// for the whole stride; every flush until the log reaches that boundary
+// overwrites written blocks, and its fdatasync is a data write-out and
+// nothing else. The zeros are what a reader of preallocated space sees
+// anyway, so the end-of-log rule (a zero length word) is untouched. The
+// stride divides logChunk. Filling a whole logChunk in reserve instead
+// buys the same syncs for tens of milliseconds at every start.
+const prewriteStride = 256 << 10
+
+// zeros is the source of every pre-write.
+var zeros [prewriteStride]byte
 
 // unbounded is the size of OpenFile's one segment.
 const unbounded = math.MaxInt64
@@ -72,14 +94,14 @@ const unbounded = math.MaxInt64
 // FileDevice is the file-backed Device: the log's bytes cut into
 // segments of segSize, one file each, named by the log offset it
 // starts at. A segment's file is created when the log first reaches it
-// and preallocated in logChunk steps (space reserved, no data written),
-// so the files are usually longer than the log: the logical end is
-// tracked here, found by New's scan after a crash, and a clean Close
-// trims the files back to it. Once a checkpoint has moved past a
-// segment, TruncateBefore deletes its file — the log recycling every
-// production WAL needs. OpenFile's flat wal.log is the same device with
-// one segment that never ends: its file offsets are LSNs and there is
-// never a whole segment to recycle.
+// and preallocated in logChunk steps (space reserved, zeros written one
+// prewriteStride ahead of the log), so the files are usually longer
+// than the log: the logical end is tracked here, found by New's scan
+// after a crash, and a clean Close trims the files back to it. Once a
+// checkpoint has moved past a segment, TruncateBefore deletes its file
+// — the log recycling every production WAL needs. OpenFile's flat
+// wal.log is the same device with one segment that never ends: its
+// file offsets are LSNs and there is never a whole segment to recycle.
 type FileDevice struct {
 	dir     string
 	flat    string // OpenFile: the one segment's file name; see segName
@@ -108,15 +130,21 @@ type FileDevice struct {
 	stats struct { // striped: scraped while the flusher counts
 		writes, vecWrites, syncs obs.Counter
 		segSyncs, segSyncSkips   obs.Counter
-		extends                  obs.Counter
+		extends, prewriteBytes   obs.Counter
 	}
 }
 
 type segment struct {
 	f *os.File
-	// alloc is the file's physical size; a write below it changes no
-	// file metadata.
+	// alloc is the file's physical size; a write below it leaves the
+	// size alone.
 	alloc int64
+	// written is the frontier below which the file's blocks have been
+	// written, with data or with zeros, since they were allocated: a
+	// write that ends at or below it changes no file metadata at all.
+	// Nothing has been written above it, so the file reads as zeros
+	// there. start+written is never below the logical end of log.
+	written int64
 }
 
 // OpenFile opens a log device kept in the one file path, which the
@@ -227,7 +255,9 @@ func (d *FileDevice) adopt(start int64) error {
 		f.Close()
 		return err
 	}
-	d.segs[start] = &segment{f: f, alloc: st.Size()}
+	// What the file holds was written, by a log that was closed or by
+	// one that crashed; SetEnd cuts off what only looks that way.
+	d.segs[start] = &segment{f: f, alloc: st.Size(), written: st.Size()}
 	d.size = start + st.Size()
 	return nil
 }
@@ -375,14 +405,39 @@ func (d *FileDevice) writeVec(offs []int64, bufs [][]byte) (int, error) {
 	return written + n, err
 }
 
+// prewrite moves s's written frontier to the first stride boundary at
+// or beyond end, where a write is about to end, by writing zeros from
+// end up to it. The boundary is clamped to the space reserve made, which
+// ends on a stride boundary or with the segment.
+func (d *FileDevice) prewrite(s *segment, end int64) error {
+	if end <= s.written {
+		return nil
+	}
+	to := min((end+prewriteStride-1)/prewriteStride*prewriteStride, s.alloc)
+	n, err := s.f.WriteAt(zeros[:to-end], end)
+	d.stats.prewriteBytes.Add(uint64(n))
+	if err != nil {
+		return fmt.Errorf("wal: pre-write log segment to %d: %w", to, err)
+	}
+	s.written = to
+	return nil
+}
+
 // writeRun writes b, which lies within one segment, at log offset off.
+// The zeros of a pre-write go down first and become durable with b, in
+// the sync that follows: in whichever order a crash keeps the two, b
+// ends in zeros.
 func (d *FileDevice) writeRun(b []byte, off int64) (int, error) {
 	start := d.segStart(off)
 	s, err := d.segFor(start)
 	if err != nil {
 		return 0, err
 	}
-	if err := d.reserve(s, off-start+int64(len(b))); err != nil {
+	end := off - start + int64(len(b))
+	if err := d.reserve(s, end); err != nil {
+		return 0, err
+	}
+	if err := d.prewrite(s, end); err != nil {
 		return 0, err
 	}
 	d.stats.writes.Inc()
@@ -428,9 +483,11 @@ func (d *FileDevice) ReadAt(b []byte, off int64) (int, error) {
 }
 
 // Sync implements Device: only segments written since the last Sync
-// are synced, and data only — a file's size and block map change in
-// reserve, never in a write. A segment whose sync fails stays dirty, so
-// a retry covers it again.
+// are synced, with fdatasync — a file's size changes in reserve, never
+// in a write, and its block map only in the one write per
+// prewriteStride that carried a pre-write; the sync after that one is
+// a journal commit, every other a data write-out. A segment whose sync
+// fails stays dirty, so a retry covers it again.
 func (d *FileDevice) Sync() error {
 	d.lock()
 	defer d.unlock()
@@ -475,6 +532,7 @@ func (d *FileDevice) SetEnd(off int64) error {
 				return fmt.Errorf("wal: cut log at %d: %w", off, err)
 			}
 			s.alloc = keep
+			s.written = min(s.written, keep)
 		}
 	}
 	d.size = off
@@ -553,12 +611,13 @@ func (d *FileDevice) Close() error {
 // DeviceStats implements Device.
 func (d *FileDevice) DeviceStats() DeviceStats {
 	return DeviceStats{
-		Writes:       d.stats.writes.Load(),
-		VecWrites:    d.stats.vecWrites.Load(),
-		Syncs:        d.stats.syncs.Load(),
-		SegSyncs:     d.stats.segSyncs.Load(),
-		SegSyncSkips: d.stats.segSyncSkips.Load(),
-		Extends:      d.stats.extends.Load(),
+		Writes:        d.stats.writes.Load(),
+		VecWrites:     d.stats.vecWrites.Load(),
+		Syncs:         d.stats.syncs.Load(),
+		SegSyncs:      d.stats.segSyncs.Load(),
+		SegSyncSkips:  d.stats.segSyncSkips.Load(),
+		Extends:       d.stats.extends.Load(),
+		PrewriteBytes: d.stats.prewriteBytes.Load(),
 	}
 }
 
