@@ -2,7 +2,7 @@ GO ?= go
 VET_SUMMARIES := .hydra-vet/summaries.json
 VET_BASELINE  := vet.baseline.json
 
-.PHONY: build test race vet lint vet-baseline vet-update-baseline stress stress-dora bench bench-json bench-wal bench-lock bench-dora bench-smoke
+.PHONY: build test race vet lint vet-baseline vet-update-baseline stress stress-dora fuzz-smoke bench bench-json bench-wal bench-lock bench-dora bench-wire bench-smoke
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,15 @@ vet-update-baseline:
 stress:
 	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/...
 
+# fuzz-smoke runs the wire tokeniser's differential fuzz target for
+# 20 s: FuzzDispatchLine holds nextField to the strings.Fields grammar
+# the handler used to apply wherever the two are meant to agree, and
+# dispatch to "no panic, the line untouched, one reply line". The
+# target keeps one engine across inputs, so coverage does not repeat
+# exactly and minimising an input would only burn the time.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDispatchLine -fuzztime 20s -fuzzminimizetime 0 ./internal/server/
+
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkLockAcquireRelease|BenchmarkCommitPipeline|BenchmarkPoolFetchParallel' -benchmem ./internal/lock/ ./internal/core/ ./internal/buffer/
 
@@ -96,10 +105,19 @@ bench-lock:
 bench-dora:
 	$(GO) test -run '^$$' -bench 'BenchmarkDoraExecSingle|BenchmarkDoraExecCross' -benchtime 2s -benchmem ./internal/dora/
 
+# bench-wire runs the wire-path benchmarks: the server's share of a
+# GET and of a 100 B / 1000 B SET through dispatch (ns/op, B/op,
+# allocs/op; the engine's own calls included), and load500, the bulk
+# loader's BEGIN; 500 x SET; COMMIT batch through the connection handler
+# over a pipe. The figures in EXPERIMENTS.md E17 come from this target.
+bench-wire:
+	$(GO) test -run '^$$' -bench 'BenchmarkDispatch' -benchtime 2s -benchmem ./internal/server/
+
 # bench-smoke compiles and runs every benchmark for a single
 # iteration: it catches benchmarks that crash or no longer build
 # without paying for a timed run (CI's guard against bench rot).
-# ./... picks up the WAL flush benchmarks (bench_test.go) too; the
+# ./... picks up the WAL flush benchmarks (bench_test.go) and
+# bench-wire's BenchmarkDispatch (load500 is one whole batch) too; the
 # explicit wal run below it asserts the vectored path's counters are
 # live, not just that the benchmarks compile, and that a durable commit
 # on either file layout, at every row size, costs one sync, one write,

@@ -379,3 +379,20 @@ func BenchmarkInsert(b *testing.B) {
 		})
 	}
 }
+
+// A miss is an ordinary outcome (every insert above this package probes
+// first): Get and Delete return the sentinel itself, unformatted.
+func TestMissIsTheBareSentinel(t *testing.T) {
+	for _, m := range modes() {
+		tr := newTree(t, m)
+		tr.Insert(5, 1)
+		var getErr, delErr error
+		n := testing.AllocsPerRun(100, func() {
+			_, getErr = tr.Get(6)
+			delErr = tr.Delete(6)
+		})
+		if getErr != ErrNotFound || delErr != ErrNotFound || n != 0 {
+			t.Fatalf("%v: Get = %v, Delete = %v with %v allocations; want ErrNotFound itself and none", m, getErr, delErr, n)
+		}
+	}
+}

@@ -32,7 +32,9 @@ func (m Mode) String() string {
 	return "crabbing"
 }
 
-// ErrNotFound is returned by Get and Delete for absent keys.
+// ErrNotFound is returned by Get and Delete for absent keys, bare: a
+// miss is an ordinary outcome (every insert probes first), so it is
+// not formatted; callers that report it add the table and key.
 var ErrNotFound = errors.New("btree: key not found")
 
 // Tree is a B+-tree over a buffer pool.
@@ -142,7 +144,7 @@ func (t *Tree) getUnlatched(key uint64, c *obs.PhaseClock) (uint64, error) {
 			}
 			t.pool.Unpin(f, false)
 			if !ok {
-				return 0, fmt.Errorf("%w: %d", ErrNotFound, key)
+				return 0, ErrNotFound
 			}
 			return v, nil
 		}
@@ -170,7 +172,7 @@ func (t *Tree) getCrabbing(key uint64, c *obs.PhaseClock) (uint64, error) {
 			f.Latch.Release(latch.Shared)
 			t.pool.Unpin(f, false)
 			if !ok {
-				return 0, fmt.Errorf("%w: %d", ErrNotFound, key)
+				return 0, ErrNotFound
 			}
 			return v, nil
 		}
@@ -435,7 +437,7 @@ func (t *Tree) deleteUnlatched(key uint64, c *obs.PhaseClock) error {
 			pos, ok := n.leafSearch(key)
 			if !ok {
 				t.pool.Unpin(f, false)
-				return fmt.Errorf("%w: %d", ErrNotFound, key)
+				return ErrNotFound
 			}
 			n.leafDeleteAt(pos)
 			t.pool.Unpin(f, true)
@@ -466,7 +468,7 @@ func (t *Tree) deleteCrabbing(key uint64, c *obs.PhaseClock) error {
 			f.Latch.Release(latch.Exclusive)
 			t.pool.Unpin(f, ok)
 			if !ok {
-				return fmt.Errorf("%w: %d", ErrNotFound, key)
+				return ErrNotFound
 			}
 			return nil
 		}

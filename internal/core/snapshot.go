@@ -24,9 +24,23 @@ import (
 // owner) isolates.
 func (t *Txn) SnapshotLSN() uint64 { return t.snap }
 
-// notFound renders the canonical missing-key error.
+// notFoundError is the canonical missing-key error. A miss is an
+// ordinary outcome that most callers only test with errors.Is (the wire
+// SET's Update-then-Insert does so once per loaded row), so the text is
+// rendered when somebody asks for it and not before.
+type notFoundError struct {
+	tbl *Table
+	key uint64
+}
+
+func (e *notFoundError) Error() string {
+	return fmt.Sprintf("%v: table %s key %d", ErrNotFound, e.tbl.Name, e.key)
+}
+
+func (e *notFoundError) Unwrap() error { return ErrNotFound }
+
 func notFound(tbl *Table, key uint64) error {
-	return fmt.Errorf("%w: table %s key %d", ErrNotFound, tbl.Name, key)
+	return &notFoundError{tbl: tbl, key: key}
 }
 
 // indexReadErr distinguishes a true index miss from an infrastructure

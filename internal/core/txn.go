@@ -439,6 +439,10 @@ func (t *Txn) lockedRead(tbl *Table, key uint64, tableMode, rowMode lock.Mode) (
 }
 
 // Insert adds a new row; it fails with ErrExists for duplicate keys.
+// The engine copies value before Insert returns and keeps no reference
+// to it, in every mode (the locked path into the undo arena, snapshot
+// isolation into its write set): the caller may reuse the slice at
+// once, as the server does with its read buffer.
 func (t *Txn) Insert(tbl *Table, key uint64, value []byte) error {
 	if err := t.checkWrite(); err != nil {
 		return err
@@ -449,7 +453,8 @@ func (t *Txn) Insert(tbl *Table, key uint64, value []byte) error {
 	return t.insert(tbl, key, value)
 }
 
-// Update replaces the value of an existing row.
+// Update replaces the value of an existing row; a missing key fails
+// with ErrNotFound. value is copied as by Insert.
 func (t *Txn) Update(tbl *Table, key uint64, value []byte) error {
 	if err := t.checkWrite(); err != nil {
 		return err

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -31,12 +32,27 @@ func Dial(addr string) (*Client, error) {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
+// ErrLineBreak is returned, before anything is sent, for a request
+// whose table name, value or raw text holds a line feed or carriage
+// return: a request is one line, so the server would run what follows
+// the break as a second request and the replies would fall out of step
+// with the calls (and a value's final carriage return would be taken
+// for part of the terminator).
+var ErrLineBreak = errors.New("server: line break in a request")
+
+// send writes one request line and flushes.
+func (c *Client) send(cmd string) error {
+	if strings.ContainsAny(cmd, "\r\n") {
+		return ErrLineBreak
+	}
+	c.w.WriteString(cmd)
+	c.w.WriteByte('\n')
+	return c.w.Flush() // reports an earlier write's error too
+}
+
 // roundTrip sends one command and reads a single-line reply.
 func (c *Client) roundTrip(cmd string) (string, error) {
-	if _, err := fmt.Fprintf(c.w, "%s\n", cmd); err != nil {
-		return "", err
-	}
-	if err := c.w.Flush(); err != nil {
+	if err := c.send(cmd); err != nil {
 		return "", err
 	}
 	if !c.r.Scan() {
@@ -111,10 +127,7 @@ type Row struct {
 
 // Scan returns up to max rows in [lo, hi].
 func (c *Client) Scan(table string, lo, hi uint64, max int) ([]Row, error) {
-	if _, err := fmt.Fprintf(c.w, "SCAN %s %d %d %d\n", table, lo, hi, max); err != nil {
-		return nil, err
-	}
-	if err := c.w.Flush(); err != nil {
+	if err := c.send(fmt.Sprintf("SCAN %s %d %d %d", table, lo, hi, max)); err != nil {
 		return nil, err
 	}
 	var rows []Row

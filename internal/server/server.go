@@ -3,12 +3,12 @@
 // role the keynote's title gestures at. One goroutine per connection;
 // each connection may run explicit transactions or autocommit.
 //
-// Protocol (requests are single lines, space separated):
+// Protocol (one request per line):
 //
 //	PING                         -> +PONG
 //	CREATE <table>               -> +OK
-//	SET <table> <key> <value...> -> +OK          (value = rest of line)
-//	GET <table> <key>            -> +VALUE <value> | -ERR not found
+//	SET <table> <key> <value>    -> +OK          (value = rest of line)
+//	GET <table> <key>            -> +VALUE <value> | -ERR ... not found
 //	DEL <table> <key>            -> +OK
 //	SCAN <table> <lo> <hi> <max> -> +ROW <key> <value> ... +END
 //	BEGIN / COMMIT / ABORT       -> +OK          (explicit transaction)
@@ -18,11 +18,28 @@
 //	STATS FULL                   -> +VALUE <one-line JSON snapshot>
 //	QUIT                         -> +BYE, closes the connection
 //
+// Grammar. A line ends at "\n" or "\r\n"; the terminator is cut once
+// and is no part of the request. Fields are separated by runs of ASCII
+// space and tab, and only those: every other byte, U+0085 and U+00A0
+// included, is data. Verbs match in either case. A SET's value starts
+// at the first byte after the key that is not a separator and runs to
+// the end of the line, byte for byte: "SET kv 1 a  b " stores "a  b ",
+// the spaces inside and the one at the end with it. (A value that
+// itself ends in a carriage return therefore needs the "\r\n"
+// terminator, and no value can hold a line feed until values are
+// length-prefixed.) A line may be up to 1 MiB long, terminator included;
+// a row must still fit a page.
+//
 // A client may pipeline: send a batch of requests without waiting and
 // read the replies, which come back in order, afterwards. The server
 // writes replies out when it has no further complete request buffered,
 // so a batch costs about one write per read, and a request sent alone
-// one of each. A line may be up to 1 MiB long.
+// one of each.
+//
+// The request path works on the bytes of the connection's read buffer:
+// no string is built from the line, the fields are slices of it, and a
+// reply is appended to the connection's write buffer (DESIGN.md, "The
+// wire path").
 package server
 
 import (
@@ -31,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strconv"
@@ -135,53 +153,75 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) handle(conn net.Conn) {
+// conn is one connection's state. A request line and every field cut
+// from it alias the read buffer (or long): they are valid until the
+// next read from the connection, and nothing here or below keeps one —
+// the engine copies what it stores.
+type conn struct {
+	engine *core.Engine
+	fr     *FlightRecorder // optional, as in Server
+	r      *bufio.Reader
+	w      *bufio.Writer
+	txn    *core.Txn // the open explicit transaction, or nil (autocommit)
+	long   []byte    // a line longer than r's buffer is assembled here
+	rows   []byte    // a SCAN's rows, built while the scan holds its latches
+	// tables memoises the catalog by name, so resolving a request's
+	// table costs a map probe with no string built (tables are never
+	// dropped, so an entry cannot go stale).
+	tables map[string]*core.Table
+}
+
+func (s *Server) newConn(rw io.ReadWriter) *conn {
+	return &conn{
+		engine: s.engine,
+		fr:     s.fr,
+		r:      bufio.NewReaderSize(rw, 64*1024),
+		w:      bufio.NewWriter(rw),
+		tables: make(map[string]*core.Table),
+	}
+}
+
+func (s *Server) handle(nc net.Conn) {
 	defer func() {
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, nc)
 		s.mu.Unlock()
-		conn.Close()
+		nc.Close()
 	}()
-	r := bufio.NewReaderSize(conn, 64*1024)
-	w := bufio.NewWriter(conn)
-	defer w.Flush() // whatever was answered before the connection ends
-	var txn *core.Txn
+	c := s.newConn(nc)
+	defer c.w.Flush() // whatever was answered before the connection ends
 	defer func() {
-		if txn != nil {
-			txn.Abort()
+		if c.txn != nil {
+			c.txn.Abort()
 		}
 	}()
-	var long []byte // a line longer than r's buffer is assembled here
+	r := c.r
 	for {
 		// Flush on drain: replies leave in one write(2) when the next
 		// read could block, that is, when no further complete request
 		// is buffered. A pipelined batch is answered in as few writes as
 		// it took reads; a lone request still costs one read, one write.
 		if buffered, _ := r.Peek(r.Buffered()); bytes.IndexByte(buffered, '\n') < 0 {
-			if err := w.Flush(); err != nil {
+			if err := c.w.Flush(); err != nil {
 				return
 			}
 		}
 		line, err := r.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
-			long = append(long[:0], line...)
-			for err == bufio.ErrBufferFull && len(long) <= maxLine {
+			c.long = append(c.long[:0], line...)
+			for err == bufio.ErrBufferFull && len(c.long) <= maxLine {
 				line, err = r.ReadSlice('\n')
-				long = append(long, line...)
+				c.long = append(c.long, line...)
 			}
-			if len(long) > maxLine {
+			if len(c.long) > maxLine {
 				return // as a Scanner with that limit did: the connection ends
 			}
-			line = long
+			line = c.long
 		}
 		// At end of input a last line without its newline still counts.
-		if len(line) > 0 {
-			reply, quit := s.dispatch(string(bytes.TrimRight(line, "\r\n")), &txn)
-			w.WriteString(reply) // a write error is sticky: Flush reports it
-			w.WriteByte('\n')
-			if quit {
-				return
-			}
+		// A write error is sticky: Flush reports it.
+		if len(line) > 0 && c.dispatch(trimEOL(line)) {
+			return
 		}
 		if err != nil {
 			return
@@ -192,181 +232,311 @@ func (s *Server) handle(conn net.Conn) {
 // maxLine is the longest request line a connection may send.
 const maxLine = 1024 * 1024
 
-// dispatch executes one command line and returns the reply (which may
-// contain embedded newlines for multi-row responses).
-func (s *Server) dispatch(line string, txn **core.Txn) (string, bool) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return "-ERR empty command", false
+// trimEOL cuts the line terminator, "\n" or "\r\n", once: a value may
+// itself end in a carriage return.
+func trimEOL(line []byte) []byte {
+	n := len(line)
+	if n == 0 || line[n-1] != '\n' {
+		return line
 	}
-	cmd := strings.ToUpper(fields[0])
-	switch cmd {
+	if n > 1 && line[n-2] == '\r' {
+		return line[:n-2]
+	}
+	return line[:n-1]
+}
+
+// nextField cuts the first field off b: it skips separators (ASCII
+// space and tab), returns the bytes up to the next one, and rest with
+// the separators after the field skipped too, so that rest starts at
+// the next field — or, after a SET's key, is the value.
+func nextField(b []byte) (field, rest []byte) {
+	i := 0
+	for i < len(b) && isSep(b[i]) {
+		i++
+	}
+	j := i
+	for j < len(b) && !isSep(b[j]) {
+		j++
+	}
+	k := j
+	for k < len(b) && isSep(b[k]) {
+		k++
+	}
+	return b[i:j], b[k:]
+}
+
+func isSep(ch byte) bool { return ch == ' ' || ch == '\t' }
+
+// Replies used more than once; every reply ends its line.
+const (
+	replyOK    = "+OK\n"
+	replyNoTxn = "-ERR no transaction\n"
+)
+
+// dispatch executes one request line (without its terminator), writes
+// the reply into c.w, and reports whether the connection is to end.
+func (c *conn) dispatch(line []byte) (quit bool) {
+	verb, rest := nextField(line)
+	if len(verb) == 0 {
+		c.w.WriteString("-ERR empty command\n")
+		return false
+	}
+	// Verbs are ASCII and match in either case: fold into a stack array
+	// and switch on it. No verb is longer than the array, so a longer
+	// field folds to "" and is unknown.
+	var up [10]byte
+	n := 0
+	if len(verb) <= len(up) {
+		n = copy(up[:], verb)
+		for i, ch := range up[:n] {
+			if 'a' <= ch && ch <= 'z' {
+				up[i] = ch - ('a' - 'A')
+			}
+		}
+	}
+	switch string(up[:n]) {
+	case "GET":
+		c.get(rest)
+	case "SET":
+		c.set(rest)
+	case "DEL":
+		c.del(rest)
+	case "SCAN":
+		c.scan(rest)
 	case "PING":
-		return "+PONG", false
+		c.w.WriteString("+PONG\n")
 	case "QUIT":
-		return "+BYE", true
-	case "CREATE":
-		if len(fields) != 2 {
-			return "-ERR usage: CREATE <table>", false
-		}
-		if _, err := s.engine.CreateTable(fields[1]); err != nil {
-			return errReply(err), false
-		}
-		return "+OK", false
+		c.w.WriteString("+BYE\n")
+		return true
 	case "BEGIN":
-		if *txn != nil {
-			return "-ERR transaction already open", false
+		if c.txn != nil {
+			c.w.WriteString("-ERR transaction already open\n")
+			break
 		}
-		*txn = s.engine.Begin()
-		return "+OK", false
+		c.txn = c.engine.Begin()
+		c.w.WriteString(replyOK)
 	case "COMMIT":
-		if *txn == nil {
-			return "-ERR no transaction", false
+		if c.txn == nil {
+			c.w.WriteString(replyNoTxn)
+			break
 		}
-		tx := *txn
-		*txn = nil
-		if err := tx.Commit(); err != nil {
+		tx := c.txn
+		c.txn = nil
+		err := tx.Commit()
+		if err != nil {
 			// A failed commit leaves the transaction active; without
 			// this abort its locks, its active entry and its
 			// log-truncation horizon would outlive the connection. The
 			// client is told why the COMMIT failed, not how the abort went.
 			_ = tx.Abort()
-			return errReply(err), false
 		}
-		return "+OK", false
+		c.done(err)
 	case "ABORT":
-		if *txn == nil {
-			return "-ERR no transaction", false
+		if c.txn == nil {
+			c.w.WriteString(replyNoTxn)
+			break
 		}
-		err := (*txn).Abort()
-		*txn = nil
-		if err != nil {
-			return errReply(err), false
+		tx := c.txn
+		c.txn = nil
+		c.done(tx.Abort())
+	case "CREATE":
+		name, more := nextField(rest)
+		if len(name) == 0 || len(more) != 0 {
+			c.w.WriteString("-ERR usage: CREATE <table>\n")
+			break
 		}
-		return "+OK", false
+		_, err := c.engine.CreateTable(string(name))
+		c.done(err)
 	case "CHECKPOINT":
-		if err := s.engine.Checkpoint(); err != nil {
-			return errReply(err), false
-		}
-		return "+OK", false
+		c.done(c.engine.Checkpoint())
 	case "BACKUP":
-		if len(fields) != 2 {
-			return "-ERR usage: BACKUP <server-side-path>", false
+		path, more := nextField(rest)
+		if len(path) == 0 || len(more) != 0 {
+			c.w.WriteString("-ERR usage: BACKUP <server-side-path>\n")
+			break
 		}
-		f, err := os.Create(fields[1])
-		if err != nil {
-			return errReply(err), false
-		}
-		if err := s.engine.Backup(f); err != nil {
-			f.Close()
-			return errReply(err), false
-		}
-		if err := f.Close(); err != nil {
-			return errReply(err), false
-		}
-		return "+OK", false
+		c.done(c.backup(string(path)))
 	case "STATS":
-		if len(fields) == 2 && strings.ToUpper(fields[1]) == "FULL" {
-			// One-line JSON so the line protocol stays line-oriented.
-			b, err := json.Marshal(Snapshot(s.engine, s.fr))
-			if err != nil {
-				return errReply(err), false
-			}
-			return "+VALUE " + string(b), false
-		}
-		st := s.engine.StatsSnapshot()
-		return fmt.Sprintf("+VALUE commits=%d aborts=%d lock_acquires=%d log_inserts=%d buf_hits=%d buf_misses=%d",
-			st.Commits, st.Aborts, st.Lock.Acquires, st.Log.Inserts, st.Buffer.Hits, st.Buffer.Misses), false
-	case "SET", "GET", "DEL", "SCAN":
-		return s.data(cmd, fields, txn), false
+		c.stats(rest)
 	default:
-		return fmt.Sprintf("-ERR unknown command %q", cmd), false
+		fmt.Fprintf(c.w, "-ERR unknown command %q\n", bytes.ToUpper(verb))
 	}
+	return false
 }
 
-func (s *Server) data(cmd string, fields []string, txn **core.Txn) string {
-	if len(fields) < 3 {
-		return "-ERR missing table/key"
-	}
-	tbl, err := s.engine.Table(fields[1])
+// done writes the reply of a request that answers +OK or the error.
+func (c *conn) done(err error) {
 	if err != nil {
-		return errReply(err)
+		c.fail(err)
+		return
 	}
-	key, err := strconv.ParseUint(fields[2], 10, 64)
-	if err != nil {
-		return "-ERR bad key"
-	}
-
-	// Run within the open transaction, or autocommit. Autocommitted
-	// reads say so: the engine then serves a wire GET/SCAN from an MVCC
-	// snapshot with zero lock-manager traffic when it has one, and
-	// under IS/S locks when it does not.
-	run := func(fn func(tx *core.Txn) error) error {
-		if *txn != nil {
-			return fn(*txn)
-		}
-		return s.engine.Exec(fn, core.Intent{ReadOnly: cmd == "GET" || cmd == "SCAN"})
-	}
-
-	switch cmd {
-	case "SET":
-		if len(fields) < 4 {
-			return "-ERR usage: SET <table> <key> <value>"
-		}
-		val := []byte(strings.Join(fields[3:], " "))
-		err := run(func(tx *core.Txn) error {
-			err := tx.Update(tbl, key, val)
-			if errors.Is(err, core.ErrNotFound) {
-				return tx.Insert(tbl, key, val)
-			}
-			return err
-		})
-		if err != nil {
-			return errReply(err)
-		}
-		return "+OK"
-	case "GET":
-		var val []byte
-		err := run(func(tx *core.Txn) error {
-			v, err := tx.Read(tbl, key)
-			val = v
-			return err
-		})
-		if err != nil {
-			return errReply(err)
-		}
-		return "+VALUE " + string(val)
-	case "DEL":
-		if err := run(func(tx *core.Txn) error { return tx.Delete(tbl, key) }); err != nil {
-			return errReply(err)
-		}
-		return "+OK"
-	case "SCAN":
-		if len(fields) != 5 {
-			return "-ERR usage: SCAN <table> <lo> <hi> <max>"
-		}
-		hi, err1 := strconv.ParseUint(fields[3], 10, 64)
-		max, err2 := strconv.Atoi(fields[4])
-		if err1 != nil || err2 != nil || max <= 0 {
-			return "-ERR bad range"
-		}
-		var sb strings.Builder
-		err := run(func(tx *core.Txn) error {
-			n := 0
-			return tx.Scan(tbl, key, hi, func(k uint64, v []byte) bool {
-				fmt.Fprintf(&sb, "+ROW %d %s\n", k, v)
-				n++
-				return n < max
-			})
-		})
-		if err != nil {
-			return errReply(err)
-		}
-		return sb.String() + "+END"
-	}
-	return "-ERR unreachable"
+	c.w.WriteString(replyOK)
 }
 
-func errReply(err error) string {
-	return "-ERR " + strings.ReplaceAll(err.Error(), "\n", " ")
+// fail writes err as an -ERR line.
+func (c *conn) fail(err error) {
+	c.w.WriteString("-ERR ")
+	c.w.WriteString(strings.ReplaceAll(err.Error(), "\n", " "))
+	c.w.WriteByte('\n')
+}
+
+func (c *conn) backup(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := c.engine.Backup(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func (c *conn) stats(rest []byte) {
+	if arg, more := nextField(rest); len(more) == 0 && bytes.EqualFold(arg, []byte("FULL")) {
+		// One-line JSON so the line protocol stays line-oriented.
+		b, err := json.Marshal(Snapshot(c.engine, c.fr))
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		c.w.WriteString("+VALUE ")
+		c.w.Write(b)
+		c.w.WriteByte('\n')
+		return
+	}
+	st := c.engine.StatsSnapshot()
+	fmt.Fprintf(c.w, "+VALUE commits=%d aborts=%d lock_acquires=%d log_inserts=%d buf_hits=%d buf_misses=%d\n",
+		st.Commits, st.Aborts, st.Lock.Acquires, st.Log.Inserts, st.Buffer.Hits, st.Buffer.Misses)
+}
+
+// target cuts the table and key that open every data verb's arguments
+// and resolves them. When ok is false the error reply has been written.
+func (c *conn) target(args []byte) (tbl *core.Table, key uint64, rest []byte, ok bool) {
+	name, rest := nextField(args)
+	keyField, rest := nextField(rest)
+	if len(keyField) == 0 {
+		c.w.WriteString("-ERR missing table/key\n")
+		return nil, 0, nil, false
+	}
+	tbl = c.tables[string(name)]
+	if tbl == nil {
+		var err error
+		if tbl, err = c.engine.Table(string(name)); err != nil {
+			c.fail(err)
+			return nil, 0, nil, false
+		}
+		c.tables[tbl.Name] = tbl
+	}
+	key, err := strconv.ParseUint(string(keyField), 10, 64)
+	if err != nil {
+		c.w.WriteString("-ERR bad key\n")
+		return nil, 0, nil, false
+	}
+	return tbl, key, rest, true
+}
+
+// exec runs fn within the open transaction, or autocommits it.
+// Autocommitted reads say so: the engine then serves a wire GET/SCAN
+// from an MVCC snapshot with zero lock-manager traffic when it has one,
+// and under IS/S locks when it does not.
+func (c *conn) exec(readOnly bool, fn func(tx *core.Txn) error) error {
+	if c.txn != nil {
+		return fn(c.txn)
+	}
+	return c.engine.Exec(fn, core.Intent{ReadOnly: readOnly})
+}
+
+func (c *conn) get(args []byte) {
+	tbl, key, _, ok := c.target(args)
+	if !ok {
+		return
+	}
+	var val []byte
+	err := c.exec(true, func(tx *core.Txn) error {
+		v, err := tx.Read(tbl, key)
+		val = v
+		return err
+	})
+	if err != nil {
+		c.fail(err)
+		return
+	}
+	c.w.WriteString("+VALUE ")
+	c.w.Write(val)
+	c.w.WriteByte('\n')
+}
+
+// set upserts. The value is the rest of the line, byte for byte, and
+// reaches the engine as a slice of the read buffer.
+func (c *conn) set(args []byte) {
+	tbl, key, val, ok := c.target(args)
+	if !ok {
+		return
+	}
+	if len(val) == 0 {
+		c.w.WriteString("-ERR usage: SET <table> <key> <value>\n")
+		return
+	}
+	c.done(c.exec(false, func(tx *core.Txn) error {
+		err := tx.Update(tbl, key, val)
+		if errors.Is(err, core.ErrNotFound) {
+			return tx.Insert(tbl, key, val)
+		}
+		return err
+	}))
+}
+
+func (c *conn) del(args []byte) {
+	tbl, key, _, ok := c.target(args)
+	if !ok {
+		return
+	}
+	c.done(c.exec(false, func(tx *core.Txn) error { return tx.Delete(tbl, key) }))
+}
+
+func (c *conn) scan(args []byte) {
+	tbl, lo, rest, ok := c.target(args)
+	if !ok {
+		return
+	}
+	hiField, rest := nextField(rest)
+	maxField, rest := nextField(rest)
+	if len(maxField) == 0 || len(rest) != 0 {
+		c.w.WriteString("-ERR usage: SCAN <table> <lo> <hi> <max>\n")
+		return
+	}
+	hi, err1 := strconv.ParseUint(string(hiField), 10, 64)
+	max, err2 := strconv.Atoi(string(maxField))
+	if err1 != nil || err2 != nil || max <= 0 {
+		c.w.WriteString("-ERR bad range\n")
+		return
+	}
+	// The rows are built in memory and written after the scan: its
+	// callback runs under the index's latches, where a write to a slow
+	// client must not block, and a scan that fails part-way answers
+	// with the error alone.
+	rows := c.rows
+	err := c.exec(true, func(tx *core.Txn) error {
+		rows = rows[:0] // here, not above: Exec may run fn again
+		n := 0
+		return tx.Scan(tbl, lo, hi, func(k uint64, v []byte) bool {
+			rows = append(rows, "+ROW "...)
+			rows = strconv.AppendUint(rows, k, 10)
+			rows = append(rows, ' ')
+			rows = append(rows, v...)
+			rows = append(rows, '\n')
+			n++
+			return n < max
+		})
+	})
+	if cap(rows) <= maxLine {
+		c.rows = rows // keep the space, unless one large scan grew it
+	}
+	if err != nil {
+		c.fail(err)
+		return
+	}
+	c.w.Write(rows)
+	c.w.WriteString("+END\n")
 }
