@@ -109,7 +109,12 @@ bench-dora:
 # GET and of a 100 B / 1000 B SET through dispatch (ns/op, B/op,
 # allocs/op; the engine's own calls included), and load500, the bulk
 # loader's BEGIN; 500 x SET; COMMIT batch through the connection handler
-# over a pipe. The figures in EXPERIMENTS.md E17 come from this target.
+# over a pipe: on the memory store, and as load500/file on real files
+# behind a 32-frame pool, which adds ns/row, allocs/row and the two
+# counts of E18 — store_writes/page and table_ops/row — and fails when a
+# loaded page is written more than 1.05 times or a loaded row visits
+# the lock table more than 1.1 times. The figures in EXPERIMENTS.md E17
+# and E18 come from this target.
 bench-wire:
 	$(GO) test -run '^$$' -bench 'BenchmarkDispatch' -benchtime 2s -benchmem ./internal/server/
 
@@ -117,7 +122,9 @@ bench-wire:
 # iteration: it catches benchmarks that crash or no longer build
 # without paying for a timed run (CI's guard against bench rot).
 # ./... picks up the WAL flush benchmarks (bench_test.go) and
-# bench-wire's BenchmarkDispatch (load500 is one whole batch) too; the
+# bench-wire's BenchmarkDispatch too (load500 is one whole batch, and
+# load500/file fails on a page written twice or a lock asked for at the
+# table twice — the count gate of E18); the
 # explicit wal run below it asserts the vectored path's counters are
 # live, not just that the benchmarks compile, and that a durable commit
 # on either file layout, at every row size, costs one sync, one write,

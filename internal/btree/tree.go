@@ -225,13 +225,17 @@ func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error
 	t.rootMu.RLock()
 	defer t.rootMu.RUnlock()
 
-	var path []*buffer.Frame // X-latched, pinned, unsafe suffix
+	// X-latched, pinned, unsafe suffix. It starts on the stack: a
+	// descent re-fills it at every split-safe child, and a tree deeper
+	// than the array spills to the heap.
+	var onStack [8]*buffer.Frame
+	path := onStack[:0]
 	releaseAll := func() {
 		for _, pf := range path {
 			pf.Latch.Release(latch.Exclusive)
 			t.pool.Unpin(pf, true) // conservatively dirty: they may have been modified
 		}
-		path = nil
+		path = path[:0]
 	}
 
 	f, err := t.pool.FetchC(t.root, c)

@@ -265,8 +265,10 @@ func (p *Pool) fetch(id page.ID, c *obs.PhaseClock) (*Frame, error) {
 	}
 }
 
-// NewPage allocates a fresh page in the store, formats it with the
-// given type, pins it, and returns its frame.
+// NewPage reserves a fresh page id, formats the page in a frame with
+// the given type, pins it, and returns the frame. The page is born
+// here, dirty, and costs the store no IO: its first image is the one
+// its eviction (or a FlushAll) writes.
 func (p *Pool) NewPage(t page.Type) (*Frame, error) { return p.newPage(t, nil) }
 
 // NewPageC is NewPage with a phase clock (see FetchC for the

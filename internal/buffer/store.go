@@ -8,19 +8,26 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"hydra/internal/page"
 )
 
 // PageStore is the stable storage pages are read from and written to.
 type PageStore interface {
-	// ReadPage fills p with the stored image of page id.
+	// ReadPage fills p with the stored image of page id. An allocated
+	// page that was never written has no image: it reads as the zero
+	// page, which Verify accepts as "never sealed".
 	ReadPage(id page.ID, p *page.Page) error
 	// WritePage persists p's current image.
 	WritePage(p *page.Page) error
-	// Allocate extends the store by one page and returns its id.
+	// Allocate reserves the next page id and nothing else: no IO, no
+	// image. The store holds the page from its first WritePage on, and
+	// a reservation that was never written does not survive a reopen
+	// unless a later id was (restart re-reserves what its log names).
 	Allocate() (page.ID, error)
 	// NumPages returns the number of allocated pages.
 	NumPages() (uint64, error)
@@ -36,12 +43,10 @@ var ErrBadPage = errors.New("buffer: page failed checksum verification")
 // FileStore is a PageStore over a single file of page.Size pages.
 // Page ids are file offsets divided by the page size.
 type FileStore struct {
-	// mu guards npages during Allocate, which extends the file while
-	// holding it — allocation order and file length must agree.
-	//hydra:vet:coarse -- Allocate must extend the file under the lock so page ids and file length stay consistent
-	mu sync.Mutex
-	f  *os.File
-	n  uint64
+	f *os.File
+	// n is the number of reserved ids. The file may be shorter (ids
+	// reserved but not yet written) and may have holes below its end.
+	n atomic.Uint64
 }
 
 // OpenFileStore opens (creating if necessary) a file-backed store.
@@ -59,12 +64,22 @@ func OpenFileStore(path string) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("buffer: %s is not page aligned (%d bytes)", path, st.Size())
 	}
-	return &FileStore{f: f, n: uint64(st.Size()) / page.Size}, nil
+	s := &FileStore{f: f}
+	s.n.Store(uint64(st.Size()) / page.Size)
+	return s, nil
 }
 
-// ReadPage implements PageStore, verifying the checksum.
+// ReadPage implements PageStore, verifying the checksum. A reserved
+// page the file does not reach yet reads as zeros, exactly like a hole
+// below the file's end.
 func (s *FileStore) ReadPage(id page.ID, p *page.Page) error {
-	if _, err := s.f.ReadAt(p.Bytes(), int64(id)*page.Size); err != nil {
+	if uint64(id) >= s.n.Load() {
+		return fmt.Errorf("buffer: read unallocated page %d", id)
+	}
+	b := p.Bytes()
+	if n, err := s.f.ReadAt(b, int64(id)*page.Size); err == io.EOF {
+		clear(b[n:])
+	} else if err != nil {
 		return fmt.Errorf("buffer: read page %d: %w", id, err)
 	}
 	if err := p.Verify(); err != nil {
@@ -82,25 +97,13 @@ func (s *FileStore) WritePage(p *page.Page) error {
 	return nil
 }
 
-// Allocate implements PageStore. The new page is zeroed on disk.
+// Allocate implements PageStore.
 func (s *FileStore) Allocate() (page.ID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := page.ID(s.n)
-	var zero [page.Size]byte
-	if _, err := s.f.WriteAt(zero[:], int64(id)*page.Size); err != nil {
-		return 0, fmt.Errorf("buffer: allocate page %d: %w", id, err)
-	}
-	s.n++
-	return id, nil
+	return page.ID(s.n.Add(1) - 1), nil
 }
 
 // NumPages implements PageStore.
-func (s *FileStore) NumPages() (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n, nil
-}
+func (s *FileStore) NumPages() (uint64, error) { return s.n.Load(), nil }
 
 // Sync implements PageStore.
 func (s *FileStore) Sync() error { return s.f.Sync() }
@@ -139,6 +142,10 @@ func (s *MemStore) ReadPage(id page.ID, p *page.Page) error {
 	if uint64(id) >= uint64(len(s.pages)) {
 		return fmt.Errorf("buffer: read unallocated page %d", id)
 	}
+	if s.pages[id] == nil {
+		clear(p.Bytes())
+		return nil
+	}
 	if err := p.Load(s.pages[id]); err != nil {
 		return err
 	}
@@ -157,6 +164,9 @@ func (s *MemStore) WritePage(p *page.Page) error {
 	if id >= uint64(len(s.pages)) {
 		return fmt.Errorf("buffer: write unallocated page %d", id)
 	}
+	if s.pages[id] == nil {
+		s.pages[id] = make([]byte, page.Size)
+	}
 	copy(s.pages[id], p.Bytes())
 	return nil
 }
@@ -165,7 +175,7 @@ func (s *MemStore) WritePage(p *page.Page) error {
 func (s *MemStore) Allocate() (page.ID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pages = append(s.pages, make([]byte, page.Size))
+	s.pages = append(s.pages, nil)
 	return page.ID(len(s.pages) - 1), nil
 }
 

@@ -120,31 +120,79 @@ type Txn struct {
 	undo     []undoEntry
 	logged   bool   // wrote at least one record (begin is lazy)
 	enc      []byte // scratch buffer for op payload encoding
-	arena    []byte // bump allocator for undo row images (under mu)
+	// arena is the chunk the bump allocator for undo row images is
+	// filling; chunks is the chain it draws from, chunks[:chunksUsed]
+	// the part this transaction has entered (all under mu).
+	arena      []byte
+	chunks     [][]byte
+	chunksUsed int
 }
 
-// arenaChunk is the undo arena's growth quantum: one chunk amortizes
-// the per-op row-image allocation over ~a hundred OLTP-sized rows.
-const arenaChunk = 4096
+// The undo arena is a chain of chunks the handle owns. Within a
+// transaction it grows geometrically: the first chunk is arenaChunk (one
+// chunk amortizes the per-op row-image allocation over ~a hundred
+// OLTP-sized rows) and each further one doubles the last up to
+// arenaChunkMax, so a bulk transaction makes a handful of allocations
+// instead of one per four rows. Across transactions the chain is
+// reused in the same order, up to arenaRetain bytes of it: an OLTP
+// transaction sees its one recycled 4 KiB chunk as before, and the
+// next batch of a bulk load writes its row images into memory the last
+// batch already paid for (fresh chunks this large come zeroed and
+// page-faulted from the runtime, which cost a tenth of the loader's
+// CPU). Keeping a chunk costs nothing per transaction — unlike a
+// recycled map there is nothing to clear — so the bound is only on what
+// a pooled handle pins.
+const (
+	arenaChunk    = 4 << 10
+	arenaChunkMax = 256 << 10
+	arenaRetain   = 1 << 20
+)
 
-// arenaCopy copies b into the transaction's undo arena. The arena
-// retires wholesale when the transaction finishes, and full chunks
-// are abandoned in place (never moved), so previously returned slices
-// stay valid as it grows. Callers hold t.mu.
+// arenaAlloc returns n bytes of the transaction's undo arena. The arena
+// retires wholesale when the transaction finishes, and a full chunk is
+// left in place (never moved), so previously returned slices stay valid
+// as it grows. Callers hold t.mu.
+func (t *Txn) arenaAlloc(n int) []byte {
+	if cap(t.arena)-len(t.arena) < n {
+		if t.chunksUsed < len(t.chunks) && cap(t.chunks[t.chunksUsed]) >= n {
+			t.arena = t.chunks[t.chunksUsed]
+		} else {
+			size := max(arenaChunk, min(2*cap(t.arena), arenaChunkMax), n)
+			t.arena = make([]byte, 0, size)
+			// A retained chunk too small for this record, and whatever
+			// followed it, gives way to the new one.
+			t.chunks = append(t.chunks[:t.chunksUsed], t.arena)
+		}
+		t.chunksUsed++
+	}
+	off := len(t.arena)
+	t.arena = t.arena[:off+n]
+	return t.arena[off : off+n : off+n]
+}
+
+// arenaReset retires the arena at the end of a transaction: the undo
+// entries were the only holders of its bytes. The chain stays for the
+// next transaction, cut to arenaRetain bytes.
+func (t *Txn) arenaReset() {
+	t.arena, t.chunksUsed = nil, 0
+	keep, total := 0, 0
+	for keep < len(t.chunks) && total+cap(t.chunks[keep]) <= arenaRetain {
+		total += cap(t.chunks[keep])
+		keep++
+	}
+	clear(t.chunks[keep:])
+	t.chunks = t.chunks[:keep]
+}
+
+// arenaCopy copies b into the transaction's undo arena. Callers hold
+// t.mu.
 func (t *Txn) arenaCopy(b []byte) []byte {
 	if b == nil {
 		return nil
 	}
-	if cap(t.arena)-len(t.arena) < len(b) {
-		size := arenaChunk
-		if len(b) > size {
-			size = len(b)
-		}
-		t.arena = make([]byte, 0, size)
-	}
-	off := len(t.arena)
-	t.arena = append(t.arena, b...)
-	return t.arena[off:len(t.arena):len(t.arena)]
+	c := t.arenaAlloc(len(b))
+	copy(c, b)
+	return c
 }
 
 // arenaRowRecord builds a heap row record (key(8) | value) in the undo
@@ -154,17 +202,7 @@ func (t *Txn) arenaCopy(b []byte) []byte {
 func (t *Txn) arenaRowRecord(key uint64, value []byte) []byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	need := 8 + len(value)
-	if cap(t.arena)-len(t.arena) < need {
-		size := arenaChunk
-		if need > size {
-			size = need
-		}
-		t.arena = make([]byte, 0, size)
-	}
-	off := len(t.arena)
-	t.arena = t.arena[:off+need]
-	rec := t.arena[off : off+need : off+need]
+	rec := t.arenaAlloc(8 + len(value))
 	binary.LittleEndian.PutUint64(rec, key)
 	copy(rec[8:], value)
 	return rec
@@ -281,9 +319,7 @@ func (t *Txn) finish(state txnState, lsn wal.LSN) {
 	if t.verTxn != nil {
 		e.maybeExpireSnapshots()
 	}
-	// The undo entries were the only holders of arena bytes; reuse the
-	// current chunk (abandoned full ones are garbage now).
-	t.arena = t.arena[:0]
+	t.arenaReset()
 	invariant.PoolPut("core.finish", t)
 	e.txnPool.Put(t)
 	counter.Inc()

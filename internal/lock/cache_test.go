@@ -1,0 +1,203 @@
+package lock
+
+import (
+	"testing"
+	"time"
+)
+
+// A request the transaction's own lock set covers is answered from it:
+// counted as a request, not as a table visit, and the held mode stays
+// the supremum.
+func TestCoveredRequestNeverReachesTheTable(t *testing.T) {
+	m := NewManager(Options{})
+	h := m.NewHolder(1)
+	tbl, row := TableName(1), RowName(1, 7)
+	// The wire SET of a new row: Update (miss) then Insert, each asking
+	// for the table IX and the row X.
+	for i := 0; i < 2; i++ {
+		if err := h.Acquire(tbl, IX); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Acquire(row, X); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Weaker modes are covered too.
+	for _, req := range []struct {
+		n  Name
+		md Mode
+	}{{tbl, IS}, {row, S}, {row, IS}} {
+		if err := h.Acquire(req.n, req.md); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := m.StatsSnapshot()
+	if st.Acquires != 7 || st.TableOps != 2 {
+		t.Fatalf("acquires = %d, table ops = %d; want 7 requests, 2 visits", st.Acquires, st.TableOps)
+	}
+	if h.Held(tbl) != IX || h.Held(row) != X {
+		t.Fatalf("held %v / %v, want IX / X", h.Held(tbl), h.Held(row))
+	}
+
+	// A stronger mode is not covered: the upgrade visits the table.
+	if err := h.Acquire(tbl, S); err != nil { // IX + S = SIX
+		t.Fatal(err)
+	}
+	st = m.StatsSnapshot()
+	if st.TableOps != 3 || st.Upgrades != 1 || h.Held(tbl) != SIX {
+		t.Fatalf("upgrade: table ops %d, upgrades %d, held %v", st.TableOps, st.Upgrades, h.Held(tbl))
+	}
+
+	// The cache dies with the transaction: after release another
+	// transaction gets the row, and the recycled holder asks the table
+	// again.
+	h.ReleaseAll()
+	if err := m.Acquire(2, row, X); err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(2)
+	h.Reset(3)
+	if err := h.Acquire(row, X); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.StatsSnapshot().TableOps; got != 5 {
+		t.Fatalf("table ops = %d after release and re-acquire, want 5", got)
+	}
+	h.ReleaseAll()
+}
+
+// Escalation counts the rows a transaction holds, not the requests it
+// makes: one row asked for N times, or read and then written, is one
+// row.
+func TestEscalationCountsDistinctRows(t *testing.T) {
+	m := NewManager(Options{EscalationThreshold: 5})
+	h := m.NewHolder(1)
+	for i := 0; i < 50; i++ {
+		if err := h.Acquire(RowName(3, 1), X); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(10); k < 13; k++ { // read, then write: S then X on the same row
+		if err := h.Acquire(RowName(3, k), S); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Acquire(RowName(3, k), X); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h.EscalatedOn(3) || m.StatsSnapshot().Escalations != 0 {
+		t.Fatal("4 distinct rows escalated under a threshold of 5")
+	}
+	if err := h.Acquire(RowName(3, 99), X); err != nil {
+		t.Fatal(err)
+	}
+	if !h.EscalatedOn(3) {
+		t.Fatal("the fifth distinct row did not escalate")
+	}
+	h.ReleaseAll()
+}
+
+// SLI's heat counts how often a coarse name is acquired, not how often
+// its holder asks again: one long transaction does not make its own
+// table hot.
+func TestHeatIgnoresReacquire(t *testing.T) {
+	m := NewManager(Options{HotThreshold: 4})
+	tbl := TableName(9)
+	h := m.NewHolder(1)
+	for i := 0; i < 500; i++ {
+		if err := h.Acquire(tbl, IX); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if heat := m.contentionOf(tbl); heat != 1 {
+		t.Fatalf("heat of a table acquired once by one transaction = %d, want 1", heat)
+	}
+	a := m.NewAgent()
+	defer a.Close()
+	a.OnCommitFor(h)
+	if a.InheritedCount() != 0 {
+		t.Fatal("a lock made hot by its own holder's repeats was inherited")
+	}
+}
+
+// A transaction that holds a lock only through its agent's inherited
+// grant keeps it to its end: a conflicting waiter makes the agent
+// surrender at the boundary, not under the running transaction.
+func TestSLIReclaimWaitsForBoundary(t *testing.T) {
+	// The timeout only bounds the failure: without the rule under test
+	// the transaction's own next table request queues behind the X.
+	m := NewManager(Options{HotThreshold: 1, WaitTimeout: 2 * time.Second})
+	tbl := TableName(7)
+	heatUp(t, m, tbl)
+	a := m.NewAgent()
+	defer a.Close()
+	h := m.NewHolder(400)
+	if err := a.AcquireFor(h, tbl, IX); err != nil {
+		t.Fatal(err)
+	}
+	a.OnCommitFor(h)
+	if a.InheritedCount() != 1 {
+		t.Fatal("setup: lock not inherited")
+	}
+
+	h.Reset(401)
+	if err := a.AcquireFor(h, tbl, IX); err != nil { // from the agent's cache
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	waits := m.StatsSnapshot().Waits
+	go func() { got <- m.Acquire(500, tbl, X) }()
+	for m.StatsSnapshot().Waits == waits { // queued; it flags the agent right after
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(5 * time.Millisecond)
+	for k := uint64(0); k < 3; k++ {
+		if err := a.AcquireFor(h, RowName(7, k), X); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.AcquireFor(h, tbl, IX); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-got:
+		t.Fatal("table X granted while a running transaction held IX through the agent")
+	case <-time.After(20 * time.Millisecond):
+	}
+	a.OnCommitFor(h)
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("agent never surrendered the retained lock at the boundary")
+	}
+	m.ReleaseAll(500)
+}
+
+// Steady state, a transaction's lock traffic allocates nothing: grants
+// are values in a recycled head's map and the released set comes back
+// in the holder's scratch.
+func TestAcquireReleaseAllocatesNothing(t *testing.T) {
+	m := NewManager(Options{})
+	h := m.NewHolder(1)
+	txn := uint64(1)
+	cycle := func() {
+		txn++
+		h.Reset(txn)
+		if err := h.Acquire(TableName(1), IX); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Acquire(RowName(1, 42), X); err != nil {
+			t.Fatal(err)
+		}
+		if names := h.ReleaseAll(); len(names) != 2 {
+			t.Fatalf("released %v", names)
+		}
+	}
+	cycle() // first use grows the maps, the heads and the scratch
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("acquire/acquire/release allocates %.1f times per transaction, want 0", n)
+	}
+}

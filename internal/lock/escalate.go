@@ -32,9 +32,12 @@ func (s *escalationState) clear() {
 	}
 }
 
-// maybeEscalate is consulted on every row-lock request. It returns
-// (handled, err): when handled, the row lock is subsumed by an
-// escalated table lock and must not be acquired individually.
+// maybeEscalate is consulted on every row-lock request the holder's own
+// set does not already cover. It returns (handled, err): when handled,
+// the row lock is subsumed by an escalated table lock and must not be
+// acquired individually. The pressure it counts is rows held, not
+// requests made: a row the transaction already holds (an S-to-X
+// upgrade gets this far) is not counted again.
 func (m *Manager) maybeEscalate(h *Holder, name Name, mode Mode) (bool, error) {
 	if m.opts.EscalationThreshold <= 0 || name.Level != LevelRow {
 		return false, nil
@@ -63,7 +66,9 @@ func (m *Manager) maybeEscalate(h *Holder, name Name, mode Mode) (bool, error) {
 		m.stats.escalatedAcqs.Add(1)
 		return true, nil
 	}
-	h.esc.rowCounts[name.Table]++
+	if _, again := h.held[name]; !again {
+		h.esc.rowCounts[name.Table]++
+	}
 	if h.esc.rowCounts[name.Table] < m.opts.EscalationThreshold {
 		h.mu.Unlock()
 		return false, nil

@@ -14,6 +14,11 @@ import (
 // uncontended (it exists so the id-based compatibility API, which
 // hands holders out from a registry, stays race-free under misuse).
 //
+// The held set is also the transaction's lock cache: a request its own
+// set already covers is answered from it (covers) and never reaches
+// the lock table — within one transaction what SLI's agent cache does
+// across transactions.
+//
 // Engine transactions create one holder per worker context and Reset
 // it between transactions, so steady-state acquisition performs no
 // map allocation and touches no manager-global synchronization.
@@ -31,6 +36,10 @@ type Holder struct {
 	mu   sync.Mutex
 	held map[Name]Mode
 	esc  escalationState
+	// names and modes are take's scratch: the released set, valid until
+	// the holder's next take or Reset.
+	names []Name
+	modes []Mode
 }
 
 // NewHolder returns a lock context for the given transaction id. The
@@ -62,6 +71,9 @@ func (h *Holder) Reset(txn uint64) {
 	h.id = txn
 	h.held = resetLockMap(h.held)
 	h.esc.clear()
+	if cap(h.names) > holderRetainCap {
+		h.names, h.modes = nil, nil
+	}
 	h.mu.Unlock()
 }
 
@@ -78,6 +90,9 @@ func (h *Holder) SetClock(c *obs.PhaseClock) { h.clock = c }
 func (h *Holder) Acquire(name Name, mode Mode) error {
 	m := h.m
 	m.stats.acquires.Add(1)
+	if h.covers(name, mode) {
+		return nil
+	}
 	if handled, err := m.maybeEscalate(h, name, mode); handled {
 		return err
 	}
@@ -94,8 +109,8 @@ func (h *Holder) Release(name Name) {
 }
 
 // ReleaseAll drops every lock the holder has (2PL release phase) and
-// returns the names released, which SLI agents use to decide what to
-// inherit.
+// returns the names released, in the holder's scratch: the slice is
+// valid until the holder is next used.
 func (h *Holder) ReleaseAll() []Name {
 	h.m.stats.releaseAll.Add(1)
 	names, _ := h.take()
@@ -112,6 +127,27 @@ func (h *Holder) Held(name Name) Mode {
 	return h.held[name]
 }
 
+// covers reports whether the transaction already holds name in a mode
+// at least as strong as mode. Such a request changes nothing at the
+// lock table (the grant stays what it is, nobody is woken or blocked),
+// so the acquire paths answer it here: before escalation counting,
+// before the partition mutex, before the heat table. lock.acquires
+// counts it as a request all the same; lock.table_ops does not.
+func (h *Holder) covers(name Name, mode Mode) bool {
+	h.mu.Lock()
+	held := h.held[name]
+	h.mu.Unlock()
+	return held != None && Supremum(held, mode) == held
+}
+
+// holdsNothing reports whether the transaction is still at its
+// beginning as far as locks go.
+func (h *Holder) holdsNothing() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.held) == 0
+}
+
 // note records a granted (or upgraded) lock.
 func (h *Holder) note(name Name, mode Mode) {
 	h.mu.Lock()
@@ -121,8 +157,10 @@ func (h *Holder) note(name Name, mode Mode) {
 
 // take detaches and returns the held set, clearing the holder's
 // bookkeeping (including escalation state) while keeping its maps
-// allocated for reuse. The nil, nil return for an empty set preserves
-// ReleaseAll's "nothing held" contract.
+// allocated for reuse. The set comes back in the holder's scratch
+// slices — no allocation per release; callers finish with them before
+// the holder is used again. The nil, nil return for an empty set
+// preserves ReleaseAll's "nothing held" contract.
 func (h *Holder) take() ([]Name, []Mode) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -130,14 +168,13 @@ func (h *Holder) take() ([]Name, []Mode) {
 	if len(h.held) == 0 {
 		return nil, nil
 	}
-	names := make([]Name, 0, len(h.held))
-	modes := make([]Mode, 0, len(h.held))
+	h.names, h.modes = h.names[:0], h.modes[:0]
 	for n, md := range h.held {
-		names = append(names, n)
-		modes = append(modes, md)
+		h.names = append(h.names, n)
+		h.modes = append(h.modes, md)
 	}
 	h.held = resetLockMap(h.held)
-	return names, modes
+	return h.names, h.modes
 }
 
 // holderOf returns the registry-backed holder for txn, creating it on

@@ -263,7 +263,7 @@ func TestRetiredHeadRecyclesClean(t *testing.T) {
 	p := m.part(b)
 	p.mu.Lock()
 	lh := p.table[b]
-	phantom := len(lh.granted) != 1 || lh.granted[2] == nil
+	phantom := len(lh.granted) != 1 || lh.granted[2] == None
 	stale := lh.contention != 0 || len(lh.queue) != 0
 	p.mu.Unlock()
 	if phantom {

@@ -78,11 +78,6 @@ type Stats struct {
 	Bypasses uint64 `json:"bypasses"`
 }
 
-type grant struct {
-	mode  Mode
-	count int // re-entrant acquisitions folded into the same grant
-}
-
 type waiter struct {
 	txn     uint64
 	mode    Mode
@@ -94,7 +89,9 @@ type waiter struct {
 }
 
 type lockHead struct {
-	granted map[uint64]*grant
+	// granted maps a transaction to the mode it holds, by value: a
+	// grant costs no allocation once the (recycled) head's map has room.
+	granted map[uint64]Mode
 	queue   []*waiter
 	// contention is a decaying count of observed conflicts, used by
 	// SLI to classify locks as hot.
@@ -203,7 +200,7 @@ func (m *Manager) takeHeadLocked(p *partition) *lockHead {
 		}
 	}
 	m.stats.headAllocs.Inc()
-	lh := &lockHead{granted: make(map[uint64]*grant)}
+	lh := &lockHead{granted: make(map[uint64]Mode)}
 	invariant.PoolGot("lock.takeHeadLocked(alloc)", lh)
 	return lh
 }
@@ -367,19 +364,17 @@ func (m *Manager) acquireTable(h *Holder, name Name, mode Mode) error {
 		p.table[name] = lh
 	}
 
-	if g, ok := lh.granted[txn]; ok {
-		target := Supremum(g.mode, mode)
-		if target == g.mode {
-			g.count++
+	if held, ok := lh.granted[txn]; ok {
+		target := Supremum(held, mode)
+		if target == held {
 			p.mu.Unlock()
-			h.note(name, g.mode)
+			h.note(name, held)
 			return nil
 		}
 		// Upgrade: must be compatible with every other holder.
 		if lh.compatibleExcept(target, txn) {
 			m.stats.upgrades.Add(1)
-			g.mode = target
-			g.count++
+			lh.granted[txn] = target
 			p.mu.Unlock()
 			h.note(name, target)
 			return nil
@@ -389,7 +384,7 @@ func (m *Manager) acquireTable(h *Holder, name Name, mode Mode) error {
 	}
 
 	if len(lh.queue) == 0 && lh.compatibleExcept(mode, txn) {
-		lh.granted[txn] = &grant{mode: mode, count: 1}
+		lh.granted[txn] = mode
 		p.mu.Unlock()
 		h.note(name, mode)
 		return nil
@@ -400,11 +395,11 @@ func (m *Manager) acquireTable(h *Holder, name Name, mode Mode) error {
 // compatibleExcept reports whether mode is compatible with every
 // grant other than txn's own.
 func (h *lockHead) compatibleExcept(mode Mode, txn uint64) bool {
-	for t, g := range h.granted {
+	for t, held := range h.granted {
 		if t == txn {
 			continue
 		}
-		if !Compatible(g.mode, mode) {
+		if !Compatible(held, mode) {
 			return false
 		}
 	}
@@ -633,20 +628,13 @@ func (m *Manager) releaseOne(txn uint64, name Name) {
 func (m *Manager) grantWaitersLocked(lh *lockHead) {
 	for len(lh.queue) > 0 {
 		w := lh.queue[0]
-		if g, ok := lh.granted[w.txn]; ok {
-			// Upgrade waiter: check against others only.
-			target := Supremum(g.mode, w.mode)
-			if !lh.compatibleExcept(target, w.txn) {
-				return
-			}
-			g.mode = target
-			g.count++
-		} else {
-			if !lh.compatibleExcept(w.mode, w.txn) {
-				return
-			}
-			lh.granted[w.txn] = &grant{mode: w.mode, count: 1}
+		// An upgrade waiter already holds a grant: it is checked
+		// against the others only, and ends with the supremum.
+		target := Supremum(lh.granted[w.txn], w.mode)
+		if !lh.compatibleExcept(target, w.txn) {
+			return
 		}
+		lh.granted[w.txn] = target
 		lh.queue = lh.queue[1:]
 		w.ready <- nil
 	}

@@ -56,8 +56,17 @@ func (m *Manager) NewAgent() *Agent {
 // for h.id, which is a no-op at the table: the agent's grant is
 // untouched.
 func (a *Agent) AcquireFor(h *Holder, name Name, mode Mode) error {
-	a.checkReclaim()
 	a.m.stats.acquires.Add(1)
+	if h.covers(name, mode) {
+		return nil
+	}
+	// Surrender contested locks only at a boundary: once the
+	// transaction holds anything it may hold it through this cache
+	// alone (and, covered, never ask again), so a reclaim now would
+	// pull the grant from under it.
+	if h.holdsNothing() {
+		a.checkReclaim()
+	}
 	if held, ok := a.cache[name]; ok {
 		if Supremum(held, mode) == held && (mode == IS || mode == IX) {
 			// Covered by an inherited grant: no table visit at all.
@@ -171,7 +180,7 @@ func (m *Manager) transfer(txn, agent uint64, name Name) bool {
 		p.mu.Unlock()
 		return false
 	}
-	g, ok := lh.granted[txn]
+	mode, ok := lh.granted[txn]
 	if !ok {
 		retired := reclaimHeadLocked(p, name, lh)
 		p.mu.Unlock()
@@ -181,12 +190,7 @@ func (m *Manager) transfer(txn, agent uint64, name Name) bool {
 		return false
 	}
 	delete(lh.granted, txn)
-	if ag, ok := lh.granted[agent]; ok {
-		ag.mode = Supremum(ag.mode, g.mode)
-		ag.count++
-	} else {
-		lh.granted[agent] = &grant{mode: g.mode, count: 1}
-	}
+	lh.granted[agent] = Supremum(lh.granted[agent], mode)
 	p.mu.Unlock()
 	return true
 }
