@@ -93,9 +93,10 @@ bench-wal:
 	$(GO) test -run '^$$' -bench 'BenchmarkCommitFileDevice' -benchtime 5000x ./internal/wal/
 
 # bench-lock runs the lock-manager benchmarks, including the
-# distinct-name churn shape that exercises the lock-head freelist: the
+# distinct-name churn shape that exercises the lock-head freelist (the
 # allocs/op and recycle-ratio figures in EXPERIMENTS.md E12 come from
-# this target.
+# this target) and Churn500, a lone transaction's 500 rows of one
+# table: ns/row and table_ops/row (E19), failing past 0.15 visits a row.
 bench-lock:
 	$(GO) test -run '^$$' -bench 'BenchmarkLockAcquireRelease|BenchmarkAcquireReleaseChurn' -benchtime 2s -benchmem ./internal/lock/
 
@@ -111,10 +112,11 @@ bench-dora:
 # loader's BEGIN; 500 x SET; COMMIT batch through the connection handler
 # over a pipe: on the memory store, and as load500/file on real files
 # behind a 32-frame pool, which adds ns/row, allocs/row and the two
-# counts of E18 — store_writes/page and table_ops/row — and fails when a
-# loaded page is written more than 1.05 times or a loaded row visits
-# the lock table more than 1.1 times. The figures in EXPERIMENTS.md E17
-# and E18 come from this target.
+# counts of E18 and E19 — store_writes/page and table_ops/row — and
+# fails when a loaded page is written more than 1.05 times or a loaded
+# row visits the lock table more than 0.15 times (65 visits per batch:
+# the loader holds its table in X from the 64th row on). The figures in
+# EXPERIMENTS.md E17, E18 and E19 come from this target.
 bench-wire:
 	$(GO) test -run '^$$' -bench 'BenchmarkDispatch' -benchtime 2s -benchmem ./internal/server/
 
@@ -123,8 +125,9 @@ bench-wire:
 # without paying for a timed run (CI's guard against bench rot).
 # ./... picks up the WAL flush benchmarks (bench_test.go) and
 # bench-wire's BenchmarkDispatch too (load500 is one whole batch, and
-# load500/file fails on a page written twice or a lock asked for at the
-# table twice — the count gate of E18); the
+# load500/file fails on a page written twice or a loader that keeps
+# locking its table row by row — the count gates of E18 and E19, which
+# the lock package's Churn500 repeats without the engine); the
 # explicit wal run below it asserts the vectored path's counters are
 # live, not just that the benchmarks compile, and that a durable commit
 # on either file layout, at every row size, costs one sync, one write,

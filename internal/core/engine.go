@@ -64,9 +64,6 @@ type Config struct {
 	LockPartitions int
 	// LockTimeout bounds lock waits (deadlock safety net).
 	LockTimeout time.Duration
-	// LockEscalation escalates a transaction's row locks on a table
-	// to one table lock past this count; 0 disables.
-	LockEscalation int
 
 	// IndexMode selects the B+-tree concurrency discipline.
 	IndexMode btree.Mode
@@ -321,9 +318,8 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 		return nil, err
 	}
 	e.locks = lock.NewManager(lock.Options{
-		Partitions:          cfg.LockPartitions,
-		WaitTimeout:         cfg.LockTimeout,
-		EscalationThreshold: cfg.LockEscalation,
+		Partitions:  cfg.LockPartitions,
+		WaitTimeout: cfg.LockTimeout,
 	})
 	e.mvcc = newVerTable()
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,9 +73,9 @@ func TestExecDeadlockVictimRecovers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var slept int
+	var slept atomic.Int32 // both workers back off when both are victims
 	prev := retrySleep
-	retrySleep = func(int) { slept++; time.Sleep(time.Millisecond) }
+	retrySleep = func(int) { slept.Add(1); time.Sleep(time.Millisecond) }
 	defer func() { retrySleep = prev }()
 
 	// Two transactions lock {1,2} in opposite orders; each holds its
@@ -105,7 +106,7 @@ func TestExecDeadlockVictimRecovers(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	if slept == 0 {
+	if slept.Load() == 0 {
 		t.Fatal("no backoff sleep recorded; victim retried without backing off")
 	}
 }

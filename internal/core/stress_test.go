@@ -18,9 +18,7 @@ func TestConcurrentCommitAbortStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	cfg := Scalable()
-	cfg.LockEscalation = 8 // force escalation traffic through the holders
-	e := memEngine(t, cfg)
+	e := memEngine(t, Scalable())
 	tbl, err := e.CreateTable("stress")
 	if err != nil {
 		t.Fatal(err)
@@ -86,11 +84,16 @@ func TestConcurrentCommitAbortStress(t *testing.T) {
 					}
 					failed = true
 				}
-				// A burst of private-range writes; crossing the
-				// escalation threshold trades them for a table lock.
+				// A burst of private-range writes; one in eight is a
+				// bulk burst that comes to hold 64 distinct rows and
+				// tries to trade the rest for a table lock (refused
+				// while another worker is on the table).
 				n := 1 + r.Intn(12)
+				if r.Bool(0.125) {
+					n = 96 + r.Intn(64)
+				}
 				for j := 0; j < n && !failed; j++ {
-					k := base + uint64(r.Intn(64))
+					k := base + uint64(r.Intn(256))
 					switch r.Intn(3) {
 					case 0:
 						step(tx.Insert(tbl, k, []byte("v")))

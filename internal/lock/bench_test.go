@@ -106,3 +106,33 @@ func BenchmarkAcquireReleaseChurn(b *testing.B) {
 		b.ReportMetric(float64(st.HeadRecycles)/float64(tot), "recycle-ratio")
 	}
 }
+
+// BenchmarkAcquireReleaseChurn500 is the bulk loader's shape: one
+// transaction alone on a table asks for 500 rows never seen before —
+// the table's IX, then the row's X, as the engine does — and releases.
+// From its 64th row on the table lock it converted to answers, so a
+// row costs what two look-ups in the holder cost: table_ops/row is
+// 65/500, and the benchmark fails when the rows keep going to the
+// table.
+func BenchmarkAcquireReleaseChurn500(b *testing.B) {
+	const batch = 500
+	m := NewManager(Options{Partitions: 64})
+	h := m.NewHolder(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Reset(uint64(i + 2))
+		for r := 0; r < batch; r++ {
+			if h.Acquire(TableName(1), IX) != nil || h.Acquire(RowName(1, uint64(i*batch+r)), X) != nil {
+				b.Fatal("acquire failed")
+			}
+		}
+		h.ReleaseAll()
+	}
+	rows := float64(b.N * batch)
+	visits := float64(m.StatsSnapshot().TableOps) / rows
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+	b.ReportMetric(visits, "table_ops/row")
+	if visits > 0.15 {
+		b.Fatalf("a row of a lone 500-row transaction visits the lock table %.3f times, want <= 0.15", visits)
+	}
+}

@@ -70,14 +70,17 @@ func TestCoveredRequestNeverReachesTheTable(t *testing.T) {
 // makes: one row asked for N times, or read and then written, is one
 // row.
 func TestEscalationCountsDistinctRows(t *testing.T) {
-	m := NewManager(Options{EscalationThreshold: 5})
+	m := NewManager(Options{})
 	h := m.NewHolder(1)
-	for i := 0; i < 50; i++ {
+	if err := h.Acquire(TableName(3), IX); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
 		if err := h.Acquire(RowName(3, 1), X); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for k := uint64(10); k < 13; k++ { // read, then write: S then X on the same row
+	for k := uint64(10); k < 72; k++ { // read, then write: S then X on the same row
 		if err := h.Acquire(RowName(3, k), S); err != nil {
 			t.Fatal(err)
 		}
@@ -85,14 +88,14 @@ func TestEscalationCountsDistinctRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h.EscalatedOn(3) || m.StatsSnapshot().Escalations != 0 {
-		t.Fatal("4 distinct rows escalated under a threshold of 5")
+	if st := m.StatsSnapshot(); st.Escalations+st.EscalationRefusals != 0 {
+		t.Fatal("63 distinct rows, 324 requests: an escalation was tried")
 	}
 	if err := h.Acquire(RowName(3, 99), X); err != nil {
 		t.Fatal(err)
 	}
-	if !h.EscalatedOn(3) {
-		t.Fatal("the fifth distinct row did not escalate")
+	if h.Held(TableName(3)) != X {
+		t.Fatal("the 64th distinct row did not escalate")
 	}
 	h.ReleaseAll()
 }

@@ -7,17 +7,19 @@ import (
 )
 
 // Holder is a transaction's private lock context: the set of locks it
-// holds and its escalation state, carried by the transaction itself
-// instead of living in a manager-global map. A transaction has
-// exclusive use of its own lock set, so holder updates never contend
-// with other transactions — the holder mutex below is only ever
-// uncontended (it exists so the id-based compatibility API, which
-// hands holders out from a registry, stays race-free under misuse).
+// holds and the row counts escalation goes by, carried by the
+// transaction itself instead of living in a manager-global map. A
+// transaction has exclusive use of its own lock set, so holder updates
+// never contend with other transactions — the holder mutex below is
+// only ever uncontended (it exists so the id-based compatibility API,
+// which hands holders out from a registry, stays race-free under
+// misuse).
 //
-// The held set is also the transaction's lock cache: a request its own
-// set already covers is answered from it (covers) and never reaches
-// the lock table — within one transaction what SLI's agent cache does
-// across transactions.
+// The held set is also the transaction's lock cache, and it is
+// hierarchical: a request its own set already covers — the name itself,
+// or for a row the table above it — is answered from it (covers) and
+// never reaches the lock table — within one transaction what SLI's
+// agent cache does across transactions.
 //
 // Engine transactions create one holder per worker context and Reset
 // it between transactions, so steady-state acquisition performs no
@@ -35,7 +37,18 @@ type Holder struct {
 
 	mu   sync.Mutex
 	held map[Name]Mode
-	esc  escalationState
+	// rows counts, per table, the distinct rows the transaction has
+	// asked the lock table for: what escalation goes by (escalate.go).
+	rows map[uint32]int
+	// tab and tabMode remember the table lock last looked up or granted
+	// (tabMode None: nothing remembered). The engine asks for a row's
+	// table and then the row, so the second question finds the first
+	// one's answer here and not in the map (tableMode).
+	tab     uint32
+	tabMode Mode
+	// big records that the previous transaction's set outgrew
+	// holderRetainCap (see take).
+	big bool
 	// names and modes are take's scratch: the released set, valid until
 	// the holder's next take or Reset.
 	names []Name
@@ -46,34 +59,23 @@ type Holder struct {
 // holder is bound to m for its lifetime; use Reset to recycle it for
 // a new transaction.
 func (m *Manager) NewHolder(txn uint64) *Holder {
-	return &Holder{m: m, id: txn, held: make(map[Name]Mode)}
+	return &Holder{m: m, id: txn, held: make(map[Name]Mode), rows: make(map[uint32]int)}
 }
 
-// holderRetainCap bounds how large a held map may have grown and
-// still be recycled. Go's clear(map) walks the map's full capacity —
-// which never shrinks — so after one huge transaction (a bulk load,
-// say) a recycled map would pay that transaction's footprint on every
-// later clear. Past the bound we drop the map and start small.
+// holderRetainCap is the size past which a transaction counts as huge:
+// the number of rows of one table at which it first tries to escalate
+// (escalate.go), and the size of lock set that take does not hand on
+// to a small successor.
 const holderRetainCap = 64
-
-func resetLockMap(m map[Name]Mode) map[Name]Mode {
-	if len(m) > holderRetainCap {
-		return make(map[Name]Mode)
-	}
-	clear(m)
-	return m
-}
 
 // Reset recycles the holder for a new transaction. The caller must
 // have released all locks of the previous transaction first.
 func (h *Holder) Reset(txn uint64) {
 	h.mu.Lock()
 	h.id = txn
-	h.held = resetLockMap(h.held)
-	h.esc.clear()
-	if cap(h.names) > holderRetainCap {
-		h.names, h.modes = nil, nil
-	}
+	clear(h.held)
+	clear(h.rows)
+	h.tabMode = None
 	h.mu.Unlock()
 }
 
@@ -90,11 +92,9 @@ func (h *Holder) SetClock(c *obs.PhaseClock) { h.clock = c }
 func (h *Holder) Acquire(name Name, mode Mode) error {
 	m := h.m
 	m.stats.acquires.Add(1)
-	if h.covers(name, mode) {
+	covered, try := h.covers(name, mode)
+	if covered || try && m.tryEscalate(h, name.Table, mode) {
 		return nil
-	}
-	if handled, err := m.maybeEscalate(h, name, mode); handled {
-		return err
 	}
 	return m.acquireTable(h, name, mode)
 }
@@ -105,6 +105,7 @@ func (h *Holder) Release(name Name) {
 	h.m.releaseOne(h.id, name)
 	h.mu.Lock()
 	delete(h.held, name)
+	h.tabMode = None
 	h.mu.Unlock()
 }
 
@@ -127,17 +128,57 @@ func (h *Holder) Held(name Name) Mode {
 	return h.held[name]
 }
 
-// covers reports whether the transaction already holds name in a mode
-// at least as strong as mode. Such a request changes nothing at the
-// lock table (the grant stays what it is, nobody is woken or blocked),
-// so the acquire paths answer it here: before escalation counting,
-// before the partition mutex, before the heat table. lock.acquires
-// counts it as a request all the same; lock.table_ops does not.
-func (h *Holder) covers(name Name, mode Mode) bool {
+// covers reports whether the transaction's own set answers a request
+// for name in mode: it holds name at least that strongly, or name is a
+// row and it holds the row's table in a mode that subsumes the request
+// (X any row mode; S and SIX a read) — however the table lock was come
+// by. Such a request changes nothing at the lock table (the grant stays
+// what it is, nobody is woken or blocked), so the acquire paths answer
+// it here: before the partition mutex, before the heat table.
+// lock.acquires counts it as a request all the same; lock.table_ops
+// does not.
+//
+// A row the set neither answers nor holds in any mode is counted, and
+// try reports that it is its table's 64th, 128th, 256th…: the points
+// at which Holder.Acquire tries to escalate. Counted are rows, not
+// requests: a row asked for again, or read and then written, is one.
+func (h *Holder) covers(name Name, mode Mode) (covered, try bool) {
 	h.mu.Lock()
-	held := h.held[name]
-	h.mu.Unlock()
-	return held != None && Supremum(held, mode) == held
+	defer h.mu.Unlock()
+	var held Mode
+	switch name.Level {
+	case LevelRow:
+		// S < SIX < X are the modes that lock the subtree.
+		if t := h.tableMode(name.Table); t == X || t >= S && (mode == S || mode == IS) {
+			h.m.stats.escalatedAcqs.Add(1)
+			return true, false
+		}
+		held = h.held[name]
+	case LevelTable:
+		held = h.tableMode(name.Table)
+	default:
+		held = h.held[name]
+	}
+	if held != None {
+		// Not covered means a stronger mode of a lock already counted.
+		return Supremum(held, mode) == held, false
+	}
+	if name.Level != LevelRow {
+		return false, false
+	}
+	n := h.rows[name.Table] + 1
+	h.rows[name.Table] = n
+	return false, n >= holderRetainCap && n&(n-1) == 0
+}
+
+// tableMode returns the mode held on table (None if not held), from
+// the holder's memory of the last table when that is the one asked
+// about. Called with h.mu held.
+func (h *Holder) tableMode(table uint32) Mode {
+	if h.tabMode == None || h.tab != table {
+		h.tab, h.tabMode = table, h.held[TableName(table)]
+	}
+	return h.tabMode
 }
 
 // holdsNothing reports whether the transaction is still at its
@@ -152,28 +193,49 @@ func (h *Holder) holdsNothing() bool {
 func (h *Holder) note(name Name, mode Mode) {
 	h.mu.Lock()
 	h.held[name] = mode
+	if name.Level == LevelTable {
+		h.tab, h.tabMode = name.Table, mode
+	}
 	h.mu.Unlock()
 }
 
 // take detaches and returns the held set, clearing the holder's
-// bookkeeping (including escalation state) while keeping its maps
-// allocated for reuse. The set comes back in the holder's scratch
-// slices — no allocation per release; callers finish with them before
-// the holder is used again. The nil, nil return for an empty set
-// preserves ReleaseAll's "nothing held" contract.
+// bookkeeping while keeping its maps allocated for reuse. The set comes
+// back in the holder's scratch slices — no allocation per release;
+// callers finish with them before the holder is used again. The nil,
+// nil return for an empty set preserves ReleaseAll's "nothing held"
+// contract.
+//
+// Go's clear(map) walks the map's full capacity, which never shrinks,
+// so a map one huge transaction grew would cost every later small one
+// that footprint. A huge transaction pays for its own size and hands
+// the map to the next (a stream of contested bulk writers does not
+// regrow it batch after batch); the first small transaction to follow
+// drops map and scratch and starts small again.
 func (h *Holder) take() ([]Name, []Mode) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.esc.clear()
+	clear(h.rows)
+	h.tabMode = None
 	if len(h.held) == 0 {
 		return nil, nil
+	}
+	big := len(h.held) > holderRetainCap
+	shrink := h.big && !big
+	h.big = big
+	if shrink {
+		h.names, h.modes = nil, nil
 	}
 	h.names, h.modes = h.names[:0], h.modes[:0]
 	for n, md := range h.held {
 		h.names = append(h.names, n)
 		h.modes = append(h.modes, md)
 	}
-	h.held = resetLockMap(h.held)
+	if shrink {
+		h.held = make(map[Name]Mode)
+	} else {
+		clear(h.held)
+	}
 	return h.names, h.modes
 }
 

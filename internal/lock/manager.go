@@ -32,10 +32,6 @@ type Options struct {
 	// HotThreshold is the contention count past which SLI considers a
 	// lock hot. Default 4.
 	HotThreshold int
-	// EscalationThreshold is the number of row locks on one table
-	// past which the transaction's access escalates to a table lock.
-	// 0 disables escalation (the default).
-	EscalationThreshold int
 }
 
 func (o *Options) fill() {
@@ -59,10 +55,12 @@ type Stats struct {
 	Timeouts   uint64 `json:"timeouts"`
 	Upgrades   uint64 `json:"upgrades"`
 	ReleaseAll uint64 `json:"release_all"`
-	// Escalations counts row->table lock escalations; EscalatedAcqs
-	// counts row requests absorbed by an escalated table lock.
-	Escalations   uint64 `json:"escalations"`
-	EscalatedAcqs uint64 `json:"escalated_acquires"`
+	// Escalations counts row->table lock escalations, EscalationRefusals
+	// the attempts a busy table refused; EscalatedAcqs counts row
+	// requests answered by a table lock the transaction holds.
+	Escalations        uint64 `json:"escalations"`
+	EscalationRefusals uint64 `json:"escalation_refusals"`
+	EscalatedAcqs      uint64 `json:"escalated_acquires"`
 	// Lock-head lifecycle: HeadAllocs counts fresh lockHead
 	// allocations on table misses, HeadRecycles misses served from the
 	// partition freelist instead, HeadRetires empty heads returned to
@@ -270,7 +268,7 @@ func regIdx(txn uint64) int {
 
 // Manager is the lock table. Aside from the partitioned table itself,
 // all bookkeeping is striped (waits-for graph, holder registry, heat)
-// or carried by the caller (held sets, escalation state — see
+// or carried by the caller (held sets, escalation counts — see
 // Holder), so Acquire/ReleaseAll never take a manager-global mutex.
 type Manager struct {
 	opts  Options
@@ -296,6 +294,7 @@ type Manager struct {
 		waits, deadlocks, timeouts    obs.Counter
 		upgrades, releaseAll          obs.Counter
 		escalations, escalatedAcqs    obs.Counter
+		escalationRefusals            obs.Counter
 		headAllocs, headRecycles      obs.Counter
 		headRetires, heatEvictions    obs.Counter
 		bypasses                      obs.Counter
@@ -740,21 +739,22 @@ func (m *Manager) WaitsForSnapshot() map[uint64][]uint64 {
 // counter is striped; Load sums the stripes with atomic loads.
 func (m *Manager) StatsSnapshot() Stats {
 	return Stats{
-		Acquires:      m.stats.acquires.Load(),
-		TableOps:      m.stats.tableOps.Load(),
-		Inherited:     m.stats.inherited.Load(),
-		Waits:         m.stats.waits.Load(),
-		Deadlocks:     m.stats.deadlocks.Load(),
-		Timeouts:      m.stats.timeouts.Load(),
-		Upgrades:      m.stats.upgrades.Load(),
-		ReleaseAll:    m.stats.releaseAll.Load(),
-		Escalations:   m.stats.escalations.Load(),
-		EscalatedAcqs: m.stats.escalatedAcqs.Load(),
-		HeadAllocs:    m.stats.headAllocs.Load(),
-		HeadRecycles:  m.stats.headRecycles.Load(),
-		HeadRetires:   m.stats.headRetires.Load(),
-		HeatEvictions: m.stats.heatEvictions.Load(),
-		Bypasses:      m.stats.bypasses.Load(),
+		Acquires:           m.stats.acquires.Load(),
+		TableOps:           m.stats.tableOps.Load(),
+		Inherited:          m.stats.inherited.Load(),
+		Waits:              m.stats.waits.Load(),
+		Deadlocks:          m.stats.deadlocks.Load(),
+		Timeouts:           m.stats.timeouts.Load(),
+		Upgrades:           m.stats.upgrades.Load(),
+		ReleaseAll:         m.stats.releaseAll.Load(),
+		Escalations:        m.stats.escalations.Load(),
+		EscalationRefusals: m.stats.escalationRefusals.Load(),
+		EscalatedAcqs:      m.stats.escalatedAcqs.Load(),
+		HeadAllocs:         m.stats.headAllocs.Load(),
+		HeadRecycles:       m.stats.headRecycles.Load(),
+		HeadRetires:        m.stats.headRetires.Load(),
+		HeatEvictions:      m.stats.heatEvictions.Load(),
+		Bypasses:           m.stats.bypasses.Load(),
 	}
 }
 

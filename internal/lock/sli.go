@@ -57,7 +57,9 @@ func (m *Manager) NewAgent() *Agent {
 // untouched.
 func (a *Agent) AcquireFor(h *Holder, name Name, mode Mode) error {
 	a.m.stats.acquires.Add(1)
-	if h.covers(name, mode) {
+	// No escalation attempt here: the transaction's table lock may be
+	// the agent's grant, not its own.
+	if covered, _ := h.covers(name, mode); covered {
 		return nil
 	}
 	// Surrender contested locks only at a boundary: once the

@@ -20,10 +20,9 @@ func TestManagerConcurrentStress(t *testing.T) {
 		t.Skip("stress test")
 	}
 	m := NewManager(Options{
-		Partitions:          64,
-		WaitTimeout:         2 * time.Second,
-		HotThreshold:        2,
-		EscalationThreshold: 6,
+		Partitions:   64,
+		WaitTimeout:  2 * time.Second,
+		HotThreshold: 2,
 	})
 	const (
 		workers = 8
@@ -76,7 +75,20 @@ func TestManagerConcurrentStress(t *testing.T) {
 						m.ReleaseAll(txn)
 					}
 				}
+				// One iteration in eight is a bulk burst over private
+				// rows, whose 64th makes the holder try for the table
+				// lock: refused while another worker's (or an agent's
+				// inherited) intent lock is on the shared table, granted
+				// — and then in everybody's way — when not, as on the
+				// worker's own table half the bursts go to.
 				table := uint32(1 + r.Intn(tables))
+				n, bulk := 1+r.Intn(10), r.Bool(0.125)
+				if bulk {
+					n = 64 + r.Intn(32)
+					if r.Bool(0.5) {
+						table = uint32(tables + 1 + w)
+					}
+				}
 				ok := true
 				if err := acquire(TableName(table), IX); err != nil {
 					if !expected(err) {
@@ -84,12 +96,13 @@ func TestManagerConcurrentStress(t *testing.T) {
 					}
 					ok = false
 				}
-				// Enough row locks to cross the escalation threshold on
-				// some iterations; a small shared key range forces
-				// conflicts and exercises the deadlock detector.
-				n := 1 + r.Intn(10)
+				// A small shared key range forces conflicts and
+				// exercises the deadlock detector.
 				for j := 0; j < n && ok; j++ {
 					key := uint64(r.Intn(16))
+					if bulk {
+						key = uint64(w+1)<<16 | uint64(j)
+					}
 					mode := S
 					if r.Bool(0.3) {
 						mode = X
@@ -106,10 +119,13 @@ func TestManagerConcurrentStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if st := m.StatsSnapshot(); st.Escalations == 0 || st.EscalationRefusals == 0 {
+		t.Errorf("escalations %d, refusals %d: the bulk bursts never drove both outcomes", st.Escalations, st.EscalationRefusals)
+	}
 
 	// Everything must be released or inherited by compatible agent
 	// grants: a fresh transaction can take X on every table.
-	for table := uint32(1); table <= tables; table++ {
+	for table := uint32(1); table <= tables+workers; table++ {
 		if err := m.Acquire(1, TableName(table), X); err != nil {
 			t.Fatalf("post-stress X on table %d: %v", table, err)
 		}

@@ -219,6 +219,15 @@ func slowJSON() SlowJSON {
 // racy across counters but each value is a real point-in-time sum.
 // fr may be nil (no flight recorder running).
 func Snapshot(e *core.Engine, fr *FlightRecorder) StatsJSON {
+	out := metricsSnapshot(e, fr)
+	out.Slow = slowJSON()
+	return out
+}
+
+// metricsSnapshot is Snapshot as /metrics needs it: of the slow
+// reservoir only the two counters, not the copied and sorted entries
+// the exposition never renders.
+func metricsSnapshot(e *core.Engine, fr *FlightRecorder) StatsJSON {
 	ds := dora.GlobalStats()
 	tiers := obs.LatchSnapshot()
 	out := StatsJSON{
@@ -228,7 +237,7 @@ func Snapshot(e *core.Engine, fr *FlightRecorder) StatsJSON {
 		Dora:         DoraJSON{ds.Counters, ds.QueueDepths, histJSON(ds.Service), histJSON(ds.Wait)},
 		Latches:      make([]TierJSON, 0, len(tiers)),
 		Phases:       phaseCells(),
-		Slow:         slowJSON(),
+		Slow:         SlowJSON{Admitted: obs.SlowTxns.Admitted(), Rotated: obs.SlowTxns.Rotations()},
 		Runtime:      obs.RuntimeSnapshot(),
 		TraceEnabled: obs.Trace.Enabled(),
 		TraceEvents:  obs.Trace.Len(),
@@ -260,7 +269,7 @@ func NewMetricsMux(e *core.Engine, fr *FlightRecorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		st := Snapshot(e, fr)
+		st := metricsSnapshot(e, fr)
 		writeMetrics(w, &st)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {

@@ -30,6 +30,14 @@
 // length-prefixed.) A line may be up to 1 MiB long, terminator included;
 // a row must still fit a page.
 //
+// Transactions. BEGIN opens an explicit transaction on the connection;
+// requests outside one autocommit. Both run under two-phase locking
+// (GET and SCAN without locks, on a snapshot, when the server runs with
+// -mvcc). A transaction that comes to its 64th row of a table and finds
+// nobody else on the table trades its row locks for a table lock and
+// holds it until COMMIT or ABORT: other connections' requests on that
+// table wait for it. Found in company, it keeps to row locks.
+//
 // A client may pipeline: send a batch of requests without waiting and
 // read the replies, which come back in order, afterwards. The server
 // writes replies out when it has no further complete request buffered,

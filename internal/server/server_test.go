@@ -11,6 +11,7 @@ import (
 
 	"hydra/internal/buffer"
 	"hydra/internal/core"
+	"hydra/internal/lock"
 	"hydra/internal/wal"
 )
 
@@ -344,4 +345,79 @@ func TestBackupCommand(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// A transaction that finds its table idle at its 64th row holds the
+// table until it ends: another connection's GET waits for the COMMIT.
+// One that finds somebody there — an open transaction that has read a
+// row is enough — keeps to row locks, and the two never meet.
+func TestBulkTransactionAndItsNeighbours(t *testing.T) {
+	s, addr := startServer(t)
+	a, b := dial(t, addr), dial(t, addr)
+	locks := func() lock.Stats { return s.engine.StatsSnapshot().Lock }
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	load := func(from uint64) {
+		t.Helper()
+		must(a.Begin())
+		for k := from; k < from+100; k++ {
+			must(a.Set("kv", k, "bulk"))
+		}
+	}
+	must(a.CreateTable("kv"))
+	must(a.Set("kv", 1, "seed"))
+
+	// Alone: the table is A's from row 64 on.
+	load(1000)
+	if st := locks(); st.Escalations != 1 || st.EscalationRefusals != 0 {
+		t.Fatalf("100 rows on an idle table: escalations %d, refusals %d", st.Escalations, st.EscalationRefusals)
+	}
+	waits := locks().Waits
+	got := make(chan string, 1)
+	go func() {
+		v, err := b.Get("kv", 1)
+		if err != nil {
+			v = "error: " + err.Error()
+		}
+		got <- v
+	}()
+	for deadline := time.Now().Add(time.Second); locks().Waits == waits; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("B's GET never waited for A's table lock")
+		}
+	}
+	select {
+	case v := <-got:
+		t.Fatalf("B's GET answered %q inside A's open transaction", v)
+	default:
+	}
+	must(a.Commit())
+	if v := <-got; v != "seed" {
+		t.Fatalf("B's GET after A's COMMIT: %q", v)
+	}
+
+	// Not alone: B is inside a transaction on the table first.
+	must(b.Begin())
+	if v, err := b.Get("kv", 1); err != nil || v != "seed" {
+		t.Fatalf("B's GET in its own transaction: %q, %v", v, err)
+	}
+	before := locks()
+	load(2000)
+	st := locks()
+	if st.Escalations != before.Escalations || st.EscalationRefusals != before.EscalationRefusals+1 {
+		t.Fatalf("100 rows beside B: escalations +%d, refusals +%d; want 0, 1",
+			st.Escalations-before.Escalations, st.EscalationRefusals-before.EscalationRefusals)
+	}
+	if v, err := b.Get("kv", 1050); err != nil || v != "bulk" { // a row A committed, not one it holds
+		t.Fatalf("B's second GET beside A's open transaction: %q, %v", v, err)
+	}
+	if st := locks(); st.Waits != before.Waits {
+		t.Fatalf("somebody waited (%d waits) although A kept to row locks", st.Waits-before.Waits)
+	}
+	must(a.Commit())
+	must(b.Commit())
 }

@@ -116,11 +116,12 @@ func TestValueRoundTripsVerbatim(t *testing.T) {
 // slices per transaction, four of the five there were, are values in
 // recycled maps and holder-owned scratch now.) A loaded row — a SET of
 // a new key inside an open transaction, Update's miss then Insert — is
-// pinned over whole loader batches, where the held-lock map, the undo
-// list, the arena and the pages amortise: 1.3 per row (the miss's
-// error value, and a third of an allocation of growth) against 4.6
-// when every row X was a heap-allocated grant, every fourth row a new
-// arena chunk and every B+-tree descent two path slices.
+// pinned over whole loader batches, where the undo list, the arena and
+// the pages amortise: 1.2 per row (the miss's error value, and a fifth
+// of an allocation of growth; 1.3 while the held-lock map grew to 501
+// entries and not 64) against 4.6 when every row X was a
+// heap-allocated grant, every fourth row a new arena chunk and every
+// B+-tree descent two path slices.
 func TestWireAllocationsPinned(t *testing.T) {
 	if invariant.Enabled || raceEnabled {
 		t.Skip("hydradebug assertions allocate; the race detector makes the handle pool lossy")
@@ -178,8 +179,8 @@ func TestWireAllocationsPinned(t *testing.T) {
 		c.dispatch(commit)
 		lines = lines[loadRows:]
 	}) / loadRows
-	if perRow > 1.5 {
-		t.Errorf("a loaded row allocates %.2f times in the server, want <= 1.5", perRow)
+	if perRow > 1.35 {
+		t.Errorf("a loaded row allocates %.2f times in the server, want <= 1.35", perRow)
 	}
 }
 
@@ -254,8 +255,9 @@ func TestClientRefusesLineBreaks(t *testing.T) {
 // handle over a pipe — the in-package twin of the benchmark's setup_s.
 // load500 runs on the memory store; load500/file on real files behind a
 // pool smaller than one batch, where a loaded page's trips to the store
-// and a loaded row's trips to the lock table show, and it fails when
-// either is paid twice.
+// and a loaded row's trips to the lock table show, and it fails when a
+// page is written twice or the loader, alone on its table, keeps
+// locking it row by row.
 func BenchmarkDispatch(b *testing.B) {
 	request := func(name, line string) {
 		b.Run(name, func(b *testing.B) {
@@ -323,8 +325,10 @@ func BenchmarkDispatch(b *testing.B) {
 		visits := float64(e.StatsSnapshot().Lock.TableOps) / float64(b.N*loadRows)
 		b.ReportMetric(writes, "store_writes/page")
 		b.ReportMetric(visits, "table_ops/row")
-		if writes > 1.05 || visits > 1.1 {
-			b.Fatalf("a loaded page costs %.3f store writes and a loaded row %.3f lock-table visits; want <= 1.05 and <= 1.1", writes, visits)
+		// 65 visits per 500-row batch: the table's IX, 63 rows, and the
+		// conversion to X that answers the other 437.
+		if writes > 1.05 || visits > 0.15 {
+			b.Fatalf("a loaded page costs %.3f store writes and a loaded row %.3f lock-table visits; want <= 1.05 and <= 0.15", writes, visits)
 		}
 	})
 }
