@@ -2,7 +2,7 @@ GO ?= go
 VET_SUMMARIES := .hydra-vet/summaries.json
 VET_BASELINE  := vet.baseline.json
 
-.PHONY: build test race vet lint vet-baseline vet-update-baseline stress stress-dora fuzz-smoke bench bench-json bench-wal bench-lock bench-dora bench-wire bench-smoke
+.PHONY: build test race vet lint vet-baseline vet-update-baseline stress stress-dora fuzz-smoke bench bench-json bench-wal bench-lock bench-dora bench-wire bench-btree bench-smoke
 
 build:
 	$(GO) build ./...
@@ -11,7 +11,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/lock/... ./internal/core/... ./internal/buffer/... ./internal/wal/... ./internal/obs/... ./internal/server/... ./internal/dora/... ./internal/sync2/...
+	$(GO) test -race ./internal/lock/... ./internal/core/... ./internal/buffer/... ./internal/wal/... ./internal/obs/... ./internal/server/... ./internal/dora/... ./internal/sync2/... ./internal/btree/... ./internal/heap/...
 
 # stress-dora runs the DORA mixed-path stress tests under the race
 # detector: fast-path, cross-partition and timeout-cancel transactions
@@ -52,9 +52,11 @@ vet-update-baseline:
 # stress exercises the hydradebug runtime assertions (latch-order and
 # pool-ownership checks compiled in via the build tag). The lock
 # package is included for the freelist pool-ownership assertions on
-# the lock-head retire/recycle protocol.
+# the lock-head retire/recycle protocol, btree and heap for the
+# latch-rank assertions on the frame latches they couple (the rightmost
+# door takes one leaf latch with no ancestor held).
 stress:
-	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/...
+	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/... ./internal/btree/... ./internal/heap/...
 
 # fuzz-smoke runs the wire tokeniser's differential fuzz target for
 # 20 s: FuzzDispatchLine holds nextField to the strings.Fields grammar
@@ -115,10 +117,21 @@ bench-dora:
 # counts of E18 and E19 — store_writes/page and table_ops/row — and
 # fails when a loaded page is written more than 1.05 times or a loaded
 # row visits the lock table more than 0.15 times (65 visits per batch:
-# the loader holds its table in X from the 64th row on). The figures in
-# EXPERIMENTS.md E17, E18 and E19 come from this target.
+# the loader holds its table in X from the 64th row on). Both load500
+# shapes print index_descents/row and fail past 0.05: a loaded row
+# enters the index at its last leaf (E20; three walks a row before).
+# The figures in EXPERIMENTS.md E17 to E20 come from this target.
 bench-wire:
 	$(GO) test -run '^$$' -bench 'BenchmarkDispatch' -benchtime 2s -benchmem ./internal/server/
+
+# bench-btree runs the index benchmarks over a bulk-loaded 100 000-key
+# tree in both modes, ns/op and pool fetches/op: Append (the rightmost
+# door: one fetch an insert whatever the height, failing past 1.05),
+# InsertRandom and GetRandom (the walk as it was: GetRandom fails when a
+# get fetches more pages than the tree is high, i.e. when a probe that
+# does not use the door pays for it). E20's index figures come from here.
+bench-btree:
+	$(GO) test -run '^$$' -bench 'BenchmarkBTree' -benchtime 200000x ./internal/btree/
 
 # bench-smoke compiles and runs every benchmark for a single
 # iteration: it catches benchmarks that crash or no longer build
@@ -127,7 +140,10 @@ bench-wire:
 # bench-wire's BenchmarkDispatch too (load500 is one whole batch, and
 # load500/file fails on a page written twice or a loader that keeps
 # locking its table row by row — the count gates of E18 and E19, which
-# the lock package's Churn500 repeats without the engine); the
+# the lock package's Churn500 repeats without the engine — and both
+# load500 shapes on a row that walks the index from the root, E20's
+# gate, which the btree benchmarks repeat without the engine at enough
+# iterations to split leaves); the
 # explicit wal run below it asserts the vectored path's counters are
 # live, not just that the benchmarks compile, and that a durable commit
 # on either file layout, at every row size, costs one sync, one write,
@@ -147,4 +163,5 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^$$' -bench 'BenchmarkFlushWrapVectored|BenchmarkSegmentedSync|BenchmarkCommitFileDevice' -benchtime 20x ./internal/wal/
 	$(GO) test -run '^$$' -bench 'BenchmarkAcquireReleaseChurn' -benchtime 20x ./internal/lock/
+	$(GO) test -run '^$$' -bench 'BenchmarkBTree' -benchtime 2000x ./internal/btree/
 	$(GO) test -run 'TestEverySurfaceCarriesEveryLeaf|TestSurfaceKeepsParentNames|MetricsExposition' -count=1 ./internal/server/

@@ -22,6 +22,7 @@ func TestRenderShowsEveryCounterWithRates(t *testing.T) {
 	st.Log.Inserts, st.Log.Flushes, st.Log.FlushWrites = 1500, 500, 500
 	st.Buffer.Hits, st.Buffer.Misses = 990, 10
 	st.Mvcc.Installs, st.Mvcc.ActiveSnapshots = 7, 1
+	st.Index.Descents, st.Index.AbsentMemoHits = 12, 5
 	st.Dora.SinglePartition, st.Dora.CrossPartition, st.Dora.QueueDepths = 3, 1, []int{0, 2}
 	st.Dora.Service = server.HistJSON{Count: 4, Summary: "n=4 service-summary"}
 	st.Runtime.Goroutines = 9

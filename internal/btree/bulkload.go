@@ -13,6 +13,11 @@ type KV struct {
 	Key, Value uint64
 }
 
+// bulkLeafFill is how many pairs BulkLoad packs into a leaf: a 90% fill
+// leaves slack so the first post-load inserts do not split at once. A
+// split that an append causes leaves the same fill behind (splitLeaf).
+const bulkLeafFill = LeafCap * 9 / 10
+
 // BulkLoad builds a tree bottom-up from sorted, duplicate-free pairs:
 // leaves are packed left to right and linked, then each interior
 // level is built over the previous one. It is O(n) with no latch or
@@ -33,16 +38,10 @@ func BulkLoad(pool *buffer.Pool, mode Mode, pairs []KV) (*Tree, error) {
 	}
 
 	// Build the leaf level.
-	// A 90% fill leaves slack so the first post-load inserts do not
-	// split immediately.
-	perLeaf := LeafCap * 9 / 10
-	if perLeaf < 1 {
-		perLeaf = 1
-	}
 	var level []child
 	var prev *buffer.Frame
-	for start := 0; start < len(pairs); start += perLeaf {
-		end := start + perLeaf
+	for start := 0; start < len(pairs); start += bulkLeafFill {
+		end := start + bulkLeafFill
 		if end > len(pairs) {
 			end = len(pairs)
 		}
@@ -63,6 +62,9 @@ func BulkLoad(pool *buffer.Pool, mode Mode, pairs []KV) (*Tree, error) {
 		prev = f
 	}
 	pool.Unpin(prev, true)
+	// The last leaf is the door: the first append after a load (or a
+	// restart, which rebuilds every index here) does not descend.
+	last := level[len(level)-1]
 
 	// Build interior levels until one node remains.
 	perInner := InnerCap * 9 / 10
@@ -96,7 +98,10 @@ func BulkLoad(pool *buffer.Pool, mode Mode, pairs []KV) (*Tree, error) {
 		}
 		level = next
 	}
-	return &Tree{pool: pool, mode: mode, root: level[0].id}, nil
+	t := Open(pool, level[0].id, mode)
+	t.publishRightmost(last.id, last.firstKey)
+	t.rightMax.Store(pairs[len(pairs)-1].Key)
+	return t, nil
 }
 
 // SortKVs sorts pairs by key in place (helper for callers collecting

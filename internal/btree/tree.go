@@ -3,7 +3,9 @@ package btree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"hydra/internal/buffer"
 	"hydra/internal/latch"
@@ -51,6 +53,52 @@ type Tree struct {
 	//hydra:vet:coarse -- held for a whole tree operation (including page fetches) so root splits can exclude traffic
 	rootMu sync.RWMutex
 	root   page.ID
+
+	// The rightmost door: the id of the chain's last leaf and the
+	// separator its range starts at, so that a key at or beyond it goes
+	// to that leaf without a descent (see door). The pair is a filter
+	// and nothing more — it may be stale or torn; what door checks under
+	// the leaf's latch is the authority. It is published by whoever
+	// makes a new last leaf (a split, BulkLoad, Create) and, when it
+	// names another page, by a descent that ends on the last leaf.
+	rightSep atomic.Uint64
+	rightID  atomic.Uint64
+	// rightMax is a bound no key of the tree exceeds, so that a probe
+	// beyond it — the miss that precedes every append — is answered
+	// with no page at all. Unlike the pair above it is a fact: whoever
+	// inserts a key above it raises it first, under the last leaf's
+	// latch (only there can such a key go); nothing lowers it but a walk
+	// that ends on a non-empty last leaf of a tree whose bound is still
+	// unknown (Open), which sets it to that leaf's last key.
+	rightMax atomic.Uint64
+
+	descents, rightmostHits, leafSplits, ascendingSplits obs.Counter
+}
+
+// Stats counts how the tree's operations reached their leaf.
+type Stats struct {
+	Descents        uint64 `json:"descents"`         // root-to-leaf walks
+	RightmostHits   uint64 `json:"rightmost_hits"`   // operations served through the rightmost door, without a walk
+	LeafSplits      uint64 `json:"leaf_splits"`      // leaves split, of either kind
+	AscendingSplits uint64 `json:"ascending_splits"` // of those, appends past the last key: the old leaf keeps a bulk-loaded leaf's fill
+}
+
+// StatsSnapshot returns a copy of the cumulative counters.
+func (t *Tree) StatsSnapshot() Stats {
+	return Stats{
+		Descents:        t.descents.Load(),
+		RightmostHits:   t.rightmostHits.Load(),
+		LeafSplits:      t.leafSplits.Load(),
+		AscendingSplits: t.ascendingSplits.Load(),
+	}
+}
+
+// Add accumulates o into s (an engine sums its trees).
+func (s *Stats) Add(o Stats) {
+	s.Descents += o.Descents
+	s.RightmostHits += o.RightmostHits
+	s.LeafSplits += o.LeafSplits
+	s.AscendingSplits += o.AscendingSplits
 }
 
 // Create allocates an empty tree (a single empty leaf).
@@ -59,14 +107,149 @@ func Create(pool *buffer.Pool, mode Mode) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := f.ID()
+	t := Open(pool, f.ID(), mode)
+	t.publishRightmost(f.ID(), 0)
+	t.rightMax.Store(0)
 	pool.Unpin(f, true)
-	return &Tree{pool: pool, mode: mode, root: root}, nil
+	return t, nil
 }
 
-// Open attaches to an existing tree rooted at root.
+// Open attaches to an existing tree rooted at root. Its door names no
+// page, and it knows no bound on its keys, until a descent finds the
+// last leaf.
 func Open(pool *buffer.Pool, root page.ID, mode Mode) *Tree {
-	return &Tree{pool: pool, mode: mode, root: root}
+	t := &Tree{pool: pool, mode: mode, root: root}
+	t.publishRightmost(page.InvalidID, math.MaxUint64)
+	t.rightMax.Store(math.MaxUint64)
+	return t
+}
+
+// publishRightmost names id, whose range starts at sep, as the chain's
+// last leaf. The caller holds that leaf's latch, or the latch of the
+// leaf being split to make it, or the tree exclusively — so successive
+// last leaves are published in the order they came to be.
+func (t *Tree) publishRightmost(id page.ID, sep uint64) {
+	t.rightSep.Store(sep)
+	t.rightID.Store(uint64(id))
+}
+
+// noteRightmost publishes the leaf a descent ended on when it is the
+// chain's last and the door names another page (a tree just opened).
+// lo is the lower bound of the leaf's range as the descent saw it.
+func (t *Tree) noteRightmost(f *buffer.Frame, lo uint64) {
+	if f.Page.Next() == page.InvalidID && page.ID(t.rightID.Load()) != f.ID() {
+		t.publishRightmost(f.ID(), lo)
+		if n := (node{f.Page}); n.count() > 0 && t.rightMax.Load() == math.MaxUint64 {
+			t.rightMax.Store(n.leafKey(n.count() - 1))
+		}
+	}
+}
+
+// beyond reports that key is above every key the tree holds: absent,
+// and known to be without touching a page or a lock.
+func (t *Tree) beyond(key uint64) bool {
+	if key <= t.rightMax.Load() {
+		return false
+	}
+	t.rightmostHits.Inc()
+	return true
+}
+
+// raise keeps rightMax a bound before key enters a leaf. The caller
+// holds that leaf's latch (or the tree lock) exclusively; a key above
+// the bound can only be going into the last leaf, so raisers are serial.
+func (t *Tree) raise(key uint64) {
+	if key > t.rightMax.Load() {
+		t.rightMax.Store(key)
+	}
+}
+
+// door returns the chain's last leaf, pinned and (in Crabbing mode)
+// latched in mode m, when key can be served there without a descent,
+// and nil when the operation must walk from the root. A key below the
+// published separator pays one atomic load and no page fetch. For a
+// key at or beyond it the named page is fetched and latched, and the
+// page itself decides: it is still a leaf with no right sibling, so it
+// is the last leaf and its range is [separator, ∞); it is non-empty and
+// key >= its first key, which is >= that separator, so key is in the
+// range whatever the published pair said; and, when the caller needs
+// room for one more entry, it is not full, so no ancestor is touched.
+// Pages are never freed or retyped, so a stale id still names a page of
+// this tree. The caller holds the tree lock of its mode; only this one
+// leaf latch is taken, with no ancestor held.
+func (t *Tree) door(key uint64, m latch.Mode, room bool, c *obs.PhaseClock) *buffer.Frame {
+	if key < t.rightSep.Load() {
+		return nil
+	}
+	id := page.ID(t.rightID.Load())
+	if id == page.InvalidID {
+		return nil
+	}
+	f, err := t.pool.FetchC(id, c)
+	if err != nil {
+		return nil // the descent meets the same store and reports it
+	}
+	if t.mode == Crabbing {
+		f.Latch.AcquireC(m, c)
+	}
+	n := node{f.Page}
+	if n.isLeaf() && n.p.Next() == page.InvalidID && n.count() > 0 && key >= n.leafKey(0) &&
+		!(room && n.count() >= LeafCap) {
+		t.rightmostHits.Inc()
+		return f
+	}
+	t.release(f, m, false)
+	return nil
+}
+
+// release undoes what door and leafFor return: the latch, in Crabbing
+// mode, and the pin.
+func (t *Tree) release(f *buffer.Frame, m latch.Mode, dirty bool) {
+	if t.mode == Crabbing {
+		f.Latch.Release(m)
+	}
+	t.pool.Unpin(f, dirty)
+}
+
+// leafFor returns the leaf whose range holds key, pinned and (in
+// Crabbing mode) latched in mode m: the last leaf through the door, or
+// the end of a latch-coupled walk from the root that holds one latch
+// beyond the handover. The caller holds the tree lock of its mode and
+// releases the leaf with release.
+func (t *Tree) leafFor(key uint64, m latch.Mode, c *obs.PhaseClock) (*buffer.Frame, error) {
+	if f := t.door(key, m, false, c); f != nil {
+		return f, nil
+	}
+	t.descents.Inc()
+	f, err := t.pool.FetchC(t.root, c)
+	if err != nil {
+		return nil, err
+	}
+	if t.mode == Crabbing {
+		f.Latch.AcquireC(m, c)
+	}
+	var lo uint64
+	for {
+		n := node{f.Page}
+		if n.isLeaf() {
+			t.noteRightmost(f, lo)
+			return f, nil
+		}
+		childID, idx := n.innerSearch(key)
+		if idx >= 0 {
+			lo = n.innerKey(idx)
+		}
+		cf, err := t.pool.FetchC(childID, c)
+		if err != nil {
+			t.release(f, m, false)
+			return nil, err
+		}
+		if t.mode == Crabbing {
+			cf.Latch.AcquireC(m, c)
+		}
+		t.release(f, m, false)
+		f = cf
+	}
 }
 
 // RootID returns the current root page id (persist it in the catalog).
@@ -120,74 +303,31 @@ func (t *Tree) Get(key uint64) (uint64, error) { return t.GetC(key, nil) }
 // GetC is Get with a phase clock: latch and tree-lock waits feed the
 // latch-wait phase, buffer misses the buffer-miss phase.
 func (t *Tree) GetC(key uint64, c *obs.PhaseClock) (uint64, error) {
+	if t.beyond(key) {
+		return 0, ErrNotFound
+	}
 	if t.mode == Coarse {
 		lockCoarseR(&t.coarse, c)
 		defer t.coarse.RUnlock()
-		return t.getUnlatched(key, c)
+	} else {
+		t.rootMu.RLock()
+		defer t.rootMu.RUnlock()
 	}
-	return t.getCrabbing(key, c)
-}
-
-func (t *Tree) getUnlatched(key uint64, c *obs.PhaseClock) (uint64, error) {
-	id := t.root
-	for {
-		f, err := t.pool.FetchC(id, c)
-		if err != nil {
-			return 0, err
-		}
-		n := node{f.Page}
-		if n.isLeaf() {
-			pos, ok := n.leafSearch(key)
-			var v uint64
-			if ok {
-				v = n.leafVal(pos)
-			}
-			t.pool.Unpin(f, false)
-			if !ok {
-				return 0, ErrNotFound
-			}
-			return v, nil
-		}
-		id, _ = n.innerSearch(key)
-		t.pool.Unpin(f, false)
-	}
-}
-
-func (t *Tree) getCrabbing(key uint64, c *obs.PhaseClock) (uint64, error) {
-	t.rootMu.RLock()
-	defer t.rootMu.RUnlock()
-	f, err := t.pool.FetchC(t.root, c)
+	f, err := t.leafFor(key, latch.Shared, c)
 	if err != nil {
 		return 0, err
 	}
-	f.Latch.AcquireC(latch.Shared, c)
-	for {
-		n := node{f.Page}
-		if n.isLeaf() {
-			pos, ok := n.leafSearch(key)
-			var v uint64
-			if ok {
-				v = n.leafVal(pos)
-			}
-			f.Latch.Release(latch.Shared)
-			t.pool.Unpin(f, false)
-			if !ok {
-				return 0, ErrNotFound
-			}
-			return v, nil
-		}
-		childID, _ := n.innerSearch(key)
-		cf, err := t.pool.FetchC(childID, c)
-		if err != nil {
-			f.Latch.Release(latch.Shared)
-			t.pool.Unpin(f, false)
-			return 0, err
-		}
-		cf.Latch.AcquireC(latch.Shared, c)
-		f.Latch.Release(latch.Shared)
-		t.pool.Unpin(f, false)
-		f = cf
+	n := node{f.Page}
+	pos, ok := n.leafSearch(key)
+	var v uint64
+	if ok {
+		v = n.leafVal(pos)
 	}
+	t.release(f, latch.Shared, false)
+	if !ok {
+		return 0, ErrNotFound
+	}
+	return v, nil
 }
 
 // Insert stores (key, value), replacing any existing value (upsert).
@@ -198,6 +338,9 @@ func (t *Tree) InsertC(key, value uint64, c *obs.PhaseClock) error {
 	if t.mode == Coarse {
 		lockCoarseW(&t.coarse, c)
 		defer t.coarse.Unlock()
+		if t.insertRightmost(key, value, c) {
+			return nil
+		}
 		return t.insertExclusive(key, value, c)
 	}
 	for {
@@ -210,12 +353,31 @@ func (t *Tree) InsertC(key, value uint64, c *obs.PhaseClock) error {
 		}
 		// Root was full: take the tree exclusively, split it, retry.
 		t.rootMu.Lock()
-		err = t.splitRootIfFull(c)
+		err = t.splitRootIfFull(key, c)
 		t.rootMu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
+}
+
+// insertRightmost stores (key, value) in the last leaf when the door
+// admits key and the leaf has room, so that no ancestor is involved; it
+// reports false, with nothing done, when the insert must descend.
+func (t *Tree) insertRightmost(key, value uint64, c *obs.PhaseClock) bool {
+	f := t.door(key, latch.Exclusive, true, c)
+	if f == nil {
+		return false
+	}
+	n := node{f.Page}
+	t.raise(key)
+	if pos, ok := n.leafSearch(key); ok {
+		n.setLeafEntry(pos, key, value)
+	} else {
+		n.leafInsertAt(pos, key, value)
+	}
+	t.release(f, latch.Exclusive, true)
+	return true
 }
 
 // insertCrabbing attempts a latch-coupled insert. It reports
@@ -224,16 +386,22 @@ func (t *Tree) InsertC(key, value uint64, c *obs.PhaseClock) error {
 func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error) {
 	t.rootMu.RLock()
 	defer t.rootMu.RUnlock()
+	if t.insertRightmost(key, value, c) {
+		return true, nil
+	}
+	t.descents.Inc()
 
 	// X-latched, pinned, unsafe suffix. It starts on the stack: a
 	// descent re-fills it at every split-safe child, and a tree deeper
-	// than the array spills to the heap.
+	// than the array spills to the heap. path[dirty:] is what the insert
+	// has modified so far: nothing while it descends.
 	var onStack [8]*buffer.Frame
 	path := onStack[:0]
+	dirty := math.MaxInt
 	releaseAll := func() {
-		for _, pf := range path {
+		for i, pf := range path {
 			pf.Latch.Release(latch.Exclusive)
-			t.pool.Unpin(pf, true) // conservatively dirty: they may have been modified
+			t.pool.Unpin(pf, i >= dirty)
 		}
 		path = path[:0]
 	}
@@ -250,12 +418,16 @@ func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error
 	}
 	path = append(path, f)
 
+	var lo uint64
 	for {
 		n := node{f.Page}
 		if n.isLeaf() {
 			break
 		}
-		childID, _ := n.innerSearch(key)
+		childID, idx := n.innerSearch(key)
+		if idx >= 0 {
+			lo = n.innerKey(idx)
+		}
 		cf, err := t.pool.FetchC(childID, c)
 		if err != nil {
 			releaseAll()
@@ -269,9 +441,12 @@ func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error
 		path = append(path, cf)
 		f = cf
 	}
+	t.noteRightmost(f, lo)
+	t.raise(key)
 
 	// Leaf insert, with splits propagating through the retained path.
 	leaf := node{f.Page}
+	dirty = len(path) - 1
 	pos, ok := leaf.leafSearch(key)
 	if ok {
 		leaf.setLeafEntry(pos, key, value)
@@ -284,13 +459,24 @@ func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error
 		return true, nil
 	}
 	// Split the leaf and bubble the separator up the retained path.
-	sep, newID, err := t.leafSplitInsert(leaf, key, value, c)
+	rf, sep, err := t.splitLeaf(leaf, key, c)
 	if err != nil {
+		dirty = len(path) // the split failed before it touched the leaf
 		releaseAll()
 		return false, err
 	}
+	if key >= sep {
+		r := node{rf.Page}
+		pos, _ := r.leafSearch(key)
+		r.leafInsertAt(pos, key, value)
+	} else {
+		pos, _ := leaf.leafSearch(key)
+		leaf.leafInsertAt(pos, key, value)
+	}
+	newID := t.adoptLeaf(rf, sep)
 	for i := len(path) - 2; i >= 0; i-- {
 		parent := node{path[i].Page}
+		dirty = i
 		if parent.count() < InnerCap {
 			kpos := innerInsertPos(parent, sep)
 			parent.innerInsertAt(kpos, sep, newID)
@@ -311,8 +497,9 @@ func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error
 }
 
 // splitRootIfFull preemptively splits a full root under the exclusive
-// tree lock.
-func (t *Tree) splitRootIfFull(c *obs.PhaseClock) error {
+// tree lock (Coarse mode's writer lock, or Crabbing mode's root lock
+// taken exclusively); key is the insert that found it full.
+func (t *Tree) splitRootIfFull(key uint64, c *obs.PhaseClock) error {
 	f, err := t.pool.FetchC(t.root, c)
 	if err != nil {
 		return err
@@ -325,7 +512,7 @@ func (t *Tree) splitRootIfFull(c *obs.PhaseClock) error {
 	var sep uint64
 	var newID page.ID
 	if n.isLeaf() {
-		sep, newID, err = t.leafSplit(n, c)
+		sep, newID, err = t.leafSplit(n, key, c)
 	} else {
 		sep, newID, err = t.innerSplit(n, c)
 	}
@@ -350,10 +537,12 @@ func (t *Tree) splitRootIfFull(c *obs.PhaseClock) error {
 // insertExclusive is the Coarse-mode insert: top-down preemptive
 // splitting under the tree-wide writer lock, no latches.
 func (t *Tree) insertExclusive(key, value uint64, c *obs.PhaseClock) error {
-	if err := t.splitRootIfFullLocked(c); err != nil {
+	if err := t.splitRootIfFull(key, c); err != nil {
 		return err
 	}
+	t.descents.Inc()
 	id := t.root
+	var lo uint64
 	for {
 		f, err := t.pool.FetchC(id, c)
 		if err != nil {
@@ -361,6 +550,8 @@ func (t *Tree) insertExclusive(key, value uint64, c *obs.PhaseClock) error {
 		}
 		n := node{f.Page}
 		if n.isLeaf() {
+			t.noteRightmost(f, lo)
+			t.raise(key)
 			pos, ok := n.leafSearch(key)
 			if ok {
 				n.setLeafEntry(pos, key, value)
@@ -370,7 +561,11 @@ func (t *Tree) insertExclusive(key, value uint64, c *obs.PhaseClock) error {
 			t.pool.Unpin(f, true)
 			return nil
 		}
-		childID, _ := n.innerSearch(key)
+		childID, idx := n.innerSearch(key)
+		childLo := lo
+		if idx >= 0 {
+			childLo = n.innerKey(idx)
+		}
 		cf, err := t.pool.FetchC(childID, c)
 		if err != nil {
 			t.pool.Unpin(f, false)
@@ -381,7 +576,7 @@ func (t *Tree) insertExclusive(key, value uint64, c *obs.PhaseClock) error {
 			var sep uint64
 			var newID page.ID
 			if cn.isLeaf() {
-				sep, newID, err = t.leafSplit(cn, c)
+				sep, newID, err = t.leafSplit(cn, key, c)
 			} else {
 				sep, newID, err = t.innerSplit(cn, c)
 			}
@@ -394,100 +589,52 @@ func (t *Tree) insertExclusive(key, value uint64, c *obs.PhaseClock) error {
 			n.innerInsertAt(kpos, sep, newID)
 			t.pool.Unpin(cf, true)
 			t.pool.Unpin(f, true)
-			// Re-descend from the same inner node via search.
+			// Go on into the half that now holds key.
 			if key >= sep {
-				id = newID
+				id, lo = newID, sep
 			} else {
-				id = childID
+				id, lo = childID, childLo
 			}
 			continue
 		}
 		t.pool.Unpin(f, false)
 		t.pool.Unpin(cf, false) // re-fetched below; keeps pin discipline simple
-		id = childID
+		id, lo = childID, childLo
 	}
-}
-
-func (t *Tree) splitRootIfFullLocked(c *obs.PhaseClock) error {
-	// Same as splitRootIfFull; Coarse mode's writer lock already
-	// excludes all other traffic.
-	return t.splitRootIfFull(c)
 }
 
 // Delete removes key. In the tradition of many production trees,
 // underflowing nodes are not rebalanced; empty leaves are left in
-// place and reclaimed on reorganization.
+// place and reclaimed on reorganization. A delete therefore never
+// modifies an ancestor, and plain latch coupling serves it.
 func (t *Tree) Delete(key uint64) error { return t.DeleteC(key, nil) }
 
 // DeleteC is Delete with a phase clock (see GetC).
 func (t *Tree) DeleteC(key uint64, c *obs.PhaseClock) error {
+	if t.beyond(key) {
+		return ErrNotFound
+	}
 	if t.mode == Coarse {
 		lockCoarseW(&t.coarse, c)
 		defer t.coarse.Unlock()
-		return t.deleteUnlatched(key, c)
+	} else {
+		t.rootMu.RLock()
+		defer t.rootMu.RUnlock()
 	}
-	return t.deleteCrabbing(key, c)
-}
-
-func (t *Tree) deleteUnlatched(key uint64, c *obs.PhaseClock) error {
-	id := t.root
-	for {
-		f, err := t.pool.FetchC(id, c)
-		if err != nil {
-			return err
-		}
-		n := node{f.Page}
-		if n.isLeaf() {
-			pos, ok := n.leafSearch(key)
-			if !ok {
-				t.pool.Unpin(f, false)
-				return ErrNotFound
-			}
-			n.leafDeleteAt(pos)
-			t.pool.Unpin(f, true)
-			return nil
-		}
-		id, _ = n.innerSearch(key)
-		t.pool.Unpin(f, false)
-	}
-}
-
-func (t *Tree) deleteCrabbing(key uint64, c *obs.PhaseClock) error {
-	// Deletes never modify ancestors (no rebalancing), so plain latch
-	// coupling with immediate parent release suffices.
-	t.rootMu.RLock()
-	defer t.rootMu.RUnlock()
-	f, err := t.pool.FetchC(t.root, c)
+	f, err := t.leafFor(key, latch.Exclusive, c)
 	if err != nil {
 		return err
 	}
-	f.Latch.AcquireC(latch.Exclusive, c)
-	for {
-		n := node{f.Page}
-		if n.isLeaf() {
-			pos, ok := n.leafSearch(key)
-			if ok {
-				n.leafDeleteAt(pos)
-			}
-			f.Latch.Release(latch.Exclusive)
-			t.pool.Unpin(f, ok)
-			if !ok {
-				return ErrNotFound
-			}
-			return nil
-		}
-		childID, _ := n.innerSearch(key)
-		cf, err := t.pool.FetchC(childID, c)
-		if err != nil {
-			f.Latch.Release(latch.Exclusive)
-			t.pool.Unpin(f, false)
-			return err
-		}
-		cf.Latch.AcquireC(latch.Exclusive, c)
-		f.Latch.Release(latch.Exclusive)
-		t.pool.Unpin(f, false)
-		f = cf
+	n := node{f.Page}
+	pos, ok := n.leafSearch(key)
+	if ok {
+		n.leafDeleteAt(pos)
 	}
+	t.release(f, latch.Exclusive, ok)
+	if !ok {
+		return ErrNotFound
+	}
+	return nil
 }
 
 // Scan calls fn for every (key, value) with lo <= key <= hi in
@@ -505,36 +652,9 @@ func (t *Tree) ScanC(lo, hi uint64, c *obs.PhaseClock, fn func(key, value uint64
 		t.rootMu.RLock()
 		defer t.rootMu.RUnlock()
 	}
-	latched := t.mode == Crabbing
-
-	// Descend to the leaf containing lo.
-	f, err := t.pool.FetchC(t.root, c)
+	f, err := t.leafFor(lo, latch.Shared, c)
 	if err != nil {
 		return err
-	}
-	if latched {
-		f.Latch.AcquireC(latch.Shared, c)
-	}
-	for {
-		n := node{f.Page}
-		if n.isLeaf() {
-			break
-		}
-		childID, _ := n.innerSearch(lo)
-		cf, err := t.pool.FetchC(childID, c)
-		if err != nil {
-			if latched {
-				f.Latch.Release(latch.Shared)
-			}
-			t.pool.Unpin(f, false)
-			return err
-		}
-		if latched {
-			cf.Latch.AcquireC(latch.Shared, c)
-			f.Latch.Release(latch.Shared)
-		}
-		t.pool.Unpin(f, false)
-		f = cf
 	}
 	// Walk leaves via sibling links.
 	for {
@@ -542,42 +662,25 @@ func (t *Tree) ScanC(lo, hi uint64, c *obs.PhaseClock, fn func(key, value uint64
 		pos, _ := n.leafSearch(lo)
 		for ; pos < n.count(); pos++ {
 			k := n.leafKey(pos)
-			if k > hi {
-				if latched {
-					f.Latch.Release(latch.Shared)
-				}
-				t.pool.Unpin(f, false)
-				return nil
-			}
-			if !fn(k, n.leafVal(pos)) {
-				if latched {
-					f.Latch.Release(latch.Shared)
-				}
-				t.pool.Unpin(f, false)
+			if k > hi || !fn(k, n.leafVal(pos)) {
+				t.release(f, latch.Shared, false)
 				return nil
 			}
 		}
 		next := n.p.Next()
 		if next == page.InvalidID {
-			if latched {
-				f.Latch.Release(latch.Shared)
-			}
-			t.pool.Unpin(f, false)
+			t.release(f, latch.Shared, false)
 			return nil
 		}
 		nf, err := t.pool.FetchC(next, c)
 		if err != nil {
-			if latched {
-				f.Latch.Release(latch.Shared)
-			}
-			t.pool.Unpin(f, false)
+			t.release(f, latch.Shared, false)
 			return err
 		}
-		if latched {
+		if t.mode == Crabbing {
 			nf.Latch.AcquireC(latch.Shared, c)
-			f.Latch.Release(latch.Shared)
 		}
-		t.pool.Unpin(f, false)
+		t.release(f, latch.Shared, false)
 		f = nf
 		lo = 0 // continue from the start of the next leaf
 	}
@@ -605,53 +708,56 @@ func innerInsertPos(n node, sep uint64) int {
 	return lo
 }
 
-// leafSplit moves the upper half of n into a fresh leaf, returning
-// the separator (first key of the new leaf) and its page id.
-func (t *Tree) leafSplit(n node, c *obs.PhaseClock) (uint64, page.ID, error) {
+// splitLeaf moves the upper part of the full leaf n into a fresh leaf
+// linked in after it, and returns that leaf's frame, pinned and not yet
+// reachable from any parent, with its separator (its first key). The
+// upper part is the upper half — unless key, the insert that found n
+// full, lies past the last key of the chain's last leaf: an append.
+// Halving there leaves every leaf of an ascending load half empty for
+// good, so n keeps what BulkLoad packs into a leaf and the new last leaf
+// starts with the rest.
+func (t *Tree) splitLeaf(n node, key uint64, c *obs.PhaseClock) (*buffer.Frame, uint64, error) {
 	rf, err := t.pool.NewPageC(page.TypeBTreeLeaf, c)
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, err
 	}
+	t.leafSplits.Inc()
 	r := node{rf.Page}
 	mid := n.count() / 2
+	if n.p.Next() == page.InvalidID && key > n.leafKey(n.count()-1) {
+		mid = bulkLeafFill
+		t.ascendingSplits.Inc()
+	}
 	moved := n.count() - mid
 	copy(r.body()[:moved*entrySize], n.body()[mid*entrySize:n.count()*entrySize])
 	r.setCount(moved)
 	n.setCount(mid)
 	r.p.SetNext(n.p.Next())
 	n.p.SetNext(rf.ID())
-	sep := r.leafKey(0)
-	id := rf.ID()
-	t.pool.Unpin(rf, true)
-	return sep, id, nil
+	return rf, r.leafKey(0), nil
 }
 
-// leafSplitInsert splits n and then inserts (key, value) into the
-// correct half, returning the separator and new page id.
-func (t *Tree) leafSplitInsert(n node, key, value uint64, c *obs.PhaseClock) (uint64, page.ID, error) {
-	rf, err := t.pool.NewPageC(page.TypeBTreeLeaf, c)
+// adoptLeaf ends a leaf split once the splitter has written what it
+// will to the new leaf: a new last leaf becomes the door — only now, so
+// that nobody latches it while it is still being filled unlatched — and
+// the pin goes.
+func (t *Tree) adoptLeaf(rf *buffer.Frame, sep uint64) page.ID {
+	id := rf.ID()
+	if rf.Page.Next() == page.InvalidID {
+		t.publishRightmost(id, sep)
+	}
+	t.pool.Unpin(rf, true)
+	return id
+}
+
+// leafSplit is splitLeaf for a splitter that inserts afterwards, by a
+// fresh search: it returns the separator and the new leaf's id.
+func (t *Tree) leafSplit(n node, key uint64, c *obs.PhaseClock) (uint64, page.ID, error) {
+	rf, sep, err := t.splitLeaf(n, key, c)
 	if err != nil {
 		return 0, 0, err
 	}
-	r := node{rf.Page}
-	mid := n.count() / 2
-	moved := n.count() - mid
-	copy(r.body()[:moved*entrySize], n.body()[mid*entrySize:n.count()*entrySize])
-	r.setCount(moved)
-	n.setCount(mid)
-	r.p.SetNext(n.p.Next())
-	n.p.SetNext(rf.ID())
-	sep := r.leafKey(0)
-	if key >= sep {
-		pos, _ := r.leafSearch(key)
-		r.leafInsertAt(pos, key, value)
-	} else {
-		pos, _ := n.leafSearch(key)
-		n.leafInsertAt(pos, key, value)
-	}
-	id := rf.ID()
-	t.pool.Unpin(rf, true)
-	return sep, id, nil
+	return sep, t.adoptLeaf(rf, sep), nil
 }
 
 // innerSplit splits a full interior node, returning the key promoted

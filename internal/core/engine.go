@@ -203,7 +203,10 @@ type Engine struct {
 	// hidden global serialization point this engine exists to remove.
 	commits obs.Counter
 	aborts  obs.Counter
-	closed  atomic.Bool
+	// absentMemoHits counts inserts that skipped their duplicate probe
+	// (Txn.absent).
+	absentMemoHits obs.Counter
+	closed         atomic.Bool
 
 	// active is the live-transaction registry feeding checkpoint ATT
 	// snapshots.
@@ -460,6 +463,15 @@ type Stats struct {
 	Log     wal.Stats    `json:"log"`
 	Buffer  buffer.Stats `json:"buffer"`
 	Mvcc    MvccStats    `json:"mvcc"`
+	Index   IndexStats   `json:"index"`
+}
+
+// IndexStats is the index group: every tree of the engine summed,
+// secondary indexes included, and the probes the transactions above
+// them did not make.
+type IndexStats struct {
+	btree.Stats
+	AbsentMemoHits uint64 `json:"absent_memo_hits"` // inserts whose duplicate probe the preceding update's miss answered
 }
 
 // StatsSnapshot returns engine-wide counters.
@@ -471,7 +483,21 @@ func (e *Engine) StatsSnapshot() Stats {
 		Log:     e.log.StatsSnapshot(),
 		Buffer:  e.pool.StatsSnapshot(),
 		Mvcc:    e.mvcc.statsSnapshot(),
+		Index:   e.indexStats(),
 	}
+}
+
+func (e *Engine) indexStats() IndexStats {
+	st := IndexStats{AbsentMemoHits: e.absentMemoHits.Load()}
+	for _, t := range e.Tables() {
+		st.Add(t.Index.StatsSnapshot())
+		t.idxMu.RLock()
+		for _, sx := range t.secondary {
+			st.Add(sx.tree.StatsSnapshot())
+		}
+		t.idxMu.RUnlock()
+	}
+	return st
 }
 
 // Locks exposes the lock manager (SLI agents, experiments).

@@ -255,31 +255,14 @@ func TestSnapshotAfterRecovery(t *testing.T) {
 
 // Regression for the ErrNotFound collapse: an index probe that fails
 // with a buffer-pool IO error must surface that error, not pretend the
-// key is missing. Frames is kept tiny and the key count large so the
-// probe is forced to fault index pages back in from the failing device.
+// key is missing. Frames is kept tiny and the key count large, and
+// coldEngine leaves neither the index's last leaf (which the write-path
+// probes below reach through the rightmost door, with no descent) nor
+// the pages under it resident, so every probe has to fault pages back
+// in from the failing device.
 func TestReadInfraErrorNotMaskedAsNotFound(t *testing.T) {
-	store := buffer.NewMemStore()
-	dev := wal.NewMem()
-	cfg := Scalable()
-	cfg.Frames = 32
-	e, err := OpenWith(cfg, store, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	tbl, err := e.CreateTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Enough keys that index leaves plus heap pages far exceed the
-	// 32-frame pool: probing from key 0 after sequential inserts must
-	// fault cold pages back in from the (failing) device.
 	const keys = 20000
-	for i := uint64(0); i < keys; i++ {
-		if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, i, []byte("payload")) }); err != nil {
-			t.Fatal(err)
-		}
-	}
+	e, tbl, store := coldEngine(t, keys)
 	ioErr := errors.New("injected device failure")
 	store.FailReads(ioErr)
 	defer store.FailReads(nil)
@@ -305,7 +288,7 @@ func TestReadInfraErrorNotMaskedAsNotFound(t *testing.T) {
 
 	// Same contract on the write-path probes.
 	t2 := e.Begin()
-	if err := t2.Update(tbl, 3, []byte("x")); err == nil || errors.Is(err, ErrNotFound) {
+	if err := t2.Update(tbl, keys-1, []byte("x")); err == nil || errors.Is(err, ErrNotFound) {
 		t2.Abort()
 		t.Fatalf("Update under IO failure: %v", err)
 	}

@@ -126,6 +126,26 @@ type Txn struct {
 	arena      []byte
 	chunks     [][]byte
 	chunksUsed int
+
+	// absent is the one key this transaction's last statement found
+	// missing from the index while holding X on the row (see update); the
+	// zero value is no key. A partition-owned transaction never has one
+	// and never writes the field: its statements run on several
+	// executors at once.
+	absent absentKey
+}
+
+// absentKey names a row the transaction knows to be absent.
+type absentKey struct {
+	tbl *Table
+	key uint64
+}
+
+// dropNote forgets the absent key; every write statement begins with it.
+func (t *Txn) dropNote() {
+	if t.mode.Owned == 0 {
+		t.absent = absentKey{}
+	}
 }
 
 // The undo arena is a chain of chunks the handle owns. Within a
@@ -320,6 +340,7 @@ func (t *Txn) finish(state txnState, lsn wal.LSN) {
 		e.maybeExpireSnapshots()
 	}
 	t.arenaReset()
+	t.absent = absentKey{}
 	invariant.PoolPut("core.finish", t)
 	e.txnPool.Put(t)
 	counter.Inc()
@@ -527,10 +548,16 @@ func (t *Txn) lockWrite(tbl *Table, key uint64) error {
 }
 
 func (t *Txn) insert(tbl *Table, key uint64, value []byte) error {
+	known := t.absent == absentKey{tbl, key}
+	t.dropNote()
 	if err := t.lockWrite(tbl, key); err != nil {
 		return err
 	}
-	if _, err := tbl.Index.GetC(key, &t.clock); err == nil {
+	if known {
+		// The statement before this one probed for exactly this key, under
+		// the X lock still held, and found nothing: the upsert's miss.
+		t.e.absentMemoHits.Inc()
+	} else if _, err := tbl.Index.GetC(key, &t.clock); err == nil {
 		return fmt.Errorf("%w: table %s key %d", ErrExists, tbl.Name, key)
 	} else if !errors.Is(err, btree.ErrNotFound) {
 		// An infrastructure failure (IO error, poisoned WAL) must not
@@ -554,11 +581,21 @@ func (t *Txn) insert(tbl *Table, key uint64, value []byte) error {
 }
 
 func (t *Txn) update(tbl *Table, key uint64, value []byte) error {
+	t.dropNote()
 	if err := t.lockWrite(tbl, key); err != nil {
 		return err
 	}
 	packed, err := tbl.Index.GetC(key, &t.clock)
 	if err != nil {
+		// A miss is remembered for the insert an upsert follows it with.
+		// What makes that sound is the row's X lock, held from before the
+		// probe until the transaction ends: nobody else can create the key
+		// in between, and this transaction's own next write statement,
+		// whichever it is, drops the note. A transaction whose lock set
+		// does not hold the row (Intent.Owned, snapshot mode) takes none.
+		if errors.Is(err, btree.ErrNotFound) && t.mode.Owned == 0 && !t.mode.snapshot {
+			t.absent = absentKey{tbl, key}
+		}
 		return indexReadErr(err, tbl, key)
 	}
 	rid := heap.Unpack(packed)
@@ -604,6 +641,7 @@ func (t *Txn) update(tbl *Table, key uint64, value []byte) error {
 }
 
 func (t *Txn) delete(tbl *Table, key uint64) error {
+	t.dropNote()
 	if err := t.lockWrite(tbl, key); err != nil {
 		return err
 	}

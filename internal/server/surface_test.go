@@ -266,7 +266,8 @@ func jsonKeyPaths(v any, path string, out map[string]bool) {
 // testdata holds the /metrics families (name, type, label keys) and
 // /stats key paths of the commit before the surfaces were derived, and
 // those a later change added on purpose (PR 22: dev_prewrite_bytes,
-// PR 27: escalation_refusals); today's must include them all.
+// PR 27: escalation_refusals, PR 28: the index group); today's must
+// include them all.
 func TestSurfaceKeepsParentNames(t *testing.T) {
 	st, _ := populated(t)
 	st.Slow.Entries[0].Trace = []TraceEventJSON{{}}

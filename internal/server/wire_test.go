@@ -257,7 +257,9 @@ func TestClientRefusesLineBreaks(t *testing.T) {
 // pool smaller than one batch, where a loaded page's trips to the store
 // and a loaded row's trips to the lock table show, and it fails when a
 // page is written twice or the loader, alone on its table, keeps
-// locking it row by row.
+// locking it row by row. Both fail when a loaded row walks the index
+// from the root: the probe and the insert of an appended key enter at
+// the last leaf, and the insert's duplicate probe is not made.
 func BenchmarkDispatch(b *testing.B) {
 	request := func(name, line string) {
 		b.Run(name, func(b *testing.B) {
@@ -337,7 +339,9 @@ const loadRows = 500
 
 // loadBatches sends b.N loader batches — BEGIN; loadRows x SET of a new
 // 1000-byte row; COMMIT — into the table kv through handle over a pipe,
-// reporting ns/row and allocs/row beside the per-batch figures.
+// reporting ns/row, allocs/row and index_descents/row beside the
+// per-batch figures, and failing past 0.05 descents a row (two for the
+// first row of an empty table, then one per leaf split; it was 3.00).
 func loadBatches(b *testing.B, e *core.Engine) {
 	client, srv := net.Pipe()
 	done := make(chan struct{})
@@ -355,6 +359,7 @@ func loadBatches(b *testing.B, e *core.Engine) {
 	var batch bytes.Buffer
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	walks := e.StatsSnapshot().Index.Descents
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -387,6 +392,11 @@ func loadBatches(b *testing.B, e *core.Engine) {
 	rows := float64(b.N * loadRows)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+	descents := float64(e.StatsSnapshot().Index.Descents-walks) / rows
+	b.ReportMetric(descents, "index_descents/row")
+	if descents > 0.05 {
+		b.Fatalf("a loaded row costs %.3f index descents, want <= 0.05", descents)
+	}
 }
 
 // countingStore counts the page images written to the file for pages
