@@ -127,9 +127,10 @@ bench-wire:
 # bench-btree runs the index benchmarks over a bulk-loaded 100 000-key
 # tree in both modes, ns/op and pool fetches/op: Append (the rightmost
 # door: one fetch an insert whatever the height, failing past 1.05),
-# InsertRandom and GetRandom (the walk as it was: GetRandom fails when a
-# get fetches more pages than the tree is high, i.e. when a probe that
-# does not use the door pays for it). E20's index figures come from here.
+# InsertRandom and GetRandom (one walk: InsertRandom fails past the
+# tree's height + 0.05 fetches, GetRandom above the height, i.e. when a
+# probe that does not use the door pays for it, or an insert walks
+# twice). E20's and E21's index figures come from here.
 bench-btree:
 	$(GO) test -run '^$$' -bench 'BenchmarkBTree' -benchtime 200000x ./internal/btree/
 

@@ -68,8 +68,7 @@ var Hierarchy = map[string]int{
 	"core.Txn.mu":             invariant.TierTxnMu,
 	"core.verTable.publishMu": invariant.TierMVCCPublish,
 	"core.verTable.snapMu":    invariant.TierMVCCSnap,
-	"btree.Tree.coarse":       invariant.TierTreeCoarse,
-	"btree.Tree.rootMu":       invariant.TierTreeRoot,
+	"btree.Tree.mu":           invariant.TierTree,
 
 	// Tier 2: lock-manager partitions (2PL state).
 	"lock.partition.mu": invariant.TierLockPart,

@@ -58,11 +58,12 @@ func BenchmarkBTreeAppend(b *testing.B) {
 }
 
 // BenchmarkBTreeInsertRandom inserts random odd keys among the loaded
-// even ones: the walk, as before.
+// even ones: one walk, in either mode, so an insert fetches as many
+// pages as the tree is high (the odd split refetches nothing).
 func BenchmarkBTreeInsertRandom(b *testing.B) {
 	for _, m := range modes() {
 		b.Run(m.String(), func(b *testing.B) {
-			tr, _ := loadedTree(b, m, benchKeys)
+			tr, height := loadedTree(b, m, benchKeys)
 			src := rng.New(1)
 			before := tr.pool.StatsSnapshot()
 			b.ResetTimer()
@@ -72,7 +73,9 @@ func BenchmarkBTreeInsertRandom(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			fetchesPerOp(b, tr, before)
+			if per := fetchesPerOp(b, tr, before); b.N >= 1000 && per > float64(height)+0.05 {
+				b.Fatalf("a random insert costs %.3f fetches in a tree %d pages high", per, height)
+			}
 		})
 	}
 }

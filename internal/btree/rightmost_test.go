@@ -2,12 +2,14 @@ package btree
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"hydra/internal/buffer"
+	"hydra/internal/invariant"
 	"hydra/internal/latch"
 	"hydra/internal/page"
 	"hydra/internal/rng"
@@ -57,9 +59,35 @@ func leafChain(t testing.TB, tr *Tree) (ids []page.ID, keys [][]uint64) {
 	return ids, keys
 }
 
+// reachable returns the keys a descent from the root can reach, in
+// order: every leaf under every child pointer.
+func reachable(t testing.TB, tr *Tree, id page.ID) []uint64 {
+	t.Helper()
+	f, err := tr.pool.Fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.pool.Unpin(f, false)
+	n := node{f.Page}
+	var keys []uint64
+	if n.isLeaf() {
+		for i := 0; i < n.count(); i++ {
+			keys = append(keys, n.leafKey(i))
+		}
+		return keys
+	}
+	keys = reachable(t, tr, n.child0())
+	for i := 0; i < n.count(); i++ {
+		keys = append(keys, reachable(t, tr, n.innerChild(i))...)
+	}
+	return keys
+}
+
 // checkAgainst is the structural check after every phase: the tree's
-// own invariants; the leaf chain sorted and holding exactly the
-// oracle's keys; the published door naming the chain's last leaf and
+// own invariants; the leaf chain, and the leaves a descent from the
+// root reaches, sorted and holding exactly the oracle's keys (the door
+// serves the chain's last leaf whether or not a parent points to it);
+// the published door naming the chain's last leaf and
 // the published bound no lower than the largest key; every key found
 // by Get with the oracle's value; and the door admitting exactly the
 // keys at or beyond the last leaf's first key.
@@ -85,6 +113,9 @@ func checkAgainst(t *testing.T, tr *Tree, oracle map[uint64]uint64) {
 		if chain[i] != want[i] {
 			t.Fatalf("leaf chain key %d is %d, oracle %d", i, chain[i], want[i])
 		}
+	}
+	if below := reachable(t, tr, tr.RootID()); !slices.Equal(below, want) {
+		t.Fatalf("a descent from the root reaches %d keys, oracle %d", len(below), len(want))
 	}
 	last := ids[len(ids)-1]
 	if got := page.ID(tr.rightID.Load()); got != last {
@@ -433,6 +464,120 @@ func TestAppendUnderConcurrency(t *testing.T) {
 				}
 			}
 			checkAgainst(t, tr, oracle)
+		})
+	}
+}
+
+// allocFails is a page store whose Allocate fails once its budget of
+// allocations is spent.
+type allocFails struct {
+	buffer.PageStore
+	budget int // allocations left; < 0: no limit
+}
+
+var errNoPage = errors.New("no page for you")
+
+func (s *allocFails) Allocate() (page.ID, error) {
+	if s.budget == 0 {
+		return 0, errNoPage
+	}
+	if s.budget > 0 {
+		s.budget--
+	}
+	return s.PageStore.Allocate()
+}
+
+// TestFailedSplitAllocationLosesNothing: an insert whose split cannot
+// get a page fails and leaves the tree as it was — every earlier key
+// still reached from the root, not only through the chain and the door
+// — whether the root splits or a split propagates into a full parent.
+// Each split is given one page less than it needs.
+func TestFailedSplitAllocationLosesNothing(t *testing.T) {
+	for _, m := range modes() {
+		t.Run(m.String(), func(t *testing.T) {
+			oracle := map[uint64]uint64{}
+			failOnce := func(tr *Tree, store *allocFails, k uint64, allowed int) {
+				t.Helper()
+				store.budget = allowed
+				if err := tr.Insert(k, k); !errors.Is(err, errNoPage) {
+					t.Fatalf("Insert(%d) with %d page(s) to split on: %v", k, allowed, err)
+				}
+				store.budget = -1
+				checkAgainst(t, tr, oracle)
+				if err := tr.Insert(k, k); err != nil {
+					t.Fatal(err)
+				}
+				if v, err := tr.Get(k); err != nil || v != k {
+					t.Fatalf("Get(%d) after the retried insert: %d, %v", k, v, err)
+				}
+				oracle[k] = k
+			}
+
+			// The root is a full leaf: its split needs a sibling and a new
+			// root.
+			store := &allocFails{PageStore: buffer.NewMemStore(), budget: -1}
+			tr, err := Create(buffer.NewPool(store, buffer.Options{Frames: 512, Shards: 8}), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(0); k < LeafCap; k++ {
+				if err := tr.Insert(k*2, k*2); err != nil {
+					t.Fatal(err)
+				}
+				oracle[k*2] = k * 2
+			}
+			failOnce(tr, store, 1, 1)
+			if invariant.Enabled {
+				return // 222 000 Gets under the hydradebug assertions take a minute
+			}
+
+			// Three levels, the first interior node full: a leaf split
+			// under it needs a leaf and an interior node.
+			clear(oracle)
+			store = &allocFails{PageStore: buffer.NewMemStore(), budget: -1}
+			pairs := make([]KV, (InnerCap*9/10+2)*bulkLeafFill)
+			for i := range pairs {
+				pairs[i] = KV{uint64(i) * 2, uint64(i) * 2}
+				oracle[pairs[i].Key] = pairs[i].Key
+			}
+			tr, err = BulkLoad(buffer.NewPool(store, buffer.Options{Frames: 1024, Shards: 8}), m, pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root, err := tr.pool.Fetch(tr.RootID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner := node{root.Page}.child0()
+			tr.pool.Unpin(root, false)
+			innerFull := func() bool {
+				f, err := tr.pool.Fetch(inner)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tr.pool.Unpin(f, false)
+				return node{f.Page}.isLeaf() || full(node{f.Page})
+			}
+			k := uint64(1)
+			for ; !innerFull(); k += 2 {
+				if err := tr.Insert(k, k); err != nil {
+					t.Fatal(err)
+				}
+				oracle[k] = k
+			}
+			for ; ; k += 2 { // up to the first insert that must split
+				store.budget = 0
+				err := tr.Insert(k, k)
+				store.budget = -1
+				if errors.Is(err, errNoPage) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle[k] = k
+			}
+			failOnce(tr, store, k, 1)
 		})
 	}
 }

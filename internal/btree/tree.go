@@ -16,14 +16,17 @@ import (
 // Mode selects the tree's concurrency discipline.
 type Mode int
 
+// Both modes run the same operations under the same tree lock (Tree.mu);
+// a mode decides only how a writer holds it.
 const (
-	// Coarse serializes writers behind one tree lock; readers share
-	// it. The conventional low-overhead design: fastest at one
-	// thread, collapses under write concurrency.
+	// Coarse: a writer holds the tree lock exclusively and takes no page
+	// latch; readers share it. The conventional low-overhead design:
+	// fastest at one thread, collapses under write concurrency.
 	Coarse Mode = iota
-	// Crabbing uses latch coupling: a descent holds at most the
-	// latches on the unsafe suffix of its path, so operations on
-	// different subtrees proceed in parallel.
+	// Crabbing: a writer shares the tree lock with everyone else and
+	// couples page latches — a descent holds at most the latches on the
+	// unsafe suffix of its path, so operations on different subtrees
+	// proceed in parallel. Only a root split takes the lock exclusively.
 	Crabbing
 )
 
@@ -44,15 +47,13 @@ type Tree struct {
 	pool *buffer.Pool
 	mode Mode
 
-	// coarse is the tree-wide lock used in Coarse mode.
-	//hydra:vet:coarse -- Coarse mode holds the tree lock across page IO by definition; it is the paper's conventional baseline
-	coarse sync.RWMutex
-	// rootMu guards the root pointer; in Crabbing mode it is held
-	// shared for the duration of each operation so the exclusive
-	// fallback (root split) can exclude all traffic.
-	//hydra:vet:coarse -- held for a whole tree operation (including page fetches) so root splits can exclude traffic
-	rootMu sync.RWMutex
-	root   page.ID
+	// mu is the tree lock, held for a whole operation (see lock) and
+	// guarding the root pointer. Readers and Crabbing writers share it;
+	// a Coarse writer, or anyone splitting the root, holds it
+	// exclusively.
+	//hydra:vet:coarse -- held for a whole tree operation, page fetches included: Coarse mode's writers serialise on it by definition, and a root split must exclude all traffic
+	mu   sync.RWMutex
+	root page.ID
 
 	// The rightmost door: the id of the chain's last leaf and the
 	// separator its range starts at, so that a key at or beyond it goes
@@ -189,9 +190,7 @@ func (t *Tree) door(key uint64, m latch.Mode, room bool, c *obs.PhaseClock) *buf
 	if err != nil {
 		return nil // the descent meets the same store and reports it
 	}
-	if t.mode == Crabbing {
-		f.Latch.AcquireC(m, c)
-	}
+	t.latch(f, m, c)
 	n := node{f.Page}
 	if n.isLeaf() && n.p.Next() == page.InvalidID && n.count() > 0 && key >= n.leafKey(0) &&
 		!(room && n.count() >= LeafCap) {
@@ -202,8 +201,15 @@ func (t *Tree) door(key uint64, m latch.Mode, room bool, c *obs.PhaseClock) *buf
 	return nil
 }
 
-// release undoes what door and leafFor return: the latch, in Crabbing
-// mode, and the pin.
+// latch takes f's latch in mode m in Crabbing mode. A Coarse tree takes
+// none: its writers hold the tree lock exclusively.
+func (t *Tree) latch(f *buffer.Frame, m latch.Mode, c *obs.PhaseClock) {
+	if t.mode == Crabbing {
+		f.Latch.AcquireC(m, c)
+	}
+}
+
+// release undoes latch and the pin.
 func (t *Tree) release(f *buffer.Frame, m latch.Mode, dirty bool) {
 	if t.mode == Crabbing {
 		f.Latch.Release(m)
@@ -214,8 +220,8 @@ func (t *Tree) release(f *buffer.Frame, m latch.Mode, dirty bool) {
 // leafFor returns the leaf whose range holds key, pinned and (in
 // Crabbing mode) latched in mode m: the last leaf through the door, or
 // the end of a latch-coupled walk from the root that holds one latch
-// beyond the handover. The caller holds the tree lock of its mode and
-// releases the leaf with release.
+// beyond the handover. The caller holds the tree lock and releases the
+// leaf with release.
 func (t *Tree) leafFor(key uint64, m latch.Mode, c *obs.PhaseClock) (*buffer.Frame, error) {
 	if f := t.door(key, m, false, c); f != nil {
 		return f, nil
@@ -225,9 +231,7 @@ func (t *Tree) leafFor(key uint64, m latch.Mode, c *obs.PhaseClock) (*buffer.Fra
 	if err != nil {
 		return nil, err
 	}
-	if t.mode == Crabbing {
-		f.Latch.AcquireC(m, c)
-	}
+	t.latch(f, m, c)
 	var lo uint64
 	for {
 		n := node{f.Page}
@@ -244,9 +248,7 @@ func (t *Tree) leafFor(key uint64, m latch.Mode, c *obs.PhaseClock) (*buffer.Fra
 			t.release(f, m, false)
 			return nil, err
 		}
-		if t.mode == Crabbing {
-			cf.Latch.AcquireC(m, c)
-		}
+		t.latch(cf, m, c)
 		t.release(f, m, false)
 		f = cf
 	}
@@ -254,47 +256,39 @@ func (t *Tree) leafFor(key uint64, m latch.Mode, c *obs.PhaseClock) (*buffer.Fra
 
 // RootID returns the current root page id (persist it in the catalog).
 func (t *Tree) RootID() page.ID {
-	if t.mode == Coarse {
-		t.coarse.RLock()
-		defer t.coarse.RUnlock()
-		return t.root
-	}
-	t.rootMu.RLock()
-	defer t.rootMu.RUnlock()
+	t.lock(false, nil)
+	defer t.unlock(false)
 	return t.root
 }
 
-// lockCoarseR takes the tree-wide lock shared, attributing contended
-// acquisition to the clock's latch-wait phase: in Coarse mode this
-// lock IS the conventional design's serialization point, so its wait
+// lock takes the tree lock, exclusively when excl, for the caller's
+// operation. Every acquisition feeds the tree latch tier; a contended
+// one also feeds the clock's latch-wait phase — in Coarse mode this
+// lock is the conventional design's serialisation point, so its wait
 // must show up in the per-transaction breakdown.
 //
 //hydra:vet:nonpropagating -- returns holding the tree lock for the caller's operation
-func lockCoarseR(mu *sync.RWMutex, c *obs.PhaseClock) {
-	if c == nil || mu.TryRLock() {
-		if c == nil {
-			mu.RLock()
+func (t *Tree) lock(excl bool, c *obs.PhaseClock) {
+	s := obs.LatchStart(obs.TierTree)
+	if excl && !t.mu.TryLock() || !excl && !t.mu.TryRLock() {
+		t0 := obs.Now()
+		if excl {
+			t.mu.Lock()
+		} else {
+			t.mu.RLock()
 		}
-		return
+		c.Add(obs.PhaseLatchWait, obs.Now()-t0)
 	}
-	t0 := obs.Now()
-	mu.RLock()
-	c.Add(obs.PhaseLatchWait, obs.Now()-t0)
+	obs.LatchDone(obs.TierTree, s)
 }
 
-// lockCoarseW is lockCoarseR for exclusive acquisition.
-//
-//hydra:vet:nonpropagating -- returns holding the tree lock for the caller's operation
-func lockCoarseW(mu *sync.RWMutex, c *obs.PhaseClock) {
-	if c == nil || mu.TryLock() {
-		if c == nil {
-			mu.Lock()
-		}
-		return
+// unlock releases what lock took.
+func (t *Tree) unlock(excl bool) {
+	if excl {
+		t.mu.Unlock()
+	} else {
+		t.mu.RUnlock()
 	}
-	t0 := obs.Now()
-	mu.Lock()
-	c.Add(obs.PhaseLatchWait, obs.Now()-t0)
 }
 
 // Get returns the value stored under key.
@@ -306,13 +300,8 @@ func (t *Tree) GetC(key uint64, c *obs.PhaseClock) (uint64, error) {
 	if t.beyond(key) {
 		return 0, ErrNotFound
 	}
-	if t.mode == Coarse {
-		lockCoarseR(&t.coarse, c)
-		defer t.coarse.RUnlock()
-	} else {
-		t.rootMu.RLock()
-		defer t.rootMu.RUnlock()
-	}
+	t.lock(false, c)
+	defer t.unlock(false)
 	f, err := t.leafFor(key, latch.Shared, c)
 	if err != nil {
 		return 0, err
@@ -335,29 +324,17 @@ func (t *Tree) Insert(key, value uint64) error { return t.InsertC(key, value, ni
 
 // InsertC is Insert with a phase clock (see GetC).
 func (t *Tree) InsertC(key, value uint64, c *obs.PhaseClock) error {
-	if t.mode == Coarse {
-		lockCoarseW(&t.coarse, c)
-		defer t.coarse.Unlock()
-		if t.insertRightmost(key, value, c) {
-			return nil
-		}
-		return t.insertExclusive(key, value, c)
-	}
+	excl := t.mode == Coarse
 	for {
-		done, err := t.insertCrabbing(key, value, c)
-		if err != nil {
+		t.lock(excl, c)
+		done, err := t.insert(key, value, excl, c)
+		t.unlock(excl)
+		if done || err != nil {
 			return err
 		}
-		if done {
-			return nil
-		}
-		// Root was full: take the tree exclusively, split it, retry.
-		t.rootMu.Lock()
-		err = t.splitRootIfFull(key, c)
-		t.rootMu.Unlock()
-		if err != nil {
-			return err
-		}
+		// The root was full: again, holding the tree exclusively, which
+		// splits it.
+		excl = true
 	}
 }
 
@@ -380,16 +357,16 @@ func (t *Tree) insertRightmost(key, value uint64, c *obs.PhaseClock) bool {
 	return true
 }
 
-// insertCrabbing attempts a latch-coupled insert. It reports
-// done=false (without inserting) when the root is full and must be
-// split by the exclusive path first.
-func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error) {
-	t.rootMu.RLock()
-	defer t.rootMu.RUnlock()
+// insert stores (key, value) through the door, or else by a
+// latch-coupled descent that retains the unsafe suffix of its path and
+// splits it bottom-up. The caller holds the tree lock, exclusively when
+// excl: such a writer splits a full root in place; a sharing one
+// reports done=false, with nothing done, for its caller to come back
+// exclusively.
+func (t *Tree) insert(key, value uint64, excl bool, c *obs.PhaseClock) (bool, error) {
 	if t.insertRightmost(key, value, c) {
 		return true, nil
 	}
-	t.descents.Inc()
 
 	// X-latched, pinned, unsafe suffix. It starts on the stack: a
 	// descent re-fills it at every split-safe child, and a tree deeper
@@ -400,8 +377,7 @@ func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error
 	dirty := math.MaxInt
 	releaseAll := func() {
 		for i, pf := range path {
-			pf.Latch.Release(latch.Exclusive)
-			t.pool.Unpin(pf, i >= dirty)
+			t.release(pf, latch.Exclusive, i >= dirty)
 		}
 		path = path[:0]
 	}
@@ -410,12 +386,17 @@ func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error
 	if err != nil {
 		return false, err
 	}
-	f.Latch.AcquireC(latch.Exclusive, c)
+	t.latch(f, latch.Exclusive, c)
 	if full(node{f.Page}) {
-		f.Latch.Release(latch.Exclusive)
-		t.pool.Unpin(f, false)
-		return false, nil // exclusive path must split the root
+		if !excl {
+			t.release(f, latch.Exclusive, false)
+			return false, nil
+		}
+		if f, err = t.splitRoot(f, key, c); err != nil {
+			return false, err
+		}
 	}
+	t.descents.Inc()
 	path = append(path, f)
 
 	var lo uint64
@@ -433,7 +414,7 @@ func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error
 			releaseAll()
 			return false, err
 		}
-		cf.Latch.AcquireC(latch.Exclusive, c)
+		t.latch(cf, latch.Exclusive, c)
 		if !full(node{cf.Page}) {
 			// Child is split-safe: ancestors can go.
 			releaseAll()
@@ -458,13 +439,33 @@ func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error
 		releaseAll()
 		return true, nil
 	}
-	// Split the leaf and bubble the separator up the retained path.
-	rf, sep, err := t.splitLeaf(leaf, key, c)
-	if err != nil {
-		dirty = len(path) // the split failed before it touched the leaf
-		releaseAll()
-		return false, err
+
+	// The leaf and every node above it on the path but the top are full
+	// (the top is the root, checked, or a split-safe node), so each of
+	// them splits. Their new pages are allocated before anything
+	// changes: a failed allocation leaves the tree as it was.
+	var freshStack [8]*buffer.Frame
+	fresh := freshStack[:0]
+	for i := 1; i < len(path); i++ {
+		typ := page.TypeBTreeInner
+		if i == len(path)-1 {
+			typ = page.TypeBTreeLeaf
+		}
+		nf, err := t.pool.NewPageC(typ, c)
+		if err != nil {
+			for _, nf := range fresh {
+				t.pool.Unpin(nf, false)
+			}
+			dirty = len(path)
+			releaseAll()
+			return false, err
+		}
+		fresh = append(fresh, nf)
 	}
+	// fresh[i-1] is path[i]'s new right sibling.
+	dirty = 0
+	rf := fresh[len(fresh)-1]
+	sep := t.splitLeaf(leaf, key, rf)
 	if key >= sep {
 		r := node{rf.Page}
 		pos, _ := r.leafSearch(key)
@@ -473,134 +474,52 @@ func (t *Tree) insertCrabbing(key, value uint64, c *obs.PhaseClock) (bool, error
 		pos, _ := leaf.leafSearch(key)
 		leaf.leafInsertAt(pos, key, value)
 	}
-	newID := t.adoptLeaf(rf, sep)
-	for i := len(path) - 2; i >= 0; i-- {
-		parent := node{path[i].Page}
-		dirty = i
-		if parent.count() < InnerCap {
-			kpos := innerInsertPos(parent, sep)
-			parent.innerInsertAt(kpos, sep, newID)
-			releaseAll()
-			return true, nil
-		}
-		sep, newID, err = t.innerSplitInsert(parent, sep, newID, c)
-		if err != nil {
-			releaseAll()
-			return false, err
-		}
+	child := t.adoptLeaf(rf, sep)
+	for i := len(path) - 2; i > 0; i-- {
+		sep, child = t.innerSplitInsert(node{path[i].Page}, sep, child, fresh[i-1])
 	}
-	// The retained path's top was not full by construction (the root
-	// was checked and unsafe ancestors always have a safe node above
-	// them on the path), so propagation cannot fall off the top.
+	top := node{path[0].Page}
+	top.innerInsertAt(innerInsertPos(top, sep), sep, child)
 	releaseAll()
-	return false, fmt.Errorf("btree: split propagated past retained path (corrupt tree)")
+	return true, nil
 }
 
-// splitRootIfFull preemptively splits a full root under the exclusive
-// tree lock (Coarse mode's writer lock, or Crabbing mode's root lock
-// taken exclusively); key is the insert that found it full.
-func (t *Tree) splitRootIfFull(key uint64, c *obs.PhaseClock) error {
-	f, err := t.pool.FetchC(t.root, c)
-	if err != nil {
-		return err
-	}
+// splitRoot splits the full root f, pinned and latched, under the tree
+// lock held exclusively; key is the insert that found it full. It
+// returns the new root pinned and latched in f's place. The new root
+// and the old root's new sibling are allocated before anything changes,
+// so that a failed allocation leaves the tree as it was (a page
+// allocated and never written costs no IO).
+func (t *Tree) splitRoot(f *buffer.Frame, key uint64, c *obs.PhaseClock) (*buffer.Frame, error) {
 	n := node{f.Page}
-	if !full(n) {
-		t.pool.Unpin(f, false)
-		return nil
+	rf, err := t.pool.NewPageC(page.TypeBTreeInner, c)
+	if err != nil {
+		t.release(f, latch.Exclusive, false)
+		return nil, err
+	}
+	sf, err := t.pool.NewPageC(n.p.Type(), c)
+	if err != nil {
+		t.pool.Unpin(rf, false)
+		t.release(f, latch.Exclusive, false)
+		return nil, err
 	}
 	var sep uint64
 	var newID page.ID
 	if n.isLeaf() {
-		sep, newID, err = t.leafSplit(n, key, c)
+		sep = t.splitLeaf(n, key, sf)
+		newID = t.adoptLeaf(sf, sep)
 	} else {
-		sep, newID, err = t.innerSplit(n, c)
-	}
-	if err != nil {
-		t.pool.Unpin(f, false)
-		return err
-	}
-	rf, err := t.pool.NewPageC(page.TypeBTreeInner, c)
-	if err != nil {
-		t.pool.Unpin(f, true)
-		return err
+		sep = t.innerSplit(n, sf)
+		newID = sf.ID()
+		t.pool.Unpin(sf, true)
 	}
 	rn := node{rf.Page}
-	rn.setChild0(t.root)
+	rn.setChild0(f.ID())
 	rn.innerInsertAt(0, sep, newID)
 	t.root = rf.ID()
-	t.pool.Unpin(rf, true)
-	t.pool.Unpin(f, true)
-	return nil
-}
-
-// insertExclusive is the Coarse-mode insert: top-down preemptive
-// splitting under the tree-wide writer lock, no latches.
-func (t *Tree) insertExclusive(key, value uint64, c *obs.PhaseClock) error {
-	if err := t.splitRootIfFull(key, c); err != nil {
-		return err
-	}
-	t.descents.Inc()
-	id := t.root
-	var lo uint64
-	for {
-		f, err := t.pool.FetchC(id, c)
-		if err != nil {
-			return err
-		}
-		n := node{f.Page}
-		if n.isLeaf() {
-			t.noteRightmost(f, lo)
-			t.raise(key)
-			pos, ok := n.leafSearch(key)
-			if ok {
-				n.setLeafEntry(pos, key, value)
-			} else {
-				n.leafInsertAt(pos, key, value)
-			}
-			t.pool.Unpin(f, true)
-			return nil
-		}
-		childID, idx := n.innerSearch(key)
-		childLo := lo
-		if idx >= 0 {
-			childLo = n.innerKey(idx)
-		}
-		cf, err := t.pool.FetchC(childID, c)
-		if err != nil {
-			t.pool.Unpin(f, false)
-			return err
-		}
-		cn := node{cf.Page}
-		if full(cn) {
-			var sep uint64
-			var newID page.ID
-			if cn.isLeaf() {
-				sep, newID, err = t.leafSplit(cn, key, c)
-			} else {
-				sep, newID, err = t.innerSplit(cn, c)
-			}
-			if err != nil {
-				t.pool.Unpin(cf, false)
-				t.pool.Unpin(f, false)
-				return err
-			}
-			kpos := innerInsertPos(n, sep)
-			n.innerInsertAt(kpos, sep, newID)
-			t.pool.Unpin(cf, true)
-			t.pool.Unpin(f, true)
-			// Go on into the half that now holds key.
-			if key >= sep {
-				id, lo = newID, sep
-			} else {
-				id, lo = childID, childLo
-			}
-			continue
-		}
-		t.pool.Unpin(f, false)
-		t.pool.Unpin(cf, false) // re-fetched below; keeps pin discipline simple
-		id, lo = childID, childLo
-	}
+	t.release(f, latch.Exclusive, true)
+	t.latch(rf, latch.Exclusive, c)
+	return rf, nil
 }
 
 // Delete removes key. In the tradition of many production trees,
@@ -614,13 +533,9 @@ func (t *Tree) DeleteC(key uint64, c *obs.PhaseClock) error {
 	if t.beyond(key) {
 		return ErrNotFound
 	}
-	if t.mode == Coarse {
-		lockCoarseW(&t.coarse, c)
-		defer t.coarse.Unlock()
-	} else {
-		t.rootMu.RLock()
-		defer t.rootMu.RUnlock()
-	}
+	excl := t.mode == Coarse
+	t.lock(excl, c)
+	defer t.unlock(excl)
 	f, err := t.leafFor(key, latch.Exclusive, c)
 	if err != nil {
 		return err
@@ -645,13 +560,8 @@ func (t *Tree) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
 
 // ScanC is Scan with a phase clock (see GetC).
 func (t *Tree) ScanC(lo, hi uint64, c *obs.PhaseClock, fn func(key, value uint64) bool) error {
-	if t.mode == Coarse {
-		lockCoarseR(&t.coarse, c)
-		defer t.coarse.RUnlock()
-	} else {
-		t.rootMu.RLock()
-		defer t.rootMu.RUnlock()
-	}
+	t.lock(false, c)
+	defer t.unlock(false)
 	f, err := t.leafFor(lo, latch.Shared, c)
 	if err != nil {
 		return err
@@ -677,9 +587,7 @@ func (t *Tree) ScanC(lo, hi uint64, c *obs.PhaseClock, fn func(key, value uint64
 			t.release(f, latch.Shared, false)
 			return err
 		}
-		if t.mode == Crabbing {
-			nf.Latch.AcquireC(latch.Shared, c)
-		}
+		t.latch(nf, latch.Shared, c)
 		t.release(f, latch.Shared, false)
 		f = nf
 		lo = 0 // continue from the start of the next leaf
@@ -708,19 +616,14 @@ func innerInsertPos(n node, sep uint64) int {
 	return lo
 }
 
-// splitLeaf moves the upper part of the full leaf n into a fresh leaf
-// linked in after it, and returns that leaf's frame, pinned and not yet
-// reachable from any parent, with its separator (its first key). The
-// upper part is the upper half — unless key, the insert that found n
-// full, lies past the last key of the chain's last leaf: an append.
-// Halving there leaves every leaf of an ascending load half empty for
-// good, so n keeps what BulkLoad packs into a leaf and the new last leaf
-// starts with the rest.
-func (t *Tree) splitLeaf(n node, key uint64, c *obs.PhaseClock) (*buffer.Frame, uint64, error) {
-	rf, err := t.pool.NewPageC(page.TypeBTreeLeaf, c)
-	if err != nil {
-		return nil, 0, err
-	}
+// splitLeaf moves the upper part of the full leaf n into rf, a new leaf
+// linked in after it, and returns rf's separator (its first key); rf is
+// not yet reachable from any parent. The upper part is the upper half —
+// unless key, the insert that found n full, lies past the last key of
+// the chain's last leaf: an append. Halving there leaves every leaf of
+// an ascending load half empty for good, so n keeps what BulkLoad packs
+// into a leaf and the new last leaf starts with the rest.
+func (t *Tree) splitLeaf(n node, key uint64, rf *buffer.Frame) uint64 {
 	t.leafSplits.Inc()
 	r := node{rf.Page}
 	mid := n.count() / 2
@@ -734,7 +637,7 @@ func (t *Tree) splitLeaf(n node, key uint64, c *obs.PhaseClock) (*buffer.Frame, 
 	n.setCount(mid)
 	r.p.SetNext(n.p.Next())
 	n.p.SetNext(rf.ID())
-	return rf, r.leafKey(0), nil
+	return r.leafKey(0)
 }
 
 // adoptLeaf ends a leaf split once the splitter has written what it
@@ -750,23 +653,9 @@ func (t *Tree) adoptLeaf(rf *buffer.Frame, sep uint64) page.ID {
 	return id
 }
 
-// leafSplit is splitLeaf for a splitter that inserts afterwards, by a
-// fresh search: it returns the separator and the new leaf's id.
-func (t *Tree) leafSplit(n node, key uint64, c *obs.PhaseClock) (uint64, page.ID, error) {
-	rf, sep, err := t.splitLeaf(n, key, c)
-	if err != nil {
-		return 0, 0, err
-	}
-	return sep, t.adoptLeaf(rf, sep), nil
-}
-
-// innerSplit splits a full interior node, returning the key promoted
-// to the parent and the new right node's id.
-func (t *Tree) innerSplit(n node, c *obs.PhaseClock) (uint64, page.ID, error) {
-	rf, err := t.pool.NewPageC(page.TypeBTreeInner, c)
-	if err != nil {
-		return 0, 0, err
-	}
+// innerSplit moves the upper half of the full interior node n into rf,
+// a new interior node, and returns the key promoted to the parent.
+func (t *Tree) innerSplit(n node, rf *buffer.Frame) uint64 {
 	r := node{rf.Page}
 	mid := n.count() / 2
 	sep := n.innerKey(mid)
@@ -775,35 +664,22 @@ func (t *Tree) innerSplit(n node, c *obs.PhaseClock) (uint64, page.ID, error) {
 	copy(r.body()[8:8+moved*entrySize], n.body()[8+(mid+1)*entrySize:8+n.count()*entrySize])
 	r.setCount(moved)
 	n.setCount(mid)
-	id := rf.ID()
-	t.pool.Unpin(rf, true)
-	return sep, id, nil
+	return sep
 }
 
-// innerSplitInsert splits n and inserts (sep, child) into the proper
-// half, returning the promoted key and new node id.
-func (t *Tree) innerSplitInsert(n node, sep uint64, child page.ID, c *obs.PhaseClock) (uint64, page.ID, error) {
-	promoted, newID, err := t.innerSplit(n, c)
-	if err != nil {
-		return 0, 0, err
-	}
-	var target node
-	var tf *buffer.Frame
+// innerSplitInsert splits n into rf, inserts (sep, child) into the
+// proper half, releases rf's pin, and returns the promoted key and rf's
+// id.
+func (t *Tree) innerSplitInsert(n node, sep uint64, child page.ID, rf *buffer.Frame) (uint64, page.ID) {
+	promoted := t.innerSplit(n, rf)
+	target := n
 	if sep >= promoted {
-		f, err := t.pool.FetchC(newID, c)
-		if err != nil {
-			return 0, 0, err
-		}
-		tf, target = f, node{f.Page}
-	} else {
-		target = n
+		target = node{rf.Page}
 	}
-	kpos := innerInsertPos(target, sep)
-	target.innerInsertAt(kpos, sep, child)
-	if tf != nil {
-		t.pool.Unpin(tf, true)
-	}
-	return promoted, newID, nil
+	target.innerInsertAt(innerInsertPos(target, sep), sep, child)
+	id := rf.ID()
+	t.pool.Unpin(rf, true)
+	return promoted, id
 }
 
 // Count returns the number of keys (full scan).
@@ -816,10 +692,7 @@ func (t *Tree) Count() (int, error) {
 // CheckInvariants walks the whole tree verifying ordering, separator
 // bounds, and sibling linkage; used by tests.
 func (t *Tree) CheckInvariants() error {
-	t.rootMu.RLock()
-	root := t.root
-	t.rootMu.RUnlock()
-	_, _, err := t.check(root, 0, ^uint64(0))
+	_, _, err := t.check(t.RootID(), 0, ^uint64(0))
 	return err
 }
 

@@ -371,7 +371,7 @@ func (t *Txn) acquire(name lock.Name, mode lock.Mode) error {
 		return nil
 	}
 	if t.mode.Agent != nil {
-		return t.mode.Agent.AcquireFor(t.locks, name, mode)
+		return t.mode.Agent.Acquire(t.locks, name, mode)
 	}
 	return t.locks.Acquire(name, mode)
 }
@@ -836,9 +836,9 @@ func (t *Txn) setLastLSN(lsn wal.LSN) {
 func (t *Txn) releaseLocks(aborting bool) {
 	if a := t.mode.Agent; a != nil {
 		if aborting {
-			a.OnAbortFor(t.locks)
+			a.OnAbort(t.locks)
 		} else {
-			a.OnCommitFor(t.locks)
+			a.OnCommit(t.locks)
 		}
 		return
 	}

@@ -35,7 +35,9 @@ var ErrNotFound = errors.New("heap: record not found")
 
 // File is a heap file. It is safe for concurrent use; record content
 // consistency across transactions is the caller's (lock manager's)
-// concern.
+// concern. Every write takes a log callback (the *Fn forms, logged.go)
+// or the LSN of a record already logged (redo and undo), so no page
+// changes without a log record behind it.
 type File struct {
 	pool  *buffer.Pool
 	first page.ID
@@ -75,22 +77,11 @@ func Create(pool *buffer.Pool) (*File, error) {
 // Open attaches to an existing heap file rooted at first, walking the
 // chain to find the current tail.
 func Open(pool *buffer.Pool, first page.ID) (*File, error) {
-	last := first
-	for {
-		f, err := pool.Fetch(last)
-		if err != nil {
-			return nil, err
-		}
-		f.Latch.Acquire(latch.Shared)
-		next := f.Page.Next()
-		f.Latch.Release(latch.Shared)
-		pool.Unpin(f, false)
-		if next == page.InvalidID {
-			break
-		}
-		last = next
+	h := Attach(pool, first)
+	if err := h.RefreshTail(); err != nil {
+		return nil, err
 	}
-	return &File{pool: pool, first: first, last: last}, nil
+	return h, nil
 }
 
 // FirstPage returns the persistent identity of the file.
@@ -98,7 +89,7 @@ func (h *File) FirstPage() page.ID { return h.first }
 
 // Attach returns a handle on an existing heap file without walking
 // the chain (which may be inconsistent before recovery redo). Call
-// RefreshTail before using Insert.
+// RefreshTail before inserting.
 func Attach(pool *buffer.Pool, first page.ID) *File {
 	return &File{pool: pool, first: first, last: first}
 }
@@ -125,62 +116,6 @@ func (h *File) RefreshTail() error {
 	h.last = last
 	h.mu.Unlock()
 	return nil
-}
-
-// Insert appends a record and returns its RID.
-func (h *File) Insert(rec []byte) (RID, error) {
-	if len(rec) > page.MaxRecordSize {
-		return RID{}, page.ErrRecordTooBig
-	}
-	for {
-		h.mu.Lock()
-		target := h.last
-		h.mu.Unlock()
-
-		f, err := h.pool.Fetch(target)
-		if err != nil {
-			return RID{}, err
-		}
-		f.Latch.Acquire(latch.Exclusive)
-		slot, err := f.Page.Insert(rec)
-		if err == nil {
-			f.Latch.Release(latch.Exclusive)
-			h.pool.Unpin(f, true)
-			return RID{Page: target, Slot: uint16(slot)}, nil
-		}
-		if !errors.Is(err, page.ErrPageFull) {
-			f.Latch.Release(latch.Exclusive)
-			h.pool.Unpin(f, false)
-			return RID{}, err
-		}
-		// Page full: extend the chain (only one extender wins; others
-		// retry on the new tail).
-		next := f.Page.Next()
-		if next == page.InvalidID {
-			nf, err := h.pool.NewPage(page.TypeHeap)
-			if err != nil {
-				f.Latch.Release(latch.Exclusive)
-				h.pool.Unpin(f, false)
-				return RID{}, err
-			}
-			f.Page.SetNext(nf.ID())
-			h.mu.Lock()
-			h.last = nf.ID()
-			h.mu.Unlock()
-			h.pool.Unpin(nf, true)
-			f.Latch.Release(latch.Exclusive)
-			h.pool.Unpin(f, true)
-		} else {
-			// Someone already extended; chase the tail.
-			h.mu.Lock()
-			if h.last == target {
-				h.last = next
-			}
-			h.mu.Unlock()
-			f.Latch.Release(latch.Exclusive)
-			h.pool.Unpin(f, false)
-		}
-	}
 }
 
 // InsertAt places a record at a specific RID and stamps lsn as the
@@ -251,38 +186,9 @@ func (h *File) ReadVersionedC(rid RID, c *obs.PhaseClock) ([]byte, uint32, error
 	return append([]byte(nil), rec...), epoch, nil
 }
 
-// Update replaces the record at rid in place. It fails with
-// page.ErrPageFull if the new record cannot fit on its page even
-// after compaction; callers then delete and re-insert.
-func (h *File) Update(rid RID, rec []byte) error {
-	return h.withPageX(rid, func(p *page.Page) error {
-		if err := p.Update(int(rid.Slot), rec); err != nil {
-			if errors.Is(err, page.ErrBadSlot) {
-				return fmt.Errorf("%w: %v", ErrNotFound, rid)
-			}
-			return err
-		}
-		return nil
-	})
-}
-
-// Delete removes the record at rid.
-func (h *File) Delete(rid RID) error {
-	return h.withPageX(rid, func(p *page.Page) error {
-		if err := p.Delete(int(rid.Slot)); err != nil {
-			return fmt.Errorf("%w: %v", ErrNotFound, rid)
-		}
-		return nil
-	})
-}
-
-// withPageX runs fn with rid's page fetched, pinned, and X-latched,
-// marking it dirty on success.
-func (h *File) withPageX(rid RID, fn func(*page.Page) error) error {
-	return h.withPageXC(rid, nil, fn)
-}
-
-// withPageXC is withPageX with a phase clock (see ReadC).
+// withPageXC runs fn with rid's page fetched, pinned, and X-latched,
+// marking it dirty on success. Buffer misses and latch waits are
+// attributed to c (see ReadC).
 func (h *File) withPageXC(rid RID, c *obs.PhaseClock, fn func(*page.Page) error) error {
 	f, err := h.pool.FetchC(rid.Page, c)
 	if err != nil {
@@ -298,7 +204,7 @@ func (h *File) withPageXC(rid RID, c *obs.PhaseClock, fn func(*page.Page) error)
 // UpdateWithLSN applies an update and stamps the page LSN in one
 // latched step (called by the transactional layer after logging).
 func (h *File) UpdateWithLSN(rid RID, rec []byte, lsn uint64) error {
-	return h.withPageX(rid, func(p *page.Page) error {
+	return h.withPageXC(rid, nil, func(p *page.Page) error {
 		if err := p.Update(int(rid.Slot), rec); err != nil {
 			if errors.Is(err, page.ErrBadSlot) {
 				return fmt.Errorf("%w: %v", ErrNotFound, rid)
@@ -310,22 +216,9 @@ func (h *File) UpdateWithLSN(rid RID, rec []byte, lsn uint64) error {
 	})
 }
 
-// InsertWithLSN inserts and stamps the page LSN, returning the RID.
-func (h *File) InsertWithLSN(rec []byte, lsn uint64) (RID, error) {
-	rid, err := h.Insert(rec)
-	if err != nil {
-		return rid, err
-	}
-	err = h.withPageX(rid, func(p *page.Page) error {
-		p.SetLSN(lsn)
-		return nil
-	})
-	return rid, err
-}
-
 // DeleteWithLSN deletes and stamps the page LSN.
 func (h *File) DeleteWithLSN(rid RID, lsn uint64) error {
-	return h.withPageX(rid, func(p *page.Page) error {
+	return h.withPageXC(rid, nil, func(p *page.Page) error {
 		if err := p.Delete(int(rid.Slot)); err != nil {
 			return fmt.Errorf("%w: %v", ErrNotFound, rid)
 		}

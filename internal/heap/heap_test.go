@@ -23,6 +23,10 @@ func newFile(t *testing.T) *File {
 	return h
 }
 
+// logged is the log callback of tests that do not look at the log: it
+// logs nothing and hands out LSN 1.
+func logged[T any](T) (uint64, error) { return 1, nil }
+
 func TestRIDPackUnpack(t *testing.T) {
 	f := func(pg uint32, slot uint16) bool {
 		r := RID{Page: page.ID(pg), Slot: slot}
@@ -38,7 +42,7 @@ func TestRIDPackUnpack(t *testing.T) {
 
 func TestInsertReadUpdateDelete(t *testing.T) {
 	h := newFile(t)
-	rid, err := h.Insert([]byte("v1"))
+	rid, err := h.InsertFn([]byte("v1"), logged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,22 +50,22 @@ func TestInsertReadUpdateDelete(t *testing.T) {
 	if err != nil || string(got) != "v1" {
 		t.Fatalf("Read = %q, %v", got, err)
 	}
-	if err := h.Update(rid, []byte("v2-longer")); err != nil {
+	if err := h.UpdateFn(rid, []byte("v2-longer"), logged); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := h.Read(rid); string(got) != "v2-longer" {
 		t.Fatalf("after update: %q", got)
 	}
-	if err := h.Delete(rid); err != nil {
+	if err := h.DeleteFn(rid, logged); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Read(rid); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("read after delete: %v", err)
 	}
-	if err := h.Delete(rid); !errors.Is(err, ErrNotFound) {
+	if err := h.DeleteFn(rid, logged); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
-	if err := h.Update(rid, []byte("x")); !errors.Is(err, ErrNotFound) {
+	if err := h.UpdateFn(rid, []byte("x"), logged); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("update after delete: %v", err)
 	}
 }
@@ -72,7 +76,7 @@ func TestChainGrowthAndScan(t *testing.T) {
 	const n = 100 // ~50KB across ~7 pages
 	rids := map[RID]bool{}
 	for i := 0; i < n; i++ {
-		rid, err := h.Insert(rec)
+		rid, err := h.InsertFn(rec, logged)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +114,7 @@ func TestChainGrowthAndScan(t *testing.T) {
 func TestScanEarlyStop(t *testing.T) {
 	h := newFile(t)
 	for i := 0; i < 10; i++ {
-		h.Insert([]byte("x"))
+		h.InsertFn([]byte("x"), logged)
 	}
 	count := 0
 	h.Scan(func(RID, []byte) bool {
@@ -130,7 +134,7 @@ func TestOpenFindsTail(t *testing.T) {
 	}
 	rec := bytes.Repeat([]byte("z"), 1000)
 	for i := 0; i < 30; i++ { // forces multiple pages
-		if _, err := h.Insert(rec); err != nil {
+		if _, err := h.InsertFn(rec, logged); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +143,7 @@ func TestOpenFindsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inserting through the reopened handle must not corrupt the chain.
-	if _, err := h2.Insert([]byte("after-reopen")); err != nil {
+	if _, err := h2.InsertFn([]byte("after-reopen"), logged); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := h.Count()
@@ -151,14 +155,14 @@ func TestOpenFindsTail(t *testing.T) {
 
 func TestTooBigRecord(t *testing.T) {
 	h := newFile(t)
-	if _, err := h.Insert(make([]byte, page.MaxRecordSize+1)); !errors.Is(err, page.ErrRecordTooBig) {
+	if _, err := h.InsertFn(make([]byte, page.MaxRecordSize+1), logged); !errors.Is(err, page.ErrRecordTooBig) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestLSNStamping(t *testing.T) {
 	h := newFile(t)
-	rid, err := h.InsertWithLSN([]byte("logged"), 42)
+	rid, err := h.InsertFn([]byte("logged"), func(RID) (uint64, error) { return 42, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +199,7 @@ func TestConcurrentInserts(t *testing.T) {
 				rec := make([]byte, src.IntRange(10, 400))
 				src.Bytes(rec)
 				rec[0] = byte(w) // tag
-				rid, err := h.Insert(rec)
+				rid, err := h.InsertFn(rec, logged)
 				if err != nil {
 					t.Errorf("insert: %v", err)
 					return
@@ -220,11 +224,11 @@ func TestConcurrentInserts(t *testing.T) {
 
 func TestInsertAtRedo(t *testing.T) {
 	h := newFile(t)
-	rid, err := h.Insert([]byte("original"))
+	rid, err := h.InsertFn([]byte("original"), logged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Delete(rid); err != nil {
+	if err := h.DeleteFn(rid, logged); err != nil {
 		t.Fatal(err)
 	}
 	// Redo reproduces the insert at the same RID (tombstone reuse).
@@ -246,7 +250,7 @@ func BenchmarkInsert(b *testing.B) {
 	rec := bytes.Repeat([]byte("b"), 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.Insert(rec); err != nil {
+		if _, err := h.InsertFn(rec, logged); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,7 +262,7 @@ func BenchmarkRead(b *testing.B) {
 	var rids []RID
 	rec := bytes.Repeat([]byte("b"), 100)
 	for i := 0; i < 10000; i++ {
-		rid, _ := h.Insert(rec)
+		rid, _ := h.InsertFn(rec, logged)
 		rids = append(rids, rid)
 	}
 	b.ResetTimer()

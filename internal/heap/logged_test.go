@@ -40,14 +40,14 @@ func TestInsertFnLogErrorRollsBack(t *testing.T) {
 		t.Fatalf("rolled-back insert left %d records", n)
 	}
 	// The file still works afterwards.
-	if _, err := h.InsertFn([]byte("fine"), func(RID) (uint64, error) { return 1, nil }); err != nil {
+	if _, err := h.InsertFn([]byte("fine"), logged); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUpdateFnBeforeImageAndStamp(t *testing.T) {
 	h := newFile(t)
-	rid, _ := h.InsertFn([]byte("before-img"), func(RID) (uint64, error) { return 1, nil })
+	rid, _ := h.InsertFn([]byte("before-img"), logged)
 	var before []byte
 	err := h.UpdateFn(rid, []byte("after-img!"), func(b []byte) (uint64, error) {
 		before = append([]byte(nil), b...)
@@ -70,7 +70,7 @@ func TestUpdateFnBeforeImageAndStamp(t *testing.T) {
 
 func TestUpdateFnLogErrorRestores(t *testing.T) {
 	h := newFile(t)
-	rid, _ := h.InsertFn([]byte("original"), func(RID) (uint64, error) { return 1, nil })
+	rid, _ := h.InsertFn([]byte("original"), logged)
 	boom := errors.New("log failed")
 	err := h.UpdateFn(rid, []byte("a-much-longer-replacement-value"), func([]byte) (uint64, error) {
 		return 0, boom
@@ -88,7 +88,7 @@ func TestUpdateFnNoFitLeavesNothingLogged(t *testing.T) {
 	h := newFile(t)
 	// Fill a page so a grow-update cannot fit.
 	big := bytes.Repeat([]byte("x"), 4000)
-	rid, _ := h.InsertFn(big, func(RID) (uint64, error) { return 1, nil })
+	rid, _ := h.InsertFn(big, logged)
 	h.InsertFn(bytes.Repeat([]byte("y"), 4000), func(RID) (uint64, error) { return 2, nil })
 	logged := false
 	err := h.UpdateFn(rid, bytes.Repeat([]byte("z"), 8000), func([]byte) (uint64, error) {
@@ -105,7 +105,7 @@ func TestUpdateFnNoFitLeavesNothingLogged(t *testing.T) {
 
 func TestDeleteFnBeforeImage(t *testing.T) {
 	h := newFile(t)
-	rid, _ := h.InsertFn([]byte("victim"), func(RID) (uint64, error) { return 1, nil })
+	rid, _ := h.InsertFn([]byte("victim"), logged)
 	var before []byte
 	err := h.DeleteFn(rid, func(b []byte) (uint64, error) {
 		before = append([]byte(nil), b...)
@@ -124,7 +124,7 @@ func TestDeleteFnBeforeImage(t *testing.T) {
 
 func TestDeleteFnLogErrorKeepsRecord(t *testing.T) {
 	h := newFile(t)
-	rid, _ := h.InsertFn([]byte("keeper"), func(RID) (uint64, error) { return 1, nil })
+	rid, _ := h.InsertFn([]byte("keeper"), logged)
 	boom := errors.New("no log")
 	if err := h.DeleteFn(rid, func([]byte) (uint64, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -147,7 +147,7 @@ func TestExtendHookInvokedOnChainGrowth(t *testing.T) {
 	})
 	rec := bytes.Repeat([]byte("e"), 2000)
 	for i := 0; i < 20; i++ { // ~40KB: several pages
-		if _, err := h.InsertFn(rec, func(RID) (uint64, error) { return 1, nil }); err != nil {
+		if _, err := h.InsertFn(rec, logged); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,9 +177,9 @@ func TestExtendHookErrorFailsInsert(t *testing.T) {
 	h.SetExtendHook(func(page.ID, page.ID) (uint64, error) { return 0, boom })
 	rec := bytes.Repeat([]byte("e"), 4000)
 	// First two inserts fit in page 1; the third needs an extension.
-	h.InsertFn(rec, func(RID) (uint64, error) { return 1, nil })
-	h.InsertFn(rec, func(RID) (uint64, error) { return 1, nil })
-	if _, err := h.InsertFn(rec, func(RID) (uint64, error) { return 1, nil }); !errors.Is(err, boom) {
+	h.InsertFn(rec, logged)
+	h.InsertFn(rec, logged)
+	if _, err := h.InsertFn(rec, logged); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want extend hook error", err)
 	}
 }
@@ -219,7 +219,7 @@ func TestRedoFormatIdempotent(t *testing.T) {
 	if err := h.RefreshTail(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Insert([]byte("post-redo")); err != nil {
+	if _, err := h.InsertFn([]byte("post-redo"), logged); err != nil {
 		t.Fatal(err)
 	}
 }

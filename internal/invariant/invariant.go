@@ -27,8 +27,7 @@ const (
 	TierTxnMu       = 30 // core.Txn.mu
 	TierMVCCPublish = 32 // core.verTable.publishMu (commit publish; ascends into the WAL tiers)
 	TierMVCCSnap    = 34 // core.verTable.snapMu (snapshot registry; ascends into verShard.mu via sweep)
-	TierTreeCoarse  = 40 // btree.Tree.coarse
-	TierTreeRoot    = 42 // btree.Tree.rootMu
+	TierTree        = 40 // btree.Tree.mu
 	TierLockPart    = 50 // lock.partition.mu
 	TierFrameLatch  = 60 // buffer.Frame.Latch
 	TierMVCCShard   = 62 // core.verShard.mu (version chains; acquired under page latches on install)

@@ -52,10 +52,11 @@ func TestCoveredRequestNeverReachesTheTable(t *testing.T) {
 	// transaction gets the row, and the recycled holder asks the table
 	// again.
 	h.ReleaseAll()
-	if err := m.Acquire(2, row, X); err != nil {
+	h2 := m.NewHolder(2)
+	if err := h2.Acquire(row, X); err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(2)
+	h2.ReleaseAll()
 	h.Reset(3)
 	if err := h.Acquire(row, X); err != nil {
 		t.Fatal(err)
@@ -117,7 +118,7 @@ func TestHeatIgnoresReacquire(t *testing.T) {
 	}
 	a := m.NewAgent()
 	defer a.Close()
-	a.OnCommitFor(h)
+	a.OnCommit(h)
 	if a.InheritedCount() != 0 {
 		t.Fatal("a lock made hot by its own holder's repeats was inherited")
 	}
@@ -135,30 +136,31 @@ func TestSLIReclaimWaitsForBoundary(t *testing.T) {
 	a := m.NewAgent()
 	defer a.Close()
 	h := m.NewHolder(400)
-	if err := a.AcquireFor(h, tbl, IX); err != nil {
+	if err := a.Acquire(h, tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	a.OnCommitFor(h)
+	a.OnCommit(h)
 	if a.InheritedCount() != 1 {
 		t.Fatal("setup: lock not inherited")
 	}
 
 	h.Reset(401)
-	if err := a.AcquireFor(h, tbl, IX); err != nil { // from the agent's cache
+	if err := a.Acquire(h, tbl, IX); err != nil { // from the agent's cache
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
 	waits := m.StatsSnapshot().Waits
-	go func() { got <- m.Acquire(500, tbl, X) }()
+	other := m.NewHolder(500)
+	go func() { got <- other.Acquire(tbl, X) }()
 	for m.StatsSnapshot().Waits == waits { // queued; it flags the agent right after
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(5 * time.Millisecond)
 	for k := uint64(0); k < 3; k++ {
-		if err := a.AcquireFor(h, RowName(7, k), X); err != nil {
+		if err := a.Acquire(h, RowName(7, k), X); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.AcquireFor(h, tbl, IX); err != nil {
+		if err := a.Acquire(h, tbl, IX); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +169,7 @@ func TestSLIReclaimWaitsForBoundary(t *testing.T) {
 		t.Fatal("table X granted while a running transaction held IX through the agent")
 	case <-time.After(20 * time.Millisecond):
 	}
-	a.OnCommitFor(h)
+	a.OnCommit(h)
 	select {
 	case err := <-got:
 		if err != nil {
@@ -176,7 +178,7 @@ func TestSLIReclaimWaitsForBoundary(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("agent never surrendered the retained lock at the boundary")
 	}
-	m.ReleaseAll(500)
+	other.ReleaseAll()
 }
 
 // Steady state, a transaction's lock traffic allocates nothing: grants

@@ -21,7 +21,7 @@ import "hydra/internal/obs"
 //     lock),
 //   - anybody is queued on the table, or
 //   - the table grant is not the transaction's own (it never asked, or
-//     asks through an SLI agent — Agent.AcquireFor does not try at all).
+//     asks through an SLI agent — Agent.Acquire does not try at all).
 //
 // A refused transaction takes the row lock it came for. tryEscalate
 // never enqueues, never sleeps and never adds a waits-for edge, so it

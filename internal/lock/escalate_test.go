@@ -75,7 +75,8 @@ func TestLoneTransactionEscalatesAtRow64(t *testing.T) {
 
 	// The table X keeps everyone else out until the transaction ends.
 	got := make(chan error, 1)
-	go func() { got <- m.Acquire(2, TableName(3), IX) }()
+	other := m.NewHolder(2)
+	go func() { got <- other.Acquire(TableName(3), IX) }()
 	select {
 	case <-got:
 		t.Fatal("intent lock granted under another transaction's table X")
@@ -87,7 +88,7 @@ func TestLoneTransactionEscalatesAtRow64(t *testing.T) {
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(2)
+	other.ReleaseAll()
 	if h.Held(TableName(3)) != None {
 		t.Fatal("table lock survived ReleaseAll")
 	}
@@ -102,25 +103,27 @@ func TestEscalationRefusedWhileTableIsShared(t *testing.T) {
 		other func(t *testing.T, m *Manager) (release func())
 	}{
 		{"another transaction's IS", func(t *testing.T, m *Manager) func() {
-			if err := m.Acquire(2, TableName(3), IS); err != nil {
+			other := m.NewHolder(2)
+			if err := other.Acquire(TableName(3), IS); err != nil {
 				t.Fatal(err)
 			}
-			return func() { m.ReleaseAll(2) }
+			return func() { other.ReleaseAll() }
 		}},
 		{"another transaction's IX", func(t *testing.T, m *Manager) func() {
-			if err := m.Acquire(2, TableName(3), IX); err != nil {
+			other := m.NewHolder(2)
+			if err := other.Acquire(TableName(3), IX); err != nil {
 				t.Fatal(err)
 			}
-			return func() { m.ReleaseAll(2) }
+			return func() { other.ReleaseAll() }
 		}},
 		{"an SLI agent's inherited IX", func(t *testing.T, m *Manager) func() {
 			heatUp(t, m, TableName(3))
 			a := m.NewAgent()
 			h := m.NewHolder(2)
-			if err := a.AcquireFor(h, TableName(3), IX); err != nil {
+			if err := a.Acquire(h, TableName(3), IX); err != nil {
 				t.Fatal(err)
 			}
-			a.OnCommitFor(h)
+			a.OnCommit(h)
 			if a.InheritedCount() != 1 {
 				t.Fatal("setup: intent lock not inherited")
 			}
@@ -173,16 +176,16 @@ func TestAgentServedTransactionDoesNotEscalate(t *testing.T) {
 	a := m.NewAgent()
 	defer a.Close()
 	h := m.NewHolder(1)
-	if err := a.AcquireFor(h, TableName(3), IX); err != nil {
+	if err := a.Acquire(h, TableName(3), IX); err != nil {
 		t.Fatal(err)
 	}
-	a.OnCommitFor(h)
+	a.OnCommit(h)
 	h.Reset(2)
 	for k := uint64(1); k <= 200; k++ {
-		if err := a.AcquireFor(h, TableName(3), IX); err != nil { // the agent's grant
+		if err := a.Acquire(h, TableName(3), IX); err != nil { // the agent's grant
 			t.Fatal(err)
 		}
-		if err := a.AcquireFor(h, RowName(3, k), X); err != nil {
+		if err := a.Acquire(h, RowName(3, k), X); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +194,7 @@ func TestAgentServedTransactionDoesNotEscalate(t *testing.T) {
 		t.Fatalf("escalations %d, refusals %d, row 200 %v; want no attempt and 200 row locks",
 			st.Escalations, st.EscalationRefusals, h.Held(RowName(3, 200)))
 	}
-	a.OnCommitFor(h)
+	a.OnCommit(h)
 }
 
 // Two bulk writers on one table: each holds IX, each comes to 64 rows
@@ -241,18 +244,19 @@ func TestTwoBulkWritersDoNotDeadlock(t *testing.T) {
 // is on the table.
 func TestReadEscalationThenWriteTriesAgain(t *testing.T) {
 	m := NewManager(Options{})
-	h := m.NewHolder(1)
-	if err := m.Acquire(2, TableName(4), IS); err != nil { // a reader, compatible with S
+	h, reader := m.NewHolder(1), m.NewHolder(2)
+	if err := reader.Acquire(TableName(4), IS); err != nil { // a reader, compatible with S
 		t.Fatal(err)
 	}
 	rows(t, h, 4, 1, 64, S)
 	if h.Held(TableName(4)) != S || m.StatsSnapshot().Escalations != 1 {
 		t.Fatalf("64 reads beside an IS: table %v, want S", h.Held(TableName(4)))
 	}
-	if err := m.Acquire(3, TableName(4), S); err != nil { // still shareable
+	other := m.NewHolder(3)
+	if err := other.Acquire(TableName(4), S); err != nil { // still shareable
 		t.Fatal(err)
 	}
-	m.ReleaseAll(3)
+	other.ReleaseAll()
 	ops := m.StatsSnapshot().TableOps
 	rows(t, h, 4, 65, 100, S)
 	if got := m.StatsSnapshot().TableOps; got != ops {
@@ -270,7 +274,7 @@ func TestReadEscalationThenWriteTriesAgain(t *testing.T) {
 		t.Fatalf("128th row beside a reader: refusals %d, table %v", st.EscalationRefusals, h.Held(TableName(4)))
 	}
 	noWaitTrace(t, m)
-	m.ReleaseAll(2)
+	reader.ReleaseAll()
 	rows(t, h, 4, 1065, 1192, X)
 	if h.Held(TableName(4)) != X {
 		t.Fatalf("256th row on the idle table: table %v, want X", h.Held(TableName(4)))
@@ -307,7 +311,7 @@ func TestEscalationPerTable(t *testing.T) {
 // set it grew: the next batch does not regrow it from empty.
 func TestContestedBulkHolderAllocatesNothing(t *testing.T) {
 	m := NewManager(Options{})
-	if err := m.Acquire(2, TableName(3), IX); err != nil {
+	if err := m.NewHolder(2).Acquire(TableName(3), IX); err != nil {
 		t.Fatal(err)
 	}
 	h := m.NewHolder(1)

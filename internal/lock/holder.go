@@ -1,19 +1,19 @@
 package lock
 
-import (
-	"sync"
-
-	"hydra/internal/obs"
-)
+import "hydra/internal/obs"
 
 // Holder is a transaction's private lock context: the set of locks it
 // holds and the row counts escalation goes by, carried by the
-// transaction itself instead of living in a manager-global map. A
-// transaction has exclusive use of its own lock set, so holder updates
-// never contend with other transactions — the holder mutex below is
-// only ever uncontended (it exists so the id-based compatibility API,
-// which hands holders out from a registry, stays race-free under
-// misuse).
+// transaction itself instead of living in a manager-global map.
+//
+// A holder has one owner and no mutex. Only the goroutine running its
+// transaction touches it — that transaction's Acquire and release, the
+// manager's wait and escalation paths acting on that same call, and an
+// SLI agent's boundary work, which runs on the agent's one worker.
+// Handing a holder to another goroutine (a pooled core.Txn, the DORA
+// coordinator finishing what an executor began) goes through a
+// synchronising hand-off. Other transactions never reach it: what they
+// share is the lock table, which has its own partition mutexes.
 //
 // The held set is also the transaction's lock cache, and it is
 // hierarchical: a request its own set already covers — the name itself,
@@ -35,7 +35,6 @@ type Holder struct {
 	// the owning transaction's wait path.
 	clock *obs.PhaseClock
 
-	mu   sync.Mutex
 	held map[Name]Mode
 	// rows counts, per table, the distinct rows the transaction has
 	// asked the lock table for: what escalation goes by (escalate.go).
@@ -71,24 +70,23 @@ const holderRetainCap = 64
 // Reset recycles the holder for a new transaction. The caller must
 // have released all locks of the previous transaction first.
 func (h *Holder) Reset(txn uint64) {
-	h.mu.Lock()
 	h.id = txn
 	clear(h.held)
 	clear(h.rows)
 	h.tabMode = None
-	h.mu.Unlock()
 }
-
-// ID returns the transaction id the holder currently represents.
-func (h *Holder) ID() uint64 { return h.id }
 
 // SetClock attaches (or detaches, with nil) the phase clock that
 // receives this holder's lock-wait time. Call it between
 // transactions, alongside Reset.
 func (h *Holder) SetClock(c *obs.PhaseClock) { h.clock = c }
 
-// Acquire obtains name in mode for the holder's transaction; see
-// Manager.Acquire for the blocking and error contract.
+// Acquire obtains name in mode for the holder's transaction, blocking
+// while incompatible locks are held. Re-acquisition upgrades to the
+// supremum mode. It returns ErrDeadlock when the wait would close a
+// cycle (the requester is the victim) and ErrTimeout past the
+// manager's WaitTimeout; either way the transaction must abort and
+// release everything it holds.
 func (h *Holder) Acquire(name Name, mode Mode) error {
 	m := h.m
 	m.stats.acquires.Add(1)
@@ -97,16 +95,6 @@ func (h *Holder) Acquire(name Name, mode Mode) error {
 		return nil
 	}
 	return m.acquireTable(h, name, mode)
-}
-
-// Release drops the holder's lock on name entirely (all re-entrant
-// counts).
-func (h *Holder) Release(name Name) {
-	h.m.releaseOne(h.id, name)
-	h.mu.Lock()
-	delete(h.held, name)
-	h.tabMode = None
-	h.mu.Unlock()
 }
 
 // ReleaseAll drops every lock the holder has (2PL release phase) and
@@ -122,11 +110,7 @@ func (h *Holder) ReleaseAll() []Name {
 }
 
 // Held returns the mode the holder has on name (None if not held).
-func (h *Holder) Held(name Name) Mode {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.held[name]
-}
+func (h *Holder) Held(name Name) Mode { return h.held[name] }
 
 // covers reports whether the transaction's own set answers a request
 // for name in mode: it holds name at least that strongly, or name is a
@@ -143,8 +127,6 @@ func (h *Holder) Held(name Name) Mode {
 // at which Holder.Acquire tries to escalate. Counted are rows, not
 // requests: a row asked for again, or read and then written, is one.
 func (h *Holder) covers(name Name, mode Mode) (covered, try bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var held Mode
 	switch name.Level {
 	case LevelRow:
@@ -173,7 +155,7 @@ func (h *Holder) covers(name Name, mode Mode) (covered, try bool) {
 
 // tableMode returns the mode held on table (None if not held), from
 // the holder's memory of the last table when that is the one asked
-// about. Called with h.mu held.
+// about.
 func (h *Holder) tableMode(table uint32) Mode {
 	if h.tabMode == None || h.tab != table {
 		h.tab, h.tabMode = table, h.held[TableName(table)]
@@ -181,22 +163,19 @@ func (h *Holder) tableMode(table uint32) Mode {
 	return h.tabMode
 }
 
-// holdsNothing reports whether the transaction is still at its
-// beginning as far as locks go.
-func (h *Holder) holdsNothing() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.held) == 0
-}
-
 // note records a granted (or upgraded) lock.
 func (h *Holder) note(name Name, mode Mode) {
-	h.mu.Lock()
 	h.held[name] = mode
 	if name.Level == LevelTable {
 		h.tab, h.tabMode = name.Table, mode
 	}
-	h.mu.Unlock()
+}
+
+// forget drops name from the set without touching the lock table: the
+// grant has moved to another owner (sli.go).
+func (h *Holder) forget(name Name) {
+	delete(h.held, name)
+	h.tabMode = None
 }
 
 // take detaches and returns the held set, clearing the holder's
@@ -213,8 +192,6 @@ func (h *Holder) note(name Name, mode Mode) {
 // regrow it batch after batch); the first small transaction to follow
 // drops map and scratch and starts small again.
 func (h *Holder) take() ([]Name, []Mode) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	clear(h.rows)
 	h.tabMode = None
 	if len(h.held) == 0 {
@@ -237,40 +214,4 @@ func (h *Holder) take() ([]Name, []Mode) {
 		clear(h.held)
 	}
 	return h.names, h.modes
-}
-
-// holderOf returns the registry-backed holder for txn, creating it on
-// first use. It serves the id-based compatibility API; engine code
-// carries holders directly and never touches the registry.
-func (m *Manager) holderOf(txn uint64) *Holder {
-	s := &m.reg[regIdx(txn)]
-	s.mu.Lock()
-	h := s.m[txn]
-	if h == nil {
-		h = m.NewHolder(txn)
-		s.m[txn] = h
-	}
-	s.mu.Unlock()
-	return h
-}
-
-// lookupHolder returns txn's registry holder or nil.
-func (m *Manager) lookupHolder(txn uint64) *Holder {
-	s := &m.reg[regIdx(txn)]
-	s.mu.Lock()
-	h := s.m[txn]
-	s.mu.Unlock()
-	return h
-}
-
-// takeHolder removes and returns txn's registry holder, or nil.
-func (m *Manager) takeHolder(txn uint64) *Holder {
-	s := &m.reg[regIdx(txn)]
-	s.mu.Lock()
-	h := s.m[txn]
-	if h != nil {
-		delete(s.m, txn)
-	}
-	s.mu.Unlock()
-	return h
 }

@@ -53,12 +53,13 @@ func assertTablesEmpty(t *testing.T, m *Manager) {
 // so only the removal-path regrant can wake it.
 func TestWaiterRemovalRegrantsOnTimeout(t *testing.T) {
 	m := NewManager(Options{WaitTimeout: 300 * time.Millisecond})
+	h1, h2, h3 := m.NewHolder(1), m.NewHolder(2), m.NewHolder(3)
 	r := RowName(1, 1)
-	if err := m.Acquire(1, r, S); err != nil {
+	if err := h1.Acquire(r, S); err != nil {
 		t.Fatal(err)
 	}
 	xErr := make(chan error, 1)
-	go func() { xErr <- m.Acquire(2, r, X) }()
+	go func() { xErr <- h2.Acquire(r, X) }()
 	waitQueueLen(t, m, r, 1)
 
 	// Stagger the S so its own timeout budget outlives the victim's by
@@ -66,7 +67,7 @@ func TestWaiterRemovalRegrantsOnTimeout(t *testing.T) {
 	// photo finish with its own timer.
 	time.Sleep(150 * time.Millisecond)
 	sErr := make(chan error, 1)
-	go func() { sErr <- m.Acquire(3, r, S) }()
+	go func() { sErr <- h3.Acquire(r, S) }()
 	waitQueueLen(t, m, r, 2)
 
 	if err := <-xErr; !errors.Is(err, ErrTimeout) {
@@ -80,11 +81,11 @@ func TestWaiterRemovalRegrantsOnTimeout(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("S behind the timed-out X never granted (regrant missing)")
 	}
-	if m.Held(1, r) != S {
+	if h1.Held(r) != S {
 		t.Fatal("holder's S was disturbed")
 	}
-	m.ReleaseAll(1)
-	m.ReleaseAll(3)
+	h1.ReleaseAll()
+	h3.ReleaseAll()
 	assertTablesEmpty(t, m)
 }
 
@@ -103,17 +104,17 @@ func TestWaiterRemovalRegrantsOnDeadlock(t *testing.T) {
 	for wfIdx(t2) == wfIdx(t1) {
 		t2++
 	}
-	t3 := t2 + 1
+	h1, h2, h3 := m.NewHolder(t1), m.NewHolder(t2), m.NewHolder(t2+1)
 
-	if err := m.Acquire(t2, r2, X); err != nil {
+	if err := h2.Acquire(r2, X); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(t1, r, S); err != nil {
+	if err := h1.Acquire(r, S); err != nil {
 		t.Fatal(err)
 	}
 	// t1 blocks on r2, installing the t1 -> t2 half of the cycle.
 	t1Err := make(chan error, 1)
-	go func() { t1Err <- m.Acquire(t1, r2, X) }()
+	go func() { t1Err <- h1.Acquire(r2, X) }()
 	waitQueueLen(t, m, r2, 1)
 
 	// Park the victim's upcoming DFS: discovering the cycle requires
@@ -121,10 +122,10 @@ func TestWaiterRemovalRegrantsOnDeadlock(t *testing.T) {
 	st := &m.wf[wfIdx(t1)]
 	st.mu.Lock()
 	t2Err := make(chan error, 1)
-	go func() { t2Err <- m.Acquire(t2, r, X) }()
+	go func() { t2Err <- h2.Acquire(r, X) }()
 	waitQueueLen(t, m, r, 1)
 	t3Err := make(chan error, 1)
-	go func() { t3Err <- m.Acquire(t3, r, S) }()
+	go func() { t3Err <- h3.Acquire(r, S) }()
 	waitQueueLen(t, m, r, 2)
 	st.mu.Unlock()
 
@@ -144,12 +145,12 @@ func TestWaiterRemovalRegrantsOnDeadlock(t *testing.T) {
 	}
 
 	// Victim aborts: its release unblocks t1's wait on r2.
-	m.ReleaseAll(t2)
+	h2.ReleaseAll()
 	if err := <-t1Err; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(t1)
-	m.ReleaseAll(t3)
+	h1.ReleaseAll()
+	h3.ReleaseAll()
 	assertTablesEmpty(t, m)
 }
 
@@ -169,20 +170,21 @@ func TestHeatBoundedUnderDistinctNameChurn(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
+	h1, h2 := m.NewHolder(1), m.NewHolder(2)
 	for i := 0; i < 3*heatCap; i++ {
 		r := RowName(1, uint64(i))
-		if err := m.Acquire(1, r, X); err != nil {
+		if err := h1.Acquire(r, X); err != nil {
 			t.Fatal(err)
 		}
 		prev := m.StatsSnapshot().Waits
 		done := make(chan error, 1)
-		go func() { done <- m.Acquire(2, r, S) }()
+		go func() { done <- h2.Acquire(r, S) }()
 		waitWaits(prev + 1) // the conflict (and its heat bump) is recorded
-		m.ReleaseAll(1)
+		h1.ReleaseAll()
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		m.ReleaseAll(2)
+		h2.ReleaseAll()
 	}
 	p := &m.parts[0]
 	p.mu.Lock()
@@ -199,11 +201,11 @@ func TestHeatBoundedUnderDistinctNameChurn(t *testing.T) {
 	// must classify hot despite the churned table.
 	tbl := TableName(9)
 	for i := 0; i < m.opts.HotThreshold; i++ {
-		txn := uint64(100 + i)
-		if err := m.Acquire(txn, tbl, IX); err != nil {
+		h1.Reset(uint64(100 + i))
+		if err := h1.Acquire(tbl, IX); err != nil {
 			t.Fatal(err)
 		}
-		m.ReleaseAll(txn)
+		h1.ReleaseAll()
 	}
 	if got := m.contentionOf(tbl); got < m.opts.HotThreshold {
 		t.Fatalf("hot intent lock heat = %d, want >= %d (SLI would miss it)", got, m.opts.HotThreshold)
@@ -243,16 +245,17 @@ func TestHeatDecayHalvesAndDrops(t *testing.T) {
 // or contention, and must enforce conflicts like a fresh head.
 func TestRetiredHeadRecyclesClean(t *testing.T) {
 	m := NewManager(Options{})
+	h1, h2, h3 := m.NewHolder(1), m.NewHolder(2), m.NewHolder(3)
 	a, b := RowName(1, 1), RowName(1, 2)
-	if err := m.Acquire(1, a, X); err != nil {
+	if err := h1.Acquire(a, X); err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(1)
+	h1.ReleaseAll()
 	if st := m.StatsSnapshot(); st.HeadRetires != 1 {
 		t.Fatalf("retires = %d after sole release, want 1", st.HeadRetires)
 	}
 
-	if err := m.Acquire(2, b, S); err != nil {
+	if err := h2.Acquire(b, S); err != nil {
 		t.Fatal(err)
 	}
 	st := m.StatsSnapshot()
@@ -275,16 +278,16 @@ func TestRetiredHeadRecyclesClean(t *testing.T) {
 
 	// The S on the recycled head must block a writer like any other.
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(3, b, X) }()
+	go func() { done <- h3.Acquire(b, X) }()
 	select {
 	case <-done:
 		t.Fatal("X granted while S held on a recycled head")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.ReleaseAll(2)
+	h2.ReleaseAll()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(3)
+	h3.ReleaseAll()
 	assertTablesEmpty(t, m)
 }

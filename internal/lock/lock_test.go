@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -62,37 +63,39 @@ func TestSupremumProperties(t *testing.T) {
 
 func TestBasicAcquireRelease(t *testing.T) {
 	m := NewManager(Options{})
+	h := m.NewHolder(1)
 	r := RowName(1, 100)
-	if err := m.Acquire(1, r, X); err != nil {
+	if err := h.Acquire(r, X); err != nil {
 		t.Fatal(err)
 	}
-	if m.Held(1, r) != X {
-		t.Fatalf("Held = %v, want X", m.Held(1, r))
+	if h.Held(r) != X {
+		t.Fatalf("Held = %v, want X", h.Held(r))
 	}
-	m.Release(1, r)
-	if m.Held(1, r) != None {
+	h.ReleaseAll()
+	if h.Held(r) != None {
 		t.Fatal("lock still held after release")
 	}
 }
 
 func TestSharedConcurrencyExclusiveBlocks(t *testing.T) {
 	m := NewManager(Options{})
+	h1, h2, h3 := m.NewHolder(1), m.NewHolder(2), m.NewHolder(3)
 	r := RowName(1, 1)
-	if err := m.Acquire(1, r, S); err != nil {
+	if err := h1.Acquire(r, S); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, r, S); err != nil {
+	if err := h2.Acquire(r, S); err != nil {
 		t.Fatal(err) // S+S compatible
 	}
 	acquired := make(chan error, 1)
-	go func() { acquired <- m.Acquire(3, r, X) }()
+	go func() { acquired <- h3.Acquire(r, X) }()
 	select {
 	case err := <-acquired:
 		t.Fatalf("X granted while S held: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(1, r)
-	m.Release(2, r)
+	h1.ReleaseAll()
+	h2.ReleaseAll()
 	select {
 	case err := <-acquired:
 		if err != nil {
@@ -105,40 +108,41 @@ func TestSharedConcurrencyExclusiveBlocks(t *testing.T) {
 
 func TestReentrantAcquire(t *testing.T) {
 	m := NewManager(Options{})
+	h := m.NewHolder(1)
 	r := RowName(1, 1)
 	for i := 0; i < 3; i++ {
-		if err := m.Acquire(1, r, S); err != nil {
+		if err := h.Acquire(r, S); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A single Release drops the lock entirely (counts are folded).
-	m.Release(1, r)
-	if m.Held(1, r) != None {
-		t.Fatal("re-entrant lock not fully released")
+	// One grant, whatever the number of requests (counts are folded).
+	if names := h.ReleaseAll(); len(names) != 1 || h.Held(r) != None {
+		t.Fatalf("released %v; re-entrant lock not fully released", names)
 	}
 }
 
 func TestUpgradeSToX(t *testing.T) {
 	m := NewManager(Options{})
+	h1, h2 := m.NewHolder(1), m.NewHolder(2)
 	r := RowName(1, 1)
-	if err := m.Acquire(1, r, S); err != nil {
+	if err := h1.Acquire(r, S); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(1, r, X); err != nil {
+	if err := h1.Acquire(r, X); err != nil {
 		t.Fatal(err) // sole holder upgrades immediately
 	}
-	if m.Held(1, r) != X {
-		t.Fatalf("Held = %v after upgrade, want X", m.Held(1, r))
+	if h1.Held(r) != X {
+		t.Fatalf("Held = %v after upgrade, want X", h1.Held(r))
 	}
 	// Another reader must now block.
 	got := make(chan error, 1)
-	go func() { got <- m.Acquire(2, r, S) }()
+	go func() { got <- h2.Acquire(r, S) }()
 	select {
 	case <-got:
 		t.Fatal("S granted during X")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(1, r)
+	h1.ReleaseAll()
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
@@ -146,40 +150,42 @@ func TestUpgradeSToX(t *testing.T) {
 
 func TestBlockedUpgradeWaitsForReaders(t *testing.T) {
 	m := NewManager(Options{})
+	h1, h2 := m.NewHolder(1), m.NewHolder(2)
 	r := RowName(1, 1)
-	m.Acquire(1, r, S)
-	m.Acquire(2, r, S)
+	h1.Acquire(r, S)
+	h2.Acquire(r, S)
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(1, r, X) }()
+	go func() { done <- h1.Acquire(r, X) }()
 	select {
 	case <-done:
 		t.Fatal("upgrade granted with another reader present")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(2, r)
+	h2.ReleaseAll()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if m.Held(1, r) != X {
-		t.Fatalf("mode after blocked upgrade = %v", m.Held(1, r))
+	if h1.Held(r) != X {
+		t.Fatalf("mode after blocked upgrade = %v", h1.Held(r))
 	}
-	m.ReleaseAll(1)
+	h1.ReleaseAll()
 }
 
 func TestUpgradePriorityOverQueuedWriters(t *testing.T) {
 	m := NewManager(Options{})
+	h1, h2, h3 := m.NewHolder(1), m.NewHolder(2), m.NewHolder(3)
 	r := RowName(1, 1)
-	m.Acquire(1, r, S)
-	m.Acquire(2, r, S)
+	h1.Acquire(r, S)
+	h2.Acquire(r, S)
 	// Txn 3 queues for X behind the readers.
 	got3 := make(chan error, 1)
-	go func() { got3 <- m.Acquire(3, r, X) }()
+	go func() { got3 <- h3.Acquire(r, X) }()
 	time.Sleep(10 * time.Millisecond)
 	// Txn 1 upgrades; it must be served before txn 3.
 	got1 := make(chan error, 1)
-	go func() { got1 <- m.Acquire(1, r, X) }()
+	go func() { got1 <- h1.Acquire(r, X) }()
 	time.Sleep(10 * time.Millisecond)
-	m.Release(2, r)
+	h2.ReleaseAll()
 	select {
 	case err := <-got1:
 		if err != nil {
@@ -193,48 +199,36 @@ func TestUpgradePriorityOverQueuedWriters(t *testing.T) {
 		t.Fatal("queued writer served before upgrade completed")
 	default:
 	}
-	m.ReleaseAll(1)
+	h1.ReleaseAll()
 	if err := <-got3; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(3)
+	h3.ReleaseAll()
 }
 
 func TestDeadlockDetection(t *testing.T) {
 	m := NewManager(Options{})
+	h1, h2 := m.NewHolder(1), m.NewHolder(2)
 	a, b := RowName(1, 1), RowName(1, 2)
-	m.Acquire(1, a, X)
-	m.Acquire(2, b, X)
+	h1.Acquire(a, X)
+	h2.Acquire(b, X)
+	// Each transaction ends on its own goroutine: the victim aborts,
+	// the survivor commits, and either way releases everything.
 	errs := make(chan error, 2)
-	go func() {
-		err := m.Acquire(1, b, X) // 1 waits on 2
-		if err == nil {
-			defer m.ReleaseAll(1)
-		}
+	run := func(h *Holder, n Name) {
+		err := h.Acquire(n, X)
+		h.ReleaseAll()
 		errs <- err
-	}()
+	}
+	go run(h1, b) // 1 waits on 2
 	time.Sleep(20 * time.Millisecond)
-	go func() {
-		err := m.Acquire(2, a, X) // closes the cycle
-		if err == nil {
-			defer m.ReleaseAll(2)
-		}
-		errs <- err
-	}()
+	go run(h2, a) // closes the cycle
 	var deadlocked int
 	for i := 0; i < 2; i++ {
 		select {
 		case err := <-errs:
 			if errors.Is(err, ErrDeadlock) {
 				deadlocked++
-				// Victim aborts: release everything it holds.
-				if deadlocked == 1 {
-					go func() {
-						time.Sleep(5 * time.Millisecond)
-						m.ReleaseAll(2)
-						m.ReleaseAll(1)
-					}()
-				}
 			} else if err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -252,85 +246,85 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestWaitTimeout(t *testing.T) {
 	m := NewManager(Options{WaitTimeout: 30 * time.Millisecond})
+	h1, h2, h3 := m.NewHolder(1), m.NewHolder(2), m.NewHolder(3)
 	r := RowName(1, 1)
-	m.Acquire(1, r, X)
+	h1.Acquire(r, X)
 	start := time.Now()
-	err := m.Acquire(2, r, X)
+	err := h2.Acquire(r, X)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	if time.Since(start) < 25*time.Millisecond {
 		t.Fatal("timeout fired early")
 	}
-	m.ReleaseAll(1)
+	h1.ReleaseAll()
 	// The lock must still be grantable after a timed-out waiter.
-	if err := m.Acquire(3, r, X); err != nil {
+	if err := h3.Acquire(r, X); err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(3)
+	h3.ReleaseAll()
 }
 
 func TestReleaseAllReturnsNames(t *testing.T) {
 	m := NewManager(Options{})
-	m.Acquire(7, TableName(1), IX)
-	m.Acquire(7, RowName(1, 5), X)
-	m.Acquire(7, RowName(1, 6), X)
-	names := m.ReleaseAll(7)
+	h := m.NewHolder(7)
+	h.Acquire(TableName(1), IX)
+	h.Acquire(RowName(1, 5), X)
+	h.Acquire(RowName(1, 6), X)
+	names := h.ReleaseAll()
 	if len(names) != 3 {
 		t.Fatalf("ReleaseAll returned %d names, want 3", len(names))
 	}
-	if m.Held(7, RowName(1, 5)) != None {
+	if h.Held(RowName(1, 5)) != None {
 		t.Fatal("row lock survived ReleaseAll")
 	}
-	if m.ReleaseAll(7) != nil {
+	if h.ReleaseAll() != nil {
 		t.Fatal("second ReleaseAll returned names")
 	}
 }
 
 func TestFIFOFairnessNoWriterStarvation(t *testing.T) {
 	m := NewManager(Options{})
+	h1, h2, h3 := m.NewHolder(1), m.NewHolder(2), m.NewHolder(3)
 	r := RowName(1, 1)
-	m.Acquire(1, r, S)
+	h1.Acquire(r, S)
 	// Writer queues.
 	wGot := make(chan error, 1)
-	go func() { wGot <- m.Acquire(2, r, X) }()
+	go func() { wGot <- h2.Acquire(r, X) }()
 	time.Sleep(10 * time.Millisecond)
 	// A later reader must NOT jump the queued writer.
 	rGot := make(chan error, 1)
-	go func() { rGot <- m.Acquire(3, r, S) }()
+	go func() { rGot <- h3.Acquire(r, S) }()
 	select {
 	case <-rGot:
 		t.Fatal("later reader overtook queued writer")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(1, r)
+	h1.ReleaseAll()
 	if err := <-wGot; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(2)
+	h2.ReleaseAll()
 	if err := <-rGot; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(3)
+	h3.ReleaseAll()
 }
 
 func TestHierarchicalScenario(t *testing.T) {
 	m := NewManager(Options{Partitions: 4})
+	hs := []*Holder{m.NewHolder(1), m.NewHolder(2), m.NewHolder(3)}
 	// Txn 1: IX on table, X on row 1. Txn 2: IX on table, X on row 2.
 	// These must all proceed without blocking.
 	done := make(chan error, 2)
-	for i := uint64(1); i <= 2; i++ {
-		go func(txn uint64) {
-			if err := m.Acquire(txn, TableName(9), IX); err != nil {
+	for _, h := range hs[:2] {
+		go func(h *Holder) {
+			if err := h.Acquire(TableName(9), IX); err != nil {
 				done <- err
 				return
 			}
-			if err := m.Acquire(txn, RowName(9, txn), X); err != nil {
-				done <- err
-				return
-			}
-			done <- nil
-		}(i)
+			done <- h.Acquire(RowName(9, h.id), X)
+		}(h)
 	}
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
@@ -339,18 +333,18 @@ func TestHierarchicalScenario(t *testing.T) {
 	}
 	// Txn 3 wants S on the whole table: must wait for both IX holders.
 	sGot := make(chan error, 1)
-	go func() { sGot <- m.Acquire(3, TableName(9), S) }()
+	go func() { sGot <- hs[2].Acquire(TableName(9), S) }()
 	select {
 	case <-sGot:
 		t.Fatal("table S granted while IX held")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.ReleaseAll(1)
-	m.ReleaseAll(2)
+	hs[0].ReleaseAll()
+	hs[1].ReleaseAll()
 	if err := <-sGot; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(3)
+	hs[2].ReleaseAll()
 }
 
 func TestConcurrentDisjointThroughput(t *testing.T) {
@@ -364,14 +358,15 @@ func TestConcurrentDisjointThroughput(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					base := uint64(w * 1000)
+					h := m.NewHolder(base)
 					for i := 0; i < 500; i++ {
-						txn := base + uint64(i)
+						h.Reset(base + uint64(i))
 						key := base + uint64(i%100)
-						if err := m.Acquire(txn, RowName(1, key), X); err != nil {
+						if err := h.Acquire(RowName(1, key), X); err != nil {
 							t.Errorf("acquire: %v", err)
 							return
 						}
-						m.ReleaseAll(txn)
+						h.ReleaseAll()
 					}
 				}(w)
 			}
@@ -400,18 +395,15 @@ func BenchmarkAcquireReleaseDisjoint(b *testing.B) {
 	for _, parts := range []int{1, 16} {
 		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {
 			m := NewManager(Options{Partitions: parts})
-			var id uint64
-			var mu sync.Mutex
+			var seq atomic.Uint64
 			b.RunParallel(func(pb *testing.PB) {
-				mu.Lock()
-				id++
-				me := id
-				mu.Unlock()
+				me := seq.Add(1)
+				h := m.NewHolder(me * 1_000_000)
 				i := uint64(0)
 				for pb.Next() {
-					txn := me*1_000_000 + i
-					m.Acquire(txn, RowName(1, me*100000+i%512), X)
-					m.ReleaseAll(txn)
+					h.Reset(me*1_000_000 + i)
+					h.Acquire(RowName(1, me*100000+i%512), X)
+					h.ReleaseAll()
 					i++
 				}
 			})

@@ -253,32 +253,17 @@ func wfIdx(txn uint64) int {
 	return int((txn * 0x9e3779b97f4a7c15) >> 58)
 }
 
-// regStripes shards the compatibility-API holder registry.
-const regStripes = 64
-
-type regStripe struct {
-	mu sync.Mutex
-	m  map[uint64]*Holder
-	_  [40]byte
-}
-
-func regIdx(txn uint64) int {
-	return int((txn*0x9e3779b97f4a7c15)>>32) & (regStripes - 1)
-}
-
 // Manager is the lock table. Aside from the partitioned table itself,
-// all bookkeeping is striped (waits-for graph, holder registry, heat)
-// or carried by the caller (held sets, escalation counts — see
-// Holder), so Acquire/ReleaseAll never take a manager-global mutex.
+// all bookkeeping is striped (waits-for graph, heat) or carried by the
+// caller (held sets, escalation counts — see Holder), so acquiring and
+// releasing never take a manager-global mutex. Transactions reach it
+// through a Holder (NewHolder) or an SLI Agent (NewAgent).
 type Manager struct {
 	opts  Options
 	parts []partition
 
 	// wf is the sharded deadlock-detection graph.
 	wf [wfStripes]wfStripe
-
-	// reg backs the id-based compatibility API with per-txn holders.
-	reg [regStripes]regStripe
 
 	// agents maps SLI agent pseudo-transactions to their reclaim
 	// flag; registration is rare, lookups on the wait path are
@@ -320,27 +305,11 @@ func NewManager(opts Options) *Manager {
 	for i := range m.wf {
 		m.wf[i].edges = make(map[uint64]map[uint64]bool)
 	}
-	for i := range m.reg {
-		m.reg[i].m = make(map[uint64]*Holder)
-	}
 	return m
 }
 
 func (m *Manager) part(n Name) *partition {
 	return &m.parts[n.hash()%uint64(len(m.parts))]
-}
-
-// Acquire obtains name in mode for txn, blocking while incompatible
-// locks are held. Re-acquisition by the same transaction upgrades to
-// the supremum mode. It returns ErrDeadlock when the wait would close
-// a cycle (the requester is the victim) and ErrTimeout past the
-// configured bound.
-//
-// This id-based form resolves txn's lock context through a striped
-// registry; hot paths should carry a *Holder instead (NewHolder) and
-// call its methods directly.
-func (m *Manager) Acquire(txn uint64, name Name, mode Mode) error {
-	return m.holderOf(txn).Acquire(name, mode)
 }
 
 func (m *Manager) acquireTable(h *Holder, name Name, mode Mode) error {
@@ -590,15 +559,6 @@ func (m *Manager) clearWaitEdges(txn uint64) {
 	st.mu.Unlock()
 }
 
-// Release drops txn's lock on name entirely (all re-entrant counts).
-func (m *Manager) Release(txn uint64, name Name) {
-	if h := m.lookupHolder(txn); h != nil {
-		h.Release(name)
-		return
-	}
-	m.releaseOne(txn, name)
-}
-
 func (m *Manager) releaseOne(txn uint64, name Name) {
 	p := m.part(name)
 	ls := obs.LatchStart(obs.TierLockPart)
@@ -637,26 +597,6 @@ func (m *Manager) grantWaitersLocked(lh *lockHead) {
 		lh.queue = lh.queue[1:]
 		w.ready <- nil
 	}
-}
-
-// ReleaseAll drops every lock txn holds (2PL release phase). It
-// returns the names released, which SLI agents use to decide what to
-// inherit. Id-based form of Holder.ReleaseAll; it also retires the
-// registry entry Acquire created.
-func (m *Manager) ReleaseAll(txn uint64) []Name {
-	if h := m.takeHolder(txn); h != nil {
-		return h.ReleaseAll()
-	}
-	m.stats.releaseAll.Add(1)
-	return nil
-}
-
-// Held returns the mode txn holds on name (None if not held).
-func (m *Manager) Held(txn uint64, name Name) Mode {
-	if h := m.lookupHolder(txn); h != nil {
-		return h.Held(name)
-	}
-	return None
 }
 
 // contentionOf reports the cumulative conflict count for name.

@@ -45,17 +45,23 @@ func (m *Manager) NewAgent() *Agent {
 	return a
 }
 
-// AcquireFor obtains name in mode for the transaction owning h,
+// Acquire obtains name in mode for the transaction owning h,
 // satisfying the request from the agent's inherited locks when
-// possible. A cache-satisfied acquire is still noted in h's held set
-// — the transaction logically holds the lock even though the table
-// grant belongs to the agent's pseudo-transaction — so Holder.Held
-// and the engine agree on what the transaction may touch. At the
-// transaction boundary OnCommitFor sees the name, finds it already
-// retained (shouldInherit declines re-inheritance) and releases it
-// for h.id, which is a no-op at the table: the agent's grant is
-// untouched.
-func (a *Agent) AcquireFor(h *Holder, name Name, mode Mode) error {
+// possible; Holder.Acquire states the blocking and error contract. A
+// cache-satisfied acquire is still noted in h's held set — the
+// transaction logically holds the lock even though the table grant
+// belongs to the agent's pseudo-transaction — so Holder.Held and the
+// engine agree on what the transaction may touch. At the transaction
+// boundary OnCommit sees the name, finds it already retained
+// (shouldInherit declines re-inheritance) and releases it for h.id,
+// which is a no-op at the table: the agent's grant is untouched.
+//
+// A request an inherited grant conflicts with — a Scan's table S after
+// a write under the agent's IX — takes that grant over first: the
+// agent never waits, so a transaction queued behind its own agent
+// would wait forever. The request then upgrades the transaction's own
+// grant, and waits only for other owners.
+func (a *Agent) Acquire(h *Holder, name Name, mode Mode) error {
 	a.m.stats.acquires.Add(1)
 	// No escalation attempt here: the transaction's table lock may be
 	// the agent's grant, not its own.
@@ -66,7 +72,7 @@ func (a *Agent) AcquireFor(h *Holder, name Name, mode Mode) error {
 	// transaction holds anything it may hold it through this cache
 	// alone (and, covered, never ask again), so a reclaim now would
 	// pull the grant from under it.
-	if h.holdsNothing() {
+	if len(h.held) == 0 {
 		a.checkReclaim()
 	}
 	if held, ok := a.cache[name]; ok {
@@ -76,19 +82,19 @@ func (a *Agent) AcquireFor(h *Holder, name Name, mode Mode) error {
 			h.note(name, mode)
 			return nil
 		}
+		if !Compatible(held, mode) && a.m.transfer(a.id, h.id, name) {
+			delete(a.cache, name)
+			a.h.forget(name)
+			h.note(name, Supremum(h.held[name], held))
+		}
 	}
 	return a.m.acquireTable(h, name, mode)
 }
 
-// Acquire is the id-based form of AcquireFor.
-func (a *Agent) Acquire(txn uint64, name Name, mode Mode) error {
-	return a.AcquireFor(a.m.holderOf(txn), name, mode)
-}
-
-// OnCommitFor performs the transaction-boundary work: it releases the
+// OnCommit performs the transaction-boundary work: it releases the
 // locks of the transaction owning h, inheriting the hot intent locks
 // into the agent instead of returning them to the table.
-func (a *Agent) OnCommitFor(h *Holder) {
+func (a *Agent) OnCommit(h *Holder) {
 	a.checkReclaim()
 	a.m.stats.releaseAll.Add(1)
 	names, modes := h.take()
@@ -103,26 +109,10 @@ func (a *Agent) OnCommitFor(h *Holder) {
 	}
 }
 
-// OnCommit is the id-based form of OnCommitFor.
-func (a *Agent) OnCommit(txn uint64) {
-	if h := a.m.takeHolder(txn); h != nil {
-		a.OnCommitFor(h)
-		return
-	}
-	a.checkReclaim()
-	a.m.stats.releaseAll.Add(1)
-}
-
-// OnAbortFor releases everything without inheritance (an aborted
+// OnAbort releases everything without inheritance (an aborted
 // transaction's locks are not speculation-worthy).
-func (a *Agent) OnAbortFor(h *Holder) {
+func (a *Agent) OnAbort(h *Holder) {
 	h.ReleaseAll()
-	a.checkReclaim()
-}
-
-// OnAbort is the id-based form of OnAbortFor.
-func (a *Agent) OnAbort(txn uint64) {
-	a.m.ReleaseAll(txn)
 	a.checkReclaim()
 }
 
@@ -169,12 +159,13 @@ func (a *Agent) Close() {
 // InheritedCount reports how many locks the agent currently retains.
 func (a *Agent) InheritedCount() int { return len(a.cache) }
 
-// transfer moves txn's grant on name to the agent pseudo-transaction
-// without releasing it. It reports success; failure (grant vanished)
-// leaves the caller to release normally. A failure that finds the
-// head already empty reclaims it like releaseOne would, so a stale
-// head cannot linger in the table.
-func (m *Manager) transfer(txn, agent uint64, name Name) bool {
+// transfer moves from's grant on name to to without releasing it: a
+// transaction's to its agent at a boundary, or an agent's back to the
+// transaction it serves. It reports success; failure (grant vanished)
+// leaves the caller to release normally. A failure that finds the head
+// already empty reclaims it like releaseOne would, so a stale head
+// cannot linger in the table.
+func (m *Manager) transfer(from, to uint64, name Name) bool {
 	p := m.part(name)
 	p.mu.Lock()
 	lh := p.table[name]
@@ -182,7 +173,7 @@ func (m *Manager) transfer(txn, agent uint64, name Name) bool {
 		p.mu.Unlock()
 		return false
 	}
-	mode, ok := lh.granted[txn]
+	mode, ok := lh.granted[from]
 	if !ok {
 		retired := reclaimHeadLocked(p, name, lh)
 		p.mu.Unlock()
@@ -191,8 +182,8 @@ func (m *Manager) transfer(txn, agent uint64, name Name) bool {
 		}
 		return false
 	}
-	delete(lh.granted, txn)
-	lh.granted[agent] = Supremum(lh.granted[agent], mode)
+	delete(lh.granted, from)
+	lh.granted[to] = Supremum(lh.granted[to], mode)
 	p.mu.Unlock()
 	return true
 }

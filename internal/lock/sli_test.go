@@ -8,19 +8,21 @@ import (
 // heatUp drives enough conflict on a name to cross the hot threshold.
 func heatUp(t *testing.T, m *Manager, name Name) {
 	t.Helper()
+	a, b := m.NewHolder(0), m.NewHolder(0)
 	for i := 0; i < 10; i++ {
-		txnA, txnB := uint64(9000+i*2), uint64(9001+i*2)
-		if err := m.Acquire(txnA, name, S); err != nil {
+		a.Reset(uint64(9000 + i*2))
+		b.Reset(uint64(9001 + i*2))
+		if err := a.Acquire(name, S); err != nil {
 			t.Fatal(err)
 		}
 		done := make(chan error, 1)
-		go func() { done <- m.Acquire(txnB, name, X) }() // conflicts: contention++
+		go func() { done <- b.Acquire(name, X) }() // conflicts: contention++
 		time.Sleep(2 * time.Millisecond)
-		m.ReleaseAll(txnA)
+		a.ReleaseAll()
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		m.ReleaseAll(txnB)
+		b.ReleaseAll()
 	}
 }
 
@@ -34,29 +36,32 @@ func TestSLIInheritsHotIntentLocks(t *testing.T) {
 
 	// First transaction acquires through the table and commits; the
 	// hot IX lock should be inherited by the agent.
-	if err := a.Acquire(100, tbl, IX); err != nil {
+	h := m.NewHolder(100)
+	if err := a.Acquire(h, tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Acquire(100, RowName(5, 1), X); err != nil {
+	if err := a.Acquire(h, RowName(5, 1), X); err != nil {
 		t.Fatal(err)
 	}
-	a.OnCommit(100)
+	a.OnCommit(h)
 	if a.InheritedCount() != 1 {
 		t.Fatalf("inherited %d locks, want 1 (the hot table IX)", a.InheritedCount())
 	}
 	// Row lock must have been fully released, not inherited.
-	if err := m.Acquire(200, RowName(5, 1), X); err != nil {
+	other := m.NewHolder(200)
+	if err := other.Acquire(RowName(5, 1), X); err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(200)
+	other.ReleaseAll()
 
 	// Subsequent transactions on the same agent skip the table.
 	before := m.StatsSnapshot()
 	for txn := uint64(101); txn <= 110; txn++ {
-		if err := a.Acquire(txn, tbl, IX); err != nil {
+		h.Reset(txn)
+		if err := a.Acquire(h, tbl, IX); err != nil {
 			t.Fatal(err)
 		}
-		a.OnCommit(txn)
+		a.OnCommit(h)
 	}
 	after := m.StatsSnapshot()
 	if hits := after.Inherited - before.Inherited; hits != 10 {
@@ -76,14 +81,15 @@ func TestSLIIntentLocksStayCompatibleAcrossAgents(t *testing.T) {
 	defer a1.Close()
 	defer a2.Close()
 
-	if err := a1.Acquire(300, tbl, IX); err != nil {
+	h1, h2 := m.NewHolder(300), m.NewHolder(301)
+	if err := a1.Acquire(h1, tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	a1.OnCommit(300)
-	if err := a2.Acquire(301, tbl, IX); err != nil {
+	a1.OnCommit(h1)
+	if err := a2.Acquire(h2, tbl, IX); err != nil {
 		t.Fatal(err) // IX + IX compatible even with a1's retained lock
 	}
-	a2.OnCommit(301)
+	a2.OnCommit(h2)
 	if a1.InheritedCount() == 0 || a2.InheritedCount() == 0 {
 		t.Fatal("both agents should retain the hot IX")
 	}
@@ -96,10 +102,11 @@ func TestSLIReclaimOnConflict(t *testing.T) {
 
 	a := m.NewAgent()
 	defer a.Close()
-	if err := a.Acquire(400, tbl, IX); err != nil {
+	h := m.NewHolder(400)
+	if err := a.Acquire(h, tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	a.OnCommit(400)
+	a.OnCommit(h)
 	if a.InheritedCount() != 1 {
 		t.Fatal("setup: lock not inherited")
 	}
@@ -107,7 +114,8 @@ func TestSLIReclaimOnConflict(t *testing.T) {
 	// Another transaction wants table X: blocked by the agent's
 	// retained IX.
 	got := make(chan error, 1)
-	go func() { got <- m.Acquire(500, tbl, X) }()
+	other := m.NewHolder(500)
+	go func() { got <- other.Acquire(tbl, X) }()
 	select {
 	case <-got:
 		t.Fatal("X granted while agent retained IX")
@@ -115,10 +123,11 @@ func TestSLIReclaimOnConflict(t *testing.T) {
 	}
 
 	// The agent's next boundary must surrender the retained lock.
-	if err := a.Acquire(401, RowName(7, 1), X); err != nil {
+	h.Reset(401)
+	if err := a.Acquire(h, RowName(7, 1), X); err != nil {
 		t.Fatal(err)
 	}
-	a.OnCommit(401)
+	a.OnCommit(h)
 	select {
 	case err := <-got:
 		if err != nil {
@@ -130,7 +139,7 @@ func TestSLIReclaimOnConflict(t *testing.T) {
 	if a.InheritedCount() != 0 {
 		t.Fatal("cache not cleared after reclaim")
 	}
-	m.ReleaseAll(500)
+	other.ReleaseAll()
 }
 
 func TestSLIDoesNotInheritRowOrExclusive(t *testing.T) {
@@ -142,13 +151,14 @@ func TestSLIDoesNotInheritRowOrExclusive(t *testing.T) {
 
 	a := m.NewAgent()
 	defer a.Close()
-	if err := a.Acquire(600, row, X); err != nil {
+	h := m.NewHolder(600)
+	if err := a.Acquire(h, row, X); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Acquire(600, tbl, S); err != nil { // S is not an intent mode
+	if err := a.Acquire(h, tbl, S); err != nil { // S is not an intent mode
 		t.Fatal(err)
 	}
-	a.OnCommit(600)
+	a.OnCommit(h)
 	if a.InheritedCount() != 0 {
 		t.Fatalf("agent inherited %d non-intent locks", a.InheritedCount())
 	}
@@ -160,22 +170,24 @@ func TestSLIAbortReleasesEverything(t *testing.T) {
 	heatUp(t, m, tbl)
 	a := m.NewAgent()
 	defer a.Close()
-	if err := a.Acquire(700, tbl, IX); err != nil {
+	h := m.NewHolder(700)
+	if err := a.Acquire(h, tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	a.OnAbort(700)
+	a.OnAbort(h)
 	if a.InheritedCount() != 0 {
 		t.Fatal("abort inherited locks")
 	}
 	// Table must be immediately lockable in X.
-	if err := m.Acquire(701, tbl, X); err != nil {
+	other := m.NewHolder(701)
+	if err := other.Acquire(tbl, X); err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(701)
+	other.ReleaseAll()
 }
 
 // TestSLIInheritedHitNotesHolder pins the bookkeeping contract of a
-// cache-satisfied AcquireFor: the transaction logically holds the
+// cache-satisfied Agent.Acquire: the transaction logically holds the
 // lock (Holder.Held reports it) even though the table grant belongs
 // to the agent, and the commit boundary neither drops the agent's
 // retained grant nor leaves the name in the holder's set.
@@ -188,10 +200,10 @@ func TestSLIInheritedHitNotesHolder(t *testing.T) {
 	defer a.Close()
 
 	h := m.NewHolder(900)
-	if err := a.AcquireFor(h, tbl, IX); err != nil {
+	if err := a.Acquire(h, tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	a.OnCommitFor(h)
+	a.OnCommit(h)
 	if a.InheritedCount() != 1 {
 		t.Fatal("setup: hot IX not inherited")
 	}
@@ -200,7 +212,7 @@ func TestSLIInheritedHitNotesHolder(t *testing.T) {
 	// from the agent cache, never visiting the table.
 	h.Reset(901)
 	before := m.StatsSnapshot()
-	if err := a.AcquireFor(h, tbl, IX); err != nil {
+	if err := a.Acquire(h, tbl, IX); err != nil {
 		t.Fatal(err)
 	}
 	after := m.StatsSnapshot()
@@ -214,7 +226,7 @@ func TestSLIInheritedHitNotesHolder(t *testing.T) {
 
 	// The boundary releases h's logical hold; the agent's real table
 	// grant and cache entry must survive it.
-	a.OnCommitFor(h)
+	a.OnCommit(h)
 	if a.InheritedCount() != 1 {
 		t.Fatal("commit of an inherited hit dropped the agent's retained lock")
 	}
@@ -225,7 +237,8 @@ func TestSLIInheritedHitNotesHolder(t *testing.T) {
 	// The retained grant is real: it still blocks a table X until the
 	// agent lets go.
 	got := make(chan error, 1)
-	go func() { got <- m.Acquire(950, tbl, X) }()
+	other := m.NewHolder(950)
+	go func() { got <- other.Acquire(tbl, X) }()
 	select {
 	case <-got:
 		t.Fatal("X granted past the agent's retained IX")
@@ -235,5 +248,77 @@ func TestSLIInheritedHitNotesHolder(t *testing.T) {
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(950)
+	other.ReleaseAll()
+}
+
+// A transaction served by an agent asks for a table lock the agent's
+// inherited grant conflicts with — a scan's S or a table X after a
+// write under the inherited IX. The agent never waits, so queueing
+// behind it would never end; the transaction takes the agent's grant
+// over and upgrades it, and waits only for other owners: a second
+// agent's IX blocks the X as it would anyone's.
+func TestSLITransactionDoesNotWaitOnItsOwnAgent(t *testing.T) {
+	// The timeout only bounds the failure.
+	m := NewManager(Options{HotThreshold: 1, WaitTimeout: 2 * time.Second})
+	tbl := TableName(12)
+	heatUp(t, m, tbl)
+	a1, a2 := m.NewAgent(), m.NewAgent()
+	defer a1.Close()
+	defer a2.Close()
+	h := m.NewHolder(1000)
+	for _, a := range []*Agent{a1, a2} {
+		if err := a.Acquire(h, tbl, IX); err != nil {
+			t.Fatal(err)
+		}
+		a.OnCommit(h)
+		if a.InheritedCount() != 1 {
+			t.Fatal("setup: hot IX not inherited")
+		}
+	}
+
+	// Alone but for its own agent: S, then X, at once.
+	a2.ReleaseInherited()
+	h.Reset(1001)
+	if err := a1.Acquire(h, tbl, IX); err != nil { // from the cache
+		t.Fatal(err)
+	}
+	waits := m.StatsSnapshot().Waits
+	start := time.Now()
+	if err := a1.Acquire(h, tbl, S); err != nil {
+		t.Fatal(err)
+	}
+	if err := a1.Acquire(h, tbl, X); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second || h.Held(tbl) != X || a1.InheritedCount() != 0 {
+		t.Fatalf("after %v: table %v, agent retains %d; want X at once and the grant taken over", d, h.Held(tbl), a1.InheritedCount())
+	}
+	if got := m.StatsSnapshot().Waits; got != waits {
+		t.Fatalf("the transaction waited %d times beside its own agent", got-waits)
+	}
+	a1.OnCommit(h)
+
+	// Another agent's retained IX blocks the same X until that agent
+	// lets go.
+	h.Reset(1002)
+	if err := a2.Acquire(h, tbl, IX); err != nil {
+		t.Fatal(err)
+	}
+	a2.OnCommit(h)
+	if a2.InheritedCount() != 1 {
+		t.Fatal("setup: second agent did not inherit")
+	}
+	h.Reset(1003)
+	got := make(chan error, 1)
+	go func() { got <- a1.Acquire(h, tbl, X) }()
+	select {
+	case err := <-got:
+		t.Fatalf("X granted past another agent's retained IX: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	a2.ReleaseInherited()
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	a1.OnCommit(h)
 }

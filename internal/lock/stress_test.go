@@ -10,11 +10,12 @@ import (
 )
 
 // TestManagerConcurrentStress drives every public entry point of the
-// manager — holder-based acquisition, the id-based compatibility API,
-// SLI agents with inheritance and reclaim, escalation, and ReleaseAll
-// — from many goroutines at once. Meant for -race: the holders, the
-// striped waits-for graph and the per-partition heat maps all see
-// cross-goroutine traffic here.
+// manager — holder acquisition, SLI agents with inheritance and
+// reclaim, escalation, and ReleaseAll — from many goroutines at once,
+// each with its one holder. Meant for -race: the striped waits-for
+// graph, the per-partition heat maps and the agents' reclaim flags all
+// see cross-goroutine traffic here, and a holder touched by a second
+// goroutine would show up as a race.
 func TestManagerConcurrentStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -44,35 +45,20 @@ func TestManagerConcurrentStress(t *testing.T) {
 				agent = m.NewAgent()
 				defer agent.Close()
 			}
-			useHolder := w%4 < 2 // mix holder-based and id-based callers
+			h := m.NewHolder(0)
 			for i := 0; i < iters; i++ {
-				txn := uint64(w)<<32 | uint64(i+1)
-				var h *Holder
-				if useHolder {
-					h = m.NewHolder(txn)
-				}
+				h.Reset(uint64(w)<<32 | uint64(i+1))
 				acquire := func(name Name, mode Mode) error {
-					switch {
-					case agent != nil && h != nil:
-						return agent.AcquireFor(h, name, mode)
-					case agent != nil:
-						return agent.Acquire(txn, name, mode)
-					case h != nil:
-						return h.Acquire(name, mode)
-					default:
-						return m.Acquire(txn, name, mode)
+					if agent != nil {
+						return agent.Acquire(h, name, mode)
 					}
+					return h.Acquire(name, mode)
 				}
 				release := func() {
-					switch {
-					case agent != nil && h != nil:
-						agent.OnCommitFor(h)
-					case agent != nil:
-						agent.OnCommit(txn)
-					case h != nil:
+					if agent != nil {
+						agent.OnCommit(h)
+					} else {
 						h.ReleaseAll()
-					default:
-						m.ReleaseAll(txn)
 					}
 				}
 				// One iteration in eight is a bulk burst over private
@@ -125,12 +111,13 @@ func TestManagerConcurrentStress(t *testing.T) {
 
 	// Everything must be released or inherited by compatible agent
 	// grants: a fresh transaction can take X on every table.
+	h := m.NewHolder(1)
 	for table := uint32(1); table <= tables+workers; table++ {
-		if err := m.Acquire(1, TableName(table), X); err != nil {
+		if err := h.Acquire(TableName(table), X); err != nil {
 			t.Fatalf("post-stress X on table %d: %v", table, err)
 		}
 	}
-	m.ReleaseAll(1)
+	h.ReleaseAll()
 }
 
 // TestLockHeadRecyclingStress churns the full head lifecycle under
@@ -205,10 +192,11 @@ func TestLockHeadRecyclingStress(t *testing.T) {
 	}
 
 	// Recycled heads must still enforce exclusivity correctly.
+	h := m.NewHolder(1)
 	for k := uint64(0); k < keys; k++ {
-		if err := m.Acquire(1, RowName(1, k), X); err != nil {
+		if err := h.Acquire(RowName(1, k), X); err != nil {
 			t.Fatalf("post-stress X on key %d: %v", k, err)
 		}
 	}
-	m.ReleaseAll(1)
+	h.ReleaseAll()
 }

@@ -13,8 +13,7 @@ const (
 	TierEngineCkpt Tier = iota // core.Engine.ckptMu
 	TierEngineMu               // core.Engine.mu
 	TierTxnMu                  // core.Txn.mu
-	TierTreeCoarse             // btree.Tree.coarse
-	TierTreeRoot               // btree.Tree.rootMu
+	TierTree                   // btree.Tree.mu
 	TierLockPart               // lock.partition.mu
 	TierFrameLatch             // buffer.Frame.Latch
 	TierPoolShard              // buffer.shard.mu
@@ -30,7 +29,7 @@ const (
 )
 
 var tierNames = [NumTiers]string{
-	"engine_ckpt", "engine_mu", "txn_mu", "tree_coarse", "tree_root",
+	"engine_ckpt", "engine_mu", "txn_mu", "tree",
 	"lock_part", "frame_latch", "pool_shard", "file_store",
 	"wal_log", "wal_wait", "wal_device", "dora_queue", "mvcc_shard",
 }

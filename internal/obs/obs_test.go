@@ -212,7 +212,7 @@ func TestLatchSnapshotSkipsIdleTiers(t *testing.T) {
 	// (and from any other package's tests in the same binary), so
 	// assert shape, not exact contents: every entry must name a known
 	// tier and carry traffic.
-	LatchDone(TierTreeRoot, LatchStart(TierTreeRoot))
+	LatchDone(TierTree, LatchStart(TierTree))
 	snap := LatchSnapshot()
 	seen := false
 	for _, s := range snap {
@@ -222,7 +222,7 @@ func TestLatchSnapshotSkipsIdleTiers(t *testing.T) {
 		if s.Tier == "unknown" {
 			t.Fatalf("unnamed tier in snapshot")
 		}
-		if s.Tier == TierTreeRoot.String() {
+		if s.Tier == TierTree.String() {
 			seen = true
 		}
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // Client is a minimal client for the text protocol, used by the
-// cluster example and the tests.
+// wire example and the tests.
 type Client struct {
 	conn net.Conn
 	r    *bufio.Scanner

@@ -281,12 +281,13 @@ func (fr *FlightRecorder) bump(k StallKind, now int64, detail func() string) {
 		return
 	}
 	fr.lastFire[k] = now
-	fr.counts[k].Add(1)
 	fr.capture(k, now, detail(), fr.streak[k], cooled)
 	fr.streak[k] = 0
 }
 
-// capture assembles the diagnostic bundle and pushes it on the ring.
+// capture assembles the diagnostic bundle, pushes it on the ring and
+// counts it — in that order, under mu, so that a reader who sees the
+// count can already Snapshot the incident.
 func (fr *FlightRecorder) capture(k StallKind, now int64, detail string, polls int, cooled bool) {
 	st := fr.e.StatsSnapshot()
 	ds := dora.GlobalStats()
@@ -342,6 +343,7 @@ func (fr *FlightRecorder) capture(k StallKind, now int64, detail string, polls i
 	if fr.n < incidentRing {
 		fr.n++
 	}
+	fr.counts[k].Add(1)
 	fr.mu.Unlock()
 }
 

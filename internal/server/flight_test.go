@@ -291,3 +291,37 @@ func TestFlightRecorderMVCCGCStall(t *testing.T) {
 		t.Error("mvcc_gc_stalled incident not retained")
 	}
 }
+
+// TestFlightRecorderCountsWhatItRetains: an incident is on the ring by
+// the time it is counted, so a reader that sees Count(k) = n finds at
+// least min(n, ring size) incidents of k in the Snapshot it takes next.
+func TestFlightRecorderCountsWhatItRetains(t *testing.T) {
+	e, err := core.Open(core.Scalable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	fr := NewFlightRecorder(e, FlightOptions{Confirm: 1})
+	const fires = 200
+	done := make(chan struct{})
+	go func() { // the watchdog's part: bump runs on one goroutine
+		defer close(done)
+		for i := 1; i <= fires; i++ {
+			// An hour apart: every firing is past the last one's cooldown.
+			fr.bump(StallLockWaiter, int64(i)*int64(time.Hour), func() string { return "forced" })
+		}
+	}()
+	for n := uint64(0); n < fires; {
+		n = fr.Count(StallLockWaiter)
+		got := uint64(0)
+		for _, inc := range fr.Snapshot() {
+			if inc.Kind == StallLockWaiter.String() {
+				got++
+			}
+		}
+		if want := min(n, incidentRing); got < want {
+			t.Fatalf("Count read %d, then Snapshot held %d incidents of the kind; want >= %d", n, got, want)
+		}
+	}
+	<-done
+}

@@ -316,9 +316,7 @@ func TestIncidentsTotalDoesNotSaturate(t *testing.T) {
 	fr := NewFlightRecorder(e, FlightOptions{})
 	const fired = incidentRing + 5
 	for i := 0; i < fired; i++ {
-		k := StallKind(i % int(numStallKinds))
-		fr.counts[k].Add(1)
-		fr.capture(k, int64(i), "test", 1, false)
+		fr.capture(StallKind(i%int(numStallKinds)), int64(i), "test", 1, false)
 	}
 	if n := len(fr.Snapshot()); n != incidentRing {
 		t.Fatalf("ring retains %d bundles, want %d", n, incidentRing)
