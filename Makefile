@@ -1,8 +1,6 @@
 GO ?= go
-VET_SUMMARIES := .hydra-vet/summaries.json
-VET_BASELINE  := vet.baseline.json
 
-.PHONY: build test race vet lint vet-baseline vet-update-baseline stress stress-dora fuzz-smoke bench bench-json bench-wal bench-lock bench-dora bench-wire bench-btree bench-smoke
+.PHONY: build test race vet lint stress stress-dora fuzz-smoke bench bench-json bench-wal bench-lock bench-dora bench-wire bench-btree bench-smoke
 
 build:
 	$(GO) build ./...
@@ -23,40 +21,24 @@ stress-dora:
 vet:
 	$(GO) vet ./...
 
-# lint runs hydra-vet (internal/analysis) over the whole module in two
-# passes. The standalone pass loads the full source tree, so the
-# latchsum closure resolves cross-package call chains from source, and
-# it persists the computed summaries; the go vet -vettool pass (which
-# sees one package at a time, but additionally covers test files)
-# reads them back via HYDRA_VET_SUMMARIES so dora → core → lock chains
-# stay visible there too.
+# lint runs hydra-vet (internal/analysis: lockscope, atomicmix,
+# phasebal) over the whole module, in-package test files included. It
+# exits non-zero on any finding not suppressed by a justified
+# //hydra:vet:ignore directive.
 lint:
 	$(GO) build -o bin/hydra-vet ./cmd/hydra-vet
-	./bin/hydra-vet -summaries $(VET_SUMMARIES) ./...
-	HYDRA_VET_SUMMARIES=$(abspath $(VET_SUMMARIES)) $(GO) vet -vettool=$(abspath bin/hydra-vet) ./...
+	./bin/hydra-vet -tests ./...
 
-# vet-baseline asserts hydra-vet reports exactly the committed
-# baseline: zero new findings (matched by file/analyzer/message,
-# ignoring line numbers). CI runs this; the baseline is committed.
-vet-baseline:
-	$(GO) build -o bin/hydra-vet ./cmd/hydra-vet
-	./bin/hydra-vet -tests -json -baseline $(VET_BASELINE) ./...
-
-# vet-update-baseline regenerates the committed baseline from the
-# current tree. Run it (and review the diff) after intentionally
-# accepting a finding instead of fixing or marker-suppressing it.
-vet-update-baseline:
-	$(GO) build -o bin/hydra-vet ./cmd/hydra-vet
-	./bin/hydra-vet -tests -write-baseline $(VET_BASELINE) ./...
-
-# stress exercises the hydradebug runtime assertions (latch-order and
-# pool-ownership checks compiled in via the build tag). The lock
-# package is included for the freelist pool-ownership assertions on
-# the lock-head retire/recycle protocol, btree and heap for the
-# latch-rank assertions on the frame latches they couple (the rightmost
-# door takes one leaf latch with no ancestor held).
+# stress runs the tests with the hydradebug runtime assertions compiled
+# in: every ranked lock (invariant.Mutex/RWMutex) and page latch checks
+# its acquisition against the latch hierarchy, and pooled objects their
+# single ownership (the lock-head freelist, WAL encode buffers, Txn
+# handles, DORA contexts). It is the one latch-order checker (DESIGN.md
+# §6). dora, server, workload and staged drive the engine through its
+# scan callbacks, whose contract — fn must not call the engine — the
+# ranked partition.mu and Tree.mu enforce.
 stress:
-	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/... ./internal/btree/... ./internal/heap/...
+	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/... ./internal/btree/... ./internal/heap/... ./internal/dora/... ./internal/server/... ./internal/workload/... ./internal/staged/...
 
 # fuzz-smoke runs the wire tokeniser's differential fuzz target for
 # 20 s: FuzzDispatchLine holds nextField to the strings.Fields grammar

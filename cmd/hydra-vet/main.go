@@ -1,140 +1,35 @@
 // Command hydra-vet runs Hydra's concurrency-invariant analyzer suite
-// (internal/analysis/...) over the module.
+// (internal/analysis/...) over the module. It loads and type-checks
+// packages from source with no dependency on the go command or
+// network; -tests adds each package's in-package _test.go files:
 //
-// Standalone mode loads and type-checks packages from source with no
-// dependency on the go command or network. Because the whole tree is
-// loaded, cross-package summary closure (latchsum) resolves imports
-// from source; passing -summaries additionally persists the computed
-// summaries so later go vet -vettool runs (which see one package at a
-// time) can consume them:
+//	hydra-vet -tests ./...
 //
-//	hydra-vet ./...
-//	hydra-vet -analyzers lockscope,latchorder internal/buffer
-//	hydra-vet -summaries .hydra-vet/summaries.json ./...
-//
-// It also speaks the go vet -vettool protocol, so the same binary
-// plugs into the standard toolchain (which additionally covers test
-// files of each package); there, cross-package summaries come from
-// the cache named by the HYDRA_VET_SUMMARIES environment variable:
-//
-//	go build -o bin/hydra-vet ./cmd/hydra-vet
-//	HYDRA_VET_SUMMARIES=.hydra-vet/summaries.json \
-//	  go vet -vettool=$(pwd)/bin/hydra-vet ./...
-//
-// Machine-readable output and baselining, for CI:
-//
-//	hydra-vet -json ./...                    # {"findings": [...], "dyn_calls": [...]}
-//	hydra-vet -write-baseline vet.baseline.json ./...
-//	hydra-vet -baseline vet.baseline.json ./...  # exit 1 only on NEW findings
-//
-// The -json object carries, alongside the findings, the latchsum
-// dynamic-dispatch census: every function whose synchronous path has
-// interface-method or function-value call sites, with the count of
-// such sites. These are the closure's blind spots — acquisitions
-// behind them are invisible to latchorder/blockscope (DESIGN.md §6) —
-// so the census is the honest "what the analysis did NOT see" half of
-// the report. Baseline files remain plain finding arrays.
-//
-// Baseline comparison matches findings by (file, analyzer, message),
-// ignoring line numbers, so unrelated edits above a baselined finding
-// don't churn CI.
-//
-// Exit status is 1 when any non-baselined diagnostic survives
-// suppression. Findings are baselined in place with justified
-// directives:
+// Exit status is 1 when any diagnostic survives suppression. A finding
+// is suppressed in place with a justified directive:
 //
 //	//hydra:vet:ignore lockscope -- capacity-1 channel, receiver guaranteed
-//	//hydra:blockok -- bounded: queue drained by this goroutine
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"hydra/internal/analysis"
 	"hydra/internal/analysis/atomicmix"
-	"hydra/internal/analysis/blockscope"
-	"hydra/internal/analysis/latchorder"
-	"hydra/internal/analysis/latchsum"
 	"hydra/internal/analysis/lockscope"
 	"hydra/internal/analysis/phasebal"
-	"hydra/internal/analysis/poolcycle"
 )
 
-// all lists every analyzer in the suite.
-func all() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		lockscope.Analyzer,
-		latchorder.Analyzer,
-		blockscope.Analyzer,
-		poolcycle.Analyzer,
-		atomicmix.Analyzer,
-		phasebal.Analyzer,
-	}
-}
-
-// finding is the JSON form of one diagnostic.
-type finding struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Analyzer string   `json:"analyzer"`
-	Message  string   `json:"message"`
-	Chain    []string `json:"chain,omitempty"`
-}
-
-// key identifies a finding for baseline comparison: file, analyzer
-// and message — NOT line, so edits above a baselined finding don't
-// churn the diff.
-func (f finding) key() string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
 func main() {
-	// go vet invokes the tool as `hydra-vet -V=full` and then
-	// `hydra-vet <dir>/vet.cfg`; detect and divert before flag
-	// parsing so the standalone flags don't collide.
-	if unitcheckerMain(all()) {
-		return
-	}
-
-	var (
-		names     = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		tests     = flag.Bool("tests", false, "also analyze in-package _test.go files")
-		tags      = flag.String("tags", "", "comma-separated build tags")
-		list      = flag.Bool("list", false, "list analyzers and exit")
-		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array (file, line, analyzer, message, chain)")
-		baseline  = flag.String("baseline", "", "baseline file: report and fail only on findings not in it")
-		writeBase = flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
-		summaries = flag.String("summaries", "", "cross-package summary cache to read and refresh (for later go vet -vettool runs)")
-		blockRank = flag.Int("blockscope-rank", blockscope.MinRank, "minimum hierarchy rank blockscope treats as spin-tier")
-	)
+	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
 	flag.Parse()
-
-	analyzers := all()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *names != "" {
-		analyzers = subset(analyzers, *names)
-	}
-	blockscope.MinRank = *blockRank
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	var cache *latchsum.Cache
-	if *summaries != "" {
-		cache = latchsum.LoadCache(*summaries)
-		latchsum.Default.SetDisk(cache)
 	}
 
 	ld, err := analysis.NewLoader(".", "")
@@ -142,196 +37,26 @@ func main() {
 		fail(err)
 	}
 	ld.IncludeTests = *tests
-	if *tags != "" {
-		ld.Tags = strings.Split(*tags, ",")
-	}
 	pkgs, err := ld.Load(patterns...)
 	if err != nil {
 		fail(err)
 	}
-	diags, err := analysis.Run(pkgs, analyzers)
+	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{lockscope.Analyzer, atomicmix.Analyzer, phasebal.Analyzer})
 	if err != nil {
 		fail(err)
 	}
-	if cache != nil {
-		refreshSummaries(cache, pkgs)
+	cwd, _ := os.Getwd()
+	for _, d := range diags {
+		pos := pkgs[0].Fset.Position(d.Pos) // the loader shares one FileSet across packages
+		file := pos.Filename
+		if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
+			file = filepath.ToSlash(rel)
+		}
+		fmt.Printf("%s:%d: %s: %s\n", file, pos.Line, d.Analyzer, d.Message)
 	}
-
-	findings := render(pkgs, diags)
-	if *writeBase != "" {
-		if err := writeBaseline(*writeBase, findings); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "hydra-vet: wrote %d finding(s) to %s\n", len(findings), *writeBase)
-		return
-	}
-	if *baseline != "" {
-		findings, err = diffBaseline(*baseline, findings)
-		if err != nil {
-			fail(err)
-		}
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []finding{}
-		}
-		rep := jsonReport{Findings: findings, DynCalls: dynCensus(pkgs)}
-		if err := enc.Encode(rep); err != nil {
-			fail(err)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Printf("%s:%d: %s: %s\n", f.File, f.Line, f.Analyzer, f.Message)
-		}
-	}
-	if len(findings) > 0 {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-// jsonReport is the -json output shape: the findings plus the
-// latchsum dynamic-dispatch census (the analysis's known blind spots).
-type jsonReport struct {
-	Findings []finding  `json:"findings"`
-	DynCalls []dynCount `json:"dyn_calls"`
-}
-
-// dynCount is one function's dynamic-dispatch exposure: call sites on
-// its synchronous path (interface methods, function values) whose
-// runtime target — and whatever it acquires — the latchsum closure
-// cannot see.
-type dynCount struct {
-	Func  string `json:"func"`
-	Count int    `json:"count"`
-}
-
-// dynCensus collects every summarized function with dynamic call
-// sites, sorted by name for stable output.
-func dynCensus(pkgs []*analysis.Package) []dynCount {
-	out := []dynCount{}
-	for _, pkg := range pkgs {
-		for name, s := range latchsum.Default.ByName(pkg) {
-			if s.DynCalls > 0 {
-				out = append(out, dynCount{Func: name, Count: s.DynCalls})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Func < out[j].Func })
-	return out
-}
-
-// render converts diagnostics to findings with repo-relative paths
-// (stable across checkouts, which baselines require).
-func render(pkgs []*analysis.Package, diags []analysis.Diagnostic) []finding {
-	cwd, _ := os.Getwd()
-	var out []finding
-	if len(pkgs) == 0 {
-		return out
-	}
-	fset := pkgs[0].Fset // the loader shares one FileSet across packages
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		file := pos.Filename
-		if cwd != "" {
-			if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = filepath.ToSlash(rel)
-			}
-		}
-		out = append(out, finding{
-			File:     file,
-			Line:     pos.Line,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-			Chain:    d.Chain,
-		})
-	}
-	return out
-}
-
-// writeBaseline persists findings sorted for stable diffs.
-func writeBaseline(path string, findings []finding) error {
-	sorted := append([]finding(nil), findings...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].key() != sorted[j].key() {
-			return sorted[i].key() < sorted[j].key()
-		}
-		return sorted[i].Line < sorted[j].Line
-	})
-	if sorted == nil {
-		sorted = []finding{}
-	}
-	raw, err := json.MarshalIndent(sorted, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// diffBaseline returns the findings not accounted for by the baseline
-// — a multiset diff on (file, analyzer, message), so k occurrences in
-// the baseline absorb at most k current ones.
-func diffBaseline(path string, findings []finding) ([]finding, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	var base []finding
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	budget := make(map[string]int)
-	for _, f := range base {
-		budget[f.key()]++
-	}
-	var fresh []finding
-	for _, f := range findings {
-		if budget[f.key()] > 0 {
-			budget[f.key()]--
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	return fresh, nil
-}
-
-// refreshSummaries (re)computes the cross-package summary cache for
-// every loaded package whose sources changed since the last run.
-func refreshSummaries(cache *latchsum.Cache, pkgs []*analysis.Package) {
-	for _, pkg := range pkgs {
-		var names []string
-		for _, f := range pkg.Files {
-			names = append(names, filepath.Base(pkg.Fset.Position(f.Package).Filename))
-		}
-		fp := latchsum.Fingerprint(pkg.Dir, names)
-		if cache.Fresh(pkg.Types.Path(), fp) {
-			continue
-		}
-		cache.Store(pkg.Types.Path(), fp, latchsum.Default.ByName(pkg))
-	}
-	if err := cache.Save(); err != nil {
-		fmt.Fprintln(os.Stderr, "hydra-vet: saving summaries:", err)
-	}
-}
-
-func subset(analyzers []*analysis.Analyzer, names string) []*analysis.Analyzer {
-	want := make(map[string]bool)
-	for _, n := range strings.Split(names, ",") {
-		want[strings.TrimSpace(n)] = true
-	}
-	var out []*analysis.Analyzer
-	for _, a := range analyzers {
-		if want[a.Name] {
-			out = append(out, a)
-			delete(want, a.Name)
-		}
-	}
-	for n := range want {
-		fail(fmt.Errorf("unknown analyzer %q", n))
-	}
-	return out
 }
 
 func fail(err error) {

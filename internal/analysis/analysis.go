@@ -5,9 +5,8 @@
 // external dependencies.
 //
 // The framework exists to machine-check the concurrency disciplines
-// the storage manager depends on (see DESIGN.md, "Concurrency
-// invariants and hydra-vet"). Individual invariants live in the
-// sibling packages lockscope, latchorder, poolcycle and atomicmix;
+// the storage manager depends on (DESIGN.md §6). Individual invariants
+// live in the sibling packages lockscope, atomicmix and phasebal;
 // cmd/hydra-vet drives them over the module.
 package analysis
 
@@ -41,11 +40,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Package is the loaded package behind the pass, carrying
-	// tree-local imports with full source for whole-program summary
-	// computation. Nil only in drivers that analyze detached units
-	// (go vet -vettool), where cross-package facts come from a cache.
-	Package *Package
 
 	// report collects a diagnostic; installed by the driver.
 	report func(Diagnostic)
@@ -60,26 +54,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportChain records a finding carrying the call chain witnessing it,
-// so machine-readable drivers (hydra-vet -json) expose the chain
-// structurally rather than only inside the message text.
-func (p *Pass) ReportChain(pos token.Pos, chain []string, format string, args ...any) {
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      pos,
-		Message:  fmt.Sprintf(format, args...),
-		Chain:    chain,
-	})
-}
-
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Analyzer string
 	Pos      token.Pos
 	Message  string
-	// Chain is the witness call chain for summary-closure findings
-	// (latchorder), outermost callee first; nil otherwise.
-	Chain []string
 }
 
 // Run executes each analyzer over each package and returns the
@@ -98,7 +77,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Package:   pkg,
 			}
 			pass.report = func(d Diagnostic) {
 				if !sup.covers(pkg.Fset, d) {

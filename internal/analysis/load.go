@@ -23,12 +23,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Imports holds the tree-local packages this one imports, keyed by
-	// import path — full source, not just export data, so analyzers
-	// can compute cross-package summaries (latchsum). Standard-library
-	// imports are absent. Nil when the driver has no source for
-	// dependencies (the go vet -vettool unit protocol).
-	Imports map[string]*Package
 }
 
 // Loader parses and type-checks packages of one source tree without
@@ -43,8 +37,6 @@ type Loader struct {
 	// means import paths are directory names relative to Root, the
 	// layout analyzer test fixtures use.
 	Module string
-	// Tags are extra build tags to enable (e.g. "hydradebug").
-	Tags []string
 	// IncludeTests includes *_test.go files of the package under test
 	// (in-package tests only; external _test packages are skipped).
 	IncludeTests bool
@@ -111,7 +103,6 @@ func modulePath(gomod string) string {
 // "./..." (every package under Root), "dir/..." and plain directory
 // paths relative to Root.
 func (ld *Loader) Load(patterns ...string) ([]*Package, error) {
-	ld.ctx.BuildTags = ld.Tags
 	var dirs []string
 	seen := make(map[string]bool)
 	add := func(d string) {
@@ -230,7 +221,6 @@ func (ld *Loader) loadPath(ipath, dir string) (*Package, error) {
 		return nil, err
 	}
 	var files []*ast.File
-	var names []string
 	pkgName := ""
 	for _, e := range ents {
 		name := e.Name()
@@ -259,13 +249,11 @@ func (ld *Loader) loadPath(ipath, dir string) (*Package, error) {
 			pkgName = f.Name.Name
 		}
 		files = append(files, f)
-		names = append(names, name)
 	}
 	if len(files) == 0 {
 		delete(ld.pkgs, ipath)
 		return nil, nil
 	}
-	_ = names
 	conf := types.Config{
 		Importer: (*loaderImporter)(ld),
 		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
@@ -281,14 +269,6 @@ func (ld *Loader) loadPath(ipath, dir string) (*Package, error) {
 		Files: files,
 		Types: tpkg,
 		Info:  ld.info,
-	}
-	// Type-checking pulled every tree-local import through loadPath,
-	// so the memo has them all; expose the direct ones.
-	pkg.Imports = make(map[string]*Package)
-	for _, imp := range tpkg.Imports() {
-		if dep, ok := ld.pkgs[imp.Path()]; ok && dep != nil {
-			pkg.Imports[imp.Path()] = dep
-		}
 	}
 	ld.pkgs[ipath] = pkg
 	return pkg, nil

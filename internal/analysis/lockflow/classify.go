@@ -6,133 +6,38 @@ import (
 	"path"
 )
 
-// LockClass buckets the lock primitives hydra-vet tracks.
-type LockClass int
-
-const (
-	// ClassNone: not a recognized lock operation.
-	ClassNone LockClass = iota
-	// ClassMutex: sync.Mutex / sync.RWMutex write side.
-	ClassMutex
-	// ClassRWRead: sync.RWMutex reader side.
-	ClassRWRead
-	// ClassSync2: one of internal/sync2's spin/hybrid primitives.
-	ClassSync2
-	// ClassLatch: a page latch (internal/latch Acquire/Release).
-	ClassLatch
-)
-
-// ClassifyLockCall reports whether call acquires or releases a
-// recognized lock. The key is the rendered receiver expression (the
-// lock's identity within one function); class buckets the primitive.
+// ClassifyLockCall reports whether call acquires or releases a guard
+// lock, with the lock's key: the rendered receiver expression (the
+// lock's identity within one function).
 //
 // Recognition is by the defining package of the called method — base
 // name "sync" (Mutex/RWMutex, including promoted embeddings),
-// "sync2", or "latch" — so analyzer fixtures can model sync2/latch
-// with small local packages of the same name.
-func ClassifyLockCall(info *types.Info, call *ast.CallExpr) (Action, string, LockClass) {
+// "invariant" (the ranked Mutex[T]/RWMutex[T] of a hydradebug build; in
+// a release build they are the sync types) or "sync2" — so analyzer
+// fixtures can model them with small local packages of the same name.
+// Page latches (internal/latch) are not guard locks: frames are
+// legitimately latched across IO.
+func ClassifyLockCall(info *types.Info, call *ast.CallExpr) (Action, string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return None, "", ClassNone
+		return None, ""
 	}
 	selection := info.Selections[sel]
 	if selection == nil {
-		return None, "", ClassNone
+		return None, ""
 	}
 	fn, ok := selection.Obj().(*types.Func)
 	if !ok || fn.Pkg() == nil {
-		return None, "", ClassNone
+		return None, ""
 	}
-	pkg := path.Base(fn.Pkg().Path())
-	name := fn.Name()
-	key := types.ExprString(sel.X)
-	switch pkg {
-	case "sync":
-		switch name {
-		case "Lock":
-			return Acquire, key, ClassMutex
-		case "Unlock":
-			return Release, key, ClassMutex
-		case "RLock":
-			return Acquire, key, ClassRWRead
-		case "RUnlock":
-			return Release, key, ClassRWRead
-		}
-	case "sync2":
-		switch name {
+	switch path.Base(fn.Pkg().Path()) {
+	case "sync", "invariant", "sync2":
+		switch fn.Name() {
 		case "Lock", "RLock":
-			return Acquire, key, ClassSync2
+			return Acquire, types.ExprString(sel.X)
 		case "Unlock", "RUnlock":
-			return Release, key, ClassSync2
-		}
-	case "latch":
-		switch name {
-		case "Acquire":
-			return Acquire, key, ClassLatch
-		case "Release":
-			return Release, key, ClassLatch
+			return Release, types.ExprString(sel.X)
 		}
 	}
-	return None, "", ClassNone
-}
-
-// LockSite names the declaration site of the lock a call operates on,
-// in the form "pkg.Type.field" (or "pkg.Type" / the raw expression
-// when no field selection is involved). latchorder keys its declared
-// hierarchy on these names.
-func LockSite(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if owner, field, ok := fieldOwner(info, sel.X); ok {
-		return owner + "." + field
-	}
-	// Method declared on the lock type itself (e.g. calling Acquire on
-	// a latch-typed local): fall back to the receiver's type.
-	if t := info.TypeOf(sel.X); t != nil {
-		if named := namedOf(t); named != nil {
-			return typeName(named)
-		}
-	}
-	return types.ExprString(sel.X)
-}
-
-// fieldOwner resolves expressions like s.mu or f.Latch to the owning
-// named type and field name.
-func fieldOwner(info *types.Info, e ast.Expr) (owner, field string, ok bool) {
-	fe, isSel := e.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	selection := info.Selections[fe]
-	if selection == nil || selection.Kind() != types.FieldVal {
-		return "", "", false
-	}
-	named := namedOf(selection.Recv())
-	if named == nil {
-		return "", "", false
-	}
-	return typeName(named), selection.Obj().Name(), true
-}
-
-func namedOf(t types.Type) *types.Named {
-	for {
-		switch tt := t.(type) {
-		case *types.Pointer:
-			t = tt.Elem()
-		case *types.Named:
-			return tt
-		default:
-			return nil
-		}
-	}
-}
-
-func typeName(n *types.Named) string {
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return path.Base(obj.Pkg().Path()) + "." + obj.Name()
+	return None, ""
 }

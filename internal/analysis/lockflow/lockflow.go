@@ -1,7 +1,6 @@
-// Package lockflow is the shared resource-tracking engine under the
-// hydra-vet analyzers. It walks a function body in approximate
-// execution order, maintaining the set of "held" resources (locks for
-// lockscope/latchorder, pool objects for poolcycle) through branches:
+// Package lockflow is the held-lock dataflow walk under the lockscope
+// analyzer. It walks a function body in approximate execution order,
+// maintaining the set of "held" resources through branches:
 //
 //   - if/else: a branch that terminates (return, break, continue,
 //     panic) drops out of the merge; otherwise the post-branch held
@@ -16,8 +15,7 @@
 //   - defer of a release keeps the resource held to function end (a
 //     deferred unlock still pins the lock across everything after
 //     it); hooks see the deferral and may instead treat it as an
-//     immediate release (poolcycle's deferred Put satisfies the
-//     ownership obligation).
+//     immediate release.
 //   - function literals execute later, possibly on another goroutine:
 //     they are walked separately with an empty held set — EXCEPT an
 //     immediately-invoked literal (func(){...}()), whose body runs
@@ -49,8 +47,6 @@ const (
 
 // Hold records one live acquisition.
 type Hold struct {
-	// Pos is where the resource was acquired.
-	Pos token.Pos
 	// Order is the acquisition sequence number within the function,
 	// so hooks can recover nesting order from a held map.
 	Order int
@@ -70,25 +66,10 @@ type Hooks struct {
 	// at the moment of acquisition.
 	Visit func(n ast.Node, held map[string]Hold)
 	// FuncEnd, if set, observes the held set at every exit point: each
-	// return statement and the fall-off end of the body (nil stmt).
-	// Terminating branches inside loops are not exits.
+	// return statement and the fall-off end of the body (nil stmt), of
+	// the function and of each separately-walked literal. Terminating
+	// branches inside loops are not exits.
 	FuncEnd func(ret *ast.ReturnStmt, held map[string]Hold)
-	// LitEnd, if set, observes exit points of separately-walked
-	// function literals (go bodies, escaping closures) instead of
-	// FuncEnd; when nil, FuncEnd fires for those too. Hooks that care
-	// only about the enclosing function's exits (latchorder's
-	// deferred-call check) install a LitEnd to keep literal exits out
-	// of FuncEnd.
-	LitEnd func(ret *ast.ReturnStmt, held map[string]Hold)
-}
-
-// litEnd returns the hook to fire at a separately-walked literal's
-// exit points.
-func (h Hooks) litEnd() func(*ast.ReturnStmt, map[string]Hold) {
-	if h.LitEnd != nil {
-		return h.LitEnd
-	}
-	return h.FuncEnd
 }
 
 // WalkFunc walks body with h. Nested function literals are walked
@@ -108,13 +89,9 @@ func WalkFunc(body *ast.BlockStmt, h Hooks) {
 	// guaranteed (or required) to be held when they execute, so each
 	// starts empty.
 	for i := 0; i < len(w.lits); i++ {
-		lit := w.lits[i]
-		lh := h
-		lh.FuncEnd = h.litEnd()
-		w2 := &walker{hooks: lh, held: map[string]Hold{}}
-		term := w2.stmts(lit.Body.List)
-		if !term && lh.FuncEnd != nil {
-			lh.FuncEnd(nil, w2.held)
+		w2 := &walker{hooks: h, held: map[string]Hold{}}
+		if !w2.stmts(w.lits[i].Body.List) && h.FuncEnd != nil {
+			h.FuncEnd(nil, w2.held)
 		}
 		w.lits = append(w.lits, w2.lits...)
 	}
@@ -378,7 +355,7 @@ func (w *walker) call(c *ast.CallExpr, deferred bool) {
 	switch act {
 	case Acquire:
 		w.seq++
-		w.held[key] = Hold{Pos: c.Pos(), Order: w.seq}
+		w.held[key] = Hold{Order: w.seq}
 	case Release:
 		delete(w.held, key)
 	}

@@ -160,8 +160,8 @@ func run(pass *analysis.Pass) error {
 		reported := make(map[token.Pos]bool)
 		lockflow.WalkFunc(decl.Body, lockflow.Hooks{
 			Classify: func(c *ast.CallExpr, deferred bool) (lockflow.Action, string) {
-				act, key, class := lockflow.ClassifyLockCall(pass.TypesInfo, c)
-				if class == lockflow.ClassNone || class == lockflow.ClassLatch {
+				act, key := lockflow.ClassifyLockCall(pass.TypesInfo, c)
+				if act == lockflow.None {
 					return lockflow.None, ""
 				}
 				if obj := lockFieldObj(pass.TypesInfo, c); obj != nil && coarse[obj] {
@@ -189,8 +189,9 @@ func run(pass *analysis.Pass) error {
 					return
 				}
 				// A lock's own Lock() blocks on contention, but
-				// nesting is latchorder's concern, not lockscope's.
-				if act, _, _ := lockflow.ClassifyLockCall(pass.TypesInfo, c); act != lockflow.None {
+				// nesting is the runtime layer's concern (latch order,
+				// internal/invariant), not lockscope's.
+				if act, _ := lockflow.ClassifyLockCall(pass.TypesInfo, c); act != lockflow.None {
 					return
 				}
 				if callee := staticCallee(pass, c); callee != nil {

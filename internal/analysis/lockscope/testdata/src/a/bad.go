@@ -2,7 +2,10 @@
 // blocking operation inside a critical section.
 package a
 
-import "sync"
+import (
+	"invariant"
+	"sync"
+)
 
 // PageStore mirrors the shape of hydra's buffer.PageStore; lockscope
 // matches the interface name so fixtures need no hydra imports.
@@ -127,4 +130,17 @@ func (s *verShardIO) resolveFromHeap(id uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.store.ReadPage(id) // want "\\(PageStore\\).ReadPage while holding s.mu"
+}
+
+// rankedShard is a shard as a hydradebug build declares it: the ranked
+// mutex guards its critical section like a sync one.
+type rankedShard struct {
+	mu    invariant.Mutex[invariant.PoolShard]
+	store PageStore
+}
+
+func (s *rankedShard) writeBackUnderLock(id uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.store.WritePage(id) // want "\\(PageStore\\).WritePage while holding s.mu"
 }

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"hydra/internal/buffer"
+	"hydra/internal/invariant"
 	"hydra/internal/latch"
 	"hydra/internal/obs"
 	"hydra/internal/page"
@@ -52,7 +52,7 @@ type Tree struct {
 	// a Coarse writer, or anyone splitting the root, holds it
 	// exclusively.
 	//hydra:vet:coarse -- held for a whole tree operation, page fetches included: Coarse mode's writers serialise on it by definition, and a root split must exclude all traffic
-	mu   sync.RWMutex
+	mu   invariant.RWMutex[invariant.Tree]
 	root page.ID
 
 	// The rightmost door: the id of the chain's last leaf and the

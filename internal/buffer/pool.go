@@ -91,7 +91,7 @@ type Pool struct {
 }
 
 type shard struct {
-	mu sync.Mutex
+	mu invariant.Mutex[invariant.PoolShard]
 	// cond (Wait releases mu) is broadcast whenever in-flight frame IO
 	// settles: fetchers of a loading page and victim scans starved by
 	// transient IO pins park here.
@@ -164,7 +164,6 @@ func lockShard(s *shard, c *obs.PhaseClock) {
 		c.Add(obs.PhaseLatchWait, obs.Now()-t0)
 	}
 	obs.LatchDone(obs.TierPoolShard, ps)
-	invariant.Acquired(invariant.TierPoolShard, "buffer.shard.mu")
 }
 
 func (p *Pool) fetch(id page.ID, c *obs.PhaseClock) (*Frame, error) {
@@ -189,7 +188,6 @@ func (p *Pool) fetch(id page.ID, c *obs.PhaseClock) (*Frame, error) {
 			}
 			f.pins++
 			f.ref = true
-			invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 			s.mu.Unlock()
 			p.hits.Add(1)
 			return f, nil
@@ -197,19 +195,15 @@ func (p *Pool) fetch(id page.ID, c *obs.PhaseClock) (*Frame, error) {
 		p.misses.Add(1)
 		f, needsWB, err := p.victimLocked(s, c)
 		if err != nil {
-			invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 			s.mu.Unlock()
 			return nil, err
 		}
 		if needsWB {
-			invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 			s.mu.Unlock()
 			werr := p.flushFrameC(f, c)
 			s.mu.Lock()
-			invariant.Acquired(invariant.TierPoolShard, "buffer.shard.mu")
 			p.evictReserved(s, f, werr)
 			if werr != nil {
-				invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 				s.mu.Unlock()
 				return nil, werr
 			}
@@ -231,7 +225,6 @@ func (p *Pool) fetch(id page.ID, c *obs.PhaseClock) (*Frame, error) {
 		f.loading = true
 		s.ioBusy++
 		s.table[id] = f
-		invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 		s.mu.Unlock()
 
 		if c != nil {
@@ -243,7 +236,6 @@ func (p *Pool) fetch(id page.ID, c *obs.PhaseClock) (*Frame, error) {
 		}
 
 		s.mu.Lock()
-		invariant.Acquired(invariant.TierPoolShard, "buffer.shard.mu")
 		f.loading = false
 		s.ioBusy--
 		if err != nil {
@@ -256,7 +248,6 @@ func (p *Pool) fetch(id page.ID, c *obs.PhaseClock) (*Frame, error) {
 			f.ref = false
 		}
 		s.cond.Broadcast()
-		invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 		s.mu.Unlock()
 		if err != nil {
 			return nil, err
@@ -286,19 +277,15 @@ func (p *Pool) newPage(t page.Type, c *obs.PhaseClock) (*Frame, error) {
 	lockShard(s, c)
 	f, needsWB, err := p.victimLocked(s, c)
 	if err != nil {
-		invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 		s.mu.Unlock()
 		return nil, err
 	}
 	if needsWB {
-		invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 		s.mu.Unlock()
 		werr := p.flushFrameC(f, c)
 		s.mu.Lock()
-		invariant.Acquired(invariant.TierPoolShard, "buffer.shard.mu")
 		p.evictReserved(s, f, werr)
 		if werr != nil {
-			invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 			s.mu.Unlock()
 			return nil, werr
 		}
@@ -312,7 +299,6 @@ func (p *Pool) newPage(t page.Type, c *obs.PhaseClock) (*Frame, error) {
 	f.dirty = true // a formatted page must reach disk eventually
 	f.recLSN = 0
 	s.table[id] = f
-	invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 	s.mu.Unlock()
 	return f, nil
 }
@@ -436,8 +422,6 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 	s.mu.Lock()
 	obs.LatchDone(obs.TierPoolShard, ps)
 	defer s.mu.Unlock()
-	invariant.Acquired(invariant.TierPoolShard, "buffer.shard.mu")
-	defer invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 	if f.pins <= 0 {
 		panic(fmt.Sprintf("buffer: unpin of unpinned page %d", f.id))
 	}
@@ -462,7 +446,6 @@ func (p *Pool) FlushAll() error {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		invariant.Acquired(invariant.TierPoolShard, "buffer.shard.mu")
 		var dirty []*Frame
 		for _, f := range s.frames {
 			if f.id != page.InvalidID && f.dirty {
@@ -470,7 +453,6 @@ func (p *Pool) FlushAll() error {
 				dirty = append(dirty, f)
 			}
 		}
-		invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 		s.mu.Unlock()
 		for _, f := range dirty {
 			f.Latch.Acquire(latch.Shared)
@@ -480,14 +462,12 @@ func (p *Pool) FlushAll() error {
 			// writer can re-dirty the frame, and that later update
 			// must not be masked by this flush's bookkeeping.
 			s.mu.Lock()
-			invariant.Acquired(invariant.TierPoolShard, "buffer.shard.mu")
 			if err == nil {
 				f.dirty = false
 				f.recLSN = 0
 				p.writebacks.Add(1)
 			}
 			f.pins--
-			invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 			s.mu.Unlock()
 			f.Latch.Release(latch.Shared)
 			if err != nil {
@@ -508,11 +488,9 @@ func (p *Pool) FlushPage(f *Frame) error {
 	if err == nil {
 		s := p.shardFor(f.id) // id is stable: the caller holds a pin
 		s.mu.Lock()
-		invariant.Acquired(invariant.TierPoolShard, "buffer.shard.mu")
 		f.dirty = false
 		f.recLSN = 0
 		p.writebacks.Add(1)
-		invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 		s.mu.Unlock()
 	}
 	return err
@@ -525,13 +503,11 @@ func (p *Pool) DirtyPageTable() map[uint64]uint64 {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		invariant.Acquired(invariant.TierPoolShard, "buffer.shard.mu")
 		for _, f := range s.frames {
 			if f.id != page.InvalidID && f.dirty {
 				dpt[uint64(f.id)] = f.recLSN
 			}
 		}
-		invariant.Released(invariant.TierPoolShard, "buffer.shard.mu")
 		s.mu.Unlock()
 	}
 	return dpt

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"hydra/internal/buffer"
-	"hydra/internal/invariant"
 	"hydra/internal/latch"
 	"hydra/internal/page"
 	"hydra/internal/wal"
@@ -35,8 +34,6 @@ func (e *Engine) Backup(w io.Writer) error {
 	// Block checkpoints (and therefore log truncation) while copying.
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
-	invariant.Acquired(invariant.TierEngineCkpt, "core.Engine.ckptMu")
-	defer invariant.Released(invariant.TierEngineCkpt, "core.Engine.ckptMu")
 
 	if _, err := io.WriteString(w, backupMagic); err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"hydra/internal/invariant"
 	"hydra/internal/wal"
 )
 
@@ -103,8 +102,6 @@ func (e *Engine) Checkpoint() error {
 	}
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
-	invariant.Acquired(invariant.TierEngineCkpt, "core.Engine.ckptMu")
-	defer invariant.Released(invariant.TierEngineCkpt, "core.Engine.ckptMu")
 
 	// When the log is cut into segments that can be recycled, a
 	// checkpoint doubles as the page cleaner: flushing dirty pages

@@ -26,6 +26,7 @@ import (
 	"hydra/internal/btree"
 	"hydra/internal/buffer"
 	"hydra/internal/heap"
+	"hydra/internal/invariant"
 	"hydra/internal/latch"
 	"hydra/internal/lock"
 	"hydra/internal/obs"
@@ -192,7 +193,7 @@ type Engine struct {
 	// mu guards the catalog maps. DDL persists its pages synchronously
 	// under it; it is a rare-operation lock, not a hot-path guard.
 	//hydra:vet:coarse -- catalog/DDL lock: table creation flushes pages under it by design; DDL is rare
-	mu          sync.RWMutex
+	mu          invariant.RWMutex[invariant.EngineMu]
 	tables      map[string]*Table
 	tablesByID  map[uint32]*Table
 	nextTableID uint32
@@ -224,7 +225,7 @@ type Engine struct {
 	// ckptMu serializes whole checkpoints and backups; a checkpoint is
 	// IO from end to end.
 	//hydra:vet:coarse -- checkpoint/backup serialization lock: the protected operation is IO by nature
-	ckptMu sync.Mutex
+	ckptMu invariant.Mutex[invariant.EngineCkpt]
 
 	// RecoveryReport describes what the last Open had to repair.
 	RecoveryReport Recovery

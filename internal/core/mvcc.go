@@ -52,7 +52,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"hydra/internal/invariant"
@@ -91,7 +90,7 @@ const verShardCount = 64
 type verShard struct {
 	// mu is a leaf bookkeeping mutex (spin tier): critical sections are
 	// a map probe plus pointer splices, never IO and never parking.
-	mu     sync.Mutex
+	mu     invariant.Mutex[invariant.MVCCShard]
 	chains map[verKey]*verNode
 	// perTable counts live chains (keys, not nodes) per table, so a
 	// range scan's collectRange can skip stripes that hold nothing for
@@ -109,13 +108,7 @@ func (sh *verShard) lock(c *obs.PhaseClock) {
 		sh.mu.Lock()
 		c.Add(obs.PhaseLatchWait, obs.Now()-t0)
 	}
-	invariant.Acquired(invariant.TierMVCCShard, "core.verShard.mu")
 	obs.LatchDone(obs.TierMVCCShard, s)
-}
-
-func (sh *verShard) unlock() {
-	invariant.Released(invariant.TierMVCCShard, "core.verShard.mu")
-	sh.mu.Unlock()
 }
 
 // dropChain removes k's (empty) chain entry and its table count.
@@ -143,7 +136,7 @@ type verTable struct {
 	// indivisible so the floor advances in LSN order over fully
 	// stamped transactions only.
 	//hydra:vet:coarse -- commit publish lock: held across the WAL ring append by design so snapshot floor, stamp, and commit record advance atomically
-	publishMu sync.Mutex
+	publishMu invariant.Mutex[invariant.MVCCPublish]
 
 	// snapFloor is the newest published commit-or-abort LSN: the
 	// snapshot a new read-only transaction pins. It advances only under
@@ -153,7 +146,7 @@ type verTable struct {
 
 	// snapMu guards the active-snapshot registry; oldestSnap mirrors
 	// its minimum so the install-path watermark read is lock-free.
-	snapMu     sync.Mutex
+	snapMu     invariant.Mutex[invariant.MVCCSnap]
 	snaps      map[uint64]uint64 // txn id -> pinned snapshot LSN
 	snapBorn   map[uint64]int64  // txn id -> begin stamp (obs.Now)
 	oldestSnap atomic.Uint64     // min pinned LSN, noSnapshot when none
@@ -202,10 +195,8 @@ func (vt *verTable) shard(k verKey) *verShard {
 // while pin() is between loading it and registering a snapshot.
 func (vt *verTable) publish(v *verTxn, lsn uint64) {
 	vt.snapMu.Lock()
-	invariant.Acquired(invariant.TierMVCCSnap, "core.verTable.snapMu")
 	v.commitLSN.Store(lsn)
 	vt.snapFloor.Store(lsn)
-	invariant.Released(invariant.TierMVCCSnap, "core.verTable.snapMu")
 	vt.snapMu.Unlock()
 }
 
@@ -238,14 +229,12 @@ func (vt *verTable) watermark() uint64 {
 // the watermark past it.
 func (vt *verTable) pin(id uint64) uint64 {
 	vt.snapMu.Lock()
-	invariant.Acquired(invariant.TierMVCCSnap, "core.verTable.snapMu")
 	s := vt.snapFloor.Load()
 	vt.snaps[id] = s
 	vt.snapBorn[id] = obs.Now()
 	if old := vt.oldestSnap.Load(); old == noSnapshot || s < old {
 		vt.oldestSnap.Store(s)
 	}
-	invariant.Released(invariant.TierMVCCSnap, "core.verTable.snapMu")
 	vt.snapMu.Unlock()
 	return s
 }
@@ -254,9 +243,7 @@ func (vt *verTable) pin(id uint64) uint64 {
 // watermark, the chains are swept under the new horizon.
 func (vt *verTable) release(id uint64) {
 	vt.snapMu.Lock()
-	invariant.Acquired(invariant.TierMVCCSnap, "core.verTable.snapMu")
 	if _, ok := vt.snaps[id]; !ok {
-		invariant.Released(invariant.TierMVCCSnap, "core.verTable.snapMu")
 		vt.snapMu.Unlock()
 		return
 	}
@@ -274,7 +261,6 @@ func (vt *verTable) release(id uint64) {
 	if next == noSnapshot {
 		next = vt.snapFloor.Load()
 	}
-	invariant.Released(invariant.TierMVCCSnap, "core.verTable.snapMu")
 	vt.snapMu.Unlock()
 	// Sweep outside snapMu: pin/release stay short, and the sweep
 	// takes only the leaf shard mutexes.
@@ -312,7 +298,7 @@ func (t *Txn) installVersion(table uint32, key uint64, before []byte) {
 	if !existed {
 		sh.perTable[table]++
 	}
-	sh.unlock()
+	sh.mu.Unlock()
 	t.verNodes = append(t.verNodes, n)
 	vt.installs.Inc()
 	if freed > 0 {
@@ -370,7 +356,7 @@ func (vt *verTable) resolve(table uint32, key uint64, snap uint64, c *obs.PhaseC
 			val = append([]byte(nil), oldest.before...)
 		}
 	}
-	sh.unlock()
+	sh.mu.Unlock()
 	return val, blocked
 }
 
@@ -387,7 +373,7 @@ func (vt *verTable) collectRange(table uint32, lo, hi, snap uint64, c *obs.Phase
 		sh := &vt.shards[i]
 		sh.lock(c)
 		if sh.perTable[table] == 0 {
-			sh.unlock()
+			sh.mu.Unlock()
 			continue
 		}
 		for k, head := range sh.chains {
@@ -415,7 +401,7 @@ func (vt *verTable) collectRange(table uint32, lo, hi, snap uint64, c *obs.Phase
 				extras = append(extras, k.key)
 			}
 		}
-		sh.unlock()
+		sh.mu.Unlock()
 	}
 	sort.Slice(extras, func(i, j int) bool { return extras[i] < extras[j] })
 	return pre, extras
@@ -441,7 +427,7 @@ func (vt *verTable) hasConflict(table uint32, key uint64, snap uint64, c *obs.Ph
 		cl := head.txn.commitLSN.Load()
 		conflict = cl == 0 || cl > snap
 	}
-	sh.unlock()
+	sh.mu.Unlock()
 	return conflict
 }
 
@@ -459,7 +445,6 @@ const expireEvery = 64
 func (vt *verTable) expireStale(maxAge int64) (expired []uint64, sweepTo uint64) {
 	now := obs.Now()
 	vt.snapMu.Lock()
-	invariant.Acquired(invariant.TierMVCCSnap, "core.verTable.snapMu")
 	for id, born := range vt.snapBorn {
 		if age := now - born; age > maxAge {
 			expired = append(expired, id)
@@ -486,7 +471,6 @@ func (vt *verTable) expireStale(maxAge int64) (expired []uint64, sweepTo uint64)
 			sweepTo = next
 		}
 	}
-	invariant.Released(invariant.TierMVCCSnap, "core.verTable.snapMu")
 	vt.snapMu.Unlock()
 	if n := len(expired); n > 0 {
 		vt.snapExpired.Add(uint64(n))
@@ -514,7 +498,7 @@ func (vt *verTable) retireAborted(nodes []*verNode, c *obs.PhaseClock) {
 				sh.dropChain(n.key)
 			}
 		}
-		sh.unlock()
+		sh.mu.Unlock()
 	}
 	if freed > 0 {
 		vt.gcNodes.Add(uint64(freed))
@@ -535,7 +519,7 @@ func (vt *verTable) sweep(w uint64) {
 				sh.dropChain(k)
 			}
 		}
-		sh.unlock()
+		sh.mu.Unlock()
 	}
 	if freed > 0 {
 		vt.gcNodes.Add(uint64(freed))
@@ -582,7 +566,6 @@ func (vt *verTable) statsSnapshot() MvccStats {
 		SnapshotsExpired: vt.snapExpired.Load(),
 	}
 	vt.snapMu.Lock()
-	invariant.Acquired(invariant.TierMVCCSnap, "core.verTable.snapMu")
 	st.ActiveSnapshots = len(vt.snaps)
 	now := obs.Now()
 	for id := range vt.snaps {
@@ -590,7 +573,6 @@ func (vt *verTable) statsSnapshot() MvccStats {
 			st.OldestSnapshotAgeNs = age
 		}
 	}
-	invariant.Released(invariant.TierMVCCSnap, "core.verTable.snapMu")
 	vt.snapMu.Unlock()
 	return st
 }

@@ -40,38 +40,51 @@ const u32 = 1<<32 - 1
 func sxKey(attr, rowKey uint64) uint64 { return attr<<32 | rowKey }
 
 // AddIndex registers (and builds, from existing rows) a secondary
-// index on the table.
+// index on the table. The build reads the table in a plain engine
+// transaction under a table-level shared lock and fills the new tree
+// after the scan, still under that lock. A row whose key or attribute
+// does not fit in 32 bits fails the build with ErrKeyRange, and no
+// index is registered.
 func (t *Table) AddIndex(name string, extract func(key uint64, value []byte) (uint64, bool)) (*SecondaryIndex, error) {
 	if t.engine.closed.Load() {
 		return nil, ErrClosed
 	}
-	tree, err := btree.Create(t.engine.pool, t.engine.cfg.IndexMode)
-	if err != nil {
-		return nil, err
-	}
-	idx := &SecondaryIndex{Name: name, Extract: extract, tree: tree}
-	// Build from current contents under a table-level shared lock via
-	// a plain engine transaction.
-	err = t.engine.Exec(func(tx *Txn) error {
-		return tx.Scan(t, 0, ^uint64(0), func(key uint64, value []byte) bool {
+	var tree *btree.Tree
+	err := t.engine.Exec(func(tx *Txn) error {
+		var entries [][2]uint64 // composite key, row key
+		var rangeErr error
+		if err := tx.Scan(t, 0, ^uint64(0), func(key uint64, value []byte) bool {
 			attr, ok := extract(key, value)
 			if !ok {
 				return true
 			}
 			if attr > u32 || key > u32 {
-				err = ErrKeyRange
+				rangeErr = fmt.Errorf("%w: row key %d, attribute %d", ErrKeyRange, key, attr)
 				return false
 			}
-			if ierr := tree.Insert(sxKey(attr, key), key); ierr != nil {
-				err = ierr
-				return false
-			}
+			entries = append(entries, [2]uint64{sxKey(attr, key), key})
 			return true
-		})
+		}); err != nil {
+			return err
+		}
+		if rangeErr != nil {
+			return rangeErr
+		}
+		var err error
+		if tree, err = btree.Create(t.engine.pool, t.engine.cfg.IndexMode); err != nil {
+			return err
+		}
+		for _, e := range entries {
+			if err := tree.Insert(e[0], e[1]); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	idx := &SecondaryIndex{Name: name, Extract: extract, tree: tree}
 	t.idxMu.Lock()
 	t.secondary = append(t.secondary, idx)
 	t.idxMu.Unlock()
@@ -106,7 +119,11 @@ func (tx *Txn) LookupBy(tbl *Table, idx *SecondaryIndex, attr uint64, fn func(ke
 }
 
 // LookupRange iterates rows with loAttr <= attribute <= hiAttr in
-// (attribute, row-key) order.
+// (attribute, row-key) order. fn is held to Scan's contract: it may run
+// under the index's latches and must not call the engine. The rows are
+// resolved after each walk of the secondary index, snapScanChunk
+// entries at a time, so the primary index and the heap are never
+// entered under its latches.
 func (tx *Txn) LookupRange(tbl *Table, idx *SecondaryIndex, loAttr, hiAttr uint64, fn func(key uint64, value []byte) bool) error {
 	if err := tx.checkActive(); err != nil {
 		return err
@@ -117,23 +134,36 @@ func (tx *Txn) LookupRange(tbl *Table, idx *SecondaryIndex, loAttr, hiAttr uint6
 	if err := tx.acquire(lock.TableName(tbl.ID), lock.S); err != nil {
 		return err
 	}
-	var inner error
-	err := idx.tree.ScanC(sxKey(loAttr, 0), sxKey(hiAttr, u32), &tx.clock, func(composite, rowKey uint64) bool {
-		packed, err := tbl.Index.GetC(rowKey, &tx.clock)
-		if err != nil {
-			return true // row vanished between index and heap (stale entry)
+	var rows []uint64
+	cursor, end := sxKey(loAttr, 0), sxKey(hiAttr, u32)
+	for {
+		rows = rows[:0]
+		last := cursor
+		if err := idx.tree.ScanC(cursor, end, &tx.clock, func(composite, rowKey uint64) bool {
+			last = composite
+			rows = append(rows, rowKey)
+			return len(rows) < snapScanChunk
+		}); err != nil {
+			return err
 		}
-		rec, err := tbl.Heap.ReadC(heap.Unpack(packed), &tx.clock)
-		if err != nil {
-			inner = err
-			return false
+		for _, rowKey := range rows {
+			packed, err := tbl.Index.GetC(rowKey, &tx.clock)
+			if err != nil {
+				continue // row vanished between index and heap (stale entry)
+			}
+			rec, err := tbl.Heap.ReadC(heap.Unpack(packed), &tx.clock)
+			if err != nil {
+				return err
+			}
+			if !fn(rowKey, rowValue(rec)) {
+				return nil
+			}
 		}
-		return fn(rowKey, rowValue(rec))
-	})
-	if err != nil {
-		return err
+		if len(rows) < snapScanChunk || last >= end {
+			return nil
+		}
+		cursor = last + 1
 	}
-	return inner
 }
 
 // maintainSecondaries applies the index-side effect of a committed-

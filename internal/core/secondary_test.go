@@ -237,3 +237,71 @@ func TestSecondaryRebuildAfterReopen(t *testing.T) {
 		t.Fatalf("rebuilt index class 3 = %d, want 10", n)
 	}
 }
+
+// A build that meets a row keyed past 32 bits fails with ErrKeyRange
+// and registers nothing.
+func TestAddIndexRefusesWideRowKey(t *testing.T) {
+	e := memEngine(t, Scalable())
+	tbl, _ := e.CreateTable("t")
+	if err := e.Exec(func(tx *Txn) error {
+		for _, k := range []uint64{1, 2, 1 << 40} {
+			if err := tx.Insert(tbl, k, []byte{1}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := tbl.AddIndex("by-class", byFirstByte)
+	if !errors.Is(err, ErrKeyRange) || idx != nil {
+		t.Fatalf("AddIndex = %v, %v; want ErrKeyRange and no index", idx, err)
+	}
+	if n := len(tbl.Indexes()); n != 0 {
+		t.Fatalf("%d indexes registered after a failed build", n)
+	}
+}
+
+// A lookup that spans several resolution chunks returns every row once,
+// in (attribute, row-key) order, and stops where fn says.
+func TestLookupRangeAcrossChunks(t *testing.T) {
+	old := snapScanChunk
+	snapScanChunk = 4
+	defer func() { snapScanChunk = old }()
+	e := memEngine(t, Scalable())
+	tbl, _ := e.CreateTable("t")
+	e.Exec(func(tx *Txn) error {
+		for i := uint64(0); i < 30; i++ {
+			if err := tx.Insert(tbl, i, []byte{byte(i % 3)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	idx, err := tbl.AddIndex("by-class", byFirstByte)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	e.Exec(func(tx *Txn) error {
+		return tx.LookupRange(tbl, idx, 1, u32, func(k uint64, v []byte) bool {
+			got = append(got, uint64(v[0])<<32|k)
+			return true
+		})
+	})
+	if len(got) != 20 {
+		t.Fatalf("lookup returned %d rows, want 20", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("lookup out of order at %d: %x after %x", i, got[i], got[i-1])
+		}
+	}
+	n := 0
+	e.Exec(func(tx *Txn) error {
+		return tx.LookupBy(tbl, idx, 2, func(uint64, []byte) bool { n++; return n < 6 })
+	})
+	if n != 6 {
+		t.Fatalf("lookup ran fn %d times after it asked to stop at 6", n)
+	}
+}

@@ -15,7 +15,6 @@ import (
 
 	"hydra/internal/btree"
 	"hydra/internal/heap"
-	"hydra/internal/invariant"
 	"hydra/internal/wal"
 )
 
@@ -250,12 +249,10 @@ func (t *Txn) snapshotScan(tbl *Table, lo, hi uint64, fn func(key uint64, value 
 func (e *Engine) appendPublished(t *Txn, kind wal.RecType) (wal.LSN, error) {
 	vt := e.mvcc
 	vt.publishMu.Lock()
-	invariant.Acquired(invariant.TierMVCCPublish, "core.verTable.publishMu")
 	lsn, err := e.log.AppendFieldsC(kind, t.id, t.lastLSN, 0, 0, nil, &t.clock)
 	if err == nil {
 		vt.publish(t.verTxn, uint64(lsn))
 	}
-	invariant.Released(invariant.TierMVCCPublish, "core.verTable.publishMu")
 	vt.publishMu.Unlock()
 	return lsn, err
 }

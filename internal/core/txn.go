@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"hydra/internal/btree"
@@ -114,7 +113,7 @@ type Txn struct {
 	// must serialize the prev-LSN chain, and an append is a buffer copy
 	// (group commit makes the IO asynchronous).
 	//hydra:vet:coarse -- per-txn chain lock: held across WAL appends so DORA executors serialize the LSN chain
-	mu       sync.Mutex
+	mu       invariant.Mutex[invariant.TxnMu]
 	lastLSN  wal.LSN
 	firstLSN wal.LSN // begin record (log-truncation horizon)
 	undo     []undoEntry
@@ -665,7 +664,9 @@ func (t *Txn) delete(tbl *Table, key uint64) error {
 }
 
 // Scan iterates rows with lo <= key <= hi in key order under a
-// table-level shared lock.
+// table-level shared lock. fn runs under the index's latches and must
+// not call the engine: collect what it needs and act after Scan
+// returns.
 func (t *Txn) Scan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte) bool) error {
 	if err := t.checkActive(); err != nil {
 		return err

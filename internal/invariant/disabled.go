@@ -2,8 +2,17 @@
 
 package invariant
 
+import "sync"
+
 // Enabled reports whether the assertions are compiled in.
 const Enabled = false
+
+// Mutex and RWMutex are the sync types themselves in a release build:
+// the tier lives only in the declaration.
+type (
+	Mutex[T Tier]   = sync.Mutex
+	RWMutex[T Tier] = sync.RWMutex
+)
 
 // The release-build stubs are empty so instrumented call sites inline
 // to nothing.

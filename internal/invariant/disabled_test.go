@@ -2,16 +2,24 @@
 
 package invariant
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // The release-build stubs must be callable in any pattern without
-// side effects — including ones that would panic under hydradebug.
+// side effects — including ones that would panic under hydradebug —
+// and the ranked lock types must be the sync types themselves.
 func TestStubsAreInert(t *testing.T) {
 	if Enabled {
 		t.Fatal("Enabled must be false without the hydradebug tag")
 	}
-	Acquired(TierPoolShard, "shard")
-	Acquired(TierTxnMu, "txn") // inversion: ignored without the tag
+	var shard Mutex[PoolShard]
+	var txn *sync.Mutex = new(Mutex[TxnMu])
+	shard.Lock()
+	txn.Lock() // inversion: ignored without the tag
+	txn.Unlock()
+	shard.Unlock()
 	Released(TierFrameLatch, "never held")
 	obj := new(int)
 	PoolPut("never got", obj)

@@ -79,10 +79,52 @@ func Released(tier int, site string) {
 	panic(fmt.Sprintf("invariant: releasing %s (tier %d) that this goroutine does not hold", site, tier))
 }
 
+// Mutex is a sync.Mutex ranked at tier T: every acquisition is checked
+// against the tiers the goroutine holds before it waits.
+type Mutex[T Tier] struct{ mu sync.Mutex }
+
+func (m *Mutex[T]) Lock()   { acquired[T](); m.mu.Lock() }
+func (m *Mutex[T]) Unlock() { released[T](); m.mu.Unlock() }
+
+func (m *Mutex[T]) TryLock() bool {
+	if !m.mu.TryLock() {
+		return false
+	}
+	acquired[T]()
+	return true
+}
+
+// RWMutex is a sync.RWMutex ranked at tier T; either side records the
+// hold.
+type RWMutex[T Tier] struct{ mu sync.RWMutex }
+
+func (m *RWMutex[T]) Lock()    { acquired[T](); m.mu.Lock() }
+func (m *RWMutex[T]) Unlock()  { released[T](); m.mu.Unlock() }
+func (m *RWMutex[T]) RLock()   { acquired[T](); m.mu.RLock() }
+func (m *RWMutex[T]) RUnlock() { released[T](); m.mu.RUnlock() }
+
+func (m *RWMutex[T]) TryLock() bool {
+	if !m.mu.TryLock() {
+		return false
+	}
+	acquired[T]()
+	return true
+}
+
+func (m *RWMutex[T]) TryRLock() bool {
+	if !m.mu.TryRLock() {
+		return false
+	}
+	acquired[T]()
+	return true
+}
+
+func acquired[T Tier]() { var t T; Acquired(t.rank()) }
+func released[T Tier]() { var t T; Released(t.rank()) }
+
 // PoolGot records ownership of an object taken from a sync.Pool (or
 // created fresh on a pool miss). It panics if the object is already
-// outstanding — two holders of one pooled object is the double-Get
-// aliasing bug poolcycle cannot see across goroutines.
+// outstanding: two holders of one pooled object.
 func PoolGot(site string, obj any) {
 	mu.Lock()
 	defer mu.Unlock()

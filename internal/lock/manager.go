@@ -102,7 +102,7 @@ type lockHead struct {
 }
 
 type partition struct {
-	mu    sync.Mutex
+	mu    invariant.Mutex[invariant.LockPart]
 	table map[Name]*lockHead
 	// heat persists observed conflict counts per name, surviving lock
 	// head reclamation; SLI consults it to classify hot locks. Striped
@@ -207,9 +207,8 @@ func (m *Manager) takeHeadLocked(p *partition) *lockHead {
 // caller must already have unlinked it from p.table and released
 // p.mu: once unlinked the head is unreachable, so the push — and the
 // state scrub before it — happen outside the partition critical
-// section (the retire-outside-mutex protocol the poolcycle fixtures
-// pin). After the push the head belongs to the freelist; only
-// takeHeadLocked may touch it again.
+// section (the retire-outside-mutex protocol). After the push the head
+// belongs to the freelist; only takeHeadLocked may touch it again.
 func (m *Manager) retireHead(p *partition, lh *lockHead) {
 	invariant.Assert(len(lh.granted) == 0 && len(lh.queue) == 0,
 		"retiring a non-empty lock head")

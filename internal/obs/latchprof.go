@@ -3,8 +3,8 @@ package obs
 import "hydra/internal/hist"
 
 // Tier identifies one level of the latch hierarchy for profiling.
-// The set mirrors the rank constants in internal/invariant (the
-// single source of truth for ordering); obs keeps its own dense
+// The set mirrors the tiers in internal/invariant (the single source
+// of truth for ordering); obs keeps its own dense
 // indices so the per-tier arrays need no rank->slot lookup on the hot
 // path. Adding a tier means adding it in both places.
 type Tier uint8
@@ -17,7 +17,6 @@ const (
 	TierLockPart               // lock.partition.mu
 	TierFrameLatch             // buffer.Frame.Latch
 	TierPoolShard              // buffer.shard.mu
-	TierFileStore              // buffer.FileStore.mu
 	TierWALLog                 // wal.Log.mu
 	TierWALWait                // wal.Log.waitMu
 	TierWALDevice              // wal.FileDevice.mu
@@ -30,8 +29,8 @@ const (
 
 var tierNames = [NumTiers]string{
 	"engine_ckpt", "engine_mu", "txn_mu", "tree",
-	"lock_part", "frame_latch", "pool_shard", "file_store",
-	"wal_log", "wal_wait", "wal_device", "dora_queue", "mvcc_shard",
+	"lock_part", "frame_latch", "pool_shard", "wal_log",
+	"wal_wait", "wal_device", "dora_queue", "mvcc_shard",
 }
 
 func (t Tier) String() string {

@@ -20,7 +20,7 @@ import (
 // keeps draining until the backlog is empty before Drain reports
 // closed — no item accepted by Put is ever dropped.
 type Queue[T any] struct {
-	mu       sync.Mutex
+	mu       invariant.Mutex[invariant.DoraQueue]
 	notFull  sync.Cond
 	notEmpty sync.Cond
 	buf      []T // ring storage
@@ -46,12 +46,10 @@ func (q *Queue[T]) Put(v T) bool {
 	s := obs.LatchStart(obs.TierDoraQueue)
 	q.mu.Lock()
 	obs.LatchDone(obs.TierDoraQueue, s)
-	invariant.Acquired(invariant.TierDoraQueue, "sync2.Queue.mu")
 	for q.n == len(q.buf) && !q.closed {
 		q.notFull.Wait()
 	}
 	if q.closed {
-		invariant.Released(invariant.TierDoraQueue, "sync2.Queue.mu")
 		q.mu.Unlock()
 		return false
 	}
@@ -60,7 +58,6 @@ func (q *Queue[T]) Put(v T) bool {
 	if q.n == 1 {
 		q.notEmpty.Signal()
 	}
-	invariant.Released(invariant.TierDoraQueue, "sync2.Queue.mu")
 	q.mu.Unlock()
 	return true
 }
@@ -73,12 +70,10 @@ func (q *Queue[T]) Drain(into []T) (_ []T, ok bool) {
 	s := obs.LatchStart(obs.TierDoraQueue)
 	q.mu.Lock()
 	obs.LatchDone(obs.TierDoraQueue, s)
-	invariant.Acquired(invariant.TierDoraQueue, "sync2.Queue.mu")
 	for q.n == 0 && !q.closed {
 		q.notEmpty.Wait()
 	}
 	if q.n == 0 {
-		invariant.Released(invariant.TierDoraQueue, "sync2.Queue.mu")
 		q.mu.Unlock()
 		return into, false
 	}
@@ -93,7 +88,6 @@ func (q *Queue[T]) Drain(into []T) (_ []T, ok bool) {
 	if wasFull {
 		q.notFull.Broadcast()
 	}
-	invariant.Released(invariant.TierDoraQueue, "sync2.Queue.mu")
 	q.mu.Unlock()
 	return into, true
 }

@@ -98,21 +98,21 @@ func TestTicketFairnessOrdering(t *testing.T) {
 		close(arrived)
 		l.Lock()
 		//hydra:vet:ignore lockscope -- buffered (cap 2) report channel; send cannot block
-		order <- 1 //hydra:blockok -- buffered (cap 2) report channel, one send per goroutine; cannot park
+		order <- 1
 		l.Unlock()
 	}()
 	//hydra:vet:ignore lockscope -- fairness test: main goroutine deliberately parks arrivals behind its lock
-	<-arrived //hydra:blockok -- fairness test: main goroutine deliberately parks arrivals behind its lock
+	<-arrived
 	//hydra:vet:ignore lockscope -- fairness test: main goroutine deliberately parks arrivals behind its lock
-	time.Sleep(10 * time.Millisecond) //hydra:blockok -- fairness test: bounded sleep to order ticket arrivals
+	time.Sleep(10 * time.Millisecond)
 	go func() {
 		l.Lock()
 		//hydra:vet:ignore lockscope -- buffered (cap 2) report channel; send cannot block
-		order <- 2 //hydra:blockok -- buffered (cap 2) report channel, one send per goroutine; cannot park
+		order <- 2
 		l.Unlock()
 	}()
 	//hydra:vet:ignore lockscope -- fairness test: main goroutine deliberately parks arrivals behind its lock
-	time.Sleep(10 * time.Millisecond) //hydra:blockok -- fairness test: bounded sleep to order ticket arrivals
+	time.Sleep(10 * time.Millisecond)
 	l.Unlock()
 	if first := <-order; first != 1 {
 		t.Fatalf("ticket lock served arrival %d first", first)
@@ -135,7 +135,7 @@ func TestSpinRWLockReadersShareWritersExclude(t *testing.T) {
 		l.Unlock()
 	}()
 	//hydra:vet:ignore lockscope -- exclusion test: waits (bounded) under RLock to assert the writer stays out
-	select { //hydra:blockok -- exclusion test: 20ms-bounded select under RLock is the assertion itself
+	select {
 	case <-done:
 		t.Fatal("writer acquired lock while readers held it")
 	case <-time.After(20 * time.Millisecond):
@@ -159,7 +159,7 @@ func TestSpinRWLockWriterBlocksReaders(t *testing.T) {
 		l.RUnlock()
 	}()
 	//hydra:vet:ignore lockscope -- exclusion test: waits (bounded) under Lock to assert readers stay out
-	select { //hydra:blockok -- exclusion test: 20ms-bounded select under Lock is the assertion itself
+	select {
 	case <-got:
 		t.Fatal("reader acquired lock while writer held it")
 	case <-time.After(20 * time.Millisecond):

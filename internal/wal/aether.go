@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hydra/internal/invariant"
 	"hydra/internal/obs"
 )
 
@@ -145,12 +144,10 @@ func (l *Log) insertConsolidated(rec []byte, c *obs.PhaseClock) (LSN, error) {
 		ls := obs.LatchStart(obs.TierWALLog)
 		t0 := l.lockInsertMu(c)
 		obs.LatchDone(obs.TierWALLog, ls)
-		invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
 		l.stats.mutexAcquires.Inc()
 		groupSize = l.ca.close(s) // no more joiners past this point
 		var err error
 		base, err = l.allocateLocked(groupSize, c, &t0)
-		invariant.Released(invariant.TierWALLog, "wal.Log.mu")
 		l.mu.Unlock()
 		l.noteInsertWait(c, t0)
 		if err != nil {

@@ -115,7 +115,7 @@ type FileDevice struct {
 	// are the readers.
 	//
 	//hydra:vet:coarse -- device-level lock: segment rotation must mutate the map and the file set atomically, and the staging buffer doubles as the IO buffer
-	mu    sync.Mutex
+	mu    invariant.Mutex[invariant.WALDevice]
 	segs  map[int64]*segment // start offset -> file
 	dirty map[int64]struct{} // segments written since the last Sync
 	// size is the logical end of log: what Size reports and ReadAt
@@ -262,18 +262,11 @@ func (d *FileDevice) adopt(start int64) error {
 	return nil
 }
 
-// lock acquires d.mu with latch profiling and the hydradebug
-// tier-order assertion.
+// lock acquires d.mu with latch profiling.
 func (d *FileDevice) lock() {
 	ls := obs.LatchStart(obs.TierWALDevice)
 	d.mu.Lock()
 	obs.LatchDone(obs.TierWALDevice, ls)
-	invariant.Acquired(invariant.TierWALDevice, "wal.FileDevice.mu")
-}
-
-func (d *FileDevice) unlock() {
-	invariant.Released(invariant.TierWALDevice, "wal.FileDevice.mu")
-	d.mu.Unlock()
 }
 
 // segFor returns the segment that starts at start, creating its file
@@ -342,7 +335,7 @@ func extendSparse(f *os.File, size int64) error {
 // WriteAt implements Device.
 func (d *FileDevice) WriteAt(b []byte, off int64) (int, error) {
 	d.lock()
-	defer d.unlock()
+	defer d.mu.Unlock()
 	return d.writeVec([]int64{off}, [][]byte{b})
 }
 
@@ -357,7 +350,7 @@ func (d *FileDevice) WriteVec(offs []int64, bufs [][]byte) (int, error) {
 		return 0, fmt.Errorf("wal: WriteVec: %d offsets for %d buffers", len(offs), len(bufs))
 	}
 	d.lock()
-	defer d.unlock()
+	defer d.mu.Unlock()
 	d.stats.vecWrites.Inc()
 	return d.writeVec(offs, bufs)
 }
@@ -455,7 +448,7 @@ func (d *FileDevice) writeRun(b []byte, off int64) (int, error) {
 // file. Reading below the truncation point is an error.
 func (d *FileDevice) ReadAt(b []byte, off int64) (int, error) {
 	d.lock()
-	defer d.unlock()
+	defer d.mu.Unlock()
 	read := 0
 	for read < len(b) && off < d.size {
 		start := d.segStart(off)
@@ -490,7 +483,7 @@ func (d *FileDevice) ReadAt(b []byte, off int64) (int, error) {
 // fails stays dirty, so a retry covers it again.
 func (d *FileDevice) Sync() error {
 	d.lock()
-	defer d.unlock()
+	defer d.mu.Unlock()
 	d.stats.syncs.Inc()
 	if clean := len(d.segs) - len(d.dirty); clean > 0 {
 		d.stats.segSyncSkips.Add(uint64(clean))
@@ -508,7 +501,7 @@ func (d *FileDevice) Sync() error {
 // Size implements Device: the logical end of log.
 func (d *FileDevice) Size() (int64, error) {
 	d.lock()
-	defer d.unlock()
+	defer d.mu.Unlock()
 	return d.size, nil
 }
 
@@ -517,7 +510,7 @@ func (d *FileDevice) Size() (int64, error) {
 // dropped bytes read back as zeros.
 func (d *FileDevice) SetEnd(off int64) error {
 	d.lock()
-	defer d.unlock()
+	defer d.mu.Unlock()
 	if off < d.base || off > d.size {
 		return fmt.Errorf("wal: set end %d outside log [%d, %d]", off, d.base, d.size)
 	}
@@ -559,7 +552,7 @@ func (d *FileDevice) drop(start int64) error {
 // truncation-point computation).
 func (d *FileDevice) TruncateBefore(lsn LSN) (int, error) {
 	d.lock()
-	defer d.unlock()
+	defer d.mu.Unlock()
 	removed := 0
 	for start := range d.segs {
 		if int64(lsn)-start >= d.segSize {
@@ -580,14 +573,14 @@ func (d *FileDevice) Bounded() bool { return d.segSize < unbounded }
 // Base returns the lowest retained log offset.
 func (d *FileDevice) Base() int64 {
 	d.lock()
-	defer d.unlock()
+	defer d.mu.Unlock()
 	return d.base
 }
 
 // Segments returns the number of live segment files.
 func (d *FileDevice) Segments() int {
 	d.lock()
-	defer d.unlock()
+	defer d.mu.Unlock()
 	return len(d.segs)
 }
 
@@ -595,7 +588,7 @@ func (d *FileDevice) Segments() int {
 // cleanly closed log is exactly its records.
 func (d *FileDevice) Close() error {
 	d.lock()
-	defer d.unlock()
+	defer d.mu.Unlock()
 	var err error
 	for start, s := range d.segs {
 		if keep := max(d.size-start, 0); keep < s.alloc {

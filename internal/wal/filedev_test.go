@@ -139,7 +139,7 @@ func kill(t testing.TB, l *Log, d *FileDevice) {
 			t.Fatal(err)
 		}
 	}
-	d.unlock()
+	d.mu.Unlock()
 	l.Close() // stops the flusher; its writes fail on the closed files
 }
 
@@ -475,7 +475,7 @@ func TestTruncateBeforeRemoveFailureDropsSegment(t *testing.T) {
 	// not reached yet may legitimately remain for the retry.
 	d.lock()
 	_, retained := d.segs[0]
-	d.unlock()
+	d.mu.Unlock()
 	if retained {
 		t.Fatal("closed segment 0 still in live map after failed truncation")
 	}

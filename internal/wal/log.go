@@ -113,9 +113,9 @@ type Log struct {
 	opts Options
 	dev  Device
 
-	mu    sync.Mutex // guards next and space accounting
-	space *sync.Cond // signaled when flushed advances
-	next  uint64     // next LSN to allocate (logical byte offset)
+	mu    invariant.Mutex[invariant.WALLog] // guards next and space accounting
+	space *sync.Cond                        // signaled when flushed advances
+	next  uint64                            // next LSN to allocate (logical byte offset)
 
 	ring ringBuf
 	fr   *frontier
@@ -127,7 +127,7 @@ type Log struct {
 	// woken exactly once — when the durable frontier passes its own
 	// record — instead of every waiter waking (and mostly going back
 	// to sleep) on every flush advance of a shared condvar.
-	waitMu  sync.Mutex
+	waitMu  invariant.Mutex[invariant.WALWait]
 	waiters waiterHeap
 	parked  atomic.Int32 // committers in waitFlushedSlow; see filled
 
@@ -379,18 +379,15 @@ func (l *Log) insertSerial(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	ls := obs.LatchStart(obs.TierWALLog)
 	t0 := l.lockInsertMu(c)
 	obs.LatchDone(obs.TierWALLog, ls)
-	invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
 	l.stats.mutexAcquires.Inc()
 	lsn, err := l.allocateLocked(n, c, &t0)
 	if err != nil {
-		invariant.Released(invariant.TierWALLog, "wal.Log.mu")
 		l.mu.Unlock()
 		l.noteInsertWait(c, t0)
 		return 0, err
 	}
 	l.ring.copyIn(lsn, rec) // copy under the mutex: the serial pathology
 	l.fr.complete(lsn, lsn+n)
-	invariant.Released(invariant.TierWALLog, "wal.Log.mu")
 	l.mu.Unlock()
 	l.noteInsertWait(c, t0)
 	l.noteInsert(n)
@@ -402,10 +399,8 @@ func (l *Log) insertDecoupled(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	ls := obs.LatchStart(obs.TierWALLog)
 	t0 := l.lockInsertMu(c)
 	obs.LatchDone(obs.TierWALLog, ls)
-	invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
 	l.stats.mutexAcquires.Inc()
 	lsn, err := l.allocateLocked(n, c, &t0)
-	invariant.Released(invariant.TierWALLog, "wal.Log.mu")
 	l.mu.Unlock()
 	l.noteInsertWait(c, t0)
 	if err != nil {
@@ -489,8 +484,6 @@ func (l *Log) FilledLSN() LSN { return LSN(l.fr.Filled()) }
 func (l *Log) NextLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
-	defer invariant.Released(invariant.TierWALLog, "wal.Log.mu")
 	return LSN(l.next)
 }
 
@@ -589,26 +582,21 @@ func (l *Log) waitFlushedSlow(target uint64) error {
 	ws := obs.LatchStart(obs.TierWALWait)
 	l.waitMu.Lock()
 	obs.LatchDone(obs.TierWALWait, ws)
-	invariant.Acquired(invariant.TierWALWait, "wal.Log.waitMu")
 	if err, ok := l.flusherErr.Load().(error); ok && err != nil {
-		invariant.Released(invariant.TierWALWait, "wal.Log.waitMu")
 		l.waitMu.Unlock()
 		return err
 	}
 	if l.closed.Load() {
-		invariant.Released(invariant.TierWALWait, "wal.Log.waitMu")
 		l.waitMu.Unlock()
 		return ErrClosed
 	}
 	if l.flushed.Load() >= target {
-		invariant.Released(invariant.TierWALWait, "wal.Log.waitMu")
 		l.waitMu.Unlock()
 		return nil
 	}
 	ch := waiterChPool.Get().(chan error)
 	invariant.PoolGot("wal.waiterChPool", ch)
 	l.waiters.push(commitWaiter{target: target, ch: ch})
-	invariant.Released(invariant.TierWALWait, "wal.Log.waitMu")
 	l.waitMu.Unlock()
 	err := <-ch
 	invariant.PoolPut("wal.WaitFlushed", ch)
@@ -623,12 +611,10 @@ func (l *Log) waitFlushedSlow(target uint64) error {
 //hydra:vet:nonpropagating -- wakeup sends go to capacity-1 channels, one send per popped waiter
 func (l *Log) wakeFlushed(upTo uint64) {
 	l.waitMu.Lock()
-	invariant.Acquired(invariant.TierWALWait, "wal.Log.waitMu")
 	for len(l.waiters) > 0 && l.waiters[0].target <= upTo {
 		//hydra:vet:ignore lockscope -- capacity-1 waiter channel, popped once; send cannot block
-		l.waiters.pop().ch <- nil //hydra:blockok -- capacity-1 waiter channel, popped once; send cannot park
+		l.waiters.pop().ch <- nil
 	}
-	invariant.Released(invariant.TierWALWait, "wal.Log.waitMu")
 	l.waitMu.Unlock()
 }
 
@@ -638,12 +624,10 @@ func (l *Log) wakeFlushed(upTo uint64) {
 //hydra:vet:nonpropagating -- wakeup sends go to capacity-1 channels, one send per popped waiter
 func (l *Log) failWaiters(err error) {
 	l.waitMu.Lock()
-	invariant.Acquired(invariant.TierWALWait, "wal.Log.waitMu")
 	for len(l.waiters) > 0 {
 		//hydra:vet:ignore lockscope -- capacity-1 waiter channel, popped once; send cannot block
-		l.waiters.pop().ch <- err //hydra:blockok -- capacity-1 waiter channel, popped once; send cannot park
+		l.waiters.pop().ch <- err
 	}
-	invariant.Released(invariant.TierWALWait, "wal.Log.waitMu")
 	l.waitMu.Unlock()
 }
 
@@ -653,9 +637,7 @@ func (l *Log) failWaiters(err error) {
 // the signature of a stuck flusher.
 func (l *Log) CommitWaiters() int {
 	l.waitMu.Lock()
-	invariant.Acquired(invariant.TierWALWait, "wal.Log.waitMu")
 	n := len(l.waiters)
-	invariant.Released(invariant.TierWALWait, "wal.Log.waitMu")
 	l.waitMu.Unlock()
 	return n
 }
@@ -663,9 +645,7 @@ func (l *Log) CommitWaiters() int {
 // Flush forces all filled records to stable storage before returning.
 func (l *Log) Flush() error {
 	l.mu.Lock()
-	invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
 	target := l.next
-	invariant.Released(invariant.TierWALLog, "wal.Log.mu")
 	l.mu.Unlock()
 	if target == 0 {
 		return nil
@@ -688,9 +668,7 @@ func (l *Log) Close() error {
 	// Wake allocators parked on ring space: either the drain freed the
 	// ring or the poisoning above tells them it never will.
 	l.mu.Lock()
-	invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
 	l.space.Broadcast()
-	invariant.Released(invariant.TierWALLog, "wal.Log.mu")
 	l.mu.Unlock()
 	close(l.done)
 	// Any waiter the final drain did not satisfy can never be: fail
@@ -754,9 +732,7 @@ func (l *Log) flusher() {
 			// frontier that will never advance again; wake them so
 			// they observe the poisoning instead of hanging forever.
 			l.mu.Lock()
-			invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
 			l.space.Broadcast()
-			invariant.Released(invariant.TierWALLog, "wal.Log.mu")
 			l.mu.Unlock()
 			l.failWaiters(err)
 			return
@@ -829,9 +805,7 @@ func (l *Log) flushOnce(cause flushCause) error {
 	// Wake space waiters, and exactly the commit waiters this flush
 	// satisfied.
 	l.mu.Lock()
-	invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
 	l.space.Broadcast()
-	invariant.Released(invariant.TierWALLog, "wal.Log.mu")
 	l.mu.Unlock()
 	l.wakeFlushed(end)
 	return nil

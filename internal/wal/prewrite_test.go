@@ -14,7 +14,7 @@ import (
 func checkFrontier(t testing.TB, d *FileDevice, sh devShape, dir string) {
 	t.Helper()
 	d.lock()
-	defer d.unlock()
+	defer d.mu.Unlock()
 	for start, s := range d.segs {
 		end := min(max(d.size-start, 0), s.alloc) // the log's bytes in this segment
 		if s.written < end || s.written > s.alloc {
@@ -280,7 +280,7 @@ func TestFailedPrewritePoisonsLog(t *testing.T) {
 		d.lock()
 		d.segs[0].f.Close()
 		d.segs[0].f = ro
-		d.unlock()
+		d.mu.Unlock()
 		writes := d.DeviceStats().Writes
 
 		// The next record crosses into the second stride.

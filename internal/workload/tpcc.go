@@ -331,27 +331,29 @@ func (w *TPCC) Check(e *core.Engine) error {
 	}
 	// Undelivered queue entries must reference existing, untagged
 	// orders; delivered orders must be absent from the queue.
-	var queueErr error
+	// The orders are read after the queue scan: a Scan callback must not
+	// call the engine.
 	err = e.Exec(func(tx *core.Txn) error {
-		return tx.Scan(w.NewOrderQ, 0, ^uint64(0), func(k uint64, v []byte) bool {
-			oid := DecU64(v)
+		var queued []uint64
+		if err := tx.Scan(w.NewOrderQ, 0, ^uint64(0), func(_ uint64, v []byte) bool {
+			queued = append(queued, DecU64(v))
+			return true
+		}); err != nil {
+			return err
+		}
+		for _, oid := range queued {
 			ov, err := tx.Read(w.Order, oid)
 			if err != nil {
-				queueErr = fmt.Errorf("tpcc: queued order %d missing: %w", oid, err)
-				return false
+				return fmt.Errorf("tpcc: queued order %d missing: %w", oid, err)
 			}
 			if DecU64(ov)&(1<<63) != 0 {
-				queueErr = fmt.Errorf("tpcc: delivered order %d still queued", oid)
-				return false
+				return fmt.Errorf("tpcc: delivered order %d still queued", oid)
 			}
-			return true
-		})
+		}
+		return nil
 	})
 	if err != nil {
 		return err
-	}
-	if queueErr != nil {
-		return queueErr
 	}
 	// Warehouse YTD == district YTD == customer YTD == history sum.
 	var whYTD, distYTD, custYTD, histYTD int64
