@@ -45,9 +45,15 @@ stress:
 # the handler used to apply wherever the two are meant to agree, and
 # dispatch to "no panic, the line untouched, one reply line". The
 # target keeps one engine across inputs, so coverage does not repeat
-# exactly and minimising an input would only burn the time.
+# exactly and minimising an input would only burn the time. FuzzScanner
+# then damages valid logs (flipped bytes, a zeroed run, a cut) for 20 s
+# and holds the WAL scanner to its contract: records it returns decode
+# where it says, a bad record is ErrCorrupt exactly when a valid one
+# follows, SeekRecord finds the first record that decodes. Minimising
+# each new input would stall the workers for most of the 20 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDispatchLine -fuzztime 20s -fuzzminimizetime 0 ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzScanner -fuzztime 20s -fuzzminimizetime 0 ./internal/wal/
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkLockAcquireRelease|BenchmarkCommitPipeline|BenchmarkPoolFetchParallel' -benchmem ./internal/lock/ ./internal/core/ ./internal/buffer/

@@ -21,10 +21,14 @@ import (
 //
 // Stream format (little endian):
 //
-//	magic "HYDRABK1" (8)
+//	magic "HYDRABK2" (8)
 //	page count (8) | page images (8 KiB each)
-//	log length (8) | log bytes
-const backupMagic = "HYDRABK1"
+//	log base (8) | log end (8) | log bytes [base, end)
+//
+// The log base is the device's lowest retained offset: a log recycled
+// below its checkpoints starts there, mid-record, and is restored at the
+// same offsets.
+const backupMagic = "HYDRABK2"
 
 // Backup writes a consistent online backup of the engine to w.
 func (e *Engine) Backup(w io.Writer) error {
@@ -66,13 +70,19 @@ func (e *Engine) Backup(w io.Writer) error {
 	if err := e.log.Flush(); err != nil {
 		return err
 	}
+	var logBase int64
+	if fd, ok := e.logDev.(*wal.FileDevice); ok {
+		logBase = fd.Base()
+	}
 	logEnd := int64(e.log.FlushedLSN())
-	binary.LittleEndian.PutUint64(hdr[:], uint64(logEnd))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var logRange [16]byte
+	binary.LittleEndian.PutUint64(logRange[:8], uint64(logBase))
+	binary.LittleEndian.PutUint64(logRange[8:], uint64(logEnd))
+	if _, err := w.Write(logRange[:]); err != nil {
 		return err
 	}
 	buf := make([]byte, 256<<10)
-	for off := int64(0); off < logEnd; {
+	for off := logBase; off < logEnd; {
 		n := len(buf)
 		if int64(n) > logEnd-off {
 			n = int(logEnd - off)
@@ -100,7 +110,7 @@ func RestoreInto(r io.Reader, store buffer.PageStore, dev wal.Device) error {
 		return fmt.Errorf("core: restore: %w", err)
 	}
 	if string(magic) != backupMagic {
-		return fmt.Errorf("core: restore: bad magic %q", magic)
+		return fmt.Errorf("core: restore: magic %q is not %q, a format this version reads", magic, backupMagic)
 	}
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -126,15 +136,20 @@ func RestoreInto(r io.Reader, store buffer.PageStore, dev wal.Device) error {
 			return err
 		}
 	}
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var logRange [16]byte
+	if _, err := io.ReadFull(r, logRange[:]); err != nil {
 		return err
 	}
-	logLen := int64(binary.LittleEndian.Uint64(hdr[:]))
+	logBase := int64(binary.LittleEndian.Uint64(logRange[:8]))
+	logEnd := int64(binary.LittleEndian.Uint64(logRange[8:]))
+	if logBase < 0 || logEnd < logBase {
+		return fmt.Errorf("core: restore: log [%d, %d) is not a range", logBase, logEnd)
+	}
 	buf := make([]byte, 256<<10)
-	for off := int64(0); off < logLen; {
+	for off := logBase; off < logEnd; {
 		n := len(buf)
-		if int64(n) > logLen-off {
-			n = int(logLen - off)
+		if int64(n) > logEnd-off {
+			n = int(logEnd - off)
 		}
 		if _, err := io.ReadFull(r, buf[:n]); err != nil {
 			return fmt.Errorf("core: restore log at %d: %w", off, err)

@@ -142,6 +142,44 @@ func TestBackupUnderConcurrentTraffic(t *testing.T) {
 	})
 }
 
+// A log recycled below its checkpoints is backed up from its base, not
+// from LSN 0 (whose segment is gone), and restored at the same offsets.
+func TestBackupOfRecycledLog(t *testing.T) {
+	cfg := Conventional()
+	cfg.Dir = t.TempDir()
+	cfg.LogSegmentBytes = 64 << 10
+	cfg.SyncCommit = false // the device's syncs are not what is tested
+	e := memEngine(t, cfg)
+	tbl, _ := e.CreateTable("t")
+	for k := uint64(0); k < 3000; k++ {
+		if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, k, []byte("row")) }); err != nil {
+			t.Fatal(err)
+		}
+		if (k+1)%500 == 0 {
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if base := e.logDev.(*wal.FileDevice).Base(); base == 0 {
+		t.Fatal("the log was not recycled: nothing to test")
+	}
+	var buf bytes.Buffer
+	if err := e.Backup(&buf); err != nil {
+		t.Fatal(err)
+	}
+	store, dev := buffer.NewMemStore(), wal.NewMem()
+	if err := RestoreInto(&buf, store, dev); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenWith(Conventional(), store, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	countRows(t, r, 3000)
+}
+
 func TestRestoreRejectsGarbage(t *testing.T) {
 	err := RestoreInto(bytes.NewReader([]byte("NOTABACKUP")), buffer.NewMemStore(), wal.NewMem())
 	if err == nil {
@@ -157,5 +195,11 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()/2]
 	if err := RestoreInto(bytes.NewReader(cut), buffer.NewMemStore(), wal.NewMem()); err == nil {
 		t.Fatal("truncated backup accepted")
+	}
+	// A stream of the format before the log base: its log length would
+	// be read as the base.
+	v1 := append([]byte("HYDRABK1"), buf.Bytes()[len(backupMagic):]...)
+	if err := RestoreInto(bytes.NewReader(v1), buffer.NewMemStore(), wal.NewMem()); err == nil {
+		t.Fatal("a HYDRABK1 stream was read as this format")
 	}
 }

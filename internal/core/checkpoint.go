@@ -124,7 +124,10 @@ func (e *Engine) Checkpoint() error {
 	e.activeMu.Lock()
 	for id, t := range e.active {
 		t.mu.Lock()
-		if t.logged {
+		// A transaction whose commit or end record is in the log is not
+		// listed: that record may lie below begin, where a restart from
+		// this checkpoint would never see it.
+		if t.logged && !t.decided {
 			snap.ATT[id] = t.lastLSN
 			if t.firstLSN < horizon {
 				horizon = t.firstLSN // undo chains reach the begin record

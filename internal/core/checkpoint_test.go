@@ -163,6 +163,122 @@ func TestLoserOnlyInCheckpointATT(t *testing.T) {
 	})
 }
 
+// readKey1 asserts that key 1 of table t reads want.
+func readKey1(t *testing.T, e *Engine, want string) {
+	t.Helper()
+	tbl, err := e.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Exec(func(tx *Txn) error {
+		v, err := tx.Read(tbl, 1)
+		if err != nil || string(v) != want {
+			t.Fatalf("key 1 = %q, %v; want %q", v, err, want)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A checkpoint taken between a transaction's commit record and its
+// retirement must not list it: a restart from that checkpoint never sees
+// the commit record and, with the end record lost to the crash, would
+// roll the acknowledged commit back.
+func TestCheckpointKeepsAcknowledgedCommit(t *testing.T) {
+	store, dev := buffer.NewMemStore(), wal.NewMem()
+	e, err := OpenWith(Conventional(), store, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := e.CreateTable("t")
+	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("old")) }); err != nil {
+		t.Fatal(err)
+	}
+	tx := e.Begin()
+	if err := tx.Update(tbl, 1, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	commit, err := tx.CommitAsync()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	endRecord := e.log.NextLSN()
+	if err := tx.CommitWait(commit); err != nil {
+		t.Fatal(err)
+	}
+	crash(e)
+	if err := dev.SetEnd(int64(endRecord)); err != nil { // the end record never reached the disk
+		t.Fatal(err)
+	}
+
+	e2, err := OpenWith(Conventional(), store, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if rep := e2.RecoveryReport; rep.LosersUndone != 0 {
+		t.Fatalf("restart rolled back %d transactions (%+v), want none", rep.LosersUndone, rep)
+	}
+	readKey1(t, e2, "new")
+}
+
+// The other side of the window: a transaction the ATT snapshot lists
+// because it ran before its commit, whose commit record lies between the
+// checkpoint's begin and end records. Restart meets the commit before
+// the listing and must not take the listing for a loser.
+func TestCheckpointWindowCommitIsNoLoser(t *testing.T) {
+	store, dev := buffer.NewMemStore(), wal.NewMem()
+	e, err := OpenWith(Conventional(), store, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := e.CreateTable("t")
+	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("old")) }); err != nil {
+		t.Fatal(err)
+	}
+	tx := e.Begin()
+	if err := tx.Update(tbl, 1, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	// ckpt-begin, T's commit, then a ckpt-end whose ATT lists T.
+	begin, err := e.log.Append(&wal.Record{Type: wal.RecCheckpoint, PrevLSN: wal.NilLSN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.log.Append(&wal.Record{Type: wal.RecCommit, TxnID: tx.id, PrevLSN: tx.lastLSN}); err != nil {
+		t.Fatal(err)
+	}
+	snap := ckptSnapshot{ATT: map[uint64]wal.LSN{tx.id: tx.lastLSN}, DPT: e.pool.DirtyPageTable()}
+	end, err := e.log.Append(&wal.Record{Type: wal.RecCheckpointEnd, PrevLSN: begin, Payload: encodeCkpt(snap)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.log.WaitFlushed(end); err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	err = e.writeMeta(begin)
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(e)
+
+	e2, err := OpenWith(Conventional(), store, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if rep := e2.RecoveryReport; rep.Master != begin || rep.LosersUndone != 0 || rep.Committed != 1 {
+		t.Fatalf("restart report %+v: want master %d, 1 commit, no loser", rep, begin)
+	}
+	readKey1(t, e2, "new")
+}
+
 // Pre-checkpoint updates on pages that were never flushed must be
 // redone even though analysis starts at the checkpoint: the DPT's
 // recLSN pulls the redo scan back.

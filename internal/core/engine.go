@@ -301,23 +301,19 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 	if err != nil {
 		return nil, err
 	}
-	// The log's end is found by scanning; the last checkpoint is as far
-	// back as that scan needs to start.
-	var scanFrom wal.LSN
+	// The log's end is found by scanning. Restart analysis is that scan,
+	// from the last checkpoint; the log opens where it stopped.
+	var an analysis
 	if n > 0 {
-		master, _, err := e.readMeta()
-		if err != nil {
-			return nil, err
-		}
-		if master != wal.NilLSN {
-			scanFrom = master
+		if an, err = e.analyze(); err != nil {
+			return nil, fmt.Errorf("core: recovery: %w", err)
 		}
 	}
 	e.log, err = wal.NewFrom(dev, wal.Options{
 		Kind:        cfg.LogKind,
 		BufferSize:  cfg.LogBufferSize,
 		SyncOnFlush: cfg.SyncCommit,
-	}, scanFrom)
+	}, an.end)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +339,7 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 		e.mvcc.snapFloor.Store(uint64(e.log.NextLSN()))
 		return e, nil
 	}
-	if err := e.recover(); err != nil {
+	if err := e.recover(an); err != nil {
 		return nil, fmt.Errorf("core: recovery: %w", err)
 	}
 	// Chains are volatile: after (re)open there are no versions, so the

@@ -74,7 +74,8 @@ func encodeOpTo(buf []byte, r *OpRecord) []byte {
 	return buf
 }
 
-// decodeOp parses an encodeOp payload.
+// decodeOp parses an encodeOp payload. The images alias b: restart, the
+// only caller, is done with them before it reads the next record.
 func decodeOp(b []byte) (OpRecord, error) {
 	if len(b) < 29 {
 		return OpRecord{}, fmt.Errorf("core: op payload too short (%d bytes)", len(b))
@@ -91,18 +92,14 @@ func decodeOp(b []byte) (OpRecord, error) {
 	if off+bl+4 > len(b) {
 		return OpRecord{}, fmt.Errorf("core: op payload truncated before image")
 	}
-	if bl > 0 {
-		r.Before = append([]byte(nil), b[off:off+bl]...)
-	}
+	r.Before = b[off : off+bl : off+bl]
 	off += bl
 	al := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
 	if off+al > len(b) {
 		return OpRecord{}, fmt.Errorf("core: op payload truncated after image")
 	}
-	if al > 0 {
-		r.After = append([]byte(nil), b[off:off+al]...)
-	}
+	r.After = b[off : off+al : off+al]
 	return r, nil
 }
 

@@ -22,26 +22,34 @@ type Recovery struct {
 	IndexEntries int     // index entries rebuilt
 }
 
-// recover runs ARIES restart: analysis from the last checkpoint's
-// master record, redo from the dirty-page table's minimum recLSN
-// (gated per page by pageLSN), undo of loser transactions with CLR
-// logging, and finally index rebuild (indexes are not logged; they
-// are derived state).
-func (e *Engine) recover() error {
-	// Attach tables from the catalog without walking heap chains
-	// (chains may need redo first).
+// analysis is what restart keeps of the log between its two reads: the
+// transactions still open at its end, where redo starts, and where the
+// log ends.
+type analysis struct {
+	rep       Recovery
+	losers    map[uint64]wal.LSN // open transaction -> its last record
+	redoStart wal.LSN
+	end       wal.LSN
+}
+
+// analyze is ARIES analysis run as the scan that finds the end of the
+// log, from the master checkpoint and before the log opens. It attaches
+// the catalog's tables (their heap chains may need redo first, so none
+// is walked), and keeps a transaction only until its commit or end
+// record. A checkpoint-end record adds the transactions of its ATT
+// snapshot the scan has not met, except those that ended after the
+// checkpoint began: the snapshot may predate their commit.
+func (e *Engine) analyze() (analysis, error) {
 	master, metas, err := e.readMeta()
 	if err != nil {
-		return err
+		return analysis{}, err
 	}
 	e.master = master
 	e.mu.Lock()
 	for _, m := range metas {
 		t := &Table{ID: m.ID, Name: m.Name, Heap: heap.Attach(e.pool, m.HeapFirst), engine: e}
 		e.installTableLocked(t)
-		if m.ID > e.nextTableID {
-			e.nextTableID = m.ID
-		}
+		e.nextTableID = max(e.nextTableID, m.ID)
 	}
 	e.mu.Unlock()
 
@@ -49,120 +57,176 @@ func (e *Engine) recover() error {
 	if start == wal.NilLSN {
 		start = 0
 	}
-	recs, err := wal.ScanAll(e.logDev, start)
+	sc, err := wal.NewScanner(e.logDev, start)
 	if err != nil {
-		return fmt.Errorf("log scan: %w", err)
+		return analysis{}, err
 	}
-	rep := Recovery{Master: master, Scanned: len(recs)}
-
-	// --- Analysis: transaction table (last LSN, outcome). ---
-	type txnInfo struct {
-		lastLSN wal.LSN
-		ended   bool // commit or completed abort (End record seen)
-	}
-	att := map[uint64]*txnInfo{}
+	an := analysis{rep: Recovery{Master: master}, losers: map[uint64]wal.LSN{}, redoStart: start}
 	var maxTxn uint64
-	byLSN := map[wal.LSN]*wal.Record{}
-	redoStart := start
-	for i := range recs {
-		r := &recs[i]
-		byLSN[r.LSN] = r
-		if r.Type == wal.RecCheckpointEnd {
+	var ended map[uint64]bool // since the last checkpoint-begin record, until its end record
+	for sc.Next() {
+		r := sc.Record()
+		an.rep.Scanned++
+		maxTxn = max(maxTxn, r.TxnID)
+		switch r.Type {
+		case wal.RecCheckpoint:
+			ended = map[uint64]bool{}
+		case wal.RecCheckpointEnd:
 			snap, err := decodeCkpt(r.Payload)
 			if err != nil {
-				return fmt.Errorf("analysis at %d: %w", r.LSN, err)
+				return analysis{}, fmt.Errorf("analysis at %d: %w", r.LSN, err)
 			}
-			// Transactions active at the checkpoint that wrote nothing
-			// since enter the ATT with their snapshotted chain tails.
 			for id, lastLSN := range snap.ATT {
-				if _, seen := att[id]; !seen {
-					att[id] = &txnInfo{lastLSN: lastLSN}
-				}
-				if id > maxTxn {
-					maxTxn = id
+				maxTxn = max(maxTxn, id)
+				if _, seen := an.losers[id]; !seen && !ended[id] {
+					an.losers[id] = lastLSN
 				}
 			}
 			// Pages dirty at the checkpoint may hold unflushed effects
 			// from before it: redo must start at their oldest recLSN.
 			for _, recLSN := range snap.DPT {
-				if recLSN != 0 && wal.LSN(recLSN) < redoStart {
-					redoStart = wal.LSN(recLSN)
+				if recLSN != 0 && wal.LSN(recLSN) < an.redoStart {
+					an.redoStart = wal.LSN(recLSN)
 				}
 			}
-			continue
+			ended = nil
+		case wal.RecCommit, wal.RecEnd:
+			if r.Type == wal.RecCommit {
+				an.rep.Committed++
+			}
+			delete(an.losers, r.TxnID)
+			if ended != nil {
+				ended[r.TxnID] = true
+			}
+		default:
+			if r.TxnID != 0 { // not a system record (chain extension)
+				an.losers[r.TxnID] = r.LSN
+			}
 		}
-		if r.TxnID == 0 { // system records (chain extension, ckpt-begin)
-			continue
-		}
-		if r.TxnID > maxTxn {
-			maxTxn = r.TxnID
-		}
-		ti := att[r.TxnID]
-		if ti == nil {
-			ti = &txnInfo{}
-			att[r.TxnID] = ti
-		}
-		ti.lastLSN = r.LSN
-		switch r.Type {
-		case wal.RecCommit:
-			rep.Committed++
-			ti.ended = true
-		case wal.RecEnd:
-			ti.ended = true
-		}
+	}
+	if err := sc.Err(); err != nil {
+		return analysis{}, err
 	}
 	e.txnSeq.Store(maxTxn)
+	an.end = sc.Pos()
+	return an, nil
+}
 
-	// --- Redo: re-apply every data record whose page missed it. ---
-	redoRecs := recs
-	if redoStart < start {
-		redoRecs, err = wal.ScanAll(e.logDev, redoStart)
-		if err != nil {
-			return fmt.Errorf("redo scan: %w", err)
-		}
+// recover finishes ARIES restart over the opened log: redo from the
+// redo start (gated per page by pageLSN), undo of the losers with CLR
+// logging, and finally index rebuild (indexes are not logged; they are
+// derived state).
+func (e *Engine) recover(an analysis) error {
+	rep := an.rep
+	if err := e.redo(an.redoStart, &rep); err != nil {
+		return err
 	}
-	// The log may reference pages the store never persisted (growth
-	// after a fuzzy backup's page copy, or unsynced file extension at
-	// a crash): extend the store to cover every referenced id before
-	// applying anything.
-	var maxPage uint64
-	for i := range redoRecs {
-		r := &redoRecs[i]
-		if r.Type != wal.RecUpdate && r.Type != wal.RecCLR {
-			continue
+
+	// --- Undo: roll back losers, newest action first. ---
+	var uc undoCtx
+	for txnID, lastLSN := range an.losers {
+		rep.LosersUndone++
+		for cur := lastLSN; cur != wal.NilLSN; {
+			r, err := wal.ReadRecordAt(e.logDev, cur)
+			if err != nil {
+				return fmt.Errorf("undo chain of txn %d at %d: %w", txnID, cur, err)
+			}
+			cur = r.PrevLSN
+			switch r.Type {
+			case wal.RecCLR:
+				cur = r.UndoNext
+			case wal.RecUpdate:
+				op, err := decodeOp(r.Payload)
+				if err != nil {
+					return fmt.Errorf("undo decode at %d: %w", r.LSN, err)
+				}
+				if op.Op == OpExtend {
+					continue
+				}
+				inv := op.inverse()
+				clr, err := e.undoOp(txnID, &inv, lastLSN, r.PrevLSN, false, &uc)
+				if err != nil {
+					return fmt.Errorf("undo %v of txn %d: %w", inv.Op, txnID, err)
+				}
+				lastLSN = clr
+				rep.UndoOps++
+			}
 		}
-		op, err := decodeOp(r.Payload)
-		if err != nil {
-			return fmt.Errorf("decode op at %d: %w", r.LSN, err)
-		}
-		if p := uint64(op.RID.Page); p != uint64(page.InvalidID) && p > maxPage {
-			maxPage = p
-		}
-		if op.Op == OpExtend && op.Key > maxPage {
-			maxPage = op.Key
-		}
-	}
-	for {
-		n, err := e.store.NumPages()
-		if err != nil {
+		if _, err := e.log.Append(&wal.Record{
+			Type: wal.RecEnd, TxnID: txnID, PrevLSN: lastLSN,
+		}); err != nil {
 			return err
 		}
-		if n > maxPage {
-			break
-		}
-		if _, err := e.store.Allocate(); err != nil {
-			return fmt.Errorf("extend store for redo: %w", err)
-		}
+	}
+	if err := e.log.Flush(); err != nil {
+		return err
 	}
 
-	for i := range redoRecs {
-		r := &redoRecs[i]
+	// --- Rebuild: indexes are derived from heap contents. ---
+	e.mu.RLock()
+	tables := make([]*Table, 0, len(e.tables))
+	for _, t := range e.tables {
+		tables = append(tables, t)
+	}
+	e.mu.RUnlock()
+	for _, t := range tables {
+		if err := t.Heap.RefreshTail(); err != nil {
+			return fmt.Errorf("refresh tail of %s: %w", t.Name, err)
+		}
+		var pairs []btree.KV
+		err := t.Heap.Scan(func(rid heap.RID, rec []byte) bool {
+			if len(rec) < 8 {
+				return true
+			}
+			pairs = append(pairs, btree.KV{Key: rowKey(rec), Value: rid.Pack()})
+			return true
+		})
+		if err != nil {
+			return fmt.Errorf("rebuild scan of %s: %w", t.Name, err)
+		}
+		btree.SortKVs(pairs)
+		idx, err := btree.BulkLoad(e.pool, e.cfg.IndexMode, pairs)
+		if err != nil {
+			return fmt.Errorf("rebuild index of %s: %w", t.Name, err)
+		}
+		rep.IndexEntries += len(pairs)
+		t.Index = idx
+	}
+	e.RecoveryReport = rep
+	return nil
+}
+
+// redo re-applies, streaming the log from start, every data record whose
+// page missed it. The log may reference pages the store never persisted
+// (growth after a fuzzy backup's page copy, or unsynced file extension
+// at a crash): the store is extended to cover a page before its first
+// fetch.
+func (e *Engine) redo(start wal.LSN, rep *Recovery) error {
+	sc, err := wal.NewScanner(e.logDev, start)
+	if err != nil {
+		return err
+	}
+	pages, err := e.store.NumPages()
+	if err != nil {
+		return err
+	}
+	for sc.Next() {
+		r := sc.Record()
 		if r.Type != wal.RecUpdate && r.Type != wal.RecCLR {
 			continue
 		}
 		op, err := decodeOp(r.Payload)
 		if err != nil {
 			return fmt.Errorf("decode op at %d: %w", r.LSN, err)
+		}
+		last := uint64(op.RID.Page)
+		if op.Op == OpExtend {
+			last = max(last, op.Key)
+		}
+		for ; pages <= last && last != uint64(page.InvalidID); pages++ {
+			if _, err := e.store.Allocate(); err != nil {
+				return fmt.Errorf("extend store for redo: %w", err)
+			}
 		}
 		e.mu.RLock()
 		tbl := e.tablesByID[op.Table]
@@ -191,99 +255,8 @@ func (e *Engine) recover() error {
 		}
 		rep.Redone++
 	}
-
-	// lookup returns the record at lsn, reading below the analysis
-	// window directly from the device when necessary.
-	lookup := func(lsn wal.LSN) (*wal.Record, error) {
-		if r, ok := byLSN[lsn]; ok {
-			return r, nil
-		}
-		r, err := wal.ReadRecordAt(e.logDev, lsn)
-		if err != nil {
-			return nil, err
-		}
-		r.LSN = lsn
-		return &r, nil
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("redo scan: %w", err)
 	}
-
-	// --- Undo: roll back losers, newest action first. ---
-	var uc undoCtx
-	for txnID, ti := range att {
-		if ti.ended {
-			continue
-		}
-		rep.LosersUndone++
-		lastLSN := ti.lastLSN
-		cur := lastLSN
-		for cur != wal.NilLSN {
-			r, err := lookup(cur)
-			if err != nil {
-				return fmt.Errorf("undo chain of txn %d at %d: %w", txnID, cur, err)
-			}
-			switch r.Type {
-			case wal.RecCLR:
-				cur = r.UndoNext
-			case wal.RecUpdate:
-				op, err := decodeOp(r.Payload)
-				if err != nil {
-					return fmt.Errorf("undo decode at %d: %w", r.LSN, err)
-				}
-				if op.Op == OpExtend {
-					cur = r.PrevLSN
-					continue
-				}
-				inv := op.inverse()
-				clr, err := e.undoOp(txnID, &inv, lastLSN, r.PrevLSN, false, &uc)
-				if err != nil {
-					return fmt.Errorf("undo %v of txn %d: %w", inv.Op, txnID, err)
-				}
-				lastLSN = clr
-				rep.UndoOps++
-				cur = r.PrevLSN
-			default: // begin, abort
-				cur = r.PrevLSN
-			}
-		}
-		if _, err := e.log.Append(&wal.Record{
-			Type: wal.RecEnd, TxnID: txnID, PrevLSN: lastLSN,
-		}); err != nil {
-			return err
-		}
-	}
-	if err := e.log.Flush(); err != nil {
-		return err
-	}
-
-	// --- Rebuild: indexes are derived from heap contents. ---
-	e.mu.RLock()
-	tables := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
-	for _, t := range tables {
-		if err := t.Heap.RefreshTail(); err != nil {
-			return fmt.Errorf("refresh tail of %s: %w", t.Name, err)
-		}
-		var pairs []btree.KV
-		err = t.Heap.Scan(func(rid heap.RID, rec []byte) bool {
-			if len(rec) < 8 {
-				return true
-			}
-			pairs = append(pairs, btree.KV{Key: rowKey(rec), Value: rid.Pack()})
-			return true
-		})
-		if err != nil {
-			return fmt.Errorf("rebuild scan of %s: %w", t.Name, err)
-		}
-		btree.SortKVs(pairs)
-		idx, err := btree.BulkLoad(e.pool, e.cfg.IndexMode, pairs)
-		if err != nil {
-			return fmt.Errorf("rebuild index of %s: %w", t.Name, err)
-		}
-		rep.IndexEntries += len(pairs)
-		t.Index = idx
-	}
-	e.RecoveryReport = rep
 	return nil
 }

@@ -249,7 +249,7 @@ func (t *Txn) snapshotScan(tbl *Table, lo, hi uint64, fn func(key uint64, value 
 func (e *Engine) appendPublished(t *Txn, kind wal.RecType) (wal.LSN, error) {
 	vt := e.mvcc
 	vt.publishMu.Lock()
-	lsn, err := e.log.AppendFieldsC(kind, t.id, t.lastLSN, 0, 0, nil, &t.clock)
+	lsn, err := t.appendOutcome(kind)
 	if err == nil {
 		vt.publish(t.verTxn, uint64(lsn))
 	}
@@ -261,7 +261,7 @@ func (e *Engine) appendPublished(t *Txn, kind wal.RecType) (wal.LSN, error) {
 // installed versions publishes it through the version table.
 func (e *Engine) appendCommitRecord(t *Txn) (wal.LSN, error) {
 	if t.verTxn == nil {
-		return e.log.AppendFieldsC(wal.RecCommit, t.id, t.lastLSN, 0, 0, nil, &t.clock)
+		return t.appendOutcome(wal.RecCommit)
 	}
 	return e.appendPublished(t, wal.RecCommit)
 }

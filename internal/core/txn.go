@@ -108,7 +108,7 @@ type Txn struct {
 	// lock holder and DORA executors keep a pointer to it.
 	clock obs.PhaseClock
 
-	// mu guards lastLSN, undo, logged, enc. It is intentionally held
+	// mu guards lastLSN, undo, logged, decided, enc. It is intentionally held
 	// across WAL appends: DORA executors sharing a no-lock transaction
 	// must serialize the prev-LSN chain, and an append is a buffer copy
 	// (group commit makes the IO asynchronous).
@@ -118,6 +118,7 @@ type Txn struct {
 	firstLSN wal.LSN // begin record (log-truncation horizon)
 	undo     []undoEntry
 	logged   bool   // wrote at least one record (begin is lazy)
+	decided  bool   // its commit or end record is in the log (appendOutcome)
 	enc      []byte // scratch buffer for op payload encoding
 	// arena is the chunk the bump allocator for undo row images is
 	// filling; chunks is the chain it draws from, chunks[:chunksUsed]
@@ -256,6 +257,7 @@ func (e *Engine) Begin(opts ...Intent) *Txn {
 	t.lastLSN = wal.NilLSN
 	t.firstLSN = wal.NilLSN
 	t.logged = false
+	t.decided = false
 	t.snap = 0
 	t.snapExpired.Store(false)
 	t.verTxn = nil
@@ -734,7 +736,6 @@ func (t *Txn) CommitAsync() (wal.LSN, error) {
 	if err != nil {
 		return wal.NilLSN, err
 	}
-	t.setLastLSN(commitLSN)
 	if t.mode.snapshot {
 		e.mvcc.siCommits.Inc()
 	}
@@ -818,12 +819,27 @@ func (t *Txn) Abort() error {
 			// dead versions; prune the chains they sit on so an abort
 			// with no snapshot pinned leaves no garbage behind.
 			e.mvcc.retireAborted(t.verNodes, &t.clock)
-		} else if _, err := e.log.AppendFieldsC(wal.RecEnd, t.id, t.lastLSN, 0, 0, nil, &t.clock); err != nil {
+		} else if _, err := t.appendOutcome(wal.RecEnd); err != nil {
 			return err
 		}
 	}
 	t.retire(txnAborted)
 	return nil
+}
+
+// appendOutcome appends t's commit record, or the end record of its
+// rollback, and makes it the chain's tail in one step under mu: a
+// checkpoint's ATT snapshot either leaves the transaction out, its
+// outcome already in the log, or precedes the record, which a restart
+// from that checkpoint then scans.
+func (t *Txn) appendOutcome(kind wal.RecType) (wal.LSN, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	lsn, err := t.e.log.AppendFieldsC(kind, t.id, t.lastLSN, 0, 0, nil, &t.clock)
+	if err == nil {
+		t.lastLSN, t.decided = lsn, true
+	}
+	return lsn, err
 }
 
 // setLastLSN advances the log-chain tail under mu so concurrent

@@ -31,7 +31,7 @@ func commitN(t testing.TB, l *Log, base, n int) {
 // wantTxns asserts the log on dev is exactly the records tagged ids.
 func wantTxns(t testing.TB, dev Device, ids ...uint64) {
 	t.Helper()
-	recs, err := ScanAll(dev, 0)
+	recs, err := scanAll(dev, 0)
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestCrashAtEveryAppend(t *testing.T) {
 			}
 			kill(t, l, dev)
 
-			// A reader that never runs New (hydra-recover, ScanAll): the
+			// A reader that never runs New (hydra-recover): the
 			// device's size is only an upper bound, the scan finds the end.
 			dev = sh.open(t, dir)
 			wantTxns(t, dev, ids...)
@@ -287,7 +287,7 @@ func TestBadRecordTornTailOrCorrupt(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dev := build()
 			damage(dev)
-			if _, err := ScanAll(dev, 0); !errors.Is(err, ErrCorrupt) {
+			if _, err := scanAll(dev, 0); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("scan over mid-log damage: err = %v, want ErrCorrupt", err)
 			}
 			// Appending after it would bury acknowledged commits.

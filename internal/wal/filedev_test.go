@@ -272,7 +272,7 @@ func TestFileDeviceAsLogDevice(t *testing.T) {
 		if st.SegSyncs == 0 {
 			t.Fatal("no segment syncs recorded")
 		}
-		recs, err := ScanAll(d, 0)
+		recs, err := scanAll(d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestFileDeviceAsLogDevice(t *testing.T) {
 		if _, err := d.TruncateBefore(recs[100].LSN); err != nil {
 			t.Fatal(err)
 		}
-		tail, err := ScanAll(d, recs[100].LSN)
+		tail, err := scanAll(d, recs[100].LSN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -703,7 +703,7 @@ func TestFileDeviceVectoredTruncateStress(t *testing.T) {
 				break
 			}
 		}
-		recs, err := ScanAll(d, from)
+		recs, err := scanAll(d, from)
 		if err != nil {
 			t.Fatal(err)
 		}

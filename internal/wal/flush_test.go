@@ -74,7 +74,7 @@ func TestFlushWrapAroundSingleSubmission(t *testing.T) {
 		t.Fatalf("FlushSyncs = %d, want 1", st.FlushSyncs)
 	}
 	// The record must be intact on the device across the wrap.
-	recs, err := ScanAll(dev, LSN(startAt))
+	recs, err := scanAll(dev, LSN(startAt))
 	if err != nil {
 		t.Fatal(err)
 	}

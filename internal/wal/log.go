@@ -239,7 +239,7 @@ func findEnd(dev Device, from LSN) (LSN, error) {
 	if sc.pos > sc.end {
 		sc.pos = 0
 	}
-	for sc.advance() {
+	for sc.Next() {
 	}
 	if err := sc.Err(); err != nil {
 		return 0, err

@@ -43,19 +43,10 @@ func NewScanner(dev Device, start LSN) (*Scanner, error) {
 }
 
 // Next advances to the next record, reporting false at end of log,
-// at a torn tail, or on error (see Err).
+// at a torn tail, or on error (see Err). The record's payload aliases
+// the read window: it is valid until the following call, and a caller
+// that keeps it copies it.
 func (s *Scanner) Next() bool {
-	if !s.advance() {
-		return false
-	}
-	// Detach payload from the read window so callers may retain it.
-	s.rec.Payload = append([]byte(nil), s.rec.Payload...)
-	return true
-}
-
-// advance is Next with the record's payload still aliasing the read
-// window (valid until the following call).
-func (s *Scanner) advance() bool {
 	if s.err != nil {
 		return false
 	}
@@ -165,8 +156,9 @@ func (s *Scanner) Err() error { return s.err }
 // record returned); on a torn tail this is the usable end of log.
 func (s *Scanner) Pos() LSN { return LSN(s.pos) }
 
-// ReadRecordAt decodes the single record starting at lsn. Restart
-// undo uses it to follow PrevLSN chains below the analysis window.
+// ReadRecordAt decodes the single record starting at lsn. Restart undo
+// uses it to follow a loser's PrevLSN chain. The record owns its
+// payload: the window it was read into belongs to no other scanner.
 func ReadRecordAt(dev Device, lsn LSN) (Record, error) {
 	sc, err := NewScanner(dev, lsn)
 	if err != nil {
@@ -180,18 +172,4 @@ func ReadRecordAt(dev Device, lsn LSN) (Record, error) {
 		return Record{}, fmt.Errorf("wal: no record at %d", lsn)
 	}
 	return sc.Record(), nil
-}
-
-// ScanAll decodes every record in [start, end-of-log). Convenience
-// wrapper over Scanner for recovery and tools.
-func ScanAll(dev Device, start LSN) ([]Record, error) {
-	sc, err := NewScanner(dev, start)
-	if err != nil {
-		return nil, err
-	}
-	var recs []Record
-	for sc.Next() {
-		recs = append(recs, sc.Record())
-	}
-	return recs, sc.Err()
 }

@@ -101,6 +101,22 @@ func newTestLog(t *testing.T, kind BufferKind, dev Device) *Log {
 	return l
 }
 
+// scanAll decodes every record in [start, end of log), each payload
+// copied out of the scanner's window.
+func scanAll(dev Device, start LSN) ([]Record, error) {
+	sc, err := NewScanner(dev, start)
+	if err != nil {
+		return nil, err
+	}
+	var recs []Record
+	for sc.Next() {
+		r := sc.Record()
+		r.Payload = bytes.Clone(r.Payload)
+		recs = append(recs, r)
+	}
+	return recs, sc.Err()
+}
+
 func TestAppendFlushScanAllKinds(t *testing.T) {
 	for _, kind := range BufferKinds() {
 		kind := kind
@@ -125,7 +141,7 @@ func TestAppendFlushScanAllKinds(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			recs, err := ScanAll(dev, 0)
+			recs, err := scanAll(dev, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +199,7 @@ func TestConcurrentInsertExactlyOnce(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			recs, err := ScanAll(dev, 0)
+			recs, err := scanAll(dev, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +255,7 @@ func TestRingWraparound(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			recs, err := ScanAll(dev, 0)
+			recs, err := scanAll(dev, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +319,7 @@ func TestTornTailScan(t *testing.T) {
 	l.Close()
 	// Cut mid-way through the last record.
 	dev.SetEnd(int64(last) + 5)
-	recs, err := ScanAll(dev, 0)
+	recs, err := scanAll(dev, 0)
 	if err != nil {
 		t.Fatalf("torn tail produced error: %v", err)
 	}
@@ -321,7 +337,7 @@ func TestScanFromMiddle(t *testing.T) {
 		lsns = append(lsns, lsn)
 	}
 	l.Close()
-	recs, err := ScanAll(dev, lsns[5])
+	recs, err := scanAll(dev, lsns[5])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +413,7 @@ func TestFileDeviceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dev2.Close()
-	recs, err := ScanAll(dev2, 0)
+	recs, err := scanAll(dev2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +441,7 @@ func TestLogResumeAppendsAfterExisting(t *testing.T) {
 	l2.Append(&Record{Type: RecUpdate, TxnID: 2, Payload: []byte("second")})
 	l2.Close()
 
-	recs, err := ScanAll(dev, 0)
+	recs, err := scanAll(dev, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
