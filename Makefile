@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/lock/... ./internal/core/... ./internal/buffer/... ./internal/wal/... ./internal/obs/... ./internal/server/... ./internal/dora/... ./internal/sync2/... ./internal/btree/... ./internal/heap/...
+	$(GO) test -race ./internal/lock/... ./internal/core/... ./internal/buffer/... ./internal/wal/... ./internal/obs/... ./internal/server/... ./internal/dora/... ./internal/sync2/... ./internal/btree/... ./internal/heap/... ./internal/workload/...
 
 # stress-dora runs the DORA mixed-path stress tests under the race
 # detector: fast-path, cross-partition and timeout-cancel transactions
@@ -62,8 +62,8 @@ bench:
 # as a dated machine-readable document (schema hydra-bench/v1, see
 # EXPERIMENTS.md "Machine-readable runs"). Override BENCH_SCALE=full
 # for report sizing. This is the only sanctioned bench artifact path:
-# do not commit raw `make bench | tee` dumps (bench_full_output.txt is
-# gitignored for exactly that reason) — archive a dated BENCH_*.json.
+# CI uploads the dated BENCH_*.json; neither it nor a raw `make bench |
+# tee` dump is committed (both are gitignored).
 BENCH_SCALE ?= quick
 bench-json:
 	$(GO) run ./cmd/hydra-bench -scale $(BENCH_SCALE) -json BENCH_$$(date +%Y-%m-%d).json

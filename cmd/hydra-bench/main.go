@@ -1,5 +1,6 @@
 // Command hydra-bench regenerates the paper-reproduction experiments
-// (E1-E8, see DESIGN.md / EXPERIMENTS.md) and prints their tables.
+// (DESIGN.md §3) and prints their tables. Experiment eN is reported in
+// section EN of EXPERIMENTS.md; -list prints the ids.
 //
 // Usage:
 //

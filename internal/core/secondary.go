@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"hydra/internal/btree"
 	"hydra/internal/heap"
@@ -113,7 +114,8 @@ func (t *Table) DropIndex(name string) bool {
 }
 
 // LookupBy iterates the rows whose extracted attribute is exactly
-// attr, in row-key order, under a table-level shared lock.
+// attr, in row-key order, under a table-level shared lock or, in
+// snapshot mode, on the snapshot (see LookupRange).
 func (tx *Txn) LookupBy(tbl *Table, idx *SecondaryIndex, attr uint64, fn func(key uint64, value []byte) bool) error {
 	return tx.LookupRange(tbl, idx, attr, attr, fn)
 }
@@ -124,12 +126,21 @@ func (tx *Txn) LookupBy(tbl *Table, idx *SecondaryIndex, attr uint64, fn func(ke
 // resolved after each walk of the secondary index, snapScanChunk
 // entries at a time, so the primary index and the heap are never
 // entered under its latches.
+//
+// A snapshot-mode transaction does not use the index, which holds the
+// current attributes and not the snapshot's: it scans the whole table
+// on the snapshot (its own buffered writes included), keeps the rows
+// whose extracted attribute is in range and sorts them. That costs
+// O(table) per lookup and takes no lock.
 func (tx *Txn) LookupRange(tbl *Table, idx *SecondaryIndex, loAttr, hiAttr uint64, fn func(key uint64, value []byte) bool) error {
 	if err := tx.checkActive(); err != nil {
 		return err
 	}
 	if loAttr > u32 || hiAttr > u32 {
 		return ErrKeyRange
+	}
+	if tx.mode.snapshot {
+		return tx.snapshotLookup(tbl, idx, loAttr, hiAttr, fn)
 	}
 	if err := tx.acquire(lock.TableName(tbl.ID), lock.S); err != nil {
 		return err
@@ -164,6 +175,34 @@ func (tx *Txn) LookupRange(tbl *Table, idx *SecondaryIndex, loAttr, hiAttr uint6
 		}
 		cursor = last + 1
 	}
+}
+
+// snapshotLookup is LookupRange on the snapshot path: the SI scan of
+// the table, filtered by idx.Extract and delivered in (attribute,
+// row-key) order.
+func (tx *Txn) snapshotLookup(tbl *Table, idx *SecondaryIndex, loAttr, hiAttr uint64, fn func(key uint64, value []byte) bool) error {
+	type hit struct {
+		attr, key uint64
+		value     []byte
+	}
+	var hits []hit
+	if err := tx.siScan(tbl, 0, ^uint64(0), func(key uint64, value []byte) bool {
+		if attr, ok := idx.Extract(key, value); ok && attr >= loAttr && attr <= hiAttr {
+			hits = append(hits, hit{attr, key, append([]byte(nil), value...)})
+		}
+		return true
+	}); err != nil {
+		return err
+	}
+	// The scan delivers in row-key order; a stable sort by attribute
+	// keeps it within each attribute.
+	sort.SliceStable(hits, func(i, j int) bool { return hits[i].attr < hits[j].attr })
+	for _, h := range hits {
+		if !fn(h.key, h.value) {
+			return nil
+		}
+	}
+	return nil
 }
 
 // maintainSecondaries applies the index-side effect of a committed-

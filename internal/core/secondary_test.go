@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 // byFirstByte indexes rows by the first byte of their value.
@@ -259,6 +260,75 @@ func TestAddIndexRefusesWideRowKey(t *testing.T) {
 	}
 	if n := len(tbl.Indexes()); n != 0 {
 		t.Fatalf("%d indexes registered after a failed build", n)
+	}
+}
+
+// A snapshot's index lookup answers from the snapshot: the row a writer
+// moved to another attribute after the snapshot began is found under
+// its old attribute and not its new one, the lookup takes no lock, and
+// a writer does not wait for the snapshot to end.
+func TestSnapshotLookupReadsItsSnapshot(t *testing.T) {
+	e := mvccEngine(t)
+	tbl, _ := e.CreateTable("t")
+	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte{7, 'a'}) }); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := tbl.AddIndex("by-class", byFirstByte)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.Begin(Intent{ReadOnly: true})
+	if err := e.Exec(func(tx *Txn) error { return tx.Update(tbl, 1, []byte{9, 'a'}) }); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Read(tbl, 1); err != nil || v[0] != 7 {
+		t.Fatalf("snapshot read %v, %v; want attribute 7", v, err)
+	}
+	lookup := func(attr uint64) map[uint64]byte {
+		got := map[uint64]byte{}
+		if err := s.LookupBy(tbl, idx, attr, func(k uint64, v []byte) bool {
+			got[k] = v[0]
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	before := e.StatsSnapshot().Lock.Acquires
+	if got := lookup(7); len(got) != 1 || got[1] != 7 {
+		t.Fatalf("LookupBy(7) on the snapshot = %v, want row 1 with attribute 7", got)
+	}
+	if got := lookup(9); len(got) != 0 {
+		t.Fatalf("LookupBy(9) on the snapshot = %v, want nothing", got)
+	}
+	if n := e.StatsSnapshot().Lock.Acquires - before; n != 0 {
+		t.Fatalf("snapshot lookups made %d lock acquisitions", n)
+	}
+	done := make(chan error, 1)
+	go func() { done <- e.Exec(func(tx *Txn) error { return tx.Update(tbl, 1, []byte{11, 'a'}) }) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		s.Commit()
+		<-done
+		t.Fatal("a writer waited for the snapshot that looked the row up")
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// An SI writer's lookup sees its own buffered write.
+	n := 0
+	if err := e.Exec(func(tx *Txn) error {
+		if err := tx.Update(tbl, 1, []byte{13, 'a'}); err != nil {
+			return err
+		}
+		n = 0
+		return tx.LookupBy(tbl, idx, 13, func(uint64, []byte) bool { n++; return true })
+	}, Intent{Optimistic: true}); err != nil || n != 1 {
+		t.Fatalf("SI lookup of its own write: %d rows, %v; want 1", n, err)
 	}
 }
 

@@ -24,13 +24,7 @@ func E14(s Scale) (*Report, error) {
 		keys = 20000
 	}
 	const hotKeys = 16
-	threads := runtime.GOMAXPROCS(0)
-	if threads > 8 {
-		threads = 8
-	}
-	if threads < 2 {
-		threads = 2
-	}
+	threads := microWorkers()
 	rep := &Report{
 		ID:    "E14",
 		Title: "MVCC snapshot reads vs locked reads under write traffic",
@@ -69,15 +63,8 @@ func E14(s Scale) (*Report, error) {
 				src[i] = w.NewSampler(uint64(i)<<8 ^ uint64(writeFrac*100) ^ uint64(snapFrac*7))
 			}
 			before := e.StatsSnapshot()
-			ops, dur, err := RunWorkers(threads, s.Window(), func(wk int) (uint64, error) {
-				var n uint64
-				for i := 0; i < 32; i++ {
-					if err := w.RunOne(src[wk], x); err != nil {
-						return n, err
-					}
-					n++
-				}
-				return n, nil
+			ops, dur, err := RunWorkers(threads, s.Window(), func(wk int) error {
+				return w.RunOne(src[wk], x)
 			})
 			if err != nil {
 				return nil, fmt.Errorf("E14 (write %.2f snap %.0f): %w", writeFrac, snapFrac, err)
@@ -99,10 +86,10 @@ func E14(s Scale) (*Report, error) {
 	}
 	rep.Tab = append(rep.Tab, tab)
 
-	// Conservation: the per-key write counters must still sum
-	// consistently after both read paths ran against the table.
-	if _, err := w.TotalWrites(e); err != nil {
-		return nil, err
+	// Conservation: the per-key write counters sum to the committed
+	// writes after both read paths ran against the table.
+	if err := w.Check(e); err != nil {
+		return nil, fmt.Errorf("E14: %w", err)
 	}
 	st := e.StatsSnapshot()
 	rep.Notes = append(rep.Notes,

@@ -83,16 +83,8 @@ func E1(s Scale) (*Report, error) {
 		// Conventional cell.
 		xc := workload.TxnExecutor{Engine: conv}
 		convSrc := workerSources("e1conv", threads)
-		convOps, convDur, err := RunWorkers(threads, s.Window(), func(w int) (uint64, error) {
-			src := convSrc[w]
-			var n uint64
-			for i := 0; i < 32; i++ {
-				if err := convW.RunOne(src, xc); err != nil {
-					return n, err
-				}
-				n++
-			}
-			return n, nil
+		convOps, convDur, err := RunWorkers(threads, s.Window(), func(w int) error {
+			return convW.RunOne(convSrc[w], xc)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E1 conventional: %w", err)
@@ -102,16 +94,8 @@ func E1(s Scale) (*Report, error) {
 		d := dora.New(dcore, dora.Options{Executors: threads, RouteShift: 4})
 		xd := workload.DoraExecutor{Engine: d}
 		doraSrc := workerSources("e1dora", threads)
-		doraOps, doraDur, err := RunWorkers(threads, s.Window(), func(w int) (uint64, error) {
-			src := doraSrc[w]
-			var n uint64
-			for i := 0; i < 32; i++ {
-				if err := doraW.RunOne(src, xd); err != nil {
-					return n, err
-				}
-				n++
-			}
-			return n, nil
+		doraOps, doraDur, err := RunWorkers(threads, s.Window(), func(w int) error {
+			return doraW.RunOne(doraSrc[w], xd)
 		})
 		d.Close()
 		if err != nil {

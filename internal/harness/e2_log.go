@@ -37,17 +37,9 @@ func E2(s Scale) (*Report, error) {
 				return nil, err
 			}
 			payload := make([]byte, recordSize)
-			ops, dur, err := RunWorkers(threads, s.Window(), func(w int) (uint64, error) {
-				var n uint64
-				for i := 0; i < 64; i++ {
-					if _, err := log.Append(&wal.Record{
-						Type: wal.RecUpdate, TxnID: uint64(w), Payload: payload,
-					}); err != nil {
-						return n, err
-					}
-					n++
-				}
-				return n, nil
+			ops, dur, err := RunWorkers(threads, s.Window(), func(w int) error {
+				_, err := log.Append(&wal.Record{Type: wal.RecUpdate, TxnID: uint64(w), Payload: payload})
+				return err
 			})
 			if err != nil {
 				return nil, fmt.Errorf("E2 %v: %w", kind, err)

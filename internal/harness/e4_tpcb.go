@@ -56,15 +56,8 @@ func E4(s Scale) (*Report, error) {
 		for i := range systems {
 			x := workload.TxnExecutor{Engine: engines[i]}
 			srcs := workerSources("e4"+systems[i].name, threads)
-			ops, dur, err := RunWorkers(threads, s.Window(), func(w int) (uint64, error) {
-				var n uint64
-				for j := 0; j < 16; j++ {
-					if err := loads[i].RunOne(srcs[w], x); err != nil {
-						return n, err
-					}
-					n++
-				}
-				return n, nil
+			ops, dur, err := RunWorkers(threads, s.Window(), func(w int) error {
+				return loads[i].RunOne(srcs[w], x)
 			})
 			if err != nil {
 				return nil, fmt.Errorf("E4 %s: %w", systems[i].name, err)

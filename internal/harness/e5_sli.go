@@ -45,23 +45,17 @@ func E5(s Scale) (*Report, error) {
 			before := e.StatsSnapshot().Lock
 
 			agents := make([]*lock.Agent, threads)
+			execs := make([]workload.Executor, threads)
 			samplers := make([]*workload.Sampler, threads)
 			for i := range agents {
 				if useSLI {
 					agents[i] = e.Locks().NewAgent()
 				}
+				execs[i] = workload.TxnExecutor{Engine: e, Intent: core.Intent{Agent: agents[i]}}
 				samplers[i] = w.NewSampler(uint64(1000*threads + i))
 			}
-			ops, dur, err := RunWorkers(threads, s.Window(), func(wk int) (uint64, error) {
-				x := workload.TxnExecutor{Engine: e, Intent: core.Intent{Agent: agents[wk]}}
-				var n uint64
-				for i := 0; i < 32; i++ {
-					if err := w.RunOne(samplers[wk], x); err != nil {
-						return n, err
-					}
-					n++
-				}
-				return n, nil
+			ops, dur, err := RunWorkers(threads, s.Window(), func(wk int) error {
+				return w.RunOne(samplers[wk], execs[wk])
 			})
 			if err != nil {
 				e.Close()

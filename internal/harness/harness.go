@@ -1,23 +1,30 @@
-// Package harness runs the paper-reproduction experiments E1-E8 (see
-// DESIGN.md and EXPERIMENTS.md) and renders their results as the
-// tables/series the underlying publications report. The same code
-// backs cmd/hydra-bench and the top-level testing.B benchmarks.
+// Package harness runs the paper-reproduction experiments (see
+// DESIGN.md §3; each id is the EXPERIMENTS.md section that reports it)
+// and renders their results as the tables/series the underlying
+// publications report. cmd/hydra-bench is the one command that runs
+// them.
 package harness
 
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// RunWorkers starts n workers, lets them run for d, and returns the
-// total number of operations completed and the true elapsed time.
-// Each worker loops calling body until stop becomes non-zero; body
-// returns the number of operations it completed in that call.
-func RunWorkers(n int, d time.Duration, body func(worker int) (ops uint64, err error)) (uint64, time.Duration, error) {
+// batch is how many operations a worker runs between looks at the
+// stop flag.
+const batch = 16
+
+// RunWorkers is one sweep cell: it starts n workers, each calling op
+// until d has passed, and returns the number of calls that succeeded
+// and the true elapsed time. A worker looks at the stop flag once per
+// batch of calls, and stops at its first error, which RunWorkers
+// returns.
+func RunWorkers(n int, d time.Duration, op func(worker int) error) (uint64, time.Duration, error) {
 	var (
 		stop  atomic.Uint32
 		total atomic.Uint64
@@ -31,19 +38,20 @@ func RunWorkers(n int, d time.Duration, body func(worker int) (ops uint64, err e
 		go func(i int) {
 			defer wg.Done()
 			var local uint64
+			defer func() { total.Add(local) }()
 			for stop.Load() == 0 {
-				ops, err := body(i)
-				if err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
+				for j := 0; j < batch; j++ {
+					if err := op(i); err != nil {
+						mu.Lock()
+						if first == nil {
+							first = err
+						}
+						mu.Unlock()
+						return
 					}
-					mu.Unlock()
-					break
+					local++
 				}
-				local += ops
 			}
-			total.Add(local)
 		}(i)
 	}
 	time.Sleep(d)
@@ -52,6 +60,10 @@ func RunWorkers(n int, d time.Duration, body func(worker int) (ops uint64, err e
 	elapsed := time.Since(start)
 	return total.Load(), elapsed, first
 }
+
+// microWorkers is the worker count of the micro-mix crossovers (E14,
+// E15): GOMAXPROCS, held to [2, 8].
+func microWorkers() int { return min(max(runtime.GOMAXPROCS(0), 2), 8) }
 
 // Table is a printable result grid.
 type Table struct {

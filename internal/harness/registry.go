@@ -2,7 +2,8 @@ package harness
 
 import "fmt"
 
-// Experiment is a runnable reproduction unit.
+// Experiment is a runnable reproduction unit. Its ID "eN" is the
+// EXPERIMENTS.md section "EN" that reports it.
 type Experiment struct {
 	ID    string
 	Title string
@@ -21,9 +22,8 @@ func All() []Experiment {
 		{"e7", "staged engine shared scans", E7},
 		{"e8", "ELR commit path and ARIES restart", E8},
 		{"e9", "ablation of the scalable constructs", E9},
-		{"e10", "contention crossover: lock manager vs DORA", E10},
 		{"e14", "MVCC snapshot reads vs locked reads", E14},
-		{"e15", "SI writers vs locked writers vs DORA", E15},
+		{"e15", "contention crossover: lock manager vs SI vs DORA", E15},
 	}
 }
 

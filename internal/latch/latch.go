@@ -41,10 +41,6 @@ type Latch interface {
 	// a nil clock behaves exactly like Acquire.
 	AcquireC(m Mode, c *obs.PhaseClock)
 	Release(m Mode)
-	// TryUpgrade attempts a Shared->Exclusive conversion without
-	// releasing; it reports success. On failure the shared hold is
-	// kept.
-	TryUpgrade() bool
 }
 
 // Kind selects a latch implementation.
@@ -119,10 +115,6 @@ func (l *blockLatch) Release(m Mode) {
 	invariant.Released(invariant.TierFrameLatch, "latch")
 }
 
-// TryUpgrade on the blocking latch always fails: sync.RWMutex has no
-// upgrade path, so callers fall back to release-and-reacquire.
-func (l *blockLatch) TryUpgrade() bool { return false }
-
 type spinLatch struct {
 	rw sync2.SpinRWLock
 }
@@ -169,5 +161,3 @@ func (l *spinLatch) Release(m Mode) {
 	}
 	invariant.Released(invariant.TierFrameLatch, "latch")
 }
-
-func (l *spinLatch) TryUpgrade() bool { return l.rw.TryUpgrade() }

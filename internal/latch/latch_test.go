@@ -84,23 +84,6 @@ func TestExclusiveExcludesShared(t *testing.T) {
 	}
 }
 
-func TestTryUpgrade(t *testing.T) {
-	// Spinning latch: sole reader upgrades; blocking latch: never.
-	s := New(Spinning)
-	s.Acquire(Shared)
-	if !s.TryUpgrade() {
-		t.Fatal("spin latch sole-reader upgrade failed")
-	}
-	s.Release(Exclusive)
-
-	b := New(Blocking)
-	b.Acquire(Shared)
-	if b.TryUpgrade() {
-		t.Fatal("blocking latch upgrade unexpectedly succeeded")
-	}
-	b.Release(Shared)
-}
-
 func TestModeString(t *testing.T) {
 	if Shared.String() != "S" || Exclusive.String() != "X" {
 		t.Fatal("Mode.String mismatch")

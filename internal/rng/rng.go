@@ -67,11 +67,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit value.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Float64 returns a value uniform in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)

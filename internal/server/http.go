@@ -338,15 +338,3 @@ func NewMetricsMux(e *core.Engine, fr *FlightRecorder) *http.ServeMux {
 	})
 	return mux
 }
-
-// ServeMetrics listens on addr and serves the observability mux until
-// the listener fails, with a stall flight recorder running alongside.
-// It is a convenience for cmd/hydra-server; tests use httptest.Server
-// around NewMetricsMux.
-func ServeMetrics(addr string, e *core.Engine) error {
-	fr := NewFlightRecorder(e, FlightOptions{})
-	fr.Start()
-	defer fr.Stop()
-	srv := &http.Server{Addr: addr, Handler: NewMetricsMux(e, fr), ReadHeaderTimeout: 5 * time.Second}
-	return srv.ListenAndServe()
-}

@@ -136,11 +136,3 @@ func (l *SpinRWLock) TryRLock() bool {
 func (l *SpinRWLock) TryLock() bool {
 	return atomic.CompareAndSwapUint32(&l.state, 0, rwWriterHeld)
 }
-
-// TryUpgrade attempts to convert a shared hold into an exclusive hold
-// without releasing. It succeeds only if the caller is the sole
-// reader and no writer is pending; on failure the shared hold is
-// retained and the caller must release and re-acquire.
-func (l *SpinRWLock) TryUpgrade() bool {
-	return atomic.CompareAndSwapUint32(&l.state, 1, rwWriterHeld)
-}

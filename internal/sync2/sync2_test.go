@@ -201,23 +201,6 @@ func TestSpinRWLockCounterIntegrity(t *testing.T) {
 	}
 }
 
-func TestTryUpgrade(t *testing.T) {
-	var l SpinRWLock
-	l.RLock()
-	if !l.TryUpgrade() {
-		t.Fatal("sole reader failed to upgrade")
-	}
-	l.Unlock()
-
-	l.RLock()
-	l.RLock()
-	if l.TryUpgrade() {
-		t.Fatal("upgrade succeeded with two readers")
-	}
-	l.RUnlock()
-	l.RUnlock()
-}
-
 func TestStressProducesWork(t *testing.T) {
 	for _, k := range []Kind{KindTATAS, KindBlocking, KindHybrid} {
 		r := Stress(k, 4, 30*time.Millisecond, 5, 20)

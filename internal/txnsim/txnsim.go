@@ -307,7 +307,7 @@ func DORASkew(p Params, cores, txns int, hotFrac float64) Result {
 }
 
 // SweepSkew runs both disciplines across hot-set fractions at a fixed
-// core count (the E10 crossover).
+// core count (the E15 crossover).
 func SweepSkew(base Params, cores int, hotFracs []float64, txns int) (conv, dora []Result) {
 	p := base
 	p.Partitions = cores

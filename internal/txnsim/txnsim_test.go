@@ -89,7 +89,7 @@ func TestPartitionedLockTableHelpsButBounded(t *testing.T) {
 	}
 }
 
-// The E10 crossover shape: at zero skew DORA's dispatch overhead loses
+// The E15 crossover shape: at zero skew DORA's dispatch overhead loses
 // narrowly; as the hot fraction rises, the conventional system's serial
 // chain per hot transaction carries lock visits and parked-waiter
 // handoffs that DORA's batched executor inbox does not, and the ratio

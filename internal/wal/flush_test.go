@@ -24,7 +24,7 @@ func newStoppedLog(t testing.TB, dev Device, opts Options) *Log {
 	}
 	l.space = sync.NewCond(&l.mu)
 	if opts.Kind == Consolidated {
-		l.ca = newConsArray(opts.Slots)
+		l.ca = newConsArray(consSlots)
 	}
 	return l
 }

@@ -58,9 +58,10 @@ type Options struct {
 	// SyncOnFlush forces Device.Sync after each flush write (needed
 	// for durability; disable only in CPU-bound experiments).
 	SyncOnFlush bool
-	// Slots is the consolidation array width. Default 8.
-	Slots int
 }
+
+// consSlots is the consolidation array width.
+const consSlots = 8
 
 func (o *Options) fill() {
 	if o.BufferSize <= 0 {
@@ -74,9 +75,6 @@ func (o *Options) fill() {
 	o.BufferSize = n
 	if o.FlushInterval <= 0 {
 		o.FlushInterval = time.Millisecond
-	}
-	if o.Slots <= 0 {
-		o.Slots = 8
 	}
 }
 
@@ -222,7 +220,7 @@ func NewFrom(dev Device, opts Options, from LSN) (*Log, error) {
 	l.fr.filled.Store(l.next)
 	l.flushed.Store(l.next)
 	if opts.Kind == Consolidated {
-		l.ca = newConsArray(opts.Slots)
+		l.ca = newConsArray(consSlots)
 	}
 	go l.flusher()
 	return l, nil

@@ -2,8 +2,10 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 
 	"hydra/internal/core"
+	"hydra/internal/obs"
 	"hydra/internal/rng"
 )
 
@@ -43,6 +45,10 @@ type Micro struct {
 
 	Engine *core.Engine
 	Table  *core.Table
+
+	// rmws counts the read-modify-writes that committed, striped so the
+	// count does not become a hot word of the contention it measures.
+	rmws obs.Counter
 }
 
 // SetupMicro creates and loads the microbenchmark table.
@@ -114,9 +120,6 @@ func (s *Sampler) Next() uint64 {
 	return uint64(s.src.Intn(int(s.keys)))
 }
 
-// Src exposes the sampler's random source for mix decisions.
-func (s *Sampler) Src() *rng.Source { return s.src }
-
 // RunOne executes one read or read-modify-write operation. A conflict
 // that survives every retry of an optimistic write surfaces to the
 // harness as an aborted operation.
@@ -143,22 +146,34 @@ func (w *Micro) RunOne(s *Sampler, x Executor) error {
 		copy(v, U64(DecU64(v)+1))
 		return tx.Update(w.Table, k, v)
 	}
+	var err error
 	if w.SIFrac > 0 && s.src.Float64() < w.SIFrac {
-		return w.Engine.Exec(rmw, core.Intent{Optimistic: true})
+		err = w.Engine.Exec(rmw, core.Intent{Optimistic: true})
+	} else {
+		err = x.Run(w.Table, k, rmw)
 	}
-	return x.Run(w.Table, k, rmw)
+	if err == nil {
+		w.rmws.Inc()
+	}
+	return err
 }
 
-// TotalWrites sums the per-key write counters (the first 8 bytes of
-// each value), for conservation checks.
-func (w *Micro) TotalWrites(e *core.Engine) (uint64, error) {
+// Check verifies that no write was lost or doubled: the per-key write
+// counters (the first 8 bytes of each value) sum to the number of
+// read-modify-writes RunOne saw commit.
+func (w *Micro) Check(e *core.Engine) error {
 	var total uint64
-	err := e.Exec(func(tx *core.Txn) error {
+	if err := e.Exec(func(tx *core.Txn) error {
 		total = 0
 		return tx.Scan(w.Table, 0, ^uint64(0), func(_ uint64, v []byte) bool {
 			total += DecU64(v)
 			return true
 		})
-	})
-	return total, err
+	}); err != nil {
+		return err
+	}
+	if want := w.rmws.Load(); total != want {
+		return fmt.Errorf("micro: write counters sum to %d, %d read-modify-writes committed", total, want)
+	}
+	return nil
 }

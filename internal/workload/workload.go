@@ -1,8 +1,8 @@
 // Package workload implements the OLTP benchmark kits the experiments
 // drive against the storage manager: TATP (telecom), TPC-B (banking
-// debit/credit), a reduced TPC-C (order entry), and a tunable
-// microbenchmark. Each kit provides deterministic data loading, a
-// transaction mix, and invariant checks.
+// debit/credit) and a tunable microbenchmark. Each kit provides
+// deterministic data loading, a transaction mix, and an invariant
+// check.
 //
 // Transactions run through an Executor, which abstracts the two
 // execution models under study: conventional thread-to-transaction

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -133,88 +134,73 @@ func TestTPCBDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestTPCCInvariants(t *testing.T) {
-	e := newEngine(t)
-	w, err := SetupTPCC(e, 1, 2, 30, 100)
+// Concurrent read-modify-writes, locked and SI, lose no write: the
+// counters sum to the committed writes Check counted.
+func TestMicroWriteConservation(t *testing.T) {
+	cfg := core.Scalable()
+	cfg.MVCC = true
+	e, err := core.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
+	w, err := SetupMicro(e, 1000, 0.5, 0.9, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SIFrac = 0.5
 	x := TxnExecutor{Engine: e}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			src := rng.New(uint64(200 + g))
-			for i := 0; i < 100; i++ {
-				if err := w.RunOne(src, x); err != nil {
-					t.Errorf("tpcc txn: %v", err)
+			s := w.NewSampler(uint64(g))
+			for i := 0; i < 250; i++ {
+				if err := w.RunOne(s, x); err != nil && !errors.Is(err, core.ErrWriteConflict) {
+					t.Errorf("micro op: %v", err)
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	if w.rmws.Load() == 0 {
+		t.Fatal("no read-modify-write committed")
+	}
 	if err := w.Check(e); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMicroWriteConservation(t *testing.T) {
+// Check fails when one counter no longer matches the committed writes.
+func TestMicroCheckDetectsCorruption(t *testing.T) {
 	e := newEngine(t)
-	w, err := SetupMicro(e, 1000, 0.5, 0.9, 64)
+	w, err := SetupMicro(e, 100, 1.0, 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := TxnExecutor{Engine: e}
-	const workers, per = 4, 250
-	var wg sync.WaitGroup
-	var writes [workers]uint64
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			s := w.NewSampler(uint64(g))
-			for i := 0; i < per; i++ {
-				k := s.Next()
-				if s.Src().Float64() < 0.5 {
-					// Count a write we perform explicitly.
-					err := x.Run(w.Table, k, func(tx *core.Txn) error {
-						v, err := tx.Read(w.Table, k)
-						if err != nil {
-							return err
-						}
-						copy(v, U64(DecU64(v)+1))
-						return tx.Update(w.Table, k, v)
-					})
-					if err != nil {
-						t.Errorf("micro write: %v", err)
-						return
-					}
-					writes[g]++
-				} else {
-					if err := x.Run(w.Table, k, func(tx *core.Txn) error {
-						_, err := tx.Read(w.Table, k)
-						return err
-					}); err != nil {
-						t.Errorf("micro read: %v", err)
-						return
-					}
-				}
-			}
-		}(g)
+	s := w.NewSampler(1)
+	for i := 0; i < 50; i++ {
+		if err := w.RunOne(s, TxnExecutor{Engine: e}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	var expected uint64
-	for _, c := range writes {
-		expected += c
-	}
-	total, err := w.TotalWrites(e)
-	if err != nil {
+	if err := w.Check(e); err != nil {
 		t.Fatal(err)
 	}
-	if total != expected {
-		t.Fatalf("writes lost: counters sum to %d, performed %d", total, expected)
+	if err := e.Exec(func(tx *core.Txn) error {
+		v, err := tx.ReadForUpdate(w.Table, 7)
+		if err != nil {
+			return err
+		}
+		copy(v, U64(DecU64(v)+1))
+		return tx.Update(w.Table, 7, v)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Check(e); err == nil {
+		t.Fatal("Check passed with one counter bumped outside the workload")
 	}
 }
 
