@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint stress stress-dora fuzz-smoke bench bench-json bench-wal bench-lock bench-dora bench-wire bench-btree bench-smoke
+.PHONY: build test race vet examples lint stress stress-dora fuzz-smoke bench bench-json bench-wal bench-lock bench-dora bench-wire bench-btree bench-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,13 @@ stress-dora:
 
 vet:
 	$(GO) vet ./...
+
+# examples builds each program under examples/ and runs it; every one
+# exits non-zero (log.Fatal) when a check it makes fails.
+EXAMPLES := quickstart banking telecom analytics wire
+examples:
+	$(GO) build -o bin/examples/ $(addprefix ./examples/,$(EXAMPLES))
+	set -e; for x in $(EXAMPLES); do echo "== $$x"; ./bin/examples/$$x; done
 
 # lint runs hydra-vet (internal/analysis: lockscope, atomicmix,
 # phasebal) over the whole module, in-package test files included. It

@@ -65,8 +65,8 @@ func main() {
 			fmt.Println()
 			return
 		}
-		line := strings.TrimSpace(in.Text())
-		switch strings.ToLower(line) {
+		line := in.Text()
+		switch strings.ToLower(strings.TrimSpace(line)) {
 		case "":
 			continue
 		case "help":
@@ -86,9 +86,14 @@ func main() {
 	}
 }
 
-// runOne parses and executes one REPL line against the client.
+// runOne parses and executes one REPL line against the client. Fields
+// are separated by ASCII spaces and tabs, as on the wire, and a SET's
+// value is the rest of the line after its key, sent byte for byte.
 func runOne(c *server.Client, line string) error {
-	fields := strings.Fields(line)
+	fields := strings.FieldsFunc(line, isSep)
+	if len(fields) == 0 {
+		return fmt.Errorf("usage: <command> [args...]; 'help' lists the commands")
+	}
 	cmd := strings.ToUpper(fields[0])
 	switch cmd {
 	case "PING":
@@ -112,7 +117,11 @@ func runOne(c *server.Client, line string) error {
 		if err != nil {
 			return fmt.Errorf("bad key %q", fields[2])
 		}
-		if err := c.Set(fields[1], key, strings.Join(fields[3:], " ")); err != nil {
+		value := strings.TrimLeftFunc(line, isSep)
+		for range 3 { // cut SET, the table and the key
+			value = strings.TrimLeftFunc(value[strings.IndexFunc(value, isSep):], isSep)
+		}
+		if err := c.Set(fields[1], key, value); err != nil {
 			return err
 		}
 		fmt.Println("OK")
@@ -198,6 +207,8 @@ func runOne(c *server.Client, line string) error {
 	}
 	return nil
 }
+
+func isSep(r rune) bool { return r == ' ' || r == '\t' }
 
 // printStats renders the full snapshot: every counter of every group
 // from the metric walk, the derived ratios, then the distributions the

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net"
 	"strings"
 	"testing"
 
@@ -40,6 +42,49 @@ func liveSnapshot(t *testing.T) server.StatsJSON {
 		}
 	}
 	return server.Snapshot(e, nil)
+}
+
+// A SET's value reaches the server byte for byte — runs of spaces, tabs
+// and trailing blanks included — and a blank line is a usage error.
+func TestSetSendsValueVerbatim(t *testing.T) {
+	e, err := core.Open(core.Scalable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(e)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+	c, err := server.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if err := runOne(c, "CREATE kv"); err != nil {
+		t.Fatal(err)
+	}
+	for key, value := range []string{"a  b", "a\tb", "tail ", "x \t y\t"} {
+		if err := runOne(c, fmt.Sprintf("SET\tkv  %d \t%s", key, value)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := c.Get("kv", uint64(key)); err != nil || got != value {
+			t.Fatalf("SET %q stored %q, %v", value, got, err)
+		}
+	}
+	for _, blank := range []string{"", "  ", "\t"} {
+		if err := runOne(c, blank); err == nil || !strings.HasPrefix(err.Error(), "usage") {
+			t.Fatalf("runOne(%q) = %v, want a usage error", blank, err)
+		}
+	}
 }
 
 // TestPrintStatsShowsEveryCounter walks the snapshot's JSON, not the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hydra/internal/buffer"
 	"hydra/internal/latch"
 	"hydra/internal/page"
 	"hydra/internal/wal"
@@ -94,12 +95,17 @@ func (e *Engine) writeMeta(master wal.LSN) error {
 		return fmt.Errorf("core: catalog too large for meta page: %w", err)
 	}
 	f.Latch.Release(latch.Exclusive)
-	// Flush while still pinned, then release clean.
-	if err := e.pool.FlushPage(f); err != nil {
-		e.pool.Unpin(f, true)
+	return e.persistPage(f)
+}
+
+// persistPage writes the pinned frame f to the store, unpins it and
+// syncs the store. A page whose write fails is left dirty.
+func (e *Engine) persistPage(f *buffer.Frame) error {
+	err := e.pool.FlushPage(f)
+	e.pool.Unpin(f, err != nil)
+	if err != nil {
 		return err
 	}
-	e.pool.Unpin(f, false)
 	return e.store.Sync()
 }
 

@@ -169,12 +169,6 @@ type Table struct {
 	Name  string
 	Heap  *heap.File
 	Index *btree.Tree
-
-	engine *Engine
-
-	// secondary indexes (see secondary.go); registered per process.
-	idxMu     sync.RWMutex
-	secondary []*SecondaryIndex
 }
 
 // Engine is the storage manager.
@@ -192,7 +186,7 @@ type Engine struct {
 
 	// mu guards the catalog maps. DDL persists its pages synchronously
 	// under it; it is a rare-operation lock, not a hot-path guard.
-	//hydra:vet:coarse -- catalog/DDL lock: table creation flushes pages under it by design; DDL is rare
+	//hydra:vet:coarse -- catalog/DDL lock: table creation writes and syncs the new heap's head page and the meta page under it by design; DDL is rare
 	mu          invariant.RWMutex[invariant.EngineMu]
 	tables      map[string]*Table
 	tablesByID  map[uint32]*Table
@@ -348,7 +342,12 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 	return e, nil
 }
 
-// CreateTable creates a keyed table. DDL is synchronously persisted.
+// CreateTable creates a keyed table. DDL is synchronously persisted:
+// the heap's head page is written and synced before the catalog names
+// it, because after a crash a page id past the end of the store is
+// handed out again, and a catalog entry for it would share the page with
+// its new owner. The index root is not written; every open rebuilds the
+// index. A CreateTable that fails leaves no table behind.
 func (e *Engine) CreateTable(name string) (*Table, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -362,28 +361,27 @@ func (e *Engine) CreateTable(name string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	head, err := e.pool.Fetch(h.FirstPage())
+	if err != nil {
+		return nil, err
+	}
+	if err := e.persistPage(head); err != nil {
+		return nil, err
+	}
 	idx, err := btree.Create(e.pool, e.cfg.IndexMode)
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		ID:     e.nextTableID + 1,
-		Name:   name,
-		Heap:   h,
-		Index:  idx,
-		engine: e,
-	}
-	e.nextTableID++
+	t := &Table{ID: e.nextTableID + 1, Name: name, Heap: h, Index: idx}
 	e.installTableLocked(t)
 	if err := e.writeMeta(e.master); err != nil {
-		return nil, err
+		// Put the meta page back to the catalog without t, so that no
+		// later flush of it names the table.
+		delete(e.tables, t.Name)
+		delete(e.tablesByID, t.ID)
+		return nil, errors.Join(err, e.writeMeta(e.master))
 	}
-	// The table's initial pages (heap head, index root) are created
-	// without log records; persist them synchronously so recovery can
-	// rely on their existence. DDL is rare.
-	if err := e.pool.FlushAll(); err != nil {
-		return nil, err
-	}
+	e.nextTableID = t.ID
 	return t, nil
 }
 
@@ -463,9 +461,8 @@ type Stats struct {
 	Index   IndexStats   `json:"index"`
 }
 
-// IndexStats is the index group: every tree of the engine summed,
-// secondary indexes included, and the probes the transactions above
-// them did not make.
+// IndexStats is the index group: every table's index summed, and the
+// probes the transactions above them did not make.
 type IndexStats struct {
 	btree.Stats
 	AbsentMemoHits uint64 `json:"absent_memo_hits"` // inserts whose duplicate probe the preceding update's miss answered
@@ -488,11 +485,6 @@ func (e *Engine) indexStats() IndexStats {
 	st := IndexStats{AbsentMemoHits: e.absentMemoHits.Load()}
 	for _, t := range e.Tables() {
 		st.Add(t.Index.StatsSnapshot())
-		t.idxMu.RLock()
-		for _, sx := range t.secondary {
-			st.Add(sx.tree.StatsSnapshot())
-		}
-		t.idxMu.RUnlock()
 	}
 	return st
 }

@@ -47,7 +47,7 @@ func (e *Engine) analyze() (analysis, error) {
 	e.master = master
 	e.mu.Lock()
 	for _, m := range metas {
-		t := &Table{ID: m.ID, Name: m.Name, Heap: heap.Attach(e.pool, m.HeapFirst), engine: e}
+		t := &Table{ID: m.ID, Name: m.Name, Heap: heap.Attach(e.pool, m.HeapFirst)}
 		e.installTableLocked(t)
 		e.nextTableID = max(e.nextTableID, m.ID)
 	}

@@ -575,10 +575,7 @@ func (t *Txn) insert(tbl *Table, key uint64, value []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := tbl.Index.InsertC(key, rid.Pack(), &t.clock); err != nil {
-		return err
-	}
-	return tbl.maintainSecondariesC(key, nil, value, &t.clock)
+	return tbl.Index.InsertC(key, rid.Pack(), &t.clock)
 }
 
 func (t *Txn) update(tbl *Table, key uint64, value []byte) error {
@@ -607,9 +604,6 @@ func (t *Txn) update(tbl *Table, key uint64, value []byte) error {
 		lsn, lerr := t.logOp(&op)
 		return uint64(lsn), lerr
 	})
-	if err == nil {
-		return tbl.maintainSecondariesC(key, rowValue(op.Before), value, &t.clock)
-	}
 	if !errors.Is(err, page.ErrPageFull) {
 		return err
 	}
@@ -635,10 +629,7 @@ func (t *Txn) update(tbl *Table, key uint64, value []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := tbl.Index.InsertC(key, newRID.Pack(), &t.clock); err != nil {
-		return err
-	}
-	return tbl.maintainSecondariesC(key, rowValue(before), value, &t.clock)
+	return tbl.Index.InsertC(key, newRID.Pack(), &t.clock)
 }
 
 func (t *Txn) delete(tbl *Table, key uint64) error {
@@ -659,10 +650,7 @@ func (t *Txn) delete(tbl *Table, key uint64) error {
 	}); err != nil {
 		return err
 	}
-	if err := tbl.Index.DeleteC(key, &t.clock); err != nil {
-		return err
-	}
-	return tbl.maintainSecondariesC(key, rowValue(op.Before), nil, &t.clock)
+	return tbl.Index.DeleteC(key, &t.clock)
 }
 
 // Scan iterates rows with lo <= key <= hi in key order under a

@@ -90,9 +90,6 @@ func (e *Engine) undoOp(txnID uint64, inv *OpRecord, prevLSN, undoNext wal.LSN, 
 			if err := tbl.Index.Insert(inv.Key, rid.Pack()); err != nil {
 				return 0, err
 			}
-			if err := tbl.maintainSecondaries(inv.Key, nil, rowValue(inv.After)); err != nil {
-				return 0, err
-			}
 		}
 	case OpUpdate: // undoing an update: restore the before-image in place
 		inv.RID = uc.fix(inv.Table, inv.Key, inv.RID)
@@ -100,11 +97,6 @@ func (e *Engine) undoOp(txnID uint64, inv *OpRecord, prevLSN, undoNext wal.LSN, 
 			return logCLR()
 		}); err != nil {
 			return 0, err
-		}
-		if maintainIndex {
-			if err := tbl.maintainSecondaries(inv.Key, rowValue(inv.Before), rowValue(inv.After)); err != nil {
-				return 0, err
-			}
 		}
 	case OpDelete: // undoing an insert: remove the row where it now is
 		inv.RID = uc.fix(inv.Table, inv.Key, inv.RID)
@@ -116,9 +108,6 @@ func (e *Engine) undoOp(txnID uint64, inv *OpRecord, prevLSN, undoNext wal.LSN, 
 		uc.forget(inv.Table, inv.Key)
 		if maintainIndex {
 			if err := tbl.Index.Delete(inv.Key); err != nil {
-				return 0, err
-			}
-			if err := tbl.maintainSecondaries(inv.Key, rowValue(inv.Before), nil); err != nil {
 				return 0, err
 			}
 		}
