@@ -12,11 +12,12 @@ race:
 	$(GO) test -race ./internal/lock/... ./internal/core/... ./internal/buffer/... ./internal/wal/... ./internal/obs/... ./internal/server/... ./internal/dora/... ./internal/sync2/... ./internal/btree/... ./internal/heap/... ./internal/workload/...
 
 # stress-dora runs the DORA mixed-path stress tests under the race
-# detector: fast-path, cross-partition and timeout-cancel transactions
-# over few executors with tiny queue depths, plus engine close under
-# load and the canceled-parked-action regression.
+# detector: fast-path and cross-partition transactions, the latter in
+# both key orders, over few executors with tiny queue depths, every one
+# of which must commit; opposite-order claims; and engine close under
+# load.
 stress-dora:
-	$(GO) test -race -count=1 -run 'TestStressMixedPaths|TestCanceledParkedActionNeverRuns|TestCloseUnderLoad' ./internal/dora/
+	$(GO) test -race -count=1 -run 'TestStressMixedPaths|TestOppositeOrderCrossPartitionCommits|TestCloseUnderLoad' ./internal/dora/
 
 vet:
 	$(GO) vet ./...
@@ -99,7 +100,7 @@ bench-lock:
 
 # bench-dora runs the DORA execution-path benchmarks: the
 # single-partition fast path allocs/op and the cross-partition
-# rendezvous figures in EXPERIMENTS.md E13 come from this target.
+# (executor claims) figures in EXPERIMENTS.md E13 come from this target.
 bench-dora:
 	$(GO) test -run '^$$' -bench 'BenchmarkDoraExecSingle|BenchmarkDoraExecCross' -benchtime 2s -benchmem ./internal/dora/
 

@@ -17,7 +17,9 @@ import (
 	"os"
 
 	"hydra/internal/buffer"
+	"hydra/internal/core"
 	"hydra/internal/page"
+	"hydra/internal/wal"
 )
 
 func main() {
@@ -58,32 +60,23 @@ func run(path string, showRows bool, only string) error {
 	if err != nil {
 		return fmt.Errorf("meta record: %w", err)
 	}
-	if len(rec) < 12 {
-		return fmt.Errorf("meta record truncated")
+	master, tables, err := core.DecodeMeta(rec)
+	if err != nil {
+		return fmt.Errorf("meta record: %w", err)
 	}
-	master := binary.LittleEndian.Uint64(rec)
-	if master == ^uint64(0) {
+	if master == wal.NilLSN {
 		fmt.Println("master: none (no checkpoint taken)")
 	} else {
 		fmt.Printf("master: begin-checkpoint at LSN %d\n", master)
 	}
 
-	// Catalog: count(4) then id(4) heapFirst(8) nameLen(2) name.
-	cat := rec[8:]
-	count := int(binary.LittleEndian.Uint32(cat))
-	off := 4
-	fmt.Printf("catalog: %d table(s)\n\n", count)
-	for i := 0; i < count; i++ {
-		id := binary.LittleEndian.Uint32(cat[off:])
-		first := page.ID(binary.LittleEndian.Uint64(cat[off+4:]))
-		nl := int(binary.LittleEndian.Uint16(cat[off+12:]))
-		name := string(cat[off+14 : off+14+nl])
-		off += 14 + nl
-		if only != "" && name != only {
+	fmt.Printf("catalog: %d table(s)\n\n", len(tables))
+	for _, t := range tables {
+		if only != "" && t.Name != only {
 			continue
 		}
-		if err := dumpTable(store, id, name, first, showRows); err != nil {
-			return fmt.Errorf("table %s: %w", name, err)
+		if err := dumpTable(store, t.ID, t.Name, t.HeapFirst, showRows); err != nil {
+			return fmt.Errorf("table %s: %w", t.Name, err)
 		}
 	}
 	return nil

@@ -11,8 +11,9 @@ import (
 	"hydra/internal/wal"
 )
 
-// tableMeta is the persistent description of one table.
-type tableMeta struct {
+// TableMeta is the persistent description of one table: one entry of
+// the catalog on the meta page.
+type TableMeta struct {
 	ID        uint32
 	HeapFirst page.ID
 	Name      string
@@ -21,7 +22,7 @@ type tableMeta struct {
 // encodeCatalog serializes the table list for the meta page:
 //
 //	count(4) then per table: id(4) heapFirst(8) nameLen(2) name
-func encodeCatalog(tables []tableMeta) []byte {
+func encodeCatalog(tables []TableMeta) []byte {
 	sort.Slice(tables, func(i, j int) bool { return tables[i].ID < tables[j].ID })
 	size := 4
 	for _, t := range tables {
@@ -40,18 +41,19 @@ func encodeCatalog(tables []tableMeta) []byte {
 	return buf
 }
 
-func decodeCatalog(b []byte) ([]tableMeta, error) {
+func decodeCatalog(b []byte) ([]TableMeta, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("core: catalog truncated")
 	}
 	n := int(binary.LittleEndian.Uint32(b))
 	off := 4
-	tables := make([]tableMeta, 0, n)
+	// A damaged count must not size the slice: no entry is under 14 bytes.
+	tables := make([]TableMeta, 0, min(n, (len(b)-4)/14))
 	for i := 0; i < n; i++ {
 		if off+14 > len(b) {
 			return nil, fmt.Errorf("core: catalog entry %d truncated", i)
 		}
-		t := tableMeta{
+		t := TableMeta{
 			ID:        binary.LittleEndian.Uint32(b[off:]),
 			HeapFirst: page.ID(binary.LittleEndian.Uint64(b[off+4:])),
 		}
@@ -71,14 +73,26 @@ func decodeCatalog(b []byte) ([]tableMeta, error) {
 // master LSN names the begin-checkpoint record ARIES analysis starts
 // from (NilLSN-encoded-as-max means "no checkpoint; scan from 0").
 
+// DecodeMeta decodes the meta page's record into the master LSN and
+// the table list. It is the one reader of the format: the engine's
+// restart and offline tools such as hydra-dump both go through it, so
+// a damaged record is an error everywhere, never a panic.
+func DecodeMeta(rec []byte) (wal.LSN, []TableMeta, error) {
+	if len(rec) < 8 {
+		return 0, nil, fmt.Errorf("core: meta record truncated")
+	}
+	metas, err := decodeCatalog(rec[8:])
+	return wal.LSN(binary.LittleEndian.Uint64(rec)), metas, err
+}
+
 // writeMeta rewrites the meta page (page 0) with the current table
 // list and master record, and forces that page to stable storage.
 // DDL and checkpoints are rare; synchronous persistence keeps
 // recovery simple (the catalog itself is not logged).
 func (e *Engine) writeMeta(master wal.LSN) error {
-	var metas []tableMeta
+	var metas []TableMeta
 	for _, t := range e.tables {
-		metas = append(metas, tableMeta{ID: t.ID, HeapFirst: t.Heap.FirstPage(), Name: t.Name})
+		metas = append(metas, TableMeta{ID: t.ID, HeapFirst: t.Heap.FirstPage(), Name: t.Name})
 	}
 	payload := make([]byte, 8)
 	binary.LittleEndian.PutUint64(payload, uint64(master))
@@ -110,7 +124,7 @@ func (e *Engine) persistPage(f *buffer.Frame) error {
 }
 
 // readMeta loads the master LSN and table list from the meta page.
-func (e *Engine) readMeta() (wal.LSN, []tableMeta, error) {
+func (e *Engine) readMeta() (wal.LSN, []TableMeta, error) {
 	f, err := e.pool.Fetch(metaPageID)
 	if err != nil {
 		return 0, nil, err
@@ -125,10 +139,5 @@ func (e *Engine) readMeta() (wal.LSN, []tableMeta, error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: meta page has no catalog record: %w", err)
 	}
-	if len(rec) < 8 {
-		return 0, nil, fmt.Errorf("core: meta record truncated")
-	}
-	master := wal.LSN(binary.LittleEndian.Uint64(rec))
-	metas, err := decodeCatalog(rec[8:])
-	return master, metas, err
+	return DecodeMeta(rec)
 }

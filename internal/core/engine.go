@@ -226,7 +226,8 @@ type Engine struct {
 }
 
 // Open creates or reopens an engine. Reopening a directory (or the
-// in-memory stores passed via OpenWith) runs ARIES recovery.
+// in-memory stores passed via OpenWith) runs ARIES recovery. A Dir
+// that does not exist yet is created, whichever log layout it gets.
 func Open(cfg Config) (*Engine, error) {
 	cfg.fill()
 	var store buffer.PageStore
@@ -235,6 +236,9 @@ func Open(cfg Config) (*Engine, error) {
 		store = buffer.NewMemStore()
 		dev = wal.NewMem()
 	} else {
+		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+			return nil, err
+		}
 		fd, err := openLog(cfg.Dir, cfg.LogSegmentBytes)
 		if err != nil {
 			return nil, err

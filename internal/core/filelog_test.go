@@ -281,3 +281,29 @@ func TestOpenRefusesTheOtherLogLayout(t *testing.T) {
 		e.Close()
 	})
 }
+
+// Open creates a data directory that does not exist yet, with its
+// parents, in either log layout; the table survives a reopen.
+func TestOpenCreatesMissingDir(t *testing.T) {
+	eachLogShape(t, Conventional(), func(t *testing.T, cfg Config) {
+		cfg.Dir = filepath.Join(cfg.Dir, "a", "b")
+		e, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.CreateTable("t"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e, err = Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if _, err := e.Table("t"); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -117,9 +117,9 @@ func TestOpString(t *testing.T) {
 
 func TestCatalogCodecQuick(t *testing.T) {
 	f := func(n uint8, seed uint64) bool {
-		var metas []tableMeta
+		var metas []TableMeta
 		for i := 0; i < int(n%20); i++ {
-			metas = append(metas, tableMeta{
+			metas = append(metas, TableMeta{
 				ID:        uint32(i + 1),
 				HeapFirst: page.ID(seed + uint64(i)),
 				Name:      string(rune('a'+i%26)) + "_table",
@@ -148,7 +148,7 @@ func TestCatalogDecodeErrors(t *testing.T) {
 	if _, err := decodeCatalog(nil); err == nil {
 		t.Error("nil catalog accepted")
 	}
-	enc := encodeCatalog([]tableMeta{{ID: 1, HeapFirst: 2, Name: "users"}})
+	enc := encodeCatalog([]TableMeta{{ID: 1, HeapFirst: 2, Name: "users"}})
 	if _, err := decodeCatalog(enc[:6]); err == nil {
 		t.Error("truncated entry accepted")
 	}

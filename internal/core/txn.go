@@ -47,8 +47,10 @@ type Intent struct {
 	Optimistic bool
 	Agent      *lock.Agent
 	// Owned, when non-zero, declares that the caller guarantees
-	// isolation by construction (DORA: each datum is accessed only by
-	// its owning executor), so the lock manager is skipped entirely.
+	// isolation by construction (DORA: each datum is accessed only while
+	// its partition's executor is held — by that executor, or by a
+	// cross-partition coordinator that claimed it), so the lock manager
+	// is skipped entirely.
 	// The value is the phase-profile path the transaction folds under.
 	Owned obs.TxnPath
 }
@@ -64,10 +66,11 @@ type txnMode struct {
 	snapshot bool
 }
 
-// Txn is a transaction handle. A Txn is normally confined to one
-// goroutine; partition-owned transactions (Intent.Owned) may have
-// their operations executed by multiple DORA executors, so the log
-// chain and undo list are mutex-protected.
+// Txn is a transaction handle. A Txn is used by one goroutine at a
+// time: DORA's fast path hands a partition-owned one to the owning
+// executor and back, but nothing runs two of its operations at once.
+// The one reader from elsewhere is a checkpoint's ATT snapshot, which
+// mu serves.
 //
 // Handles are recycled through a per-engine pool: Begin draws a
 // retired Txn (with its lock holder, undo slice, and encode scratch
@@ -108,11 +111,12 @@ type Txn struct {
 	// lock holder and DORA executors keep a pointer to it.
 	clock obs.PhaseClock
 
-	// mu guards lastLSN, undo, logged, decided, enc. It is intentionally held
-	// across WAL appends: DORA executors sharing a no-lock transaction
-	// must serialize the prev-LSN chain, and an append is a buffer copy
-	// (group commit makes the IO asynchronous).
-	//hydra:vet:coarse -- per-txn chain lock: held across WAL appends so DORA executors serialize the LSN chain
+	// mu guards lastLSN, undo, logged, decided, enc. Its reason is the
+	// checkpoint's ATT snapshot, the one reader from another goroutine:
+	// it must see a chain tail together with the record that made it,
+	// so mu is intentionally held across WAL appends, and an append is a
+	// buffer copy (group commit makes the IO asynchronous).
+	//hydra:vet:coarse -- per-txn chain lock: held across WAL appends so a checkpoint's ATT snapshot sees each chain tail with its record
 	mu       invariant.Mutex[invariant.TxnMu]
 	lastLSN  wal.LSN
 	firstLSN wal.LSN // begin record (log-truncation horizon)
@@ -129,9 +133,8 @@ type Txn struct {
 
 	// absent is the one key this transaction's last statement found
 	// missing from the index while holding X on the row (see update); the
-	// zero value is no key. A partition-owned transaction never has one
-	// and never writes the field: its statements run on several
-	// executors at once.
+	// zero value is no key. A partition-owned transaction holds no row
+	// lock, so it never has one and never writes the field.
 	absent absentKey
 }
 
@@ -361,10 +364,10 @@ func (t *Txn) retire(state txnState) {
 // ID returns the transaction id.
 func (t *Txn) ID() uint64 { return t.id }
 
-// Clock returns the transaction's phase clock. DORA executors use it
-// to attribute queue and service time to the transaction they are
-// running on behalf of; the pointer is valid until Commit/Abort
-// returns (the handle may then be recycled).
+// Clock returns the transaction's phase clock. DORA uses it to
+// attribute queue and service time to the transaction it runs; the
+// pointer is valid until Commit/Abort returns (the handle may then be
+// recycled).
 func (t *Txn) Clock() *obs.PhaseClock { return &t.clock }
 
 func (t *Txn) acquire(name lock.Name, mode lock.Mode) error {
@@ -406,8 +409,8 @@ func (t *Txn) checkActive() error {
 }
 
 // logOp appends a data record for op, records the undo entry, and
-// returns its LSN. It owns the txn's chain mutex so DORA actions on
-// different executors serialize their log records correctly.
+// returns its LSN. It holds the txn's chain mutex so a checkpoint's
+// ATT snapshot reads the chain tail and the record together.
 func (t *Txn) logOp(op *OpRecord) (wal.LSN, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -695,10 +698,11 @@ func (t *Txn) Commit() error {
 // block on the log device: a snapshot-mode writer validates and applies
 // its write set, then the commit record is appended (publishing version
 // stamps when the transaction installed any) and, under ELR, the locks
-// are released. The DORA fast path runs it on the owning executor so
-// the executor never stalls on a group-commit flush; the coordinator
-// completes the commit with CommitWait, which is the only part that
-// blocks.
+// are released. DORA's fast path runs it on the owning executor so
+// the executor never stalls on a group-commit flush, and its
+// cross-partition path runs it before releasing the executors it
+// claimed; the coordinator completes the commit with CommitWait, which
+// is the only part that blocks.
 //
 // The returned LSN is the commit record's position. A transaction that
 // logged nothing commits fully here and returns NilLSN; the handle is

@@ -4,38 +4,38 @@
 // manager ("thread-to-transaction"), the key space of every table is
 // split into logical partitions, each owned by exactly one executor
 // goroutine ("thread-to-data"). A transaction is decomposed into
-// actions, each routed to the executor owning the data it touches;
-// rendezvous points separate phases whose actions depend on earlier
-// results. Because an executor serializes all actions on its
-// partition, no lock-table interaction is needed at all — the
-// decoupling of transaction data access from process assignment the
-// paper calls for.
+// actions, each routed to the executor owning the data it touches.
+// Because an executor serializes all work on its partition, no
+// lock-table interaction is needed at all — the decoupling of
+// transaction data access from process assignment the paper calls
+// for.
 //
 // Two execution paths share the machinery:
 //
 //   - Single-partition fast path: when every action of the transaction
 //     routes to one executor (the bulk of OLTP), the whole transaction
 //     ships as ONE job. The owning executor runs begin→actions→commit
-//     back to back with no lock registration at all — the transaction
-//     is one indivisible partition-local critical section, and its
-//     "locks" vanish the moment it finishes, with no release
-//     round-trip. The executor appends the commit record and releases
-//     immediately (core.Txn.CommitAsync); only the coordinator blocks
-//     on group-commit durability (CommitWait), so executors never
-//     stall on a flush.
+//     back to back — the transaction is one indivisible
+//     partition-local critical section. The executor appends the
+//     commit record and moves on (core.Txn.CommitAsync); only the
+//     coordinator blocks on group-commit durability (CommitWait), so
+//     executors never stall on a flush.
 //
-//   - Cross-partition path: each phase's actions fan out to their
-//     executors and a pooled countdown rendezvous (atomic pending
-//     count + one reusable wake channel) joins them — no per-phase
-//     channel or timer allocation.
+//   - Cross-partition path: the coordinator claims every executor the
+//     transaction's actions route to, one at a time in ascending
+//     executor id. A claim is an inbox job: the executor acknowledges
+//     it and parks until released, so while the coordinator holds it
+//     nothing else runs on that partition. The coordinator then runs
+//     the actions itself, in phase order, appends the commit record,
+//     releases the claims (partition-level early lock release) and
+//     only then waits for durability.
 //
-// Isolation: each executor keeps a *local* lock table over its
-// routing keys (see locallock.go) and holds a cross-partition
-// transaction's keys until its commit or abort, so arbitrary
-// multi-phase transactions are serializable — strict two-phase
-// locking at partition granularity, with no shared lock-manager state
-// whatsoever. Cross-partition deadlocks are broken by the
-// coordinator's rendezvous timeout.
+// Isolation: a cross-partition transaction holds each partition it
+// touches from before its first action until its commit record is
+// appended — strict two-phase locking at partition granularity, with
+// no lock table anywhere. Deadlock cannot arise: a coordinator waits
+// only for executors above every executor it already holds, so no
+// cycle of waits can form, and no timeout is needed to break one.
 //
 // Executor inboxes are bounded sync2.Queues drained in batches (the
 // WAL flusher's kick-coalescing pattern): a hot partition pays one
@@ -48,7 +48,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hydra/internal/core"
 	"hydra/internal/invariant"
@@ -64,14 +63,16 @@ type Action struct {
 	Table *core.Table
 	// Key is the routing key: the primary key the action touches.
 	Key uint64
-	// Fn runs on the owning executor. It must confine its data access
-	// to keys that route identically to Key (same table, same key
-	// family under Options.RouteShift).
+	// Fn runs while the transaction holds the executor owning Key: on
+	// that executor for a single-partition transaction, on the calling
+	// goroutine for a cross-partition one. It must confine its data
+	// access to keys that route identically to Key (same table, same
+	// key family under Options.RouteShift).
 	Fn func(tx *core.Txn) error
 }
 
-// Phase is a set of actions with no mutual dependencies; a rendezvous
-// point follows each phase.
+// Phase is a set of actions with no mutual dependencies. Phases run
+// in order, so an action may use what an earlier phase produced.
 type Phase []Action
 
 // Options configures a DORA engine.
@@ -81,10 +82,6 @@ type Options struct {
 	Executors int
 	// QueueDepth is each executor's inbox capacity. Default 128.
 	QueueDepth int
-	// LockTimeout bounds an action's wait for a partition-local lock;
-	// expiry cancels the transaction (the cross-partition deadlock
-	// breaker). Default 2s.
-	LockTimeout time.Duration
 	// RouteShift coarsens routing: keys are shifted right by this
 	// many bits before hashing, so each partition owns aligned key
 	// families of size 2^RouteShift. Workloads whose transactions
@@ -100,9 +97,6 @@ func (o *Options) fill() {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 128
 	}
-	if o.LockTimeout <= 0 {
-		o.LockTimeout = 2 * time.Second
-	}
 }
 
 // Engine dispatches decomposed transactions over partition executors.
@@ -116,93 +110,67 @@ type Engine struct {
 	ctxPool sync.Pool // *txnCtx, sized for this engine's executor count
 
 	executed    obs.Counter // actions executed
-	rvps        obs.Counter // rendezvous points crossed (cross path)
-	localWaits  obs.Counter // jobs parked on a partition-local lock
-	timeouts    obs.Counter // transactions canceled at a rendezvous
 	singleTxns  obs.Counter // transactions shipped whole (fast path)
 	crossTxns   obs.Counter // transactions through the coordinator
 	batches     obs.Counter // executor drain batches
 	batchedJobs obs.Counter // jobs moved by those batches
-	service     obs.Hist    // action body runtime on the executor
+	service     obs.Hist    // action body runtime
 	wait        obs.Hist    // enqueue -> dispatch inbox delay
 }
 
 type jobKind uint8
 
 const (
-	// jobAction is one action of a cross-partition transaction.
-	jobAction jobKind = iota
 	// jobTxn is a whole single-partition transaction (fast path).
-	jobTxn
-	// jobRelease surrenders tid's partition-local locks.
-	jobRelease
-	// jobCancel sweeps tid's parked jobs out of the waiting lists.
-	jobCancel
+	jobTxn jobKind = iota
+	// jobClaim parks the executor for a cross-partition coordinator
+	// until it signals the executor's release channel.
+	jobClaim
 )
 
-// job is one executor inbox message. Control messages (release,
-// cancel) carry only the stable core-transaction id, never the pooled
-// txnCtx: a late control message must not be able to alias a recycled
-// context. Data jobs (action, txn) do carry ctx — safe because the
-// coordinator cannot recycle it until every data job has replied.
+// job is one executor inbox message. It carries the pooled txnCtx,
+// which is safe because the coordinator cannot recycle the context
+// before the executor has replied on it, and the executor touches it
+// no more after replying.
 type job struct {
 	kind   jobKind
 	ctx    *txnCtx
-	tid    uint64                   // core txn id: lock-table identity
-	key    lockKey                  // jobAction, or single-action jobTxn
-	fn     func(tx *core.Txn) error // jobAction, or single-action jobTxn
+	fn     func(tx *core.Txn) error // single-action jobTxn
 	phases []Phase                  // multi-action jobTxn payload
 	enq    int64                    // obs.Now() at enqueue (wait hist)
 }
 
 type executor struct {
-	id    int
 	queue *sync2.Queue[job]
+	// release ends a claim: the coordinator holding this executor sends
+	// one token, which the parked executor takes. It is not an inbox
+	// message because a parked executor is not draining its inbox, and
+	// it belongs to the executor rather than the context so a token can
+	// only ever wake the executor it was meant for.
+	release chan struct{}
 }
 
 // txnCtx is the pooled per-transaction coordination block. One lives
 // for the duration of one Exec call and is recycled through the
-// engine's pool; the countdown protocol below makes recycling safe.
-//
-// Rendezvous lifecycle: the coordinator sets pending to the number of
-// outstanding jobs before submitting them; every job replies exactly
-// once (by running, by being swept on cancel, or by the executor's
-// exit sweep), and the replier that decrements pending to zero sends
-// on wake. The coordinator blocks on wake — even after a timeout — so
-// by the time it proceeds, no executor holds a reference to the
-// context and it can go back in the pool.
+// engine's pool. Every job sent with it is answered by exactly one
+// send on wake — a claim's acknowledgement, or the fast path's result
+// — and the coordinator receives each answer before it sends the next
+// job or recycles the context.
 type txnCtx struct {
-	tx       *core.Txn
-	canceled atomic.Bool
-	pending  atomic.Int32
-	wake     chan struct{} // cap 1; signaled on the 1->0 transition
+	tx   *core.Txn
+	wake chan struct{} // cap 1
 
-	// errMu guards firstErr on the cross path, where several executors
-	// and a coordinator timeout may report concurrently.
-	errMu    sync.Mutex
-	firstErr error
-
-	// Fast-path reply, written by the single owning executor before
-	// its countdown decrement (the wake send publishes the writes).
+	// Fast-path reply, written by the owning executor before its wake
+	// send (which publishes the writes).
+	err       error
 	commitLSN wal.LSN
-	finished  bool // executor already committed/aborted the core txn
 
-	touched []uint64    // executor bitmask (cross path)
-	timer   *time.Timer // reused across phases and transactions
+	touched []uint64 // executor bitmask (cross path)
 }
 
-// Errors returned by Exec.
-var (
-	// ErrClosed is returned after Close. A transaction that was
-	// in flight when the engine closed is aborted cleanly.
-	ErrClosed = errors.New("dora: engine closed")
-	// ErrTimeout cancels a transaction whose action waited too long
-	// for a partition-local lock (the deadlock breaker).
-	ErrTimeout = errors.New("dora: local lock wait timed out")
-	// errCanceled is delivered to parked actions of a transaction the
-	// coordinator already gave up on.
-	errCanceled = errors.New("dora: transaction canceled")
-)
+// ErrClosed is returned by Exec after Close. A transaction that was in
+// flight when the engine closed is aborted cleanly.
+var ErrClosed = errors.New("dora: engine closed")
 
 // New starts the executor set over a core engine.
 func New(c *core.Engine, opts Options) *Engine {
@@ -216,7 +184,10 @@ func New(c *core.Engine, opts Options) *Engine {
 		}
 	}
 	for i := 0; i < opts.Executors; i++ {
-		ex := &executor{id: i, queue: sync2.NewQueue[job](opts.QueueDepth)}
+		ex := &executor{
+			queue:   sync2.NewQueue[job](opts.QueueDepth),
+			release: make(chan struct{}, 1),
+		}
 		d.exec = append(d.exec, ex)
 		d.wg.Add(1)
 		go d.run(ex)
@@ -225,35 +196,36 @@ func New(c *core.Engine, opts Options) *Engine {
 	return d
 }
 
-// run is one executor's loop: drain the inbox in batches, dispatch
-// each job, and on close sweep every parked job so no coordinator is
-// left counting down forever.
+// run is one executor's loop: drain the inbox in batches and serve
+// each job in order, until the inbox is closed and empty.
 func (d *Engine) run(ex *executor) {
 	defer d.wg.Done()
-	ls := newLocalState()
 	buf := make([]job, 0, d.opts.QueueDepth)
 	for {
 		var ok bool
 		buf, ok = ex.queue.Drain(buf[:0])
-		if len(buf) > 0 {
-			d.batches.Inc()
-			d.batchedJobs.Add(uint64(len(buf)))
-			now := obs.Now()
-			for i := range buf {
-				j := buf[i]
-				buf[i] = job{} // drop refs; the batch buffer is reused
-				if j.kind == jobAction || j.kind == jobTxn {
-					d.wait.ObserveNanos(now - j.enq)
-					// The same stamp feeds the transaction's phase
-					// clock: inbox delay is DORA's queue-wait phase.
-					j.ctx.tx.Clock().Add(obs.PhaseQueueWait, now-j.enq)
-				}
-				d.dispatch(ls, j)
-			}
-		}
 		if !ok {
-			d.sweepAll(ls)
 			return
+		}
+		d.batches.Inc()
+		d.batchedJobs.Add(uint64(len(buf)))
+		now := obs.Now()
+		for i := range buf {
+			j := buf[i]
+			buf[i] = job{} // drop refs; the batch buffer is reused
+			d.wait.ObserveNanos(now - j.enq)
+			if j.kind == jobClaim {
+				// The coordinator times its own claims; after the
+				// acknowledgement the context is no longer ours.
+				j.ctx.wake <- struct{}{}
+				<-ex.release
+				now = obs.Now() // the jobs behind the claim waited for it too
+				continue
+			}
+			// The same stamp feeds the transaction's phase clock: inbox
+			// delay is DORA's queue-wait phase.
+			j.ctx.tx.Clock().Add(obs.PhaseQueueWait, now-j.enq)
+			d.runWhole(j)
 		}
 	}
 }
@@ -270,77 +242,18 @@ func (d *Engine) Route(table *core.Table, key uint64) int {
 func (d *Engine) getCtx() *txnCtx {
 	c := d.ctxPool.Get().(*txnCtx)
 	invariant.PoolGot("dora.getCtx", c)
-	c.canceled.Store(false)
-	c.firstErr = nil
+	c.err = nil
 	c.commitLSN = wal.NilLSN
-	c.finished = false
 	clear(c.touched)
 	return c
 }
 
-// putCtx recycles c. Only legal once pending has drained to zero: no
-// executor may still hold a reference.
+// putCtx recycles c. Only legal once every job sent with c has been
+// answered: no executor may still hold a reference.
 func (d *Engine) putCtx(c *txnCtx) {
 	c.tx = nil
 	invariant.PoolPut("dora.putCtx", c)
 	d.ctxPool.Put(c)
-}
-
-// arm starts (or restarts) the context's reusable timeout timer.
-func (c *txnCtx) arm(d time.Duration) <-chan time.Time {
-	if c.timer == nil {
-		c.timer = time.NewTimer(d)
-	} else {
-		c.timer.Reset(d)
-	}
-	return c.timer.C
-}
-
-func (c *txnCtx) setErr(err error) {
-	c.errMu.Lock()
-	if c.firstErr == nil {
-		c.firstErr = err
-	}
-	c.errMu.Unlock()
-}
-
-func (c *txnCtx) loadErr() error {
-	c.errMu.Lock()
-	err := c.firstErr
-	c.errMu.Unlock()
-	return err
-}
-
-// actionDone reports one cross-path action's outcome; the reply that
-// empties the countdown wakes the coordinator. The buffered send
-// never blocks: at most one zero transition happens per armed phase.
-func (c *txnCtx) actionDone(err error) {
-	if err != nil {
-		c.setErr(err)
-	}
-	if c.pending.Add(-1) == 0 {
-		select {
-		case c.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// wholeDone is the fast path's single authoritative reply. finished
-// reports whether the executor retired the core transaction itself
-// (commit or abort); if not, the coordinator still owns an active
-// transaction and must abort it. lsn carries the commit record
-// position when the coordinator owes a durability wait.
-func (c *txnCtx) wholeDone(err error, finished bool, lsn wal.LSN) {
-	c.firstErr = err
-	c.finished = finished
-	c.commitLSN = lsn
-	if c.pending.Add(-1) == 0 {
-		select {
-		case c.wake <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // touch marks executor id in the context's bitmask.
@@ -348,21 +261,11 @@ func (c *txnCtx) touch(id int) {
 	c.touched[id>>6] |= 1 << (uint(id) & 63)
 }
 
-// forEachTouched visits the marked executor ids in ascending order.
-func (c *txnCtx) forEachTouched(fn func(id int)) {
-	for w, word := range c.touched {
-		for word != 0 {
-			fn(w<<6 + bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-}
-
 // Exec runs a decomposed transaction. A transaction confined to one
-// executor ships whole (fast path); otherwise each phase's actions
-// execute in parallel on their owning executors with a rendezvous
-// point (barrier) between phases. The transaction commits when every
-// phase succeeded and aborts otherwise.
+// executor ships whole (fast path); otherwise the calling goroutine
+// claims every executor involved and runs the phases itself. The
+// transaction commits when every action succeeded and aborts
+// otherwise.
 func (d *Engine) Exec(phases []Phase) error {
 	if d.closed.Load() {
 		return ErrClosed
@@ -383,17 +286,17 @@ func (d *Engine) Exec(phases []Phase) error {
 	if n == 0 {
 		return nil
 	}
-	if single {
-		if n == 1 {
-			for _, ph := range phases {
-				if len(ph) == 1 {
-					return d.ExecSingle(ph[0])
-				}
+	if !single {
+		return d.execCross(phases)
+	}
+	if n == 1 {
+		for _, ph := range phases {
+			if len(ph) == 1 {
+				return d.ExecSingle(ph[0])
 			}
 		}
-		return d.runWholeTxn(home, job{kind: jobTxn, phases: phases}, n)
 	}
-	return d.execCross(phases)
+	return d.runWholeTxn(home, job{kind: jobTxn, phases: phases})
 }
 
 // ExecSingle is the fast path for one-action transactions (the bulk
@@ -403,25 +306,19 @@ func (d *Engine) ExecSingle(a Action) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	return d.runWholeTxn(d.Route(a.Table, a.Key), job{
-		kind: jobTxn,
-		key:  lockKey{table: a.Table.ID, key: a.Key},
-		fn:   a.Fn,
-	}, 1)
+	return d.runWholeTxn(d.Route(a.Table, a.Key), job{kind: jobTxn, fn: a.Fn})
 }
 
 // runWholeTxn submits a whole single-partition transaction to its
-// owning executor and waits for the authoritative reply. The executor
-// runs every action and the commit-record append; the coordinator
+// owning executor and waits for the reply. The executor runs every
+// action and the commit-record append, or the abort; the coordinator
 // only waits for durability (CommitWait), keeping the executor free
 // to serve its partition while the group commit flushes.
-func (d *Engine) runWholeTxn(home int, j job, n int) error {
+func (d *Engine) runWholeTxn(home int, j job) error {
 	c := d.getCtx()
 	c.tx = d.core.Begin(core.Intent{Owned: obs.PathDoraSingle})
 	tx := c.tx
-	c.pending.Store(1)
 	j.ctx = c
-	j.tid = tx.ID()
 	j.enq = obs.Now()
 	if !d.exec[home].queue.Put(j) {
 		// Closed before the job was accepted; nothing ran.
@@ -429,43 +326,129 @@ func (d *Engine) runWholeTxn(home int, j job, n int) error {
 		return abortAfter(tx, ErrClosed)
 	}
 	d.singleTxns.Inc()
-	timeoutC := c.arm(d.opts.LockTimeout)
-	timedOut := false
-	for done := false; !done; {
-		select {
-		case <-c.wake:
-			done = true
-		case <-timeoutC:
-			// The job is likely parked behind a cross-partition
-			// holder. Mark the transaction canceled and sweep: if the
-			// job is still parked (or queued) the executor replies
-			// canceled; if it already started, it runs to completion
-			// and the reply reports what actually happened.
-			c.canceled.Store(true)
-			d.timeouts.Inc()
-			timedOut = true
-			d.exec[home].queue.Put(job{kind: jobCancel, tid: j.tid})
-			timeoutC = nil
+	<-c.wake
+	err, lsn := c.err, c.commitLSN
+	d.putCtx(c)
+	if err != nil || lsn == wal.NilLSN {
+		return err // aborted, or read-only and fully committed
+	}
+	return commitWait(tx, lsn)
+}
+
+// runWhole executes a single-partition transaction end to end on its
+// executor: all actions, then the commit-record append, or a full
+// abort on failure. Either way the core transaction is retired here
+// but for the durability wait the reply's LSN owes.
+func (d *Engine) runWhole(j job) {
+	c := j.ctx
+	var err error
+	if j.fn != nil {
+		err = d.runAction(j.fn, c.tx)
+	} else {
+		err = d.runPhases(j.phases, c.tx)
+	}
+	c.commitLSN, c.err = commitAsync(c.tx, err)
+	c.wake <- struct{}{}
+}
+
+// execCross coordinates a multi-partition transaction on the calling
+// goroutine: claim the executors, run the actions, append the commit
+// record (or abort), release the claims, and only then wait for
+// durability — early lock release at partition granularity.
+func (d *Engine) execCross(phases []Phase) error {
+	c := d.getCtx()
+	for _, ph := range phases {
+		for _, a := range ph {
+			c.touch(d.Route(a.Table, a.Key))
 		}
 	}
-	c.timer.Stop()
-	err := c.firstErr
-	finished := c.finished
-	lsn := c.commitLSN
+	tx := d.core.Begin(core.Intent{Owned: obs.PathDoraCross})
+	d.crossTxns.Inc()
+	start := obs.Now()
+	err := d.claim(c)
+	tx.Clock().Add(obs.PhaseQueueWait, obs.Now()-start)
+	if err == nil {
+		err = d.runPhases(phases, tx)
+	}
+	lsn, err := commitAsync(tx, err)
+	d.release(c)
 	d.putCtx(c)
-	if err != nil {
-		if !finished {
-			err = abortAfter(tx, err)
-		}
-		if timedOut && errors.Is(err, errCanceled) {
-			return fmt.Errorf("%w (single-partition txn of %d actions)", ErrTimeout, n)
-		}
+	if err != nil || lsn == wal.NilLSN {
 		return err
 	}
-	if lsn != wal.NilLSN {
-		return commitWait(tx, lsn)
+	return commitWait(tx, lsn)
+}
+
+// claim takes every executor marked in c.touched, one at a time in
+// ascending id order, waiting for each acknowledgement before asking
+// for the next. If a closed inbox refuses a claim, c.touched is cut
+// down to the executors already held and claim returns ErrClosed.
+func (d *Engine) claim(c *txnCtx) error {
+	for w, word := range c.touched {
+		for word != 0 {
+			id := w<<6 + bits.TrailingZeros64(word)
+			if !d.exec[id].queue.Put(job{kind: jobClaim, ctx: c, enq: obs.Now()}) {
+				c.touched[w] &^= word
+				clear(c.touched[w+1:])
+				return ErrClosed
+			}
+			<-c.wake
+			word &= word - 1
+		}
 	}
-	return nil // read-only: the executor committed it fully
+	return nil
+}
+
+// release ends the claims on every executor marked in c.touched.
+func (d *Engine) release(c *txnCtx) {
+	for w, word := range c.touched {
+		for word != 0 {
+			d.exec[w<<6+bits.TrailingZeros64(word)].release <- struct{}{}
+			word &= word - 1
+		}
+	}
+}
+
+// runPhases runs every action of phases in order on tx and stops at
+// the first failure.
+func (d *Engine) runPhases(phases []Phase, tx *core.Txn) error {
+	for _, ph := range phases {
+		for _, a := range ph {
+			if err := d.runAction(a.Fn, tx); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// runAction times and counts one action body. The service stamp also
+// feeds the transaction's exec-run phase (an overlay over whatever
+// lock/latch/IO phases the body itself attributes).
+func (d *Engine) runAction(fn func(*core.Txn) error, tx *core.Txn) error {
+	start := obs.Now()
+	err := fn(tx)
+	dur := obs.Now() - start
+	d.service.ObserveNanos(dur)
+	tx.Clock().Add(obs.PhaseExecRun, dur)
+	d.executed.Inc()
+	return err
+}
+
+// commitAsync ends a transaction body: it appends the commit record
+// when err is nil and rolls tx back otherwise, or when the append
+// fails. What is left is the durability wait a returned LSN other
+// than NilLSN owes (NilLSN with a nil error: read-only, fully
+// committed).
+func commitAsync(tx *core.Txn, err error) (wal.LSN, error) {
+	if err == nil {
+		lsn, cerr := tx.CommitAsync()
+		if cerr == nil {
+			return lsn, nil
+		}
+		err = cerr // the transaction is still active
+	}
+	return wal.NilLSN, abortAfter(tx, err)
 }
 
 // abortAfter rolls tx back because of err and returns what the caller
@@ -487,115 +470,8 @@ func commitWait(tx *core.Txn, lsn wal.LSN) error {
 	return nil
 }
 
-// execCross coordinates a multi-partition transaction: fan out each
-// phase, join at the pooled countdown rendezvous, then split-commit —
-// the commit record is appended and the partition locks surrendered
-// before the durability wait (partition-level early lock release).
-func (d *Engine) execCross(phases []Phase) error {
-	c := d.getCtx()
-	c.tx = d.core.Begin(core.Intent{Owned: obs.PathDoraCross})
-	tx := c.tx
-	tid := tx.ID()
-	d.crossTxns.Inc()
-	var result error
-	for _, ph := range phases {
-		if len(ph) == 0 {
-			continue
-		}
-		c.pending.Store(int32(len(ph)))
-		for i, a := range ph {
-			id := d.Route(a.Table, a.Key)
-			c.touch(id)
-			ok := d.exec[id].queue.Put(job{
-				kind: jobAction,
-				ctx:  c,
-				tid:  tid,
-				key:  lockKey{table: a.Table.ID, key: a.Key},
-				fn:   a.Fn,
-				enq:  obs.Now(),
-			})
-			if !ok {
-				// Engine closed mid-submission: account for this and
-				// every unsent sibling ourselves so the countdown
-				// still drains to zero.
-				c.canceled.Store(true)
-				for range ph[i:] {
-					c.actionDone(ErrClosed)
-				}
-				break
-			}
-		}
-		timeoutC := c.arm(d.opts.LockTimeout)
-		for done := false; !done; {
-			select {
-			case <-c.wake:
-				done = true
-			case <-timeoutC:
-				// Likely a cross-partition deadlock. Cancel the
-				// transaction and sweep its parked actions out of the
-				// executors' waiting lists: parked actions never
-				// touched data, so removing them breaks the wait
-				// cycle without exposing uncommitted state. Every
-				// outstanding action then reports in — swept and
-				// still-queued ones as canceled, running ones when
-				// their body returns — so the countdown drains fully.
-				// The timeout is recorded before the flag is raised: an
-				// executor that sees the flag reports errCanceled, which
-				// must not win the first-error slot.
-				c.setErr(fmt.Errorf("%w (phase of %d actions)", ErrTimeout, len(ph)))
-				c.canceled.Store(true)
-				d.timeouts.Inc()
-				c.forEachTouched(func(id int) {
-					d.exec[id].queue.Put(job{kind: jobCancel, tid: tid})
-				})
-				timeoutC = nil
-			}
-		}
-		c.timer.Stop()
-		d.rvps.Inc()
-		if err := c.loadErr(); err != nil {
-			c.canceled.Store(true)
-			result = err
-			break
-		}
-	}
-	if result == nil {
-		lsn, err := tx.CommitAsync()
-		switch {
-		case err != nil:
-			result = err // still active; abort below
-		case lsn == wal.NilLSN:
-			d.releaseTouched(c, tid) // read-only: fully committed
-			d.putCtx(c)
-			return nil
-		default:
-			// Commit record is in the log: surrender the partition
-			// locks now, wait durability after (early lock release at
-			// partition granularity).
-			d.releaseTouched(c, tid)
-			err := commitWait(tx, lsn)
-			d.putCtx(c)
-			return err
-		}
-	}
-	result = abortAfter(tx, result)
-	d.releaseTouched(c, tid)
-	d.putCtx(c)
-	return result
-}
-
-// releaseTouched surrenders the transaction's partition-local locks;
-// parked actions of other transactions resume behind these control
-// messages. A Put refused by a closing queue is fine: the executor's
-// exit sweep cancels whatever was parked behind the locks.
-func (d *Engine) releaseTouched(c *txnCtx, tid uint64) {
-	c.forEachTouched(func(id int) {
-		d.exec[id].queue.Put(job{kind: jobRelease, tid: tid})
-	})
-}
-
 // Close stops the executors. In-flight Exec calls complete or return
-// ErrClosed; every accepted job is drained before the executors exit.
+// ErrClosed; every accepted job is served before the executors exit.
 func (d *Engine) Close() {
 	if d.closed.Swap(true) {
 		return

@@ -78,8 +78,8 @@ func TestSingleActionTxn(t *testing.T) {
 func TestMultiPhaseTxn(t *testing.T) {
 	d, c, tbl := newDora(t, 4)
 	k1, k2 := crossKeys(t, d, tbl)
-	// Phase 1: two inserts in parallel; phase 2 (after RVP): an
-	// update that depends on phase 1 having completed.
+	// Phase 1: two independent inserts; phase 2: an update that
+	// depends on phase 1 having completed.
 	err := d.Exec([]Phase{
 		{
 			{Table: tbl, Key: k1, Fn: func(tx *core.Txn) error { return tx.Insert(tbl, k1, enc(10)) }},
@@ -102,7 +102,7 @@ func TestMultiPhaseTxn(t *testing.T) {
 		return nil
 	})
 	st := d.StatsSnapshot()
-	if st.ActionsExecuted != 3 || st.RendezvousCrossed != 2 {
+	if st.ActionsExecuted != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.SinglePartition != 0 || st.CrossPartition != 1 {
@@ -111,7 +111,7 @@ func TestMultiPhaseTxn(t *testing.T) {
 }
 
 // A multi-phase transaction whose every action routes to one executor
-// must take the fast path: shipped whole, no rendezvous crossed.
+// must take the fast path: shipped whole, no executor claimed.
 func TestSamePartitionMultiPhaseFastPath(t *testing.T) {
 	d, c, tbl := newDora(t, 4)
 	// RouteShift 0: the same key always routes identically, so phases
@@ -131,7 +131,7 @@ func TestSamePartitionMultiPhaseFastPath(t *testing.T) {
 		return nil
 	})
 	st := d.StatsSnapshot()
-	if st.SinglePartition != 1 || st.CrossPartition != 0 || st.RendezvousCrossed != 0 {
+	if st.SinglePartition != 1 || st.CrossPartition != 0 {
 		t.Fatalf("fast path not taken: %+v", st)
 	}
 	if st.ActionsExecuted != 2 {
@@ -141,21 +141,30 @@ func TestSamePartitionMultiPhaseFastPath(t *testing.T) {
 
 func TestFailedActionAbortsWholeTxn(t *testing.T) {
 	d, c, tbl := newDora(t, 4)
+	k1, k2 := crossKeys(t, d, tbl)
 	boom := errors.New("boom")
 	err := d.Exec([]Phase{{
-		{Table: tbl, Key: 1, Fn: func(tx *core.Txn) error { return tx.Insert(tbl, 1, enc(1)) }},
-		{Table: tbl, Key: 2, Fn: func(tx *core.Txn) error { return boom }},
+		{Table: tbl, Key: k1, Fn: func(tx *core.Txn) error { return tx.Insert(tbl, k1, enc(1)) }},
+		{Table: tbl, Key: k2, Fn: func(tx *core.Txn) error { return boom }},
 	}})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	// The successful sibling action must have been rolled back.
 	c.Exec(func(tx *core.Txn) error {
-		if _, err := tx.Read(tbl, 1); !errors.Is(err, core.ErrNotFound) {
+		if _, err := tx.Read(tbl, k1); !errors.Is(err, core.ErrNotFound) {
 			t.Fatalf("aborted insert visible: %v", err)
 		}
 		return nil
 	})
+	// The abort released both claims: each partition serves again.
+	for _, k := range []uint64{k1, k2} {
+		if err := d.ExecSingle(Action{Table: tbl, Key: k, Fn: func(tx *core.Txn) error {
+			return tx.Insert(tbl, k, enc(2))
+		}}); err != nil {
+			t.Fatalf("key %d after the abort: %v", k, err)
+		}
+	}
 }
 
 func TestPartitionSerialization(t *testing.T) {
@@ -263,9 +272,9 @@ func TestClosedEngineRejects(t *testing.T) {
 	}
 }
 
-// Two multi-phase transactions with crossing key pairs: partition-
-// local strict 2PL must serialize them (no write skew). Keys are
-// chosen to land on different executors.
+// Concurrent multi-phase transactions over the same two partitions:
+// their claims must serialize them (no lost update), and every one
+// commits. Keys are chosen to land on different executors.
 func TestMultiPhaseLocalLockSerialization(t *testing.T) {
 	d, c, tbl := newDora(t, 4)
 	k1, k2 := crossKeys(t, d, tbl)
@@ -305,12 +314,11 @@ func TestMultiPhaseLocalLockSerialization(t *testing.T) {
 						return tx.Update(tbl, k2, enc(dec(b)+1))
 					}}},
 				})
-				if err == nil {
-					atomic.AddInt64(&committed, 1)
-				} else if !errors.Is(err, ErrTimeout) {
+				if err != nil {
 					t.Errorf("exec: %v", err)
 					return
 				}
+				atomic.AddInt64(&committed, 1)
 			}
 		}(w)
 	}
@@ -325,25 +333,20 @@ func TestMultiPhaseLocalLockSerialization(t *testing.T) {
 			return err
 		}
 		n := atomic.LoadInt64(&committed) // wg.Wait orders this, but stay atomic-everywhere
-		if dec(v1) != uint64(n) || dec(v2) != uint64(n) {
-			t.Fatalf("lost updates under local locking: k1=%d k2=%d committed=%d",
+		if n != 4*loops || dec(v1) != uint64(n) || dec(v2) != uint64(n) {
+			t.Fatalf("lost updates under partition claims: k1=%d k2=%d committed=%d",
 				dec(v1), dec(v2), n)
 		}
 		return nil
 	})
 }
 
-// A genuine cross-partition deadlock must be broken by the rendezvous
-// timeout, with both victims' effects rolled back.
-func TestCrossPartitionDeadlockTimeout(t *testing.T) {
-	c, err := core.Open(core.Scalable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	tbl, _ := c.CreateTable("t")
-	d := New(c, Options{Executors: 4, LockTimeout: 100 * time.Millisecond})
-	defer d.Close()
+// Transactions that take the same two partitions in opposite phase
+// orders all commit: each claims its executors in ascending id order
+// whatever its phases say, so none can hold an executor another is
+// waiting for while waiting itself.
+func TestOppositeOrderCrossPartitionCommits(t *testing.T) {
+	d, c, tbl := newDora(t, 4)
 	k1, k2 := crossKeys(t, d, tbl)
 	if err := d.Exec([]Phase{{
 		{Table: tbl, Key: k1, Fn: func(tx *core.Txn) error { return tx.Insert(tbl, k1, enc(0)) }},
@@ -351,56 +354,100 @@ func TestCrossPartitionDeadlockTimeout(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Txn A locks k1 then wants k2; txn B locks k2 then wants k1. Gate
-	// phase 1 completion so both phase-1 grabs happen before either
-	// phase 2 is submitted.
-	gate := make(chan struct{})
-	run := func(first, second uint64, ready chan<- struct{}) error {
-		return d.Exec([]Phase{
-			{{Table: tbl, Key: first, Fn: func(tx *core.Txn) error {
-				ready <- struct{}{}
-				<-gate
-				return tx.Update(tbl, first, enc(111))
-			}}},
-			{{Table: tbl, Key: second, Fn: func(tx *core.Txn) error {
-				return tx.Update(tbl, second, enc(222))
-			}}},
-		})
-	}
-	errs := make(chan error, 2)
-	ready := make(chan struct{}, 2)
-	go func() { errs <- run(k1, k2, ready) }()
-	go func() { errs <- run(k2, k1, ready) }()
-	<-ready
-	<-ready
-	close(gate)
-	deadlocked := 0
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-errs:
-			if errors.Is(err, ErrTimeout) {
-				deadlocked++
-			} else if err != nil {
-				t.Fatalf("unexpected: %v", err)
+	inc := func(key uint64) func(tx *core.Txn) error {
+		return func(tx *core.Txn) error {
+			v, err := tx.ReadForUpdate(tbl, key)
+			if err != nil {
+				return err
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("deadlock never broken")
+			return tx.Update(tbl, key, enc(dec(v)+1))
 		}
 	}
-	if deadlocked == 0 {
-		t.Fatal("no timeout fired for a real cross-partition deadlock")
+	const workers, iters = 4, 50
+	start := make(chan struct{})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		first, second := k1, k2
+		if w%2 == 1 {
+			first, second = k2, k1
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < iters; i++ {
+				if err := d.Exec([]Phase{
+					{{Table: tbl, Key: first, Fn: inc(first)}},
+					{{Table: tbl, Key: second, Fn: inc(second)}},
+				}); err != nil {
+					t.Errorf("key %d then %d: %v", first, second, err)
+					return
+				}
+			}
+		}()
 	}
-	// Aborted effects must be rolled back; survivors consistent.
+	go func() { wg.Wait(); close(done) }()
+	close(start)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("opposite-order transactions did not finish")
+	}
 	c.Exec(func(tx *core.Txn) error {
 		v1, _ := tx.Read(tbl, k1)
 		v2, _ := tx.Read(tbl, k2)
-		// Each key is either untouched (0) or carries a committed
-		// txn's full effect (111 for its first key, 222 for second).
-		for _, v := range []uint64{dec(v1), dec(v2)} {
-			if v != 0 && v != 111 && v != 222 {
-				t.Fatalf("partial effect leaked: k1=%d k2=%d", dec(v1), dec(v2))
+		if dec(v1) != workers*iters || dec(v2) != workers*iters {
+			t.Fatalf("k1=%d k2=%d, want %d each", dec(v1), dec(v2), workers*iters)
+		}
+		return nil
+	})
+}
+
+// A cross-partition transaction holds each partition it touches until
+// its commit record is in the log: a single-partition transaction on
+// one of them runs only after it.
+func TestCrossPartitionHoldsItsPartitions(t *testing.T) {
+	d, c, tbl := newDora(t, 4)
+	k1, k2 := crossKeys(t, d, tbl)
+	started, gate := make(chan struct{}), make(chan struct{})
+	crossDone := make(chan error, 1)
+	go func() {
+		crossDone <- d.Exec([]Phase{{
+			{Table: tbl, Key: k1, Fn: func(tx *core.Txn) error {
+				close(started)
+				<-gate
+				return tx.Insert(tbl, k1, enc(1))
+			}},
+			{Table: tbl, Key: k2, Fn: func(tx *core.Txn) error { return tx.Insert(tbl, k2, enc(1)) }},
+		}})
+	}()
+	<-started
+	singleDone := make(chan error, 1)
+	go func() {
+		singleDone <- d.ExecSingle(Action{Table: tbl, Key: k2, Fn: func(tx *core.Txn) error {
+			v, err := tx.Read(tbl, k2)
+			if err != nil {
+				return err // the cross transaction has not run first
 			}
+			return tx.Update(tbl, k2, enc(dec(v)+1))
+		}})
+	}()
+	select {
+	case err := <-singleDone:
+		t.Fatalf("single-partition transaction ran inside the claim: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-crossDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-singleDone; err != nil {
+		t.Fatal(err)
+	}
+	c.Exec(func(tx *core.Txn) error {
+		if v, _ := tx.Read(tbl, k2); dec(v) != 2 {
+			t.Fatalf("k2 = %d, want 2", dec(v))
 		}
 		return nil
 	})

@@ -9,14 +9,9 @@ import (
 // Counters are the cumulative executor counters; the tags define each
 // metric for every surface (DESIGN.md §7).
 type Counters struct {
-	// ActionsExecuted counts action bodies run on executors.
+	// ActionsExecuted counts action bodies run, on executors or by a
+	// cross-partition coordinator.
 	ActionsExecuted uint64 `json:"actions_executed" metric:"name=hydra_dora_actions_total"`
-	// RendezvousCrossed counts phase barriers joined (cross path).
-	RendezvousCrossed uint64 `json:"rendezvous_crossed" metric:"name=hydra_dora_rendezvous_total"`
-	// LocalWaits counts jobs parked on a partition-local lock.
-	LocalWaits uint64 `json:"local_waits"`
-	// Timeouts counts transactions canceled at a rendezvous.
-	Timeouts uint64 `json:"timeouts"`
 	// SinglePartition counts transactions shipped whole (fast path).
 	SinglePartition uint64 `json:"single_partition_txns" metric:"name=hydra_dora_txns_total,label=path:single"`
 	// CrossPartition counts transactions through the coordinator.
@@ -36,7 +31,7 @@ type Stats struct {
 	QueueDepths []int
 	QueueCaps   []int
 	// Service is the distribution of action body runtimes; Wait the
-	// enqueue-to-dispatch inbox delay.
+	// enqueue-to-dispatch inbox delay of whole transactions and claims.
 	Service hist.H
 	Wait    hist.H
 }
@@ -45,14 +40,11 @@ type Stats struct {
 func (d *Engine) StatsSnapshot() Stats {
 	s := Stats{
 		Counters: Counters{
-			ActionsExecuted:   d.executed.Load(),
-			RendezvousCrossed: d.rvps.Load(),
-			LocalWaits:        d.localWaits.Load(),
-			Timeouts:          d.timeouts.Load(),
-			SinglePartition:   d.singleTxns.Load(),
-			CrossPartition:    d.crossTxns.Load(),
-			Batches:           d.batches.Load(),
-			BatchedJobs:       d.batchedJobs.Load(),
+			ActionsExecuted: d.executed.Load(),
+			SinglePartition: d.singleTxns.Load(),
+			CrossPartition:  d.crossTxns.Load(),
+			Batches:         d.batches.Load(),
+			BatchedJobs:     d.batchedJobs.Load(),
 		},
 		QueueDepths: make([]int, len(d.exec)),
 		QueueCaps:   make([]int, len(d.exec)),
@@ -69,9 +61,6 @@ func (d *Engine) StatsSnapshot() Stats {
 // merge folds other into s (for the process-global aggregate).
 func (s *Stats) merge(other Stats) {
 	s.ActionsExecuted += other.ActionsExecuted
-	s.RendezvousCrossed += other.RendezvousCrossed
-	s.LocalWaits += other.LocalWaits
-	s.Timeouts += other.Timeouts
 	s.SinglePartition += other.SinglePartition
 	s.CrossPartition += other.CrossPartition
 	s.Batches += other.Batches

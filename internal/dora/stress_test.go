@@ -10,13 +10,13 @@ import (
 	"hydra/internal/core"
 )
 
-// TestStressMixedPaths mixes fast-path, cross-partition, and
-// timeout-canceled transactions over few executors with tiny inbox
-// depths, so queue-full blocking, deadlock timeouts, and pooled-context
-// recycling all fire under load (run with -race). Every committed
-// transaction's increments are counted after Exec returns, so the
-// final counter values detect both lost updates and phantom commits
-// (a transaction that reported failure but actually committed).
+// TestStressMixedPaths mixes fast-path and cross-partition
+// transactions, the latter in both phase orders, over few executors
+// with tiny inbox depths, so queue-full blocking, claims queued behind
+// claims, and pooled-context recycling all fire under load (run with
+// -race). Every transaction must commit, so the final counter values
+// and the path counters must equal what was run: a lost update, a
+// phantom commit or a failed Exec all show.
 func TestStressMixedPaths(t *testing.T) {
 	c, err := core.Open(core.Scalable())
 	if err != nil {
@@ -24,7 +24,7 @@ func TestStressMixedPaths(t *testing.T) {
 	}
 	defer c.Close()
 	tbl, _ := c.CreateTable("t")
-	d := New(c, Options{Executors: 2, QueueDepth: 4, LockTimeout: 250 * time.Millisecond})
+	d := New(c, Options{Executors: 2, QueueDepth: 4})
 	defer d.Close()
 	k1, k2 := crossKeys(t, d, tbl)
 	for _, k := range []uint64{k1, k2} {
@@ -45,7 +45,7 @@ func TestStressMixedPaths(t *testing.T) {
 		}
 	}
 	const workers, iters = 6, 50
-	var k1Incs, k2Incs atomic.Int64
+	var singles, crosses atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -53,28 +53,24 @@ func TestStressMixedPaths(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				var err error
-				var dk1, dk2 int64
 				switch (w + i) % 3 {
 				case 0: // single-partition fast path on the hot key
 					err = d.ExecSingle(Action{Table: tbl, Key: k1, Fn: inc(k1)})
-					dk1 = 1
+					singles.Add(1)
 				case 1: // one-phase cross-partition: both keys at once
 					err = d.Exec([]Phase{{
 						{Table: tbl, Key: k1, Fn: inc(k1)},
 						{Table: tbl, Key: k2, Fn: inc(k2)},
 					}})
-					dk1, dk2 = 1, 1
-				case 2: // two-phase, opposite lock order: deadlock fodder
+					crosses.Add(1)
+				case 2: // two-phase, the opposite key order
 					err = d.Exec([]Phase{
 						{{Table: tbl, Key: k2, Fn: inc(k2)}},
 						{{Table: tbl, Key: k1, Fn: inc(k1)}},
 					})
-					dk1, dk2 = 1, 1
+					crosses.Add(1)
 				}
-				if err == nil {
-					k1Incs.Add(dk1)
-					k2Incs.Add(dk2)
-				} else if !errors.Is(err, ErrTimeout) {
+				if err != nil {
 					t.Errorf("worker %d iter %d: %v", w, i, err)
 					return
 				}
@@ -91,98 +87,18 @@ func TestStressMixedPaths(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if dec(v1) != uint64(k1Incs.Load()) || dec(v2) != uint64(k2Incs.Load()) {
-			t.Fatalf("counter drift: k1=%d want %d, k2=%d want %d",
-				dec(v1), k1Incs.Load(), dec(v2), k2Incs.Load())
+		// Every transaction bumps k1; the cross-partition ones bump k2 too.
+		want1, want2 := uint64(singles.Load()+crosses.Load()), uint64(crosses.Load())
+		if dec(v1) != want1 || dec(v2) != want2 {
+			t.Fatalf("counter drift: k1=%d want %d, k2=%d want %d", dec(v1), want1, dec(v2), want2)
 		}
 		return nil
 	})
 	st := d.StatsSnapshot()
-	if st.SinglePartition == 0 || st.CrossPartition == 0 {
-		t.Fatalf("stress did not exercise both paths: %+v", st)
-	}
-}
-
-// TestCanceledParkedActionNeverRuns pins the cancel-sweep guarantee:
-// once a timed-out transaction's parked actions are swept from an
-// executor's waiting list, their bodies never execute — not even when
-// the blocking holder later releases the keys.
-func TestCanceledParkedActionNeverRuns(t *testing.T) {
-	c, err := core.Open(core.Scalable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	tbl, _ := c.CreateTable("t")
-	d := New(c, Options{Executors: 4, LockTimeout: 150 * time.Millisecond})
-	defer d.Close()
-	k1, k2 := crossKeys(t, d, tbl)
-	if err := d.Exec([]Phase{{
-		{Table: tbl, Key: k1, Fn: func(tx *core.Txn) error { return tx.Insert(tbl, k1, enc(0)) }},
-		{Table: tbl, Key: k2, Fn: func(tx *core.Txn) error { return tx.Insert(tbl, k2, enc(0)) }},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Txn A grabs both keys cross-partition; its k2 action blocks on
-	// the gate so the phase never completes while we probe. Txn B then
-	// touches the same keys: its k1 action parks behind A's local lock
-	// and its k2 action queues behind A's blocked executor. B times
-	// out; the cancel sweep must guarantee neither body ever runs.
-	gate := make(chan struct{})
-	readyA := make(chan struct{}, 2)
-	aDone := make(chan error, 1)
-	go func() {
-		aDone <- d.Exec([]Phase{{
-			{Table: tbl, Key: k1, Fn: func(tx *core.Txn) error {
-				readyA <- struct{}{}
-				return tx.Update(tbl, k1, enc(1))
-			}},
-			{Table: tbl, Key: k2, Fn: func(tx *core.Txn) error {
-				readyA <- struct{}{}
-				<-gate
-				return tx.Update(tbl, k2, enc(1))
-			}},
-		}})
-	}()
-	<-readyA
-	<-readyA // both of A's actions dispatched; k1 and k2 locked by A
-
-	var ran1, ran2 atomic.Int64
-	bDone := make(chan error, 1)
-	go func() {
-		bDone <- d.Exec([]Phase{{
-			{Table: tbl, Key: k1, Fn: func(*core.Txn) error { ran1.Add(1); return nil }},
-			{Table: tbl, Key: k2, Fn: func(*core.Txn) error { ran2.Add(1); return nil }},
-		}})
-	}()
-
-	// Both A and B will trip the lock timeout (A's gated action
-	// outlives it too). Wait until both timeouts have fired and B's
-	// parked action has therefore been swept, then open the gate.
-	deadline := time.Now().Add(10 * time.Second)
-	for d.StatsSnapshot().Timeouts < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("timeouts never fired")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(gate)
-
-	if err := <-bDone; !errors.Is(err, ErrTimeout) {
-		t.Fatalf("B: want timeout, got %v", err)
-	}
-	if err := <-aDone; err != nil && !errors.Is(err, ErrTimeout) {
-		t.Fatalf("A: %v", err)
-	}
-	if n1, n2 := ran1.Load(), ran2.Load(); n1 != 0 || n2 != 0 {
-		t.Fatalf("canceled actions executed after sweep: k1 body %d times, k2 body %d times", n1, n2)
-	}
-	// Liveness: the partitions serve new transactions afterwards.
-	if err := d.ExecSingle(Action{Table: tbl, Key: k1, Fn: func(tx *core.Txn) error {
-		return tx.Update(tbl, k1, enc(7))
-	}}); err != nil {
-		t.Fatalf("partition wedged after cancel sweep: %v", err)
+	// The two setup inserts took the fast path too.
+	if st.SinglePartition != uint64(singles.Load())+2 || st.CrossPartition != uint64(crosses.Load()) {
+		t.Fatalf("path counters single=%d cross=%d, ran %d and %d",
+			st.SinglePartition, st.CrossPartition, singles.Load()+2, crosses.Load())
 	}
 }
 

@@ -84,8 +84,9 @@ const (
 	// PathDoraSingle is DORA's single-partition fast path: the whole
 	// transaction ships as one job to the owning executor.
 	PathDoraSingle
-	// PathDoraCross is DORA's cross-partition path: actions fan out
-	// to executors and rendezvous at commit.
+	// PathDoraCross is DORA's cross-partition path: the caller's
+	// goroutine claims every executor involved, in ascending id order,
+	// and runs the actions itself.
 	PathDoraCross
 	// PathROSnap is the MVCC snapshot path: a read-only transaction
 	// pinned to a snapshot LSN, resolving reads against the version

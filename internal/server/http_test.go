@@ -247,7 +247,6 @@ func TestDoraMetricsExposition(t *testing.T) {
 	checkExposition(t, body)
 	for series, atLeast := range map[string]float64{
 		"hydra_dora_actions_total":                66,
-		"hydra_dora_rendezvous_total":             1,
 		"hydra_dora_batches_total":                1,
 		"hydra_dora_batched_jobs_total":           66,
 		`hydra_dora_txns_total{path="single"}`:    64,

@@ -1,13 +1,11 @@
 package workload
 
 import (
-	"errors"
-
 	"fmt"
-	"hydra/internal/dora"
 	"sync/atomic"
 
 	"hydra/internal/core"
+	"hydra/internal/dora"
 	"hydra/internal/rng"
 )
 
@@ -155,35 +153,28 @@ func (w *TPCB) Check(e *core.Engine) error {
 // RunOneDora executes one debit/credit transaction as a DORA
 // multi-action transaction: the account, teller, branch, and history
 // mutations each run on the executor owning their key, in a single
-// phase, serialized by the executors' partition-local locks. Lock
-// timeouts (rare cross-partition deadlocks) are retried.
+// phase, isolated by the transaction's claims on those executors.
 func (w *TPCB) RunOneDora(src *rng.Source, d *dora.Engine) error {
-	for attempt := 0; ; attempt++ {
-		b := src.Intn(w.Branches)
-		t := src.Intn(w.TellersPerBranch)
-		a := src.Intn(w.AccountsPerBranch)
-		delta := int64(src.IntRange(-99999, 99999))
-		hkey := w.historySeq.Add(1)
-		accKey := w.accountKey(b, a)
-		telKey := w.tellerKey(b, t)
-		brKey := uint64(b)
-		err := d.Exec([]dora.Phase{{
-			{Table: w.Account, Key: accKey, Fn: func(tx *core.Txn) error {
-				return addTo(tx, w.Account, accKey, delta)
-			}},
-			{Table: w.Teller, Key: telKey, Fn: func(tx *core.Txn) error {
-				return addTo(tx, w.Teller, telKey, delta)
-			}},
-			{Table: w.Branch, Key: brKey, Fn: func(tx *core.Txn) error {
-				return addTo(tx, w.Branch, brKey, delta)
-			}},
-			{Table: w.History, Key: hkey, Fn: func(tx *core.Txn) error {
-				return tx.Insert(w.History, hkey, I64(delta))
-			}},
-		}})
-		if errors.Is(err, dora.ErrTimeout) && attempt < 10 {
-			continue
-		}
-		return err
-	}
+	b := src.Intn(w.Branches)
+	t := src.Intn(w.TellersPerBranch)
+	a := src.Intn(w.AccountsPerBranch)
+	delta := int64(src.IntRange(-99999, 99999))
+	hkey := w.historySeq.Add(1)
+	accKey := w.accountKey(b, a)
+	telKey := w.tellerKey(b, t)
+	brKey := uint64(b)
+	return d.Exec([]dora.Phase{{
+		{Table: w.Account, Key: accKey, Fn: func(tx *core.Txn) error {
+			return addTo(tx, w.Account, accKey, delta)
+		}},
+		{Table: w.Teller, Key: telKey, Fn: func(tx *core.Txn) error {
+			return addTo(tx, w.Teller, telKey, delta)
+		}},
+		{Table: w.Branch, Key: brKey, Fn: func(tx *core.Txn) error {
+			return addTo(tx, w.Branch, brKey, delta)
+		}},
+		{Table: w.History, Key: hkey, Fn: func(tx *core.Txn) error {
+			return tx.Insert(w.History, hkey, I64(delta))
+		}},
+	}})
 }

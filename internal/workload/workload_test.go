@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"hydra/internal/core"
 	"hydra/internal/dora"
@@ -265,16 +264,17 @@ func TestCodecs(t *testing.T) {
 	}
 }
 
-// TPC-B decomposed into DORA multi-action transactions: partition-
-// local locks must preserve the money-conservation invariant under
-// concurrency, with no centralized lock manager involved.
+// TPC-B decomposed into DORA multi-action transactions: partition
+// claims must preserve the money-conservation invariant under
+// concurrency, with no centralized lock manager involved, and every
+// transaction commits.
 func TestTPCBViaDORAMultiAction(t *testing.T) {
 	e := newEngine(t)
 	w, err := SetupTPCB(e, 2, 4, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := dora.New(e, dora.Options{Executors: 4, LockTimeout: 200 * time.Millisecond})
+	d := dora.New(e, dora.Options{Executors: 4})
 	defer d.Close()
 	before := e.StatsSnapshot().Lock.TableOps
 	var wg sync.WaitGroup
