@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/lock/... ./internal/core/... ./internal/buffer/... ./internal/wal/... ./internal/obs/... ./internal/server/... ./internal/dora/... ./internal/sync2/... ./internal/btree/... ./internal/heap/... ./internal/workload/...
+	$(GO) test -race ./internal/invariant/... ./internal/latch/... ./internal/lock/... ./internal/core/... ./internal/buffer/... ./internal/wal/... ./internal/obs/... ./internal/server/... ./internal/dora/... ./internal/sync2/... ./internal/btree/... ./internal/heap/... ./internal/workload/...
 
 # stress-dora runs the DORA mixed-path stress tests under the race
 # detector: fast-path and cross-partition transactions, the latter in

@@ -12,9 +12,9 @@ import (
 //
 // Recognition is by the defining package of the called method — base
 // name "sync" (Mutex/RWMutex, including promoted embeddings),
-// "invariant" (the ranked Mutex[T]/RWMutex[T] of a hydradebug build; in
-// a release build they are the sync types) or "sync2" — so analyzer
-// fixtures can model them with small local packages of the same name.
+// "invariant" (the ranked Mutex[T]/RWMutex[T], whose clocked acquires
+// LockC/RLockC acquire too) or "sync2" — so analyzer fixtures can model
+// them with small local packages of the same name.
 // Page latches (internal/latch) are not guard locks: frames are
 // legitimately latched across IO.
 func ClassifyLockCall(info *types.Info, call *ast.CallExpr) (Action, string) {
@@ -33,7 +33,7 @@ func ClassifyLockCall(info *types.Info, call *ast.CallExpr) (Action, string) {
 	switch path.Base(fn.Pkg().Path()) {
 	case "sync", "invariant", "sync2":
 		switch fn.Name() {
-		case "Lock", "RLock":
+		case "Lock", "RLock", "LockC", "RLockC":
 			return Acquire, types.ExprString(sel.X)
 		case "Unlock", "RUnlock":
 			return Release, types.ExprString(sel.X)

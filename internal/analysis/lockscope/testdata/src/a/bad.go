@@ -144,3 +144,15 @@ func (s *rankedShard) writeBackUnderLock(id uint64) error {
 	defer s.mu.Unlock()
 	return s.store.WritePage(id) // want "\\(PageStore\\).WritePage while holding s.mu"
 }
+
+// fetchClocked is E22 seed A against today's buffer.fetch: the shard
+// lock is taken by the clocked acquire, inline, and the dirty victim's
+// write-back runs without dropping it.
+func (s *rankedShard) fetchClocked(id uint64, c *invariant.PhaseClock) error {
+	s.mu.LockC(c)
+	err := s.writeBack(id) // want "call to writeBack may block .\\(PageStore\\).WritePage. while holding s.mu"
+	s.mu.Unlock()
+	return err
+}
+
+func (s *rankedShard) writeBack(id uint64) error { return s.store.WritePage(id) }

@@ -47,10 +47,12 @@ type Tree struct {
 	pool *buffer.Pool
 	mode Mode
 
-	// mu is the tree lock, held for a whole operation (see lock) and
-	// guarding the root pointer. Readers and Crabbing writers share it;
+	// mu is the tree lock, held for a whole operation and guarding the
+	// root pointer. Readers and Crabbing writers share it;
 	// a Coarse writer, or anyone splitting the root, holds it
-	// exclusively.
+	// exclusively. Operations take it clocked: in Coarse mode it is the
+	// conventional design's serialisation point, so its wait must show
+	// in the per-transaction breakdown.
 	//hydra:vet:coarse -- held for a whole tree operation, page fetches included: Coarse mode's writers serialise on it by definition, and a root split must exclude all traffic
 	mu   invariant.RWMutex[invariant.Tree]
 	root page.ID
@@ -256,39 +258,9 @@ func (t *Tree) leafFor(key uint64, m latch.Mode, c *obs.PhaseClock) (*buffer.Fra
 
 // RootID returns the current root page id (persist it in the catalog).
 func (t *Tree) RootID() page.ID {
-	t.lock(false, nil)
-	defer t.unlock(false)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return t.root
-}
-
-// lock takes the tree lock, exclusively when excl, for the caller's
-// operation. Every acquisition feeds the tree latch tier; a contended
-// one also feeds the clock's latch-wait phase — in Coarse mode this
-// lock is the conventional design's serialisation point, so its wait
-// must show up in the per-transaction breakdown.
-//
-//hydra:vet:nonpropagating -- returns holding the tree lock for the caller's operation
-func (t *Tree) lock(excl bool, c *obs.PhaseClock) {
-	s := obs.LatchStart(obs.TierTree)
-	if excl && !t.mu.TryLock() || !excl && !t.mu.TryRLock() {
-		t0 := obs.Now()
-		if excl {
-			t.mu.Lock()
-		} else {
-			t.mu.RLock()
-		}
-		c.Add(obs.PhaseLatchWait, obs.Now()-t0)
-	}
-	obs.LatchDone(obs.TierTree, s)
-}
-
-// unlock releases what lock took.
-func (t *Tree) unlock(excl bool) {
-	if excl {
-		t.mu.Unlock()
-	} else {
-		t.mu.RUnlock()
-	}
 }
 
 // Get returns the value stored under key.
@@ -300,8 +272,8 @@ func (t *Tree) GetC(key uint64, c *obs.PhaseClock) (uint64, error) {
 	if t.beyond(key) {
 		return 0, ErrNotFound
 	}
-	t.lock(false, c)
-	defer t.unlock(false)
+	t.mu.RLockC(c)
+	defer t.mu.RUnlock()
 	f, err := t.leafFor(key, latch.Shared, c)
 	if err != nil {
 		return 0, err
@@ -324,18 +296,20 @@ func (t *Tree) Insert(key, value uint64) error { return t.InsertC(key, value, ni
 
 // InsertC is Insert with a phase clock (see GetC).
 func (t *Tree) InsertC(key, value uint64, c *obs.PhaseClock) error {
-	excl := t.mode == Coarse
-	for {
-		t.lock(excl, c)
-		done, err := t.insert(key, value, excl, c)
-		t.unlock(excl)
+	if t.mode == Crabbing {
+		t.mu.RLockC(c)
+		done, err := t.insert(key, value, false, c)
+		t.mu.RUnlock()
 		if done || err != nil {
 			return err
 		}
-		// The root was full: again, holding the tree exclusively, which
-		// splits it.
-		excl = true
 	}
+	// A Coarse writer, or a Crabbing one that found the root full:
+	// exclusively, which splits it.
+	t.mu.LockC(c)
+	defer t.mu.Unlock()
+	_, err := t.insert(key, value, true, c)
+	return err
 }
 
 // insertRightmost stores (key, value) in the last leaf when the door
@@ -533,9 +507,13 @@ func (t *Tree) DeleteC(key uint64, c *obs.PhaseClock) error {
 	if t.beyond(key) {
 		return ErrNotFound
 	}
-	excl := t.mode == Coarse
-	t.lock(excl, c)
-	defer t.unlock(excl)
+	if t.mode == Coarse {
+		t.mu.LockC(c)
+		defer t.mu.Unlock()
+	} else {
+		t.mu.RLockC(c)
+		defer t.mu.RUnlock()
+	}
 	f, err := t.leafFor(key, latch.Exclusive, c)
 	if err != nil {
 		return err
@@ -560,8 +538,8 @@ func (t *Tree) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
 
 // ScanC is Scan with a phase clock (see GetC).
 func (t *Tree) ScanC(lo, hi uint64, c *obs.PhaseClock, fn func(key, value uint64) bool) error {
-	t.lock(false, c)
-	defer t.unlock(false)
+	t.mu.RLockC(c)
+	defer t.mu.RUnlock()
 	f, err := t.leafFor(lo, latch.Shared, c)
 	if err != nil {
 		return err

@@ -150,25 +150,9 @@ func (p *Pool) FetchC(id page.ID, c *obs.PhaseClock) (*Frame, error) {
 	return p.fetch(id, c)
 }
 
-// lockShard takes the shard mutex, feeding contended acquisition time
-// to the clock's latch-wait phase via a try-first probe.
-//
-//hydra:vet:nonpropagating -- returns holding s.mu for the caller's critical section
-func lockShard(s *shard, c *obs.PhaseClock) {
-	ps := obs.LatchStart(obs.TierPoolShard)
-	if c == nil {
-		s.mu.Lock()
-	} else if !s.mu.TryLock() {
-		t0 := obs.Now()
-		s.mu.Lock()
-		c.Add(obs.PhaseLatchWait, obs.Now()-t0)
-	}
-	obs.LatchDone(obs.TierPoolShard, ps)
-}
-
 func (p *Pool) fetch(id page.ID, c *obs.PhaseClock) (*Frame, error) {
 	s := p.shardFor(id)
-	lockShard(s, c)
+	s.mu.LockC(c)
 	for {
 		if f, ok := s.table[id]; ok {
 			if f.loading {
@@ -274,7 +258,7 @@ func (p *Pool) newPage(t page.Type, c *obs.PhaseClock) (*Frame, error) {
 		return nil, err
 	}
 	s := p.shardFor(id)
-	lockShard(s, c)
+	s.mu.LockC(c)
 	f, needsWB, err := p.victimLocked(s, c)
 	if err != nil {
 		s.mu.Unlock()
@@ -418,9 +402,7 @@ func (p *Pool) flushFrameIO(f *Frame) error {
 // dirty-page table.
 func (p *Pool) Unpin(f *Frame, dirty bool) {
 	s := p.shardFor(f.id)
-	ps := obs.LatchStart(obs.TierPoolShard)
 	s.mu.Lock()
-	obs.LatchDone(obs.TierPoolShard, ps)
 	defer s.mu.Unlock()
 	if f.pins <= 0 {
 		panic(fmt.Sprintf("buffer: unpin of unpinned page %d", f.id))

@@ -444,7 +444,7 @@ func TestCrashMidAbortResumesUndo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.applyOp(&inv, uint64(clr), true); err != nil {
+	if err := e.applyOp(&inv, uint64(clr)); err != nil {
 		t.Fatal(err)
 	}
 	e.Checkpoint()

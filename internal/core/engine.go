@@ -437,21 +437,17 @@ func (e *Engine) Tables() []*Table {
 	return out
 }
 
-// Close flushes and shuts down. The engine is unusable afterwards.
+// Close flushes and shuts down. The engine is unusable afterwards. It
+// closes the log, the log device and the store whatever the flush
+// returns, and reports every step's error.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
 	}
-	if err := e.pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := e.log.Close(); err != nil {
-		return err
-	}
-	if err := e.logDev.Close(); err != nil {
-		return err
-	}
-	return e.store.Close()
+	flushErr := e.pool.FlushAll()
+	logErr := e.log.Close()
+	devErr := e.logDev.Close()
+	return errors.Join(flushErr, logErr, devErr, e.store.Close())
 }
 
 // Stats aggregates subsystem counters, one metric group per member.

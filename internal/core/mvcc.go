@@ -98,19 +98,6 @@ type verShard struct {
 	perTable map[uint32]int
 }
 
-// lock acquires the shard mutex, feeding the latch profile and
-// attributing a contended acquisition to the clock's latch-wait phase
-// (the chain-walk wait site). c may be nil.
-func (sh *verShard) lock(c *obs.PhaseClock) {
-	s := obs.LatchStart(obs.TierMVCCShard)
-	if !sh.mu.TryLock() {
-		t0 := obs.Now()
-		sh.mu.Lock()
-		c.Add(obs.PhaseLatchWait, obs.Now()-t0)
-	}
-	obs.LatchDone(obs.TierMVCCShard, s)
-}
-
 // dropChain removes k's (empty) chain entry and its table count.
 // Callers hold sh.mu.
 func (sh *verShard) dropChain(k verKey) {
@@ -288,7 +275,7 @@ func (t *Txn) installVersion(table uint32, key uint64, before []byte) {
 	}
 	w := vt.watermark()
 	sh := vt.shard(n.key)
-	sh.lock(&t.clock)
+	sh.mu.LockC(&t.clock)
 	head, existed := sh.chains[n.key]
 	n.next = head
 	// Prune the tail the new head obsoletes; n itself is pending and
@@ -341,7 +328,7 @@ func pruneChain(head *verNode, w uint64) (*verNode, int) {
 func (vt *verTable) resolve(table uint32, key uint64, snap uint64, c *obs.PhaseClock) (val []byte, blocked bool) {
 	k := verKey{table: table, key: key}
 	sh := vt.shard(k)
-	sh.lock(c)
+	sh.mu.LockC(c)
 	var oldest *verNode
 	for n := sh.chains[k]; n != nil; n = n.next {
 		cl := n.txn.commitLSN.Load()
@@ -371,7 +358,7 @@ func (vt *verTable) resolve(table uint32, key uint64, snap uint64, c *obs.PhaseC
 func (vt *verTable) collectRange(table uint32, lo, hi, snap uint64, c *obs.PhaseClock) (pre map[uint64][]byte, extras []uint64) {
 	for i := range vt.shards {
 		sh := &vt.shards[i]
-		sh.lock(c)
+		sh.mu.LockC(c)
 		if sh.perTable[table] == 0 {
 			sh.mu.Unlock()
 			continue
@@ -421,7 +408,7 @@ func (vt *verTable) collectRange(table uint32, lo, hi, snap uint64, c *obs.Phase
 func (vt *verTable) hasConflict(table uint32, key uint64, snap uint64, c *obs.PhaseClock) bool {
 	k := verKey{table: table, key: key}
 	sh := vt.shard(k)
-	sh.lock(c)
+	sh.mu.LockC(c)
 	conflict := false
 	if head := sh.chains[k]; head != nil {
 		cl := head.txn.commitLSN.Load()
@@ -490,7 +477,7 @@ func (vt *verTable) retireAborted(nodes []*verNode, c *obs.PhaseClock) {
 	freed := 0
 	for _, n := range nodes {
 		sh := vt.shard(n.key)
-		sh.lock(c)
+		sh.mu.LockC(c)
 		if head, ok := sh.chains[n.key]; ok {
 			nh, f := pruneChain(head, w)
 			freed += f
@@ -511,7 +498,7 @@ func (vt *verTable) sweep(w uint64) {
 	freed := 0
 	for i := range vt.shards {
 		sh := &vt.shards[i]
-		sh.lock(nil)
+		sh.mu.Lock()
 		for k, head := range sh.chains {
 			nh, f := pruneChain(head, w)
 			freed += f

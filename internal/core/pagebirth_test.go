@@ -224,6 +224,44 @@ func TestFailedCreateTableLeavesNoTable(t *testing.T) {
 	}
 }
 
+// A Close whose page flush fails still closes the log (its flusher and
+// ticker stop, and it refuses appends) and both files, and reports the
+// flush error.
+func TestFailedFlushStillCloses(t *testing.T) {
+	cfg := Scalable()
+	cfg.Dir = t.TempDir()
+	fs, err := buffer.OpenFileStore(filepath.Join(cfg.Dir, "pages.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := wal.OpenFile(filepath.Join(cfg.Dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &failingWrites{PageStore: fs}
+	e, err := OpenWith(cfg, store, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := e.CreateTable("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Exec(func(tx *Txn) error { return tx.Insert(a, 1, []byte("dirty")) }); err != nil {
+		t.Fatal(err)
+	}
+	store.armed.Store(true)
+	if err := e.Close(); !errors.Is(err, errInjectedWrite) {
+		t.Fatalf("Close over failing writes = %v, want the injected error", err)
+	}
+	if _, err := e.Log().Append(&wal.Record{Type: wal.RecBegin, TxnID: 1}); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("Append after Close = %v, want %v", err, wal.ErrClosed)
+	}
+	if err := fs.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("pages.db still open after Close: %v", err)
+	}
+}
+
 // Backup copies pages through the pool and restore writes every page it
 // is given, so a database most of which was never written round-trips.
 func TestBackupWithUnwrittenPages(t *testing.T) {

@@ -250,7 +250,7 @@ func (e *Engine) redo(start wal.LSN, rep *Recovery) error {
 			rep.SkippedByLSN++
 			continue
 		}
-		if err := e.applyOp(&op, uint64(r.LSN), false); err != nil {
+		if err := e.applyOp(&op, uint64(r.LSN)); err != nil {
 			return fmt.Errorf("redo %v at %d: %w", op.Op, r.LSN, err)
 		}
 		rep.Redone++

@@ -670,13 +670,21 @@ func (t *Txn) Scan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte) 
 	if err := t.acquire(lock.TableName(tbl.ID), lock.S); err != nil {
 		return err
 	}
-	return tbl.Index.ScanC(lo, hi, &t.clock, func(key, packed uint64) bool {
+	var readErr error
+	if err := tbl.Index.ScanC(lo, hi, &t.clock, func(key, packed uint64) bool {
 		rec, err := tbl.Heap.ReadC(heap.Unpack(packed), &t.clock)
 		if err != nil {
-			return true // row vanished mid-scan (should not happen under S)
+			if errors.Is(err, heap.ErrNotFound) {
+				return true // row vanished mid-scan (should not happen under S)
+			}
+			readErr = err
+			return false
 		}
 		return fn(key, rowValue(rec))
-	})
+	}); err != nil {
+		return err
+	}
+	return readErr
 }
 
 // Commit makes the transaction durable and releases its locks. Under
@@ -854,10 +862,11 @@ func (t *Txn) releaseLocks(aborting bool) {
 	t.locks.ReleaseAll()
 }
 
-// applyOp applies a (forward or compensation) operation to the heap,
-// stamping lsn as the pageLSN; when maintainIndex is set the table's
-// index is kept in sync (runtime undo; recovery rebuilds instead).
-func (e *Engine) applyOp(op *OpRecord, lsn uint64, maintainIndex bool) error {
+// applyOp redoes a logged row operation (forward or compensation) on
+// the heap, stamping lsn as the pageLSN. It leaves the index alone:
+// recovery rebuilds every index after redo, and redo applies extends
+// itself.
+func (e *Engine) applyOp(op *OpRecord, lsn uint64) error {
 	e.mu.RLock()
 	tbl, ok := e.tablesByID[op.Table]
 	e.mu.RUnlock()
@@ -866,29 +875,14 @@ func (e *Engine) applyOp(op *OpRecord, lsn uint64, maintainIndex bool) error {
 	}
 	switch op.Op {
 	case OpInsert:
-		if err := tbl.Heap.InsertAt(op.RID, op.After, lsn); err != nil {
-			return err
-		}
-		if maintainIndex {
-			return tbl.Index.Insert(op.Key, op.RID.Pack())
-		}
+		return tbl.Heap.InsertAt(op.RID, op.After, lsn)
 	case OpUpdate:
-		if err := tbl.Heap.UpdateWithLSN(op.RID, op.After, lsn); err != nil {
-			return err
-		}
+		return tbl.Heap.UpdateWithLSN(op.RID, op.After, lsn)
 	case OpDelete:
-		if err := tbl.Heap.DeleteWithLSN(op.RID, lsn); err != nil {
-			return err
-		}
-		if maintainIndex {
-			return tbl.Index.Delete(op.Key)
-		}
-	case OpExtend:
-		return tbl.Heap.RedoFormat(op.RID.Page, page.ID(op.Key), lsn)
+		return tbl.Heap.DeleteWithLSN(op.RID, lsn)
 	default:
 		return fmt.Errorf("core: unknown op %v", op.Op)
 	}
-	return nil
 }
 
 // Exec runs fn inside a transaction begun with opts (see Begin),

@@ -2,25 +2,21 @@
 
 package invariant
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // The release-build stubs must be callable in any pattern without
-// side effects — including ones that would panic under hydradebug —
-// and the ranked lock types must be the sync types themselves.
+// side effects — including ones that would panic under hydradebug.
 func TestStubsAreInert(t *testing.T) {
 	if Enabled {
 		t.Fatal("Enabled must be false without the hydradebug tag")
 	}
 	var shard Mutex[PoolShard]
-	var txn *sync.Mutex = new(Mutex[TxnMu])
+	var txn Mutex[TxnMu]
 	shard.Lock()
 	txn.Lock() // inversion: ignored without the tag
 	txn.Unlock()
 	shard.Unlock()
-	Released(TierFrameLatch, "never held")
+	released(frameLatch) // never held
 	obj := new(int)
 	PoolPut("never got", obj)
 	PoolGot("a", obj)

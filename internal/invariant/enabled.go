@@ -11,15 +11,10 @@ import (
 // Enabled reports whether the assertions are compiled in.
 const Enabled = true
 
-type hold struct {
-	tier int
-	site string
-}
-
 var (
 	mu sync.Mutex
 	// stacks tracks, per goroutine, the tiers currently held.
-	stacks = map[uint64][]hold{}
+	stacks = map[uint64][]*tier{}
 	// owned maps a pooled object to the site that took it from its
 	// pool and has not yet put it back.
 	owned = map[any]string{}
@@ -41,34 +36,34 @@ func gid() uint64 {
 	return id
 }
 
-// Acquired records that the calling goroutine is taking the lock at
-// the given tier. It panics if the goroutine already holds a lock with
-// a strictly higher tier: that acquisition order can deadlock against
-// a goroutine locking in the declared order. Call it adjacent to the
-// Lock call; equal tiers nest freely (latch crabbing).
-func Acquired(tier int, site string) {
+// acquired records that the calling goroutine is taking a lock of
+// tier t. It panics if the goroutine already holds a lock with a
+// strictly higher rank: that acquisition order can deadlock against a
+// goroutine locking in the declared order. Equal ranks nest freely
+// (latch crabbing).
+func acquired(t *tier) {
 	g := gid()
 	mu.Lock()
 	defer mu.Unlock()
 	for _, h := range stacks[g] {
-		if h.tier > tier {
+		if h.rank > t.rank {
 			panic(fmt.Sprintf("invariant: latch-order violation: acquiring %s (tier %d) while holding %s (tier %d)",
-				site, tier, h.site, h.tier))
+				t.site, t.rank, h.site, h.rank))
 		}
 	}
-	stacks[g] = append(stacks[g], hold{tier: tier, site: site})
+	stacks[g] = append(stacks[g], t)
 }
 
-// Released drops the most recent matching hold. Releases may happen in
-// any order (crabbing releases the parent first). It panics if the
-// goroutine does not hold the named lock.
-func Released(tier int, site string) {
+// released drops the most recent hold of tier t. Releases may happen
+// in any order (crabbing releases the parent first). It panics if the
+// goroutine does not hold a lock of that tier.
+func released(t *tier) {
 	g := gid()
 	mu.Lock()
 	defer mu.Unlock()
 	st := stacks[g]
 	for i := len(st) - 1; i >= 0; i-- {
-		if st[i].tier == tier && st[i].site == site {
+		if st[i] == t {
 			stacks[g] = append(st[:i], st[i+1:]...)
 			if len(stacks[g]) == 0 {
 				delete(stacks, g)
@@ -76,51 +71,8 @@ func Released(tier int, site string) {
 			return
 		}
 	}
-	panic(fmt.Sprintf("invariant: releasing %s (tier %d) that this goroutine does not hold", site, tier))
+	panic(fmt.Sprintf("invariant: releasing %s (tier %d) that this goroutine does not hold", t.site, t.rank))
 }
-
-// Mutex is a sync.Mutex ranked at tier T: every acquisition is checked
-// against the tiers the goroutine holds before it waits.
-type Mutex[T Tier] struct{ mu sync.Mutex }
-
-func (m *Mutex[T]) Lock()   { acquired[T](); m.mu.Lock() }
-func (m *Mutex[T]) Unlock() { released[T](); m.mu.Unlock() }
-
-func (m *Mutex[T]) TryLock() bool {
-	if !m.mu.TryLock() {
-		return false
-	}
-	acquired[T]()
-	return true
-}
-
-// RWMutex is a sync.RWMutex ranked at tier T; either side records the
-// hold.
-type RWMutex[T Tier] struct{ mu sync.RWMutex }
-
-func (m *RWMutex[T]) Lock()    { acquired[T](); m.mu.Lock() }
-func (m *RWMutex[T]) Unlock()  { released[T](); m.mu.Unlock() }
-func (m *RWMutex[T]) RLock()   { acquired[T](); m.mu.RLock() }
-func (m *RWMutex[T]) RUnlock() { released[T](); m.mu.RUnlock() }
-
-func (m *RWMutex[T]) TryLock() bool {
-	if !m.mu.TryLock() {
-		return false
-	}
-	acquired[T]()
-	return true
-}
-
-func (m *RWMutex[T]) TryRLock() bool {
-	if !m.mu.TryRLock() {
-		return false
-	}
-	acquired[T]()
-	return true
-}
-
-func acquired[T Tier]() { var t T; Acquired(t.rank()) }
-func released[T Tier]() { var t T; Released(t.rank()) }
 
 // PoolGot records ownership of an object taken from a sync.Pool (or
 // created fresh on a pool miss). It panics if the object is already

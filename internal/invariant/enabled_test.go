@@ -17,7 +17,8 @@ func mustPanic(t *testing.T, name string, fn func()) {
 func TestTierOrderEnforced(t *testing.T) {
 	var shardA, shardB Mutex[PoolShard]
 	var txn Mutex[TxnMu]
-	Acquired(TierFrameLatch, "latch")
+	var frame RWMutex[FrameLatch]
+	frame.RLock()
 	shardA.Lock() // ascending: fine
 	shardB.Lock() // equal: crabbing, fine
 	shardB.Unlock()
@@ -25,9 +26,9 @@ func TestTierOrderEnforced(t *testing.T) {
 		txn.Lock() // 61 under held 70: inversion
 	})
 	shardA.Unlock()
-	Released(TierFrameLatch, "latch")
+	frame.RUnlock()
 	mustPanic(t, "release of unheld", func() {
-		Released(TierFrameLatch, "latch")
+		released(frameLatch)
 	})
 }
 
@@ -36,17 +37,21 @@ func TestTierOrderEnforced(t *testing.T) {
 func TestRankedTypesRecordEveryAcquisition(t *testing.T) {
 	var tree RWMutex[Tree]
 	var ckpt Mutex[EngineCkpt]
+	var wal Mutex[WALLog]
 	tree.RLock()
 	mustPanic(t, "lock under a shared hold", func() { ckpt.Lock() })
 	tree.RUnlock()
-	if !tree.TryLock() {
+	tree.LockC(nil)
+	mustPanic(t, "lock under a clocked hold", func() { ckpt.Lock() })
+	tree.Unlock()
+	if !wal.TryLock() {
 		t.Fatal("TryLock of a free lock failed")
 	}
-	if tree.TryRLock() {
-		t.Fatal("TryRLock under an exclusive hold succeeded")
+	if wal.TryLock() {
+		t.Fatal("TryLock of a held lock succeeded")
 	}
 	mustPanic(t, "lock under a try-taken hold", func() { ckpt.Lock() })
-	tree.Unlock()
+	wal.Unlock()
 	ckpt.Lock() // nothing held any more
 	ckpt.Unlock()
 }

@@ -1,34 +1,68 @@
-// Package invariant is hydra's runtime assertion layer and its one
-// latch-order checker: latches must be acquired in ascending tier
-// order, and sync.Pool objects must be owned by exactly one holder
-// between Get and Put.
+// Package invariant declares hydra's latch hierarchy and the ranked
+// lock types that take it, and is the runtime assertion layer: latches
+// must be acquired in ascending tier order, and sync.Pool objects must
+// be owned by exactly one holder between Get and Put.
 //
-// Every lock of the hierarchy is declared with a ranked type,
-// Mutex[T] or RWMutex[T], whose tier T is part of the declaration
-// (invariant.Mutex[invariant.PoolShard]), so no acquisition can skip
-// the check. The page latches (internal/latch) record their tier with
-// Acquired/Released themselves.
+// Every lock of the hierarchy is declared with a ranked type, Mutex[T],
+// RWMutex[T] or (for the page latches, whose lock is chosen at run
+// time) RWLock[T, L, P], whose tier T is part of the declaration
+// (invariant.Mutex[invariant.PoolShard]). A tier is declared once, in
+// the table below: its rank, the lock it ranks, and its label in
+// hydra_latch_acquires_total{tier=…}. So no acquisition can skip the
+// rank check or the profile.
 //
-// The checks are compiled in only under the `hydradebug` build tag
-// (`go test -tags hydradebug ...`, see `make stress`). Without the tag
-// Mutex[T] and RWMutex[T] are aliases of sync.Mutex and sync.RWMutex
-// and every function in this package is an empty no-op that the
-// compiler inlines away, so release builds run exactly the sync calls.
-// Violations panic immediately with the offending sites, which turns a
-// once-in-a-million-schedules deadlock or double-free into a
-// deterministic test failure at the first wrong acquisition.
+// In every build a ranked lock counts each acquisition in its tier's
+// obs.AcquireProf and times 1 in 64 of them: a Lock, a successful
+// TryLock and a sync.Cond's re-lock count once each. Its clocked
+// acquire (LockC, RLockC) is for a caller that holds an obs.PhaseClock:
+// it tries first, and only a contended wait reads the clock and goes to
+// the clock's latch-wait phase.
+//
+// The rank checks are compiled in only under the `hydradebug` build
+// tag (`go test -tags hydradebug ...`, see `make stress`); without it
+// every assertion in this package is an empty no-op that the compiler
+// inlines away. Violations panic immediately with the offending sites,
+// which turns a once-in-a-million-schedules deadlock or double-free
+// into a deterministic test failure at the first wrong acquisition.
 package invariant
 
-// TierFrameLatch is the rank of the page latches (buffer.Frame.Latch);
-// equal ranks nest freely (hand-over-hand crabbing).
-const TierFrameLatch = 60
+import "hydra/internal/obs"
 
 // Tier is one rank of the latch hierarchy, as a type. Lower ranks must
 // be acquired first; acquiring a lower rank while holding a higher one
-// is an ordering violation. The methods below are the single source of
-// truth for the hierarchy, and the table in DESIGN.md §6 documents
-// them. Only this package defines tiers.
-type Tier interface{ rank() (int, string) }
+// is an ordering violation; equal ranks nest freely (hand-over-hand
+// crabbing). Only this package defines tiers.
+type Tier interface{ tier() *tier }
+
+// tier is the one declaration of a tier.
+type tier struct {
+	rank int
+	site string // the lock it ranks, as latch-order panics name it
+	prof *obs.AcquireProf
+}
+
+func declare(rank int, site, label string) *tier {
+	return &tier{rank: rank, site: site, prof: obs.NewAcquireProf(label, rank)}
+}
+
+// The hierarchy, lowest rank first: each tier's rank, the lock it
+// ranks, and its /metrics label. DESIGN.md §6 documents it.
+var (
+	engineCkpt  = declare(10, "core.Engine.ckptMu", "engine_ckpt")
+	engineMu    = declare(20, "core.Engine.mu", "engine_mu")
+	mvccPublish = declare(32, "core.verTable.publishMu", "mvcc_publish") // held across the commit/end append
+	mvccSnap    = declare(34, "core.verTable.snapMu", "mvcc_snap")       // ascends into verShard.mu via sweep
+	treeMu      = declare(40, "btree.Tree.mu", "tree")
+	lockPart    = declare(50, "lock.partition.mu", "lock_part")
+	frameLatch  = declare(60, "buffer.Frame.Latch", "frame_latch")
+	txnMu       = declare(61, "core.Txn.mu", "txn_mu")          // taken under the heap page's X latch by logOp
+	mvccShard   = declare(62, "core.verShard.mu", "mvcc_shard") // spliced under page latches and Txn.mu
+	poolShard   = declare(70, "buffer.shard.mu", "pool_shard")
+	walLog      = declare(80, "wal.Log.mu", "wal_log")
+	walWait     = declare(82, "wal.Log.waitMu", "wal_wait")
+	walDevice   = declare(84, "wal.FileDevice.mu", "wal_device")
+	doraQueue   = declare(90, "sync2.Queue.mu", "dora_queue") // DORA executor inboxes
+)
 
 type (
 	EngineCkpt  struct{}
@@ -37,6 +71,7 @@ type (
 	MVCCSnap    struct{}
 	Tree        struct{}
 	LockPart    struct{}
+	FrameLatch  struct{}
 	TxnMu       struct{}
 	MVCCShard   struct{}
 	PoolShard   struct{}
@@ -46,16 +81,17 @@ type (
 	DoraQueue   struct{}
 )
 
-func (EngineCkpt) rank() (int, string)  { return 10, "core.Engine.ckptMu" }
-func (EngineMu) rank() (int, string)    { return 20, "core.Engine.mu" }
-func (MVCCPublish) rank() (int, string) { return 32, "core.verTable.publishMu" } // held across the commit/end append
-func (MVCCSnap) rank() (int, string)    { return 34, "core.verTable.snapMu" }    // ascends into verShard.mu via sweep
-func (Tree) rank() (int, string)        { return 40, "btree.Tree.mu" }
-func (LockPart) rank() (int, string)    { return 50, "lock.partition.mu" }
-func (TxnMu) rank() (int, string)       { return 61, "core.Txn.mu" }      // taken under the heap page's X latch by logOp
-func (MVCCShard) rank() (int, string)   { return 62, "core.verShard.mu" } // spliced under page latches and Txn.mu
-func (PoolShard) rank() (int, string)   { return 70, "buffer.shard.mu" }
-func (WALLog) rank() (int, string)      { return 80, "wal.Log.mu" }
-func (WALWait) rank() (int, string)     { return 82, "wal.Log.waitMu" }
-func (WALDevice) rank() (int, string)   { return 84, "wal.FileDevice.mu" }
-func (DoraQueue) rank() (int, string)   { return 90, "sync2.Queue.mu" } // DORA executor inboxes
+func (EngineCkpt) tier() *tier  { return engineCkpt }
+func (EngineMu) tier() *tier    { return engineMu }
+func (MVCCPublish) tier() *tier { return mvccPublish }
+func (MVCCSnap) tier() *tier    { return mvccSnap }
+func (Tree) tier() *tier        { return treeMu }
+func (LockPart) tier() *tier    { return lockPart }
+func (FrameLatch) tier() *tier  { return frameLatch }
+func (TxnMu) tier() *tier       { return txnMu }
+func (MVCCShard) tier() *tier   { return mvccShard }
+func (PoolShard) tier() *tier   { return poolShard }
+func (WALLog) tier() *tier      { return walLog }
+func (WALWait) tier() *tier     { return walWait }
+func (WALDevice) tier() *tier   { return walDevice }
+func (DoraQueue) tier() *tier   { return doraQueue }

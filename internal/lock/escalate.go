@@ -1,7 +1,5 @@
 package lock
 
-import "hydra/internal/obs"
-
 // Lock escalation: a transaction that has taken many row locks on one
 // table trades the rest for a single table lock — when that costs
 // nobody anything. Concurrency-control work that resolves no conflict
@@ -44,9 +42,7 @@ func (m *Manager) tryEscalate(h *Holder, table uint32, rowMode Mode) bool {
 	name := TableName(table)
 	m.stats.tableOps.Inc()
 	p := m.part(name)
-	ls := obs.LatchStart(obs.TierLockPart)
 	p.mu.Lock()
-	obs.LatchDone(obs.TierLockPart, ls)
 	if lh := p.table[name]; lh != nil && len(lh.queue) == 0 {
 		if held, own := lh.granted[h.id]; own {
 			if target := Supremum(held, want); lh.compatibleExcept(target, h.id) {

@@ -315,9 +315,7 @@ func (m *Manager) acquireTable(h *Holder, name Name, mode Mode) error {
 	m.stats.tableOps.Inc()
 	txn := h.id
 	p := m.part(name)
-	ls := obs.LatchStart(obs.TierLockPart)
 	p.mu.Lock()
-	obs.LatchDone(obs.TierLockPart, ls)
 	if name.Level != LevelRow {
 		// Heat tracks how often coarse-grained names pass through the
 		// table; SLI classifies frequently re-acquired intent locks as
@@ -560,9 +558,7 @@ func (m *Manager) clearWaitEdges(txn uint64) {
 
 func (m *Manager) releaseOne(txn uint64, name Name) {
 	p := m.part(name)
-	ls := obs.LatchStart(obs.TierLockPart)
 	p.mu.Lock()
-	obs.LatchDone(obs.TierLockPart, ls)
 	lh := p.table[name]
 	if lh == nil {
 		p.mu.Unlock()

@@ -192,7 +192,7 @@ func TestAcquireProfSampling(t *testing.T) {
 		if s >= 0 {
 			sampled++
 		}
-		p.Done(TierFrameLatch, s)
+		p.Done(s)
 	}
 	if p.Ops() != n {
 		t.Fatalf("Ops = %d, want %d", p.Ops(), n)
@@ -207,22 +207,25 @@ func TestAcquireProfSampling(t *testing.T) {
 	}
 }
 
+// Test tiers, registered once per process (-count=N reruns the tests).
+var (
+	testBusyTier = NewAcquireProf("test_busy", 1001)
+	_            = NewAcquireProf("test_idle", 1002)
+)
+
 func TestLatchSnapshotSkipsIdleTiers(t *testing.T) {
 	// The global profile set accumulates across tests in this package
 	// (and from any other package's tests in the same binary), so
 	// assert shape, not exact contents: every entry must name a known
 	// tier and carry traffic.
-	LatchDone(TierTree, LatchStart(TierTree))
+	testBusyTier.Done(testBusyTier.Start())
 	snap := LatchSnapshot()
 	seen := false
 	for _, s := range snap {
-		if s.Ops == 0 {
+		if s.Ops == 0 || s.Tier == "test_idle" {
 			t.Fatalf("idle tier %q in snapshot", s.Tier)
 		}
-		if s.Tier == "unknown" {
-			t.Fatalf("unnamed tier in snapshot")
-		}
-		if s.Tier == TierTree.String() {
+		if s.Tier == "test_busy" {
 			seen = true
 		}
 	}
@@ -231,14 +234,21 @@ func TestLatchSnapshotSkipsIdleTiers(t *testing.T) {
 	}
 }
 
+// TestTierNamesComplete: every registered tier has a label of its own,
+// so no two tiers share a /metrics series.
 func TestTierNamesComplete(t *testing.T) {
-	for tier := Tier(0); tier < NumTiers; tier++ {
-		if tier.String() == "unknown" || tier.String() == "" {
-			t.Fatalf("tier %d has no name", tier)
-		}
+	for _, label := range []string{"", "test_idle"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("registering label %q did not panic", label)
+				}
+			}()
+			NewAcquireProf(label, 1004)
+		}()
 	}
-	if Tier(NumTiers).String() != "unknown" {
-		t.Fatal("out-of-range tier must render unknown")
+	if tiers := LatchTiers(); len(tiers) != 2 || tiers[1] != "test_idle" {
+		t.Fatalf("LatchTiers = %v, want [test_busy test_idle]", tiers)
 	}
 }
 
@@ -273,7 +283,7 @@ func BenchmarkLatchProfUnsampledMostly(b *testing.B) {
 	var p AcquireProf
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			p.Done(TierPoolShard, p.Start())
+			p.Done(p.Start())
 		}
 	})
 }

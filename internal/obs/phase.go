@@ -147,9 +147,12 @@ func (o TxnOutcome) String() string {
 // lives by value inside pooled transaction objects, so a transaction
 // costs zero allocations for its clock; Reset re-arms it for reuse.
 //
-// Adds are atomic because DORA fans a transaction's actions out to
-// executor goroutines that feed the same clock concurrently (and the
-// coordinator may time out and fold while a straggler still runs).
+// One goroutine at a time feeds a clock: the one running the
+// transaction — the caller for a conventional or cross-partition DORA
+// transaction, the owning executor for a single-partition DORA job,
+// which hands the transaction back over a channel before the caller's
+// commit wait and fold. The adds are atomic nonetheless, so a clock can
+// be read while its transaction runs.
 // All methods are nil-safe so uninstrumented internal transactions
 // (recovery, background maintenance) pass a nil clock and pay one
 // predictable branch.

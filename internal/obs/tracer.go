@@ -15,7 +15,8 @@ const (
 	// the lock name's hash, Arg2 the wait in nanoseconds.
 	EvLockWait
 	// EvLatchWait marks a sampled slow latch acquisition; Arg is the
-	// Tier, Arg2 the time-to-acquire in nanoseconds. Txn is 0
+	// tier's rank (internal/invariant), Arg2 the time-to-acquire in
+	// nanoseconds. Txn is 0
 	// (latches are not transaction-scoped).
 	EvLatchWait
 	// EvLogAppend marks a WAL record append; Arg is the record type,

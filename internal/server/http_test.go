@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -158,6 +159,66 @@ func TestMetricsExposition(t *testing.T) {
 	} {
 		if sample(t, body, moved) <= 0 {
 			t.Errorf("%s did not move under load", moved)
+		}
+	}
+}
+
+// TestEveryLatchTierExposed drives every tier internal/invariant
+// declares — file-backed log, -mvcc writers and a snapshot reader, a
+// checkpoint, a DORA inbox — and requires each one's acquisitions on
+// /metrics, under the labels the tiers had before they were declared
+// once.
+func TestEveryLatchTierExposed(t *testing.T) {
+	cfg := core.Scalable()
+	cfg.MVCC = true
+	cfg.Dir = t.TempDir()
+	e, err := core.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ts := httptest.NewServer(NewMetricsMux(e, nil))
+	defer ts.Close()
+
+	tbl, err := e.CreateTable("tiers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 20; i++ {
+		if err := e.Exec(func(tx *core.Txn) error { return tx.Insert(tbl, i, []byte("v")) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Exec(func(tx *core.Txn) error { return tx.Update(tbl, i, []byte("w")) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Exec(func(tx *core.Txn) error { _, err := tx.Read(tbl, 1); return err }, core.Intent{ReadOnly: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d := dora.New(e, dora.Options{Executors: 2})
+	err = d.ExecSingle(dora.Action{Table: tbl, Key: 1, Fn: func(tx *core.Txn) error { _, err := tx.Read(tbl, 1); return err }})
+	d.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tiers := obs.LatchTiers()
+	for _, old := range []string{
+		"engine_ckpt", "engine_mu", "txn_mu", "tree", "lock_part", "frame_latch",
+		"pool_shard", "wal_log", "wal_wait", "wal_device", "dora_queue", "mvcc_shard",
+	} {
+		if !slices.Contains(tiers, old) {
+			t.Errorf("tier label %q is gone; declared: %v", old, tiers)
+		}
+	}
+	body := get(t, ts.URL+"/metrics")
+	checkExposition(t, body)
+	for _, tier := range tiers {
+		if got := sample(t, body, fmt.Sprintf("hydra_latch_acquires_total{tier=%q}", tier)); got <= 0 {
+			t.Errorf("tier %s: %v acquisitions", tier, got)
 		}
 	}
 }

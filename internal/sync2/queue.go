@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"hydra/internal/invariant"
-	"hydra/internal/obs"
 )
 
 // Queue is a bounded multi-producer single-consumer queue whose
@@ -43,9 +42,7 @@ func NewQueue[T any](capacity int) *Queue[T] {
 // Put enqueues v, blocking while the queue is full. It reports false
 // when the queue has been closed, in which case v was not enqueued.
 func (q *Queue[T]) Put(v T) bool {
-	s := obs.LatchStart(obs.TierDoraQueue)
 	q.mu.Lock()
-	obs.LatchDone(obs.TierDoraQueue, s)
 	for q.n == len(q.buf) && !q.closed {
 		q.notFull.Wait()
 	}
@@ -67,9 +64,7 @@ func (q *Queue[T]) Put(v T) bool {
 // when the queue is closed AND empty; a closed queue keeps yielding
 // its backlog first, so the consumer sees every accepted item.
 func (q *Queue[T]) Drain(into []T) (_ []T, ok bool) {
-	s := obs.LatchStart(obs.TierDoraQueue)
 	q.mu.Lock()
-	obs.LatchDone(obs.TierDoraQueue, s)
 	for q.n == 0 && !q.closed {
 		q.notEmpty.Wait()
 	}

@@ -141,9 +141,7 @@ func (l *Log) insertConsolidated(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	var base uint64
 	var groupSize uint64
 	if leader {
-		ls := obs.LatchStart(obs.TierWALLog)
 		t0 := l.lockInsertMu(c)
-		obs.LatchDone(obs.TierWALLog, ls)
 		l.stats.mutexAcquires.Inc()
 		groupSize = l.ca.close(s) // no more joiners past this point
 		var err error

@@ -262,13 +262,6 @@ func (d *FileDevice) adopt(start int64) error {
 	return nil
 }
 
-// lock acquires d.mu with latch profiling.
-func (d *FileDevice) lock() {
-	ls := obs.LatchStart(obs.TierWALDevice)
-	d.mu.Lock()
-	obs.LatchDone(obs.TierWALDevice, ls)
-}
-
 // segFor returns the segment that starts at start, creating its file
 // when the log first reaches it. The first preallocation step, the
 // file's size and its directory entry go to disk here, so the flush
@@ -334,7 +327,7 @@ func extendSparse(f *os.File, size int64) error {
 
 // WriteAt implements Device.
 func (d *FileDevice) WriteAt(b []byte, off int64) (int, error) {
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.writeVec([]int64{off}, [][]byte{b})
 }
@@ -349,7 +342,7 @@ func (d *FileDevice) WriteVec(offs []int64, bufs [][]byte) (int, error) {
 	if len(offs) != len(bufs) {
 		return 0, fmt.Errorf("wal: WriteVec: %d offsets for %d buffers", len(offs), len(bufs))
 	}
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stats.vecWrites.Inc()
 	return d.writeVec(offs, bufs)
@@ -447,7 +440,7 @@ func (d *FileDevice) writeRun(b []byte, off int64) (int, error) {
 // stopping at the logical end of log, not at the end of a preallocated
 // file. Reading below the truncation point is an error.
 func (d *FileDevice) ReadAt(b []byte, off int64) (int, error) {
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	read := 0
 	for read < len(b) && off < d.size {
@@ -482,7 +475,7 @@ func (d *FileDevice) ReadAt(b []byte, off int64) (int, error) {
 // a journal commit, every other a data write-out. A segment whose sync
 // fails stays dirty, so a retry covers it again.
 func (d *FileDevice) Sync() error {
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stats.syncs.Inc()
 	if clean := len(d.segs) - len(d.dirty); clean > 0 {
@@ -500,7 +493,7 @@ func (d *FileDevice) Sync() error {
 
 // Size implements Device: the logical end of log.
 func (d *FileDevice) Size() (int64, error) {
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.size, nil
 }
@@ -509,7 +502,7 @@ func (d *FileDevice) Size() (int64, error) {
 // every later one deleted. The next write preallocates afresh, so the
 // dropped bytes read back as zeros.
 func (d *FileDevice) SetEnd(off int64) error {
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	if off < d.base || off > d.size {
 		return fmt.Errorf("wal: set end %d outside log [%d, %d]", off, d.base, d.size)
@@ -551,7 +544,7 @@ func (d *FileDevice) drop(start int64) error {
 // above its recovery horizon lives below lsn (see core's
 // truncation-point computation).
 func (d *FileDevice) TruncateBefore(lsn LSN) (int, error) {
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	removed := 0
 	for start := range d.segs {
@@ -572,14 +565,14 @@ func (d *FileDevice) Bounded() bool { return d.segSize < unbounded }
 
 // Base returns the lowest retained log offset.
 func (d *FileDevice) Base() int64 {
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.base
 }
 
 // Segments returns the number of live segment files.
 func (d *FileDevice) Segments() int {
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.segs)
 }
@@ -587,7 +580,7 @@ func (d *FileDevice) Segments() int {
 // Close implements Device, trimming the preallocated tails first so a
 // cleanly closed log is exactly its records.
 func (d *FileDevice) Close() error {
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	var err error
 	for start, s := range d.segs {

@@ -133,7 +133,7 @@ func eachShape(t *testing.T, segSize int64, fn func(t *testing.T, sh devShape, d
 // away, the files keep their preallocated tails.
 func kill(t testing.TB, l *Log, d *FileDevice) {
 	t.Helper()
-	d.lock()
+	d.mu.Lock()
 	for _, s := range d.segs {
 		if err := s.f.Close(); err != nil {
 			t.Fatal(err)
@@ -473,7 +473,7 @@ func TestTruncateBeforeRemoveFailureDropsSegment(t *testing.T) {
 	// The failed segment must be gone from the live map: a retry (and
 	// any sync) must not see its closed file. Segments the loop had
 	// not reached yet may legitimately remain for the retry.
-	d.lock()
+	d.mu.Lock()
 	_, retained := d.segs[0]
 	d.mu.Unlock()
 	if retained {

@@ -374,9 +374,7 @@ func (l *Log) allocateLocked(n uint64, c *obs.PhaseClock, t0 *int64) (uint64, er
 
 func (l *Log) insertSerial(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	n := uint64(len(rec))
-	ls := obs.LatchStart(obs.TierWALLog)
 	t0 := l.lockInsertMu(c)
-	obs.LatchDone(obs.TierWALLog, ls)
 	l.stats.mutexAcquires.Inc()
 	lsn, err := l.allocateLocked(n, c, &t0)
 	if err != nil {
@@ -394,9 +392,7 @@ func (l *Log) insertSerial(rec []byte, c *obs.PhaseClock) (LSN, error) {
 
 func (l *Log) insertDecoupled(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	n := uint64(len(rec))
-	ls := obs.LatchStart(obs.TierWALLog)
 	t0 := l.lockInsertMu(c)
-	obs.LatchDone(obs.TierWALLog, ls)
 	l.stats.mutexAcquires.Inc()
 	lsn, err := l.allocateLocked(n, c, &t0)
 	l.mu.Unlock()
@@ -577,9 +573,7 @@ func (l *Log) waitFlushedSlow(target uint64) error {
 	l.parked.Add(1) // before the kick: see filled
 	defer l.parked.Add(-1)
 	l.kickFlusher(causeDemand)
-	ws := obs.LatchStart(obs.TierWALWait)
 	l.waitMu.Lock()
-	obs.LatchDone(obs.TierWALWait, ws)
 	if err, ok := l.flusherErr.Load().(error); ok && err != nil {
 		l.waitMu.Unlock()
 		return err

@@ -13,7 +13,7 @@ import (
 // behind the device's back — holds zeros.
 func checkFrontier(t testing.TB, d *FileDevice, sh devShape, dir string) {
 	t.Helper()
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	for start, s := range d.segs {
 		end := min(max(d.size-start, 0), s.alloc) // the log's bytes in this segment
@@ -277,7 +277,7 @@ func TestFailedPrewritePoisonsLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.lock()
+		d.mu.Lock()
 		d.segs[0].f.Close()
 		d.segs[0].f = ro
 		d.mu.Unlock()
