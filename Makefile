@@ -58,10 +58,16 @@ stress:
 # and holds the WAL scanner to its contract: records it returns decode
 # where it says, a bad record is ErrCorrupt exactly when a valid one
 # follows, SeekRecord finds the first record that decodes. Minimising
-# each new input would stall the workers for most of the 20 s.
+# each new input would stall the workers for most of the 20 s. FuzzPage
+# last gives the page codec 20 s of 8 KiB images (raw bytes, or a valid
+# heap page with flipped bytes): one that Verify accepts, and any image
+# once sealed, must survive every slot accessor, Insert, Update, Delete
+# and Compact without a panic, and a sealed image must verify and
+# round-trip.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDispatchLine -fuzztime 20s -fuzzminimizetime 0 ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzScanner -fuzztime 20s -fuzzminimizetime 0 ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzPage -fuzztime 20s -fuzzminimizetime 0 ./internal/page/
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkLockAcquireRelease|BenchmarkCommitPipeline|BenchmarkPoolFetchParallel' -benchmem ./internal/lock/ ./internal/core/ ./internal/buffer/

@@ -65,9 +65,9 @@ func run(path string, showRows bool, only string) error {
 		return fmt.Errorf("meta record: %w", err)
 	}
 	if master == wal.NilLSN {
-		fmt.Println("master: none (no checkpoint taken)")
+		fmt.Println("master: none (no checkpoint taken; analysis starts at the log's origin)")
 	} else {
-		fmt.Printf("master: begin-checkpoint at LSN %d\n", master)
+		fmt.Printf("master: analysis starts at LSN %d\n", master)
 	}
 
 	fmt.Printf("catalog: %d table(s)\n\n", len(tables))
@@ -95,8 +95,7 @@ func dumpTable(store *buffer.FileStore, id uint32, name string, first page.ID, s
 			return fmt.Errorf("page %d: %w", cur, err)
 		}
 		pages++
-		tombs += p.SlotCount() - p.LiveCount()
-		p.LiveRecords(func(slot int, rec []byte) bool {
+		err := p.LiveRecords(func(slot int, rec []byte) bool {
 			rows++
 			bytes += len(rec)
 			if showRows && len(rec) >= 8 {
@@ -110,6 +109,10 @@ func dumpTable(store *buffer.FileStore, id uint32, name string, first page.ID, s
 			}
 			return true
 		})
+		if err != nil {
+			return fmt.Errorf("page %d: %w", cur, err)
+		}
+		tombs += p.SlotCount() - p.LiveCount()
 		cur = p.Next()
 	}
 	fmt.Printf("  %d page(s), %d live row(s), %d tombstone(s), %d payload bytes\n\n",

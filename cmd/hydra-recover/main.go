@@ -1,6 +1,9 @@
 // Command hydra-recover inspects a hydra write-ahead log: it scans
 // the records, prints a per-transaction summary, and reports what an
-// ARIES restart would do (winners, losers, torn tail).
+// ARIES restart would do (winners, losers, torn tail). Restart finds
+// its losers the same way, in the log itself: a checkpoint records
+// only where its analysis starts (hydra-dump prints it), never a list
+// of open transactions.
 //
 // Usage:
 //

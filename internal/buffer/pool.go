@@ -113,10 +113,17 @@ func NewPool(store PageStore, opts Options) *Pool {
 	for i := range p.shards {
 		p.shards[i].table = make(map[page.ID]*Frame)
 		p.shards[i].cond.L = &p.shards[i].mu
+		p.shards[i].frames = make([]*Frame, 0, (opts.Frames+opts.Shards-1)/opts.Shards)
 	}
-	for i := 0; i < opts.Frames; i++ {
-		f := &Frame{Page: &page.Page{}, Latch: latch.New(opts.LatchKind), id: page.InvalidID}
-		s := &p.shards[i%opts.Shards]
+	// One slice each for the pages and the frames: a frame's one
+	// allocation is its latch. Each shard owns a contiguous run of the
+	// frames, so neighbours on a cache line share one shard mutex.
+	pages := make([]page.Page, opts.Frames)
+	frames := make([]Frame, opts.Frames)
+	for i := range frames {
+		f := &frames[i]
+		*f = Frame{Page: &pages[i], Latch: latch.New(opts.LatchKind), id: page.InvalidID}
+		s := &p.shards[i*opts.Shards/opts.Frames]
 		s.frames = append(s.frames, f)
 	}
 	return p

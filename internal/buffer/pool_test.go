@@ -408,3 +408,18 @@ func BenchmarkFetchHit(b *testing.B) {
 		})
 	}
 }
+
+// NewPool allocates the pages and the frames as one slice each: at most
+// one allocation per frame (its latch) beyond a constant.
+func TestNewPoolAllocatesOncePerFrame(t *testing.T) {
+	const frames = 4096
+	st := NewMemStore()
+	for _, kind := range []latch.Kind{latch.Blocking, latch.Spinning} {
+		allocs := testing.AllocsPerRun(3, func() {
+			NewPool(st, Options{Frames: frames, Shards: 16, LatchKind: kind})
+		})
+		if allocs > frames+64 {
+			t.Errorf("latch kind %v: NewPool(%d) made %.0f allocations, want at most %d", kind, frames, allocs, frames+64)
+		}
+	}
+}

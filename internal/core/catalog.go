@@ -70,8 +70,10 @@ func decodeCatalog(b []byte) ([]TableMeta, error) {
 }
 
 // The meta page's single record is: masterLSN(8) || catalog. The
-// master LSN names the begin-checkpoint record ARIES analysis starts
-// from (NilLSN-encoded-as-max means "no checkpoint; scan from 0").
+// master LSN is where restart analysis starts: the last checkpoint's
+// begin record, or the first record of a transaction that was active
+// then, whichever is lower (checkpoint.go). NilLSN (all ones) means no
+// checkpoint: scan from 0.
 
 // DecodeMeta decodes the meta page's record into the master LSN and
 // the table list. It is the one reader of the format: the engine's

@@ -2,100 +2,70 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"hydra/internal/wal"
 )
 
-// Fuzzy checkpointing, ARIES style: a checkpoint writes a
-// begin-checkpoint marker, snapshots the active-transaction table
-// (ATT) and the dirty-page table (DPT) *without quiescing anything*,
-// writes them in an end-checkpoint record, and finally points the
-// master record (on the meta page) at the begin marker. Restart
-// analysis then starts at the master instead of the log's origin, and
-// redo starts at the minimum recLSN in the DPT.
+// Fuzzy checkpointing, ARIES style, without an active-transaction
+// table: a checkpoint writes a begin-checkpoint marker, snapshots the
+// dirty-page table (DPT) *without quiescing anything*, writes it in an
+// end-checkpoint record, and finally points the master record (on the
+// meta page) at the LSN restart analysis starts from. That LSN is the
+// lowest of the begin marker and the first record of every transaction
+// active once the marker is in, so analysis meets every transaction that
+// can still be open in the log itself. Redo starts at the begin
+// marker, lowered by the DPT's oldest recLSN.
+//
+// The end-checkpoint payload is:
+//
+//	zero(4) | count(4) | count x (page(8) recLSN(8))
+//
+// The leading word counted the active-transaction table of the format
+// before this one. It is always zero now; an end record with a nonzero
+// one was written by that format and is refused at restart
+// (errListsTransactions).
 
-// ckptSnapshot is the end-checkpoint payload.
-type ckptSnapshot struct {
-	// ATT: active transaction -> lastLSN at snapshot time.
-	ATT map[uint64]wal.LSN
-	// DPT: dirty page -> recLSN (LSN that first dirtied it).
-	DPT map[uint64]uint64
-}
+// errListsTransactions refuses an end-checkpoint record that lists
+// active transactions: its master names the begin marker, not where
+// analysis must start, so restart cannot trust it.
+var errListsTransactions = errors.New("core: checkpoint-end record lists active transactions, a log format this version does not read (the master must name the analysis start; end records carry only the dirty-page table)")
 
-func encodeCkpt(s ckptSnapshot) []byte {
-	buf := make([]byte, 0, 8+16*(len(s.ATT)+len(s.DPT)))
-	var tmp [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		buf = append(buf, tmp[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	put32(uint32(len(s.ATT)))
-	for id, lsn := range s.ATT {
-		put64(id)
-		put64(uint64(lsn))
-	}
-	put32(uint32(len(s.DPT)))
-	for pg, rec := range s.DPT {
-		put64(pg)
-		put64(rec)
+func encodeCkpt(dpt map[uint64]uint64) []byte {
+	buf := make([]byte, 8, 8+16*len(dpt))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(len(dpt)))
+	for pg, rec := range dpt {
+		buf = binary.LittleEndian.AppendUint64(buf, pg)
+		buf = binary.LittleEndian.AppendUint64(buf, rec)
 	}
 	return buf
 }
 
-func decodeCkpt(b []byte) (ckptSnapshot, error) {
-	s := ckptSnapshot{ATT: map[uint64]wal.LSN{}, DPT: map[uint64]uint64{}}
-	off := 0
-	read32 := func() (uint32, bool) {
-		if off+4 > len(b) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(b[off:])
-		off += 4
-		return v, true
+// decodeCkpt returns the DPT an end-checkpoint payload carries: page
+// -> recLSN, the LSN that first dirtied it.
+func decodeCkpt(b []byte) (map[uint64]uint64, error) {
+	if len(b) < 8 {
+		return nil, fmt.Errorf("core: checkpoint payload truncated")
 	}
-	read64 := func() (uint64, bool) {
-		if off+8 > len(b) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		return v, true
+	if n := binary.LittleEndian.Uint32(b); n != 0 {
+		return nil, fmt.Errorf("%w (%d listed)", errListsTransactions, n)
 	}
-	n, ok := read32()
-	if !ok {
-		return s, fmt.Errorf("core: checkpoint payload truncated")
+	m := int(binary.LittleEndian.Uint32(b[4:]))
+	b = b[8:]
+	if len(b) != 16*m {
+		return nil, fmt.Errorf("core: checkpoint DPT of %d pages in %d bytes", m, len(b))
 	}
-	for i := uint32(0); i < n; i++ {
-		id, ok1 := read64()
-		lsn, ok2 := read64()
-		if !ok1 || !ok2 {
-			return s, fmt.Errorf("core: checkpoint ATT truncated")
-		}
-		s.ATT[id] = wal.LSN(lsn)
+	dpt := make(map[uint64]uint64, m)
+	for ; len(b) > 0; b = b[16:] {
+		dpt[binary.LittleEndian.Uint64(b)] = binary.LittleEndian.Uint64(b[8:])
 	}
-	m, ok := read32()
-	if !ok {
-		return s, fmt.Errorf("core: checkpoint DPT count truncated")
-	}
-	for i := uint32(0); i < m; i++ {
-		pg, ok1 := read64()
-		rec, ok2 := read64()
-		if !ok1 || !ok2 {
-			return s, fmt.Errorf("core: checkpoint DPT truncated")
-		}
-		s.DPT[pg] = rec
-	}
-	return s, nil
+	return dpt, nil
 }
 
 // Checkpoint takes a fuzzy checkpoint: no quiescing, no forced page
 // flushes. It bounds restart work — analysis starts at the new master
-// record, redo at the DPT's minimum recLSN.
+// record, redo at the begin marker lowered by the DPT's minimum recLSN.
 func (e *Engine) Checkpoint() error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -119,24 +89,19 @@ func (e *Engine) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	snap := ckptSnapshot{ATT: map[uint64]wal.LSN{}, DPT: e.pool.DirtyPageTable()}
-	horizon := begin // lowest LSN a future restart could need
+	dpt := e.pool.DirtyPageTable()
+	// The active set is read only now, with begin in the log: a
+	// transaction whose first LSN this misses appends its begin record
+	// above begin. One that published only the filled frontier appends
+	// it at or above that.
+	start := begin
 	e.activeMu.Lock()
-	for id, t := range e.active {
-		t.mu.Lock()
-		// A transaction whose commit or end record is in the log is not
-		// listed: that record may lie below begin, where a restart from
-		// this checkpoint would never see it.
-		if t.logged && !t.decided {
-			snap.ATT[id] = t.lastLSN
-			if t.firstLSN < horizon {
-				horizon = t.firstLSN // undo chains reach the begin record
-			}
-		}
-		t.mu.Unlock()
+	for _, t := range e.active {
+		start = min(start, wal.LSN(t.firstLSN.Load()))
 	}
 	e.activeMu.Unlock()
-	for _, recLSN := range snap.DPT {
+	horizon := start // lowest LSN a future restart could need
+	for _, recLSN := range dpt {
 		if recLSN != 0 && wal.LSN(recLSN) < horizon {
 			horizon = wal.LSN(recLSN)
 		}
@@ -144,7 +109,7 @@ func (e *Engine) Checkpoint() error {
 	end, err := e.log.Append(&wal.Record{
 		Type:    wal.RecCheckpointEnd,
 		PrevLSN: begin,
-		Payload: encodeCkpt(snap),
+		Payload: encodeCkpt(dpt),
 	})
 	if err != nil {
 		return err
@@ -152,11 +117,11 @@ func (e *Engine) Checkpoint() error {
 	if err := e.log.WaitFlushed(end); err != nil {
 		return err
 	}
-	// Point the master at the begin record only after the pair is
+	// Point the master at the analysis start only after the pair is
 	// durable; a crash in between simply falls back to the old master.
 	e.mu.Lock()
-	e.master = begin
-	err = e.writeMeta(begin)
+	e.master = start
+	err = e.writeMeta(start)
 	e.mu.Unlock()
 	if err != nil {
 		return err

@@ -1,52 +1,44 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hydra/internal/buffer"
+	"hydra/internal/rng"
 	"hydra/internal/wal"
 )
 
 func TestCkptCodecRoundTrip(t *testing.T) {
-	s := ckptSnapshot{
-		ATT: map[uint64]wal.LSN{1: 100, 2: 200, 99: wal.NilLSN},
-		DPT: map[uint64]uint64{5: 50, 7: 70},
-	}
-	got, err := decodeCkpt(encodeCkpt(s))
+	dpt := map[uint64]uint64{5: 50, 7: 70}
+	got, err := decodeCkpt(encodeCkpt(dpt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.ATT) != 3 || len(got.DPT) != 2 {
+	if len(got) != 2 {
 		t.Fatalf("sizes: %+v", got)
 	}
-	for id, lsn := range s.ATT {
-		if got.ATT[id] != lsn {
-			t.Fatalf("ATT[%d] = %d, want %d", id, got.ATT[id], lsn)
-		}
-	}
-	for pg, rec := range s.DPT {
-		if got.DPT[pg] != rec {
-			t.Fatalf("DPT[%d] = %d", pg, got.DPT[pg])
+	for pg, rec := range dpt {
+		if got[pg] != rec {
+			t.Fatalf("DPT[%d] = %d", pg, got[pg])
 		}
 	}
 }
 
 func TestCkptCodecQuick(t *testing.T) {
-	f := func(attKeys, dptKeys []uint64) bool {
-		s := ckptSnapshot{ATT: map[uint64]wal.LSN{}, DPT: map[uint64]uint64{}}
-		for i, k := range attKeys {
-			s.ATT[k] = wal.LSN(i * 7)
-		}
+	f := func(dptKeys []uint64) bool {
+		dpt := map[uint64]uint64{}
 		for i, k := range dptKeys {
-			s.DPT[k] = uint64(i * 13)
+			dpt[k] = uint64(i * 13)
 		}
-		got, err := decodeCkpt(encodeCkpt(s))
-		return err == nil && len(got.ATT) == len(s.ATT) && len(got.DPT) == len(s.DPT)
+		got, err := decodeCkpt(encodeCkpt(dpt))
+		return err == nil && len(got) == len(dpt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -57,11 +49,86 @@ func TestCkptDecodeErrors(t *testing.T) {
 	if _, err := decodeCkpt(nil); err == nil {
 		t.Error("nil payload accepted")
 	}
-	enc := encodeCkpt(ckptSnapshot{ATT: map[uint64]wal.LSN{1: 2}, DPT: map[uint64]uint64{3: 4}})
+	enc := encodeCkpt(map[uint64]uint64{3: 4})
 	for _, cut := range []int{2, 6, len(enc) - 3} {
 		if _, err := decodeCkpt(enc[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// parentCkptPayload encodes an end-checkpoint payload the way the
+// format before this one did: the active-transaction table (id ->
+// last LSN), then the DPT.
+func parentCkptPayload(att map[uint64]wal.LSN, dpt map[uint64]uint64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(att)))
+	for id, lsn := range att {
+		b = binary.LittleEndian.AppendUint64(b, id)
+		b = binary.LittleEndian.AppendUint64(b, uint64(lsn))
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(dpt)))
+	for pg, rec := range dpt {
+		b = binary.LittleEndian.AppendUint64(b, pg)
+		b = binary.LittleEndian.AppendUint64(b, rec)
+	}
+	return b
+}
+
+// An end record of the older format decodes when it lists no
+// transaction (the two layouts then agree) and is refused when it lists
+// one: its master names the begin record, not where analysis must
+// start.
+func TestCkptDecodeParentFormat(t *testing.T) {
+	dpt := map[uint64]uint64{3: 4}
+	got, err := decodeCkpt(parentCkptPayload(nil, dpt))
+	if err != nil || len(got) != 1 || got[3] != 4 {
+		t.Fatalf("empty-table parent record: %v, %v", got, err)
+	}
+	if _, err := decodeCkpt(parentCkptPayload(map[uint64]wal.LSN{9: 100}, dpt)); !errors.Is(err, errListsTransactions) {
+		t.Fatalf("parent record listing a transaction: err = %v, want errListsTransactions", err)
+	}
+}
+
+// Restart refuses a log whose checkpoint-end record lists an active
+// transaction, with an error that names the format change; it never
+// recovers it from the wrong starting point.
+func TestRestartRefusesParentFormatCheckpoint(t *testing.T) {
+	store, dev := buffer.NewMemStore(), wal.NewMem()
+	e, err := OpenWith(Conventional(), store, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := e.CreateTable("t")
+	tx := e.Begin()
+	if err := tx.Insert(tbl, 1, []byte("open")); err != nil {
+		t.Fatal(err)
+	}
+	begin, err := e.log.Append(&wal.Record{Type: wal.RecCheckpoint, PrevLSN: wal.NilLSN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := parentCkptPayload(map[uint64]wal.LSN{tx.id: tx.lastLSN}, e.pool.DirtyPageTable())
+	end, err := e.log.Append(&wal.Record{Type: wal.RecCheckpointEnd, PrevLSN: begin, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.log.WaitFlushed(end); err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	err = e.writeMeta(begin)
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(e)
+
+	e2, err := OpenWith(Conventional(), store, dev)
+	if !errors.Is(err, errListsTransactions) {
+		if e2 != nil {
+			e2.Close()
+		}
+		t.Fatalf("restart over a parent-format checkpoint: err = %v, want errListsTransactions", err)
 	}
 }
 
@@ -119,8 +186,8 @@ func TestCheckpointBoundsAnalysis(t *testing.T) {
 }
 
 // A transaction active at the checkpoint that never writes again must
-// still be rolled back at restart — it reaches recovery only through
-// the checkpoint's ATT.
+// still be rolled back at restart — it reaches recovery only because
+// the master sits at or below its begin record.
 func TestLoserOnlyInCheckpointATT(t *testing.T) {
 	store := buffer.NewMemStore()
 	dev := wal.NewMem()
@@ -182,9 +249,9 @@ func readKey1(t *testing.T, e *Engine, want string) {
 }
 
 // A checkpoint taken between a transaction's commit record and its
-// retirement must not list it: a restart from that checkpoint never sees
-// the commit record and, with the end record lost to the crash, would
-// roll the acknowledged commit back.
+// retirement must not put the master above the commit record: a restart
+// from that checkpoint would never see it and, with the end record lost
+// to the crash, would roll the acknowledged commit back.
 func TestCheckpointKeepsAcknowledgedCommit(t *testing.T) {
 	store, dev := buffer.NewMemStore(), wal.NewMem()
 	e, err := OpenWith(Conventional(), store, dev)
@@ -226,10 +293,11 @@ func TestCheckpointKeepsAcknowledgedCommit(t *testing.T) {
 	readKey1(t, e2, "new")
 }
 
-// The other side of the window: a transaction the ATT snapshot lists
-// because it ran before its commit, whose commit record lies between the
-// checkpoint's begin and end records. Restart meets the commit before
-// the listing and must not take the listing for a loser.
+// The other side of the window: a transaction active when the
+// checkpoint began, whose commit record lies between the checkpoint's
+// begin and end records. The master sits at its begin record, so
+// restart meets its records and then its commit, and must not take it
+// for a loser.
 func TestCheckpointWindowCommitIsNoLoser(t *testing.T) {
 	store, dev := buffer.NewMemStore(), wal.NewMem()
 	e, err := OpenWith(Conventional(), store, dev)
@@ -244,16 +312,16 @@ func TestCheckpointWindowCommitIsNoLoser(t *testing.T) {
 	if err := tx.Update(tbl, 1, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	// ckpt-begin, T's commit, then a ckpt-end whose ATT lists T.
+	// ckpt-begin, T's commit, then a ckpt-end with the DPT.
 	begin, err := e.log.Append(&wal.Record{Type: wal.RecCheckpoint, PrevLSN: wal.NilLSN})
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := min(begin, wal.LSN(tx.firstLSN.Load())) // what Checkpoint computes
 	if _, err := e.log.Append(&wal.Record{Type: wal.RecCommit, TxnID: tx.id, PrevLSN: tx.lastLSN}); err != nil {
 		t.Fatal(err)
 	}
-	snap := ckptSnapshot{ATT: map[uint64]wal.LSN{tx.id: tx.lastLSN}, DPT: e.pool.DirtyPageTable()}
-	end, err := e.log.Append(&wal.Record{Type: wal.RecCheckpointEnd, PrevLSN: begin, Payload: encodeCkpt(snap)})
+	end, err := e.log.Append(&wal.Record{Type: wal.RecCheckpointEnd, PrevLSN: begin, Payload: encodeCkpt(e.pool.DirtyPageTable())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +329,7 @@ func TestCheckpointWindowCommitIsNoLoser(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.mu.Lock()
-	err = e.writeMeta(begin)
+	err = e.writeMeta(start)
 	e.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -273,8 +341,8 @@ func TestCheckpointWindowCommitIsNoLoser(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	if rep := e2.RecoveryReport; rep.Master != begin || rep.LosersUndone != 0 || rep.Committed != 1 {
-		t.Fatalf("restart report %+v: want master %d, 1 commit, no loser", rep, begin)
+	if rep := e2.RecoveryReport; rep.Master != start || rep.LosersUndone != 0 || rep.Committed != 1 {
+		t.Fatalf("restart report %+v: want master %d, 1 commit, no loser", rep, start)
 	}
 	readKey1(t, e2, "new")
 }
@@ -387,5 +455,125 @@ func TestCheckpointDuringTraffic(t *testing.T) {
 	})
 	if n == 0 {
 		t.Fatal("no rows survived checkpointed crash")
+	}
+}
+
+// Transactions write their first records while checkpoints run, until
+// the log device dies at a random offset: a crash at a random append.
+// Restart must undo every loser and keep every acknowledged commit.
+// Each transaction writes its own number to every key of its worker, so
+// after restart a worker's keys must agree on its last acknowledged
+// transaction, or on the one whose Commit failed when its commit record
+// reached the disk all the same. A long transaction now and then stays
+// open across checkpoints.
+func TestCheckpointsRacingFirstRecordsSurviveCrash(t *testing.T) {
+	const (
+		workers = 4
+		keys    = 8
+		rounds  = 4
+	)
+	for round := uint64(0); round < rounds; round++ {
+		src := rng.New(round*7919 + 1)
+		store, dev := buffer.NewMemStore(), wal.NewMem()
+		e, err := OpenWith(Scalable(), store, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := e.CreateTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Exec(func(tx *Txn) error {
+			for k := uint64(0); k < workers*keys; k++ {
+				if err := tx.Insert(tbl, k, []byte("0")); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		size, _ := dev.Size()
+		dev.FailAfter(size+int64(src.IntRange(64<<10, 1<<20)), errors.New("injected crash"))
+
+		// acked[w] is worker w's last acknowledged transaction number;
+		// failed[w] the one whose Commit returned an error, or 0.
+		var acked, failed [workers]int
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int, r *rng.Source) {
+				defer wg.Done()
+				for n := 1; n < 1<<20; n++ {
+					tx := e.Begin()
+					val := []byte(fmt.Sprint(n))
+					var err error
+					for k := 0; k < keys && err == nil; k++ {
+						err = tx.Update(tbl, uint64(w*keys+k), val)
+						if k == 0 && r.Bool(0.05) {
+							time.Sleep(time.Millisecond) // straddle a checkpoint or two
+						}
+					}
+					switch {
+					case err != nil:
+						tx.Abort()
+						return
+					case r.Bool(0.2):
+						if tx.Abort() != nil {
+							return
+						}
+					case tx.Commit() != nil:
+						failed[w] = n
+						tx.Abort()
+						return
+					default:
+						acked[w] = n
+					}
+				}
+			}(w, src.Split(uint64(w)))
+		}
+		ckptDone := make(chan struct{})
+		go func() {
+			defer close(ckptDone)
+			for e.Checkpoint() == nil {
+			}
+		}()
+		wg.Wait()
+		<-ckptDone
+		crash(e)
+		dev.FailAfter(0, nil)
+
+		e2, err := OpenWith(Scalable(), store, dev)
+		if err != nil {
+			t.Fatalf("round %d: restart: %v", round, err)
+		}
+		if err := e2.Verify(); err != nil {
+			t.Fatalf("round %d: verify: %v", round, err)
+		}
+		tbl2, _ := e2.Table("t")
+		for w := 0; w < workers; w++ {
+			var got [keys]string
+			if err := e2.Exec(func(tx *Txn) error {
+				for k := range got {
+					v, err := tx.Read(tbl2, uint64(w*keys+k))
+					if err != nil {
+						return err
+					}
+					got[k] = string(v)
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("round %d: read worker %d: %v", round, w, err)
+			}
+			ok := got[0] == fmt.Sprint(acked[w]) || failed[w] != 0 && got[0] == fmt.Sprint(failed[w])
+			for _, v := range got {
+				ok = ok && v == got[0]
+			}
+			if !ok {
+				t.Errorf("round %d worker %d: keys %q; acknowledged %d, failed commit %d (%+v)",
+					round, w, got, acked[w], failed[w], e2.RecoveryReport)
+			}
+		}
+		e2.Close()
 	}
 }

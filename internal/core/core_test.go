@@ -349,7 +349,7 @@ func TestCrashRecoveryUncommittedRolledBack(t *testing.T) {
 	}
 	// Force the dirty pages (with loser data!) to disk, then crash.
 	// The flush makes undo do real physical work at restart; the
-	// (fuzzy) checkpoint exercises the ATT path as well.
+	// (fuzzy) checkpoint puts the master at the loser's begin record.
 	if err := e.pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}

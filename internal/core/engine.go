@@ -203,8 +203,8 @@ type Engine struct {
 	absentMemoHits obs.Counter
 	closed         atomic.Bool
 
-	// active is the live-transaction registry feeding checkpoint ATT
-	// snapshots.
+	// active is the live-transaction registry: a checkpoint reads its
+	// first LSNs, the MaxSnapshotAge expirer its snapshot pins.
 	activeMu sync.Mutex
 	active   map[uint64]*Txn
 

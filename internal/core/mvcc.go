@@ -4,7 +4,7 @@
 // Writers keep before-images reachable from the row: every logged
 // forward operation installs a version node holding the record's
 // before-image (nil for inserts) at the head of the row's chain, under
-// the same page X latch + Txn.mu window that logs the operation. At
+// the same page X latch window that logs the operation. At
 // commit the transaction's nodes are stamped — one atomic store on the
 // shared verTxn, visible through every node — with the commit record's
 // LSN, and the snapshot floor advances to it. An ABORT publishes the

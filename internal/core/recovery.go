@@ -12,7 +12,7 @@ import (
 // Recovery describes the work a restart performed (for operators and
 // tests).
 type Recovery struct {
-	Master       wal.LSN // begin-checkpoint the analysis started from (NilLSN = origin)
+	Master       wal.LSN // where analysis started: the last checkpoint's master (NilLSN = origin)
 	Scanned      int     // log records scanned during analysis
 	Redone       int     // records re-applied
 	SkippedByLSN int     // records skipped because the page already had them
@@ -33,12 +33,13 @@ type analysis struct {
 }
 
 // analyze is ARIES analysis run as the scan that finds the end of the
-// log, from the master checkpoint and before the log opens. It attaches
-// the catalog's tables (their heap chains may need redo first, so none
-// is walked), and keeps a transaction only until its commit or end
-// record. A checkpoint-end record adds the transactions of its ATT
-// snapshot the scan has not met, except those that ended after the
-// checkpoint began: the snapshot may predate their commit.
+// log, from the master and before the log opens. It attaches the
+// catalog's tables (their heap chains may need redo first, so none is
+// walked). The master is where the last checkpoint found every
+// transaction that could still be open at or above (checkpoint.go), so
+// the scan meets each one's records itself and keeps it until its
+// commit or end record. Redo starts at the begin record of the last
+// checkpoint pair met, lowered by that pair's DPT.
 func (e *Engine) analyze() (analysis, error) {
 	master, metas, err := e.readMeta()
 	if err != nil {
@@ -63,43 +64,31 @@ func (e *Engine) analyze() (analysis, error) {
 	}
 	an := analysis{rep: Recovery{Master: master}, losers: map[uint64]wal.LSN{}, redoStart: start}
 	var maxTxn uint64
-	var ended map[uint64]bool // since the last checkpoint-begin record, until its end record
 	for sc.Next() {
 		r := sc.Record()
 		an.rep.Scanned++
 		maxTxn = max(maxTxn, r.TxnID)
 		switch r.Type {
-		case wal.RecCheckpoint:
-			ended = map[uint64]bool{}
 		case wal.RecCheckpointEnd:
-			snap, err := decodeCkpt(r.Payload)
+			dpt, err := decodeCkpt(r.Payload)
 			if err != nil {
 				return analysis{}, fmt.Errorf("analysis at %d: %w", r.LSN, err)
 			}
-			for id, lastLSN := range snap.ATT {
-				maxTxn = max(maxTxn, id)
-				if _, seen := an.losers[id]; !seen && !ended[id] {
-					an.losers[id] = lastLSN
-				}
-			}
 			// Pages dirty at the checkpoint may hold unflushed effects
 			// from before it: redo must start at their oldest recLSN.
-			for _, recLSN := range snap.DPT {
+			an.redoStart = r.PrevLSN // the pair's begin record
+			for _, recLSN := range dpt {
 				if recLSN != 0 && wal.LSN(recLSN) < an.redoStart {
 					an.redoStart = wal.LSN(recLSN)
 				}
 			}
-			ended = nil
 		case wal.RecCommit, wal.RecEnd:
 			if r.Type == wal.RecCommit {
 				an.rep.Committed++
 			}
 			delete(an.losers, r.TxnID)
-			if ended != nil {
-				ended[r.TxnID] = true
-			}
 		default:
-			if r.TxnID != 0 { // not a system record (chain extension)
+			if r.TxnID != 0 { // not a system record (checkpoint, chain extension)
 				an.losers[r.TxnID] = r.LSN
 			}
 		}

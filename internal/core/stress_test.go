@@ -134,7 +134,7 @@ func TestConcurrentCommitAbortStress(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent fuzzy checkpoints snapshot the ATT while transactions
+	// Concurrent fuzzy checkpoints read first LSNs while transactions
 	// churn through the pooled handles.
 	stop := make(chan struct{})
 	var ckptWg sync.WaitGroup

@@ -69,8 +69,7 @@ type txnMode struct {
 // Txn is a transaction handle. A Txn is used by one goroutine at a
 // time: DORA's fast path hands a partition-owned one to the owning
 // executor and back, but nothing runs two of its operations at once.
-// The one reader from elsewhere is a checkpoint's ATT snapshot, which
-// mu serves.
+// The one field read from elsewhere is firstLSN, by a checkpoint.
 //
 // Handles are recycled through a per-engine pool: Begin draws a
 // retired Txn (with its lock holder, undo slice, and encode scratch
@@ -111,22 +110,18 @@ type Txn struct {
 	// lock holder and DORA executors keep a pointer to it.
 	clock obs.PhaseClock
 
-	// mu guards lastLSN, undo, logged, decided, enc. Its reason is the
-	// checkpoint's ATT snapshot, the one reader from another goroutine:
-	// it must see a chain tail together with the record that made it,
-	// so mu is intentionally held across WAL appends, and an append is a
-	// buffer copy (group commit makes the IO asynchronous).
-	//hydra:vet:coarse -- per-txn chain lock: held across WAL appends so a checkpoint's ATT snapshot sees each chain tail with its record
-	mu       invariant.Mutex[invariant.TxnMu]
+	// firstLSN bounds the transaction's begin record from below for a
+	// checkpoint's analysis start (checkpoint.go): NilLSN until
+	// ensureBegin, which stores the log's filled frontier before the
+	// append and the record's LSN after it.
+	firstLSN atomic.Uint64
 	lastLSN  wal.LSN
-	firstLSN wal.LSN // begin record (log-truncation horizon)
 	undo     []undoEntry
 	logged   bool   // wrote at least one record (begin is lazy)
-	decided  bool   // its commit or end record is in the log (appendOutcome)
 	enc      []byte // scratch buffer for op payload encoding
 	// arena is the chunk the bump allocator for undo row images is
 	// filling; chunks is the chain it draws from, chunks[:chunksUsed]
-	// the part this transaction has entered (all under mu).
+	// the part this transaction has entered.
 	arena      []byte
 	chunks     [][]byte
 	chunksUsed int
@@ -174,7 +169,7 @@ const (
 // arenaAlloc returns n bytes of the transaction's undo arena. The arena
 // retires wholesale when the transaction finishes, and a full chunk is
 // left in place (never moved), so previously returned slices stay valid
-// as it grows. Callers hold t.mu.
+// as it grows.
 func (t *Txn) arenaAlloc(n int) []byte {
 	if cap(t.arena)-len(t.arena) < n {
 		if t.chunksUsed < len(t.chunks) && cap(t.chunks[t.chunksUsed]) >= n {
@@ -207,8 +202,7 @@ func (t *Txn) arenaReset() {
 	t.chunks = t.chunks[:keep]
 }
 
-// arenaCopy copies b into the transaction's undo arena. Callers hold
-// t.mu.
+// arenaCopy copies b into the transaction's undo arena.
 func (t *Txn) arenaCopy(b []byte) []byte {
 	if b == nil {
 		return nil
@@ -223,8 +217,6 @@ func (t *Txn) arenaCopy(b []byte) []byte {
 // the lifetime of the undo entry that retains them as an after-image —
 // so write paths avoid a per-op allocation.
 func (t *Txn) arenaRowRecord(key uint64, value []byte) []byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rec := t.arenaAlloc(8 + len(value))
 	binary.LittleEndian.PutUint64(rec, key)
 	copy(rec[8:], value)
@@ -258,9 +250,8 @@ func (e *Engine) Begin(opts ...Intent) *Txn {
 		t.mode.snapshot = e.cfg.MVCC && t.mode.Owned == 0 && (t.mode.ReadOnly || t.mode.Optimistic)
 	}
 	t.lastLSN = wal.NilLSN
-	t.firstLSN = wal.NilLSN
+	t.firstLSN.Store(uint64(wal.NilLSN))
 	t.logged = false
-	t.decided = false
 	t.snap = 0
 	t.snapExpired.Store(false)
 	t.verTxn = nil
@@ -381,19 +372,19 @@ func (t *Txn) acquire(name lock.Name, mode lock.Mode) error {
 }
 
 // ensureBegin lazily logs the begin record (read-only transactions
-// never touch the log).
+// never touch the log). A checkpoint that reads firstLSN before the
+// append sees the filled frontier, which no later record lies below.
 func (t *Txn) ensureBegin() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.logged {
 		return nil
 	}
+	t.firstLSN.Store(uint64(t.e.log.FilledLSN()))
 	lsn, err := t.e.log.AppendFieldsC(wal.RecBegin, t.id, wal.NilLSN, 0, 0, nil, &t.clock)
 	if err != nil {
 		return err
 	}
+	t.firstLSN.Store(uint64(lsn))
 	t.lastLSN = lsn
-	t.firstLSN = lsn
 	t.logged = true
 	return nil
 }
@@ -409,11 +400,8 @@ func (t *Txn) checkActive() error {
 }
 
 // logOp appends a data record for op, records the undo entry, and
-// returns its LSN. It holds the txn's chain mutex so a checkpoint's
-// ATT snapshot reads the chain tail and the record together.
+// returns its LSN.
 func (t *Txn) logOp(op *OpRecord) (wal.LSN, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	prev := t.lastLSN
 	// The payload is copied into the log ring before AppendFields
 	// returns, so the scratch buffer is safely reused per op.
@@ -791,7 +779,7 @@ func (t *Txn) Abort() error {
 			t.retire(txnAborted)
 			return fmt.Errorf("core: abort left to restart recovery: %w", err)
 		}
-		t.setLastLSN(lsn)
+		t.lastLSN = lsn
 		var uc undoCtx
 		for i := len(t.undo) - 1; i >= 0; i-- {
 			entry := &t.undo[i]
@@ -802,7 +790,7 @@ func (t *Txn) Abort() error {
 			if err != nil {
 				return fmt.Errorf("core: abort undo: %w", err)
 			}
-			t.setLastLSN(clr)
+			t.lastLSN = clr
 		}
 		if t.verTxn != nil {
 			// The undo ops above restored the rows; publishing the end
@@ -828,26 +816,13 @@ func (t *Txn) Abort() error {
 }
 
 // appendOutcome appends t's commit record, or the end record of its
-// rollback, and makes it the chain's tail in one step under mu: a
-// checkpoint's ATT snapshot either leaves the transaction out, its
-// outcome already in the log, or precedes the record, which a restart
-// from that checkpoint then scans.
+// rollback, and makes it the chain's tail.
 func (t *Txn) appendOutcome(kind wal.RecType) (wal.LSN, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	lsn, err := t.e.log.AppendFieldsC(kind, t.id, t.lastLSN, 0, 0, nil, &t.clock)
 	if err == nil {
-		t.lastLSN, t.decided = lsn, true
+		t.lastLSN = lsn
 	}
 	return lsn, err
-}
-
-// setLastLSN advances the log-chain tail under mu so concurrent
-// checkpoint ATT snapshots read a consistent value.
-func (t *Txn) setLastLSN(lsn wal.LSN) {
-	t.mu.Lock()
-	t.lastLSN = lsn
-	t.mu.Unlock()
 }
 
 func (t *Txn) releaseLocks(aborting bool) {

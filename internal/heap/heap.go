@@ -238,7 +238,7 @@ func (h *File) Scan(fn func(rid RID, rec []byte) bool) error {
 		}
 		f.Latch.Acquire(latch.Shared)
 		stop := false
-		f.Page.LiveRecords(func(slot int, rec []byte) bool {
+		err = f.Page.LiveRecords(func(slot int, rec []byte) bool {
 			if !fn(RID{Page: id, Slot: uint16(slot)}, rec) {
 				stop = true
 				return false
@@ -248,6 +248,9 @@ func (h *File) Scan(fn func(rid RID, rec []byte) bool) error {
 		next := f.Page.Next()
 		f.Latch.Release(latch.Shared)
 		h.pool.Unpin(f, false)
+		if err != nil {
+			return fmt.Errorf("heap: scan page %d: %w", id, err)
+		}
 		if stop {
 			return nil
 		}

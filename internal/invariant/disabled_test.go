@@ -11,10 +11,10 @@ func TestStubsAreInert(t *testing.T) {
 		t.Fatal("Enabled must be false without the hydradebug tag")
 	}
 	var shard Mutex[PoolShard]
-	var txn Mutex[TxnMu]
+	var part Mutex[LockPart]
 	shard.Lock()
-	txn.Lock() // inversion: ignored without the tag
-	txn.Unlock()
+	part.Lock() // inversion: ignored without the tag
+	part.Unlock()
 	shard.Unlock()
 	released(frameLatch) // never held
 	obj := new(int)

@@ -16,14 +16,14 @@ func mustPanic(t *testing.T, name string, fn func()) {
 
 func TestTierOrderEnforced(t *testing.T) {
 	var shardA, shardB Mutex[PoolShard]
-	var txn Mutex[TxnMu]
+	var part Mutex[LockPart]
 	var frame RWMutex[FrameLatch]
 	frame.RLock()
 	shardA.Lock() // ascending: fine
 	shardB.Lock() // equal: crabbing, fine
 	shardB.Unlock()
 	mustPanic(t, "descending acquire", func() {
-		txn.Lock() // 61 under held 70: inversion
+		part.Lock() // 50 under held 70: inversion
 	})
 	shardA.Unlock()
 	frame.RUnlock()

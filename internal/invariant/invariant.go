@@ -55,8 +55,7 @@ var (
 	treeMu      = declare(40, "btree.Tree.mu", "tree")
 	lockPart    = declare(50, "lock.partition.mu", "lock_part")
 	frameLatch  = declare(60, "buffer.Frame.Latch", "frame_latch")
-	txnMu       = declare(61, "core.Txn.mu", "txn_mu")          // taken under the heap page's X latch by logOp
-	mvccShard   = declare(62, "core.verShard.mu", "mvcc_shard") // spliced under page latches and Txn.mu
+	mvccShard   = declare(62, "core.verShard.mu", "mvcc_shard") // spliced under the heap page's X latch by logOp
 	poolShard   = declare(70, "buffer.shard.mu", "pool_shard")
 	walLog      = declare(80, "wal.Log.mu", "wal_log")
 	walWait     = declare(82, "wal.Log.waitMu", "wal_wait")
@@ -72,7 +71,6 @@ type (
 	Tree        struct{}
 	LockPart    struct{}
 	FrameLatch  struct{}
-	TxnMu       struct{}
 	MVCCShard   struct{}
 	PoolShard   struct{}
 	WALLog      struct{}
@@ -88,7 +86,6 @@ func (MVCCSnap) tier() *tier    { return mvccSnap }
 func (Tree) tier() *tier        { return treeMu }
 func (LockPart) tier() *tier    { return lockPart }
 func (FrameLatch) tier() *tier  { return frameLatch }
-func (TxnMu) tier() *tier       { return txnMu }
 func (MVCCShard) tier() *tier   { return mvccShard }
 func (PoolShard) tier() *tier   { return poolShard }
 func (WALLog) tier() *tier      { return walLog }

@@ -75,7 +75,7 @@ const tombstone = 0xFFFF
 // Errors returned by page operations.
 var (
 	ErrPageFull     = errors.New("page: not enough free space")
-	ErrBadSlot      = errors.New("page: slot out of range or deleted")
+	ErrBadSlot      = errors.New("page: slot out of range, deleted or damaged")
 	ErrChecksum     = errors.New("page: checksum mismatch")
 	ErrRecordTooBig = errors.New("page: record exceeds maximum size")
 )
@@ -167,27 +167,33 @@ func (p *Page) BumpVerEpoch() {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Seal computes and stores the checksum; call before writing the page
-// to stable storage.
-func (p *Page) Seal() {
-	binary.LittleEndian.PutUint32(p.buf[32:36], 0)
-	sum := crc32.Checksum(p.buf[:], castagnoli)
-	binary.LittleEndian.PutUint32(p.buf[32:36], sum)
-}
-
-// Verify recomputes the checksum and returns ErrChecksum on mismatch.
-// A page whose stored checksum is zero is treated as never sealed
-// (freshly allocated) and verifies successfully; Seal never stores a
-// zero checksum in practice, so the ambiguity window is 2^-32.
-func (p *Page) Verify() error {
+// checksum is the CRC-32C of the page with its checksum word taken as
+// zero. It is never zero: a zero word marks a page that was never
+// written, so a sum of zero is stored as one.
+func (p *Page) checksum() uint32 {
 	stored := binary.LittleEndian.Uint32(p.buf[32:36])
-	if stored == 0 {
-		return nil
-	}
 	binary.LittleEndian.PutUint32(p.buf[32:36], 0)
 	sum := crc32.Checksum(p.buf[:], castagnoli)
 	binary.LittleEndian.PutUint32(p.buf[32:36], stored)
-	if stored != sum {
+	return max(sum, 1)
+}
+
+// Seal computes and stores the checksum; call before writing the page
+// to stable storage.
+func (p *Page) Seal() { binary.LittleEndian.PutUint32(p.buf[32:36], p.checksum()) }
+
+// Verify recomputes the checksum and returns ErrChecksum on mismatch.
+// A stored checksum of zero passes only on an all-zero page, one the
+// store allocated and nobody wrote: Seal never stores zero.
+func (p *Page) Verify() error {
+	stored := binary.LittleEndian.Uint32(p.buf[32:36])
+	if stored == 0 {
+		if p.buf == [Size]byte{} {
+			return nil
+		}
+		return fmt.Errorf("%w: page %d: written but not sealed", ErrChecksum, p.ID())
+	}
+	if sum := p.checksum(); stored != sum {
 		return fmt.Errorf("%w: page %d: stored %#x computed %#x", ErrChecksum, p.ID(), stored, sum)
 	}
 	return nil
@@ -207,27 +213,61 @@ func (p *Page) setSlot(i, off, length int) {
 	binary.LittleEndian.PutUint16(p.buf[so+2:so+4], uint16(length))
 }
 
+// directory returns the slot count and the start of the record heap,
+// or ErrBadSlot when the header puts the slot array past the heap or
+// the heap past the page. The checksum cannot rule that out: a page
+// sealed with a damaged header verifies.
+func (p *Page) directory() (n, free int, err error) {
+	n, free = p.SlotCount(), p.freePtrRaw()
+	if p.slotOffset(n) > free || free > Size {
+		return 0, 0, ErrBadSlot
+	}
+	return n, free, nil
+}
+
+// outside reports whether a live slot entry points outside the record
+// heap that starts at free.
+func outside(off, length, free int) bool { return off < free || off+length > Size }
+
+// record returns the bounds of the live record in slot i, or
+// ErrBadSlot when i is out of range, deleted, or the page is damaged.
+func (p *Page) record(i int) (off, length int, err error) {
+	n, free, err := p.directory()
+	if err != nil || i < 0 || i >= n {
+		return 0, 0, ErrBadSlot
+	}
+	off, length = p.slot(i)
+	if off == tombstone || outside(off, length, free) {
+		return 0, 0, ErrBadSlot
+	}
+	return off, length, nil
+}
+
 // FreeSpace returns the number of payload bytes a new record may use,
-// accounting for its slot entry.
+// accounting for its slot entry; a damaged page has none.
 func (p *Page) FreeSpace() int {
-	free := p.freePtrRaw() - (HeaderSize + p.SlotCount()*slotSize) - slotSize
-	if free < 0 {
+	n, free, err := p.directory()
+	if err != nil {
 		return 0
 	}
-	return free
+	return max(free-p.slotOffset(n+1), 0)
 }
 
 // Insert appends a record and returns its slot number. A tombstoned
 // slot is reused if one exists. Returns ErrPageFull when the record
-// (plus slot overhead) does not fit, and ErrRecordTooBig when it can
-// never fit on any page.
+// (plus slot overhead) does not fit, ErrRecordTooBig when it can never
+// fit on any page, and ErrBadSlot on a damaged page.
 func (p *Page) Insert(rec []byte) (int, error) {
 	if len(rec) > MaxRecordSize {
 		return 0, ErrRecordTooBig
 	}
+	n, free, err := p.directory()
+	if err != nil {
+		return 0, err
+	}
 	// Find a reusable tombstone first: it costs no new slot space.
 	slot := -1
-	for i := 0; i < p.SlotCount(); i++ {
+	for i := 0; i < n; i++ {
 		if off, _ := p.slot(i); off == tombstone {
 			slot = i
 			break
@@ -237,14 +277,14 @@ func (p *Page) Insert(rec []byte) (int, error) {
 	if slot == -1 {
 		needSlot = slotSize
 	}
-	if p.freePtrRaw()-(HeaderSize+p.SlotCount()*slotSize)-needSlot < len(rec) {
+	if free-p.slotOffset(n)-needSlot < len(rec) {
 		return 0, ErrPageFull
 	}
-	newFree := p.freePtrRaw() - len(rec)
+	newFree := free - len(rec)
 	copy(p.buf[newFree:], rec)
 	p.setFreePtr(newFree)
 	if slot == -1 {
-		slot = p.SlotCount()
+		slot = n
 		p.setSlotCount(slot + 1)
 	}
 	p.setSlot(slot, newFree, len(rec))
@@ -254,12 +294,9 @@ func (p *Page) Insert(rec []byte) (int, error) {
 // Read returns the record in the given slot. The returned slice
 // aliases the page buffer; callers that retain it must copy.
 func (p *Page) Read(slot int) ([]byte, error) {
-	if slot < 0 || slot >= p.SlotCount() {
-		return nil, ErrBadSlot
-	}
-	off, length := p.slot(slot)
-	if off == tombstone {
-		return nil, ErrBadSlot
+	off, length, err := p.record(slot)
+	if err != nil {
+		return nil, err
 	}
 	return p.buf[off : off+length], nil
 }
@@ -267,11 +304,8 @@ func (p *Page) Read(slot int) ([]byte, error) {
 // Delete tombstones the slot. The record bytes are reclaimed by the
 // next Compact.
 func (p *Page) Delete(slot int) error {
-	if slot < 0 || slot >= p.SlotCount() {
-		return ErrBadSlot
-	}
-	if off, _ := p.slot(slot); off == tombstone {
-		return ErrBadSlot
+	if _, _, err := p.record(slot); err != nil {
+		return err
 	}
 	p.setSlot(slot, tombstone, 0)
 	return nil
@@ -282,12 +316,9 @@ func (p *Page) Delete(slot int) error {
 // when even compaction would not make room (the caller then deletes
 // and re-inserts elsewhere).
 func (p *Page) Update(slot int, rec []byte) error {
-	if slot < 0 || slot >= p.SlotCount() {
-		return ErrBadSlot
-	}
-	off, length := p.slot(slot)
-	if off == tombstone {
-		return ErrBadSlot
+	off, length, err := p.record(slot)
+	if err != nil {
+		return err
 	}
 	if len(rec) <= length {
 		copy(p.buf[off:], rec)
@@ -301,11 +332,15 @@ func (p *Page) Update(slot int, rec []byte) error {
 	// moment we succeed, so tombstone first and compact to reclaim
 	// them; keep a copy so we can restore the record if the new one
 	// still does not fit.
-	if p.freePtrRaw()-(HeaderSize+p.SlotCount()*slotSize) < len(rec) {
+	slotEnd := p.slotOffset(p.SlotCount())
+	if p.freePtrRaw()-slotEnd < len(rec) {
 		old := append([]byte(nil), p.buf[off:off+length]...)
 		p.setSlot(slot, tombstone, 0)
-		p.Compact()
-		if p.freePtrRaw()-(HeaderSize+p.SlotCount()*slotSize) < len(rec) {
+		if err := p.Compact(); err != nil {
+			p.setSlot(slot, off, length) // Compact moved nothing
+			return err
+		}
+		if p.freePtrRaw()-slotEnd < len(rec) {
 			// Restore the original record and report no space.
 			restore := p.freePtrRaw() - len(old)
 			copy(p.buf[restore:], old)
@@ -323,14 +358,29 @@ func (p *Page) Update(slot int, rec []byte) error {
 
 // Compact rewrites the record heap to squeeze out space freed by
 // deletions and relocations. Slot numbers are stable across Compact.
-func (p *Page) Compact() {
+// A damaged page — a slot entry outside the record heap, or live
+// records that overlap — fails with ErrBadSlot and is left as it was.
+func (p *Page) Compact() error {
+	n, free, err := p.directory()
+	if err != nil {
+		return err
+	}
 	type live struct{ slot, off, length int }
 	var recs []live
-	for i := 0; i < p.SlotCount(); i++ {
+	total := 0
+	for i := 0; i < n; i++ {
 		off, length := p.slot(i)
-		if off != tombstone {
-			recs = append(recs, live{i, off, length})
+		if off == tombstone {
+			continue
 		}
+		if outside(off, length, free) {
+			return ErrBadSlot
+		}
+		total += length
+		recs = append(recs, live{i, off, length})
+	}
+	if total > Size-free {
+		return ErrBadSlot
 	}
 	// Copy live records into a scratch area, then lay them back down
 	// from the page tail.
@@ -347,31 +397,46 @@ func (p *Page) Compact() {
 		p.setSlot(r.slot, r.off, r.length)
 	}
 	p.setFreePtr(pos)
+	return nil
 }
 
 // LiveRecords calls fn for every non-deleted slot in slot order. The
-// record slice aliases the page buffer.
-func (p *Page) LiveRecords(fn func(slot int, rec []byte) bool) {
-	for i := 0; i < p.SlotCount(); i++ {
+// record slice aliases the page buffer. A damaged page stops the walk
+// with ErrBadSlot at the first slot entry outside the record heap.
+func (p *Page) LiveRecords(fn func(slot int, rec []byte) bool) error {
+	n, free, err := p.directory()
+	if err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
 		off, length := p.slot(i)
 		if off == tombstone {
 			continue
 		}
+		if outside(off, length, free) {
+			return ErrBadSlot
+		}
 		if !fn(i, p.buf[off:off+length]) {
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
-// LiveCount returns the number of non-deleted records.
+// LiveCount returns the number of non-deleted records; a damaged
+// directory counts none.
 func (p *Page) LiveCount() int {
-	n := 0
-	for i := 0; i < p.SlotCount(); i++ {
+	n, _, err := p.directory()
+	if err != nil {
+		return 0
+	}
+	live := 0
+	for i := 0; i < n; i++ {
 		if off, _ := p.slot(i); off != tombstone {
-			n++
+			live++
 		}
 	}
-	return n
+	return live
 }
 
 // Load copies a raw page image into p. It returns an error if b is

@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -372,5 +373,78 @@ func BenchmarkSeal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Seal()
+	}
+}
+
+// A page whose checksum word is zero verifies only when the whole page
+// is zero (allocated, never written): a written page with its checksum
+// word cleared must not reach the slot accessors, whatever its slot
+// directory says.
+func TestVerifyZeroChecksumOnlyOnZeroPage(t *testing.T) {
+	var zero Page
+	if err := zero.Verify(); err != nil {
+		t.Fatalf("all-zero page: %v", err)
+	}
+	p := New(5, TypeHeap)
+	if _, err := p.Insert([]byte("row")); err != nil {
+		t.Fatal(err)
+	}
+	p.Seal()
+	binary.LittleEndian.PutUint32(p.Bytes()[32:36], 0)
+	binary.LittleEndian.PutUint16(p.Bytes()[HeaderSize+2:], 0xffff) // slot 0's length
+	if err := p.Verify(); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("written page with a zero checksum word: Verify = %v, want ErrChecksum", err)
+	}
+}
+
+// A page sealed with a damaged slot directory verifies; its accessors
+// refuse the damage with ErrBadSlot instead of panicking.
+func TestDamagedSlotDirectoryIsBadSlot(t *testing.T) {
+	put := func(b []byte, at, v int) { binary.LittleEndian.PutUint16(b[at:], uint16(v)) }
+	damage := map[string]func(b []byte){
+		"length past the page":       func(b []byte) { put(b, HeaderSize+2, 0xffff) },
+		"offset in the header":       func(b []byte) { put(b, HeaderSize, 8) },
+		"slot count past the heap":   func(b []byte) { put(b, 18, 0xffff) },
+		"free pointer past the page": func(b []byte) { put(b, 20, Size+1) },
+		"overlapping records": func(b []byte) { // slots 1 and 2 both claim the whole heap
+			free := int(binary.LittleEndian.Uint16(b[20:]))
+			for _, so := range []int{HeaderSize + 4, HeaderSize + 8} {
+				put(b, so, free)
+				put(b, so+2, Size-free)
+			}
+		},
+	}
+	for name, hurt := range damage {
+		t.Run(name, func(t *testing.T) {
+			p := New(5, TypeHeap)
+			for _, r := range []string{"first", "second", "third"} {
+				if _, err := p.Insert([]byte(r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hurt(p.Bytes())
+			p.Seal()
+			if err := p.Verify(); err != nil {
+				t.Fatalf("sealed page: %v", err)
+			}
+			if err := p.Compact(); !errors.Is(err, ErrBadSlot) {
+				t.Errorf("Compact = %v, want ErrBadSlot", err)
+			}
+			// Reads and writes refuse what they cannot do safely and never
+			// panic.
+			for i := 0; i < 3; i++ {
+				if _, err := p.Read(i); err != nil && !errors.Is(err, ErrBadSlot) {
+					t.Errorf("Read(%d): %v", i, err)
+				}
+			}
+			p.LiveRecords(func(int, []byte) bool { return true })
+			p.LiveCount()
+			p.FreeSpace()
+			for i := 0; i < 3; i++ {
+				p.Update(i, make([]byte, 100))
+				p.Delete(i)
+			}
+			p.Insert([]byte("z"))
+		})
 	}
 }

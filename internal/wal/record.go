@@ -34,7 +34,7 @@ const (
 	RecEnd                              // transaction fully finished
 	RecCLR                              // compensation (redo-only undo)
 	RecCheckpoint                       // begin-checkpoint marker
-	RecCheckpointEnd                    // end-checkpoint with ATT+DPT payload
+	RecCheckpointEnd                    // end-checkpoint with DPT payload
 )
 
 var recNames = map[RecType]string{
