@@ -44,9 +44,15 @@ lint:
 # handles, DORA contexts). It is the one latch-order checker (DESIGN.md
 # §6). dora, server, workload and staged drive the engine through its
 # scan callbacks, whose contract — fn must not call the engine — the
-# ranked partition.mu and Tree.mu enforce.
+# ranked partition.mu and Tree.mu enforce. TestCheckpointDuringTraffic
+# then runs 300 times: checkpoints under insert traffic, a crash, and a
+# restart that must redo every committed insert. It guards the
+# dirty-page table's recLSN (a lower bound each writer notes under the
+# page's X latch before it appends its record); without it about one
+# run in thirty lost an insert under the tag's timing.
 stress:
 	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/... ./internal/btree/... ./internal/heap/... ./internal/dora/... ./internal/server/... ./internal/workload/... ./internal/staged/...
+	$(GO) test -tags hydradebug -count=300 -run TestCheckpointDuringTraffic ./internal/core/
 
 # fuzz-smoke runs the wire tokeniser's differential fuzz target for
 # 20 s: FuzzDispatchLine holds nextField to the strings.Fields grammar

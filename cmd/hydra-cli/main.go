@@ -86,79 +86,24 @@ func main() {
 	}
 }
 
-// runOne parses and executes one REPL line against the client. Fields
-// are separated by ASCII spaces and tabs, as on the wire, and a SET's
-// value is the rest of the line after its key, sent byte for byte.
+// runOne executes one REPL line. The server's grammar is the only one:
+// a line goes to it byte for byte, and its reply — an -ERR usage line
+// included — is printed as it comes. SCAN and STATS FULL are the two
+// exceptions, because their replies are decoded (rows, a JSON snapshot)
+// and printed readably; a SCAN whose numbers do not parse goes through
+// verbatim like any other line, and the server refuses it.
 func runOne(c *server.Client, line string) error {
 	fields := strings.FieldsFunc(line, isSep)
 	if len(fields) == 0 {
 		return fmt.Errorf("usage: <command> [args...]; 'help' lists the commands")
 	}
-	cmd := strings.ToUpper(fields[0])
-	switch cmd {
-	case "PING":
-		if err := c.Ping(); err != nil {
-			return err
-		}
-		fmt.Println("PONG")
-	case "CREATE":
-		if len(fields) != 2 {
-			return fmt.Errorf("usage: CREATE <table>")
-		}
-		if err := c.CreateTable(fields[1]); err != nil {
-			return err
-		}
-		fmt.Println("OK")
-	case "SET":
-		if len(fields) < 4 {
-			return fmt.Errorf("usage: SET <table> <key> <value>")
-		}
-		key, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad key %q", fields[2])
-		}
-		value := strings.TrimLeftFunc(line, isSep)
-		for range 3 { // cut SET, the table and the key
-			value = strings.TrimLeftFunc(value[strings.IndexFunc(value, isSep):], isSep)
-		}
-		if err := c.Set(fields[1], key, value); err != nil {
-			return err
-		}
-		fmt.Println("OK")
-	case "GET":
-		if len(fields) != 3 {
-			return fmt.Errorf("usage: GET <table> <key>")
-		}
-		key, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad key %q", fields[2])
-		}
-		v, err := c.Get(fields[1], key)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%q\n", v)
-	case "DEL":
-		if len(fields) != 3 {
-			return fmt.Errorf("usage: DEL <table> <key>")
-		}
-		key, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad key %q", fields[2])
-		}
-		if err := c.Del(fields[1], key); err != nil {
-			return err
-		}
-		fmt.Println("OK")
-	case "SCAN":
-		if len(fields) != 5 {
-			return fmt.Errorf("usage: SCAN <table> <lo> <hi> <max>")
-		}
+	switch verb := strings.ToUpper(fields[0]); {
+	case verb == "SCAN" && len(fields) == 5:
 		lo, err1 := strconv.ParseUint(fields[2], 10, 64)
 		hi, err2 := strconv.ParseUint(fields[3], 10, 64)
 		max, err3 := strconv.Atoi(fields[4])
 		if err1 != nil || err2 != nil || err3 != nil {
-			return fmt.Errorf("bad range arguments")
+			break
 		}
 		rows, err := c.Scan(fields[1], lo, hi, max)
 		if err != nil {
@@ -168,43 +113,20 @@ func runOne(c *server.Client, line string) error {
 			fmt.Printf("%12d  %q\n", r.Key, r.Value)
 		}
 		fmt.Printf("%d row(s)\n", len(rows))
-	case "BEGIN":
-		if err := c.Begin(); err != nil {
-			return err
-		}
-		fmt.Println("OK")
-	case "COMMIT":
-		if err := c.Commit(); err != nil {
-			return err
-		}
-		fmt.Println("OK")
-	case "ABORT":
-		if err := c.Abort(); err != nil {
-			return err
-		}
-		fmt.Println("OK")
-	case "STATS":
-		if len(fields) == 2 && strings.ToUpper(fields[1]) == "FULL" {
-			st, err := c.StatsFull()
-			if err != nil {
-				return err
-			}
-			printStats(os.Stdout, st)
-			return nil
-		}
-		s, err := c.Stats()
+		return nil
+	case verb == "STATS" && len(fields) == 2 && strings.EqualFold(fields[1], "FULL"):
+		st, err := c.StatsFull()
 		if err != nil {
 			return err
 		}
-		fmt.Println(s)
-	default:
-		// Pass anything else through verbatim (e.g. CHECKPOINT).
-		reply, err := c.Raw(line)
-		if err != nil {
-			return err
-		}
-		fmt.Println(reply)
+		printStats(os.Stdout, st)
+		return nil
 	}
+	reply, err := c.Raw(line)
+	if err != nil {
+		return err
+	}
+	fmt.Println(reply)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"hydra/internal/invariant"
 	"hydra/internal/latch"
@@ -29,10 +30,21 @@ type Frame struct {
 	// the frame (it is also pinned for the duration). Guarded by the
 	// shard mutex. No allocation per miss: waiters park on shard.cond.
 	loading bool
-	// recLSN is the LSN of the first update that dirtied the page
-	// since it was last flushed; feeds the dirty-page table at
-	// checkpoints.
-	recLSN uint64
+	// recLSN is a lower bound of every LSN a logged write stamped on
+	// the page since it was last written back (0: none), noted under
+	// the page's X latch before the record is appended (WillLog); feeds
+	// the dirty-page table at checkpoints. Cleared under the shard
+	// mutex with no writer possible (a shared latch, or no pin).
+	recLSN atomic.Uint64
+}
+
+// clearRecLSN forgets the page's recLSN, with no writer able to note
+// one meanwhile (see recLSN). Most frames have none: the load spares
+// them a fenced store.
+func (f *Frame) clearRecLSN() {
+	if f.recLSN.Load() != 0 {
+		f.recLSN.Store(0)
+	}
 }
 
 // ID returns the id of the page currently in the frame.
@@ -47,10 +59,20 @@ type Options struct {
 	Shards int
 	// LatchKind selects the per-frame latch implementation.
 	LatchKind latch.Kind
-	// FlushLog, when set, is invoked with a page's LSN before that
-	// page is written back (the WAL rule). It must block until the
-	// log is durable up to that LSN.
-	FlushLog func(pageLSN uint64) error
+	// Log is the write-ahead log the pages' records are in; nil when
+	// they carry none.
+	Log Log
+}
+
+// Log is the write-ahead log as the pool needs it.
+type Log interface {
+	// WaitFlushed blocks until the log is durable up to a page's LSN:
+	// a page is written back only after that (the WAL rule).
+	WaitFlushed(pageLSN uint64) error
+	// Frontier returns a lower bound of the LSN the log gives the next
+	// record of a page change (WillLog): a record boundary, and never
+	// 0, which a recLSN uses for none.
+	Frontier() uint64
 }
 
 func (o *Options) fill() {
@@ -212,7 +234,7 @@ func (p *Pool) fetch(id page.ID, c *obs.PhaseClock) (*Frame, error) {
 		f.pins = 1 // reservation: excludes the frame from victim scans
 		f.ref = true
 		f.dirty = false
-		f.recLSN = 0
+		f.clearRecLSN()
 		f.loading = true
 		s.ioBusy++
 		s.table[id] = f
@@ -288,7 +310,7 @@ func (p *Pool) newPage(t page.Type, c *obs.PhaseClock) (*Frame, error) {
 	f.pins = 1
 	f.ref = true
 	f.dirty = true // a formatted page must reach disk eventually
-	f.recLSN = 0
+	f.clearRecLSN()
 	s.table[id] = f
 	s.mu.Unlock()
 	return f, nil
@@ -366,7 +388,7 @@ func (p *Pool) evictReserved(s *shard, f *Frame, werr error) {
 		return
 	}
 	f.dirty = false
-	f.recLSN = 0
+	f.clearRecLSN()
 	p.writebacks.Add(1)
 	delete(s.table, f.id)
 	f.id = page.InvalidID
@@ -396,17 +418,43 @@ func (p *Pool) flushFrameC(f *Frame, c *obs.PhaseClock) error {
 }
 
 func (p *Pool) flushFrameIO(f *Frame) error {
-	if p.opts.FlushLog != nil {
-		if err := p.opts.FlushLog(f.Page.LSN()); err != nil {
+	if p.opts.Log != nil {
+		if err := p.opts.Log.WaitFlushed(f.Page.LSN()); err != nil {
 			return fmt.Errorf("buffer: WAL flush before writeback: %w", err)
 		}
 	}
 	return p.store.WritePage(f.Page)
 }
 
+// WillLog tells the pool that the caller, holding f X-latched, is
+// about to append the log record of a change to f and stamp f with it.
+// The page's recLSN, where redo must start for it, drops to the log's
+// frontier now, a lower bound of that record's LSN. Noted before the
+// append, it is in the dirty-page table of every checkpoint whose begin
+// record follows the record, whenever the writer unpins; and it stays
+// the lowest, whichever writer of the page unpins first. Without
+// Options.Log it does nothing.
+func (p *Pool) WillLog(f *Frame) {
+	if p.opts.Log != nil {
+		lowerRecLSN(f, p.opts.Log.Frontier())
+	}
+}
+
+// Replayed tells the pool that the caller, holding f X-latched,
+// stamped f with a record already in the log at lsn (restart's redo).
+func (p *Pool) Replayed(f *Frame, lsn uint64) { lowerRecLSN(f, lsn) }
+
+func lowerRecLSN(f *Frame, lsn uint64) {
+	for lsn != 0 {
+		cur := f.recLSN.Load()
+		if cur != 0 && cur <= lsn || f.recLSN.CompareAndSwap(cur, lsn) {
+			return
+		}
+	}
+}
+
 // Unpin releases one pin. If dirty is true the page is marked for
-// writeback; recLSN records the earliest dirtying update for the
-// dirty-page table.
+// writeback.
 func (p *Pool) Unpin(f *Frame, dirty bool) {
 	s := p.shardFor(f.id)
 	s.mu.Lock()
@@ -415,15 +463,7 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 		panic(fmt.Sprintf("buffer: unpin of unpinned page %d", f.id))
 	}
 	if dirty {
-		if !f.dirty {
-			f.dirty = true
-			f.recLSN = f.Page.LSN()
-		} else if f.recLSN == 0 && f.Page.LSN() != 0 {
-			// The frame was born dirty (NewPage) before any logged
-			// update reached it; adopt the first real LSN so the
-			// dirty-page table bounds redo correctly.
-			f.recLSN = f.Page.LSN()
-		}
+		f.dirty = true
 	}
 	f.pins--
 }
@@ -453,7 +493,7 @@ func (p *Pool) FlushAll() error {
 			s.mu.Lock()
 			if err == nil {
 				f.dirty = false
-				f.recLSN = 0
+				f.clearRecLSN()
 				p.writebacks.Add(1)
 			}
 			f.pins--
@@ -478,7 +518,7 @@ func (p *Pool) FlushPage(f *Frame) error {
 		s := p.shardFor(f.id) // id is stable: the caller holds a pin
 		s.mu.Lock()
 		f.dirty = false
-		f.recLSN = 0
+		f.clearRecLSN()
 		p.writebacks.Add(1)
 		s.mu.Unlock()
 	}
@@ -486,15 +526,16 @@ func (p *Pool) FlushPage(f *Frame) error {
 }
 
 // DirtyPageTable returns (pageID -> recLSN) for every dirty resident
-// page, the DPT snapshot a fuzzy checkpoint logs.
+// page, the DPT snapshot a fuzzy checkpoint logs. A page a writer has
+// noted (WillLog) but not yet unpinned is in it too.
 func (p *Pool) DirtyPageTable() map[uint64]uint64 {
 	dpt := make(map[uint64]uint64)
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for _, f := range s.frames {
-			if f.id != page.InvalidID && f.dirty {
-				dpt[uint64(f.id)] = f.recLSN
+			if rec := f.recLSN.Load(); f.id != page.InvalidID && (f.dirty || rec != 0) {
+				dpt[uint64(f.id)] = rec
 			}
 		}
 		s.mu.Unlock()

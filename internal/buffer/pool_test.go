@@ -182,13 +182,19 @@ func TestReadFaultInjection(t *testing.T) {
 	p.Unpin(g, false)
 }
 
+// flushLog is a Log whose WaitFlushed is the function itself.
+type flushLog func(pageLSN uint64) error
+
+func (f flushLog) WaitFlushed(pageLSN uint64) error { return f(pageLSN) }
+func (flushLog) Frontier() uint64                   { return 1 }
+
 func TestWALRuleHookInvoked(t *testing.T) {
 	st := NewMemStore()
 	var flushedUpTo []uint64
-	p := NewPool(st, Options{Frames: 1, Shards: 1, FlushLog: func(lsn uint64) error {
+	p := NewPool(st, Options{Frames: 1, Shards: 1, Log: flushLog(func(lsn uint64) error {
 		flushedUpTo = append(flushedUpTo, lsn)
 		return nil
-	}})
+	})})
 	f, _ := p.NewPage(page.TypeHeap)
 	f.Latch.Acquire(latch.Exclusive)
 	f.Page.SetLSN(777)
@@ -214,7 +220,7 @@ func TestWALRuleHookInvoked(t *testing.T) {
 func TestWALRuleFailureBlocksEviction(t *testing.T) {
 	st := NewMemStore()
 	bang := errors.New("wal stuck")
-	p := NewPool(st, Options{Frames: 1, Shards: 1, FlushLog: func(uint64) error { return bang }})
+	p := NewPool(st, Options{Frames: 1, Shards: 1, Log: flushLog(func(uint64) error { return bang })})
 	f, _ := p.NewPage(page.TypeHeap)
 	p.Unpin(f, true)
 	if _, err := p.NewPage(page.TypeHeap); !errors.Is(err, bang) {

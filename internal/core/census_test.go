@@ -3,9 +3,11 @@ package core
 import (
 	"maps"
 	"math"
+	"runtime"
 	"testing"
 
 	"hydra/internal/obs"
+	"hydra/internal/wal"
 )
 
 // tierOps returns each latch tier's acquisition count so far.
@@ -19,13 +21,15 @@ func tierOps() map[string]uint64 {
 
 // census runs op n times on this goroutine and returns the ranked-lock
 // entries per op, per tier, with the log flushes the window saw, and
-// how many of those were the flusher's own 1 ms tick.
-func census(e *Engine, n int, op func(i int)) (per map[string]float64, flushes, ticks uint64) {
-	st, before := e.log.StatsSnapshot(), tierOps()
+// how many of those were the flusher's own 1 ms tick. Both ends of the
+// window are read while no flush is in flight (quiet), so each flush
+// the window counts entered all of its locks inside it.
+func census(t *testing.T, e *Engine, n int, op func(i int)) (per map[string]float64, flushes, ticks uint64) {
+	st, before := quiet(t, e)
 	for i := 0; i < n; i++ {
 		op(i)
 	}
-	after, st2 := tierOps(), e.log.StatsSnapshot()
+	st2, after := quiet(t, e)
 	per = map[string]float64{}
 	for tier, ops := range after {
 		if d := ops - before[tier]; d > 0 {
@@ -35,19 +39,84 @@ func census(e *Engine, n int, op func(i int)) (per map[string]float64, flushes, 
 	return per, st2.Flushes - st.Flushes, st2.FlushesTick - st.FlushesTick
 }
 
+// quiet reads the log's counters and the tier counts at an instant no
+// flush is part-way through its locks. The log counts a flush only
+// after it entered every lock it takes, and counts its write before the
+// first: the two counts equal before the tier read, and no new write
+// after it, mean no flush was in flight across it.
+func quiet(t *testing.T, e *Engine) (wal.Stats, map[string]uint64) {
+	for i := 0; i < 100_000; i++ {
+		st := e.log.StatsSnapshot()
+		ops := tierOps()
+		if st2 := e.log.StatsSnapshot(); st.FlushWrites == st.Flushes && st2.FlushWrites == st.FlushWrites {
+			return st, ops
+		}
+		runtime.Gosched()
+	}
+	t.Fatal("the log never stopped flushing")
+	return wal.Stats{}, nil
+}
+
 // near compares two per-transaction entry counts, each a count divided
 // by the number of transactions.
 func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 // TestAutocommitCriticalSections pins the ranked locks an autocommit
-// transaction enters under Scalable() on a file log, per tier: the
-// count of critical sections the keynote's argument is about. An update
-// enters 22.82, a locked GET 13.82, and no update enters a lock of its
-// own transaction. The lock-tier registry is process-global, so the
-// test must not run in parallel with others.
+// transaction enters under Scalable() on a file log, per tier, in every
+// mode: the count of critical sections the keynote's argument is about.
+// Every lock these paths take is ranked, so nothing is left uncounted.
+// An update enters 28.82, a locked GET 13.82, and no update enters a
+// lock of its own transaction. A transaction is in the live registry
+// (txn_live) only if it pins a snapshot or logs: joining and leaving are
+// two entries, and a version-installing commit publishes under it once
+// more. The lock-tier registry is process-global, so the test must not
+// run in parallel with others.
 func TestAutocommitCriticalSections(t *testing.T) {
-	cfg := Scalable()
-	cfg.Dir = t.TempDir()
+	read := map[string]float64{"frame_latch": 2.94, "lock_part": 4, "pool_shard": 5.88, "tree": 1}
+	update := with(read, map[string]float64{"txn_live": 2, "wal_device": 2, "wal_frontier": 4, "wal_log": 5, "wal_wait": 2})
+	for _, c := range []struct {
+		name   string
+		mvcc   bool
+		intent Intent
+		write  bool
+		want   map[string]float64
+	}{
+		{"update", false, Intent{}, true, update},
+		{"locked GET", false, Intent{}, false, read},
+		// No lock_part: the snapshot read bypasses the lock manager.
+		{"snapshot GET", true, Intent{ReadOnly: true}, false, map[string]float64{
+			"frame_latch": 2.94, "mvcc_shard": 1, "pool_shard": 5.88, "tree": 1, "txn_live": 2}},
+		{"-mvcc 2PL update", true, Intent{}, true, with(update, map[string]float64{
+			"mvcc_publish": 1, "mvcc_shard": 1, "txn_live": 3})},
+		// The SI body reads the row through the index and the heap, and
+		// the commit writes it through both again. The commit's own pin
+		// was the oldest, so leaving sweeps all 64 shards of the version
+		// store: mvcc_shard 67.
+		{"SI update", true, Intent{Optimistic: true}, true, with(update, map[string]float64{
+			"frame_latch": 5.88, "mvcc_publish": 1, "mvcc_shard": 67, "pool_shard": 11.76, "tree": 2, "txn_live": 3})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Scalable()
+			cfg.Dir, cfg.MVCC = t.TempDir(), c.mvcc
+			got := criticalSections(t, cfg, c.intent, c.write)
+			if !maps.EqualFunc(got, c.want, near) {
+				t.Errorf("ranked-lock entries per transaction %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// with returns a copy of m with the entries of over set.
+func with(m, over map[string]float64) map[string]float64 {
+	m = maps.Clone(m)
+	maps.Copy(m, over)
+	return m
+}
+
+// criticalSections loads 1000 rows into a fresh engine and returns the
+// ranked-lock entries per autocommit transaction of one primary-key
+// update (write) or GET, begun with intent.
+func criticalSections(t *testing.T, cfg Config, intent Intent, write bool) map[string]float64 {
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,48 +139,45 @@ func TestAutocommitCriticalSections(t *testing.T) {
 	}
 	key := func(i int) uint64 { return uint64(i * 7 % 1000) }
 	const n = 400
-	// A window the flusher's tick entered is run again, up to three
-	// times: a tick flush is the flusher's, not a transaction's.
-	var update map[string]float64
-	var flushes, ticks uint64
-	for attempt := 0; attempt < 3 && (attempt == 0 || ticks > 0); attempt++ {
-		update, flushes, ticks = census(e, n, func(i int) {
-			if err := e.Exec(func(tx *Txn) error { return tx.Update(tbl, key(i), val) }); err != nil {
-				t.Fatal(err)
+	op := func(i int) {
+		if err := e.Exec(func(tx *Txn) error {
+			if write {
+				return tx.Update(tbl, key(i), val)
 			}
-		})
-	}
-	// Nothing left for a tick to flush: the GETs log nothing.
-	if err := e.log.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	get, _, _ := census(e, n, func(i int) {
-		if err := e.Exec(func(tx *Txn) error { _, err := tx.Read(tbl, key(i)); return err }); err != nil {
+			_, err := tx.Read(tbl, key(i))
+			return err
+		}, intent); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	if !write {
+		// Nothing left for a tick to flush: the GETs log nothing.
+		if err := e.log.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		per, _, _ := census(t, e, n, op)
+		return per
+	}
+	// A window the flusher's tick entered is run again, up to three
+	// times: a tick flush is the flusher's, not a transaction's.
+	var per map[string]float64
+	var flushes, ticks uint64
+	for attempt := 0; attempt < 3 && (attempt == 0 || ticks > 0); attempt++ {
+		per, flushes, ticks = census(t, e, n, op)
+	}
 	if ticks > 0 {
 		// A slow build (-race, hydradebug) under load ticks in every
 		// window. Each flush enters the device twice (write, sync), the
 		// log mutex once and the waiter mutex once; each update inserts
 		// four records and parks at most once for its commit.
-		f := float64(flushes) / n
+		// The entry counts are compared whole, not per update.
 		t.Logf("every window saw a tick flush: %d flushes, %d of them ticks, for %d updates", flushes, ticks, n)
-		if w := update["wal_wait"]; !near(update["wal_device"], 2*f) || !near(update["wal_log"], 4+f) || w < f || w > f+1 {
-			t.Errorf("update: wal tiers %v do not follow from %d flushes for %d updates", update, flushes, n)
+		entries := func(tier string) uint64 { return uint64(math.Round(per[tier] * n)) }
+		if w := entries("wal_wait"); entries("wal_device") != 2*flushes || entries("wal_log") != 4*n+flushes || w < flushes || w > flushes+n {
+			t.Errorf("wal tiers %v do not follow from %d flushes for %d updates", per, flushes, n)
 		}
 		// Checked; the other tiers must still match exactly.
-		maps.Copy(update, map[string]float64{"wal_device": 2, "wal_log": 5, "wal_wait": 2})
+		maps.Copy(per, map[string]float64{"wal_device": 2, "wal_log": 5, "wal_wait": 2})
 	}
-	read := map[string]float64{"frame_latch": 2.94, "lock_part": 4, "pool_shard": 5.88, "tree": 1}
-	write := maps.Clone(read)
-	maps.Copy(write, map[string]float64{"wal_device": 2, "wal_log": 5, "wal_wait": 2})
-	for _, c := range []struct {
-		name      string
-		got, want map[string]float64
-	}{{"update", update, write}, {"GET", get, read}} {
-		if !maps.EqualFunc(c.got, c.want, near) {
-			t.Errorf("%s: ranked-lock entries per transaction %v, want %v", c.name, c.got, c.want)
-		}
-	}
+	return per
 }

@@ -15,8 +15,8 @@ import (
 // meta page) at the LSN restart analysis starts from. That LSN is the
 // lowest of the begin marker and the first record of every transaction
 // active once the marker is in, so analysis meets every transaction that
-// can still be open in the log itself. Redo starts at the begin
-// marker, lowered by the DPT's oldest recLSN.
+// can still be open in the log itself. Redo starts there too, lowered
+// by the DPT's oldest recLSN (recovery.go).
 //
 // The end-checkpoint payload is:
 //
@@ -43,7 +43,7 @@ func encodeCkpt(dpt map[uint64]uint64) []byte {
 }
 
 // decodeCkpt returns the DPT an end-checkpoint payload carries: page
-// -> recLSN, the LSN that first dirtied it.
+// -> recLSN, a lower bound of the LSNs that dirtied it.
 func decodeCkpt(b []byte) (map[uint64]uint64, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("core: checkpoint payload truncated")
@@ -65,7 +65,7 @@ func decodeCkpt(b []byte) (map[uint64]uint64, error) {
 
 // Checkpoint takes a fuzzy checkpoint: no quiescing, no forced page
 // flushes. It bounds restart work — analysis starts at the new master
-// record, redo at the begin marker lowered by the DPT's minimum recLSN.
+// record, redo there too, lowered by the DPT's minimum recLSN.
 func (e *Engine) Checkpoint() error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -95,11 +95,11 @@ func (e *Engine) Checkpoint() error {
 	// above begin. One that published only the filled frontier appends
 	// it at or above that.
 	start := begin
-	e.activeMu.Lock()
-	for _, t := range e.active {
+	e.liveMu.Lock()
+	for _, t := range e.live {
 		start = min(start, wal.LSN(t.firstLSN.Load()))
 	}
-	e.activeMu.Unlock()
+	e.liveMu.Unlock()
 	horizon := start // lowest LSN a future restart could need
 	for _, recLSN := range dpt {
 		if recLSN != 0 && wal.LSN(recLSN) < horizon {

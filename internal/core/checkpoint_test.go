@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hydra/internal/buffer"
+	"hydra/internal/heap"
 	"hydra/internal/rng"
 	"hydra/internal/wal"
 )
@@ -575,5 +576,68 @@ func TestCheckpointsRacingFirstRecordsSurviveCrash(t *testing.T) {
 			}
 		}
 		e2.Close()
+	}
+}
+
+// A checkpoint whose begin marker and dirty-page table come after a
+// writer appended its record for a clean page, but before the writer's
+// unpin marked the page dirty, must still list the page: its begin
+// marker lies above the record, and redo starts there unless the DPT
+// says otherwise. The writer notes the page's recLSN under its X latch
+// before it appends, so the DPT has it. The checkpoint runs inside the
+// heap's log callback here, which fixes that order.
+func TestCheckpointBetweenAppendAndUnpinKeepsTheWrite(t *testing.T) {
+	store, dev := buffer.NewMemStore(), wal.NewMem()
+	e, err := OpenWith(Scalable(), store, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := e.CreateTable("t")
+	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("old")) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.pool.FlushAll(); err != nil { // the row's page is clean
+		t.Fatal(err)
+	}
+	tx := e.Begin()
+	if err := tx.lockWrite(tbl, 1); err != nil {
+		t.Fatal(err)
+	}
+	packed, err := tbl.Index.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := OpRecord{Op: OpUpdate, Table: tbl.ID, Key: 1, RID: heap.Unpack(packed), After: tx.arenaRowRecord(1, []byte("new"))}
+	if err := tbl.Heap.UpdateFn(op.RID, op.After, func(before []byte) (uint64, error) {
+		op.Before = before
+		lsn, err := tx.logOp(&op)
+		if err != nil {
+			return 0, err
+		}
+		ckpt := make(chan error) // this goroutine holds the page's X latch
+		go func() { ckpt <- e.Checkpoint() }()
+		return uint64(lsn), <-ckpt
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	crash(e)
+
+	e2, err := OpenWith(Scalable(), store, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	tbl2, _ := e2.Table("t")
+	if err := e2.Exec(func(tx *Txn) error {
+		v, err := tx.Read(tbl2, 1)
+		if err == nil && string(v) != "new" {
+			err = fmt.Errorf("key 1 = %q after restart, want the committed %q", v, "new")
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -203,10 +203,13 @@ type Engine struct {
 	absentMemoHits obs.Counter
 	closed         atomic.Bool
 
-	// active is the live-transaction registry: a checkpoint reads its
-	// first LSNs, the MaxSnapshotAge expirer its snapshot pins.
-	activeMu sync.Mutex
-	active   map[uint64]*Txn
+	// live is the registry of live transactions: one joins at its
+	// snapshot pin or its first log record, whichever comes first
+	// (join), and leaves in finish. A checkpoint reads their first LSNs,
+	// the watermark and the MaxSnapshotAge expirer their pins. The
+	// snapshot floor advances only under liveMu (publish).
+	liveMu invariant.Mutex[invariant.TxnLive]
+	live   map[uint64]*Txn
 
 	// txnPool recycles finished Txn handles (with their undo slices,
 	// encode buffers and lock holders) across Begin/finish cycles. It
@@ -271,6 +274,24 @@ func openLog(dir string, segBytes int64) (*wal.FileDevice, error) {
 	return wal.OpenFile(flat)
 }
 
+// poolLog is the engine's log as its buffer pool needs it.
+type poolLog struct{ e *Engine }
+
+func (l poolLog) WaitFlushed(pageLSN uint64) error {
+	if pageLSN == 0 {
+		return nil
+	}
+	return l.e.log.WaitFlushed(wal.LSN(pageLSN))
+}
+
+// Frontier is the filled frontier, a record boundary at or below every
+// record not yet appended. The log's first record carries no payload (a
+// transaction's begin record or a checkpoint's), so no page change lies
+// below its end, the bound when nothing is filled yet.
+func (l poolLog) Frontier() uint64 {
+	return max(uint64(l.e.log.FilledLSN()), uint64(wal.EncodedSize(0)))
+}
+
 // OpenWith opens an engine over explicit stores; tests use it to
 // simulate crashes by reopening the same in-memory stores.
 func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, error) {
@@ -281,19 +302,14 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 		logDev:     dev,
 		tables:     make(map[string]*Table),
 		tablesByID: make(map[uint32]*Table),
-		active:     make(map[uint64]*Txn),
+		live:       make(map[uint64]*Txn),
 		master:     wal.NilLSN,
 	}
 	e.pool = buffer.NewPool(store, buffer.Options{
 		Frames:    cfg.Frames,
 		Shards:    cfg.BufferShards,
 		LatchKind: cfg.LatchKind,
-		FlushLog: func(pageLSN uint64) error {
-			if pageLSN == 0 {
-				return nil
-			}
-			return e.log.WaitFlushed(wal.LSN(pageLSN))
-		},
+		Log:       poolLog{e},
 	})
 	n, err := store.NumPages()
 	if err != nil {
@@ -476,7 +492,7 @@ func (e *Engine) StatsSnapshot() Stats {
 		Lock:    e.locks.StatsSnapshot(),
 		Log:     e.log.StatsSnapshot(),
 		Buffer:  e.pool.StatsSnapshot(),
-		Mvcc:    e.mvcc.statsSnapshot(),
+		Mvcc:    e.mvccStats(),
 		Index:   e.indexStats(),
 	}
 }

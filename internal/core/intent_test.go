@@ -293,7 +293,7 @@ func TestIntentModes(t *testing.T) {
 			if got := value(2); got != "base" {
 				t.Fatalf("key 2 = %q after the victim and the error aborted", got)
 			}
-			if n := len(e.active); n != 0 {
+			if n := len(e.live); n != 0 {
 				t.Fatalf("%d transactions still registered", n)
 			}
 		})
@@ -336,13 +336,13 @@ func TestFailedCommitLeavesTxnActive(t *testing.T) {
 			if err := tx.Commit(); !errors.Is(err, bang) {
 				t.Fatalf("Commit on a dead device: %v", err)
 			}
-			if tx.state != txnActive || e.active[tx.id] != tx {
+			if tx.state != txnActive || e.live[tx.id] != tx {
 				t.Fatalf("failed Commit retired the handle (state %v)", tx.state)
 			}
 			if err := tx.Abort(); !errors.Is(err, bang) {
 				t.Fatalf("Abort on a dead log: %v, want it to report the log's error", err)
 			}
-			if n := len(e.active); n != 0 {
+			if n := len(e.live); n != 0 {
 				t.Fatalf("%d transactions still registered after the abort", n)
 			}
 			if st := e.StatsSnapshot(); st.Aborts != 1 || st.Mvcc.ActiveSnapshots != 0 {
@@ -375,7 +375,7 @@ func TestFailedCommitLeavesTxnActive(t *testing.T) {
 	if err := loser.Commit(); !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("loser Commit: %v", err)
 	}
-	if loser.state != txnActive || e.active[loser.id] != loser {
+	if loser.state != txnActive || e.live[loser.id] != loser {
 		t.Fatal("conflict retired the loser; its caller is supposed to")
 	}
 	if err := loser.Abort(); err != nil {

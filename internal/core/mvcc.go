@@ -31,10 +31,11 @@
 // commit/end record append, the stamp, and the floor advance happen
 // under one mutex (publishMu), so the floor only ever names fully
 // stamped transactions and advances in LSN order. The floor store
-// additionally happens under snapMu — the same mutex pin() holds
-// while it loads the floor and registers a snapshot — which, together
-// with watermark() loading the floor BEFORE oldestSnap, closes the
-// pin/GC race (see watermark).
+// additionally happens under the live-transaction registry's mutex
+// (Engine.liveMu) — the same mutex join holds while it loads the floor
+// and registers a snapshot — which, together with watermark() loading
+// the floor BEFORE oldestSnap, closes the pin/GC race (see watermark).
+// A pinned snapshot is a registered transaction's snap.
 //
 // Chains are volatile: a crash discards them with the process, and
 // recovery restarts the floor at the log's next LSN. The per-page
@@ -127,16 +128,15 @@ type verTable struct {
 
 	// snapFloor is the newest published commit-or-abort LSN: the
 	// snapshot a new read-only transaction pins. It advances only under
-	// snapMu (see publish), which freezes it across pin's
+	// Engine.liveMu (see publish), which freezes it across join's
 	// load-and-register window.
 	snapFloor atomic.Uint64
 
-	// snapMu guards the active-snapshot registry; oldestSnap mirrors
-	// its minimum so the install-path watermark read is lock-free.
-	snapMu     invariant.Mutex[invariant.MVCCSnap]
-	snaps      map[uint64]uint64 // txn id -> pinned snapshot LSN
-	snapBorn   map[uint64]int64  // txn id -> begin stamp (obs.Now)
-	oldestSnap atomic.Uint64     // min pinned LSN, noSnapshot when none
+	// oldestSnap mirrors the lowest pin of the live registry
+	// (Engine.live; an expired pin does not count) so the install-path
+	// watermark read is lock-free: noSnapshot when nothing is pinned.
+	// It changes only under Engine.liveMu.
+	oldestSnap atomic.Uint64
 
 	snapBegins obs.Counter // snapshots pinned
 	snapReads  obs.Counter // point reads + scans on the snapshot path
@@ -159,10 +159,7 @@ type verTable struct {
 }
 
 func newVerTable() *verTable {
-	vt := &verTable{
-		snaps:    make(map[uint64]uint64),
-		snapBorn: make(map[uint64]int64),
-	}
+	vt := &verTable{}
 	vt.oldestSnap.Store(noSnapshot)
 	for i := range vt.shards {
 		vt.shards[i].chains = make(map[verKey]*verNode)
@@ -178,13 +175,13 @@ func (vt *verTable) shard(k verKey) *verShard {
 
 // publish stamps a transaction's version nodes with lsn and advances
 // the snapshot floor to it. Callers hold publishMu (so publishes are
-// LSN-ordered); the body runs under snapMu so the floor cannot move
-// while pin() is between loading it and registering a snapshot.
-func (vt *verTable) publish(v *verTxn, lsn uint64) {
-	vt.snapMu.Lock()
+// LSN-ordered); the body runs under liveMu so the floor cannot move
+// while join is between loading it and registering a snapshot.
+func (e *Engine) publish(v *verTxn, lsn uint64) {
+	e.liveMu.Lock()
 	v.commitLSN.Store(lsn)
-	vt.snapFloor.Store(lsn)
-	vt.snapMu.Unlock()
+	e.mvcc.snapFloor.Store(lsn)
+	e.liveMu.Unlock()
 }
 
 // watermark returns the GC horizon: the oldest active snapshot, or the
@@ -192,14 +189,14 @@ func (vt *verTable) publish(v *verTxn, lsn uint64) {
 // current or future snapshot.
 //
 // The lock-free read is safe because of its ORDER — floor first, then
-// oldestSnap — combined with the floor only advancing under snapMu:
-// any pin that registered a snapshot s below the floor value f read
+// oldestSnap — combined with the floor only advancing under liveMu:
+// any join that registered a snapshot s below the floor value f read
 // here must have stored oldestSnap (≤ s) before the floor advanced to
 // f, i.e. before this function's floor load, so the subsequent
 // oldestSnap load observes it and the result never exceeds an active
 // or in-flight snapshot. Pins that begin after the floor load pin the
 // then-current floor ≥ f (the floor is monotone). Reading the two in
-// the opposite order re-opens the race: a pin could load floor s,
+// the opposite order re-opens the race: a join could load floor s,
 // a writer publish c > s, and a reader that had already seen
 // oldestSnap == none return c while snapshot s registers.
 func (vt *verTable) watermark() uint64 {
@@ -210,50 +207,68 @@ func (vt *verTable) watermark() uint64 {
 	return f
 }
 
-// pin registers a snapshot for txn id and returns its snapshot LSN.
-// snapMu freezes the floor (publish stores it under the same mutex),
-// so the snapshot is registered before any later commit can advance
-// the watermark past it.
-func (vt *verTable) pin(id uint64) uint64 {
-	vt.snapMu.Lock()
-	s := vt.snapFloor.Load()
-	vt.snaps[id] = s
-	vt.snapBorn[id] = obs.Now()
-	if old := vt.oldestSnap.Load(); old == noSnapshot || s < old {
-		vt.oldestSnap.Store(s)
-	}
-	vt.snapMu.Unlock()
-	return s
-}
-
-// release unregisters txn id's snapshot; if the departure advanced the
-// watermark, the chains are swept under the new horizon.
-func (vt *verTable) release(id uint64) {
-	vt.snapMu.Lock()
-	if _, ok := vt.snaps[id]; !ok {
-		vt.snapMu.Unlock()
-		return
-	}
-	old := vt.oldestSnap.Load()
-	delete(vt.snaps, id)
-	delete(vt.snapBorn, id)
-	min := uint64(noSnapshot)
-	for _, s := range vt.snaps {
-		if s < min {
-			min = s
+// join enters t into the live registry. A snapshot transaction joins
+// in Begin and pins the floor as its snap in the same critical section:
+// liveMu freezes the floor (publish stores it under the same mutex), so
+// the pin is registered before any later commit can advance the
+// watermark past it. Any other transaction joins at its first log
+// record (ensureBegin).
+func (e *Engine) join(t *Txn) {
+	vt := e.mvcc
+	e.liveMu.Lock()
+	e.live[t.id] = t
+	if t.mode.snapshot {
+		t.snap = vt.snapFloor.Load()
+		if old := vt.oldestSnap.Load(); old == noSnapshot || t.snap < old {
+			vt.oldestSnap.Store(t.snap)
 		}
 	}
-	vt.oldestSnap.Store(min)
-	next := min
+	e.liveMu.Unlock()
+	t.joined = true
+}
+
+// leave removes t from the live registry; if t held the oldest pin,
+// the watermark advances and the chains are swept under the new
+// horizon.
+func (e *Engine) leave(t *Txn) {
+	e.liveMu.Lock()
+	delete(e.live, t.id)
+	var sweepTo uint64
+	if t.pinning() && t.snap == e.mvcc.oldestSnap.Load() {
+		sweepTo = e.resetOldestSnap()
+	}
+	e.liveMu.Unlock()
+	// Sweep outside liveMu: the registry's critical sections stay
+	// short, and the sweep takes only the leaf shard mutexes.
+	if sweepTo != 0 {
+		e.mvcc.sweep(sweepTo)
+	}
+}
+
+// pinning reports whether t's snapshot holds the watermark: it is a
+// snapshot transaction the MaxSnapshotAge expirer has not flagged.
+func (t *Txn) pinning() bool { return t.mode.snapshot && !t.snapExpired.Load() }
+
+// resetOldestSnap recomputes oldestSnap from the registry's pins after
+// one left or expired. It returns the new GC horizon when the watermark
+// advanced, 0 when it did not. Callers hold liveMu.
+func (e *Engine) resetOldestSnap() (sweepTo uint64) {
+	vt := e.mvcc
+	old := vt.oldestSnap.Load()
+	next := uint64(noSnapshot)
+	for _, t := range e.live {
+		if t.pinning() && t.snap < next {
+			next = t.snap
+		}
+	}
+	vt.oldestSnap.Store(next)
 	if next == noSnapshot {
 		next = vt.snapFloor.Load()
 	}
-	vt.snapMu.Unlock()
-	// Sweep outside snapMu: pin/release stay short, and the sweep
-	// takes only the leaf shard mutexes.
 	if next > old {
-		vt.sweep(next)
+		return next
 	}
+	return 0
 }
 
 // install records a version node for (table, key) with the given
@@ -422,49 +437,6 @@ func (vt *verTable) hasConflict(table uint32, key uint64, snap uint64, c *obs.Ph
 // this many version-installing publishes.
 const expireEvery = 64
 
-// expireStale expires every snapshot pin older than maxAge: the pin
-// leaves the registry (advancing the watermark so GC can run) and the
-// owning transaction — still holding its handle — discovers the
-// expiry on its next read or commit via ErrSnapshotExpired. Returns
-// the expired ids and the new GC horizon when the watermark moved
-// (0 when it did not); the caller sweeps outside snapMu and marks the
-// transactions through the engine's active registry.
-func (vt *verTable) expireStale(maxAge int64) (expired []uint64, sweepTo uint64) {
-	now := obs.Now()
-	vt.snapMu.Lock()
-	for id, born := range vt.snapBorn {
-		if age := now - born; age > maxAge {
-			expired = append(expired, id)
-		}
-	}
-	if len(expired) > 0 {
-		old := vt.oldestSnap.Load()
-		for _, id := range expired {
-			delete(vt.snaps, id)
-			delete(vt.snapBorn, id)
-		}
-		min := uint64(noSnapshot)
-		for _, s := range vt.snaps {
-			if s < min {
-				min = s
-			}
-		}
-		vt.oldestSnap.Store(min)
-		next := min
-		if next == noSnapshot {
-			next = vt.snapFloor.Load()
-		}
-		if next > old {
-			sweepTo = next
-		}
-	}
-	vt.snapMu.Unlock()
-	if n := len(expired); n > 0 {
-		vt.snapExpired.Add(uint64(n))
-	}
-	return expired, sweepTo
-}
-
 // retireAborted prunes the chains an aborted transaction touched.
 // Called after the abort published (stamping the nodes with the end
 // record's LSN): with no snapshot pinned the watermark has already
@@ -536,7 +508,10 @@ type MvccStats struct {
 	OldestSnapshotAgeNs int64 `json:"oldest_snapshot_age_ns" metric:"gauge"` // age of the oldest pinned snapshot
 }
 
-func (vt *verTable) statsSnapshot() MvccStats {
+// mvccStats reads the version store's counters and, in one walk of the
+// live registry, its pins.
+func (e *Engine) mvccStats() MvccStats {
+	vt := e.mvcc
 	st := MvccStats{
 		SnapshotBegins: vt.snapBegins.Load(),
 		SnapshotReads:  vt.snapReads.Load(),
@@ -552,14 +527,14 @@ func (vt *verTable) statsSnapshot() MvccStats {
 		SIConflictAborts: vt.siConflicts.Load(),
 		SnapshotsExpired: vt.snapExpired.Load(),
 	}
-	vt.snapMu.Lock()
-	st.ActiveSnapshots = len(vt.snaps)
+	e.liveMu.Lock()
 	now := obs.Now()
-	for id := range vt.snaps {
-		if age := now - vt.snapBorn[id]; age > st.OldestSnapshotAgeNs {
-			st.OldestSnapshotAgeNs = age
+	for _, t := range e.live {
+		if t.pinning() {
+			st.ActiveSnapshots++
+			st.OldestSnapshotAgeNs = max(st.OldestSnapshotAgeNs, now-t.clock.StartTime())
 		}
 	}
-	vt.snapMu.Unlock()
+	e.liveMu.Unlock()
 	return st
 }

@@ -76,6 +76,9 @@ func (e *Engine) analyze() (analysis, error) {
 			}
 			// Pages dirty at the checkpoint may hold unflushed effects
 			// from before it: redo must start at their oldest recLSN.
+			// A writer notes that before it appends its record, so a
+			// record below the begin record is covered even if its
+			// page was marked dirty only after the DPT was read.
 			an.redoStart = r.PrevLSN // the pair's begin record
 			for _, recLSN := range dpt {
 				if recLSN != 0 && wal.LSN(recLSN) < an.redoStart {

@@ -43,6 +43,7 @@ import (
 	"sort"
 
 	"hydra/internal/lock"
+	"hydra/internal/obs"
 )
 
 // siWrite kinds: the net effect a buffered key carries.
@@ -265,25 +266,28 @@ func (e *Engine) maybeExpireSnapshots() {
 }
 
 // expireStaleSnapshots expires every snapshot pin older than
-// Config.MaxSnapshotAge: the pins leave the registry (the watermark
-// advances and dead versions sweep), and the owning transactions —
-// flagged through the active registry, under activeMu so a recycled
-// handle can never be hit — fail their next read or commit with
-// ErrSnapshotExpired. Returns how many pins were expired.
+// Config.MaxSnapshotAge, its age the transaction's begin stamp. The
+// transaction is flagged in place and stays registered — a checkpoint
+// may still need its first LSN — but its pin stops holding the
+// watermark (dead versions sweep), and it fails its next read or commit
+// with ErrSnapshotExpired. Returns how many pins were expired.
 func (e *Engine) expireStaleSnapshots() int {
-	expired, sweepTo := e.mvcc.expireStale(int64(e.cfg.MaxSnapshotAge))
-	if len(expired) == 0 {
-		return 0
-	}
-	e.activeMu.Lock()
-	for _, id := range expired {
-		if t := e.active[id]; t != nil && t.mode.snapshot {
+	now, n := obs.Now(), 0
+	var sweepTo uint64
+	e.liveMu.Lock()
+	for _, t := range e.live {
+		if age := now - t.clock.StartTime(); t.pinning() && age > int64(e.cfg.MaxSnapshotAge) {
 			t.snapExpired.Store(true)
+			n++
 		}
 	}
-	e.activeMu.Unlock()
+	if n > 0 {
+		sweepTo = e.resetOldestSnap()
+	}
+	e.liveMu.Unlock()
+	e.mvcc.snapExpired.Add(uint64(n))
 	if sweepTo != 0 {
 		e.mvcc.sweep(sweepTo)
 	}
-	return len(expired)
+	return n
 }

@@ -251,7 +251,7 @@ func (e *Engine) appendPublished(t *Txn, kind wal.RecType) (wal.LSN, error) {
 	vt.publishMu.Lock()
 	lsn, err := t.appendOutcome(kind)
 	if err == nil {
-		vt.publish(t.verTxn, uint64(lsn))
+		e.publish(t.verTxn, uint64(lsn))
 	}
 	vt.publishMu.Unlock()
 	return lsn, err

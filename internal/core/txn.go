@@ -69,7 +69,9 @@ type txnMode struct {
 // Txn is a transaction handle. A Txn is used by one goroutine at a
 // time: DORA's fast path hands a partition-owned one to the owning
 // executor and back, but nothing runs two of its operations at once.
-// The one field read from elsewhere is firstLSN, by a checkpoint.
+// While it is in the engine's live registry (Engine.live), a checkpoint
+// reads its firstLSN, and the watermark and the MaxSnapshotAge expirer
+// its snap and begin stamp, all under liveMu.
 //
 // Handles are recycled through a per-engine pool: Begin draws a
 // retired Txn (with its lock holder, undo slice, and encode scratch
@@ -98,9 +100,10 @@ type Txn struct {
 	// Snapshot-mode write buffering (see si.go): writes fold into
 	// writeSet and reach the heap only inside Commit, after
 	// first-committer-wins validation. snapExpired is flipped by the
-	// MaxSnapshotAge expirer (under the engine's activeMu, so it never
-	// lands on a recycled handle); the transaction observes it on its
-	// next read or commit as ErrSnapshotExpired.
+	// MaxSnapshotAge expirer, under liveMu while the transaction is
+	// registered (so it never lands on a recycled handle): the pin stops
+	// holding the watermark, and the transaction observes the flag on
+	// its next read or commit as ErrSnapshotExpired.
 	writeSet    map[verKey]siWrite
 	siKeys      []verKey // insertion-ordered writeSet keys (scan overlay, commit sort scratch)
 	snapExpired atomic.Bool
@@ -118,6 +121,7 @@ type Txn struct {
 	lastLSN  wal.LSN
 	undo     []undoEntry
 	logged   bool   // wrote at least one record (begin is lazy)
+	joined   bool   // in the engine's live registry (see join)
 	enc      []byte // scratch buffer for op payload encoding
 	// arena is the chunk the bump allocator for undo row images is
 	// filling; chunks is the chain it draws from, chunks[:chunksUsed]
@@ -252,6 +256,7 @@ func (e *Engine) Begin(opts ...Intent) *Txn {
 	t.lastLSN = wal.NilLSN
 	t.firstLSN.Store(uint64(wal.NilLSN))
 	t.logged = false
+	t.joined = false
 	t.snap = 0
 	t.snapExpired.Store(false)
 	t.verTxn = nil
@@ -259,12 +264,9 @@ func (e *Engine) Begin(opts ...Intent) *Txn {
 	// pooled handle's clock is already clean; Start just restamps.
 	t.path = t.mode.Owned // the zero TxnPath is PathConv
 	t.clock.Start(obs.Now())
-	e.activeMu.Lock()
-	e.active[id] = t
-	e.activeMu.Unlock()
 	obs.TraceEvent(obs.EvBegin, id, 0, 0)
 	if t.mode.snapshot {
-		t.snap = e.mvcc.pin(id)
+		e.join(t) // pins t.snap
 		if t.mode.ReadOnly {
 			t.path = obs.PathROSnap
 			e.mvcc.snapBegins.Inc()
@@ -280,8 +282,8 @@ func (e *Engine) Begin(opts ...Intent) *Txn {
 }
 
 // finish is the last step of every transaction: trace the outcome,
-// fold the phase clock, drop the snapshot pin and the active-registry
-// entry, recycle the handle, and count the commit or abort. lsn is the
+// fold the phase clock, leave the live registry (dropping the snapshot
+// pin), recycle the handle, and count the commit or abort. lsn is the
 // commit record's position (NilLSN when nothing was logged).
 func (t *Txn) finish(state txnState, lsn wal.LSN) {
 	t.state = state
@@ -299,15 +301,9 @@ func (t *Txn) finish(state txnState, lsn wal.LSN) {
 	var phases [obs.NumPhases]int64
 	obs.TxnPhases.Fold(t.path, oc, &t.clock, total, &phases)
 	obs.SlowTxns.Offer(t.id, t.path, oc, end, total, &phases)
-	if t.mode.snapshot {
-		// Unpin the snapshot; if it was the oldest, the watermark
-		// advances and release sweeps newly dead versions. A pin the
-		// MaxSnapshotAge expirer already removed makes this a no-op.
-		e.mvcc.release(t.id)
+	if t.joined {
+		e.leave(t)
 	}
-	e.activeMu.Lock()
-	delete(e.active, t.id)
-	e.activeMu.Unlock()
 	// Drop row-image references so the pool doesn't pin them, but
 	// keep the slice's capacity for the next transaction.
 	for i := range t.undo {
@@ -372,13 +368,19 @@ func (t *Txn) acquire(name lock.Name, mode lock.Mode) error {
 }
 
 // ensureBegin lazily logs the begin record (read-only transactions
-// never touch the log). A checkpoint that reads firstLSN before the
-// append sees the filled frontier, which no later record lies below.
+// never touch the log). The transaction joins the live registry, unless
+// its snapshot pin already did, after storing the filled frontier and
+// before the append: a checkpoint that finds it there before the append
+// reads that frontier, which no later record lies below, and one that
+// does not find it appended its begin marker before this record.
 func (t *Txn) ensureBegin() error {
 	if t.logged {
 		return nil
 	}
 	t.firstLSN.Store(uint64(t.e.log.FilledLSN()))
+	if !t.joined {
+		t.e.join(t)
+	}
 	lsn, err := t.e.log.AppendFieldsC(wal.RecBegin, t.id, wal.NilLSN, 0, 0, nil, &t.clock)
 	if err != nil {
 		return err

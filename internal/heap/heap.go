@@ -7,9 +7,9 @@ package heap
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"hydra/internal/buffer"
+	"hydra/internal/invariant"
 	"hydra/internal/latch"
 	"hydra/internal/obs"
 	"hydra/internal/page"
@@ -43,7 +43,7 @@ type File struct {
 	first page.ID
 
 	// mu guards the insert target and chain tail.
-	mu   sync.Mutex
+	mu   invariant.Mutex[invariant.HeapTail]
 	last page.ID
 
 	// extend, when set, logs chain growth (see SetExtendHook).
@@ -122,25 +122,22 @@ func (h *File) RefreshTail() error {
 // pageLSN; used by recovery redo and by undo of deletes to reproduce
 // a record physically. The page must already exist.
 func (h *File) InsertAt(rid RID, rec []byte, lsn uint64) error {
-	f, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	defer h.pool.Unpin(f, true)
-	f.Latch.Acquire(latch.Exclusive)
-	defer f.Latch.Release(latch.Exclusive)
-	slot, err := f.Page.Insert(rec)
-	if err != nil {
-		return err
-	}
-	if uint16(slot) != rid.Slot {
-		// Physical reproduction failed; this indicates redo applied
-		// against a page state it should have been idempotent on.
-		f.Page.Delete(slot)
-		return fmt.Errorf("heap: InsertAt %v landed in slot %d", rid, slot)
-	}
-	f.Page.SetLSN(lsn)
-	return nil
+	return h.withPageXC(rid, nil, func(f *buffer.Frame) error {
+		p := f.Page
+		slot, err := p.Insert(rec)
+		if err != nil {
+			return err
+		}
+		if uint16(slot) != rid.Slot {
+			// Physical reproduction failed; this indicates redo applied
+			// against a page state it should have been idempotent on.
+			p.Delete(slot)
+			return fmt.Errorf("heap: InsertAt %v landed in slot %d", rid, slot)
+		}
+		p.SetLSN(lsn)
+		h.pool.Replayed(f, lsn)
+		return nil
+	})
 }
 
 // Read returns a copy of the record at rid.
@@ -189,22 +186,23 @@ func (h *File) ReadVersionedC(rid RID, c *obs.PhaseClock) ([]byte, uint32, error
 // withPageXC runs fn with rid's page fetched, pinned, and X-latched,
 // marking it dirty on success. Buffer misses and latch waits are
 // attributed to c (see ReadC).
-func (h *File) withPageXC(rid RID, c *obs.PhaseClock, fn func(*page.Page) error) error {
+func (h *File) withPageXC(rid RID, c *obs.PhaseClock, fn func(*buffer.Frame) error) error {
 	f, err := h.pool.FetchC(rid.Page, c)
 	if err != nil {
 		return err
 	}
 	f.Latch.AcquireC(latch.Exclusive, c)
-	err = fn(f.Page)
+	err = fn(f)
 	f.Latch.Release(latch.Exclusive)
 	h.pool.Unpin(f, err == nil)
 	return err
 }
 
 // UpdateWithLSN applies an update and stamps the page LSN in one
-// latched step (called by the transactional layer after logging).
+// latched step (restart's redo of a logged update).
 func (h *File) UpdateWithLSN(rid RID, rec []byte, lsn uint64) error {
-	return h.withPageXC(rid, nil, func(p *page.Page) error {
+	return h.withPageXC(rid, nil, func(f *buffer.Frame) error {
+		p := f.Page
 		if err := p.Update(int(rid.Slot), rec); err != nil {
 			if errors.Is(err, page.ErrBadSlot) {
 				return fmt.Errorf("%w: %v", ErrNotFound, rid)
@@ -212,17 +210,20 @@ func (h *File) UpdateWithLSN(rid RID, rec []byte, lsn uint64) error {
 			return err
 		}
 		p.SetLSN(lsn)
+		h.pool.Replayed(f, lsn)
 		return nil
 	})
 }
 
 // DeleteWithLSN deletes and stamps the page LSN.
 func (h *File) DeleteWithLSN(rid RID, lsn uint64) error {
-	return h.withPageXC(rid, nil, func(p *page.Page) error {
+	return h.withPageXC(rid, nil, func(f *buffer.Frame) error {
+		p := f.Page
 		if err := p.Delete(int(rid.Slot)); err != nil {
 			return fmt.Errorf("%w: %v", ErrNotFound, rid)
 		}
 		p.SetLSN(lsn)
+		h.pool.Replayed(f, lsn)
 		return nil
 	})
 }

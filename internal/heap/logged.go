@@ -58,6 +58,7 @@ func (h *File) InsertFnC(rec []byte, c *obs.PhaseClock, logFn func(rid RID) (uin
 		slot, err := f.Page.Insert(rec)
 		if err == nil {
 			rid := RID{Page: target, Slot: uint16(slot)}
+			h.pool.WillLog(f)
 			lsn, lerr := logFn(rid)
 			if lerr != nil {
 				f.Page.Delete(slot)
@@ -106,12 +107,16 @@ func (h *File) extendLocked(f frameHandle, target page.ID, c *obs.PhaseClock) er
 		return err
 	}
 	if h.extend != nil {
-		lsn, lerr := h.extend(target, nf.ID())
-		if lerr != nil {
+		// nf is unreachable until h.last names it, so no latch is
+		// needed to note it.
+		h.pool.WillLog(f)
+		h.pool.WillLog(nf)
+		lsn, err := h.extend(target, nf.ID())
+		if err != nil {
 			f.Latch.Release(latchExclusive)
 			h.pool.Unpin(f, false)
 			h.pool.Unpin(nf, false)
-			return lerr
+			return err
 		}
 		f.Page.SetLSN(lsn)
 		nf.Page.SetLSN(lsn)
@@ -134,7 +139,8 @@ func (h *File) UpdateFn(rid RID, rec []byte, logFn func(before []byte) (uint64, 
 
 // UpdateFnC is UpdateFn with a phase clock (see ReadC).
 func (h *File) UpdateFnC(rid RID, rec []byte, c *obs.PhaseClock, logFn func(before []byte) (uint64, error)) error {
-	return h.withPageXC(rid, c, func(p *page.Page) error {
+	return h.withPageXC(rid, c, func(f *buffer.Frame) error {
+		p := f.Page
 		beforeAlias, err := p.Read(int(rid.Slot))
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrNotFound, rid)
@@ -148,6 +154,7 @@ func (h *File) UpdateFnC(rid RID, rec []byte, c *obs.PhaseClock, logFn func(befo
 			}
 			return err
 		}
+		h.pool.WillLog(f)
 		lsn, err := logFn(before)
 		if err != nil {
 			// Roll the page back; the before-image always fits where
@@ -172,11 +179,13 @@ func (h *File) DeleteFn(rid RID, logFn func(before []byte) (uint64, error)) erro
 
 // DeleteFnC is DeleteFn with a phase clock (see ReadC).
 func (h *File) DeleteFnC(rid RID, c *obs.PhaseClock, logFn func(before []byte) (uint64, error)) error {
-	return h.withPageXC(rid, c, func(p *page.Page) error {
+	return h.withPageXC(rid, c, func(f *buffer.Frame) error {
+		p := f.Page
 		before, err := p.Read(int(rid.Slot))
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrNotFound, rid)
 		}
+		h.pool.WillLog(f)
 		lsn, err := logFn(before)
 		if err != nil {
 			return err
@@ -205,6 +214,7 @@ func (h *File) RedoFormat(oldTail, newTail page.ID, lsn uint64) error {
 	if f.Page.LSN() < lsn {
 		f.Page.SetNext(newTail)
 		f.Page.SetLSN(lsn)
+		h.pool.Replayed(f, lsn)
 		f.Latch.Release(latchExclusive)
 		h.pool.Unpin(f, true)
 	} else {
@@ -220,6 +230,7 @@ func (h *File) RedoFormat(oldTail, newTail page.ID, lsn uint64) error {
 	if nf.Page.LSN() < lsn || nf.Page.Type() != page.TypeHeap {
 		nf.Page.Format(newTail, page.TypeHeap)
 		nf.Page.SetLSN(lsn)
+		h.pool.Replayed(nf, lsn)
 		nf.Latch.Release(latchExclusive)
 		h.pool.Unpin(nf, true)
 	} else {

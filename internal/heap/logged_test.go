@@ -223,3 +223,47 @@ func TestRedoFormatIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The dirty-page table names, for a page, a lower bound of the first
+// LSN stamped on it since it was clean, whichever writer unpins first.
+// A chain extension logs at 100 and unpins the new tail after
+// publishing it as the insert target, so an inserter that finds it
+// there can stamp it at 105 and unpin first. The second writer runs
+// inside the extend hook here, which fixes that order; redo started at
+// 105 would skip the extension.
+func TestDirtyPageTableKeepsFirstStamp(t *testing.T) {
+	log := &frontierLog{}
+	pool := buffer.NewPool(buffer.NewMemStore(), buffer.Options{Frames: 64, Shards: 4, Log: log})
+	h, err := Create(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newTail page.ID
+	h.SetExtendHook(func(_, nt page.ID) (uint64, error) {
+		newTail = nt
+		if err := h.InsertAt(RID{Page: nt}, []byte("second writer"), 105); err != nil {
+			return 0, err
+		}
+		return 100, nil
+	})
+	rec := bytes.Repeat([]byte("e"), 4000)
+	for _, lsn := range []uint64{10, 20, 110} { // the third extends the chain
+		log.frontier = lsn - 10
+		if _, err := h.InsertFn(rec, func(RID) (uint64, error) { return lsn, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if newTail == page.InvalidID {
+		t.Fatal("no chain extension")
+	}
+	if got := pool.DirtyPageTable()[uint64(newTail)]; got != 100 {
+		t.Fatalf("recLSN of the new tail = %d, want 100 (the frontier the extension was logged at)", got)
+	}
+}
+
+// frontierLog is a log that is always durable, whose next record goes
+// at frontier.
+type frontierLog struct{ frontier uint64 }
+
+func (*frontierLog) WaitFlushed(uint64) error { return nil }
+func (l *frontierLog) Frontier() uint64       { return l.frontier }

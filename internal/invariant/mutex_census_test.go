@@ -20,9 +20,7 @@ import (
 // say why it can stay plain.
 var plainMutexes = map[string]string{
 	"buffer.MemStore.mu":       "the in-memory page store of tests and CPU-bound experiments; a file-backed engine never takes it",
-	"core.Engine.activeMu":     "the live-transaction registry: Begin and finish each enter it once, a checkpoint and the MaxSnapshotAge expirer walk it; to be striped (ROADMAP 16(b))",
 	"dora.regMu":               "the process-global registry of DORA engines the metrics endpoint aggregates; only New and Close take it",
-	"heap.File.mu":             "a table's insert target and chain tail: every heap insert reads it before latching the tail page; to be a tier (ROADMAP 16, 18)",
 	"lock.wfStripe.mu":         "one of 64 stripes of the waits-for graph; only a lock request that waits enters it",
 	"obs.SlowReservoir.mu":     "the slow-transaction reservoir; only a transaction slower than the window's admission bound enters it",
 	"server.FlightRecorder.mu": "the stall flight recorder's incident ring; only a recorded incident or a read of the ring enters it",
@@ -31,7 +29,6 @@ var plainMutexes = map[string]string{
 	"sync2.HybridLock.mu":      "the parking half of the hybrid lock: waiters that outlast the spin budget sleep on its condition variable",
 	"wal.Log.flushOnceMu":      "serialises flushOnce between the flusher and Close: one holder per flush, never an insert",
 	"wal.MemDevice.mu":         "the in-memory log device of tests and CPU-bound experiments; a file-backed engine never takes it",
-	"wal.frontier.mu":          "the fill frontier: every log insert completes its interval under it; to become a lock-free completion frontier (ROADMAP 16(c))",
 }
 
 // TestEveryPlainMutexHasAReason lists the plain mutexes of the module's

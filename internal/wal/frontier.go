@@ -1,8 +1,9 @@
 package wal
 
 import (
-	"sync"
 	"sync/atomic"
+
+	"hydra/internal/invariant"
 )
 
 // frontier tracks the contiguously-filled prefix of the log buffer
@@ -10,7 +11,7 @@ import (
 // Writers complete arbitrary [start, end) intervals; Filled() is the
 // highest LSN below which every byte has been copied.
 type frontier struct {
-	mu      sync.Mutex
+	mu      invariant.Mutex[invariant.WALFrontier]
 	filled  atomic.Uint64
 	pending map[uint64]uint64 // start -> end of completed, detached intervals
 }

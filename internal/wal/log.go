@@ -596,14 +596,21 @@ func (l *Log) waitFlushedSlow(target uint64) error {
 	return err
 }
 
-// wakeFlushed wakes exactly the waiters whose target the durable
-// frontier has reached. The sends cannot block: each waiter channel
-// has capacity 1 and is popped from the heap exactly once.
+// finishFlush counts a flush of [start, end) and wakes exactly the
+// waiters whose target the durable frontier has reached. Both happen
+// under waitMu, the last lock a flush enters: a flush is counted only
+// once it has entered every lock it takes, so whenever FlushWrites
+// equals Flushes no flush is part-way through them, and a woken
+// committer sees its flush counted. The sends cannot block: each waiter
+// channel has capacity 1 and is popped from the heap exactly once.
 //
 //hydra:vet:nonpropagating -- wakeup sends go to capacity-1 channels, one send per popped waiter
-func (l *Log) wakeFlushed(upTo uint64) {
+func (l *Log) finishFlush(cause flushCause, start, end uint64) {
 	l.waitMu.Lock()
-	for len(l.waiters) > 0 && l.waiters[0].target <= upTo {
+	l.stats.flushes.Add(1)
+	l.stats.flushesBy[cause].Inc()
+	l.stats.flushedBytes.Add(end - start)
+	for len(l.waiters) > 0 && l.waiters[0].target <= end {
 		//hydra:vet:ignore lockscope -- capacity-1 waiter channel, popped once; send cannot block
 		l.waiters.pop().ch <- nil
 	}
@@ -611,7 +618,7 @@ func (l *Log) wakeFlushed(upTo uint64) {
 }
 
 // failWaiters wakes every registered waiter with err (flusher death
-// or close). As in wakeFlushed, the sends cannot block.
+// or close). As in finishFlush, the sends cannot block.
 //
 //hydra:vet:nonpropagating -- wakeup sends go to capacity-1 channels, one send per popped waiter
 func (l *Log) failWaiters(err error) {
@@ -791,14 +798,11 @@ func (l *Log) flushOnce(cause flushCause) error {
 		}
 	}
 	l.flushed.Store(end)
-	l.stats.flushes.Add(1)
-	l.stats.flushesBy[cause].Inc()
-	l.stats.flushedBytes.Add(end - start)
-	// Wake space waiters, and exactly the commit waiters this flush
-	// satisfied.
+	// Wake space waiters, then count the flush and wake exactly the
+	// commit waiters it satisfied.
 	l.mu.Lock()
 	l.space.Broadcast()
 	l.mu.Unlock()
-	l.wakeFlushed(end)
+	l.finishFlush(cause, start, end)
 	return nil
 }
