@@ -49,10 +49,15 @@ lint:
 # restart that must redo every committed insert. It guards the
 # dirty-page table's recLSN (a lower bound each writer notes under the
 # page's X latch before it appends its record); without it about one
-# run in thirty lost an insert under the tag's timing.
+# run in thirty lost an insert under the tag's timing. The snapshot
+# stress tests and TestStampPrecedesFill then run three more times: no
+# lock orders MVCC commits, only the rule that the log stores a commit
+# record's version stamp before the record joins the filled prefix the
+# snapshot floor follows, and these are the tests that race it.
 stress:
 	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/... ./internal/btree/... ./internal/heap/... ./internal/dora/... ./internal/server/... ./internal/workload/... ./internal/staged/...
 	$(GO) test -tags hydradebug -count=300 -run TestCheckpointDuringTraffic ./internal/core/
+	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill' ./internal/core/ ./internal/wal/
 
 # fuzz-smoke runs the wire tokeniser's differential fuzz target for
 # 20 s: FuzzDispatchLine holds nextField to the strings.Fields grammar

@@ -85,12 +85,12 @@ type Config struct {
 
 	// MaxSnapshotAge, when positive, bounds how long one snapshot pin
 	// may hold the version-chain GC watermark. A pin older than this is
-	// expired by the engine (checked from the writer publish path, so
-	// expiry triggers exactly when chains are growing): the watermark
-	// advances, dead versions sweep, and the expired transaction's next
-	// read or commit fails with ErrSnapshotExpired (retryable). 0 — the
-	// default — never expires a pin; long analytic snapshots then stall
-	// GC for their whole lifetime.
+	// expired by the engine (checked as version-installing writers
+	// finish, so expiry triggers exactly when chains are growing): the
+	// watermark advances, dead versions sweep, and the expired
+	// transaction's next read or commit fails with ErrSnapshotExpired
+	// (retryable). 0 — the default — never expires a pin; long analytic
+	// snapshots then stall GC for their whole lifetime.
 	MaxSnapshotAge time.Duration
 }
 
@@ -207,7 +207,7 @@ type Engine struct {
 	// snapshot pin or its first log record, whichever comes first
 	// (join), and leaves in finish. A checkpoint reads their first LSNs,
 	// the watermark and the MaxSnapshotAge expirer their pins. The
-	// snapshot floor advances only under liveMu (publish).
+	// snapshot floor advances only under liveMu (advanceFloor).
 	liveMu invariant.Mutex[invariant.TxnLive]
 	live   map[uint64]*Txn
 
@@ -350,15 +350,15 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 		if err := e.writeMeta(wal.NilLSN); err != nil {
 			return nil, err
 		}
-		e.mvcc.snapFloor.Store(uint64(e.log.NextLSN()))
+		e.advanceFloor()
 		return e, nil
 	}
 	if err := e.recover(an); err != nil {
 		return nil, fmt.Errorf("core: recovery: %w", err)
 	}
 	// Chains are volatile: after (re)open there are no versions, so the
-	// snapshot floor is simply "everything durable so far".
-	e.mvcc.snapFloor.Store(uint64(e.log.NextLSN()))
+	// snapshot floor is simply "everything in the log so far".
+	e.advanceFloor()
 	return e, nil
 }
 

@@ -4,16 +4,15 @@
 // Writers keep before-images reachable from the row: every logged
 // forward operation installs a version node holding the record's
 // before-image (nil for inserts) at the head of the row's chain, under
-// the same page X latch window that logs the operation. At
-// commit the transaction's nodes are stamped — one atomic store on the
-// shared verTxn, visible through every node — with the commit record's
-// LSN, and the snapshot floor advances to it. An ABORT publishes the
-// same way: after undo has restored the heap rows, the end record's
-// LSN stamps the nodes and advances the floor. Either way a stamped
+// the same page X latch window that logs the operation. The commit
+// record stamps the transaction's nodes — one atomic store on the
+// shared verTxn, visible through every node — with its LSN. An ABORT
+// stamps them the same way with its end record, appended after undo has
+// restored the heap rows. Either way a stamped
 // node means "the heap row stopped reflecting this transaction's write
 // at LSN c" — for a commit because the write became permanent there,
 // for an abort because undo had restored the before-image by the time
-// c was appended. A read-only transaction pins the floor at begin and
+// c was appended. A snapshot transaction pins the floor at begin and
 // resolves each read by walking the chain for the oldest node whose
 // stamp is pending or newer than its snapshot: that node's
 // before-image is the row as of the snapshot (nil = the key did not
@@ -27,18 +26,21 @@
 // and serves the before-image. An unlink would leave a window where
 // the reader's stale row copy survives the chain check.
 //
-// Publish ordering: for version-installing transactions the
-// commit/end record append, the stamp, and the floor advance happen
-// under one mutex (publishMu), so the floor only ever names fully
-// stamped transactions and advances in LSN order. The floor store
-// additionally happens under the live-transaction registry's mutex
-// (Engine.liveMu) — the same mutex join holds while it loads the floor
-// and registers a snapshot — which, together with watermark() loading
-// the floor BEFORE oldestSnap, closes the pin/GC race (see watermark).
-// A pinned snapshot is a registered transaction's snap.
+// The floor: the log stores an outcome record's stamp before the
+// record joins its filled prefix (wal.Log.AppendFieldsC), so every
+// record below FilledLSN has stamped its nodes and every record still
+// to come starts at or above it. The snapshot floor is FilledLSN − 1
+// (advanceFloor): a record that starts exactly at the frontier may be
+// stamped but not yet filled, and the −1 keeps it out. No lock orders
+// the stamps; the log's own frontier does. The floor advances only
+// under the live-transaction registry's mutex (Engine.liveMu), in join
+// for a snapshot pin and in leave — the mutex join holds while it loads
+// the floor and registers the pin — which, together with watermark()
+// loading the floor BEFORE oldestSnap, closes the pin/GC race (see
+// watermark). A pinned snapshot is a registered transaction's snap.
 //
 // Chains are volatile: a crash discards them with the process, and
-// recovery restarts the floor at the log's next LSN. The per-page
+// recovery restarts the floor at the log's end. The per-page
 // version epoch (page.VerEpoch) shares this lifetime — stale non-zero
 // epochs after a restart cost a chain lookup that misses, never a
 // wrong read.
@@ -46,9 +48,9 @@
 // GC: a node whose stamp is at or below the watermark — the oldest
 // active snapshot, or the floor when none is active — serves no
 // current or future snapshot and is pruned. Writers prune their own
-// chain's tail on install; an abort prunes the chains it touched after
-// publishing; releasing the oldest snapshot sweeps all shards. Pending
-// nodes are never pruned.
+// chain's tail on install; an aborted transaction prunes the chains it
+// touched as it finishes; releasing the oldest snapshot sweeps the
+// shards that hold a chain. Pending nodes are never pruned.
 package core
 
 import (
@@ -65,9 +67,9 @@ type verKey struct {
 	key   uint64
 }
 
-// verTxn is the per-transaction publish stamp shared by all of the
-// transaction's version nodes: one atomic store at publish (commit or
-// abort) flips every node from pending (0) to stamped.
+// verTxn is the per-transaction stamp shared by all of the
+// transaction's version nodes: the log's one atomic store of the commit
+// or end record's LSN flips every node from pending (0) to stamped.
 type verTxn struct {
 	commitLSN atomic.Uint64
 }
@@ -97,12 +99,17 @@ type verShard struct {
 	// range scan's collectRange can skip stripes that hold nothing for
 	// the scanned table instead of walking every resident chain.
 	perTable map[uint32]int
+	// numChains is len(chains), changed under mu with perTable, so
+	// sweep and collectRange pass over an empty stripe without locking
+	// it.
+	numChains atomic.Int32
 }
 
 // dropChain removes k's (empty) chain entry and its table count.
 // Callers hold sh.mu.
 func (sh *verShard) dropChain(k verKey) {
 	delete(sh.chains, k)
+	sh.numChains.Add(-1)
 	if n := sh.perTable[k.table] - 1; n > 0 {
 		sh.perTable[k.table] = n
 	} else {
@@ -117,18 +124,9 @@ const noSnapshot = ^uint64(0)
 type verTable struct {
 	shards [verShardCount]verShard
 
-	// publishMu serializes {commit/end-record append, version stamp,
-	// floor advance} for version-installing transactions. The append is
-	// a log ring copy (group commit keeps the IO asynchronous), so the
-	// critical section is short; correctness needs the three steps
-	// indivisible so the floor advances in LSN order over fully
-	// stamped transactions only.
-	//hydra:vet:coarse -- commit publish lock: held across the WAL ring append by design so snapshot floor, stamp, and commit record advance atomically
-	publishMu invariant.Mutex[invariant.MVCCPublish]
-
-	// snapFloor is the newest published commit-or-abort LSN: the
-	// snapshot a new read-only transaction pins. It advances only under
-	// Engine.liveMu (see publish), which freezes it across join's
+	// snapFloor is the snapshot a new snapshot transaction pins: the
+	// log's filled frontier less one, as of the last advanceFloor. It
+	// advances only under Engine.liveMu, which freezes it across join's
 	// load-and-register window.
 	snapFloor atomic.Uint64
 
@@ -153,8 +151,8 @@ type verTable struct {
 	snapExpired obs.Counter // pins expired by Config.MaxSnapshotAge
 
 	// expireTick samples the MaxSnapshotAge check off the writer
-	// publish path: one registry scan per expireEvery publishes, not
-	// one per commit.
+	// finish path: one registry scan per expireEvery version-installing
+	// transactions, not one per commit.
 	expireTick atomic.Uint32
 }
 
@@ -173,15 +171,16 @@ func (vt *verTable) shard(k verKey) *verShard {
 	return &vt.shards[h>>(64-6)] // top bits: verShardCount == 64
 }
 
-// publish stamps a transaction's version nodes with lsn and advances
-// the snapshot floor to it. Callers hold publishMu (so publishes are
-// LSN-ordered); the body runs under liveMu so the floor cannot move
-// while join is between loading it and registering a snapshot.
-func (e *Engine) publish(v *verTxn, lsn uint64) {
-	e.liveMu.Lock()
-	v.commitLSN.Store(lsn)
-	e.mvcc.snapFloor.Store(lsn)
-	e.liveMu.Unlock()
+// advanceFloor moves the snapshot floor to the log's filled frontier
+// less one: every record below FilledLSN has stamped its nodes, and a
+// record that starts exactly at it may be stamped but not yet filled.
+// A fresh log (FilledLSN 0) leaves the floor at 0. Callers hold liveMu,
+// or run before the engine is shared (Open); the frontier only grows,
+// so neither moves the floor back.
+func (e *Engine) advanceFloor() {
+	if f := uint64(e.log.FilledLSN()); f > 0 {
+		e.mvcc.snapFloor.Store(f - 1)
+	}
 }
 
 // watermark returns the GC horizon: the oldest active snapshot, or the
@@ -197,7 +196,7 @@ func (e *Engine) publish(v *verTxn, lsn uint64) {
 // or in-flight snapshot. Pins that begin after the floor load pin the
 // then-current floor ≥ f (the floor is monotone). Reading the two in
 // the opposite order re-opens the race: a join could load floor s,
-// a writer publish c > s, and a reader that had already seen
+// a leave advance it to c > s, and a reader that had already seen
 // oldestSnap == none return c while snapshot s registers.
 func (vt *verTable) watermark() uint64 {
 	f := vt.snapFloor.Load()
@@ -208,9 +207,9 @@ func (vt *verTable) watermark() uint64 {
 }
 
 // join enters t into the live registry. A snapshot transaction joins
-// in Begin and pins the floor as its snap in the same critical section:
-// liveMu freezes the floor (publish stores it under the same mutex), so
-// the pin is registered before any later commit can advance the
+// in Begin, advances the floor to the filled frontier and pins it as its
+// snap in the same critical section: the floor moves only under liveMu,
+// so the pin is registered before any later leave can advance the
 // watermark past it. Any other transaction joins at its first log
 // record (ensureBegin).
 func (e *Engine) join(t *Txn) {
@@ -218,6 +217,7 @@ func (e *Engine) join(t *Txn) {
 	e.liveMu.Lock()
 	e.live[t.id] = t
 	if t.mode.snapshot {
+		e.advanceFloor()
 		t.snap = vt.snapFloor.Load()
 		if old := vt.oldestSnap.Load(); old == noSnapshot || t.snap < old {
 			vt.oldestSnap.Store(t.snap)
@@ -227,12 +227,18 @@ func (e *Engine) join(t *Txn) {
 	t.joined = true
 }
 
-// leave removes t from the live registry; if t held the oldest pin,
-// the watermark advances and the chains are swept under the new
-// horizon.
+// leave removes t from the live registry and, on an MVCC engine,
+// advances the floor to the filled frontier — past the outcome record t
+// appended once the log before it has filled, which a commit's flush
+// wait already ensured — so writers keep GC moving; if t held the
+// oldest pin, the watermark advances and the chains are swept under the
+// new horizon.
 func (e *Engine) leave(t *Txn) {
 	e.liveMu.Lock()
 	delete(e.live, t.id)
+	if e.cfg.MVCC {
+		e.advanceFloor()
+	}
 	var sweepTo uint64
 	if t.pinning() && t.snap == e.mvcc.oldestSnap.Load() {
 		sweepTo = e.resetOldestSnap()
@@ -299,6 +305,7 @@ func (t *Txn) installVersion(table uint32, key uint64, before []byte) {
 	sh.chains[n.key] = n
 	if !existed {
 		sh.perTable[table]++
+		sh.numChains.Add(1)
 	}
 	sh.mu.Unlock()
 	t.verNodes = append(t.verNodes, n)
@@ -348,7 +355,7 @@ func (vt *verTable) resolve(table uint32, key uint64, snap uint64, c *obs.PhaseC
 	for n := sh.chains[k]; n != nil; n = n.next {
 		cl := n.txn.commitLSN.Load()
 		if cl != 0 && cl <= snap {
-			break // published at or before the snapshot: visible from here
+			break // stamped at or before the snapshot: visible from here
 		}
 		oldest = n
 	}
@@ -367,12 +374,18 @@ func (vt *verTable) resolve(table uint32, key uint64, snap uint64, c *obs.PhaseC
 // snap) for every key whose chain blocks; extras lists, sorted, the
 // blocked keys with a visible record — the scan merges them in key
 // order so rows deleted after the snapshot still appear. Stripes with
-// no chains for the table are skipped via the per-shard table counts,
-// so scans over quiet tables pay 64 lock/probe pairs, not a walk over
-// every resident chain.
+// no chain at all are passed over without their lock, and stripes with
+// none for the table after one lock/probe pair, so a scan over a quiet
+// table never walks a resident chain. The lock-free skip cannot miss a
+// key the walk missed: the delete that removed it from the index
+// installed its node, counting the chain, under the page X latch before
+// the removal, so the count is non-zero by the time the walk ends.
 func (vt *verTable) collectRange(table uint32, lo, hi, snap uint64, c *obs.PhaseClock) (pre map[uint64][]byte, extras []uint64) {
 	for i := range vt.shards {
 		sh := &vt.shards[i]
+		if sh.numChains.Load() == 0 {
+			continue
+		}
 		sh.mu.LockC(c)
 		if sh.perTable[table] == 0 {
 			sh.mu.Unlock()
@@ -415,8 +428,8 @@ func (vt *verTable) collectRange(table uint32, lo, hi, snap uint64, c *obs.Phase
 // need no inspection (stamps only decrease down the chain), and a head
 // at or below snap means nothing committed on the row since the
 // snapshot. Callers hold the row's X lock, which (because commit,
-// CommitAsync and abort all publish their stamp before releasing
-// locks) also guarantees no lock-manager transaction's node is still
+// CommitAsync and abort all stamp before releasing locks) also
+// guarantees no lock-manager transaction's node is still
 // pending; a pending head can then only belong to a lock-bypassing
 // writer (DORA partition ownership), and counting it as a conflict is
 // the conservative, safe answer.
@@ -434,15 +447,16 @@ func (vt *verTable) hasConflict(table uint32, key uint64, snap uint64, c *obs.Ph
 }
 
 // expireEvery samples the MaxSnapshotAge scan: one registry walk per
-// this many version-installing publishes.
+// this many version-installing transactions.
 const expireEvery = 64
 
 // retireAborted prunes the chains an aborted transaction touched.
-// Called after the abort published (stamping the nodes with the end
-// record's LSN): with no snapshot pinned the watermark has already
-// passed the stamp, so the aborted nodes — and any dead tail below
-// them — go at once; with an older snapshot pinned they stay, blocking
-// its readers onto the restored before-images, until sweep or a later
+// Called from finish after leave: the end record stamped the nodes and
+// leave moved the floor to the filled frontier, past the end record
+// unless an earlier record is still being copied in. So with no
+// snapshot pinned the aborted nodes — and any dead tail below them — go
+// at once; with an older snapshot pinned they stay, blocking its
+// readers onto the restored before-images, until sweep or a later
 // install prunes them.
 func (vt *verTable) retireAborted(nodes []*verNode, c *obs.PhaseClock) {
 	w := vt.watermark()
@@ -465,11 +479,17 @@ func (vt *verTable) retireAborted(nodes []*verNode, c *obs.PhaseClock) {
 	}
 }
 
-// sweep prunes every chain under watermark w.
+// sweep prunes every chain under watermark w. A stripe that held no
+// chain when its count was loaded is passed over without its lock: a
+// chain created since holds only nodes installed after w was read,
+// which are pending or stamped above it.
 func (vt *verTable) sweep(w uint64) {
 	freed := 0
 	for i := range vt.shards {
 		sh := &vt.shards[i]
+		if sh.numChains.Load() == 0 {
+			continue
+		}
 		sh.mu.Lock()
 		for k, head := range sh.chains {
 			nh, f := pruneChain(head, w)
@@ -497,7 +517,7 @@ type MvccStats struct {
 	GCNodes        uint64 `json:"gc_nodes"`                      // nodes reclaimed
 	GCSweeps       uint64 `json:"gc_sweeps"`                     // whole-table sweeps
 	LiveNodes      int64  `json:"live_nodes" metric:"gauge"`     // nodes currently linked
-	SnapshotFloor  uint64 `json:"snapshot_floor" metric:"gauge"` // newest published commit-or-abort LSN
+	SnapshotFloor  uint64 `json:"snapshot_floor" metric:"gauge"` // the snapshot a new pin takes: the log's filled frontier less one
 
 	SIBegins         uint64 `json:"si_begins"`          // snapshot-isolation writers begun
 	SICommits        uint64 `json:"si_commits"`         // SI writers committed

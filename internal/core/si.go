@@ -2,7 +2,7 @@
 // snapshot path (snapshot.go), writes buffer into a per-transaction
 // write set, and commit validates first-committer-wins against the
 // version chains (mvcc.go) before applying the buffered writes under
-// the ordinary per-row locks and publish machinery.
+// the ordinary per-row locks and commit stamp.
 //
 // Protocol:
 //
@@ -32,9 +32,10 @@
 //  5. Apply: the buffered writes run through the ordinary logged
 //     write bodies (Txn.insert/update/delete), which log, install
 //     version nodes, and maintain indexes exactly like a locked
-//     writer. The commit record then publishes stamp + floor under
-//     publishMu, so read-only snapshots and locked writers
-//     interoperate with SI committers unchanged.
+//     writer. The log then stamps those nodes with the commit record's
+//     LSN before the record joins the filled prefix the snapshot floor
+//     follows, so read-only snapshots and locked writers interoperate
+//     with SI committers unchanged.
 package core
 
 import (
@@ -253,8 +254,8 @@ func (t *Txn) applyWriteSet() error {
 }
 
 // maybeExpireSnapshots samples the MaxSnapshotAge scan from the
-// writer publish path (txn finish, outside every latch): one registry
-// walk per expireEvery version-installing transactions.
+// writer finish path (outside every latch): one registry walk per
+// expireEvery version-installing transactions.
 func (e *Engine) maybeExpireSnapshots() {
 	if e.cfg.MaxSnapshotAge <= 0 {
 		return

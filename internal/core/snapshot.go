@@ -1,8 +1,9 @@
 // Snapshot-read execution path: lock-free reads over the MVCC version
 // chains (see mvcc.go for the version store itself). A transaction
 // begun with Intent.ReadOnly or Intent.Optimistic on an engine with
-// Config.MVCC reads a fixed snapshot of the database: the state as of
-// the newest published commit at begin. Point reads and scans —
+// Config.MVCC reads a fixed snapshot of the database: every
+// transaction whose outcome record lay below the log's filled frontier
+// at begin. Point reads and scans —
 // including rows deleted or rewritten by transactions committing
 // concurrently — all resolve against that one state; reads take no
 // transactional locks, writers never block the reader, and it never
@@ -15,7 +16,6 @@ import (
 
 	"hydra/internal/btree"
 	"hydra/internal/heap"
-	"hydra/internal/wal"
 )
 
 // SnapshotLSN returns the snapshot a snapshot-mode transaction pinned
@@ -237,31 +237,4 @@ func (t *Txn) snapshotScan(tbl *Table, lo, hi uint64, fn func(key uint64, value 
 		}
 		cursor = spanHi + 1
 	}
-}
-
-// appendPublished appends t's commit or end record and publishes the
-// transaction's version nodes: the append, the stamp, and the
-// snapshot-floor advance happen under publishMu so the floor only ever
-// names fully stamped transactions, in LSN order. Commit publishes its
-// commit record; Abort publishes its end record — appended after undo
-// restored the heap rows, so a snapshot that pins at or past the stamp
-// is guaranteed to read restored rows.
-func (e *Engine) appendPublished(t *Txn, kind wal.RecType) (wal.LSN, error) {
-	vt := e.mvcc
-	vt.publishMu.Lock()
-	lsn, err := t.appendOutcome(kind)
-	if err == nil {
-		e.publish(t.verTxn, uint64(lsn))
-	}
-	vt.publishMu.Unlock()
-	return lsn, err
-}
-
-// appendCommitRecord appends t's commit record; a transaction that
-// installed versions publishes it through the version table.
-func (e *Engine) appendCommitRecord(t *Txn) (wal.LSN, error) {
-	if t.verTxn == nil {
-		return t.appendOutcome(wal.RecCommit)
-	}
-	return e.appendPublished(t, wal.RecCommit)
 }

@@ -93,7 +93,7 @@ type Txn struct {
 	// (0 otherwise). verTxn/verNodes track the versions a writing
 	// transaction installed — commit and abort both stamp them (through
 	// the shared verTxn), and abort additionally prunes the touched
-	// chains once the stamp is published.
+	// chains as it finishes.
 	snap     uint64
 	verTxn   *verTxn
 	verNodes []*verNode
@@ -304,6 +304,13 @@ func (t *Txn) finish(state txnState, lsn wal.LSN) {
 	if t.joined {
 		e.leave(t)
 	}
+	if state == txnAborted && t.verTxn != nil {
+		// The end record stamped the aborted nodes and leave moved the
+		// floor past it (see retireAborted): they are ordinary dead
+		// versions now. Prune the chains they sit on so an abort with no
+		// snapshot pinned leaves no garbage behind.
+		e.mvcc.retireAborted(t.verNodes, &t.clock)
+	}
 	// Drop row-image references so the pool doesn't pin them, but
 	// keep the slice's capacity for the next transaction.
 	for i := range t.undo {
@@ -323,7 +330,7 @@ func (t *Txn) finish(state txnState, lsn wal.LSN) {
 		clear(t.writeSet)
 	}
 	t.siKeys = t.siKeys[:0]
-	// Writer publishes are when version chains grow; sample the
+	// Version-installing writers are when chains grow; sample the
 	// MaxSnapshotAge check here so a stuck pin is expired exactly when
 	// it is holding garbage live (and never from inside a latch
 	// critical section).
@@ -381,7 +388,7 @@ func (t *Txn) ensureBegin() error {
 	if !t.joined {
 		t.e.join(t)
 	}
-	lsn, err := t.e.log.AppendFieldsC(wal.RecBegin, t.id, wal.NilLSN, 0, 0, nil, &t.clock)
+	lsn, err := t.e.log.AppendFieldsC(wal.RecBegin, t.id, wal.NilLSN, 0, 0, nil, nil, &t.clock)
 	if err != nil {
 		return err
 	}
@@ -408,7 +415,7 @@ func (t *Txn) logOp(op *OpRecord) (wal.LSN, error) {
 	// The payload is copied into the log ring before AppendFields
 	// returns, so the scratch buffer is safely reused per op.
 	t.enc = encodeOpTo(t.enc, op)
-	lsn, err := t.e.log.AppendFieldsC(wal.RecUpdate, t.id, prev, uint64(op.RID.Page), 0, t.enc, &t.clock)
+	lsn, err := t.e.log.AppendFieldsC(wal.RecUpdate, t.id, prev, uint64(op.RID.Page), 0, t.enc, nil, &t.clock)
 	if err != nil {
 		return 0, err
 	}
@@ -694,8 +701,8 @@ func (t *Txn) Commit() error {
 
 // CommitAsync is the first half of Commit, everything that does not
 // block on the log device: a snapshot-mode writer validates and applies
-// its write set, then the commit record is appended (publishing version
-// stamps when the transaction installed any) and, under ELR, the locks
+// its write set, then the commit record is appended (stamping the
+// versions the transaction installed, if any) and, under ELR, the locks
 // are released. DORA's fast path runs it on the owning executor so
 // the executor never stalls on a group-commit flush, and its
 // cross-partition path runs it before releasing the executors it
@@ -722,7 +729,7 @@ func (t *Txn) CommitAsync() (wal.LSN, error) {
 	if e.closed.Load() {
 		return wal.NilLSN, ErrClosed
 	}
-	commitLSN, err := e.appendCommitRecord(t)
+	commitLSN, err := t.appendOutcome(wal.RecCommit)
 	if err != nil {
 		return wal.NilLSN, err
 	}
@@ -750,7 +757,7 @@ func (t *Txn) CommitWait(commitLSN wal.LSN) error {
 		t.releaseLocks(false)
 	}
 	// The end record needs no flush wait.
-	if _, err := e.log.AppendFieldsC(wal.RecEnd, t.id, commitLSN, 0, 0, nil, &t.clock); err != nil {
+	if _, err := e.log.AppendFieldsC(wal.RecEnd, t.id, commitLSN, 0, 0, nil, nil, &t.clock); err != nil {
 		return err
 	}
 	t.finish(txnCommitted, commitLSN)
@@ -770,13 +777,14 @@ func (t *Txn) Abort() error {
 		if e.closed.Load() {
 			return ErrClosed
 		}
-		lsn, err := e.log.AppendFieldsC(wal.RecAbort, t.id, t.lastLSN, 0, 0, nil, &t.clock)
+		lsn, err := e.log.AppendFieldsC(wal.RecAbort, t.id, t.lastLSN, 0, 0, nil, nil, &t.clock)
 		if err != nil {
 			// The log refuses even the abort record: it is poisoned, so
 			// nothing this process writes can become durable any more and
 			// restart recovery rolls this loser back from the durable
-			// prefix. Holding the handle would only leak its locks, its
-			// active entry and its log-truncation horizon; retire it
+			// prefix. Holding the handle would only leak its locks and its
+			// live-registry entry (a snapshot pin, a first LSN that holds
+			// back a checkpoint's analysis start); retire it
 			// un-rolled-back and say so.
 			t.retire(txnAborted)
 			return fmt.Errorf("core: abort left to restart recovery: %w", err)
@@ -794,22 +802,13 @@ func (t *Txn) Abort() error {
 			}
 			t.lastLSN = clr
 		}
-		if t.verTxn != nil {
-			// The undo ops above restored the rows; publishing the end
-			// record stamps the transaction's version nodes with its LSN
-			// (instead of unlinking them — a reader holding a stale row
-			// copy must still find a blocking node in the chain) and
-			// advances the snapshot floor past the rollback. Readers
-			// below the stamp keep resolving onto the before-images,
-			// which equal the restored rows.
-			if _, err := e.appendPublished(t, wal.RecEnd); err != nil {
-				return err
-			}
-			// With the stamp published the aborted nodes are ordinary
-			// dead versions; prune the chains they sit on so an abort
-			// with no snapshot pinned leaves no garbage behind.
-			e.mvcc.retireAborted(t.verNodes, &t.clock)
-		} else if _, err := t.appendOutcome(wal.RecEnd); err != nil {
+		// The undo ops above restored the rows, so the end record
+		// stamps the transaction's version nodes (instead of unlinking
+		// them — a reader holding a stale row copy must still find a
+		// blocking node in the chain). Readers below the stamp keep
+		// resolving onto the before-images, which equal the restored
+		// rows; finish prunes the chains.
+		if _, err := t.appendOutcome(wal.RecEnd); err != nil {
 			return err
 		}
 	}
@@ -818,9 +817,15 @@ func (t *Txn) Abort() error {
 }
 
 // appendOutcome appends t's commit record, or the end record of its
-// rollback, and makes it the chain's tail.
+// rollback, and makes it the chain's tail. A transaction that installed
+// versions has the log stamp them with the record's LSN before the
+// record joins the filled prefix the snapshot floor follows.
 func (t *Txn) appendOutcome(kind wal.RecType) (wal.LSN, error) {
-	lsn, err := t.e.log.AppendFieldsC(kind, t.id, t.lastLSN, 0, 0, nil, &t.clock)
+	var stamp *atomic.Uint64
+	if t.verTxn != nil {
+		stamp = &t.verTxn.commitLSN
+	}
+	lsn, err := t.e.log.AppendFieldsC(kind, t.id, t.lastLSN, 0, 0, nil, stamp, &t.clock)
 	if err == nil {
 		t.lastLSN = lsn
 	}

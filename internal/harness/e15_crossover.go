@@ -8,6 +8,7 @@ import (
 	"hydra/internal/core"
 	"hydra/internal/dora"
 	"hydra/internal/txnsim"
+	"hydra/internal/wal"
 	"hydra/internal/workload"
 )
 
@@ -102,7 +103,7 @@ func E15(s Scale) (*Report, error) {
 		return float64(ops) / dur.Seconds(), nil
 	}
 
-	var rates []string
+	var rates, groups []string
 	for _, hotFrac := range hotFracs {
 		conv.w.HotFrac, mv.w.HotFrac, ds.w.HotFrac = hotFrac, hotFrac, hotFrac
 		seed := uint64(hotFrac*1000) << 16
@@ -113,20 +114,21 @@ func E15(s Scale) (*Report, error) {
 		}
 
 		mv.w.SIFrac = 0
+		start := mv.e.StatsSnapshot()
 		lockedTPS, err := runCell("locked", mv.w, workload.TxnExecutor{Engine: mv.e}, seed)
 		if err != nil {
 			return nil, err
 		}
 
 		mv.w.SIFrac = 1
-		before := mv.e.StatsSnapshot().Mvcc
+		before := mv.e.StatsSnapshot()
 		siTPS, err := runCell("si", mv.w, workload.TxnExecutor{Engine: mv.e}, seed^0x5151)
 		if err != nil {
 			return nil, err
 		}
-		after := mv.e.StatsSnapshot().Mvcc
-		commits := after.SICommits - before.SICommits
-		conflicts := after.SIConflictAborts - before.SIConflictAborts
+		after := mv.e.StatsSnapshot()
+		commits := after.Mvcc.SICommits - before.Mvcc.SICommits
+		conflicts := after.Mvcc.SIConflictAborts - before.Mvcc.SIConflictAborts
 		rate := 0.0
 		if commits+conflicts > 0 {
 			rate = float64(conflicts) / float64(commits+conflicts)
@@ -144,6 +146,8 @@ func E15(s Scale) (*Report, error) {
 			fmt.Sprintf("%.2fx", siTPS/lockedTPS),
 			fmt.Sprintf("%.1f%%", rate*100))
 		rates = append(rates, fmt.Sprintf("%.2f: %.1f%%", hotFrac, rate*100))
+		groups = append(groups, fmt.Sprintf("%.2f: %.4f/%.4f", hotFrac,
+			groupInsertRatio(start.Log, before.Log), groupInsertRatio(before.Log, after.Log)))
 	}
 	rep.Tab = append(rep.Tab, tab)
 
@@ -184,8 +188,18 @@ func E15(s Scale) (*Report, error) {
 		fmt.Sprintf("si conflict-abort rate by hot-frac: %v (commit attempts lost to first-committer-wins, after Exec's retries succeeded or gave up)", rates),
 		fmt.Sprintf("si totals: begins=%d commits=%d conflict_aborts=%d; lock_bypasses=%d (reads the SI path never sent to the lock manager)",
 			st.Mvcc.SIBegins, st.Mvcc.SICommits, st.Mvcc.SIConflictAborts, st.Lock.Bypasses),
+		fmt.Sprintf("locked/si group-insert ratio by hot-frac: %v (log records of the MVCC engine that joined a consolidation group another record led)", groups),
 		"write counters conserved on all three engines",
 		fmt.Sprintf("ran with GOMAXPROCS=%d; wider machines push the measured crossover left", runtime.GOMAXPROCS(0)),
 		"simulated table: skew re-concentrates latch traffic on the hot rows' stripes and every contended row transfer costs a park/unpark, while DORA's hot executor serves its backlog by batched drain — no lock manager anywhere on the path")
 	return rep, nil
+}
+
+// groupInsertRatio is the share of the log records inserted between a
+// and b that joined a consolidation group another record led.
+func groupInsertRatio(a, b wal.Stats) float64 {
+	if n := b.Inserts - a.Inserts; n > 0 {
+		return float64(b.GroupInserts-a.GroupInserts) / float64(n)
+	}
+	return 0
 }

@@ -50,8 +50,7 @@ func declare(rank int, site, label string) *tier {
 var (
 	engineCkpt  = declare(10, "core.Engine.ckptMu", "engine_ckpt")
 	engineMu    = declare(20, "core.Engine.mu", "engine_mu")
-	mvccPublish = declare(32, "core.verTable.publishMu", "mvcc_publish") // held across the commit/end append
-	txnLive     = declare(34, "core.Engine.liveMu", "txn_live")          // the live-transaction registry; publish enters it under publishMu
+	txnLive     = declare(34, "core.Engine.liveMu", "txn_live") // the live-transaction registry; the snapshot floor advances under it
 	treeMu      = declare(40, "btree.Tree.mu", "tree")
 	lockPart    = declare(50, "lock.partition.mu", "lock_part")
 	frameLatch  = declare(60, "buffer.Frame.Latch", "frame_latch")
@@ -68,7 +67,6 @@ var (
 type (
 	EngineCkpt  struct{}
 	EngineMu    struct{}
-	MVCCPublish struct{}
 	TxnLive     struct{}
 	Tree        struct{}
 	LockPart    struct{}
@@ -85,7 +83,6 @@ type (
 
 func (EngineCkpt) tier() *tier  { return engineCkpt }
 func (EngineMu) tier() *tier    { return engineMu }
-func (MVCCPublish) tier() *tier { return mvccPublish }
 func (TxnLive) tier() *tier     { return txnLive }
 func (Tree) tier() *tier        { return treeMu }
 func (LockPart) tier() *tier    { return lockPart }

@@ -333,8 +333,9 @@ func (c *conn) dispatch(line []byte) (quit bool) {
 		err := tx.Commit()
 		if err != nil {
 			// A failed commit leaves the transaction active; without
-			// this abort its locks, its active entry and its
-			// log-truncation horizon would outlive the connection. The
+			// this abort its locks and its live-registry entry (a
+			// snapshot pin, a first LSN that holds back a checkpoint's
+			// analysis start) would outlive the connection. The
 			// client is told why the COMMIT failed, not how the abort went.
 			_ = tx.Abort()
 		}

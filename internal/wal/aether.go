@@ -135,7 +135,7 @@ func (ca *consArray) finish(s *caslot, groupSize, n uint64) {
 
 // insertConsolidated is the CD insert path: consolidation array in
 // front of a decoupled (copy-outside-mutex) buffer fill.
-func (l *Log) insertConsolidated(rec []byte, c *obs.PhaseClock) (LSN, error) {
+func (l *Log) insertConsolidated(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, error) {
 	n := uint64(len(rec))
 	s, offset, leader := l.ca.join(n, uint64(l.opts.BufferSize)/4)
 	var base uint64
@@ -189,7 +189,7 @@ func (l *Log) insertConsolidated(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	}
 	lsn := base + offset
 	l.ring.copyIn(lsn, rec)
-	l.filled(lsn, lsn+n)
+	l.filled(lsn, lsn+n, stamp)
 	l.ca.finish(s, groupSize, n)
 	l.noteInsert(n)
 	return LSN(lsn), nil

@@ -36,7 +36,7 @@ func BenchmarkFlushWrapVectored(b *testing.B) {
 		l.next = startAt
 		l.fr.filled.Store(startAt)
 		l.flushed.Store(startAt)
-		if _, err := l.insertSerial(rec, nil); err != nil {
+		if _, err := l.insertSerial(rec, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 		if err := l.flushOnce(causeDemand); err != nil {

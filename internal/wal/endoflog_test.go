@@ -434,14 +434,14 @@ func TestRingPressureKicksFlusher(t *testing.T) {
 func TestGapCloserPassesTheKickOn(t *testing.T) {
 	l := newStoppedLog(t, NewMem(), Options{Kind: Decoupled})
 	l.next = 200
-	l.filled(100, 200) // the committer's own record, out of order
-	l.parked.Add(1)    // ...and it is now waiting
+	l.filled(100, 200, nil) // the committer's own record, out of order
+	l.parked.Add(1)         // ...and it is now waiting
 	select {
 	case <-l.kick:
 		t.Fatal("kick before the gap closed")
 	default:
 	}
-	l.filled(0, 100) // the slower writer finishes
+	l.filled(0, 100, nil) // the slower writer finishes
 	select {
 	case <-l.kick:
 	default:

@@ -53,7 +53,7 @@ func TestFlushWrapAroundSingleSubmission(t *testing.T) {
 	if _, err := Encode(&Record{Type: RecUpdate, TxnID: 7, Payload: payload}, rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.insertSerial(rec, nil); err != nil {
+	if _, err := l.insertSerial(rec, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.flushOnce(causeDemand); err != nil {

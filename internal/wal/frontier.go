@@ -23,7 +23,17 @@ func newFrontier() *frontier {
 // complete marks [start, end) as filled. It reports whether that
 // closed a gap: the contiguous frontier moved past end, over intervals
 // other writers had completed out of order.
-func (f *frontier) complete(start, end uint64) bool {
+//
+// A non-nil stamp receives start before the interval can count as
+// filled, whichever writer's complete later carries the frontier past
+// it: so every record below Filled() has stored its stamp, and a
+// reader that loads Filled() first sees each of those stamps. A record
+// that starts exactly at the frontier may be stamped and not yet
+// filled.
+func (f *frontier) complete(start, end uint64, stamp *atomic.Uint64) bool {
+	if stamp != nil {
+		stamp.Store(start)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cur := f.filled.Load()

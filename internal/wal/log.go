@@ -262,14 +262,17 @@ func (l *Log) Append(r *Record) (LSN, error) {
 // AppendFields encodes and inserts a record given directly by its
 // fields, sparing hot paths the per-record *Record allocation.
 func (l *Log) AppendFields(typ RecType, txnID uint64, prev LSN, pageID uint64, undoNext LSN, payload []byte) (LSN, error) {
-	return l.AppendFieldsC(typ, txnID, prev, pageID, undoNext, payload, nil)
+	return l.AppendFieldsC(typ, txnID, prev, pageID, undoNext, payload, nil, nil)
 }
 
-// AppendFieldsC is AppendFields with a phase clock: time the insert
+// AppendFieldsC is AppendFields with a stamp and a phase clock. A
+// non-nil stamp receives the record's LSN before the record joins the
+// filled prefix (see frontier.complete): once FilledLSN has passed the
+// record, the stamp is visible to whoever loaded it. Time the insert
 // spends blocked (ring full, allocation-mutex contention,
 // consolidation-group waits) is attributed to the clock's log-insert
-// phase. A nil clock makes it identical to AppendFields.
-func (l *Log) AppendFieldsC(typ RecType, txnID uint64, prev LSN, pageID uint64, undoNext LSN, payload []byte, c *obs.PhaseClock) (LSN, error) {
+// phase. Nil for both makes it identical to AppendFields.
+func (l *Log) AppendFieldsC(typ RecType, txnID uint64, prev LSN, pageID uint64, undoNext LSN, payload []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, error) {
 	size := EncodedSize(len(payload))
 	buf := encBufPool.Get().(*[]byte)
 	invariant.PoolGot("wal.encBufPool", buf)
@@ -282,7 +285,7 @@ func (l *Log) AppendFieldsC(typ RecType, txnID uint64, prev LSN, pageID uint64, 
 		encBufPool.Put(buf)
 		return 0, err
 	}
-	lsn, err := l.insert(b, c)
+	lsn, err := l.insert(b, stamp, c)
 	invariant.PoolPut("wal.AppendFields", buf)
 	encBufPool.Put(buf)
 	obs.TraceEvent(obs.EvLogAppend, txnID, uint64(typ), uint64(size))
@@ -296,9 +299,9 @@ var encBufPool = sync.Pool{New: func() any {
 
 // Insert places an already-encoded record into the log and returns
 // its LSN. The insert algorithm is chosen by Options.Kind.
-func (l *Log) Insert(rec []byte) (LSN, error) { return l.insert(rec, nil) }
+func (l *Log) Insert(rec []byte) (LSN, error) { return l.insert(rec, nil, nil) }
 
-func (l *Log) insert(rec []byte, c *obs.PhaseClock) (LSN, error) {
+func (l *Log) insert(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, error) {
 	if l.closed.Load() {
 		return 0, ErrClosed
 	}
@@ -312,11 +315,11 @@ func (l *Log) insert(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	}
 	switch l.opts.Kind {
 	case Serial:
-		return l.insertSerial(rec, c)
+		return l.insertSerial(rec, stamp, c)
 	case Decoupled:
-		return l.insertDecoupled(rec, c)
+		return l.insertDecoupled(rec, stamp, c)
 	case Consolidated:
-		return l.insertConsolidated(rec, c)
+		return l.insertConsolidated(rec, stamp, c)
 	default:
 		panic("wal: unknown buffer kind")
 	}
@@ -372,7 +375,7 @@ func (l *Log) allocateLocked(n uint64, c *obs.PhaseClock, t0 *int64) (uint64, er
 	return lsn, nil
 }
 
-func (l *Log) insertSerial(rec []byte, c *obs.PhaseClock) (LSN, error) {
+func (l *Log) insertSerial(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, error) {
 	n := uint64(len(rec))
 	t0 := l.lockInsertMu(c)
 	l.stats.mutexAcquires.Inc()
@@ -383,14 +386,14 @@ func (l *Log) insertSerial(rec []byte, c *obs.PhaseClock) (LSN, error) {
 		return 0, err
 	}
 	l.ring.copyIn(lsn, rec) // copy under the mutex: the serial pathology
-	l.fr.complete(lsn, lsn+n)
+	l.fr.complete(lsn, lsn+n, stamp)
 	l.mu.Unlock()
 	l.noteInsertWait(c, t0)
 	l.noteInsert(n)
 	return LSN(lsn), nil
 }
 
-func (l *Log) insertDecoupled(rec []byte, c *obs.PhaseClock) (LSN, error) {
+func (l *Log) insertDecoupled(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, error) {
 	n := uint64(len(rec))
 	t0 := l.lockInsertMu(c)
 	l.stats.mutexAcquires.Inc()
@@ -401,17 +404,18 @@ func (l *Log) insertDecoupled(rec []byte, c *obs.PhaseClock) (LSN, error) {
 		return 0, err
 	}
 	l.ring.copyIn(lsn, rec) // outside the mutex
-	l.filled(lsn, lsn+n)
+	l.filled(lsn, lsn+n, stamp)
 	l.noteInsert(n)
 	return LSN(lsn), nil
 }
 
-// filled completes an out-of-mutex copy into [start, end). A committer
-// whose own record is in the ring but sits behind a slower writer's gap
-// kicks the flusher in vain; when the gap closes with such a committer
-// parked, the writer that closed it passes the kick on.
-func (l *Log) filled(start, end uint64) {
-	if l.fr.complete(start, end) && l.parked.Load() > 0 {
+// filled completes an out-of-mutex copy into [start, end), storing
+// stamp first. A committer whose own record is in the ring but sits
+// behind a slower writer's gap kicks the flusher in vain; when the gap
+// closes with such a committer parked, the writer that closed it
+// passes the kick on.
+func (l *Log) filled(start, end uint64, stamp *atomic.Uint64) {
+	if l.fr.complete(start, end, stamp) && l.parked.Load() > 0 {
 		l.kickFlusher(causeDemand)
 	}
 }
@@ -470,7 +474,8 @@ func (l *Log) kickFlusher(why flushCause) {
 // LSN+len <= FlushedLSN survives a crash.
 func (l *Log) FlushedLSN() LSN { return LSN(l.flushed.Load()) }
 
-// FilledLSN returns the contiguously-filled buffer frontier.
+// FilledLSN returns the contiguously-filled buffer frontier. Every
+// record below it has stored its stamp (AppendFieldsC).
 func (l *Log) FilledLSN() LSN { return LSN(l.fr.Filled()) }
 
 // NextLSN returns the next LSN to be allocated (the current end of

@@ -546,20 +546,20 @@ func TestFrontierMerging(t *testing.T) {
 	if f.Filled() != 0 {
 		t.Fatal("fresh frontier not at 0")
 	}
-	f.complete(10, 20) // out of order
+	f.complete(10, 20, nil) // out of order
 	if f.Filled() != 0 {
 		t.Fatal("frontier advanced past a hole")
 	}
-	f.complete(0, 10)
+	f.complete(0, 10, nil)
 	if f.Filled() != 20 {
 		t.Fatalf("frontier = %d, want 20 after merge", f.Filled())
 	}
-	f.complete(30, 40)
-	f.complete(20, 25)
+	f.complete(30, 40, nil)
+	f.complete(20, 25, nil)
 	if f.Filled() != 25 {
 		t.Fatalf("frontier = %d, want 25", f.Filled())
 	}
-	f.complete(25, 30)
+	f.complete(25, 30, nil)
 	if f.Filled() != 40 {
 		t.Fatalf("frontier = %d, want 40 after chained merge", f.Filled())
 	}
@@ -577,7 +577,7 @@ func TestFrontierQuickContiguous(t *testing.T) {
 			bounds[i] = bounds[i-1] + uint64(src.IntRange(1, 100))
 		}
 		for _, i := range src.Perm(n) {
-			fr.complete(bounds[i], bounds[i+1])
+			fr.complete(bounds[i], bounds[i+1], nil)
 		}
 		return fr.Filled() == bounds[n]
 	}
