@@ -25,19 +25,6 @@ import (
 	"hydra/internal/server"
 )
 
-const replHelp = `commands:
-  CREATE <table>                create a table
-  SET <table> <key> <value...>  upsert a row (autocommit or in txn)
-  GET <table> <key>             read a row
-  DEL <table> <key>             delete a row
-  SCAN <table> <lo> <hi> <max>  range scan
-  BEGIN | COMMIT | ABORT        explicit transaction on this connection
-  CHECKPOINT                    take a fuzzy checkpoint
-  STATS                         engine counters (one line)
-  STATS FULL | stats            full snapshot: counters, latch tiers,
-                                lock-wait tail, tracer state
-  help | quit`
-
 func main() {
 	addr := flag.String("addr", "localhost:7654", "server address")
 	flag.Parse()
@@ -50,7 +37,7 @@ func main() {
 	defer c.Close()
 
 	if args := flag.Args(); len(args) > 0 {
-		if err := runOne(c, strings.Join(args, " ")); err != nil {
+		if err := runOne(c, strings.Join(args, " ")); err != nil && err != io.EOF {
 			fmt.Fprintf(os.Stderr, "hydra-cli: %v\n", err)
 			os.Exit(1)
 		}
@@ -70,20 +57,33 @@ func main() {
 		case "":
 			continue
 		case "help":
-			fmt.Println(replHelp)
+			printHelp(os.Stdout)
 			continue
-		case "quit", "exit":
+		case "exit":
 			return
 		}
 		start := time.Now()
 		err := runOne(c, line)
 		elapsed := time.Since(start).Round(time.Microsecond)
-		if err != nil {
-			fmt.Printf("error: %v (%v)\n", err, elapsed)
-		} else {
+		switch err {
+		case nil:
 			fmt.Printf("(%v)\n", elapsed)
+		case io.EOF:
+			return
+		default:
+			fmt.Printf("error: %v (%v)\n", err, elapsed)
 		}
 	}
+}
+
+// printHelp lists the server's verbs from its grammar table, then the
+// REPL's own words.
+func printHelp(w io.Writer) {
+	fmt.Fprintln(w, "commands:")
+	for _, v := range server.Verbs() {
+		fmt.Fprintf(w, "  %-29s %s\n", v.Name+" "+v.Usage, v.Help)
+	}
+	fmt.Fprintln(w, "  help | exit")
 }
 
 // runOne executes one REPL line. The server's grammar is the only one:
@@ -127,6 +127,9 @@ func runOne(c *server.Client, line string) error {
 		return err
 	}
 	fmt.Println(reply)
+	if reply == "BYE" {
+		return io.EOF // the server has closed the connection
+	}
 	return nil
 }
 

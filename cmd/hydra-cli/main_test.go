@@ -136,3 +136,24 @@ func TestPrintStatsShowsEveryCounter(t *testing.T) {
 		}
 	}
 }
+
+// The REPL's help lists every verb of the server's grammar table, one
+// line each, with its arguments.
+func TestHelpListsEveryVerb(t *testing.T) {
+	var out bytes.Buffer
+	printHelp(&out)
+	listed := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			listed[f[0]] = line
+		}
+	}
+	for _, v := range server.Verbs() {
+		line, ok := listed[v.Name]
+		if !ok {
+			t.Errorf("help lacks %s:\n%s", v.Name, out.String())
+		} else if !strings.Contains(line, v.Usage) || !strings.Contains(line, v.Help) {
+			t.Errorf("help line %q lacks %s's usage %q or help %q", line, v.Name, v.Usage, v.Help)
+		}
+	}
+}

@@ -64,59 +64,25 @@ func (c *Client) roundTrip(cmd string) (string, error) {
 	return c.r.Text(), nil
 }
 
-func expectOK(reply string) error {
-	if strings.HasPrefix(reply, "+") {
-		return nil
-	}
-	return fmt.Errorf("server: %s", strings.TrimPrefix(reply, "-ERR "))
-}
-
 // Ping checks liveness.
-func (c *Client) Ping() error {
-	reply, err := c.roundTrip("PING")
-	if err != nil {
-		return err
-	}
-	return expectOK(reply)
-}
+func (c *Client) Ping() error { return c.simple(verbs[verbPing].Name) }
 
 // CreateTable creates a table.
-func (c *Client) CreateTable(name string) error {
-	reply, err := c.roundTrip("CREATE " + name)
-	if err != nil {
-		return err
-	}
-	return expectOK(reply)
-}
+func (c *Client) CreateTable(name string) error { return c.simple(verbs[verbCreate].Name + " " + name) }
 
 // Set upserts a value.
 func (c *Client) Set(table string, key uint64, value string) error {
-	reply, err := c.roundTrip(fmt.Sprintf("SET %s %d %s", table, key, value))
-	if err != nil {
-		return err
-	}
-	return expectOK(reply)
+	return c.simple(fmt.Sprintf("%s %s %d %s", verbs[verbSet].Name, table, key, value))
 }
 
 // Get reads a value.
 func (c *Client) Get(table string, key uint64) (string, error) {
-	reply, err := c.roundTrip(fmt.Sprintf("GET %s %d", table, key))
-	if err != nil {
-		return "", err
-	}
-	if err := expectOK(reply); err != nil {
-		return "", err
-	}
-	return strings.TrimPrefix(reply, "+VALUE "), nil
+	return c.value(fmt.Sprintf("%s %s %d", verbs[verbGet].Name, table, key))
 }
 
 // Del deletes a key.
 func (c *Client) Del(table string, key uint64) error {
-	reply, err := c.roundTrip(fmt.Sprintf("DEL %s %d", table, key))
-	if err != nil {
-		return err
-	}
-	return expectOK(reply)
+	return c.simple(fmt.Sprintf("%s %s %d", verbs[verbDel].Name, table, key))
 }
 
 // Row is one SCAN result.
@@ -127,7 +93,7 @@ type Row struct {
 
 // Scan returns up to max rows in [lo, hi].
 func (c *Client) Scan(table string, lo, hi uint64, max int) ([]Row, error) {
-	if err := c.send(fmt.Sprintf("SCAN %s %d %d %d", table, lo, hi, max)); err != nil {
+	if err := c.send(fmt.Sprintf("%s %s %d %d %d", verbs[verbScan].Name, table, lo, hi, max)); err != nil {
 		return nil, err
 	}
 	var rows []Row
@@ -156,57 +122,48 @@ func (c *Client) Scan(table string, lo, hi uint64, max int) ([]Row, error) {
 
 // Begin / Commit / Abort manage an explicit transaction on this
 // connection.
-func (c *Client) Begin() error { return c.simple("BEGIN") }
+func (c *Client) Begin() error { return c.simple(verbs[verbBegin].Name) }
 
 // Commit commits the open transaction.
-func (c *Client) Commit() error { return c.simple("COMMIT") }
+func (c *Client) Commit() error { return c.simple(verbs[verbCommit].Name) }
 
 // Abort rolls back the open transaction.
-func (c *Client) Abort() error { return c.simple("ABORT") }
+func (c *Client) Abort() error { return c.simple(verbs[verbAbort].Name) }
 
 func (c *Client) simple(cmd string) error {
+	_, err := c.value(cmd)
+	return err
+}
+
+// value sends one command and returns its reply without the +VALUE
+// prefix; -ERR replies become errors.
+func (c *Client) value(cmd string) (string, error) {
 	reply, err := c.roundTrip(cmd)
 	if err != nil {
-		return err
+		return "", err
 	}
-	return expectOK(reply)
+	if !strings.HasPrefix(reply, "+") {
+		return "", fmt.Errorf("server: %s", strings.TrimPrefix(reply, "-ERR "))
+	}
+	return strings.TrimPrefix(reply, "+VALUE "), nil
 }
 
 // Raw sends one verbatim command line and returns the single-line
 // reply (without the +/- status prefix); -ERR replies become errors.
 func (c *Client) Raw(line string) (string, error) {
-	reply, err := c.roundTrip(line)
-	if err != nil {
-		return "", err
-	}
-	if err := expectOK(reply); err != nil {
-		return "", err
-	}
-	return strings.TrimPrefix(strings.TrimPrefix(reply, "+VALUE "), "+"), nil
+	reply, err := c.value(line)
+	return strings.TrimPrefix(reply, "+"), err
 }
 
 // Stats fetches the server counters line.
-func (c *Client) Stats() (string, error) {
-	reply, err := c.roundTrip("STATS")
-	if err != nil {
-		return "", err
-	}
-	if err := expectOK(reply); err != nil {
-		return "", err
-	}
-	return strings.TrimPrefix(reply, "+VALUE "), nil
-}
+func (c *Client) Stats() (string, error) { return c.value(verbs[verbStats].Name) }
 
 // StatsFull fetches and decodes the full observability snapshot.
 func (c *Client) StatsFull() (StatsJSON, error) {
 	var st StatsJSON
-	reply, err := c.roundTrip("STATS FULL")
-	if err != nil {
-		return st, err
+	reply, err := c.value(verbs[verbStats].Name + " FULL")
+	if err == nil {
+		err = json.Unmarshal([]byte(reply), &st)
 	}
-	if err := expectOK(reply); err != nil {
-		return st, err
-	}
-	err = json.Unmarshal([]byte(strings.TrimPrefix(reply, "+VALUE ")), &st)
 	return st, err
 }

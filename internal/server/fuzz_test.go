@@ -39,17 +39,44 @@ func oracleApplies(line []byte) bool {
 	return true
 }
 
+// seedArgs fills a verb's usage with arguments that parse.
+var seedArgs = strings.NewReplacer("<table>", "kv", "<key>", "1", "<value>", "a value with spaces",
+	"<lo>", "0", "<hi>", "100", "<max>", "10", "<server-side-path>", "/nonexistent/dir/file", "[FULL]", "FULL")
+
+// rowOf returns the row of the verb as dispatch matches it, folding
+// ASCII letters only, or nil.
+func rowOf(verb []byte) *Verb {
+	up := []byte(string(verb))
+	for i, ch := range up {
+		if 'a' <= ch && ch <= 'z' {
+			up[i] = ch - ('a' - 'A')
+		}
+	}
+	for _, v := range Verbs() {
+		if v.Name == string(up) {
+			return &v
+		}
+	}
+	return nil
+}
+
 // FuzzDispatchLine feeds arbitrary lines to the tokeniser and to
 // dispatch. The fields must agree with the Fields-based oracle wherever
 // the grammar did not change; dispatch must not panic, must leave the
 // line's bytes alone, must not look beyond the line into the buffer it
 // is a slice of, and must answer every request but SCAN with exactly
-// one line.
+// one line — a request with more or fewer fields than its verb's row
+// allows with the verb's usage line. The seeds are every verb of the
+// table at its arity and with a field more, and the edge lines of
+// pipeline_test.go and wire_test.go.
 func FuzzDispatchLine(f *testing.F) {
+	for _, v := range Verbs() {
+		line := strings.TrimSpace(v.Name + " " + seedArgs.Replace(v.Usage))
+		f.Add([]byte(line))
+		f.Add([]byte(line + " extra"))
+	}
 	for _, seed := range []string{
-		// The package doc's examples.
-		"PING", "CREATE users", "SET users 1 alice", "SET kv 1 a value with spaces", "GET kv 1", "DEL kv 1",
-		"SCAN kv 0 100 10", "BEGIN", "COMMIT", "ABORT", "CHECKPOINT", "BACKUP /nonexistent/dir/file", "STATS", "STATS FULL", "stats full", "QUIT",
+		"STATS", "stats full", // STATS below its most, and a verb in lower case
 		// The edge lines of pipeline_test.go and wire_test.go.
 		"SET kv 0 value-of-0\r", "PI", "NG", "GIBBERISH", "PING" + strings.Repeat(" ", 300), "", " ", "\t",
 		"SET kv 7 a  b", "SET kv 7 a\tb", "SET kv 7 a b ", "SET kv 7 GET kv 7", "SET kv 7 a\rb", "SET kv 7 ab c", "SET kv 7 a\vb\fc",
@@ -72,8 +99,8 @@ func FuzzDispatchLine(f *testing.F) {
 		line := trimEOL(buf[:len(data)])
 		sent, whole := string(line), string(buf)
 
-		verb, rest := nextField(line)
-		table, rest := nextField(rest)
+		verb, rest0 := nextField(line)
+		table, rest := nextField(rest0)
 		key, value := nextField(rest)
 		if oracleApplies(line) {
 			overb, otable, okey, ovalue := fieldsOracle(sent)
@@ -87,11 +114,19 @@ func FuzzDispatchLine(f *testing.F) {
 			t.Fatalf("line %q: the value %q does not run to the end of the line", sent, value)
 		}
 
+		// The field count a well-formed request of the verb may have.
+		row, count := rowOf(verb), 0
+		for rest := rest0; len(rest) > 0; count++ {
+			_, rest = nextField(rest)
+		}
+		refused := row != nil && (count < row.min || row.max >= 0 && count > row.max)
 		// BACKUP writes where the line says, and tables are never dropped:
 		// let the fuzzer do neither without bound.
 		switch strings.ToUpper(string(verb)) {
 		case "BACKUP":
-			return
+			if !refused {
+				return
+			}
 		case "CREATE":
 			if len(c.engine.Tables()) >= 16 {
 				return
@@ -119,6 +154,11 @@ func FuzzDispatchLine(f *testing.F) {
 		}
 		if lines := bytes.Count(got, []byte("\n")); lines != 1 && !(strings.EqualFold(string(verb), "SCAN") && bytes.HasSuffix(got, []byte("+END\n"))) {
 			t.Fatalf("line %q: a one-line reply of %d lines: %q", sent, lines, got)
+		}
+		if refused {
+			if usage := strings.TrimSpace("-ERR usage: "+row.Name+" "+row.Usage) + "\n"; string(got) != usage {
+				t.Fatalf("line %q: %d fields, reply %q, want %q", sent, count, got, usage)
+			}
 		}
 		if bytes.Contains(got, []byte("next-request")) {
 			t.Fatalf("line %q: the reply %q holds bytes from beyond the line", sent, got)

@@ -131,8 +131,8 @@ func TestHalfLineDoesNotHoldBackReply(t *testing.T) {
 
 // QUIT ends the connection where it stands in a batch: what preceded
 // it is answered, what follows is not. So does a line over the 1 MiB
-// limit, while one longer than the read buffer but within the limit is
-// served.
+// limit, once it is answered "-ERR line too long", while one longer
+// than the read buffer but within the limit is served.
 func TestBatchEndsAtQuitOrOverlongLine(t *testing.T) {
 	for _, tc := range []struct {
 		name, batch string
@@ -141,7 +141,7 @@ func TestBatchEndsAtQuitOrOverlongLine(t *testing.T) {
 		{"quit", "PING\nPING\nQUIT\nPING\n", []string{"+PONG", "+PONG", "+BYE"}},
 		{"long line", "PING\nPING" + strings.Repeat(" ", 200*1024) + "\r\nGIBBERISH\nQUIT\n", []string{"+PONG", "+PONG", `-ERR unknown command "GIBBERISH"`, "+BYE"}},
 		{"line at the limit", "PING" + strings.Repeat(" ", maxLine-5) + "\nQUIT\n", []string{"+PONG", "+BYE"}},
-		{"line over the limit", "PING\nPING" + strings.Repeat(" ", maxLine-4) + "\nPING\n", []string{"+PONG"}},
+		{"line over the limit", "PING\nPING" + strings.Repeat(" ", maxLine-4) + "\nPING\n", []string{"+PONG", "-ERR line too long"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			client, _ := servePipe(t)

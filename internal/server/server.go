@@ -3,32 +3,25 @@
 // role the keynote's title gestures at. One goroutine per connection;
 // each connection may run explicit transactions or autocommit.
 //
-// Protocol (one request per line):
-//
-//	PING                         -> +PONG
-//	CREATE <table>               -> +OK
-//	SET <table> <key> <value>    -> +OK          (value = rest of line)
-//	GET <table> <key>            -> +VALUE <value> | -ERR ... not found
-//	DEL <table> <key>            -> +OK
-//	SCAN <table> <lo> <hi> <max> -> +ROW <key> <value> ... +END
-//	BEGIN / COMMIT / ABORT       -> +OK          (explicit transaction)
-//	CHECKPOINT                   -> +OK          (fuzzy checkpoint)
-//	BACKUP <path>                -> +OK          (online backup to a server-side file)
-//	STATS                        -> +VALUE <counters>
-//	STATS FULL                   -> +VALUE <one-line JSON snapshot>
-//	QUIT                         -> +BYE, closes the connection
+// A request is one line: a verb and its argument fields. The verbs
+// are the rows of the table verbs, and only there: each row gives a
+// verb's arguments, how many fields it takes, a line of help with its
+// reply, and its handler. dispatch and hydra-cli's help read it.
 //
 // Grammar. A line ends at "\n" or "\r\n"; the terminator is cut once
 // and is no part of the request. Fields are separated by runs of ASCII
 // space and tab, and only those: every other byte, U+0085 and U+00A0
-// included, is data. Verbs match in either case. A SET's value starts
+// included, is data. Verbs match in either case. A request with more
+// or fewer fields than its verb takes does nothing and is answered
+// "-ERR usage: <VERB> <arguments>". A SET's value starts
 // at the first byte after the key that is not a separator and runs to
 // the end of the line, byte for byte: "SET kv 1 a  b " stores "a  b ",
 // the spaces inside and the one at the end with it. (A value that
 // itself ends in a carriage return therefore needs the "\r\n"
 // terminator, and no value can hold a line feed until values are
-// length-prefixed.) A line may be up to 1 MiB long, terminator included;
-// a row must still fit a page.
+// length-prefixed.) A line may be up to 1 MiB long, terminator
+// included; a longer one is answered "-ERR line too long" and ends the
+// connection. A row must still fit a page.
 //
 // Transactions. BEGIN opens an explicit transaction on the connection;
 // requests outside one autocommit. Both run under two-phase locking
@@ -59,6 +52,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -161,34 +155,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// conn is one connection's state. A request line and every field cut
-// from it alias the read buffer (or long): they are valid until the
-// next read from the connection, and nothing here or below keeps one —
-// the engine copies what it stores.
-type conn struct {
-	engine *core.Engine
-	fr     *FlightRecorder // optional, as in Server
-	r      *bufio.Reader
-	w      *bufio.Writer
-	txn    *core.Txn // the open explicit transaction, or nil (autocommit)
-	long   []byte    // a line longer than r's buffer is assembled here
-	rows   []byte    // a SCAN's rows, built while the scan holds its latches
-	// tables memoises the catalog by name, so resolving a request's
-	// table costs a map probe with no string built (tables are never
-	// dropped, so an entry cannot go stale).
-	tables map[string]*core.Table
-}
-
-func (s *Server) newConn(rw io.ReadWriter) *conn {
-	return &conn{
-		engine: s.engine,
-		fr:     s.fr,
-		r:      bufio.NewReaderSize(rw, 64*1024),
-		w:      bufio.NewWriter(rw),
-		tables: make(map[string]*core.Table),
-	}
-}
-
 func (s *Server) handle(nc net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -198,12 +164,9 @@ func (s *Server) handle(nc net.Conn) {
 	}()
 	c := s.newConn(nc)
 	defer c.w.Flush() // whatever was answered before the connection ends
-	defer func() {
-		if c.txn != nil {
-			c.txn.Abort()
-		}
-	}()
-	r := c.r
+	defer c.close()
+	r := bufio.NewReaderSize(nc, 64*1024)
+	var long []byte // a line longer than r's buffer is assembled here
 	for {
 		// Flush on drain: replies leave in one write(2) when the next
 		// read could block, that is, when no further complete request
@@ -216,15 +179,16 @@ func (s *Server) handle(nc net.Conn) {
 		}
 		line, err := r.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
-			c.long = append(c.long[:0], line...)
-			for err == bufio.ErrBufferFull && len(c.long) <= maxLine {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull && len(long) <= maxLine {
 				line, err = r.ReadSlice('\n')
-				c.long = append(c.long, line...)
+				long = append(long, line...)
 			}
-			if len(c.long) > maxLine {
-				return // as a Scanner with that limit did: the connection ends
+			if len(long) > maxLine {
+				c.w.WriteString("-ERR line too long\n")
+				return // the rest of the line is not read: the connection ends
 			}
-			line = c.long
+			line = long
 		}
 		// At end of input a last line without its newline still counts.
 		// A write error is sticky: Flush reports it.
@@ -253,6 +217,102 @@ func trimEOL(line []byte) []byte {
 	return line[:n-1]
 }
 
+// Verb is one row of the wire grammar.
+type Verb struct {
+	Name  string // upper case; a request's verb matches it in either case
+	Usage string // the argument fields, as the usage error and the help show them
+	// min and max bound the number of argument fields. A negative max
+	// leaves the count open: the min-th field is then the rest of the
+	// line, byte for byte (SET's value).
+	min, max int
+	Help     string // one line: what the verb does and what it answers
+	run      func(c *conn, a fields) error
+}
+
+// The rows' indices, for code that names a verb: the Client.
+const (
+	verbGet = iota
+	verbSet
+	verbDel
+	verbScan
+	verbPing
+	verbQuit
+	verbBegin
+	verbCommit
+	verbAbort
+	verbCreate
+	verbCheckpoint
+	verbBackup
+	verbStats
+)
+
+// verbs is the wire grammar: every verb, its arguments and its
+// handler. It is the only place a verb is named.
+var verbs = [...]Verb{
+	verbGet:        {"GET", "<table> <key>", 2, 2, "read a row: +VALUE <value>", (*conn).get},
+	verbSet:        {"SET", "<table> <key> <value>", 3, -1, "insert or update a row; the value is the rest of the line", (*conn).set},
+	verbDel:        {"DEL", "<table> <key>", 2, 2, "delete a row", (*conn).del},
+	verbScan:       {"SCAN", "<table> <lo> <hi> <max>", 4, 4, "up to <max> rows with <lo> <= key <= <hi>: +ROW <key> <value> ... +END", (*conn).scan},
+	verbPing:       {"PING", "", 0, 0, "answer +PONG", func(c *conn, _ fields) error { c.w.WriteString("+PONG\n"); return nil }},
+	verbQuit:       {"QUIT", "", 0, 0, "answer +BYE and close the connection", func(c *conn, _ fields) error { c.w.WriteString("+BYE\n"); return errQuit }},
+	verbBegin:      {"BEGIN", "", 0, 0, "open an explicit transaction on this connection", (*conn).begin},
+	verbCommit:     {"COMMIT", "", 0, 0, "commit the open transaction", func(c *conn, _ fields) error { return c.end(true) }},
+	verbAbort:      {"ABORT", "", 0, 0, "roll back the open transaction", func(c *conn, _ fields) error { return c.end(false) }},
+	verbCreate:     {"CREATE", "<table>", 1, 1, "create a table", func(c *conn, a fields) error { _, err := c.engine.CreateTable(string(a[0])); return c.ok(err) }},
+	verbCheckpoint: {"CHECKPOINT", "", 0, 0, "take a fuzzy checkpoint", func(c *conn, _ fields) error { return c.ok(c.engine.Checkpoint()) }},
+	verbBackup:     {"BACKUP", "<server-side-path>", 1, 1, "write an online backup to a new file on the server", (*conn).backup},
+	verbStats:      {"STATS", "[FULL]", 0, 1, "engine counters on one line; FULL: the whole snapshot as one line of JSON", (*conn).stats},
+}
+
+// Verbs returns the rows of the wire grammar, in table order.
+func Verbs() []Verb { return slices.Clone(verbs[:]) }
+
+// fields are a request's argument fields as dispatch cut them, slices
+// of its line; those past the request's count are empty. No verb takes
+// more than SCAN's four.
+type fields [4][]byte
+
+// A handler answers its request and returns nil, or returns what
+// dispatch is to answer: errUsage its verb's usage line, errQuit
+// nothing (the reply is written, and the connection ends), and any
+// other error an -ERR line.
+var errUsage, errQuit = errors.New("usage"), errors.New("quit")
+
+const replyOK = "+OK\n"
+
+// conn is one connection's session: what the verb layer knows of it.
+// A request line and every field cut from it alias the transport's read
+// buffer: they are valid until the next read from the connection, and
+// nothing here or below keeps one — the engine copies what it stores.
+type conn struct {
+	engine *core.Engine
+	fr     *FlightRecorder // optional, as in Server
+	w      *bufio.Writer
+	txn    *core.Txn // the open explicit transaction, or nil (autocommit)
+	rows   []byte    // a SCAN's rows, built while the scan holds its latches
+	// tables memoises the catalog by name, so resolving a request's
+	// table costs a map probe with no string built (tables are never
+	// dropped, so an entry cannot go stale).
+	tables map[string]*core.Table
+}
+
+// newConn returns a session whose replies go to w.
+func (s *Server) newConn(w io.Writer) *conn {
+	return &conn{
+		engine: s.engine,
+		fr:     s.fr,
+		w:      bufio.NewWriter(w),
+		tables: make(map[string]*core.Table),
+	}
+}
+
+// close ends the session: an open transaction aborts.
+func (c *conn) close() {
+	if c.txn != nil {
+		c.txn.Abort()
+	}
+}
+
 // nextField cuts the first field off b: it skips separators (ASCII
 // space and tab), returns the bytes up to the next one, and rest with
 // the separators after the field skipped too, so that rest starts at
@@ -275,174 +335,161 @@ func nextField(b []byte) (field, rest []byte) {
 
 func isSep(ch byte) bool { return ch == ' ' || ch == '\t' }
 
-// Replies used more than once; every reply ends its line.
-const (
-	replyOK    = "+OK\n"
-	replyNoTxn = "-ERR no transaction\n"
-)
-
 // dispatch executes one request line (without its terminator), writes
-// the reply into c.w, and reports whether the connection is to end.
+// the reply into c.w, and reports whether the connection is to end. It
+// cuts the verb, folds its case, finds its row and checks the field
+// count against it, once: a handler sees only requests of its arity.
 func (c *conn) dispatch(line []byte) (quit bool) {
-	verb, rest := nextField(line)
-	if len(verb) == 0 {
+	name, rest := nextField(line)
+	if len(name) == 0 {
 		c.w.WriteString("-ERR empty command\n")
 		return false
 	}
-	// Verbs are ASCII and match in either case: fold into a stack array
-	// and switch on it. No verb is longer than the array, so a longer
-	// field folds to "" and is unknown.
+	// Verbs are ASCII and match in either case: fold into a stack array.
+	// No verb is longer than the array, so a longer field folds to ""
+	// and is unknown.
 	var up [10]byte
 	n := 0
-	if len(verb) <= len(up) {
-		n = copy(up[:], verb)
+	if len(name) <= len(up) {
+		n = copy(up[:], name)
 		for i, ch := range up[:n] {
 			if 'a' <= ch && ch <= 'z' {
 				up[i] = ch - ('a' - 'A')
 			}
 		}
 	}
-	switch string(up[:n]) {
-	case "GET":
-		c.get(rest)
-	case "SET":
-		c.set(rest)
-	case "DEL":
-		c.del(rest)
-	case "SCAN":
-		c.scan(rest)
-	case "PING":
-		c.w.WriteString("+PONG\n")
-	case "QUIT":
-		c.w.WriteString("+BYE\n")
+	var v *Verb
+	for i := range verbs {
+		if verbs[i].Name == string(up[:n]) {
+			v = &verbs[i]
+			break
+		}
+	}
+	if v == nil {
+		fmt.Fprintf(c.w, "-ERR unknown command %q\n", bytes.ToUpper(name))
+		return false
+	}
+	var a fields
+	k := 0
+	for ; len(rest) > 0 && k < len(a); k++ {
+		if k == v.min-1 && v.max < 0 {
+			a[k], rest = rest, nil
+		} else {
+			a[k], rest = nextField(rest)
+		}
+	}
+	err := errUsage
+	if k >= v.min && len(rest) == 0 && (v.max < 0 || k <= v.max) {
+		err = v.run(c, a)
+	}
+	switch err {
+	case nil:
+	case errQuit:
 		return true
-	case "BEGIN":
-		if c.txn != nil {
-			c.w.WriteString("-ERR transaction already open\n")
-			break
-		}
-		c.txn = c.engine.Begin()
-		c.w.WriteString(replyOK)
-	case "COMMIT":
-		if c.txn == nil {
-			c.w.WriteString(replyNoTxn)
-			break
-		}
-		tx := c.txn
-		c.txn = nil
-		err := tx.Commit()
-		if err != nil {
-			// A failed commit leaves the transaction active; without
-			// this abort its locks and its live-registry entry (a
-			// snapshot pin, a first LSN that holds back a checkpoint's
-			// analysis start) would outlive the connection. The
-			// client is told why the COMMIT failed, not how the abort went.
-			_ = tx.Abort()
-		}
-		c.done(err)
-	case "ABORT":
-		if c.txn == nil {
-			c.w.WriteString(replyNoTxn)
-			break
-		}
-		tx := c.txn
-		c.txn = nil
-		c.done(tx.Abort())
-	case "CREATE":
-		name, more := nextField(rest)
-		if len(name) == 0 || len(more) != 0 {
-			c.w.WriteString("-ERR usage: CREATE <table>\n")
-			break
-		}
-		_, err := c.engine.CreateTable(string(name))
-		c.done(err)
-	case "CHECKPOINT":
-		c.done(c.engine.Checkpoint())
-	case "BACKUP":
-		path, more := nextField(rest)
-		if len(path) == 0 || len(more) != 0 {
-			c.w.WriteString("-ERR usage: BACKUP <server-side-path>\n")
-			break
-		}
-		c.done(c.backup(string(path)))
-	case "STATS":
-		c.stats(rest)
+	case errUsage:
+		c.w.WriteString(strings.TrimSpace("-ERR usage: "+v.Name+" "+v.Usage) + "\n")
 	default:
-		fmt.Fprintf(c.w, "-ERR unknown command %q\n", bytes.ToUpper(verb))
+		c.w.WriteString("-ERR ")
+		c.w.WriteString(strings.ReplaceAll(err.Error(), "\n", " "))
+		c.w.WriteByte('\n')
 	}
 	return false
 }
 
-// done writes the reply of a request that answers +OK or the error.
-func (c *conn) done(err error) {
-	if err != nil {
-		c.fail(err)
-		return
+// ok answers +OK when err is nil, and returns err for dispatch to
+// answer otherwise.
+func (c *conn) ok(err error) error {
+	if err == nil {
+		c.w.WriteString(replyOK)
 	}
-	c.w.WriteString(replyOK)
+	return err
 }
 
-// fail writes err as an -ERR line.
-func (c *conn) fail(err error) {
-	c.w.WriteString("-ERR ")
-	c.w.WriteString(strings.ReplaceAll(err.Error(), "\n", " "))
-	c.w.WriteByte('\n')
+func (c *conn) begin(fields) error {
+	if c.txn != nil {
+		return errors.New("transaction already open")
+	}
+	c.txn = c.engine.Begin()
+	return c.ok(nil)
 }
 
-func (c *conn) backup(path string) error {
-	f, err := os.Create(path)
+// end commits or aborts the open transaction.
+func (c *conn) end(commit bool) error {
+	tx := c.txn
+	if tx == nil {
+		return errors.New("no transaction")
+	}
+	c.txn = nil
+	if !commit {
+		return c.ok(tx.Abort())
+	}
+	err := tx.Commit()
+	if err != nil {
+		// A failed commit leaves the transaction active; without this
+		// abort its locks and its live-registry entry (a snapshot pin, a
+		// first LSN that holds back a checkpoint's analysis start) would
+		// outlive the connection. The client is told why the COMMIT
+		// failed, not how the abort went.
+		_ = tx.Abort()
+	}
+	return c.ok(err)
+}
+
+// backup writes an online backup to a file it creates. A path that
+// exists — the server's own page file or log among them — is refused,
+// not overwritten, and a backup that fails takes its file with it.
+func (c *conn) backup(a fields) error {
+	f, err := os.OpenFile(string(a[0]), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 	if err != nil {
 		return err
 	}
-	if err := c.engine.Backup(f); err != nil {
-		f.Close()
-		return err
+	err = c.engine.Backup(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return c.ok(err)
 }
 
-func (c *conn) stats(rest []byte) {
-	if arg, more := nextField(rest); len(more) == 0 && bytes.EqualFold(arg, []byte("FULL")) {
+func (c *conn) stats(a fields) error {
+	switch {
+	case len(a[0]) == 0:
+		st := c.engine.StatsSnapshot()
+		fmt.Fprintf(c.w, "+VALUE commits=%d aborts=%d lock_acquires=%d log_inserts=%d buf_hits=%d buf_misses=%d\n",
+			st.Commits, st.Aborts, st.Lock.Acquires, st.Log.Inserts, st.Buffer.Hits, st.Buffer.Misses)
+	case bytes.EqualFold(a[0], []byte("FULL")):
 		// One-line JSON so the line protocol stays line-oriented.
 		b, err := json.Marshal(Snapshot(c.engine, c.fr))
 		if err != nil {
-			c.fail(err)
-			return
+			return err
 		}
 		c.w.WriteString("+VALUE ")
 		c.w.Write(b)
 		c.w.WriteByte('\n')
-		return
+	default:
+		return errUsage
 	}
-	st := c.engine.StatsSnapshot()
-	fmt.Fprintf(c.w, "+VALUE commits=%d aborts=%d lock_acquires=%d log_inserts=%d buf_hits=%d buf_misses=%d\n",
-		st.Commits, st.Aborts, st.Lock.Acquires, st.Log.Inserts, st.Buffer.Hits, st.Buffer.Misses)
+	return nil
 }
 
-// target cuts the table and key that open every data verb's arguments
-// and resolves them. When ok is false the error reply has been written.
-func (c *conn) target(args []byte) (tbl *core.Table, key uint64, rest []byte, ok bool) {
-	name, rest := nextField(args)
-	keyField, rest := nextField(rest)
-	if len(keyField) == 0 {
-		c.w.WriteString("-ERR missing table/key\n")
-		return nil, 0, nil, false
-	}
-	tbl = c.tables[string(name)]
+// target resolves the table and key that open every data verb's
+// fields.
+func (c *conn) target(a fields) (*core.Table, uint64, error) {
+	tbl := c.tables[string(a[0])]
 	if tbl == nil {
 		var err error
-		if tbl, err = c.engine.Table(string(name)); err != nil {
-			c.fail(err)
-			return nil, 0, nil, false
+		if tbl, err = c.engine.Table(string(a[0])); err != nil {
+			return nil, 0, err
 		}
 		c.tables[tbl.Name] = tbl
 	}
-	key, err := strconv.ParseUint(string(keyField), 10, 64)
+	key, err := strconv.ParseUint(string(a[1]), 10, 64)
 	if err != nil {
-		c.w.WriteString("-ERR bad key\n")
-		return nil, 0, nil, false
+		return nil, 0, errors.New("bad key")
 	}
-	return tbl, key, rest, true
+	return tbl, key, nil
 }
 
 // exec runs fn within the open transaction, or autocommits it.
@@ -456,38 +503,35 @@ func (c *conn) exec(readOnly bool, fn func(tx *core.Txn) error) error {
 	return c.engine.Exec(fn, core.Intent{ReadOnly: readOnly})
 }
 
-func (c *conn) get(args []byte) {
-	tbl, key, _, ok := c.target(args)
-	if !ok {
-		return
+func (c *conn) get(a fields) error {
+	tbl, key, err := c.target(a)
+	if err != nil {
+		return err
 	}
 	var val []byte
-	err := c.exec(true, func(tx *core.Txn) error {
+	err = c.exec(true, func(tx *core.Txn) error {
 		v, err := tx.Read(tbl, key)
 		val = v
 		return err
 	})
 	if err != nil {
-		c.fail(err)
-		return
+		return err
 	}
 	c.w.WriteString("+VALUE ")
 	c.w.Write(val)
 	c.w.WriteByte('\n')
+	return nil
 }
 
 // set upserts. The value is the rest of the line, byte for byte, and
 // reaches the engine as a slice of the read buffer.
-func (c *conn) set(args []byte) {
-	tbl, key, val, ok := c.target(args)
-	if !ok {
-		return
+func (c *conn) set(a fields) error {
+	tbl, key, err := c.target(a)
+	if err != nil {
+		return err
 	}
-	if len(val) == 0 {
-		c.w.WriteString("-ERR usage: SET <table> <key> <value>\n")
-		return
-	}
-	c.done(c.exec(false, func(tx *core.Txn) error {
+	val := a[2]
+	return c.ok(c.exec(false, func(tx *core.Txn) error {
 		err := tx.Update(tbl, key, val)
 		if errors.Is(err, core.ErrNotFound) {
 			return tx.Insert(tbl, key, val)
@@ -496,37 +540,30 @@ func (c *conn) set(args []byte) {
 	}))
 }
 
-func (c *conn) del(args []byte) {
-	tbl, key, _, ok := c.target(args)
-	if !ok {
-		return
+func (c *conn) del(a fields) error {
+	tbl, key, err := c.target(a)
+	if err != nil {
+		return err
 	}
-	c.done(c.exec(false, func(tx *core.Txn) error { return tx.Delete(tbl, key) }))
+	return c.ok(c.exec(false, func(tx *core.Txn) error { return tx.Delete(tbl, key) }))
 }
 
-func (c *conn) scan(args []byte) {
-	tbl, lo, rest, ok := c.target(args)
-	if !ok {
-		return
+func (c *conn) scan(a fields) error {
+	tbl, lo, err := c.target(a)
+	if err != nil {
+		return err
 	}
-	hiField, rest := nextField(rest)
-	maxField, rest := nextField(rest)
-	if len(maxField) == 0 || len(rest) != 0 {
-		c.w.WriteString("-ERR usage: SCAN <table> <lo> <hi> <max>\n")
-		return
-	}
-	hi, err1 := strconv.ParseUint(string(hiField), 10, 64)
-	max, err2 := strconv.Atoi(string(maxField))
+	hi, err1 := strconv.ParseUint(string(a[2]), 10, 64)
+	max, err2 := strconv.Atoi(string(a[3]))
 	if err1 != nil || err2 != nil || max <= 0 {
-		c.w.WriteString("-ERR bad range\n")
-		return
+		return errors.New("bad range")
 	}
 	// The rows are built in memory and written after the scan: its
 	// callback runs under the index's latches, where a write to a slow
 	// client must not block, and a scan that fails part-way answers
 	// with the error alone.
 	rows := c.rows
-	err := c.exec(true, func(tx *core.Txn) error {
+	err = c.exec(true, func(tx *core.Txn) error {
 		rows = rows[:0] // here, not above: Exec may run fn again
 		n := 0
 		return tx.Scan(tbl, lo, hi, func(k uint64, v []byte) bool {
@@ -543,9 +580,9 @@ func (c *conn) scan(args []byte) {
 		c.rows = rows // keep the space, unless one large scan grew it
 	}
 	if err != nil {
-		c.fail(err)
-		return
+		return err
 	}
 	c.w.Write(rows)
 	c.w.WriteString("+END\n")
+	return nil
 }

@@ -34,10 +34,7 @@ func memConn(t testing.TB, out io.Writer) *conn {
 	if _, err := e.CreateTable("kv"); err != nil {
 		t.Fatal(err)
 	}
-	return New(e).newConn(struct {
-		io.Reader
-		io.Writer
-	}{strings.NewReader(""), out})
+	return New(e).newConn(out)
 }
 
 // reply runs one request line through dispatch and returns what it
@@ -61,7 +58,7 @@ func TestValueRoundTripsVerbatim(t *testing.T) {
 	const header = "SET kv 7 "
 	// With header and "\n" the line is exactly maxLine bytes, most of it
 	// the separators before the value: longer than the read buffer, so
-	// it is assembled in conn.long.
+	// it is assembled in handle's long buffer.
 	padded := strings.Repeat(" ", maxLine-len(header)-1-4) + "a  b"
 	for _, tc := range []struct{ name, value string }{
 		{"double space", "a  b"},
