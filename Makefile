@@ -44,7 +44,9 @@ lint:
 # handles, DORA contexts). It is the one latch-order checker (DESIGN.md
 # §6). dora, server, workload and staged drive the engine through its
 # scan callbacks, whose contract — fn must not call the engine — the
-# ranked partition.mu and Tree.mu enforce. TestCheckpointDuringTraffic
+# ranked partition.mu, the Coarse index's Tree.mu and the Crabbing
+# index's rank check at the entry of every tree operation enforce
+# (TestScanCallbackMustNotCallTheEngine). TestCheckpointDuringTraffic
 # then runs 300 times: checkpoints under insert traffic, a crash, and a
 # restart that must redo every committed insert. It guards the
 # dirty-page table's recLSN (a lower bound each writer notes under the
@@ -53,11 +55,17 @@ lint:
 # stress tests and TestStampPrecedesFill then run three more times: no
 # lock orders MVCC commits, only the rule that the log stores a commit
 # record's version stamp before the record joins the filled prefix the
-# snapshot floor follows, and these are the tests that race it.
+# snapshot floor follows, and these are the tests that race it. Last,
+# the root-split stress runs under the race detector, at the full depth
+# the tag's run stops short of: writers grow an empty tree, in both
+# modes, three levels deep (the root splits in place as a leaf, then as
+# an interior node) under readers' Gets and short scans, and the root
+# keeps its page (about a minute).
 stress:
 	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/... ./internal/btree/... ./internal/heap/... ./internal/dora/... ./internal/server/... ./internal/workload/... ./internal/staged/...
 	$(GO) test -tags hydradebug -count=300 -run TestCheckpointDuringTraffic ./internal/core/
 	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill' ./internal/core/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestRootSplitUnderTraffic|TestConcurrentMixedWorkload' ./internal/btree/
 
 # fuzz-smoke runs the wire tokeniser's differential fuzz target for
 # 20 s: FuzzDispatchLine holds nextField to the strings.Fields grammar

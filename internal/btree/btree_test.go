@@ -3,10 +3,12 @@ package btree
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hydra/internal/buffer"
 	"hydra/internal/invariant"
+	"hydra/internal/latch"
 	"hydra/internal/rng"
 )
 
@@ -281,37 +283,194 @@ func TestConcurrentInsertsDisjointRanges(t *testing.T) {
 	}
 }
 
+// TestConcurrentMixedWorkload: inserts, gets, deletes and scans of one
+// key range from eight goroutines, in both modes; a miss is the only
+// error an operation may return.
 func TestConcurrentMixedWorkload(t *testing.T) {
-	tr := newTree(t, Crabbing)
-	// Preload.
-	for i := uint64(0); i < 10000; i++ {
-		tr.Insert(i, i)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			src := rng.New(uint64(w))
-			for i := 0; i < 3000; i++ {
-				k := uint64(src.Intn(20000))
-				switch src.Intn(4) {
-				case 0:
-					tr.Insert(k, k)
-				case 1:
-					tr.Get(k)
-				case 2:
-					tr.Delete(k)
-				case 3:
-					n := 0
-					tr.Scan(k, k+100, func(uint64, uint64) bool { n++; return true })
+	for _, m := range modes() {
+		t.Run(m.String(), func(t *testing.T) {
+			tr := newTree(t, m)
+			for i := uint64(0); i < 10000; i++ {
+				if err := tr.Insert(i, i); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}(w)
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					src := rng.New(uint64(w))
+					for i := 0; i < 3000; i++ {
+						k := uint64(src.Intn(20000))
+						var err error
+						switch src.Intn(4) {
+						case 0:
+							err = tr.Insert(k, k)
+						case 1:
+							_, err = tr.Get(k)
+						case 2:
+							err = tr.Delete(k)
+						case 3:
+							err = tr.Scan(k, k+100, func(uint64, uint64) bool { return true })
+						}
+						if err != nil && !errors.Is(err, ErrNotFound) {
+							t.Errorf("op on key %d: %v", k, err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	wg.Wait()
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
+}
+
+// height returns the tree's height in pages, walking child0 pointers
+// under the tree's own lock and latches, so that it may run beside
+// writers.
+func height(t *testing.T, tr *Tree) int {
+	tr.lock(latch.Shared, nil)
+	defer tr.unlock(latch.Shared)
+	f, err := tr.pool.Fetch(tr.RootID())
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	tr.latch(f, latch.Shared, nil)
+	for h := 1; ; h++ {
+		n := node{f.Page}
+		if n.isLeaf() {
+			tr.release(f, latch.Shared, false)
+			return h
+		}
+		cf, err := tr.pool.Fetch(n.child0())
+		if err != nil {
+			tr.release(f, latch.Shared, false)
+			t.Error(err)
+			return 0
+		}
+		tr.latch(cf, latch.Shared, nil)
+		tr.release(f, latch.Shared, false)
+		f = cf
+	}
+}
+
+// TestRootSplitUnderTraffic: writers insert disjoint random keys into a
+// tree that starts as one empty leaf until it is three levels deep
+// (about 170 000 keys), so the root splits in place twice, as a leaf and
+// as an interior node, while readers Get acknowledged keys and scan
+// short ranges, checking order and values. At the end the root is the
+// page Create made, the structure checks, and every acknowledged key
+// reads back. Under the hydradebug assertions, which cost a few hundred
+// microseconds an insert, it stops at two levels: the leaf root's split.
+func TestRootSplitUnderTraffic(t *testing.T) {
+	const (
+		writers, readers = 4, 2
+		most             = 100_000 // keys a writer may insert before the tree must be deep enough
+		scanLen          = 50
+	)
+	deep := 3
+	if invariant.Enabled {
+		deep = 2
+	}
+	val := func(k uint64) uint64 { return k*31 + 7 }
+	for _, m := range modes() {
+		t.Run(m.String(), func(t *testing.T) {
+			tr := newTree(t, m) // 512 frames: the tree outgrows the pool
+			root := tr.RootID()
+			var tall, done atomic.Bool
+			keys := make([][]uint64, writers)
+			acked := make([]atomic.Int64, writers) // keys[w][:acked[w]] are acknowledged
+			var wg, rg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				keys[w] = make([]uint64, most)
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					src := rng.New(uint64(300 + w))
+					for i := 0; i < most && !tall.Load(); i++ {
+						k := src.Uint64()>>8*writers + uint64(w)
+						if err := tr.Insert(k, val(k)); err != nil {
+							t.Errorf("Insert(%d): %v", k, err)
+							return
+						}
+						keys[w][i] = k
+						acked[w].Store(int64(i + 1))
+						if i%1000 == 999 && height(t, tr) >= deep {
+							tall.Store(true)
+						}
+					}
+				}(w)
+			}
+			for r := 0; r < readers; r++ {
+				rg.Add(1)
+				go func(r int) {
+					defer rg.Done()
+					src := rng.New(uint64(400 + r))
+					for i := 0; !done.Load(); i++ {
+						w := src.Intn(writers)
+						n := acked[w].Load()
+						if n == 0 {
+							continue
+						}
+						k := keys[w][src.Intn(int(n))]
+						if i%2 == 0 {
+							if v, err := tr.Get(k); err != nil || v != val(k) {
+								t.Errorf("Get(%d) of an acknowledged key = %d, %v", k, v, err)
+								return
+							}
+							continue
+						}
+						seen, prev := 0, uint64(0)
+						err := tr.Scan(k, ^uint64(0), func(key, v uint64) bool {
+							if (seen == 0 && key != k) || (seen > 0 && key <= prev) || v != val(key) {
+								t.Errorf("scan from %d: key %d (value %d) after %d keys, the last %d", k, key, v, seen, prev)
+								return false
+							}
+							seen, prev = seen+1, key
+							return seen < scanLen
+						})
+						if err != nil {
+							t.Errorf("Scan from %d: %v", k, err)
+						}
+						if t.Failed() {
+							return
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
+			done.Store(true)
+			rg.Wait()
+			if t.Failed() {
+				return
+			}
+			total := int64(0)
+			for w := range acked {
+				total += acked[w].Load()
+			}
+			if h := height(t, tr); h < deep {
+				t.Fatalf("height %d after %d keys", h, total)
+			}
+			t.Logf("%d levels deep after %d keys", deep, total)
+			if got := tr.RootID(); got != root {
+				t.Fatalf("root moved from page %d to %d", root, got)
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			for w := range keys {
+				for _, k := range keys[w][:acked[w].Load()] {
+					if v, err := tr.Get(k); err != nil || v != val(k) {
+						t.Fatalf("Get(%d) = %d, %v after the run", k, v, err)
+					}
+				}
+			}
+		})
 	}
 }
 

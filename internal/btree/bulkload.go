@@ -87,10 +87,6 @@ func BulkLoad(pool *buffer.Pool, mode Mode, pairs []KV) (*Tree, error) {
 				n.setInnerEntry(keys, level[i].firstKey, level[i].id)
 				keys++
 			}
-			// Avoid leaving an orphan single child for the next parent
-			// (an inner node needs child0 plus at least the structure
-			// to be valid; a lone child0 parent is legal but wasteful —
-			// only allow it when unavoidable).
 			n.setCount(keys)
 			next = append(next, child{f.ID(), level[start].firstKey})
 			pool.Unpin(f, true)

@@ -16,17 +16,17 @@ import (
 // Mode selects the tree's concurrency discipline.
 type Mode int
 
-// Both modes run the same operations under the same tree lock (Tree.mu);
-// a mode decides only how a writer holds it.
+// Both modes run the same operations; a mode decides only what guards
+// them (lock and latch).
 const (
-	// Coarse: a writer holds the tree lock exclusively and takes no page
-	// latch; readers share it. The conventional low-overhead design:
-	// fastest at one thread, collapses under write concurrency.
+	// Coarse: the tree lock (Tree.mu) and no page latch. Readers share
+	// it, a writer holds it exclusively. The conventional low-overhead
+	// design: fastest at one thread, collapses under write concurrency.
 	Coarse Mode = iota
-	// Crabbing: a writer shares the tree lock with everyone else and
-	// couples page latches — a descent holds at most the latches on the
-	// unsafe suffix of its path, so operations on different subtrees
-	// proceed in parallel. Only a root split takes the lock exclusively.
+	// Crabbing: page latches and no tree lock. A descent couples the
+	// latches and holds at most those on the unsafe suffix of its path,
+	// so operations on different subtrees proceed in parallel; a root
+	// split happens under the root's X latch.
 	Crabbing
 )
 
@@ -47,15 +47,13 @@ type Tree struct {
 	pool *buffer.Pool
 	mode Mode
 
-	// mu is the tree lock, held for a whole operation and guarding the
-	// root pointer. Readers and Crabbing writers share it;
-	// a Coarse writer, or anyone splitting the root, holds it
-	// exclusively. Operations take it clocked: in Coarse mode it is the
+	// mu is the Coarse tree lock, held for a whole operation (lock); a
+	// Crabbing tree never takes it. It is taken clocked: it is the
 	// conventional design's serialisation point, so its wait must show
 	// in the per-transaction breakdown.
-	//hydra:vet:coarse -- held for a whole tree operation, page fetches included: Coarse mode's writers serialise on it by definition, and a root split must exclude all traffic
+	//hydra:vet:coarse -- held for a whole tree operation, page fetches included: Coarse mode's writers serialise on it by definition
 	mu   invariant.RWMutex[invariant.Tree]
-	root page.ID
+	root page.ID // fixed for the tree's life: a root splits in place (splitRoot)
 
 	// The rightmost door: the id of the chain's last leaf and the
 	// separator its range starts at, so that a key at or beyond it goes
@@ -129,8 +127,9 @@ func Open(pool *buffer.Pool, root page.ID, mode Mode) *Tree {
 
 // publishRightmost names id, whose range starts at sep, as the chain's
 // last leaf. The caller holds that leaf's latch, or the latch of the
-// leaf being split to make it, or the tree exclusively — so successive
-// last leaves are published in the order they came to be.
+// leaf being split to make it (the root's, for a root split), or the
+// tree exclusively — so successive last leaves are published in the
+// order they came to be.
 func (t *Tree) publishRightmost(id page.ID, sep uint64) {
 	t.rightSep.Store(sep)
 	t.rightID.Store(uint64(id))
@@ -177,9 +176,10 @@ func (t *Tree) raise(key uint64) {
 // key >= its first key, which is >= that separator, so key is in the
 // range whatever the published pair said; and, when the caller needs
 // room for one more entry, it is not full, so no ancestor is touched.
-// Pages are never freed or retyped, so a stale id still names a page of
-// this tree. The caller holds the tree lock of its mode; only this one
-// leaf latch is taken, with no ancestor held.
+// No page is freed and only the root is retyped (leaf to interior, when
+// it splits), so a stale id still names a page of this tree, and these
+// checks refuse it if it is no longer the last leaf. The caller has begun
+// its operation (lock); only this one leaf latch is taken.
 func (t *Tree) door(key uint64, m latch.Mode, room bool, c *obs.PhaseClock) *buffer.Frame {
 	if key < t.rightSep.Load() {
 		return nil
@@ -203,8 +203,32 @@ func (t *Tree) door(key uint64, m latch.Mode, room bool, c *obs.PhaseClock) *buf
 	return nil
 }
 
+// lock begins an operation that takes its latches in mode m: a Coarse
+// tree takes the tree lock in that mode. A Crabbing tree takes none and
+// only checks (hydradebug) that the caller holds no lock ranked above
+// the tree's, such as a scan callback's leaf latch (see ScanC).
+func (t *Tree) lock(m latch.Mode, c *obs.PhaseClock) {
+	switch {
+	case t.mode == Crabbing:
+		invariant.Check[invariant.Tree]()
+	case m == latch.Exclusive:
+		t.mu.LockC(c)
+	default:
+		t.mu.RLockC(c)
+	}
+}
+
+// unlock undoes lock.
+func (t *Tree) unlock(m latch.Mode) {
+	if t.mode == Coarse && m == latch.Exclusive {
+		t.mu.Unlock()
+	} else if t.mode == Coarse {
+		t.mu.RUnlock()
+	}
+}
+
 // latch takes f's latch in mode m in Crabbing mode. A Coarse tree takes
-// none: its writers hold the tree lock exclusively.
+// none: its tree lock covers every page.
 func (t *Tree) latch(f *buffer.Frame, m latch.Mode, c *obs.PhaseClock) {
 	if t.mode == Crabbing {
 		f.Latch.AcquireC(m, c)
@@ -222,8 +246,8 @@ func (t *Tree) release(f *buffer.Frame, m latch.Mode, dirty bool) {
 // leafFor returns the leaf whose range holds key, pinned and (in
 // Crabbing mode) latched in mode m: the last leaf through the door, or
 // the end of a latch-coupled walk from the root that holds one latch
-// beyond the handover. The caller holds the tree lock and releases the
-// leaf with release.
+// beyond the handover. The caller has begun its operation and releases
+// the leaf with release.
 func (t *Tree) leafFor(key uint64, m latch.Mode, c *obs.PhaseClock) (*buffer.Frame, error) {
 	if f := t.door(key, m, false, c); f != nil {
 		return f, nil
@@ -256,12 +280,8 @@ func (t *Tree) leafFor(key uint64, m latch.Mode, c *obs.PhaseClock) (*buffer.Fra
 	}
 }
 
-// RootID returns the current root page id (persist it in the catalog).
-func (t *Tree) RootID() page.ID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.root
-}
+// RootID returns the root page id, the same for the tree's life.
+func (t *Tree) RootID() page.ID { return t.root }
 
 // Get returns the value stored under key.
 func (t *Tree) Get(key uint64) (uint64, error) { return t.GetC(key, nil) }
@@ -272,8 +292,8 @@ func (t *Tree) GetC(key uint64, c *obs.PhaseClock) (uint64, error) {
 	if t.beyond(key) {
 		return 0, ErrNotFound
 	}
-	t.mu.RLockC(c)
-	defer t.mu.RUnlock()
+	t.lock(latch.Shared, c)
+	defer t.unlock(latch.Shared)
 	f, err := t.leafFor(key, latch.Shared, c)
 	if err != nil {
 		return 0, err
@@ -296,20 +316,9 @@ func (t *Tree) Insert(key, value uint64) error { return t.InsertC(key, value, ni
 
 // InsertC is Insert with a phase clock (see GetC).
 func (t *Tree) InsertC(key, value uint64, c *obs.PhaseClock) error {
-	if t.mode == Crabbing {
-		t.mu.RLockC(c)
-		done, err := t.insert(key, value, false, c)
-		t.mu.RUnlock()
-		if done || err != nil {
-			return err
-		}
-	}
-	// A Coarse writer, or a Crabbing one that found the root full:
-	// exclusively, which splits it.
-	t.mu.LockC(c)
-	defer t.mu.Unlock()
-	_, err := t.insert(key, value, true, c)
-	return err
+	t.lock(latch.Exclusive, c)
+	defer t.unlock(latch.Exclusive)
+	return t.insert(key, value, c)
 }
 
 // insertRightmost stores (key, value) in the last leaf when the door
@@ -333,13 +342,11 @@ func (t *Tree) insertRightmost(key, value uint64, c *obs.PhaseClock) bool {
 
 // insert stores (key, value) through the door, or else by a
 // latch-coupled descent that retains the unsafe suffix of its path and
-// splits it bottom-up. The caller holds the tree lock, exclusively when
-// excl: such a writer splits a full root in place; a sharing one
-// reports done=false, with nothing done, for its caller to come back
-// exclusively.
-func (t *Tree) insert(key, value uint64, excl bool, c *obs.PhaseClock) (bool, error) {
+// splits it bottom-up; a full root is split in place first. The caller
+// has begun its operation (lock).
+func (t *Tree) insert(key, value uint64, c *obs.PhaseClock) error {
 	if t.insertRightmost(key, value, c) {
-		return true, nil
+		return nil
 	}
 
 	// X-latched, pinned, unsafe suffix. It starts on the stack: a
@@ -358,19 +365,20 @@ func (t *Tree) insert(key, value uint64, excl bool, c *obs.PhaseClock) (bool, er
 
 	f, err := t.pool.FetchC(t.root, c)
 	if err != nil {
-		return false, err
+		return err
 	}
 	t.latch(f, latch.Exclusive, c)
-	if full(node{f.Page}) {
-		if !excl {
-			t.release(f, latch.Exclusive, false)
-			return false, nil
-		}
-		if f, err = t.splitRoot(f, key, c); err != nil {
-			return false, err
-		}
-	}
 	t.descents.Inc()
+	if full(node{f.Page}) {
+		// Split it in place and start again: the root is the same
+		// page, now with room.
+		err := t.splitRoot(f, key, c)
+		t.release(f, latch.Exclusive, err == nil)
+		if err != nil {
+			return err
+		}
+		return t.insert(key, value, c)
+	}
 	path = append(path, f)
 
 	var lo uint64
@@ -386,7 +394,7 @@ func (t *Tree) insert(key, value uint64, excl bool, c *obs.PhaseClock) (bool, er
 		cf, err := t.pool.FetchC(childID, c)
 		if err != nil {
 			releaseAll()
-			return false, err
+			return err
 		}
 		t.latch(cf, latch.Exclusive, c)
 		if !full(node{cf.Page}) {
@@ -406,18 +414,18 @@ func (t *Tree) insert(key, value uint64, excl bool, c *obs.PhaseClock) (bool, er
 	if ok {
 		leaf.setLeafEntry(pos, key, value)
 		releaseAll()
-		return true, nil
+		return nil
 	}
 	if leaf.count() < LeafCap {
 		leaf.leafInsertAt(pos, key, value)
 		releaseAll()
-		return true, nil
+		return nil
 	}
 
 	// The leaf and every node above it on the path but the top are full
-	// (the top is the root, checked, or a split-safe node), so each of
-	// them splits. Their new pages are allocated before anything
-	// changes: a failed allocation leaves the tree as it was.
+	// (the top is the root, split first if it was full, or a split-safe
+	// node), so each of them splits. Their new pages are allocated before
+	// anything changes: a failed allocation leaves the tree as it was.
 	var freshStack [8]*buffer.Frame
 	fresh := freshStack[:0]
 	for i := 1; i < len(path); i++ {
@@ -432,7 +440,7 @@ func (t *Tree) insert(key, value uint64, excl bool, c *obs.PhaseClock) (bool, er
 			}
 			dirty = len(path)
 			releaseAll()
-			return false, err
+			return err
 		}
 		fresh = append(fresh, nf)
 	}
@@ -448,57 +456,55 @@ func (t *Tree) insert(key, value uint64, excl bool, c *obs.PhaseClock) (bool, er
 		pos, _ := leaf.leafSearch(key)
 		leaf.leafInsertAt(pos, key, value)
 	}
-	child := t.adoptLeaf(rf, sep)
+	child := t.adopt(rf, sep)
 	for i := len(path) - 2; i > 0; i-- {
 		sep, child = t.innerSplitInsert(node{path[i].Page}, sep, child, fresh[i-1])
 	}
 	top := node{path[0].Page}
 	top.innerInsertAt(innerInsertPos(top, sep), sep, child)
 	releaseAll()
-	return true, nil
+	return nil
 }
 
-// splitRoot splits the full root f, pinned and latched, under the tree
-// lock held exclusively; key is the insert that found it full. It
-// returns the new root pinned and latched in f's place. The new root
-// and the old root's new sibling are allocated before anything changes,
-// so that a failed allocation leaves the tree as it was (a page
-// allocated and never written costs no IO).
-func (t *Tree) splitRoot(f *buffer.Frame, key uint64, c *obs.PhaseClock) (*buffer.Frame, error) {
+// splitRoot splits the full root f in place, under its X latch or the
+// tree lock held exclusively; key is the insert that found it full. The
+// root's content moves to a new left page and is split into a new right
+// one, and the root becomes an interior node over the two, so its page
+// id never changes. Both pages are allocated before anything changes:
+// a failed allocation leaves the tree as it was (a page allocated and
+// never written costs no IO). A new last leaf is published only once
+// the root names it.
+func (t *Tree) splitRoot(f *buffer.Frame, key uint64, c *obs.PhaseClock) error {
 	n := node{f.Page}
-	rf, err := t.pool.NewPageC(page.TypeBTreeInner, c)
+	lf, err := t.pool.NewPageC(n.p.Type(), c)
 	if err != nil {
-		t.release(f, latch.Exclusive, false)
-		return nil, err
+		return err
 	}
-	sf, err := t.pool.NewPageC(n.p.Type(), c)
+	rf, err := t.pool.NewPageC(n.p.Type(), c)
 	if err != nil {
-		t.pool.Unpin(rf, false)
-		t.release(f, latch.Exclusive, false)
-		return nil, err
+		t.pool.Unpin(lf, false)
+		return err
 	}
+	l := node{lf.Page}
+	copy(l.body(), n.body())
+	l.setCount(n.count())
 	var sep uint64
-	var newID page.ID
 	if n.isLeaf() {
-		sep = t.splitLeaf(n, key, sf)
-		newID = t.adoptLeaf(sf, sep)
+		sep = t.splitLeaf(l, key, rf)
 	} else {
-		sep = t.innerSplit(n, sf)
-		newID = sf.ID()
-		t.pool.Unpin(sf, true)
+		sep = t.innerSplit(l, rf)
 	}
-	rn := node{rf.Page}
-	rn.setChild0(f.ID())
-	rn.innerInsertAt(0, sep, newID)
-	t.root = rf.ID()
-	t.release(f, latch.Exclusive, true)
-	t.latch(rf, latch.Exclusive, c)
-	return rf, nil
+	n.p.Format(f.ID(), page.TypeBTreeInner)
+	n.setChild0(lf.ID())
+	n.innerInsertAt(0, sep, rf.ID())
+	t.pool.Unpin(lf, true)
+	t.adopt(rf, sep)
+	return nil
 }
 
 // Delete removes key. In the tradition of many production trees,
-// underflowing nodes are not rebalanced; empty leaves are left in
-// place and reclaimed on reorganization. A delete therefore never
+// underflowing nodes are not rebalanced: an emptied leaf stays in the
+// chain, and no page of a tree is ever freed. A delete therefore never
 // modifies an ancestor, and plain latch coupling serves it.
 func (t *Tree) Delete(key uint64) error { return t.DeleteC(key, nil) }
 
@@ -507,13 +513,8 @@ func (t *Tree) DeleteC(key uint64, c *obs.PhaseClock) error {
 	if t.beyond(key) {
 		return ErrNotFound
 	}
-	if t.mode == Coarse {
-		t.mu.LockC(c)
-		defer t.mu.Unlock()
-	} else {
-		t.mu.RLockC(c)
-		defer t.mu.RUnlock()
-	}
+	t.lock(latch.Exclusive, c)
+	defer t.unlock(latch.Exclusive)
 	f, err := t.leafFor(key, latch.Exclusive, c)
 	if err != nil {
 		return err
@@ -531,15 +532,18 @@ func (t *Tree) DeleteC(key uint64, c *obs.PhaseClock) error {
 }
 
 // Scan calls fn for every (key, value) with lo <= key <= hi in
-// ascending order; fn returning false stops the scan.
+// ascending order; fn returning false stops the scan. fn runs under a
+// leaf latch (Crabbing) or the tree lock (Coarse), so it must not call
+// the tree: under hydradebug a Crabbing operation entered from it
+// panics in lock.
 func (t *Tree) Scan(lo, hi uint64, fn func(key, value uint64) bool) error {
 	return t.ScanC(lo, hi, nil, fn)
 }
 
 // ScanC is Scan with a phase clock (see GetC).
 func (t *Tree) ScanC(lo, hi uint64, c *obs.PhaseClock, fn func(key, value uint64) bool) error {
-	t.mu.RLockC(c)
-	defer t.mu.RUnlock()
+	t.lock(latch.Shared, c)
+	defer t.unlock(latch.Shared)
 	f, err := t.leafFor(lo, latch.Shared, c)
 	if err != nil {
 		return err
@@ -618,13 +622,13 @@ func (t *Tree) splitLeaf(n node, key uint64, rf *buffer.Frame) uint64 {
 	return r.leafKey(0)
 }
 
-// adoptLeaf ends a leaf split once the splitter has written what it
-// will to the new leaf: a new last leaf becomes the door — only now, so
-// that nobody latches it while it is still being filled unlatched — and
-// the pin goes.
-func (t *Tree) adoptLeaf(rf *buffer.Frame, sep uint64) page.ID {
+// adopt ends a split once the splitter has written what it will to the
+// new page rf, whose range starts at sep: a new last leaf becomes the
+// door — only now, so that nobody latches it while it is still being
+// filled unlatched — and the pin goes.
+func (t *Tree) adopt(rf *buffer.Frame, sep uint64) page.ID {
 	id := rf.ID()
-	if rf.Page.Next() == page.InvalidID {
+	if n := (node{rf.Page}); n.isLeaf() && n.p.Next() == page.InvalidID {
 		t.publishRightmost(id, sep)
 	}
 	t.pool.Unpin(rf, true)
@@ -655,9 +659,7 @@ func (t *Tree) innerSplitInsert(n node, sep uint64, child page.ID, rf *buffer.Fr
 		target = node{rf.Page}
 	}
 	target.innerInsertAt(innerInsertPos(target, sep), sep, child)
-	id := rf.ID()
-	t.pool.Unpin(rf, true)
-	return promoted, id
+	return promoted, t.adopt(rf, promoted)
 }
 
 // Count returns the number of keys (full scan).
@@ -670,7 +672,7 @@ func (t *Tree) Count() (int, error) {
 // CheckInvariants walks the whole tree verifying ordering, separator
 // bounds, and sibling linkage; used by tests.
 func (t *Tree) CheckInvariants() error {
-	_, _, err := t.check(t.RootID(), 0, ^uint64(0))
+	_, _, err := t.check(t.root, 0, ^uint64(0))
 	return err
 }
 

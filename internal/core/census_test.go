@@ -65,38 +65,46 @@ func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 // transaction enters under Scalable() on a file log, per tier, in every
 // mode: the count of critical sections the keynote's argument is about.
 // Every lock these paths take is ranked, so nothing is left uncounted.
-// An update enters 28.82, a locked GET 13.82, and no update enters a
-// lock of its own transaction. A transaction is in the live registry
-// (txn_live) only if it pins a snapshot or logs: joining and leaving are
-// its two entries, a version-installing commit included — the log stamps
-// its versions, no lock does. The lock-tier registry is process-global,
-// so the test must not run in parallel with others.
+// An update enters 27.82, a locked GET 12.82, and no update enters a
+// lock of its own transaction; the crabbing index takes no tree lock. A
+// transaction is in the live registry (txn_live) only if it pins a
+// snapshot or logs: joining and leaving are its two entries, a
+// version-installing commit included — the log stamps its versions, no
+// lock does. The Conventional() rows pin the baseline E9 knocks the
+// constructs out to: one tree-lock entry an operation (its Coarse
+// index), one frame latch (the heap page's; a Coarse index takes none).
+// The lock-tier registry is process-global, so the test must not run in
+// parallel with others.
 func TestAutocommitCriticalSections(t *testing.T) {
-	read := map[string]float64{"frame_latch": 2.94, "lock_part": 4, "pool_shard": 5.88, "tree": 1}
+	read := map[string]float64{"frame_latch": 2.94, "lock_part": 4, "pool_shard": 5.88}
 	update := with(read, map[string]float64{"txn_live": 2, "wal_device": 2, "wal_frontier": 4, "wal_log": 5, "wal_wait": 2})
+	coarse := map[string]float64{"frame_latch": 1, "tree": 1}
 	for _, c := range []struct {
 		name   string
+		cfg    func() Config
 		mvcc   bool
 		intent Intent
 		write  bool
 		want   map[string]float64
 	}{
-		{"update", false, Intent{}, true, update},
-		{"locked GET", false, Intent{}, false, read},
+		{"update", Scalable, false, Intent{}, true, update},
+		{"locked GET", Scalable, false, Intent{}, false, read},
 		// No lock_part: the snapshot read bypasses the lock manager.
-		{"snapshot GET", true, Intent{ReadOnly: true}, false, map[string]float64{
-			"frame_latch": 2.94, "mvcc_shard": 1, "pool_shard": 5.88, "tree": 1, "txn_live": 2}},
-		{"-mvcc 2PL update", true, Intent{}, true, with(update, map[string]float64{"mvcc_shard": 1})},
+		{"snapshot GET", Scalable, true, Intent{ReadOnly: true}, false, map[string]float64{
+			"frame_latch": 2.94, "mvcc_shard": 1, "pool_shard": 5.88, "txn_live": 2}},
+		{"-mvcc 2PL update", Scalable, true, Intent{}, true, with(update, map[string]float64{"mvcc_shard": 1})},
 		// The SI body reads the row through the index and the heap, and
 		// the commit writes it through both again. The commit's own pin
 		// was the oldest, so leaving sweeps the version store; only the
 		// shard holding the row's chain has one to sweep: mvcc_shard 4
 		// (the read's resolve, the validation, the install, the sweep).
-		{"SI update", true, Intent{Optimistic: true}, true, with(update, map[string]float64{
-			"frame_latch": 5.88, "mvcc_shard": 4, "pool_shard": 11.76, "tree": 2})},
+		{"SI update", Scalable, true, Intent{Optimistic: true}, true, with(update, map[string]float64{
+			"frame_latch": 5.88, "mvcc_shard": 4, "pool_shard": 11.76})},
+		{"Conventional update", Conventional, false, Intent{}, true, with(update, coarse)},
+		{"Conventional locked GET", Conventional, false, Intent{}, false, with(read, coarse)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := Scalable()
+			cfg := c.cfg()
 			cfg.Dir, cfg.MVCC = t.TempDir(), c.mvcc
 			got := criticalSections(t, cfg, c.intent, c.write)
 			if !maps.EqualFunc(got, c.want, near) {

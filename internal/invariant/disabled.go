@@ -9,6 +9,7 @@ const Enabled = false
 // to nothing.
 
 func acquired(t *tier)             {}
+func entered(t *tier)              {}
 func released(t *tier)             {}
 func PoolGot(site string, obj any) {}
 func PoolPut(site string, obj any) {}

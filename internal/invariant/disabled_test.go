@@ -16,6 +16,9 @@ func TestStubsAreInert(t *testing.T) {
 	part.Lock() // inversion: ignored without the tag
 	part.Unlock()
 	shard.Unlock()
+	shard.Lock()
+	Check[Tree]() // under a higher rank: ignored without the tag
+	shard.Unlock()
 	released(frameLatch) // never held
 	obj := new(int)
 	PoolPut("never got", obj)

@@ -45,13 +45,28 @@ func acquired(t *tier) {
 	g := gid()
 	mu.Lock()
 	defer mu.Unlock()
+	outranked(g, t, "acquiring")
+	stacks[g] = append(stacks[g], t)
+}
+
+// entered is acquired's check without the hold: the calling goroutine
+// is at tier t and takes no lock there (Check).
+func entered(t *tier) {
+	g := gid()
+	mu.Lock()
+	defer mu.Unlock()
+	outranked(g, t, "entering")
+}
+
+// outranked panics if goroutine g holds a lock ranked above t. Caller
+// holds mu.
+func outranked(g uint64, t *tier, verb string) {
 	for _, h := range stacks[g] {
 		if h.rank > t.rank {
-			panic(fmt.Sprintf("invariant: latch-order violation: acquiring %s (tier %d) while holding %s (tier %d)",
-				t.site, t.rank, h.site, h.rank))
+			panic(fmt.Sprintf("invariant: latch-order violation: %s %s (tier %d) while holding %s (tier %d)",
+				verb, t.site, t.rank, h.site, h.rank))
 		}
 	}
-	stacks[g] = append(stacks[g], t)
 }
 
 // released drops the most recent hold of tier t. Releases may happen

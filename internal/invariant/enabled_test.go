@@ -56,6 +56,18 @@ func TestRankedTypesRecordEveryAcquisition(t *testing.T) {
 	ckpt.Unlock()
 }
 
+// TestCheckRanksWithoutHolding: Check panics where an acquisition of
+// its tier would, and leaves no hold behind where it does not.
+func TestCheckRanksWithoutHolding(t *testing.T) {
+	var frame RWMutex[FrameLatch]
+	Check[Tree]()
+	mustPanic(t, "release after a check", func() { released(treeMu) })
+	frame.RLock()
+	Check[FrameLatch]() // equal rank: fine
+	mustPanic(t, "check under a higher rank", func() { Check[Tree]() })
+	frame.RUnlock()
+}
+
 func TestTierStacksArePerGoroutine(t *testing.T) {
 	var wal Mutex[WALLog]
 	wal.Lock()

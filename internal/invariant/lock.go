@@ -122,6 +122,18 @@ func (m *RWLock[T, L, P]) RUnlock() {
 	P(&m.l).RUnlock()
 }
 
+// Check asserts (hydradebug) that the calling goroutine holds no lock
+// ranked above tier T: the rank check of an acquisition of T, for a
+// path that belongs at tier T but takes no lock there (a Crabbing
+// tree's operations, which the Coarse tree lock would rank). It counts
+// nothing and holds nothing.
+func Check[T Tier]() {
+	if Enabled {
+		var x T
+		entered(x.tier())
+	}
+}
+
 // acquiring returns tier T for an acquisition about to be counted,
 // having checked its rank against the goroutine's holds (hydradebug).
 func acquiring[T Tier]() *tier {

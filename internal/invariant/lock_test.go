@@ -10,7 +10,8 @@ import (
 
 // TestRankedLocksCountEveryAcquisition: a Lock, a successful try and a
 // sync.Cond's re-lock count once each in the tier's profile, a failed
-// try counts nothing, and either side of an RWLock counts.
+// try counts nothing, either side of an RWLock counts, and a Check
+// counts nothing.
 func TestRankedLocksCountEveryAcquisition(t *testing.T) {
 	var m Mutex[DoraQueue]
 	before := doraQueue.prof.Ops()
@@ -42,6 +43,7 @@ func TestRankedLocksCountEveryAcquisition(t *testing.T) {
 	rw.RUnlock()
 	rw.LockC(nil) // 3
 	rw.Unlock()
+	Check[Tree]() // not an acquisition
 	if got := treeMu.prof.Ops() - before; got != 3 {
 		t.Fatalf("tree counted %d acquisitions, want 3", got)
 	}

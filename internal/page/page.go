@@ -330,22 +330,20 @@ func (p *Page) Update(slot int, rec []byte) error {
 	}
 	// Relocate within the page. The old copy's bytes are dead the
 	// moment we succeed, so tombstone first and compact to reclaim
-	// them; keep a copy so we can restore the record if the new one
-	// still does not fit.
+	// them; keep the image so that a new record that still does not
+	// fit leaves the page as it was. (Putting the old record back after
+	// the compaction need not fit: on a damaged page it may overlap
+	// the others, which Compact cannot see once it is tombstoned.)
 	slotEnd := p.slotOffset(p.SlotCount())
 	if p.freePtrRaw()-slotEnd < len(rec) {
-		old := append([]byte(nil), p.buf[off:off+length]...)
+		saved := p.buf
 		p.setSlot(slot, tombstone, 0)
 		if err := p.Compact(); err != nil {
 			p.setSlot(slot, off, length) // Compact moved nothing
 			return err
 		}
 		if p.freePtrRaw()-slotEnd < len(rec) {
-			// Restore the original record and report no space.
-			restore := p.freePtrRaw() - len(old)
-			copy(p.buf[restore:], old)
-			p.setFreePtr(restore)
-			p.setSlot(slot, restore, len(old))
+			p.buf = saved
 			return ErrPageFull
 		}
 	}

@@ -165,9 +165,9 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestEveryLatchTierExposed drives every tier internal/invariant
 // declares — file-backed log, -mvcc writers and a snapshot reader, a
-// checkpoint, a DORA inbox — and requires each one's acquisitions on
-// /metrics, under the labels the tiers had before they were declared
-// once.
+// checkpoint, a DORA inbox, a Coarse index — and requires each one's
+// acquisitions on /metrics, under the labels the tiers had before they
+// were declared once.
 func TestEveryLatchTierExposed(t *testing.T) {
 	cfg := core.Scalable()
 	cfg.MVCC = true
@@ -202,6 +202,20 @@ func TestEveryLatchTierExposed(t *testing.T) {
 	err = d.ExecSingle(dora.Action{Table: tbl, Key: 1, Fn: func(tx *core.Txn) error { _, err := tx.Read(tbl, 1); return err }})
 	d.Close()
 	if err != nil {
+		t.Fatal(err)
+	}
+	// The tree lock is the Coarse index's alone (a Crabbing tree takes
+	// none): one insert into a Conventional engine's table.
+	ce, err := core.Open(core.Conventional())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ce.Close()
+	coarse, err := ce.CreateTable("coarse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ce.Exec(func(tx *core.Txn) error { return tx.Insert(coarse, 1, []byte("v")) }); err != nil {
 		t.Fatal(err)
 	}
 
