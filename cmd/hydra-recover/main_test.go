@@ -26,11 +26,18 @@ func TestReportOverCrashedLog(t *testing.T) {
 	// does not.
 	defer dev.Close()
 	defer l.Close()
+	// Transactions 1 and 2 have the older shape, a begin record first;
+	// 3 and 4 the current one, their first change first. Each shape has
+	// a winner and a loser, and the report counts them alike.
+	row := []byte("row")
 	var last wal.LSN
 	for _, r := range []wal.Record{
 		{Type: wal.RecBegin, TxnID: 1, PrevLSN: wal.NilLSN},
 		{Type: wal.RecCommit, TxnID: 1},
 		{Type: wal.RecBegin, TxnID: 2, PrevLSN: wal.NilLSN}, // a loser
+		{Type: wal.RecUpdate, TxnID: 3, PrevLSN: wal.NilLSN, Payload: row},
+		{Type: wal.RecCommit, TxnID: 3},
+		{Type: wal.RecUpdate, TxnID: 4, PrevLSN: wal.NilLSN, Payload: row}, // a loser
 	} {
 		if last, err = l.Append(&r); err != nil {
 			t.Fatal(err)
@@ -44,10 +51,10 @@ func TestReportOverCrashedLog(t *testing.T) {
 	if err := report(&out, path, false); err != nil {
 		t.Fatal(err)
 	}
-	logBytes := 3 * wal.EncodedSize(0)
+	logBytes := 4*wal.EncodedSize(0) + 2*wal.EncodedSize(len(row))
 	for _, want := range []string{
-		fmt.Sprintf("log: %d bytes, 3 records (file continues for", logBytes),
-		"transactions: 2 total, 1 complete, 1 losers",
+		fmt.Sprintf("log: %d bytes, 6 records (file continues for", logBytes),
+		"transactions: 4 total, 2 complete, 2 losers",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, out.String())

@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkCommitPipeline measures the full commit path of a small
-// read-modify-write transaction — Begin, one locked update (begin +
-// update log records), commit record, group-commit flush wait, end
-// record, lock release — under the Scalable configuration over
+// read-modify-write transaction — Begin, one locked update (its one
+// log record), commit record, group-commit flush wait, lock release —
+// under the Scalable configuration over
 // in-memory stores. Keys are disjoint per goroutine so the numbers
 // isolate pipeline overhead (allocations, log inserts, flush wakeups)
 // rather than data contention.

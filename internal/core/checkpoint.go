@@ -91,9 +91,9 @@ func (e *Engine) Checkpoint() error {
 	}
 	dpt := e.pool.DirtyPageTable()
 	// The active set is read only now, with begin in the log: a
-	// transaction whose first LSN this misses appends its begin record
-	// above begin. One that published only the filled frontier appends
-	// it at or above that.
+	// transaction whose first LSN this misses appends its first record
+	// above begin. One that published the filled frontier appends it at
+	// or above that.
 	start := begin
 	e.liveMu.Lock()
 	for _, t := range e.live {

@@ -170,7 +170,7 @@ func TestCheckpointBoundsAnalysis(t *testing.T) {
 	if rep.Master == wal.NilLSN {
 		t.Fatal("restart ignored the master record")
 	}
-	// 1000 pre-checkpoint txns are ~4000 records; the analysis window
+	// 1000 pre-checkpoint txns are ~2000 records; the analysis window
 	// must be far smaller.
 	if rep.Scanned > 200 {
 		t.Fatalf("analysis scanned %d records despite checkpoint", rep.Scanned)
@@ -188,7 +188,7 @@ func TestCheckpointBoundsAnalysis(t *testing.T) {
 
 // A transaction active at the checkpoint that never writes again must
 // still be rolled back at restart — it reaches recovery only because
-// the master sits at or below its begin record.
+// the master sits at or below its first record.
 func TestLoserOnlyInCheckpointATT(t *testing.T) {
 	store := buffer.NewMemStore()
 	dev := wal.NewMem()
@@ -250,9 +250,8 @@ func readKey1(t *testing.T, e *Engine, want string) {
 }
 
 // A checkpoint taken between a transaction's commit record and its
-// retirement must not put the master above the commit record: a restart
-// from that checkpoint would never see it and, with the end record lost
-// to the crash, would roll the acknowledged commit back.
+// retirement must leave restart counting the transaction a winner. No
+// record follows the commit, so the commit record alone closes it.
 func TestCheckpointKeepsAcknowledgedCommit(t *testing.T) {
 	store, dev := buffer.NewMemStore(), wal.NewMem()
 	e, err := OpenWith(Conventional(), store, dev)
@@ -274,14 +273,14 @@ func TestCheckpointKeepsAcknowledgedCommit(t *testing.T) {
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	endRecord := e.log.NextLSN()
+	afterCommit := e.log.NextLSN()
 	if err := tx.CommitWait(commit); err != nil {
 		t.Fatal(err)
 	}
-	crash(e)
-	if err := dev.SetEnd(int64(endRecord)); err != nil { // the end record never reached the disk
-		t.Fatal(err)
+	if next := e.log.NextLSN(); next != afterCommit {
+		t.Fatalf("commit wait appended %d bytes after the commit record", next-afterCommit)
 	}
+	crash(e)
 
 	e2, err := OpenWith(Conventional(), store, dev)
 	if err != nil {
@@ -296,7 +295,7 @@ func TestCheckpointKeepsAcknowledgedCommit(t *testing.T) {
 
 // The other side of the window: a transaction active when the
 // checkpoint began, whose commit record lies between the checkpoint's
-// begin and end records. The master sits at its begin record, so
+// begin and end records. The master sits at or below its first record, so
 // restart meets its records and then its commit, and must not take it
 // for a loser.
 func TestCheckpointWindowCommitIsNoLoser(t *testing.T) {
@@ -391,6 +390,58 @@ func TestDPTPullsRedoBelowCheckpoint(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// A page store opened over an empty log — a database created and never
+// written, its log lost or started afresh — must not put a data record
+// at LSN 0: the buffer pool lowers a page's recLSN to the log's filled
+// frontier, 0 on an empty log, which a fuzzy checkpoint's DPT reads as
+// "none", so redo would start past the insert. Open starts every log
+// that opens empty with a checkpoint's begin marker, whether or not the
+// store names a master from an earlier checkpoint, so the insert below
+// survives the crash.
+func TestEmptyLogOpenKeepsRedoOnRecordBoundary(t *testing.T) {
+	for _, checkpointed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpointed=%v", checkpointed), func(t *testing.T) {
+			store := buffer.NewMemStore()
+			e0, err := OpenWith(Conventional(), store, wal.NewMem())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e0.CreateTable("t"); err != nil {
+				t.Fatal(err)
+			}
+			if checkpointed { // the store keeps a master past LSN 0
+				if err := e0.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e0.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			dev := wal.NewMem()
+			e, err := OpenWith(Conventional(), store, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, _ := e.Table("t")
+			if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("kept")) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Checkpoint(); err != nil { // fuzzy: flushes nothing
+				t.Fatal(err)
+			}
+			crash(e)
+
+			e2, err := OpenWith(Conventional(), store, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			readKey1(t, e2, "kept")
+		})
+	}
 }
 
 // Checkpoints must be safe under concurrent write traffic (fuzzy).

@@ -349,7 +349,8 @@ func TestCrashRecoveryUncommittedRolledBack(t *testing.T) {
 	}
 	// Force the dirty pages (with loser data!) to disk, then crash.
 	// The flush makes undo do real physical work at restart; the
-	// (fuzzy) checkpoint puts the master at the loser's begin record.
+	// (fuzzy) checkpoint puts the master at or below the loser's first
+	// record.
 	if err := e.pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func TestCrashMidAbortResumesUndo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.applyOp(&inv, uint64(clr)); err != nil {
+	if err := applyOp(tbl, &inv, uint64(clr)); err != nil {
 		t.Fatal(err)
 	}
 	e.Checkpoint()

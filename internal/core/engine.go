@@ -204,10 +204,10 @@ type Engine struct {
 	closed         atomic.Bool
 
 	// live is the registry of live transactions: one joins at its
-	// snapshot pin or its first log record, whichever comes first
-	// (join), and leaves in finish. A checkpoint reads their first LSNs,
-	// the watermark and the MaxSnapshotAge expirer their pins. The
-	// snapshot floor advances only under liveMu (advanceFloor).
+	// snapshot pin or its first write, whichever comes first (join), and
+	// leaves in finish. A checkpoint reads their first LSNs, the
+	// watermark and the MaxSnapshotAge expirer their pins. The snapshot
+	// floor advances only under liveMu (advanceFloor).
 	liveMu invariant.Mutex[invariant.TxnLive]
 	live   map[uint64]*Txn
 
@@ -285,12 +285,10 @@ func (l poolLog) WaitFlushed(pageLSN uint64) error {
 }
 
 // Frontier is the filled frontier, a record boundary at or below every
-// record not yet appended. The log's first record carries no payload (a
-// transaction's begin record or a checkpoint's), so no page change lies
-// below its end, the bound when nothing is filled yet.
-func (l poolLog) Frontier() uint64 {
-	return max(uint64(l.e.log.FilledLSN()), uint64(wal.EncodedSize(0)))
-}
+// record not yet appended. It is never 0, which a dirty-page table reads
+// as "none": OpenWith starts a log that opens empty with a record
+// before any page is touched.
+func (l poolLog) Frontier() uint64 { return uint64(l.e.log.FilledLSN()) }
 
 // OpenWith opens an engine over explicit stores; tests use it to
 // simulate crashes by reopening the same in-memory stores.
@@ -331,6 +329,16 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 	if err != nil {
 		return nil, err
 	}
+	// A log that opens empty, new or over a store whose log was lost,
+	// starts with a checkpoint's begin marker, so no page change lands
+	// at LSN 0 (Frontier). It costs no IO: the first flush after it makes
+	// it durable, and restart reads a begin marker without its end as a
+	// checkpoint that never finished.
+	if e.log.NextLSN() == 0 {
+		if _, err := e.log.Append(&wal.Record{Type: wal.RecCheckpoint, PrevLSN: wal.NilLSN}); err != nil {
+			return nil, err
+		}
+	}
 	e.locks = lock.NewManager(lock.Options{
 		Partitions:  cfg.LockPartitions,
 		WaitTimeout: cfg.LockTimeout,
@@ -350,10 +358,7 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 		if err := e.writeMeta(wal.NilLSN); err != nil {
 			return nil, err
 		}
-		e.advanceFloor()
-		return e, nil
-	}
-	if err := e.recover(an); err != nil {
+	} else if err := e.recover(an); err != nil {
 		return nil, fmt.Errorf("core: recovery: %w", err)
 	}
 	// Chains are volatile: after (re)open there are no versions, so the

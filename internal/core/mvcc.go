@@ -210,8 +210,8 @@ func (vt *verTable) watermark() uint64 {
 // in Begin, advances the floor to the filled frontier and pins it as its
 // snap in the same critical section: the floor moves only under liveMu,
 // so the pin is registered before any later leave can advance the
-// watermark past it. Any other transaction joins at its first log
-// record (ensureBegin).
+// watermark past it. Any other transaction joins at its first write,
+// before its first log record (lockWrite).
 func (e *Engine) join(t *Txn) {
 	vt := e.mvcc
 	e.liveMu.Lock()

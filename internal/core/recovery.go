@@ -242,7 +242,7 @@ func (e *Engine) redo(start wal.LSN, rep *Recovery) error {
 			rep.SkippedByLSN++
 			continue
 		}
-		if err := e.applyOp(&op, uint64(r.LSN)); err != nil {
+		if err := applyOp(tbl, &op, uint64(r.LSN)); err != nil {
 			return fmt.Errorf("redo %v at %d: %w", op.Op, r.LSN, err)
 		}
 		rep.Redone++

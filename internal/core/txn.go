@@ -113,14 +113,13 @@ type Txn struct {
 	// lock holder and DORA executors keep a pointer to it.
 	clock obs.PhaseClock
 
-	// firstLSN bounds the transaction's begin record from below for a
-	// checkpoint's analysis start (checkpoint.go): NilLSN until
-	// ensureBegin, which stores the log's filled frontier before the
-	// append and the record's LSN after it.
+	// firstLSN bounds the transaction's first record from below for a
+	// checkpoint's analysis start (checkpoint.go): NilLSN until its
+	// first write, which stores the log's filled frontier (lockWrite).
+	// lastLSN is its newest record, NilLSN while it has logged nothing.
 	firstLSN atomic.Uint64
 	lastLSN  wal.LSN
 	undo     []undoEntry
-	logged   bool   // wrote at least one record (begin is lazy)
 	joined   bool   // in the engine's live registry (see join)
 	enc      []byte // scratch buffer for op payload encoding
 	// arena is the chunk the bump allocator for undo row images is
@@ -255,7 +254,6 @@ func (e *Engine) Begin(opts ...Intent) *Txn {
 	}
 	t.lastLSN = wal.NilLSN
 	t.firstLSN.Store(uint64(wal.NilLSN))
-	t.logged = false
 	t.joined = false
 	t.snap = 0
 	t.snapExpired.Store(false)
@@ -374,29 +372,9 @@ func (t *Txn) acquire(name lock.Name, mode lock.Mode) error {
 	return t.locks.Acquire(name, mode)
 }
 
-// ensureBegin lazily logs the begin record (read-only transactions
-// never touch the log). The transaction joins the live registry, unless
-// its snapshot pin already did, after storing the filled frontier and
-// before the append: a checkpoint that finds it there before the append
-// reads that frontier, which no later record lies below, and one that
-// does not find it appended its begin marker before this record.
-func (t *Txn) ensureBegin() error {
-	if t.logged {
-		return nil
-	}
-	t.firstLSN.Store(uint64(t.e.log.FilledLSN()))
-	if !t.joined {
-		t.e.join(t)
-	}
-	lsn, err := t.e.log.AppendFieldsC(wal.RecBegin, t.id, wal.NilLSN, 0, 0, nil, nil, &t.clock)
-	if err != nil {
-		return err
-	}
-	t.firstLSN.Store(uint64(lsn))
-	t.lastLSN = lsn
-	t.logged = true
-	return nil
-}
+// logged reports whether the transaction wrote a record: there is no
+// begin record, so one counts as logged from its first data record.
+func (t *Txn) logged() bool { return t.lastLSN != wal.NilLSN }
 
 func (t *Txn) checkActive() error {
 	if t.state != txnActive {
@@ -534,13 +512,21 @@ func (t *Txn) Delete(tbl *Table, key uint64) error {
 	return t.delete(tbl, key)
 }
 
-// lockWrite opens every logged write: the lazy begin record, then the
-// IX table and X row locks. insert, update and delete below are the
-// logged bodies; a snapshot-mode Commit runs its buffered write set
-// through them once validation has passed (si.go).
+// lockWrite opens every logged write with the IX table and X row
+// locks. insert, update and delete below are the logged bodies; a
+// snapshot-mode Commit runs its buffered write set through them once
+// validation has passed (si.go). The first write stores the log's filled
+// frontier as the transaction's first LSN, then joins the live registry
+// unless its snapshot pin already did: a checkpoint that finds it there
+// reads that frontier, which no later record lies below, and one that
+// does not find it appended its own begin marker before any record of
+// this transaction.
 func (t *Txn) lockWrite(tbl *Table, key uint64) error {
-	if err := t.ensureBegin(); err != nil {
-		return err
+	if wal.LSN(t.firstLSN.Load()) == wal.NilLSN {
+		t.firstLSN.Store(uint64(t.e.log.FilledLSN()))
+		if !t.joined {
+			t.e.join(t)
+		}
 	}
 	if err := t.acquire(lock.TableName(tbl.ID), lock.IX); err != nil {
 		return err
@@ -721,7 +707,7 @@ func (t *Txn) CommitAsync() (wal.LSN, error) {
 			return wal.NilLSN, err
 		}
 	}
-	if !t.logged {
+	if !t.logged() {
 		t.retire(txnCommitted)
 		return wal.NilLSN, nil
 	}
@@ -744,8 +730,10 @@ func (t *Txn) CommitAsync() (wal.LSN, error) {
 
 // CommitWait is the durable tail of every logged commit: wait for the
 // commit record's durability (under SyncCommit), release the locks if
-// ELR did not already, write the end record, and retire the handle.
-// commitLSN must be the non-nil value CommitAsync returned.
+// ELR did not already, and retire the handle. No end record follows a
+// commit: restart closes a transaction at its commit record. The only
+// error is the flush wait's. commitLSN must be the non-nil value
+// CommitAsync returned.
 func (t *Txn) CommitWait(commitLSN wal.LSN) error {
 	e := t.e
 	if e.cfg.SyncCommit {
@@ -755,10 +743,6 @@ func (t *Txn) CommitWait(commitLSN wal.LSN) error {
 	}
 	if !e.cfg.ELR {
 		t.releaseLocks(false)
-	}
-	// The end record needs no flush wait.
-	if _, err := e.log.AppendFieldsC(wal.RecEnd, t.id, commitLSN, 0, 0, nil, nil, &t.clock); err != nil {
-		return err
 	}
 	t.finish(txnCommitted, commitLSN)
 	return nil
@@ -773,7 +757,7 @@ func (t *Txn) Abort() error {
 		return ErrTxnDone
 	}
 	e := t.e
-	if t.logged {
+	if t.logged() {
 		if e.closed.Load() {
 			return ErrClosed
 		}
@@ -845,16 +829,10 @@ func (t *Txn) releaseLocks(aborting bool) {
 }
 
 // applyOp redoes a logged row operation (forward or compensation) on
-// the heap, stamping lsn as the pageLSN. It leaves the index alone:
+// tbl's heap, stamping lsn as the pageLSN. It leaves the index alone:
 // recovery rebuilds every index after redo, and redo applies extends
 // itself.
-func (e *Engine) applyOp(op *OpRecord, lsn uint64) error {
-	e.mu.RLock()
-	tbl, ok := e.tablesByID[op.Table]
-	e.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: id %d", ErrNoTable, op.Table)
-	}
+func applyOp(tbl *Table, op *OpRecord, lsn uint64) error {
 	switch op.Op {
 	case OpInsert:
 		return tbl.Heap.InsertAt(op.RID, op.After, lsn)
