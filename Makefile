@@ -51,7 +51,12 @@ lint:
 # restart that must redo every committed insert. It guards the
 # dirty-page table's recLSN (a lower bound each writer notes under the
 # page's X latch before it appends its record); without it about one
-# run in thirty lost an insert under the tag's timing. The snapshot
+# run in thirty lost an insert under the tag's timing.
+# TestCreateTableDuringCheckpoints then runs 100 times: tables are
+# created while others take inserts, checkpoints run back to back and a
+# small pool evicts, and after a crash restart must find every table and
+# row. A create is a logged system action applied to page 0, which the
+# checkpoint rewrites in place; this races the two. The snapshot
 # stress tests and TestStampPrecedesFill then run three more times: no
 # lock orders MVCC commits, only the rule that the log stores a commit
 # record's version stamp before the record joins the filled prefix the
@@ -64,6 +69,7 @@ lint:
 stress:
 	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/... ./internal/btree/... ./internal/heap/... ./internal/dora/... ./internal/server/... ./internal/workload/... ./internal/staged/...
 	$(GO) test -tags hydradebug -count=300 -run TestCheckpointDuringTraffic ./internal/core/
+	$(GO) test -tags hydradebug -count=100 -run TestCreateTableDuringCheckpoints ./internal/core/
 	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill' ./internal/core/ ./internal/wal/
 	$(GO) test -race -count=1 -run 'TestRootSplitUnderTraffic|TestConcurrentMixedWorkload' ./internal/btree/
 

@@ -3,7 +3,12 @@
 // meta page, walks each table's heap chain, and prints structure
 // statistics (and optionally the rows). Because it bypasses recovery
 // it shows the *on-disk* state, which after a crash may legitimately
-// trail the log — pair it with hydra-recover to see both sides.
+// trail the log — pair it with hydra-recover to see both sides. A
+// crashed, unrecovered pages.db may lack tables created after page 0
+// was last written: a table's creation is a log record, which restart
+// applies to page 0. It may also name a table whose pages it does not
+// hold yet (a checkpoint writes page 0 alone); reading such a page
+// fails as unallocated.
 //
 // Usage:
 //

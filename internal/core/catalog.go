@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hydra/internal/buffer"
+	"hydra/internal/heap"
 	"hydra/internal/latch"
 	"hydra/internal/page"
 	"hydra/internal/wal"
@@ -24,21 +25,18 @@ type TableMeta struct {
 //	count(4) then per table: id(4) heapFirst(8) nameLen(2) name
 func encodeCatalog(tables []TableMeta) []byte {
 	sort.Slice(tables, func(i, j int) bool { return tables[i].ID < tables[j].ID })
-	size := 4
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(tables)))
 	for _, t := range tables {
-		size += 4 + 8 + 2 + len(t.Name)
-	}
-	buf := make([]byte, size)
-	binary.LittleEndian.PutUint32(buf, uint32(len(tables)))
-	off := 4
-	for _, t := range tables {
-		binary.LittleEndian.PutUint32(buf[off:], t.ID)
-		binary.LittleEndian.PutUint64(buf[off+4:], uint64(t.HeapFirst))
-		binary.LittleEndian.PutUint16(buf[off+12:], uint16(len(t.Name)))
-		copy(buf[off+14:], t.Name)
-		off += 14 + len(t.Name)
+		buf = appendCatalogEntry(buf, t)
 	}
 	return buf
+}
+
+func appendCatalogEntry(buf []byte, t TableMeta) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, t.ID)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.HeapFirst))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(t.Name)))
+	return append(buf, t.Name...)
 }
 
 func decodeCatalog(b []byte) ([]TableMeta, error) {
@@ -73,7 +71,9 @@ func decodeCatalog(b []byte) ([]TableMeta, error) {
 // master LSN is where restart analysis starts: the last checkpoint's
 // begin record, or the first record of a transaction that was active
 // then, whichever is lower (checkpoint.go). NilLSN (all ones) means no
-// checkpoint: scan from 0.
+// checkpoint: scan from 0. Page 0 is an ordinary logged page: the
+// catalog grows only through OpCreate records, whose LSN the page
+// carries, and a checkpoint rewrites the master in place.
 
 // DecodeMeta decodes the meta page's record into the master LSN and
 // the table list. It is the one reader of the format: the engine's
@@ -87,59 +87,92 @@ func DecodeMeta(rec []byte) (wal.LSN, []TableMeta, error) {
 	return wal.LSN(binary.LittleEndian.Uint64(rec)), metas, err
 }
 
-// writeMeta rewrites the meta page (page 0) with the current table
-// list and master record, and forces that page to stable storage.
-// DDL and checkpoints are rare; synchronous persistence keeps
-// recovery simple (the catalog itself is not logged).
+// metaWith returns the meta record rec with t added to its catalog.
+// Table ids only grow, so the entry goes last and the catalog stays in
+// id order.
+func metaWith(rec []byte, t TableMeta) []byte {
+	out := append(make([]byte, 0, len(rec)+14+len(t.Name)), rec...)
+	binary.LittleEndian.PutUint32(out[8:], binary.LittleEndian.Uint32(out[8:])+1)
+	return appendCatalogEntry(out, t)
+}
+
+// writeMeta points the meta page's master at master and forces page 0
+// to stable storage. It rewrites those 8 bytes in place and nothing
+// else: the catalog and the page's LSN belong to the OpCreate records
+// (applyCreate), and restart gates their redo on that LSN. Checkpoints
+// call it, and a fresh open for page 0's first image.
 func (e *Engine) writeMeta(master wal.LSN) error {
-	var metas []TableMeta
-	for _, t := range e.tables {
-		metas = append(metas, TableMeta{ID: t.ID, HeapFirst: t.Heap.FirstPage(), Name: t.Name})
-	}
-	payload := make([]byte, 8)
-	binary.LittleEndian.PutUint64(payload, uint64(master))
-	payload = append(payload, encodeCatalog(metas)...)
 	f, err := e.pool.Fetch(metaPageID)
 	if err != nil {
 		return err
 	}
 	f.Latch.Acquire(latch.Exclusive)
-	f.Page.Format(metaPageID, page.TypeMeta)
-	if _, err := f.Page.Insert(payload); err != nil {
+	rec, err := f.Page.Read(0)
+	if err != nil {
 		f.Latch.Release(latch.Exclusive)
 		e.pool.Unpin(f, false)
-		return fmt.Errorf("core: catalog too large for meta page: %w", err)
+		return fmt.Errorf("core: meta page has no catalog record: %w", err)
 	}
+	binary.LittleEndian.PutUint64(rec, uint64(master))
 	f.Latch.Release(latch.Exclusive)
-	return e.persistPage(f)
-}
-
-// persistPage writes the pinned frame f to the store, unpins it and
-// syncs the store. A page whose write fails is left dirty.
-func (e *Engine) persistPage(f *buffer.Frame) error {
-	err := e.pool.FlushPage(f)
-	e.pool.Unpin(f, err != nil)
+	err = e.pool.FlushPage(f)
+	e.pool.Unpin(f, err != nil) // a page whose write fails is left dirty
 	if err != nil {
 		return err
 	}
 	return e.store.Sync()
 }
 
-// readMeta loads the master LSN and table list from the meta page.
-func (e *Engine) readMeta() (wal.LSN, []TableMeta, error) {
+// applyCreate applies the OpCreate record logged at lsn to the meta
+// page and the new heap's head page, both pinned and X-latched by the
+// caller, who also holds e.mu. It formats the head and adds the table
+// to the catalog, each only if the page's LSN shows the record missing,
+// stamps lsn on what it changes, and installs the table (without an
+// index). CreateTable and restart's redo both apply the record here.
+func (e *Engine) applyCreate(meta, head *buffer.Frame, op *OpRecord, lsn uint64) (*Table, error) {
+	m := TableMeta{ID: op.Table, HeapFirst: op.RID.Page, Name: string(op.After)}
+	if head.Page.LSN() < lsn {
+		head.Page.Format(m.HeapFirst, page.TypeHeap)
+		head.Page.SetLSN(lsn)
+		e.pool.Replayed(head, lsn)
+	}
+	if meta.Page.LSN() < lsn {
+		rec, err := meta.Page.Read(0)
+		if err != nil {
+			return nil, fmt.Errorf("core: meta page has no catalog record: %w", err)
+		}
+		if err := meta.Page.Update(0, metaWith(rec, m)); err != nil {
+			return nil, fmt.Errorf("core: catalog too large for meta page: %w", err)
+		}
+		meta.Page.SetLSN(lsn)
+		e.pool.Replayed(meta, lsn)
+	}
+	t := e.tablesByID[m.ID]
+	if t == nil {
+		t = &Table{ID: m.ID, Name: m.Name, Heap: heap.Attach(e.pool, m.HeapFirst)}
+		e.installTableLocked(t)
+	}
+	e.nextTableID = max(e.nextTableID, m.ID)
+	return t, nil
+}
+
+// readMeta loads the master LSN and table list from the meta page, and
+// the page's LSN: that of the last OpCreate record it absorbed.
+func (e *Engine) readMeta() (master wal.LSN, metas []TableMeta, pageLSN uint64, err error) {
 	f, err := e.pool.Fetch(metaPageID)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	defer e.pool.Unpin(f, false)
 	f.Latch.Acquire(latch.Shared)
 	defer f.Latch.Release(latch.Shared)
 	if f.Page.Type() != page.TypeMeta {
-		return 0, nil, fmt.Errorf("core: page 0 is %v, not meta", f.Page.Type())
+		return 0, nil, 0, fmt.Errorf("core: page 0 is %v, not meta", f.Page.Type())
 	}
 	rec, err := f.Page.Read(0)
 	if err != nil {
-		return 0, nil, fmt.Errorf("core: meta page has no catalog record: %w", err)
+		return 0, nil, 0, fmt.Errorf("core: meta page has no catalog record: %w", err)
 	}
-	return DecodeMeta(rec)
+	master, metas, err = DecodeMeta(rec)
+	return master, metas, f.Page.LSN(), err
 }

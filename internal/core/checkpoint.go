@@ -119,11 +119,7 @@ func (e *Engine) Checkpoint() error {
 	}
 	// Point the master at the analysis start only after the pair is
 	// durable; a crash in between simply falls back to the old master.
-	e.mu.Lock()
-	e.master = start
-	err = e.writeMeta(start)
-	e.mu.Unlock()
-	if err != nil {
+	if err := e.writeMeta(start); err != nil {
 		return err
 	}
 	// With the master durable, everything below the horizon is dead.

@@ -396,19 +396,18 @@ func TestDPTPullsRedoBelowCheckpoint(t *testing.T) {
 // written, its log lost or started afresh — must not put a data record
 // at LSN 0: the buffer pool lowers a page's recLSN to the log's filled
 // frontier, 0 on an empty log, which a fuzzy checkpoint's DPT reads as
-// "none", so redo would start past the insert. Open starts every log
-// that opens empty with a checkpoint's begin marker, whether or not the
-// store names a master from an earlier checkpoint, so the insert below
-// survives the crash.
+// "none", so redo would start past the record. Open starts every log
+// that opens empty with a checkpoint's begin marker, so the table
+// created and the row inserted below survive the crash. A store that
+// keeps a master from an earlier checkpoint names a record the new log
+// lacks, and is refused (ErrLogMismatch). So is one with a table,
+// since creating a table is a logged write (TestOpenRefusesLostLog).
 func TestEmptyLogOpenKeepsRedoOnRecordBoundary(t *testing.T) {
 	for _, checkpointed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("checkpointed=%v", checkpointed), func(t *testing.T) {
 			store := buffer.NewMemStore()
 			e0, err := OpenWith(Conventional(), store, wal.NewMem())
 			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e0.CreateTable("t"); err != nil {
 				t.Fatal(err)
 			}
 			if checkpointed { // the store keeps a master past LSN 0
@@ -422,14 +421,23 @@ func TestEmptyLogOpenKeepsRedoOnRecordBoundary(t *testing.T) {
 
 			dev := wal.NewMem()
 			e, err := OpenWith(Conventional(), store, dev)
+			if checkpointed {
+				if !errors.Is(err, ErrLogMismatch) {
+					t.Fatalf("open over a log without the store's master = %v, want %v", err, ErrLogMismatch)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			tbl, _ := e.Table("t")
+			tbl, err := e.CreateTable("t")
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("kept")) }); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Checkpoint(); err != nil { // fuzzy: flushes nothing
+			if err := e.Checkpoint(); err != nil { // fuzzy: flushes page 0 alone
 				t.Fatal(err)
 			}
 			crash(e)

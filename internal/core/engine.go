@@ -15,6 +15,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -148,6 +149,12 @@ var (
 	ErrExists      = errors.New("core: key already exists")
 	ErrNotFound    = errors.New("core: key not found")
 	ErrTxnDone     = errors.New("core: transaction already finished")
+	// ErrLogMismatch refuses to open a store over a log that lacks a
+	// record the store names: the master, or the last table creation
+	// page 0 absorbed. Such a log is not the one the store was written
+	// with (lost, say, and started afresh); its LSNs restart below the
+	// store's page LSNs, so redo would skip what it logs next.
+	ErrLogMismatch = errors.New("core: the log lacks a record the store names")
 	// ErrReadOnlyTxn rejects write operations (and ReadForUpdate) on a
 	// transaction begun with Intent.ReadOnly.
 	ErrReadOnlyTxn = errors.New("core: read-only transaction")
@@ -184,9 +191,11 @@ type Engine struct {
 	// populated when cfg.MVCC is on.
 	mvcc *verTable
 
-	// mu guards the catalog maps. DDL persists its pages synchronously
-	// under it; it is a rare-operation lock, not a hot-path guard.
-	//hydra:vet:coarse -- catalog/DDL lock: table creation writes and syncs the new heap's head page and the meta page under it by design; DDL is rare
+	// mu guards the catalog maps, and orders table creations: each
+	// appends its OpCreate record and applies it to page 0 under it. It
+	// is a rare-operation lock, not a hot-path guard; no create syncs
+	// under it.
+	//hydra:vet:coarse -- catalog/DDL lock: a table creation allocates its pages, fetches page 0 and appends its record under it, so a victim write-back in NewPage (or a miss in Fetch) can do IO here; it forces no page and waits for no flush, and DDL is rare
 	mu          invariant.RWMutex[invariant.EngineMu]
 	tables      map[string]*Table
 	tablesByID  map[uint32]*Table
@@ -217,8 +226,6 @@ type Engine struct {
 	// engine's lock manager.
 	txnPool sync.Pool
 
-	// master is the begin-checkpoint LSN the meta page points at.
-	master wal.LSN
 	// ckptMu serializes whole checkpoints and backups; a checkpoint is
 	// IO from end to end.
 	//hydra:vet:coarse -- checkpoint/backup serialization lock: the protected operation is IO by nature
@@ -301,7 +308,6 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 		tables:     make(map[string]*Table),
 		tablesByID: make(map[uint32]*Table),
 		live:       make(map[uint64]*Txn),
-		master:     wal.NilLSN,
 	}
 	e.pool = buffer.NewPool(store, buffer.Options{
 		Frames:    cfg.Frames,
@@ -329,11 +335,12 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 	if err != nil {
 		return nil, err
 	}
-	// A log that opens empty, new or over a store whose log was lost,
-	// starts with a checkpoint's begin marker, so no page change lands
-	// at LSN 0 (Frontier). It costs no IO: the first flush after it makes
-	// it durable, and restart reads a begin marker without its end as a
-	// checkpoint that never finished.
+	// A log that opens empty starts with a checkpoint's begin marker, so
+	// no page change lands at LSN 0 (Frontier). It is new, or its store
+	// names no record of it: no master and no table (analysis refuses a
+	// store that names a record its log lacks, ErrLogMismatch). It costs
+	// no IO: the first flush after it makes it durable, and restart reads
+	// a begin marker without its end as a checkpoint that never finished.
 	if e.log.NextLSN() == 0 {
 		if _, err := e.log.Append(&wal.Record{Type: wal.RecCheckpoint, PrevLSN: wal.NilLSN}); err != nil {
 			return nil, err
@@ -346,7 +353,8 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 	e.mvcc = newVerTable()
 
 	if n == 0 {
-		// Fresh database: allocate and persist the meta page.
+		// Fresh database: page 0's first image (no master, an empty
+		// catalog) is on disk before anything is logged.
 		f, err := e.pool.NewPage(page.TypeMeta)
 		if err != nil {
 			return nil, err
@@ -354,7 +362,12 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 		if f.ID() != metaPageID {
 			return nil, fmt.Errorf("core: meta page allocated as %d", f.ID())
 		}
+		rec := binary.LittleEndian.AppendUint64(nil, uint64(wal.NilLSN))
+		_, err = f.Page.Insert(append(rec, encodeCatalog(nil)...))
 		e.pool.Unpin(f, true)
+		if err != nil {
+			return nil, err
+		}
 		if err := e.writeMeta(wal.NilLSN); err != nil {
 			return nil, err
 		}
@@ -367,47 +380,96 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 	return e, nil
 }
 
-// CreateTable creates a keyed table. DDL is synchronously persisted:
-// the heap's head page is written and synced before the catalog names
-// it, because after a crash a page id past the end of the store is
-// handed out again, and a catalog entry for it would share the page with
-// its new owner. The index root is not written; every open rebuilds the
-// index. A CreateTable that fails leaves no table behind.
+// CreateTable creates a keyed table. It is a redo-only system action,
+// like a heap chain's extension: the heap's head page and the index
+// root are allocated first, then one OpCreate record is logged, and
+// applyCreate formats the head and adds the table to the catalog on
+// page 0, stamping both with the record's LSN. No page is written:
+// CreateTable returns once the record is durable, and a restart redoes
+// it on whichever page missed it. The index root is not logged; every
+// open rebuilds the index. If the log append fails there is no table;
+// if only the flush fails, the log is dead and the table is in memory
+// alone, like a commit whose flush failed.
 func (e *Engine) CreateTable(name string) (*Table, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
+	t, lsn, err := e.createTable(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.log.WaitFlushed(lsn); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// createTable is CreateTable up to the durability wait, under e.mu.
+func (e *Engine) createTable(name string) (t *Table, lsn wal.LSN, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.tables[name]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrTableExists, name)
+		return nil, 0, fmt.Errorf("%w: %s", ErrTableExists, name)
 	}
-	h, err := heap.Create(e.pool)
+	head, err := e.pool.NewPage(page.TypeHeap)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	head, err := e.pool.Fetch(h.FirstPage())
-	if err != nil {
-		return nil, err
-	}
-	if err := e.persistPage(head); err != nil {
-		return nil, err
-	}
+	defer e.pool.Unpin(head, true)
 	idx, err := btree.Create(e.pool, e.cfg.IndexMode)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	t := &Table{ID: e.nextTableID + 1, Name: name, Heap: h, Index: idx}
-	e.installTableLocked(t)
-	if err := e.writeMeta(e.master); err != nil {
-		// Put the meta page back to the catalog without t, so that no
-		// later flush of it names the table.
-		delete(e.tables, t.Name)
-		delete(e.tablesByID, t.ID)
-		return nil, errors.Join(err, e.writeMeta(e.master))
+	op := OpRecord{Op: OpCreate, Table: e.nextTableID + 1, RID: heap.RID{Page: head.ID()}, After: []byte(name)}
+	err = e.withCreatePages(&op, func(meta, head *buffer.Frame) error {
+		// Once logged, the record must apply: the catalog has to fit.
+		rec, err := meta.Page.Read(0)
+		if err != nil {
+			return fmt.Errorf("core: meta page has no catalog record: %w", err)
+		}
+		if len(rec)+14+len(name) > page.MaxRecordSize {
+			return fmt.Errorf("core: catalog too large for meta page: %w", page.ErrPageFull)
+		}
+		e.pool.WillLog(meta)
+		e.pool.WillLog(head)
+		if lsn, err = e.log.Append(&wal.Record{
+			Type:    wal.RecUpdate,
+			TxnID:   0, // system action, never undone
+			PrevLSN: wal.NilLSN,
+			PageID:  uint64(head.ID()),
+			Payload: encodeOp(&op),
+		}); err != nil {
+			return err
+		}
+		t, err = e.applyCreate(meta, head, &op, uint64(lsn))
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	e.nextTableID = t.ID
-	return t, nil
+	t.Index = idx
+	return t, lsn, nil
+}
+
+// withCreatePages runs fn on the two pages an OpCreate record changes,
+// page 0 and op's heap head page, pinned and X-latched, and unpins them
+// dirty.
+func (e *Engine) withCreatePages(op *OpRecord, fn func(meta, head *buffer.Frame) error) error {
+	meta, err := e.pool.Fetch(metaPageID)
+	if err != nil {
+		return err
+	}
+	defer e.pool.Unpin(meta, true)
+	head, err := e.pool.Fetch(op.RID.Page)
+	if err != nil {
+		return err
+	}
+	defer e.pool.Unpin(head, true)
+	meta.Latch.Acquire(latch.Exclusive)
+	defer meta.Latch.Release(latch.Exclusive)
+	head.Latch.Acquire(latch.Exclusive)
+	defer head.Latch.Release(latch.Exclusive)
+	return fn(meta, head)
 }
 
 // installTableLocked registers t and wires its logging hooks.

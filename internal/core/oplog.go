@@ -21,10 +21,13 @@ const (
 	// OpExtend grows a heap chain (redo-only structure change):
 	// RID.Page is the old tail, Key is the new tail page id.
 	OpExtend
+	// OpCreate creates a table (redo-only, like OpExtend): Table is its
+	// id, RID.Page its heap's head page, After its name.
+	OpCreate
 )
 
 var opNames = map[Op]string{
-	OpInsert: "insert", OpUpdate: "update", OpDelete: "delete", OpExtend: "extend",
+	OpInsert: "insert", OpUpdate: "update", OpDelete: "delete", OpExtend: "extend", OpCreate: "create",
 }
 
 func (o Op) String() string {

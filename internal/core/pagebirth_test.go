@@ -153,77 +153,6 @@ func (s *failingWrites) WritePage(p *page.Page) error {
 	return s.PageStore.WritePage(p)
 }
 
-// A CreateTable whose heap head page cannot be written fails and leaves
-// no table behind, in memory or in the catalog a restart reads. Had the
-// catalog named the unwritten page, the restart would hand its id to
-// another table's rebuilt index, and the two tables would share it.
-func TestFailedCreateTableLeavesNoTable(t *testing.T) {
-	cfg := Scalable()
-	cfg.Dir = t.TempDir()
-	fs, err := buffer.OpenFileStore(filepath.Join(cfg.Dir, "pages.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, err := wal.OpenFile(filepath.Join(cfg.Dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := &failingWrites{PageStore: fs}
-	e, err := OpenWith(cfg, store, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := e.CreateTable("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Exec(func(tx *Txn) error { return tx.Insert(a, 1, []byte("in a")) }); err != nil {
-		t.Fatal(err)
-	}
-	store.armed.Store(true)
-	if _, err := e.CreateTable("b"); !errors.Is(err, errInjectedWrite) {
-		t.Fatalf("CreateTable over failing writes = %v, want the injected error", err)
-	}
-	if _, err := e.Table("b"); !errors.Is(err, ErrNoTable) {
-		t.Fatalf("the failed table is in the catalog: %v", err)
-	}
-	crash(e)
-	if err := errors.Join(dev.Close(), fs.Close()); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := r.Table("b"); !errors.Is(err, ErrNoTable) {
-		t.Fatalf("the failed table survived the restart: %v", err)
-	}
-	b, err := r.CreateTable("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Exec(func(tx *Txn) error { return tx.Insert(b, 1, []byte("in b")) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	a, _ = r.Table("a")
-	for tbl, want := range map[*Table]string{a: "in a", b: "in b"} {
-		if err := r.Exec(func(tx *Txn) error {
-			v, err := tx.Read(tbl, 1)
-			if err == nil && string(v) != want {
-				err = fmt.Errorf("read %q", v)
-			}
-			return err
-		}); err != nil {
-			t.Fatalf("row 1 of %s: %v", tbl.Name, err)
-		}
-	}
-}
-
 // A Close whose page flush fails still closes the log (its flusher and
 // ticker stop, and it refuses appends) and both files, and reports the
 // flush error.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hydra/internal/btree"
+	"hydra/internal/buffer"
 	"hydra/internal/heap"
 	"hydra/internal/page"
 	"hydra/internal/wal"
@@ -35,17 +36,17 @@ type analysis struct {
 // analyze is ARIES analysis run as the scan that finds the end of the
 // log, from the master and before the log opens. It attaches the
 // catalog's tables (their heap chains may need redo first, so none is
-// walked). The master is where the last checkpoint found every
-// transaction that could still be open at or above (checkpoint.go), so
-// the scan meets each one's records itself and keeps it until its
-// commit or end record. Redo starts at the begin record of the last
-// checkpoint pair met, lowered by that pair's DPT.
+// walked); redo adds those whose creation page 0 missed. The master is
+// where the last checkpoint found every transaction that could still
+// be open at or above (checkpoint.go), so the scan meets each one's
+// records itself and keeps it until its commit or end record. Redo
+// starts at the begin record of the last checkpoint pair met, lowered
+// by that pair's DPT.
 func (e *Engine) analyze() (analysis, error) {
-	master, metas, err := e.readMeta()
+	master, metas, metaLSN, err := e.readMeta()
 	if err != nil {
 		return analysis{}, err
 	}
-	e.master = master
 	e.mu.Lock()
 	for _, m := range metas {
 		t := &Table{ID: m.ID, Name: m.Name, Heap: heap.Attach(e.pool, m.HeapFirst)}
@@ -98,6 +99,16 @@ func (e *Engine) analyze() (analysis, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return analysis{}, err
+	}
+	// The master names a checkpoint's begin marker or a live
+	// transaction's first record, page 0's LSN the last table creation
+	// it absorbed: the log must hold both. Nothing is written before
+	// this refusal.
+	if master != wal.NilLSN && an.rep.Scanned == 0 {
+		return analysis{}, fmt.Errorf("%w: the master names LSN %d, the log holds no record from there", ErrLogMismatch, master)
+	}
+	if metaLSN != 0 && wal.LSN(metaLSN) >= sc.Pos() {
+		return analysis{}, fmt.Errorf("%w: page 0 absorbed the record at LSN %d, the log ends at %d", ErrLogMismatch, metaLSN, sc.Pos())
 	}
 	e.txnSeq.Store(maxTxn)
 	an.end = sc.Pos()
@@ -219,6 +230,20 @@ func (e *Engine) redo(start wal.LSN, rep *Recovery) error {
 			if _, err := e.store.Allocate(); err != nil {
 				return fmt.Errorf("extend store for redo: %w", err)
 			}
+		}
+		if op.Op == OpCreate {
+			// applyCreate gates each of its two pages by its LSN.
+			e.mu.Lock()
+			err := e.withCreatePages(&op, func(meta, head *buffer.Frame) error {
+				_, err := e.applyCreate(meta, head, &op, uint64(r.LSN))
+				return err
+			})
+			e.mu.Unlock()
+			if err != nil {
+				return fmt.Errorf("redo create at %d: %w", r.LSN, err)
+			}
+			rep.Redone++
+			continue
 		}
 		e.mu.RLock()
 		tbl := e.tablesByID[op.Table]

@@ -308,7 +308,8 @@ func BenchmarkDispatch(b *testing.B) {
 		if _, err := e.CreateTable("kv"); err != nil {
 			b.Fatal(err)
 		}
-		// The table's first pages are in the store now: count from here.
+		// The table's first pages are reserved now: count the pages born
+		// after them.
 		n, _ := store.NumPages()
 		store.base = page.ID(n)
 		store.writes.Store(0)
