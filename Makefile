@@ -60,7 +60,11 @@ lint:
 # stress tests and TestStampPrecedesFill then run three more times: no
 # lock orders MVCC commits, only the rule that the log stores a commit
 # record's version stamp before the record joins the filled prefix the
-# snapshot floor follows, and these are the tests that race it. Last,
+# snapshot floor follows, and these are the tests that race it. With
+# them runs TestFrontierUnderRaces: no lock guards that filled prefix
+# either, and writers completing out of order, some waiting for a ring
+# of done marks smaller than their number, must leave it rising along
+# record boundaries to the log's end. Last,
 # the root-split stress runs under the race detector, at the full depth
 # the tag's run stops short of: writers grow an empty tree, in both
 # modes, three levels deep (the root splits in place as a leaf, then as
@@ -70,7 +74,7 @@ stress:
 	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/... ./internal/btree/... ./internal/heap/... ./internal/dora/... ./internal/server/... ./internal/workload/... ./internal/staged/...
 	$(GO) test -tags hydradebug -count=300 -run TestCheckpointDuringTraffic ./internal/core/
 	$(GO) test -tags hydradebug -count=100 -run TestCreateTableDuringCheckpoints ./internal/core/
-	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill' ./internal/core/ ./internal/wal/
+	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill|TestFrontierUnderRaces' ./internal/core/ ./internal/wal/
 	$(GO) test -race -count=1 -run 'TestRootSplitUnderTraffic|TestConcurrentMixedWorkload' ./internal/btree/
 
 # fuzz-smoke runs the wire tokeniser's differential fuzz target for

@@ -7,8 +7,9 @@
 // crashed, unrecovered pages.db may lack tables created after page 0
 // was last written: a table's creation is a log record, which restart
 // applies to page 0. It may also name a table whose pages it does not
-// hold yet (a checkpoint writes page 0 alone); reading such a page
-// fails as unallocated.
+// hold yet (a checkpoint writes page 0 alone): a heap page at or past
+// the file's end is reported as not written yet, its contents being in
+// the log, and the dump goes on with the next table.
 //
 // Usage:
 //
@@ -80,14 +81,15 @@ func run(path string, showRows bool, only string) error {
 		if only != "" && t.Name != only {
 			continue
 		}
-		if err := dumpTable(store, t.ID, t.Name, t.HeapFirst, showRows); err != nil {
+		if err := dumpTable(store, n, t.ID, t.Name, t.HeapFirst, showRows); err != nil {
 			return fmt.Errorf("table %s: %w", t.Name, err)
 		}
 	}
 	return nil
 }
 
-func dumpTable(store *buffer.FileStore, id uint32, name string, first page.ID, showRows bool) error {
+// dumpTable walks one table's heap chain in a file of n pages.
+func dumpTable(store *buffer.FileStore, n uint64, id uint32, name string, first page.ID, showRows bool) error {
 	fmt.Printf("table %q (id %d), heap head page %d\n", name, id, first)
 	var (
 		pages, rows, tombs int
@@ -95,6 +97,10 @@ func dumpTable(store *buffer.FileStore, id uint32, name string, first page.ID, s
 	)
 	cur := first
 	for cur != page.InvalidID {
+		if uint64(cur) >= n {
+			fmt.Printf("  page %d: not written yet (its contents are in the log)\n", cur)
+			break
+		}
 		var p page.Page
 		if err := store.ReadPage(cur, &p); err != nil {
 			return fmt.Errorf("page %d: %w", cur, err)

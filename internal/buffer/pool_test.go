@@ -262,27 +262,43 @@ func TestFlushAllAndDirtyPageTable(t *testing.T) {
 	}
 }
 
+// seedPages makes n heap pages through p, each holding its index as
+// its one record, and returns their ids.
+func seedPages(t *testing.T, p *Pool, n int) []page.ID {
+	t.Helper()
+	var ids []page.ID
+	for i := 0; i < n; i++ {
+		f, err := p.NewPage(page.TypeHeap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Latch.Acquire(latch.Exclusive)
+		f.Page.Insert([]byte{byte(i)})
+		f.Latch.Release(latch.Exclusive)
+		ids = append(ids, f.ID())
+		p.Unpin(f, true)
+	}
+	return ids
+}
+
+// stressWorkers is how many goroutines TestConcurrentFetchStress runs,
+// each holding at most one pin at a time.
+const stressWorkers = 8
+
+// Workers fetch 128 pages through a pool of fewer frames, so fetches
+// evict. Every shard has more frames than there are workers: a shard
+// whose frames are all pinned rightly answers ErrNoFrames
+// (TestFetchIntoPinnedShardErrors), and with fewer frames a shard than
+// workers that is a matter of schedule.
 func TestConcurrentFetchStress(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			st := NewMemStore()
-			p := NewPool(st, Options{Frames: 32, Shards: shards})
-			// 128 pages, each seeded with its id as a record.
-			var ids []page.ID
-			for i := 0; i < 128; i++ {
-				f, err := p.NewPage(page.TypeHeap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Latch.Acquire(latch.Exclusive)
-				f.Page.Insert([]byte{byte(i)})
-				f.Latch.Release(latch.Exclusive)
-				ids = append(ids, f.ID())
-				p.Unpin(f, true)
-			}
+			p := NewPool(st, Options{Frames: shards * (stressWorkers + 1), Shards: shards})
+			ids := seedPages(t, p, 128)
 			var wg sync.WaitGroup
-			for w := 0; w < 8; w++ {
+			for w := 0; w < stressWorkers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
@@ -314,7 +330,55 @@ func TestConcurrentFetchStress(t *testing.T) {
 			if st2.Hits+st2.Misses == 0 {
 				t.Fatal("no fetch traffic recorded")
 			}
+			if st2.Evictions == 0 {
+				t.Fatal("no fetch evicted: the pool holds every page")
+			}
 		})
+	}
+}
+
+// A fetch into a shard whose every frame is pinned finds no victim and
+// fails with ErrNoFrames; a fetch into another shard still succeeds.
+func TestFetchIntoPinnedShardErrors(t *testing.T) {
+	const shards, perShard = 8, 4
+	p := NewPool(NewMemStore(), Options{Frames: shards * perShard, Shards: shards})
+	ids := seedPages(t, p, 128)
+	full := p.shardFor(ids[0])
+	var in []page.ID
+	var other page.ID
+	for _, id := range ids {
+		if p.shardFor(id) == full {
+			in = append(in, id)
+		} else {
+			other = id
+		}
+	}
+	if len(in) <= perShard {
+		t.Fatalf("only %d of 128 pages map to the shard, want more than %d", len(in), perShard)
+	}
+	var pinned []*Frame
+	for _, id := range in[:perShard] {
+		f, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned = append(pinned, f)
+	}
+	if _, err := p.Fetch(in[perShard]); !errors.Is(err, ErrNoFrames) {
+		t.Fatalf("fetch into a shard with every frame pinned: err = %v, want ErrNoFrames", err)
+	}
+	f, err := p.Fetch(other)
+	if err != nil {
+		t.Fatalf("fetch into another shard: %v", err)
+	}
+	p.Unpin(f, false)
+	p.Unpin(pinned[0], false)
+	if f, err = p.Fetch(in[perShard]); err != nil {
+		t.Fatalf("fetch after an unpin: %v", err)
+	}
+	p.Unpin(f, false)
+	for _, f := range pinned[1:] {
+		p.Unpin(f, false)
 	}
 }
 

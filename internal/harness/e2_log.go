@@ -3,8 +3,10 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"strings"
 
 	"hydra/internal/logsim"
+	"hydra/internal/obs"
 	"hydra/internal/wal"
 )
 
@@ -21,12 +23,11 @@ func E2(s Scale) (*Report, error) {
 	}
 	tab := &Table{
 		Title:   fmt.Sprintf("log inserts/s, %dB payloads (in-memory device)", recordSize),
-		Columns: []string{"threads", "serial", "decoupled", "consolidated", "cons. mutex-acq/insert"},
+		Columns: []string{"threads", "serial", "decoupled", "consolidated", "wal_log/insert s/d/c"},
 	}
 	for _, threads := range s.Threads() {
-		var cells []string
+		var cells, entries []string
 		cells = append(cells, fmt.Sprintf("%d", threads))
-		var consRatio float64
 		for _, kind := range wal.BufferKinds() {
 			log, err := wal.New(wal.NewMem(), wal.Options{
 				Kind:        kind,
@@ -37,6 +38,7 @@ func E2(s Scale) (*Report, error) {
 				return nil, err
 			}
 			payload := make([]byte, recordSize)
+			before := walLogEntries()
 			ops, dur, err := RunWorkers(threads, s.Window(), func(w int) error {
 				_, err := log.Append(&wal.Record{Type: wal.RecUpdate, TxnID: uint64(w), Payload: payload})
 				return err
@@ -44,17 +46,15 @@ func E2(s Scale) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("E2 %v: %w", kind, err)
 			}
-			st := log.StatsSnapshot()
-			if kind == wal.Consolidated && st.Inserts > 0 {
-				consRatio = float64(st.MutexAcquires) / float64(st.Inserts)
-			}
+			// Read before Close: the final drain is not an insert's.
+			inserts, entered := log.StatsSnapshot().Inserts, walLogEntries()-before
 			if err := log.Close(); err != nil {
 				return nil, err
 			}
 			cells = append(cells, F(float64(ops)/dur.Seconds()))
+			entries = append(entries, fmt.Sprintf("%.3f", float64(entered)/float64(max(inserts, 1))))
 		}
-		cells = append(cells, fmt.Sprintf("%.3f", consRatio))
-		tab.AddRow(cells...)
+		tab.AddRow(append(cells, strings.Join(entries, "/"))...)
 	}
 	rep.Tab = append(rep.Tab, tab)
 
@@ -82,6 +82,18 @@ func E2(s Scale) (*Report, error) {
 	rep.Tab = append(rep.Tab, sim)
 	rep.Notes = append(rep.Notes,
 		"expected shape: serial throughput degrades/saturates with threads; consolidated stays flat-to-rising and its mutex acquisitions per insert drop well below 1 under load",
+		"wal_log/insert is the live log's ranked-lock entries of wal.Log.mu per insert, serial/decoupled/consolidated (the flusher's included): the measured counterpart of the simulator's acq/insert; an insert enters no other lock",
 		fmt.Sprintf("measured table ran with GOMAXPROCS=%d; with a single hardware context insert critical sections never overlap, so the simulated table (substituting for the missing cores) carries the multi-core shape", runtime.GOMAXPROCS(0)))
 	return rep, nil
+}
+
+// walLogEntries returns the process's ranked-lock entries of
+// wal.Log.mu so far.
+func walLogEntries() uint64 {
+	for _, t := range obs.LatchSnapshot() {
+		if t.Tier == "wal_log" {
+			return t.Ops
+		}
+	}
+	return 0
 }

@@ -48,50 +48,47 @@ func declare(rank int, site, label string) *tier {
 // The hierarchy, lowest rank first: each tier's rank, the lock it
 // ranks, and its /metrics label. DESIGN.md §6 documents it.
 var (
-	engineCkpt  = declare(10, "core.Engine.ckptMu", "engine_ckpt")
-	engineMu    = declare(20, "core.Engine.mu", "engine_mu")
-	txnLive     = declare(34, "core.Engine.liveMu", "txn_live") // the live-transaction registry; the snapshot floor advances under it
-	treeMu      = declare(40, "btree.Tree.mu", "tree")
-	lockPart    = declare(50, "lock.partition.mu", "lock_part")
-	frameLatch  = declare(60, "buffer.Frame.Latch", "frame_latch")
-	mvccShard   = declare(62, "core.verShard.mu", "mvcc_shard") // spliced under the heap page's X latch by logOp
-	heapTail    = declare(64, "heap.File.mu", "heap_tail")      // the chain extension sets it under the full page's X latch
-	poolShard   = declare(70, "buffer.shard.mu", "pool_shard")
-	walLog      = declare(80, "wal.Log.mu", "wal_log")
-	walFrontier = declare(81, "wal.frontier.mu", "wal_frontier") // the serial insert completes under wal.Log.mu
-	walWait     = declare(82, "wal.Log.waitMu", "wal_wait")
-	walDevice   = declare(84, "wal.FileDevice.mu", "wal_device")
-	doraQueue   = declare(90, "sync2.Queue.mu", "dora_queue") // DORA executor inboxes
+	engineCkpt = declare(10, "core.Engine.ckptMu", "engine_ckpt")
+	engineMu   = declare(20, "core.Engine.mu", "engine_mu")
+	txnLive    = declare(34, "core.Engine.liveMu", "txn_live") // the live-transaction registry; the snapshot floor advances under it
+	treeMu     = declare(40, "btree.Tree.mu", "tree")
+	lockPart   = declare(50, "lock.partition.mu", "lock_part")
+	frameLatch = declare(60, "buffer.Frame.Latch", "frame_latch")
+	mvccShard  = declare(62, "core.verShard.mu", "mvcc_shard") // spliced under the heap page's X latch by logOp
+	heapTail   = declare(64, "heap.File.mu", "heap_tail")      // the chain extension sets it under the full page's X latch
+	poolShard  = declare(70, "buffer.shard.mu", "pool_shard")
+	walLog     = declare(80, "wal.Log.mu", "wal_log")
+	walWait    = declare(82, "wal.Log.waitMu", "wal_wait")
+	walDevice  = declare(84, "wal.FileDevice.mu", "wal_device")
+	doraQueue  = declare(90, "sync2.Queue.mu", "dora_queue") // DORA executor inboxes
 )
 
 type (
-	EngineCkpt  struct{}
-	EngineMu    struct{}
-	TxnLive     struct{}
-	Tree        struct{}
-	LockPart    struct{}
-	FrameLatch  struct{}
-	MVCCShard   struct{}
-	HeapTail    struct{}
-	PoolShard   struct{}
-	WALLog      struct{}
-	WALFrontier struct{}
-	WALWait     struct{}
-	WALDevice   struct{}
-	DoraQueue   struct{}
+	EngineCkpt struct{}
+	EngineMu   struct{}
+	TxnLive    struct{}
+	Tree       struct{}
+	LockPart   struct{}
+	FrameLatch struct{}
+	MVCCShard  struct{}
+	HeapTail   struct{}
+	PoolShard  struct{}
+	WALLog     struct{}
+	WALWait    struct{}
+	WALDevice  struct{}
+	DoraQueue  struct{}
 )
 
-func (EngineCkpt) tier() *tier  { return engineCkpt }
-func (EngineMu) tier() *tier    { return engineMu }
-func (TxnLive) tier() *tier     { return txnLive }
-func (Tree) tier() *tier        { return treeMu }
-func (LockPart) tier() *tier    { return lockPart }
-func (FrameLatch) tier() *tier  { return frameLatch }
-func (MVCCShard) tier() *tier   { return mvccShard }
-func (HeapTail) tier() *tier    { return heapTail }
-func (PoolShard) tier() *tier   { return poolShard }
-func (WALLog) tier() *tier      { return walLog }
-func (WALFrontier) tier() *tier { return walFrontier }
-func (WALWait) tier() *tier     { return walWait }
-func (WALDevice) tier() *tier   { return walDevice }
-func (DoraQueue) tier() *tier   { return doraQueue }
+func (EngineCkpt) tier() *tier { return engineCkpt }
+func (EngineMu) tier() *tier   { return engineMu }
+func (TxnLive) tier() *tier    { return txnLive }
+func (Tree) tier() *tier       { return treeMu }
+func (LockPart) tier() *tier   { return lockPart }
+func (FrameLatch) tier() *tier { return frameLatch }
+func (MVCCShard) tier() *tier  { return mvccShard }
+func (HeapTail) tier() *tier   { return heapTail }
+func (PoolShard) tier() *tier  { return poolShard }
+func (WALLog) tier() *tier     { return walLog }
+func (WALWait) tier() *tier    { return walWait }
+func (WALDevice) tier() *tier  { return walDevice }
+func (DoraQueue) tier() *tier  { return doraQueue }

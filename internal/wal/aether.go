@@ -26,12 +26,15 @@ type consArray struct {
 //	      accumulated group size in bytes
 //	base: published base LSN + 1 (0 = not yet published)
 //	done: bytes copied by finished members; when done == size the
-//	      last member recycles the slot
+//	      last member completes the group's reservation and recycles
+//	      the slot
+//	ticket: the group's reservation, set by the leader before base
 type caslot struct {
-	word atomic.Uint64
-	base atomic.Uint64
-	done atomic.Uint64
-	_    [40]byte // keep slots on separate cache lines
+	word   atomic.Uint64
+	base   atomic.Uint64
+	done   atomic.Uint64
+	ticket uint64
+	_      [32]byte // keep slots on separate cache lines
 }
 
 const (
@@ -123,14 +126,18 @@ func (ca *consArray) waitBase(s *caslot) (base uint64, ok bool) {
 	}
 }
 
-// finish records that a member has copied n bytes; the member that
-// completes the group recycles the slot.
-func (ca *consArray) finish(s *caslot, groupSize, n uint64) {
-	if s.done.Add(n) == groupSize {
-		s.done.Store(0)
-		s.base.Store(0)
-		s.word.Store(caPack(caFree, 0))
+// finish records that a member has copied n bytes. The member that
+// completes the group recycles the slot and gets the group's ticket
+// (last); in a poisoned group the ticket means nothing.
+func (ca *consArray) finish(s *caslot, groupSize, n uint64) (ticket uint64, last bool) {
+	if s.done.Add(n) != groupSize {
+		return 0, false
 	}
+	ticket = s.ticket
+	s.done.Store(0)
+	s.base.Store(0)
+	s.word.Store(caPack(caFree, 0))
+	return ticket, true
 }
 
 // insertConsolidated is the CD insert path: consolidation array in
@@ -145,7 +152,7 @@ func (l *Log) insertConsolidated(rec []byte, stamp *atomic.Uint64, c *obs.PhaseC
 		l.stats.mutexAcquires.Inc()
 		groupSize = l.ca.close(s) // no more joiners past this point
 		var err error
-		base, err = l.allocateLocked(groupSize, c, &t0)
+		base, s.ticket, err = l.allocateLocked(groupSize, c, &t0)
 		l.mu.Unlock()
 		l.noteInsertWait(c, t0)
 		if err != nil {
@@ -188,9 +195,12 @@ func (l *Log) insertConsolidated(rec []byte, stamp *atomic.Uint64, c *obs.PhaseC
 		}
 	}
 	lsn := base + offset
-	l.ring.copyIn(lsn, rec)
-	l.filled(lsn, lsn+n, stamp)
-	l.ca.finish(s, groupSize, n)
+	l.place(lsn, rec, stamp)
+	// The member that closes the group completes its reservation: every
+	// member stored its stamp before it added its bytes to done.
+	if ticket, last := l.ca.finish(s, groupSize, n); last {
+		l.filled(ticket, base+groupSize)
+	}
 	l.noteInsert(n)
 	return LSN(lsn), nil
 }

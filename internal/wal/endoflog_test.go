@@ -433,15 +433,15 @@ func TestRingPressureKicksFlusher(t *testing.T) {
 // flush when the gap closes, not at the next tick.
 func TestGapCloserPassesTheKickOn(t *testing.T) {
 	l := newStoppedLog(t, NewMem(), Options{Kind: Decoupled})
-	l.next = 200
-	l.filled(100, 200, nil) // the committer's own record, out of order
-	l.parked.Add(1)         // ...and it is now waiting
+	l.next, l.tickets = 200, 2
+	l.filled(1, 200) // the committer's own record, [100, 200), out of order
+	l.parked.Add(1)  // ...and it is now waiting
 	select {
 	case <-l.kick:
 		t.Fatal("kick before the gap closed")
 	default:
 	}
-	l.filled(0, 100, nil) // the slower writer finishes
+	l.filled(0, 100) // the slower writer finishes [0, 100)
 	select {
 	case <-l.kick:
 	default:

@@ -18,7 +18,7 @@ func newStoppedLog(t testing.TB, dev Device, opts Options) *Log {
 		opts: opts,
 		dev:  dev,
 		ring: ringBuf{buf: make([]byte, opts.BufferSize), mask: uint64(opts.BufferSize) - 1},
-		fr:   newFrontier(),
+		fr:   newFrontier(0),
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}

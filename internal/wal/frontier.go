@@ -1,58 +1,69 @@
 package wal
 
-import (
-	"sync/atomic"
+import "sync/atomic"
 
-	"hydra/internal/invariant"
-)
+// frontierMarks is the number of done marks in a frontier's ring, a
+// power of two; a variable so a test can shrink it.
+var frontierMarks = 4096
 
 // frontier tracks the contiguously-filled prefix of the log buffer
-// when records are copied in out of order (decoupled buffer fill).
-// Writers complete arbitrary [start, end) intervals; Filled() is the
-// highest LSN below which every byte has been copied.
+// when records are copied in out of order (decoupled buffer fill), and
+// takes no lock. Each reservation of log space takes the next ticket
+// with its LSN range (Log.allocateLocked); its completion publishes a
+// done mark in the ticket's ring slot. Filled() is the highest LSN
+// below which every byte has been copied.
 type frontier struct {
-	mu      invariant.Mutex[invariant.WALFrontier]
-	filled  atomic.Uint64
-	pending map[uint64]uint64 // start -> end of completed, detached intervals
+	filled atomic.Uint64
+	head   atomic.Uint64 // the lowest ticket not yet folded into filled
+	marks  []mark
+	mask   uint64
 }
 
-func newFrontier() *frontier {
-	return &frontier{pending: make(map[uint64]uint64)}
+// mark is ticket t's done mark: ticket holds t+1 once end, where t's
+// reservation ends, is stored.
+type mark struct{ ticket, end atomic.Uint64 }
+
+// newFrontier returns a frontier filled up to at, next ticket 0.
+func newFrontier(at uint64) *frontier {
+	f := &frontier{marks: make([]mark, frontierMarks), mask: uint64(frontierMarks) - 1}
+	f.filled.Store(at)
+	return f
 }
 
-// complete marks [start, end) as filled. It reports whether that
-// closed a gap: the contiguous frontier moved past end, over intervals
-// other writers had completed out of order.
+// full reports whether ticket t would lap the ring: its slot still
+// belongs to a ticket head has not passed.
+func (f *frontier) full(t uint64) bool { return t >= f.head.Load()+uint64(len(f.marks)) }
+
+// complete marks ticket t, whose reservation ends at end, done. Then,
+// while the mark at head is present, it moves head past it and raises
+// filled to its end; a completion that finds head's mark absent leaves
+// its own for whoever closes the gap. It reports whether it folded
+// another reservation's mark.
 //
-// A non-nil stamp receives start before the interval can count as
-// filled, whichever writer's complete later carries the frontier past
-// it: so every record below Filled() has stored its stamp, and a
-// reader that loads Filled() first sees each of those stamps. A record
-// that starts exactly at the frontier may be stamped and not yet
-// filled.
-func (f *frontier) complete(start, end uint64, stamp *atomic.Uint64) bool {
-	if stamp != nil {
-		stamp.Store(start)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	cur := f.filled.Load()
-	if start != cur {
-		f.pending[start] = end
-		return false
-	}
-	// Advance through any now-contiguous pending intervals.
-	upTo := end
+// What the writer stored before complete (its stamp) is visible to
+// whoever loads a Filled() past its record: filled is raised only after
+// the mark is read.
+func (f *frontier) complete(t, end uint64) (others bool) {
+	m := &f.marks[t&f.mask]
+	m.end.Store(end)
+	m.ticket.Store(t + 1)
 	for {
-		if next, ok := f.pending[upTo]; ok {
-			delete(f.pending, upTo)
-			upTo = next
+		h := f.head.Load()
+		m := &f.marks[h&f.mask]
+		if m.ticket.Load() != h+1 {
+			return others
+		}
+		// While head is h, ticket h+len(marks) is not issued: the end is
+		// still h's.
+		e := m.end.Load()
+		if !f.head.CompareAndSwap(h, h+1) {
 			continue
 		}
-		break
+		// Advancers race: filled is a max.
+		for cur := f.filled.Load(); cur < e && !f.filled.CompareAndSwap(cur, e); cur = f.filled.Load() {
+		}
+		others = others || h != t
 	}
-	f.filled.Store(upTo)
-	return upTo > end
 }
 
 // Filled returns the contiguously-filled LSN frontier.

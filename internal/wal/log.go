@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,9 +112,10 @@ type Log struct {
 	opts Options
 	dev  Device
 
-	mu    invariant.Mutex[invariant.WALLog] // guards next and space accounting
-	space *sync.Cond                        // signaled when flushed advances
-	next  uint64                            // next LSN to allocate (logical byte offset)
+	mu      invariant.Mutex[invariant.WALLog] // guards next, tickets and space accounting
+	space   *sync.Cond                        // signaled when flushed advances
+	next    uint64                            // next LSN to allocate (logical byte offset)
+	tickets uint64                            // next reservation's ticket in fr
 
 	ring ringBuf
 	fr   *frontier
@@ -212,12 +214,11 @@ func NewFrom(dev Device, opts Options, from LSN) (*Log, error) {
 		dev:  dev,
 		next: uint64(end),
 		ring: ringBuf{buf: make([]byte, opts.BufferSize), mask: uint64(opts.BufferSize) - 1},
-		fr:   newFrontier(),
+		fr:   newFrontier(uint64(end)),
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
 	l.space = sync.NewCond(&l.mu)
-	l.fr.filled.Store(l.next)
 	l.flushed.Store(l.next)
 	if opts.Kind == Consolidated {
 		l.ca = newConsArray(consSlots)
@@ -267,8 +268,8 @@ func (l *Log) AppendFields(typ RecType, txnID uint64, prev LSN, pageID uint64, u
 
 // AppendFieldsC is AppendFields with a stamp and a phase clock. A
 // non-nil stamp receives the record's LSN before the record joins the
-// filled prefix (see frontier.complete): once FilledLSN has passed the
-// record, the stamp is visible to whoever loaded it. Time the insert
+// filled prefix (see Log.place): once FilledLSN has passed the record,
+// the stamp is visible to whoever loaded it. Time the insert
 // spends blocked (ring full, allocation-mutex contention,
 // consolidation-group waits) is attributed to the clock's log-insert
 // phase. Nil for both makes it identical to AppendFields.
@@ -340,53 +341,74 @@ func (l *Log) poison(err error) {
 	l.flusherErr.CompareAndSwap(nil, err)
 }
 
-// allocate reserves n bytes of log space, blocking while the ring is
-// full. Caller must hold l.mu. It fails instead of waiting when the
-// flusher has died or the log is closing: the durable frontier the
-// wait depends on will never advance again (the flusher broadcasts
-// l.space on its way out so blocked allocators observe the death).
+// allocateLocked reserves n bytes of log space and their ticket in the
+// fill frontier, blocking while the ring is full or the ticket would
+// lap the frontier's ring. Caller must hold l.mu. It fails instead of
+// waiting for ring space when the flusher has died or the log is
+// closing: the durable frontier the wait depends on will never advance
+// again (the flusher broadcasts l.space on its way out so blocked
+// allocators observe the death). A failed reservation holds no ticket.
 //
-// When clocking (c != nil), a ring-full wait stamps *t0 if the caller
-// arrived with an uncontended stamp (0), extending the span the caller
+// When clocking (c != nil), a wait stamps *t0 if the caller arrived
+// with an uncontended stamp (0), extending the span the caller
 // finalizes with noteInsertWait after Unlock — this keeps every clock
 // read out of the allocation critical section.
-func (l *Log) allocateLocked(n uint64, c *obs.PhaseClock, t0 *int64) (uint64, error) {
-	for l.next+n-l.flushed.Load() > uint64(l.opts.BufferSize) {
-		if err := l.poisoned(); err != nil {
-			return 0, err
+func (l *Log) allocateLocked(n uint64, c *obs.PhaseClock, t0 *int64) (lsn, ticket uint64, err error) {
+	for {
+		if l.next+n-l.flushed.Load() > uint64(l.opts.BufferSize) {
+			if err := l.poisoned(); err != nil {
+				return 0, 0, err
+			}
+			if l.closed.Load() {
+				return 0, 0, ErrClosed
+			}
+			l.kickFlusher(causePressure)
+			if c != nil && *t0 == 0 {
+				*t0 = obs.Now()
+			}
+			l.space.Wait()
+			continue
 		}
-		if l.closed.Load() {
-			return 0, ErrClosed
+		if t := l.tickets; l.fr.full(t) {
+			// A writer at head is still copying. Completions take no
+			// lock: wait for head without l.mu, which the flusher and
+			// the other allocators may take meanwhile.
+			if c != nil && *t0 == 0 {
+				*t0 = obs.Now()
+			}
+			l.mu.Unlock()
+			for l.fr.full(t) {
+				runtime.Gosched()
+			}
+			l.mu.Lock()
+			continue
 		}
-		l.kickFlusher(causePressure)
-		if c != nil && *t0 == 0 {
-			*t0 = obs.Now()
-		}
-		l.space.Wait()
+		break
 	}
-	lsn := l.next
+	lsn, ticket = l.next, l.tickets
 	l.next += n
+	l.tickets++
 	// Inserts alone never start a flush — the commit record that
 	// follows a transaction's first records would miss it — except to
 	// keep a filling ring from becoming a full one.
 	if l.next-l.flushed.Load() > uint64(l.opts.BufferSize)/2 {
 		l.kickFlusher(causePressure)
 	}
-	return lsn, nil
+	return lsn, ticket, nil
 }
 
 func (l *Log) insertSerial(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, error) {
 	n := uint64(len(rec))
 	t0 := l.lockInsertMu(c)
 	l.stats.mutexAcquires.Inc()
-	lsn, err := l.allocateLocked(n, c, &t0)
+	lsn, ticket, err := l.allocateLocked(n, c, &t0)
 	if err != nil {
 		l.mu.Unlock()
 		l.noteInsertWait(c, t0)
 		return 0, err
 	}
-	l.ring.copyIn(lsn, rec) // copy under the mutex: the serial pathology
-	l.fr.complete(lsn, lsn+n, stamp)
+	l.place(lsn, rec, stamp) // copy under the mutex: the serial pathology
+	l.filled(ticket, lsn+n)
 	l.mu.Unlock()
 	l.noteInsertWait(c, t0)
 	l.noteInsert(n)
@@ -397,25 +419,43 @@ func (l *Log) insertDecoupled(rec []byte, stamp *atomic.Uint64, c *obs.PhaseCloc
 	n := uint64(len(rec))
 	t0 := l.lockInsertMu(c)
 	l.stats.mutexAcquires.Inc()
-	lsn, err := l.allocateLocked(n, c, &t0)
+	lsn, ticket, err := l.allocateLocked(n, c, &t0)
 	l.mu.Unlock()
 	l.noteInsertWait(c, t0)
 	if err != nil {
 		return 0, err
 	}
-	l.ring.copyIn(lsn, rec) // outside the mutex
-	l.filled(lsn, lsn+n, stamp)
+	l.place(lsn, rec, stamp) // outside the mutex
+	l.filled(ticket, lsn+n)
 	l.noteInsert(n)
 	return LSN(lsn), nil
 }
 
-// filled completes an out-of-mutex copy into [start, end), storing
-// stamp first. A committer whose own record is in the ring but sits
-// behind a slower writer's gap kicks the flusher in vain; when the gap
-// closes with such a committer parked, the writer that closed it
-// passes the kick on.
-func (l *Log) filled(start, end uint64, stamp *atomic.Uint64) {
-	if l.fr.complete(start, end, stamp) && l.parked.Load() > 0 {
+// testHookPlaced, when set, runs between a writer's place and its
+// reservation's completion: tests use it to reorder completions.
+var testHookPlaced func()
+
+// place copies rec into the ring at lsn, then stores stamp, before the
+// reservation completes: so every record below FilledLSN has stored
+// its stamp, and a reader that loads FilledLSN first sees each of
+// them. A record that starts exactly at the frontier may be stamped
+// and not yet filled.
+func (l *Log) place(lsn uint64, rec []byte, stamp *atomic.Uint64) {
+	l.ring.copyIn(lsn, rec)
+	if stamp != nil {
+		stamp.Store(lsn)
+	}
+	if testHookPlaced != nil {
+		testHookPlaced()
+	}
+}
+
+// filled completes reservation ticket, which ends at end. A committer
+// whose own record is in the ring but sits behind a slower writer's gap
+// kicks the flusher in vain; when the gap closes with such a committer
+// parked, the writer that closed it passes the kick on.
+func (l *Log) filled(ticket, end uint64) {
+	if l.fr.complete(ticket, end) && l.parked.Load() > 0 {
 		l.kickFlusher(causeDemand)
 	}
 }

@@ -504,16 +504,22 @@ func TestConsArrayGroupMechanics(t *testing.T) {
 	if st := caStatus(s.word.Load()); st != caClosed {
 		t.Fatalf("slot status = %d, want closed", st)
 	}
+	s.ticket = 7
 	ca.publish(s, 4096)
 	if got, ok := ca.waitBase(s); !ok || got != 4096 {
 		t.Fatalf("published base = %d (ok=%v), want 4096", got, ok)
 	}
-	ca.finish(s, 175, 100)
-	ca.finish(s, 175, 50)
+	for _, n := range []uint64{100, 50} {
+		if _, last := ca.finish(s, 175, n); last {
+			t.Fatal("a member that did not close the group got its ticket")
+		}
+	}
 	if st := caStatus(s.word.Load()); st != caClosed {
 		t.Fatal("slot recycled before all members finished")
 	}
-	ca.finish(s, 175, 25)
+	if ticket, last := ca.finish(s, 175, 25); !last || ticket != 7 {
+		t.Fatalf("closing member got ticket %d (last=%v), want 7", ticket, last)
+	}
 	if st := caStatus(s.word.Load()); st != caFree {
 		t.Fatal("slot not recycled after last member finished")
 	}
@@ -541,45 +547,61 @@ func TestConsArrayGroupCap(t *testing.T) {
 	}
 }
 
+// Tickets complete out of order: a hole holds the frontier, and the
+// completion that closes it carries the frontier over every mark
+// behind it.
 func TestFrontierMerging(t *testing.T) {
-	f := newFrontier()
+	f := newFrontier(0)
 	if f.Filled() != 0 {
 		t.Fatal("fresh frontier not at 0")
 	}
-	f.complete(10, 20, nil) // out of order
+	if f.complete(1, 20) { // [10, 20), out of order
+		t.Fatal("a completion behind a hole reported folding another's mark")
+	}
 	if f.Filled() != 0 {
 		t.Fatal("frontier advanced past a hole")
 	}
-	f.complete(0, 10, nil)
+	if !f.complete(0, 10) { // [0, 10)
+		t.Fatal("closing the hole did not report folding ticket 1")
+	}
 	if f.Filled() != 20 {
 		t.Fatalf("frontier = %d, want 20 after merge", f.Filled())
 	}
-	f.complete(30, 40, nil)
-	f.complete(20, 25, nil)
+	f.complete(4, 40)      // [30, 40)
+	if f.complete(2, 25) { // [20, 25): at head, nothing behind it yet
+		t.Fatal("an in-order completion reported folding another's mark")
+	}
 	if f.Filled() != 25 {
 		t.Fatalf("frontier = %d, want 25", f.Filled())
 	}
-	f.complete(25, 30, nil)
+	f.complete(3, 30) // [25, 30)
 	if f.Filled() != 40 {
 		t.Fatalf("frontier = %d, want 40 after chained merge", f.Filled())
+	}
+	if h := f.head.Load(); h != 5 {
+		t.Fatalf("head = %d, want 5", h)
 	}
 }
 
 func TestFrontierQuickContiguous(t *testing.T) {
 	// Property: completing a random permutation of contiguous
-	// intervals always ends with the frontier at the total.
+	// reservations, one ticket each, always ends with the frontier at
+	// the total.
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
-		fr := newFrontier()
+		fr := newFrontier(0)
 		n := src.IntRange(1, 50)
-		bounds := make([]uint64, n+1)
-		for i := 1; i <= n; i++ {
-			bounds[i] = bounds[i-1] + uint64(src.IntRange(1, 100))
+		ends := make([]uint64, n)
+		for i := range ends {
+			ends[i] = uint64(src.IntRange(1, 100))
+			if i > 0 {
+				ends[i] += ends[i-1]
+			}
 		}
 		for _, i := range src.Perm(n) {
-			fr.complete(bounds[i], bounds[i+1], nil)
+			fr.complete(uint64(i), ends[i])
 		}
-		return fr.Filled() == bounds[n]
+		return fr.Filled() == ends[n-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
