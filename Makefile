@@ -64,7 +64,13 @@ lint:
 # them runs TestFrontierUnderRaces: no lock guards that filled prefix
 # either, and writers completing out of order, some waiting for a ring
 # of done marks smaller than their number, must leave it rising along
-# record boundaries to the log's end. Last,
+# record boundaries to the log's end. And TestPinUnderRaces: no lock
+# orders a snapshot pin against the floor or the oldest-pin mirror
+# either, only the pin's re-check (Engine.pin), and its oracle fails a
+# prune whose horizon passes a pin that passed that re-check. Under the
+# tag it checks the latch order of the pin, raise and expiry paths; it
+# then runs three times under the race detector, whose timing is where
+# it catches E22's seed E (the tag's slower run did not). Last,
 # the root-split stress runs under the race detector, at the full depth
 # the tag's run stops short of: writers grow an empty tree, in both
 # modes, three levels deep (the root splits in place as a leaf, then as
@@ -74,7 +80,8 @@ stress:
 	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/... ./internal/btree/... ./internal/heap/... ./internal/dora/... ./internal/server/... ./internal/workload/... ./internal/staged/...
 	$(GO) test -tags hydradebug -count=300 -run TestCheckpointDuringTraffic ./internal/core/
 	$(GO) test -tags hydradebug -count=100 -run TestCreateTableDuringCheckpoints ./internal/core/
-	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill|TestFrontierUnderRaces' ./internal/core/ ./internal/wal/
+	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill|TestFrontierUnderRaces|TestPinUnderRaces' ./internal/core/ ./internal/wal/
+	$(GO) test -race -count=3 -run TestPinUnderRaces ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRootSplitUnderTraffic|TestConcurrentMixedWorkload' ./internal/btree/
 
 # fuzz-smoke runs the wire tokeniser's differential fuzz target for

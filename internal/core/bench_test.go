@@ -60,3 +60,50 @@ func BenchmarkCommitPipeline(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSnapshotRead measures a read-only snapshot transaction on an
+// MVCC engine over in-memory stores: Exec with Intent{ReadOnly: true}
+// around one Read, so each op joins the live registry, pins the floor,
+// resolves the row against its chain and leaves. No writer runs, so
+// every reader pins the same snapshot.
+func BenchmarkSnapshotRead(b *testing.B) {
+	const keys = 4096
+	cfg := Scalable()
+	cfg.MVCC = true
+	e, err := Open(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	tbl, err := e.CreateTable("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var val [16]byte
+	if err := e.Exec(func(tx *Txn) error {
+		for k := uint64(0); k < keys; k++ {
+			if err := tx.Insert(tbl, k, val[:]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	var seq atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := seq.Add(1) * 7919
+		for pb.Next() {
+			i++
+			if err := e.Exec(func(tx *Txn) error {
+				_, err := tx.Read(tbl, i%keys)
+				return err
+			}, Intent{ReadOnly: true}); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}

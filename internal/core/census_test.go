@@ -65,20 +65,21 @@ func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 // transaction enters under Scalable() on a file log, per tier, in every
 // mode: the count of critical sections the keynote's argument is about.
 // Every lock these paths take is ranked, so nothing is left uncounted.
-// An update enters 21.82, a locked GET 12.82, and no update enters a
-// lock of its own transaction; the crabbing index takes no tree lock,
-// and a log record completes its copy into the log buffer without one. A
-// transaction is in the live registry (txn_live) only if it pins a
-// snapshot or logs: joining and leaving are its two entries, a
-// version-installing commit included — the log stamps its versions, no
-// lock does. The Conventional() rows pin the baseline E9 knocks the
-// constructs out to: one tree-lock entry an operation (its Coarse
-// index), one frame latch (the heap page's; a Coarse index takes none).
+// An update enters 19.82, a locked GET 12.82 and a snapshot GET 9.82,
+// and no update enters a lock of its own transaction; the crabbing index
+// takes no tree lock, and a log record completes its copy into the log
+// buffer without one. A transaction that pins a snapshot or logs claims
+// a live-registry slot by CAS and releases it by store, so joining and
+// leaving enter no lock; nor does a version-installing commit — the log
+// stamps its versions. The Conventional() rows pin the baseline E9
+// knocks the constructs out to: one tree-lock entry an operation (its
+// Coarse index), one frame latch (the heap page's; a Coarse index takes
+// none).
 // The lock-tier registry is process-global, so the test must not run in
 // parallel with others.
 func TestAutocommitCriticalSections(t *testing.T) {
 	read := map[string]float64{"frame_latch": 2.94, "lock_part": 4, "pool_shard": 5.88}
-	update := with(read, map[string]float64{"txn_live": 2, "wal_device": 2, "wal_log": 3, "wal_wait": 2})
+	update := with(read, map[string]float64{"wal_device": 2, "wal_log": 3, "wal_wait": 2})
 	coarse := map[string]float64{"frame_latch": 1, "tree": 1}
 	for _, c := range []struct {
 		name   string
@@ -92,7 +93,7 @@ func TestAutocommitCriticalSections(t *testing.T) {
 		{"locked GET", Scalable, false, Intent{}, false, read},
 		// No lock_part: the snapshot read bypasses the lock manager.
 		{"snapshot GET", Scalable, true, Intent{ReadOnly: true}, false, map[string]float64{
-			"frame_latch": 2.94, "mvcc_shard": 1, "pool_shard": 5.88, "txn_live": 2}},
+			"frame_latch": 2.94, "mvcc_shard": 1, "pool_shard": 5.88}},
 		{"-mvcc 2PL update", Scalable, true, Intent{}, true, with(update, map[string]float64{"mvcc_shard": 1})},
 		// The SI body reads the row through the index and the heap, and
 		// the commit writes it through both again. The commit's own pin

@@ -94,12 +94,7 @@ func (e *Engine) Checkpoint() error {
 	// transaction whose first LSN this misses appends its first record
 	// above begin. One that published the filled frontier appends it at
 	// or above that.
-	start := begin
-	e.liveMu.Lock()
-	for _, t := range e.live {
-		start = min(start, wal.LSN(t.firstLSN.Load()))
-	}
-	e.liveMu.Unlock()
+	start := min(begin, e.live.oldestFirst())
 	horizon := start // lowest LSN a future restart could need
 	for _, recLSN := range dpt {
 		if recLSN != 0 && wal.LSN(recLSN) < horizon {

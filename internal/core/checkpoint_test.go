@@ -317,7 +317,7 @@ func TestCheckpointWindowCommitIsNoLoser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := min(begin, wal.LSN(tx.firstLSN.Load())) // what Checkpoint computes
+	start := min(begin, wal.LSN(tx.slot.first.Load())) // what Checkpoint computes
 	if _, err := e.log.Append(&wal.Record{Type: wal.RecCommit, TxnID: tx.id, PrevLSN: tx.lastLSN}); err != nil {
 		t.Fatal(err)
 	}

@@ -212,13 +212,10 @@ type Engine struct {
 	absentMemoHits obs.Counter
 	closed         atomic.Bool
 
-	// live is the registry of live transactions: one joins at its
-	// snapshot pin or its first write, whichever comes first (join), and
-	// leaves in finish. A checkpoint reads their first LSNs, the
-	// watermark and the MaxSnapshotAge expirer their pins. The snapshot
-	// floor advances only under liveMu (advanceFloor).
-	liveMu invariant.Mutex[invariant.TxnLive]
-	live   map[uint64]*Txn
+	// live is the registry of live transactions (live.go): one joins at
+	// its snapshot pin or its first write, whichever comes first (join),
+	// and leaves in finish.
+	live liveList
 
 	// txnPool recycles finished Txn handles (with their undo slices,
 	// encode buffers and lock holders) across Begin/finish cycles. It
@@ -307,7 +304,6 @@ func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, erro
 		logDev:     dev,
 		tables:     make(map[string]*Table),
 		tablesByID: make(map[uint32]*Table),
-		live:       make(map[uint64]*Txn),
 	}
 	e.pool = buffer.NewPool(store, buffer.Options{
 		Frames:    cfg.Frames,

@@ -47,10 +47,7 @@ func TestTxnLogsChangesAndOneOutcome(t *testing.T) {
 				if d := inserts() - n; d != 0 {
 					t.Errorf("%s of a missing key appended %d records, want none", verb, d)
 				}
-				e.liveMu.Lock()
-				live := len(e.live)
-				e.liveMu.Unlock()
-				if live != 0 {
+				if live := liveCount(e); live != 0 {
 					t.Errorf("%s of a missing key left %d transactions registered", verb, live)
 				}
 			}

@@ -32,12 +32,11 @@
 // to come starts at or above it. The snapshot floor is FilledLSN − 1
 // (advanceFloor): a record that starts exactly at the frontier may be
 // stamped but not yet filled, and the −1 keeps it out. No lock orders
-// the stamps; the log's own frontier does. The floor advances only
-// under the live-transaction registry's mutex (Engine.liveMu), in join
-// for a snapshot pin and in leave — the mutex join holds while it loads
-// the floor and registers the pin — which, together with watermark()
-// loading the floor BEFORE oldestSnap, closes the pin/GC race (see
-// watermark). A pinned snapshot is a registered transaction's snap.
+// the stamps; the log's own frontier does. No lock orders the pins
+// against the floor either: a pin re-checks itself against the floor
+// and the oldest-pin mirror after it registers (Engine.pin), and
+// watermark() loads the floor BEFORE that mirror. A pinned snapshot is
+// a live-registry slot's pin (live.go).
 //
 // Chains are volatile: a crash discards them with the process, and
 // recovery restarts the floor at the log's end. The per-page
@@ -54,6 +53,7 @@
 package core
 
 import (
+	"runtime"
 	"sort"
 	"sync/atomic"
 
@@ -126,15 +126,15 @@ type verTable struct {
 
 	// snapFloor is the snapshot a new snapshot transaction pins: the
 	// log's filled frontier less one, as of the last advanceFloor. It
-	// advances only under Engine.liveMu, which freezes it across join's
-	// load-and-register window.
+	// only grows.
 	snapFloor atomic.Uint64
 
-	// oldestSnap mirrors the lowest pin of the live registry
-	// (Engine.live; an expired pin does not count) so the install-path
-	// watermark read is lock-free: noSnapshot when nothing is pinned.
-	// It changes only under Engine.liveMu.
+	// oldestSnap mirrors the lowest unexpired pin of the live registry
+	// so the install-path watermark read walks nothing: noSnapshot when
+	// nothing is pinned. A pinner lowers it, a raise recomputes it, and
+	// raising counts the raises in flight (see Engine.pin).
 	oldestSnap atomic.Uint64
+	raising    atomic.Int32
 
 	snapBegins obs.Counter // snapshots pinned
 	snapReads  obs.Counter // point reads + scans on the snapshot path
@@ -171,33 +171,27 @@ func (vt *verTable) shard(k verKey) *verShard {
 	return &vt.shards[h>>(64-6)] // top bits: verShardCount == 64
 }
 
-// advanceFloor moves the snapshot floor to the log's filled frontier
-// less one: every record below FilledLSN has stamped its nodes, and a
-// record that starts exactly at it may be stamped but not yet filled.
-// A fresh log (FilledLSN 0) leaves the floor at 0. Callers hold liveMu,
-// or run before the engine is shared (Open); the frontier only grows,
-// so neither moves the floor back.
-func (e *Engine) advanceFloor() {
+// advanceFloor moves the snapshot floor up to the log's filled
+// frontier less one, and returns that value: every record below
+// FilledLSN has stamped its nodes, and a record that starts exactly at
+// it may be stamped but not yet filled. A fresh log (FilledLSN 0) gives
+// 0. The floor is an atomic max, so a stale frontier never moves it
+// back.
+func (e *Engine) advanceFloor() uint64 {
+	var s uint64
 	if f := uint64(e.log.FilledLSN()); f > 0 {
-		e.mvcc.snapFloor.Store(f - 1)
+		s = f - 1
 	}
+	fl := &e.mvcc.snapFloor
+	for cur := fl.Load(); cur < s && !fl.CompareAndSwap(cur, s); cur = fl.Load() {
+	}
+	return s
 }
 
 // watermark returns the GC horizon: the oldest active snapshot, or the
 // floor when none is active. A node stamped at or below it serves no
-// current or future snapshot.
-//
-// The lock-free read is safe because of its ORDER — floor first, then
-// oldestSnap — combined with the floor only advancing under liveMu:
-// any join that registered a snapshot s below the floor value f read
-// here must have stored oldestSnap (≤ s) before the floor advanced to
-// f, i.e. before this function's floor load, so the subsequent
-// oldestSnap load observes it and the result never exceeds an active
-// or in-flight snapshot. Pins that begin after the floor load pin the
-// then-current floor ≥ f (the floor is monotone). Reading the two in
-// the opposite order re-opens the race: a join could load floor s,
-// a leave advance it to c > s, and a reader that had already seen
-// oldestSnap == none return c while snapshot s registers.
+// current or future snapshot. It loads the floor first, then
+// oldestSnap; Engine.pin says why that never passes a pin.
 func (vt *verTable) watermark() uint64 {
 	f := vt.snapFloor.Load()
 	if o := vt.oldestSnap.Load(); o != noSnapshot && o < f {
@@ -206,73 +200,113 @@ func (vt *verTable) watermark() uint64 {
 	return f
 }
 
-// join enters t into the live registry. A snapshot transaction joins
-// in Begin, advances the floor to the filled frontier and pins it as its
-// snap in the same critical section: the floor moves only under liveMu,
-// so the pin is registered before any later leave can advance the
-// watermark past it. Any other transaction joins at its first write,
-// before its first log record (lockWrite).
+// join claims a live-registry slot for t. A snapshot transaction joins
+// in Begin and pins its snapshot there; any other transaction joins at
+// its first write, before its first log record (lockWrite).
 func (e *Engine) join(t *Txn) {
-	vt := e.mvcc
-	e.liveMu.Lock()
-	e.live[t.id] = t
+	t.slot = e.live.claim(t.slot, t.id)
 	if t.mode.snapshot {
-		e.advanceFloor()
-		t.snap = vt.snapFloor.Load()
-		if old := vt.oldestSnap.Load(); old == noSnapshot || t.snap < old {
-			vt.oldestSnap.Store(t.snap)
-		}
+		e.pin(t)
 	}
-	e.liveMu.Unlock()
-	t.joined = true
 }
 
-// leave removes t from the live registry and, on an MVCC engine,
-// advances the floor to the filled frontier — past the outcome record t
-// appended once the log before it has filled, which a commit's flush
-// wait already ensured — so writers keep GC moving; if t held the
-// oldest pin, the watermark advances and the chains are swept under the
-// new horizon.
+// joined reports whether t holds its slot: the slot a pooled handle
+// last held is never owned by another transaction's id.
+func (t *Txn) joined() bool { return t.slot != nil && t.slot.owner.Load() == t.id }
+
+// expired reports whether the MaxSnapshotAge expirer dropped t's pin.
+func (t *Txn) expired() bool { return t.slot.expired.Load() == t.id }
+
+// pin registers t's snapshot s, the floor it advances, in t's slot. No
+// lock freezes the floor while it does, so the pin validates itself.
+// The pinner, in order:
+//
+//  1. stores s in its slot, then lowers oldestSnap to s if it is
+//     higher (FilledLSN only grows, so in practice only from none);
+//  2. re-checks, in this order: no raise is in flight (raising is 0);
+//     oldestSnap <= s; snapFloor <= s. If any check fails it retries
+//     with a fresh s.
+//
+// A raise (Engine.raise: the oldest pin left, or the expirer expired
+// pins) increments raising, reads oldestSnap, walks the slots for the
+// lowest unexpired pin and CASes oldestSnap to it, then decrements
+// raising. So once the re-check passes, no watermark() can pass s while
+// the pin is unexpired:
+//
+//   - one whose floor load came before the floor check reads a floor
+//     no higher than s, and returns no more than that floor (the floor
+//     only grows);
+//   - one whose floor load came after the floor check loads oldestSnap
+//     later still. A raise that had finished by the raising check made
+//     its CAS before the oldestSnap check, which saw the value it left
+//     at or below s. A raise in flight at the raising check fails it. A
+//     raise that began after it walks the slots after s was stored, and
+//     lowers oldestSnap no higher than s. Nothing else raises it.
+//
+// Dropping the raising check lets a raise whose walk missed s CAS over
+// the lowered value after the oldestSnap check; dropping the floor
+// check lets a pin register below a floor whose watermark was already
+// taken.
+func (e *Engine) pin(t *Txn) {
+	vt, sl := e.mvcc, t.slot
+	sl.born.Store(t.clock.StartTime())
+	t.pinLow = noSnapshot
+	for {
+		s := e.advanceFloor()
+		t.pinLow = min(t.pinLow, s)
+		sl.pin.Store(s)
+		for o := vt.oldestSnap.Load(); o > s && !vt.oldestSnap.CompareAndSwap(o, s); o = vt.oldestSnap.Load() {
+		}
+		if vt.raising.Load() == 0 && vt.oldestSnap.Load() <= s && vt.snapFloor.Load() <= s {
+			t.snap = s
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// leave releases t's slot and, on an MVCC engine, advances the floor to
+// the filled frontier — past the outcome record t appended once the log
+// before it has filled, which a commit's flush wait already ensured — so
+// writers keep GC moving. A snapshot transaction then raises
+// oldestSnap, sweeping the chains under a watermark that advanced, when
+// oldestSnap may be one of its own pins (it lies at or above the first
+// one it tried) or a raise is in flight whose walk may have read its
+// pin: either way no later raise would be left to correct it.
 func (e *Engine) leave(t *Txn) {
-	e.liveMu.Lock()
-	delete(e.live, t.id)
+	vt := e.mvcc
+	t.slot.release()
 	if e.cfg.MVCC {
 		e.advanceFloor()
 	}
-	var sweepTo uint64
-	if t.pinning() && t.snap == e.mvcc.oldestSnap.Load() {
-		sweepTo = e.resetOldestSnap()
-	}
-	e.liveMu.Unlock()
-	// Sweep outside liveMu: the registry's critical sections stay
-	// short, and the sweep takes only the leaf shard mutexes.
-	if sweepTo != 0 {
-		e.mvcc.sweep(sweepTo)
+	if t.mode.snapshot && (vt.raising.Load() > 0 || vt.oldestSnap.Load() >= t.pinLow) {
+		if w := e.raise(); w != 0 {
+			vt.sweep(w)
+		}
 	}
 }
 
-// pinning reports whether t's snapshot holds the watermark: it is a
-// snapshot transaction the MaxSnapshotAge expirer has not flagged.
-func (t *Txn) pinning() bool { return t.mode.snapshot && !t.snapExpired.Load() }
-
-// resetOldestSnap recomputes oldestSnap from the registry's pins after
-// one left or expired. It returns the new GC horizon when the watermark
-// advanced, 0 when it did not. Callers hold liveMu.
-func (e *Engine) resetOldestSnap() (sweepTo uint64) {
+// raise recomputes oldestSnap from the slots after a pin left or
+// expired (see Engine.pin). A CAS that fails means oldestSnap moved
+// since it was read, so the raise reads and walks again: a pinner
+// lowered it, and the walk now sees that pin, or another raise set it
+// from a walk that may have seen a pin since gone. It returns the new GC
+// horizon when the watermark advanced, 0 when it did not.
+func (e *Engine) raise() (sweepTo uint64) {
 	vt := e.mvcc
-	old := vt.oldestSnap.Load()
-	next := uint64(noSnapshot)
-	for _, t := range e.live {
-		if t.pinning() && t.snap < next {
-			next = t.snap
-		}
+	vt.raising.Add(1)
+	o, m := vt.oldestSnap.Load(), e.live.oldestPin()
+	for m != o && !vt.oldestSnap.CompareAndSwap(o, m) {
+		o, m = vt.oldestSnap.Load(), e.live.oldestPin()
 	}
-	vt.oldestSnap.Store(next)
-	if next == noSnapshot {
-		next = vt.snapFloor.Load()
+	if m == noSnapshot {
+		// Read before the decrement, like the walk: a pinner whose
+		// re-check sees this raise finished took a floor no lower.
+		m = vt.snapFloor.Load()
 	}
-	if next > old {
-		return next
+	vt.raising.Add(-1)
+	if m > o {
+		return m
 	}
 	return 0
 }
@@ -316,6 +350,11 @@ func (t *Txn) installVersion(table uint32, key uint64, before []byte) {
 	vt.liveNodes.Add(int64(1 - freed))
 }
 
+// testHookPrune, when set, runs with the horizon of every prune, under
+// the chain's shard mutex, before it cuts: tests use it to check the
+// horizon against the pins.
+var testHookPrune func(w uint64)
+
 // pruneChain cuts the chain suffix invisible under watermark w: the
 // first node (newest-first order) stamped at or below w starts the
 // dead tail — every node older than it is stamped no later, and the
@@ -323,6 +362,9 @@ func (t *Txn) installVersion(table uint32, key uint64, before []byte) {
 // Returns the surviving head (nil when the whole chain dies) and the
 // number of nodes freed.
 func pruneChain(head *verNode, w uint64) (*verNode, int) {
+	if testHookPrune != nil {
+		testHookPrune(w)
+	}
 	var prev *verNode
 	for n := head; n != nil; n = n.next {
 		c := n.txn.commitLSN.Load()
@@ -547,14 +589,12 @@ func (e *Engine) mvccStats() MvccStats {
 		SIConflictAborts: vt.siConflicts.Load(),
 		SnapshotsExpired: vt.snapExpired.Load(),
 	}
-	e.liveMu.Lock()
 	now := obs.Now()
-	for _, t := range e.live {
-		if t.pinning() {
+	for s := e.live.head.Load(); s != nil; s = s.next {
+		if s.livePin() != noSnapshot {
 			st.ActiveSnapshots++
-			st.OldestSnapshotAgeNs = max(st.OldestSnapshotAgeNs, now-t.clock.StartTime())
+			st.OldestSnapshotAgeNs = max(st.OldestSnapshotAgeNs, now-s.born.Load())
 		}
 	}
-	e.liveMu.Unlock()
 	return st
 }

@@ -101,7 +101,7 @@ func (t *Txn) siDelete(tbl *Table, key uint64) error {
 // touch, which is also when base is fixed and the key joins siKeys
 // (the scan overlay iterates it; commit sorts it).
 func (t *Txn) siBuffer(tbl *Table, key uint64, kind byte, wantPresent bool, value []byte) error {
-	if t.snapExpired.Load() {
+	if t.expired() {
 		return ErrSnapshotExpired
 	}
 	k := verKey{table: tbl.ID, key: key}
@@ -202,7 +202,7 @@ func (t *Txn) siScan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte
 // validation (nothing reached the heap), the normal undo path after a
 // partial apply.
 func (t *Txn) applyWriteSet() error {
-	if t.snapExpired.Load() {
+	if t.expired() {
 		return ErrSnapshotExpired
 	}
 	keys := t.siKeys
@@ -266,29 +266,45 @@ func (e *Engine) maybeExpireSnapshots() {
 	e.expireStaleSnapshots()
 }
 
+// testHookExpire, when set, runs between the expirer's read of a slot
+// and its mark: tests use it to recycle the slot in between.
+var testHookExpire func()
+
 // expireStaleSnapshots expires every snapshot pin older than
-// Config.MaxSnapshotAge, its age the transaction's begin stamp. The
-// transaction is flagged in place and stays registered — a checkpoint
-// may still need its first LSN — but its pin stops holding the
-// watermark (dead versions sweep), and it fails its next read or commit
-// with ErrSnapshotExpired. Returns how many pins were expired.
+// Config.MaxSnapshotAge, its age the slot's begin stamp. The slot is
+// marked with the owner's id and stays claimed — a checkpoint may still
+// need its first LSN — but its pin stops holding the watermark (dead
+// versions sweep), and the owner fails its next read or commit with
+// ErrSnapshotExpired. The mark is a CAS from the value read to the
+// owner read, so one that lands after the owner left names a
+// transaction the slot no longer holds. Returns how many pins were
+// marked.
 func (e *Engine) expireStaleSnapshots() int {
 	now, n := obs.Now(), 0
-	var sweepTo uint64
-	e.liveMu.Lock()
-	for _, t := range e.live {
-		if age := now - t.clock.StartTime(); t.pinning() && age > int64(e.cfg.MaxSnapshotAge) {
-			t.snapExpired.Store(true)
+	for s := e.live.head.Load(); s != nil; s = s.next {
+		// Owner, then pin, then begin stamp: a pin read after the owner
+		// is that owner's or a later one's, and its stamp was stored
+		// before it.
+		id := s.owner.Load()
+		if id == 0 || s.pin.Load() == noSnapshot {
+			continue
+		}
+		if age := now - s.born.Load(); age <= int64(e.cfg.MaxSnapshotAge) {
+			continue
+		}
+		x := s.expired.Load()
+		if testHookExpire != nil {
+			testHookExpire()
+		}
+		if x != id && s.expired.CompareAndSwap(x, id) {
 			n++
 		}
 	}
 	if n > 0 {
-		sweepTo = e.resetOldestSnap()
-	}
-	e.liveMu.Unlock()
-	e.mvcc.snapExpired.Add(uint64(n))
-	if sweepTo != 0 {
-		e.mvcc.sweep(sweepTo)
+		e.mvcc.snapExpired.Add(uint64(n))
+		if w := e.raise(); w != 0 {
+			e.mvcc.sweep(w)
+		}
 	}
 	return n
 }

@@ -64,7 +64,7 @@ func indexReadErr(err error, tbl *Table, key uint64) error {
 // abort stamp it in place rather than unlinking), so the check cannot
 // miss it.
 func (t *Txn) snapshotRead(tbl *Table, key uint64) ([]byte, error) {
-	if t.snapExpired.Load() {
+	if t.expired() {
 		// The MaxSnapshotAge expirer dropped this transaction's pin;
 		// its chains may already be swept, so reads must stop.
 		return nil, ErrSnapshotExpired
@@ -147,7 +147,7 @@ var snapScanChunk = 512
 // stamped in place rather than unlinked — still blocks the chain at
 // collect time.
 func (t *Txn) snapshotScan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte) bool) error {
-	if t.snapExpired.Load() {
+	if t.expired() {
 		return ErrSnapshotExpired
 	}
 	e := t.e

@@ -69,9 +69,9 @@ type txnMode struct {
 // Txn is a transaction handle. A Txn is used by one goroutine at a
 // time: DORA's fast path hands a partition-owned one to the owning
 // executor and back, but nothing runs two of its operations at once.
-// While it is in the engine's live registry (Engine.live), a checkpoint
-// reads its firstLSN, and the watermark and the MaxSnapshotAge expirer
-// its snap and begin stamp, all under liveMu.
+// While it is in the engine's live registry (live.go), it holds a slot
+// there, where a checkpoint reads its first LSN and the GC's oldest-pin
+// recompute and the MaxSnapshotAge expirer its pin and begin stamp.
 //
 // Handles are recycled through a per-engine pool: Begin draws a
 // retired Txn (with its lock holder, undo slice, and encode scratch
@@ -90,38 +90,35 @@ type Txn struct {
 	path obs.TxnPath
 
 	// snap is the snapshot a snapshot-mode transaction pinned at begin
-	// (0 otherwise). verTxn/verNodes track the versions a writing
-	// transaction installed — commit and abort both stamp them (through
-	// the shared verTxn), and abort additionally prunes the touched
-	// chains as it finishes.
+	// (0 otherwise); pinLow is the lowest one it tried (Engine.pin).
+	// verTxn/verNodes track the versions a writing transaction installed
+	// — commit and abort both stamp them (through the shared verTxn), and
+	// abort additionally prunes the touched chains as it finishes.
 	snap     uint64
+	pinLow   uint64
 	verTxn   *verTxn
 	verNodes []*verNode
 	// Snapshot-mode write buffering (see si.go): writes fold into
 	// writeSet and reach the heap only inside Commit, after
-	// first-committer-wins validation. snapExpired is flipped by the
-	// MaxSnapshotAge expirer, under liveMu while the transaction is
-	// registered (so it never lands on a recycled handle): the pin stops
-	// holding the watermark, and the transaction observes the flag on
-	// its next read or commit as ErrSnapshotExpired.
-	writeSet    map[verKey]siWrite
-	siKeys      []verKey // insertion-ordered writeSet keys (scan overlay, commit sort scratch)
-	snapExpired atomic.Bool
+	// first-committer-wins validation. The MaxSnapshotAge expirer marks
+	// the slot with the transaction's id (expired): the pin stops
+	// holding the watermark, and the transaction observes the mark on its
+	// next read or commit as ErrSnapshotExpired.
+	writeSet map[verKey]siWrite
+	siKeys   []verKey // insertion-ordered writeSet keys (scan overlay, commit sort scratch)
 	// clock accumulates the transaction's critical-path breakdown. It
 	// lives by value so a pooled handle's clock costs no allocation;
 	// its address is stable for the handle's lifetime, which lets the
 	// lock holder and DORA executors keep a pointer to it.
 	clock obs.PhaseClock
 
-	// firstLSN bounds the transaction's first record from below for a
-	// checkpoint's analysis start (checkpoint.go): NilLSN until its
-	// first write, which stores the log's filled frontier (lockWrite).
-	// lastLSN is its newest record, NilLSN while it has logged nothing.
-	firstLSN atomic.Uint64
-	lastLSN  wal.LSN
-	undo     []undoEntry
-	joined   bool   // in the engine's live registry (see join)
-	enc      []byte // scratch buffer for op payload encoding
+	// slot is the live-registry slot the transaction holds, or the one
+	// the handle last held: join tries it first. lastLSN is its newest
+	// record, NilLSN while it has logged nothing.
+	slot    *liveSlot
+	lastLSN wal.LSN
+	undo    []undoEntry
+	enc     []byte // scratch buffer for op payload encoding
 	// arena is the chunk the bump allocator for undo row images is
 	// filling; chunks is the chain it draws from, chunks[:chunksUsed]
 	// the part this transaction has entered.
@@ -253,10 +250,7 @@ func (e *Engine) Begin(opts ...Intent) *Txn {
 		t.mode.snapshot = e.cfg.MVCC && t.mode.Owned == 0 && (t.mode.ReadOnly || t.mode.Optimistic)
 	}
 	t.lastLSN = wal.NilLSN
-	t.firstLSN.Store(uint64(wal.NilLSN))
-	t.joined = false
 	t.snap = 0
-	t.snapExpired.Store(false)
 	t.verTxn = nil
 	// No clock Reset here: finish's fold drains every lap to zero, so a
 	// pooled handle's clock is already clean; Start just restamps.
@@ -299,7 +293,7 @@ func (t *Txn) finish(state txnState, lsn wal.LSN) {
 	var phases [obs.NumPhases]int64
 	obs.TxnPhases.Fold(t.path, oc, &t.clock, total, &phases)
 	obs.SlowTxns.Offer(t.id, t.path, oc, end, total, &phases)
-	if t.joined {
+	if t.joined() {
 		e.leave(t)
 	}
 	if state == txnAborted && t.verTxn != nil {
@@ -515,18 +509,18 @@ func (t *Txn) Delete(tbl *Table, key uint64) error {
 // lockWrite opens every logged write with the IX table and X row
 // locks. insert, update and delete below are the logged bodies; a
 // snapshot-mode Commit runs its buffered write set through them once
-// validation has passed (si.go). The first write stores the log's filled
-// frontier as the transaction's first LSN, then joins the live registry
-// unless its snapshot pin already did: a checkpoint that finds it there
-// reads that frontier, which no later record lies below, and one that
-// does not find it appended its own begin marker before any record of
-// this transaction.
+// validation has passed (si.go). The first write joins the live
+// registry unless its snapshot pin already did, then stores the log's
+// filled frontier as the slot's first LSN: a checkpoint that finds it
+// there reads that frontier, which no later record lies below, and one
+// that does not find it appended its own begin marker before any record
+// of this transaction.
 func (t *Txn) lockWrite(tbl *Table, key uint64) error {
-	if wal.LSN(t.firstLSN.Load()) == wal.NilLSN {
-		t.firstLSN.Store(uint64(t.e.log.FilledLSN()))
-		if !t.joined {
-			t.e.join(t)
-		}
+	if !t.joined() {
+		t.e.join(t)
+	}
+	if sl := t.slot; wal.LSN(sl.first.Load()) == wal.NilLSN {
+		sl.first.Store(uint64(t.e.log.FilledLSN()))
 	}
 	if err := t.acquire(lock.TableName(tbl.ID), lock.IX); err != nil {
 		return err

@@ -50,7 +50,6 @@ func declare(rank int, site, label string) *tier {
 var (
 	engineCkpt = declare(10, "core.Engine.ckptMu", "engine_ckpt")
 	engineMu   = declare(20, "core.Engine.mu", "engine_mu")
-	txnLive    = declare(34, "core.Engine.liveMu", "txn_live") // the live-transaction registry; the snapshot floor advances under it
 	treeMu     = declare(40, "btree.Tree.mu", "tree")
 	lockPart   = declare(50, "lock.partition.mu", "lock_part")
 	frameLatch = declare(60, "buffer.Frame.Latch", "frame_latch")
@@ -66,7 +65,6 @@ var (
 type (
 	EngineCkpt struct{}
 	EngineMu   struct{}
-	TxnLive    struct{}
 	Tree       struct{}
 	LockPart   struct{}
 	FrameLatch struct{}
@@ -81,7 +79,6 @@ type (
 
 func (EngineCkpt) tier() *tier { return engineCkpt }
 func (EngineMu) tier() *tier   { return engineMu }
-func (TxnLive) tier() *tier    { return txnLive }
 func (Tree) tier() *tier       { return treeMu }
 func (LockPart) tier() *tier   { return lockPart }
 func (FrameLatch) tier() *tier { return frameLatch }

@@ -3,12 +3,17 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"math"
+	"runtime"
 	"strconv"
 	"testing"
 
 	"hydra/internal/core"
 	"hydra/internal/invariant"
+	"hydra/internal/obs"
 	"hydra/internal/rng"
+	"hydra/internal/wal"
 )
 
 // censusWorkload is one of the four workloads of the wire benchmark
@@ -23,8 +28,10 @@ type censusWorkload struct {
 	frames      int  // the buffer pool
 	ops         int  // measured ops
 	// The pinned counts per op: lock acquisitions, log bytes per byte of
-	// value written, and request lines.
+	// value written, and request lines; and the ranked-lock entries per
+	// op, per latch tier.
 	acquires, logPerUserByte, lines float64
+	tiers                           map[string]float64
 }
 
 type censusTable struct {
@@ -138,19 +145,37 @@ const warmupOps = 72
 // depends on the table sizes, so mixed_cold loads 24 000 rows over a
 // 1024-frame pool instead of 86 000 over 4096: still three pools of
 // data, every miss an eviction, in a second of load.
+//
+// It also pins the ranked-lock entries per op of each latch tier,
+// counted between two tier reads that leave the window's StatsSnapshot
+// calls outside (each enters engine_mu). The wire adds no lock to
+// TestAutocommitCriticalSections' rows: get_hot's frame_latch 2.982 and
+// pool_shard 5.964 against its locked GET's 2.94 and 5.88 come from the
+// table, 20 000 rows to its 1 000 (over 20 000 rows that census reads
+// 2.985 and 5.97), and set_durable is its update row over the same
+// table. mixed_cold's pool_shard 7.274 adds the misses' evictions, and
+// txn_hot's heap_tail the history inserts and their chain extensions. A
+// window the flusher's 1 ms tick entered has its log tiers checked
+// against the flushes and records it saw instead, as core's census
+// does: a tick flush is the flusher's, not an op's.
 func TestWireCensus(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("the latch-order checks parse a stack per lock: the loads take minutes, and no pinned count depends on them")
 	}
 	for _, w := range []censusWorkload{
 		{name: "get_hot", tables: []censusTable{{"kv", 20000}}, valueSize: 100, getPermille: 1000, frames: 4096, ops: 2000,
-			acquires: 2, logPerUserByte: 0, lines: 1},
+			acquires: 2, logPerUserByte: 0, lines: 1,
+			tiers: map[string]float64{"frame_latch": 2.982, "lock_part": 4, "pool_shard": 5.964}},
 		{name: "set_durable", tables: []censusTable{{"kv", 20000}}, valueSize: 100, frames: 4096, ops: 200,
-			acquires: 2, logPerUserByte: 3.2700, lines: 1},
+			acquires: 2, logPerUserByte: 3.2700, lines: 1,
+			tiers: map[string]float64{"frame_latch": 2.96, "lock_part": 4, "pool_shard": 5.92, "wal_device": 2, "wal_log": 3, "wal_wait": 2}},
 		{name: "mixed_cold", tables: []censusTable{{"kv", 24000}}, valueSize: 1000, getPermille: 800, frames: 1024, ops: 1000,
-			acquires: 2, logPerUserByte: 2.1270, lines: 1},
+			acquires: 2, logPerUserByte: 2.1270, lines: 1,
+			tiers: map[string]float64{"frame_latch": 2.991, "lock_part": 4, "pool_shard": 7.274, "wal_device": 0.392, "wal_log": 0.588, "wal_wait": 0.392}},
 		{name: "txn_hot", tables: []censusTable{{"account", 10000}, {"teller", 10}, {"branch", 1}, {"history", 0}}, valueSize: 100, txn: true, frames: 4096, ops: 720,
-			acquires: 10, logPerUserByte: 2.6949, lines: 6},
+			acquires: 10, logPerUserByte: 2.6949, lines: 6,
+			tiers: map[string]float64{"frame_latch": 6452.0 / 720, "heap_tail": 740.0 / 720, "lock_part": 16, "pool_shard": 12928.0 / 720,
+				"wal_device": 2, "wal_log": 4330.0 / 720, "wal_wait": 2}},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			cfg := core.Scalable()
@@ -173,11 +198,40 @@ func TestWireCensus(t *testing.T) {
 			}
 			before := e.StatsSnapshot()
 			cc.lines, cc.valueBytes = 0, 0
+			lb, tb := quiet(t, e.Log())
 			for i := 0; i < w.ops; i++ {
 				cc.op()
 			}
+			la, ta := quiet(t, e.Log())
 			after := e.StatsSnapshot()
 			ops := float64(w.ops)
+			tiers := map[string]float64{}
+			for tier, n := range ta {
+				if d := n - tb[tier]; d > 0 {
+					tiers[tier] = float64(d) / ops
+				}
+			}
+			if la.FlushesTick > lb.FlushesTick {
+				// Each flush enters the device twice (write, sync), the
+				// log mutex once and the waiter mutex once; each record
+				// enters the log mutex once, and an op parks at most once
+				// for its commit.
+				entries := func(tier string) uint64 { return ta[tier] - tb[tier] }
+				flushes, records := la.Flushes-lb.Flushes, la.Inserts-lb.Inserts
+				if wt := entries("wal_wait"); entries("wal_device") != 2*flushes || entries("wal_log") != records+flushes || wt < flushes || wt > flushes+uint64(w.ops) {
+					t.Errorf("log tiers %v do not follow from %d flushes and %d records", tiers, flushes, records)
+				}
+				for _, tier := range []string{"wal_device", "wal_log", "wal_wait"} {
+					if v, ok := w.tiers[tier]; ok {
+						tiers[tier] = v
+					} else {
+						delete(tiers, tier)
+					}
+				}
+			}
+			if !maps.EqualFunc(tiers, w.tiers, func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }) {
+				t.Errorf("ranked-lock entries per op %v, want %v", tiers, w.tiers)
+			}
 			logPerUserByte := 0.0
 			if cc.valueBytes > 0 {
 				logPerUserByte = float64(after.Log.InsertedBytes-before.Log.InsertedBytes) / float64(cc.valueBytes)
@@ -196,4 +250,30 @@ func TestWireCensus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tierOps returns each latch tier's acquisition count so far.
+func tierOps() map[string]uint64 {
+	m := map[string]uint64{}
+	for _, s := range obs.LatchSnapshot() {
+		m[s.Tier] = s.Ops
+	}
+	return m
+}
+
+// quiet reads the log's counters and the tier counts at an instant no
+// flush is part-way through its locks, as core's census does: the log
+// counts a flush only after it entered every lock it takes, and its
+// write before the first.
+func quiet(t *testing.T, l *wal.Log) (wal.Stats, map[string]uint64) {
+	for i := 0; i < 100_000; i++ {
+		st := l.StatsSnapshot()
+		ops := tierOps()
+		if st2 := l.StatsSnapshot(); st.FlushWrites == st.Flushes && st2.FlushWrites == st.FlushWrites {
+			return st, ops
+		}
+		runtime.Gosched()
+	}
+	t.Fatal("the log never stopped flushing")
+	return wal.Stats{}, nil
 }
