@@ -64,7 +64,13 @@ lint:
 # them runs TestFrontierUnderRaces: no lock guards that filled prefix
 # either, and writers completing out of order, some waiting for a ring
 # of done marks smaller than their number, must leave it rising along
-# record boundaries to the log's end. And TestPinUnderRaces: no lock
+# record boundaries to the log's end. And TestWaitUnderRaces: no lock
+# guards the log's one wait on the durable frontier either, only a
+# lock-free arrival list that the flusher drains; 32 goroutines commit
+# through a 4 KiB ring, so committers and ring-full inserters park
+# together, and a device that fails mid-run poisons the log: no wait may
+# return before the frontier passes its record, and none may hang. And
+# TestPinUnderRaces: no lock
 # orders a snapshot pin against the floor or the oldest-pin mirror
 # either, only the pin's re-check (Engine.pin), and its oracle fails a
 # prune whose horizon passes a pin that passed that re-check. Under the
@@ -80,7 +86,7 @@ stress:
 	$(GO) test -tags hydradebug -count=1 ./internal/invariant/... ./internal/latch/... ./internal/buffer/... ./internal/wal/... ./internal/core/... ./internal/sync2/... ./internal/lock/... ./internal/btree/... ./internal/heap/... ./internal/dora/... ./internal/server/... ./internal/workload/... ./internal/staged/...
 	$(GO) test -tags hydradebug -count=300 -run TestCheckpointDuringTraffic ./internal/core/
 	$(GO) test -tags hydradebug -count=100 -run TestCreateTableDuringCheckpoints ./internal/core/
-	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill|TestFrontierUnderRaces|TestPinUnderRaces' ./internal/core/ ./internal/wal/
+	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill|TestFrontierUnderRaces|TestWaitUnderRaces|TestPinUnderRaces' ./internal/core/ ./internal/wal/
 	$(GO) test -race -count=3 -run TestPinUnderRaces ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRootSplitUnderTraffic|TestConcurrentMixedWorkload' ./internal/btree/
 

@@ -65,7 +65,7 @@ func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 // transaction enters under Scalable() on a file log, per tier, in every
 // mode: the count of critical sections the keynote's argument is about.
 // Every lock these paths take is ranked, so nothing is left uncounted.
-// An update enters 19.82, a locked GET 12.82 and a snapshot GET 9.82,
+// An update enters 16.82, a locked GET 12.82 and a snapshot GET 9.82,
 // and no update enters a lock of its own transaction; the crabbing index
 // takes no tree lock, and a log record completes its copy into the log
 // buffer without one. A transaction that pins a snapshot or logs claims
@@ -79,7 +79,7 @@ func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 // parallel with others.
 func TestAutocommitCriticalSections(t *testing.T) {
 	read := map[string]float64{"frame_latch": 2.94, "lock_part": 4, "pool_shard": 5.88}
-	update := with(read, map[string]float64{"wal_device": 2, "wal_log": 3, "wal_wait": 2})
+	update := with(read, map[string]float64{"wal_device": 2, "wal_log": 2})
 	coarse := map[string]float64{"frame_latch": 1, "tree": 1}
 	for _, c := range []struct {
 		name   string
@@ -180,17 +180,17 @@ func criticalSections(t *testing.T, cfg Config, intent Intent, write bool) map[s
 	}
 	if ticks > 0 {
 		// A slow build (-race, hydradebug) under load ticks in every
-		// window. Each flush enters the device twice (write, sync), the
-		// log mutex once and the waiter mutex once; each update inserts
-		// two records (its data record and its commit) and parks at most once for its commit.
+		// window. Each flush enters the device twice (write, sync) and
+		// no other lock; each update inserts two records (its data
+		// record and its commit), each entering the log mutex once.
 		// The entry counts are compared whole, not per update.
 		t.Logf("every window saw a tick flush: %d flushes, %d of them ticks, for %d updates", flushes, ticks, n)
 		entries := func(tier string) uint64 { return uint64(math.Round(per[tier] * n)) }
-		if w := entries("wal_wait"); entries("wal_device") != 2*flushes || entries("wal_log") != 2*n+flushes || w < flushes || w > flushes+n {
+		if entries("wal_device") != 2*flushes || entries("wal_log") != 2*n {
 			t.Errorf("wal tiers %v do not follow from %d flushes for %d updates", per, flushes, n)
 		}
 		// Checked; the other tiers must still match exactly.
-		maps.Copy(per, map[string]float64{"wal_device": 2, "wal_log": 3, "wal_wait": 2})
+		maps.Copy(per, map[string]float64{"wal_device": 2, "wal_log": 2})
 	}
 	return per
 }

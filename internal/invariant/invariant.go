@@ -57,7 +57,6 @@ var (
 	heapTail   = declare(64, "heap.File.mu", "heap_tail")      // the chain extension sets it under the full page's X latch
 	poolShard  = declare(70, "buffer.shard.mu", "pool_shard")
 	walLog     = declare(80, "wal.Log.mu", "wal_log")
-	walWait    = declare(82, "wal.Log.waitMu", "wal_wait")
 	walDevice  = declare(84, "wal.FileDevice.mu", "wal_device")
 	doraQueue  = declare(90, "sync2.Queue.mu", "dora_queue") // DORA executor inboxes
 )
@@ -72,7 +71,6 @@ type (
 	HeapTail   struct{}
 	PoolShard  struct{}
 	WALLog     struct{}
-	WALWait    struct{}
 	WALDevice  struct{}
 	DoraQueue  struct{}
 )
@@ -86,6 +84,5 @@ func (MVCCShard) tier() *tier  { return mvccShard }
 func (HeapTail) tier() *tier   { return heapTail }
 func (PoolShard) tier() *tier  { return poolShard }
 func (WALLog) tier() *tier     { return walLog }
-func (WALWait) tier() *tier    { return walWait }
 func (WALDevice) tier() *tier  { return walDevice }
 func (DoraQueue) tier() *tier  { return doraQueue }

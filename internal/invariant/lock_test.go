@@ -53,7 +53,7 @@ func TestRankedLocksCountEveryAcquisition(t *testing.T) {
 // puts nothing on the clock; one that waits puts its wait on the
 // latch-wait phase.
 func TestClockedAcquireChargesOnlyAWait(t *testing.T) {
-	var m Mutex[WALWait]
+	var m Mutex[WALLog]
 	var c obs.PhaseClock
 	m.LockC(&c)
 	m.Unlock()

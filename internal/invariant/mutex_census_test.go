@@ -27,7 +27,7 @@ var plainMutexes = map[string]string{
 	"server.Server.mu":         "the listener and the connection registry: accept, connection close and shutdown, never a request",
 	"staged.Engine.mu":         "the staged engine's per-table scanner registry: query admission, not row traffic",
 	"sync2.HybridLock.mu":      "the parking half of the hybrid lock: waiters that outlast the spin budget sleep on its condition variable",
-	"wal.Log.flushOnceMu":      "serialises flushOnce between the flusher and Close: one holder per flush, never an insert",
+	"wal.Log.flushOnceMu":      "serialises flushOnce between the flusher and Close and guards the waiters a flush wakes: one holder per flush, never an insert; a waiter takes it only on a dead log",
 	"wal.MemDevice.mu":         "the in-memory log device of tests and CPU-bound experiments; a file-backed engine never takes it",
 }
 

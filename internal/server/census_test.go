@@ -168,14 +168,14 @@ func TestWireCensus(t *testing.T) {
 			tiers: map[string]float64{"frame_latch": 2.982, "lock_part": 4, "pool_shard": 5.964}},
 		{name: "set_durable", tables: []censusTable{{"kv", 20000}}, valueSize: 100, frames: 4096, ops: 200,
 			acquires: 2, logPerUserByte: 3.2700, lines: 1,
-			tiers: map[string]float64{"frame_latch": 2.96, "lock_part": 4, "pool_shard": 5.92, "wal_device": 2, "wal_log": 3, "wal_wait": 2}},
+			tiers: map[string]float64{"frame_latch": 2.96, "lock_part": 4, "pool_shard": 5.92, "wal_device": 2, "wal_log": 2}},
 		{name: "mixed_cold", tables: []censusTable{{"kv", 24000}}, valueSize: 1000, getPermille: 800, frames: 1024, ops: 1000,
 			acquires: 2, logPerUserByte: 2.1270, lines: 1,
-			tiers: map[string]float64{"frame_latch": 2.991, "lock_part": 4, "pool_shard": 7.274, "wal_device": 0.392, "wal_log": 0.588, "wal_wait": 0.392}},
+			tiers: map[string]float64{"frame_latch": 2.991, "lock_part": 4, "pool_shard": 7.274, "wal_device": 0.392, "wal_log": 0.392}},
 		{name: "txn_hot", tables: []censusTable{{"account", 10000}, {"teller", 10}, {"branch", 1}, {"history", 0}}, valueSize: 100, txn: true, frames: 4096, ops: 720,
 			acquires: 10, logPerUserByte: 2.6949, lines: 6,
 			tiers: map[string]float64{"frame_latch": 6452.0 / 720, "heap_tail": 740.0 / 720, "lock_part": 16, "pool_shard": 12928.0 / 720,
-				"wal_device": 2, "wal_log": 4330.0 / 720, "wal_wait": 2}},
+				"wal_device": 2, "wal_log": 3610.0 / 720}},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			cfg := core.Scalable()
@@ -212,16 +212,14 @@ func TestWireCensus(t *testing.T) {
 				}
 			}
 			if la.FlushesTick > lb.FlushesTick {
-				// Each flush enters the device twice (write, sync), the
-				// log mutex once and the waiter mutex once; each record
-				// enters the log mutex once, and an op parks at most once
-				// for its commit.
+				// Each flush enters the device twice (write, sync) and no
+				// other lock; each record enters the log mutex once.
 				entries := func(tier string) uint64 { return ta[tier] - tb[tier] }
 				flushes, records := la.Flushes-lb.Flushes, la.Inserts-lb.Inserts
-				if wt := entries("wal_wait"); entries("wal_device") != 2*flushes || entries("wal_log") != records+flushes || wt < flushes || wt > flushes+uint64(w.ops) {
+				if entries("wal_device") != 2*flushes || entries("wal_log") != records {
 					t.Errorf("log tiers %v do not follow from %d flushes and %d records", tiers, flushes, records)
 				}
-				for _, tier := range []string{"wal_device", "wal_log", "wal_wait"} {
+				for _, tier := range []string{"wal_device", "wal_log"} {
 					if v, ok := w.tiers[tier]; ok {
 						tiers[tier] = v
 					} else {

@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -14,19 +13,7 @@ import (
 func newStoppedLog(t testing.TB, dev Device, opts Options) *Log {
 	t.Helper()
 	opts.fill()
-	l := &Log{
-		opts: opts,
-		dev:  dev,
-		ring: ringBuf{buf: make([]byte, opts.BufferSize), mask: uint64(opts.BufferSize) - 1},
-		fr:   newFrontier(0),
-		kick: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
-	l.space = sync.NewCond(&l.mu)
-	if opts.Kind == Consolidated {
-		l.ca = newConsArray(consSlots)
-	}
-	return l
+	return newLog(dev, opts, 0)
 }
 
 // A wrap-around flush region must go down as ONE vectored submission
@@ -84,9 +71,9 @@ func TestFlushWrapAroundSingleSubmission(t *testing.T) {
 }
 
 // Regression: a dead flusher must not leave ring-full inserters hung.
-// Before the fix, flusher() failed commit waiters but never broadcast
-// l.space, so goroutines parked in allocateLocked waited forever on a
-// frontier that could no longer advance.
+// Once, flusher() failed commit waiters but not the goroutines parked
+// in allocateLocked, which waited forever on a frontier that could no
+// longer advance.
 func TestFlusherDeathUnblocksRingFullInserters(t *testing.T) {
 	for _, kind := range BufferKinds() {
 		kind := kind

@@ -113,7 +113,6 @@ type Log struct {
 	dev  Device
 
 	mu      invariant.Mutex[invariant.WALLog] // guards next, tickets and space accounting
-	space   *sync.Cond                        // signaled when flushed advances
 	next    uint64                            // next LSN to allocate (logical byte offset)
 	tickets uint64                            // next reservation's ticket in fr
 
@@ -123,19 +122,20 @@ type Log struct {
 
 	flushed atomic.Uint64 // durable LSN frontier
 
-	// Group-commit waiters, ordered by target LSN. Each committer is
-	// woken exactly once — when the durable frontier passes its own
-	// record — instead of every waiter waking (and mostly going back
-	// to sleep) on every flush advance of a shared condvar.
-	waitMu  invariant.Mutex[invariant.WALWait]
-	waiters waiterHeap
-	parked  atomic.Int32 // committers in waitFlushedSlow; see filled
+	// Goroutines parked on the durable frontier (waitFor): each pushes
+	// its waiter onto arrivals, and the flusher takes them over into
+	// waiting and wakes each exactly once — when flushed reaches its
+	// target — instead of every waiter waking (and mostly going back to
+	// sleep) on every flush advance of a shared condvar.
+	arrivals atomic.Pointer[commitWaiter]
+	waiting  *commitWaiter // guarded by flushOnceMu
+	parked   atomic.Int32  // goroutines in waitFor; see filled
 
 	kick        chan struct{}
 	kickCause   atomic.Uint32 // flushCause bits of the kicks since the flusher last woke
 	done        chan struct{}
 	closed      atomic.Bool
-	flushOnceMu sync.Mutex   // serializes flushOnce (flusher vs Close)
+	flushOnceMu sync.Mutex   // serializes flushOnce (flusher vs Close) and the waiter sweeps
 	flusherErr  atomic.Value // error from a failed flush, poisons the log
 
 	// Vectored-submission scratch, reused across flushes (guarded by
@@ -209,22 +209,28 @@ func NewFrom(dev Device, opts Options, from LSN) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
+	l := newLog(dev, opts, uint64(end))
+	go l.flusher()
+	return l, nil
+}
+
+// newLog returns a log over dev whose records end at end, with filled
+// opts and no flusher running.
+func newLog(dev Device, opts Options, end uint64) *Log {
 	l := &Log{
 		opts: opts,
 		dev:  dev,
-		next: uint64(end),
+		next: end,
 		ring: ringBuf{buf: make([]byte, opts.BufferSize), mask: uint64(opts.BufferSize) - 1},
-		fr:   newFrontier(uint64(end)),
+		fr:   newFrontier(end),
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	l.space = sync.NewCond(&l.mu)
-	l.flushed.Store(l.next)
+	l.flushed.Store(end)
 	if opts.Kind == Consolidated {
 		l.ca = newConsArray(consSlots)
 	}
-	go l.flusher()
-	return l, nil
+	return l
 }
 
 // findEnd scans dev forward from the record boundary from (the start
@@ -343,11 +349,11 @@ func (l *Log) poison(err error) {
 
 // allocateLocked reserves n bytes of log space and their ticket in the
 // fill frontier, blocking while the ring is full or the ticket would
-// lap the frontier's ring. Caller must hold l.mu. It fails instead of
-// waiting for ring space when the flusher has died or the log is
-// closing: the durable frontier the wait depends on will never advance
-// again (the flusher broadcasts l.space on its way out so blocked
-// allocators observe the death). A failed reservation holds no ticket.
+// lap the frontier's ring. Caller must hold l.mu; both waits release
+// it. A full ring waits in waitFor for the durable frontier to free n
+// bytes, and fails when the flusher has died or the log is closing:
+// that frontier will never advance again. A failed reservation holds
+// no ticket.
 //
 // When clocking (c != nil), a wait stamps *t0 if the caller arrived
 // with an uncontended stamp (0), extending the span the caller
@@ -362,11 +368,16 @@ func (l *Log) allocateLocked(n uint64, c *obs.PhaseClock, t0 *int64) (lsn, ticke
 			if l.closed.Load() {
 				return 0, 0, ErrClosed
 			}
-			l.kickFlusher(causePressure)
 			if c != nil && *t0 == 0 {
 				*t0 = obs.Now()
 			}
-			l.space.Wait()
+			target := l.next + n - uint64(l.opts.BufferSize)
+			l.mu.Unlock()
+			err := l.waitFor(target, causePressure)
+			l.mu.Lock()
+			if err != nil {
+				return 0, 0, err
+			}
 			continue
 		}
 		if t := l.tickets; l.fr.full(t) {
@@ -526,60 +537,18 @@ func (l *Log) NextLSN() LSN {
 	return LSN(l.next)
 }
 
-// commitWaiter is one blocked committer: ch receives exactly one
-// value when the durable frontier reaches target (nil) or the log
-// dies first (the error).
+// commitWaiter is one goroutine parked on the durable frontier (a
+// committer or a ring-full inserter): ch receives exactly one value,
+// nil once the frontier reaches target, or the error the log died
+// with. next links the list it is on.
 type commitWaiter struct {
 	target uint64
 	ch     chan error
+	next   *commitWaiter
 }
 
-// waiterHeap is a min-heap of commit waiters keyed by target LSN, so
-// each flush advance pops only the waiters it actually satisfies.
-type waiterHeap []commitWaiter
-
-func (h *waiterHeap) push(w commitWaiter) {
-	*h = append(*h, w)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].target <= s[i].target {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *waiterHeap) pop() commitWaiter {
-	s := *h
-	w := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = commitWaiter{} // drop the channel reference
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		least, left, right := i, 2*i+1, 2*i+2
-		if left < n && s[left].target < s[least].target {
-			least = left
-		}
-		if right < n && s[right].target < s[least].target {
-			least = right
-		}
-		if least == i {
-			break
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
-	}
-	return w
-}
-
-// waiterChPool recycles the one-shot channels committers block on.
-var waiterChPool = sync.Pool{New: func() any { return make(chan error, 1) }}
+// waiterPool recycles waiters with their one-shot channels.
+var waiterPool = sync.Pool{New: func() any { return &commitWaiter{ch: make(chan error, 1)} }}
 
 // WaitFlushed blocks until the log is durable up to and including the
 // record that starts at lsn (group commit). It returns early with an
@@ -599,7 +568,7 @@ func (l *Log) WaitFlushedC(lsn LSN, c *obs.PhaseClock) error {
 		return nil
 	}
 	if c == nil {
-		return l.waitFlushedSlow(target)
+		return l.waitFor(target, causeDemand)
 	}
 	// The span's closing stamp is deferred to the transaction fold:
 	// commit durability is the last wait a transaction performs, so the
@@ -607,84 +576,94 @@ func (l *Log) WaitFlushedC(lsn LSN, c *obs.PhaseClock) error {
 	// against a group-commit wait — and the commit path saves one clock
 	// read.
 	t0 := obs.Now()
-	err := l.waitFlushedSlow(target)
+	err := l.waitFor(target, causeDemand)
 	c.Defer(obs.PhaseFlushWait, t0)
 	return err
 }
 
-// waitFlushedSlow registers as a group-commit waiter and parks until
-// the durable frontier passes target or the log dies.
-func (l *Log) waitFlushedSlow(target uint64) error {
+// waitFor parks until the durable frontier reaches target, or the log
+// dies: the log's one wait, for a committer's record or a ring-full
+// inserter's room. It takes no lock on a live log. The waiter goes onto
+// the arrival list before the kick, so the flush the kick starts takes
+// it in.
+func (l *Log) waitFor(target uint64, cause flushCause) error {
 	l.parked.Add(1) // before the kick: see filled
 	defer l.parked.Add(-1)
-	l.kickFlusher(causeDemand)
-	l.waitMu.Lock()
-	if err, ok := l.flusherErr.Load().(error); ok && err != nil {
-		l.waitMu.Unlock()
-		return err
+	w := waiterPool.Get().(*commitWaiter)
+	invariant.PoolGot("wal.waiterPool", w)
+	w.target = target
+	for {
+		w.next = l.arrivals.Load()
+		if l.arrivals.CompareAndSwap(w.next, w) {
+			break
+		}
 	}
-	if l.closed.Load() {
-		l.waitMu.Unlock()
-		return ErrClosed
+	l.kickFlusher(cause)
+	if err := l.deadErr(); err != nil {
+		// The last sweep may have run before the push, and no flush
+		// will take the waiter in: sweep it here.
+		l.failWaiters(err)
 	}
-	if l.flushed.Load() >= target {
-		l.waitMu.Unlock()
-		return nil
-	}
-	ch := waiterChPool.Get().(chan error)
-	invariant.PoolGot("wal.waiterChPool", ch)
-	l.waiters.push(commitWaiter{target: target, ch: ch})
-	l.waitMu.Unlock()
-	err := <-ch
-	invariant.PoolPut("wal.WaitFlushed", ch)
-	waiterChPool.Put(ch)
+	err := <-w.ch
+	invariant.PoolPut("wal.waitFor", w)
+	waiterPool.Put(w)
 	return err
 }
 
-// finishFlush counts a flush of [start, end) and wakes exactly the
-// waiters whose target the durable frontier has reached. Both happen
-// under waitMu, the last lock a flush enters: a flush is counted only
-// once it has entered every lock it takes, so whenever FlushWrites
-// equals Flushes no flush is part-way through them, and a woken
-// committer sees its flush counted. The sends cannot block: each waiter
-// channel has capacity 1 and is popped from the heap exactly once.
-//
-//hydra:vet:nonpropagating -- wakeup sends go to capacity-1 channels, one send per popped waiter
-func (l *Log) finishFlush(cause flushCause, start, end uint64) {
-	l.waitMu.Lock()
-	l.stats.flushes.Add(1)
-	l.stats.flushesBy[cause].Inc()
-	l.stats.flushedBytes.Add(end - start)
-	for len(l.waiters) > 0 && l.waiters[0].target <= end {
-		//hydra:vet:ignore lockscope -- capacity-1 waiter channel, popped once; send cannot block
-		l.waiters.pop().ch <- nil
+// deadErr returns the error of a log whose waiters no flush will serve:
+// the fatal error once the log is poisoned, ErrClosed once Close has
+// made its final flush, else nil.
+func (l *Log) deadErr() error {
+	if err := l.poisoned(); err != nil {
+		return err
 	}
-	l.waitMu.Unlock()
+	select {
+	case <-l.done:
+		return ErrClosed
+	default:
+		return nil
+	}
 }
 
-// failWaiters wakes every registered waiter with err (flusher death
-// or close). As in finishFlush, the sends cannot block.
+// wake wakes each waiter, the arrivals included, whose target the
+// durable frontier has reached, and with a non-nil err every other one.
+// Caller holds flushOnceMu. The sends cannot block: each waiter's
+// channel has capacity 1, and a waiter leaves the lists once.
 //
-//hydra:vet:nonpropagating -- wakeup sends go to capacity-1 channels, one send per popped waiter
+//hydra:vet:nonpropagating -- wakeup sends go to capacity-1 channels, one send per waiter taken off the lists
+func (l *Log) wake(err error) {
+	var kept *commitWaiter
+	flushed := l.flushed.Load()
+	for _, w := range [2]*commitWaiter{l.arrivals.Swap(nil), l.waiting} {
+		for w != nil {
+			next := w.next
+			switch {
+			case w.target <= flushed:
+				w.ch <- nil
+			case err != nil:
+				w.ch <- err
+			default:
+				w.next, kept = kept, w
+			}
+			w = next
+		}
+	}
+	l.waiting = kept
+}
+
+// failWaiters wakes every waiter (flusher death or close): those the
+// durable frontier has reached with nil, the rest with err.
 func (l *Log) failWaiters(err error) {
-	l.waitMu.Lock()
-	for len(l.waiters) > 0 {
-		//hydra:vet:ignore lockscope -- capacity-1 waiter channel, popped once; send cannot block
-		l.waiters.pop().ch <- err
-	}
-	l.waitMu.Unlock()
+	l.flushOnceMu.Lock()
+	defer l.flushOnceMu.Unlock()
+	l.wake(err)
 }
 
-// CommitWaiters returns the number of committers currently parked on
+// CommitWaiters returns the number of goroutines currently parked on
 // the durable frontier. The stall flight recorder polls it together
 // with FlushedLSN: waiters present while the frontier stands still is
 // the signature of a stuck flusher.
-func (l *Log) CommitWaiters() int {
-	l.waitMu.Lock()
-	n := len(l.waiters)
-	l.waitMu.Unlock()
-	return n
-}
+func (l *Log) CommitWaiters() int { return int(l.parked.Load()) }
 
 // Flush forces all filled records to stable storage before returning.
 func (l *Log) Flush() error {
@@ -705,15 +684,9 @@ func (l *Log) Close() error {
 	flushErr := l.flushOnce(causeDemand) // final synchronous drain
 	if flushErr != nil {
 		// The drain failed: records still in the ring will never become
-		// durable. Poison and wake any ring-full inserter that raced
-		// past the closed check, exactly as flusher death does.
+		// durable.
 		l.poison(flushErr)
 	}
-	// Wake allocators parked on ring space: either the drain freed the
-	// ring or the poisoning above tells them it never will.
-	l.mu.Lock()
-	l.space.Broadcast()
-	l.mu.Unlock()
 	close(l.done)
 	// Any waiter the final drain did not satisfy can never be: fail
 	// it with the flusher's error, or ErrClosed.
@@ -771,13 +744,9 @@ func (l *Log) flusher() {
 		// consuming them now spares redundant no-op flush cycles.
 		l.drainWakeups(ticker)
 		if err := l.flushOnce(l.takeCause()); err != nil {
+			// The frontier will never advance again: fail every waiter,
+			// committers and ring-full inserters alike.
 			l.poison(err)
-			// Ring-full inserters parked in allocateLocked wait on a
-			// frontier that will never advance again; wake them so
-			// they observe the poisoning instead of hanging forever.
-			l.mu.Lock()
-			l.space.Broadcast()
-			l.mu.Unlock()
 			l.failWaiters(err)
 			return
 		}
@@ -814,15 +783,18 @@ func (l *Log) drainWakeups(ticker *time.Ticker) {
 	}
 }
 
-// flushOnce writes [flushed, filled) to the device and advances the
-// durable frontier. Both wrap-around ring slices go down as one
-// vectored submission.
+// flushOnce writes [flushed, filled) to the device, advances the
+// durable frontier and wakes the waiters it satisfied. Both wrap-around
+// ring slices go down as one vectored submission. With nothing to
+// write it still takes the arrivals in: a waiter that arrived after the
+// last wake is served by the flush its own kick starts.
 func (l *Log) flushOnce(cause flushCause) error {
 	l.flushOnceMu.Lock()
 	defer l.flushOnceMu.Unlock()
 	start := l.flushed.Load()
 	end := l.fr.Filled()
 	if end <= start {
+		l.wake(nil)
 		return nil
 	}
 	a, b := l.ring.slices(start, end)
@@ -843,11 +815,12 @@ func (l *Log) flushOnce(cause flushCause) error {
 		}
 	}
 	l.flushed.Store(end)
-	// Wake space waiters, then count the flush and wake exactly the
-	// commit waiters it satisfied.
-	l.mu.Lock()
-	l.space.Broadcast()
-	l.mu.Unlock()
-	l.finishFlush(cause, start, end)
+	// Counted once it has entered every lock it takes, so whenever
+	// FlushWrites equals Flushes no flush is part-way through them; and
+	// before the wake, so a woken waiter sees its flush counted.
+	l.stats.flushes.Add(1)
+	l.stats.flushesBy[cause].Inc()
+	l.stats.flushedBytes.Add(end - start)
+	l.wake(nil)
 	return nil
 }
