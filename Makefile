@@ -76,7 +76,11 @@ lint:
 # prune whose horizon passes a pin that passed that re-check. Under the
 # tag it checks the latch order of the pin, raise and expiry paths; it
 # then runs three times under the race detector, whose timing is where
-# it catches E22's seed E (the tag's slower run did not). Last,
+# it catches E22's seed E (the tag's slower run did not). With it run
+# three times TestManagerConcurrentStress: an SLI agent owns its
+# transactions' grants and keeps their table intents, so one id waits,
+# blocks and retires lock heads transaction after transaction, and the
+# waits-for graph must tell its transactions apart. Last,
 # the root-split stress runs under the race detector, at the full depth
 # the tag's run stops short of: writers grow an empty tree, in both
 # modes, three levels deep (the root splits in place as a leaf, then as
@@ -87,7 +91,7 @@ stress:
 	$(GO) test -tags hydradebug -count=300 -run TestCheckpointDuringTraffic ./internal/core/
 	$(GO) test -tags hydradebug -count=100 -run TestCreateTableDuringCheckpoints ./internal/core/
 	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill|TestFrontierUnderRaces|TestWaitUnderRaces|TestPinUnderRaces' ./internal/core/ ./internal/wal/
-	$(GO) test -race -count=3 -run TestPinUnderRaces ./internal/core/
+	$(GO) test -race -count=3 -run 'TestPinUnderRaces|TestManagerConcurrentStress' ./internal/core/ ./internal/lock/
 	$(GO) test -race -count=1 -run 'TestRootSplitUnderTraffic|TestConcurrentMixedWorkload' ./internal/btree/
 
 # fuzz-smoke runs the wire tokeniser's differential fuzz target for

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"hydra/internal/lock"
 	"hydra/internal/obs"
 	"hydra/internal/wal"
 )
@@ -74,7 +75,9 @@ func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 // stamps its versions. The Conventional() rows pin the baseline E9
 // knocks the constructs out to: one tree-lock entry an operation (its
 // Coarse index), one frame latch (the heap page's; a Coarse index takes
-// none).
+// none). The agent rows run the update and the locked GET through one
+// SLI agent, which keeps the table's intent lock between transactions:
+// lock_part 2, the row's acquire and release.
 // The lock-tier registry is process-global, so the test must not run in
 // parallel with others.
 func TestAutocommitCriticalSections(t *testing.T) {
@@ -104,6 +107,8 @@ func TestAutocommitCriticalSections(t *testing.T) {
 			"frame_latch": 5.88, "mvcc_shard": 4, "pool_shard": 11.76})},
 		{"Conventional update", Conventional, false, Intent{}, true, with(update, coarse)},
 		{"Conventional locked GET", Conventional, false, Intent{}, false, with(read, coarse)},
+		{"agent update", Scalable, false, Intent{Agent: new(lock.Agent)}, true, with(update, map[string]float64{"lock_part": 2})},
+		{"agent locked GET", Scalable, false, Intent{Agent: new(lock.Agent)}, false, with(read, map[string]float64{"lock_part": 2})},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg()
@@ -125,15 +130,20 @@ func with(m, over map[string]float64) map[string]float64 {
 
 // criticalSections loads 1000 rows into a fresh engine and returns the
 // ranked-lock entries per autocommit transaction of one primary-key
-// update (write) or GET, begun with intent. One transaction runs before
-// the window: under -mvcc the load leaves a chain per row, and the first
-// SI commit's sweep visits every shard to prune them.
+// update (write) or GET, begun with intent; an intent with an Agent
+// gets a live agent of the engine in its place. One transaction runs
+// before the window: under -mvcc the load leaves a chain per row, and
+// the first SI commit's sweep visits every shard to prune them.
 func criticalSections(t *testing.T, cfg Config, intent Intent, write bool) map[string]float64 {
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	if intent.Agent != nil {
+		intent.Agent = e.Locks().NewAgent()
+		defer intent.Agent.Close()
+	}
 	tbl, err := e.CreateTable("t")
 	if err != nil {
 		t.Fatal(err)

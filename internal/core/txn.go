@@ -40,8 +40,9 @@ const (
 //	Owned       no locks: the caller owns the data, either way
 //
 // ReadOnly refuses writes with ErrReadOnlyTxn whichever mechanism
-// serves it. Agent routes whatever lock traffic remains through an SLI
-// agent (one agent per worker goroutine).
+// serves it. Agent takes whatever lock traffic remains in an SLI agent's
+// name instead of the transaction's own (one agent per worker
+// goroutine): the agent owns the grants and keeps the table intents.
 type Intent struct {
 	ReadOnly   bool
 	Optimistic bool
@@ -248,6 +249,9 @@ func (e *Engine) Begin(opts ...Intent) *Txn {
 	if len(opts) == 1 {
 		t.mode.Intent = opts[0]
 		t.mode.snapshot = e.cfg.MVCC && t.mode.Owned == 0 && (t.mode.ReadOnly || t.mode.Optimistic)
+		if a := t.mode.Agent; a != nil {
+			a.Begin(&t.clock)
+		}
 	}
 	t.lastLSN = wal.NilLSN
 	t.snap = 0
@@ -361,7 +365,7 @@ func (t *Txn) acquire(name lock.Name, mode lock.Mode) error {
 		return nil
 	}
 	if t.mode.Agent != nil {
-		return t.mode.Agent.Acquire(t.locks, name, mode)
+		return t.mode.Agent.Acquire(name, mode)
 	}
 	return t.locks.Acquire(name, mode)
 }
@@ -813,9 +817,9 @@ func (t *Txn) appendOutcome(kind wal.RecType) (wal.LSN, error) {
 func (t *Txn) releaseLocks(aborting bool) {
 	if a := t.mode.Agent; a != nil {
 		if aborting {
-			a.OnAbort(t.locks)
+			a.Abort()
 		} else {
-			a.OnCommit(t.locks)
+			a.Commit()
 		}
 		return
 	}

@@ -103,66 +103,31 @@ func TestEscalationCountsDistinctRows(t *testing.T) {
 	h.ReleaseAll()
 }
 
-// SLI's heat counts how often a coarse name is acquired, not how often
-// its holder asks again: one long transaction does not make its own
-// table hot.
-func TestHeatIgnoresReacquire(t *testing.T) {
-	m := NewManager(Options{HotThreshold: 4})
-	tbl := TableName(9)
-	h := m.NewHolder(1)
-	for i := 0; i < 500; i++ {
-		if err := h.Acquire(tbl, IX); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if heat := m.contentionOf(tbl); heat != 1 {
-		t.Fatalf("heat of a table acquired once by one transaction = %d, want 1", heat)
-	}
-	a := m.NewAgent()
-	defer a.Close()
-	a.OnCommit(h)
-	if a.InheritedCount() != 0 {
-		t.Fatal("a lock made hot by its own holder's repeats was inherited")
-	}
-}
-
-// A transaction that holds a lock only through its agent's inherited
-// grant keeps it to its end: a conflicting waiter makes the agent
-// surrender at the boundary, not under the running transaction.
+// A transaction that holds a lock only through its agent's kept grant
+// keeps it to its end: a conflicting waiter makes the agent surrender
+// at the boundary, not under the running transaction.
 func TestSLIReclaimWaitsForBoundary(t *testing.T) {
 	// The timeout only bounds the failure: without the rule under test
 	// the transaction's own next table request queues behind the X.
-	m := NewManager(Options{HotThreshold: 1, WaitTimeout: 2 * time.Second})
+	m := NewManager(Options{WaitTimeout: 2 * time.Second})
 	tbl := TableName(7)
-	heatUp(t, m, tbl)
 	a := m.NewAgent()
 	defer a.Close()
-	h := m.NewHolder(400)
-	if err := a.Acquire(h, tbl, IX); err != nil {
-		t.Fatal(err)
-	}
-	a.OnCommit(h)
-	if a.InheritedCount() != 1 {
-		t.Fatal("setup: lock not inherited")
-	}
+	keep(t, a, tbl, IX)
 
-	h.Reset(401)
-	if err := a.Acquire(h, tbl, IX); err != nil { // from the agent's cache
+	a.Begin(nil)
+	if err := a.Acquire(tbl, IX); err != nil { // covered by the kept IX
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
-	waits := m.StatsSnapshot().Waits
 	other := m.NewHolder(500)
 	go func() { got <- other.Acquire(tbl, X) }()
-	for m.StatsSnapshot().Waits == waits { // queued; it flags the agent right after
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(5 * time.Millisecond)
+	waitQueueLen(t, m, tbl, 1) // queued, and the agent flagged
 	for k := uint64(0); k < 3; k++ {
-		if err := a.Acquire(h, RowName(7, k), X); err != nil {
+		if err := a.Acquire(RowName(7, k), X); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Acquire(h, tbl, IX); err != nil {
+		if err := a.Acquire(tbl, IX); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,14 +136,17 @@ func TestSLIReclaimWaitsForBoundary(t *testing.T) {
 		t.Fatal("table X granted while a running transaction held IX through the agent")
 	case <-time.After(20 * time.Millisecond):
 	}
-	a.OnCommit(h)
+	a.Commit()
 	select {
 	case err := <-got:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("agent never surrendered the retained lock at the boundary")
+		t.Fatal("agent never surrendered the kept lock at the boundary")
+	}
+	if a.h.Held(tbl) != None {
+		t.Fatal("the flagged agent kept its IX past the commit")
 	}
 	other.ReleaseAll()
 }

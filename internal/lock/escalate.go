@@ -15,11 +15,13 @@ package lock
 // for a write. The conversion is refused when
 //
 //   - another grant on the table is incompatible with the target (a
-//     second transaction's IS or IX, an SLI agent's inherited intent
+//     second transaction's IS or IX, another SLI agent's kept intent
 //     lock),
 //   - anybody is queued on the table, or
-//   - the table grant is not the transaction's own (it never asked, or
-//     asks through an SLI agent — Agent.Acquire does not try at all).
+//   - the transaction holds no grant on the table (it never asked).
+//
+// A transaction an SLI agent serves takes its locks in the agent's
+// name, so the agent's kept intent lock is its own grant to convert.
 //
 // A refused transaction takes the row lock it came for. tryEscalate
 // never enqueues, never sleeps and never adds a waits-for edge, so it

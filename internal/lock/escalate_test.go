@@ -119,21 +119,13 @@ func TestEscalationRefusedWhileTableIsShared(t *testing.T) {
 			return func() { other.ReleaseAll() }
 		}},
 		{"an SLI agent's inherited IX", func(t *testing.T, m *Manager) func() {
-			heatUp(t, m, TableName(3))
 			a := m.NewAgent()
-			h := m.NewHolder(2)
-			if err := a.Acquire(h, TableName(3), IX); err != nil {
-				t.Fatal(err)
-			}
-			a.OnCommit(h)
-			if a.InheritedCount() != 1 {
-				t.Fatal("setup: intent lock not inherited")
-			}
+			keep(t, a, TableName(3), IX)
 			return a.Close
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewManager(Options{HotThreshold: 1})
+			m := NewManager(Options{})
 			release := tc.other(t, m)
 			base := m.StatsSnapshot()
 			h := m.NewHolder(1)
@@ -171,32 +163,46 @@ func TestEscalationRefusedWhileTableIsShared(t *testing.T) {
 	}
 }
 
-// A transaction whose table lock may be its agent's does not try.
-func TestAgentServedTransactionDoesNotEscalate(t *testing.T) {
-	m := NewManager(Options{HotThreshold: 1})
-	heatUp(t, m, TableName(3))
-	a := m.NewAgent()
+// A transaction an agent serves escalates the agent's grant when it is
+// alone on the table, its own agent's kept IX included, and is refused
+// beside another agent's kept IX.
+func TestAgentServedTransactionEscalatesAlone(t *testing.T) {
+	m := NewManager(Options{})
+	a, other := m.NewAgent(), m.NewAgent()
 	defer a.Close()
-	h := m.NewHolder(1)
-	if err := a.Acquire(h, TableName(3), IX); err != nil {
-		t.Fatal(err)
-	}
-	a.OnCommit(h)
-	h.Reset(2)
-	for k := uint64(1); k <= 200; k++ {
-		if err := a.Acquire(h, TableName(3), IX); err != nil { // the agent's grant
-			t.Fatal(err)
+	defer other.Close()
+	bulk := func() {
+		t.Helper()
+		a.Begin(nil)
+		for k := uint64(1); k <= 64; k++ {
+			if err := a.Acquire(TableName(3), IX); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Acquire(RowName(3, k), X); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := a.Acquire(h, RowName(3, k), X); err != nil {
-			t.Fatal(err)
-		}
 	}
+	keep(t, a, TableName(3), IX)
+	bulk()
 	st := m.StatsSnapshot()
-	if st.Escalations != 0 || st.EscalationRefusals != 0 || h.Held(RowName(3, 200)) != X {
-		t.Fatalf("escalations %d, refusals %d, row 200 %v; want no attempt and 200 row locks",
-			st.Escalations, st.EscalationRefusals, h.Held(RowName(3, 200)))
+	if st.Escalations != 1 || st.EscalationRefusals != 0 || a.h.Held(TableName(3)) != X {
+		t.Fatalf("alone: escalations %d, refusals %d, table %v; want 1, 0, X",
+			st.Escalations, st.EscalationRefusals, a.h.Held(TableName(3)))
 	}
-	a.OnCommit(h)
+	a.Commit()
+	if a.h.Held(TableName(3)) != None {
+		t.Fatal("the agent kept the escalated X")
+	}
+
+	keep(t, other, TableName(3), IX)
+	bulk()
+	st = m.StatsSnapshot()
+	if st.Escalations != 1 || st.EscalationRefusals != 1 || a.h.Held(TableName(3)) != IX || a.h.Held(RowName(3, 64)) != X {
+		t.Fatalf("beside another agent: escalations %d, refusals %d, table %v, row 64 %v; want 1, 1, IX, X",
+			st.Escalations, st.EscalationRefusals, a.h.Held(TableName(3)), a.h.Held(RowName(3, 64)))
+	}
+	a.Commit()
 }
 
 // Two bulk writers on one table: each holds IX, each comes to 64 rows

@@ -1,15 +1,20 @@
 package lock
 
-import "hydra/internal/obs"
+import (
+	"sync/atomic"
+
+	"hydra/internal/obs"
+)
 
 // Holder is a transaction's private lock context: the set of locks it
 // holds and the row counts escalation goes by, carried by the
 // transaction itself instead of living in a manager-global map.
 //
 // A holder has one owner and no mutex. Only the goroutine running its
-// transaction touches it — that transaction's Acquire and release, the
-// manager's wait and escalation paths acting on that same call, and an
-// SLI agent's boundary work, which runs on the agent's one worker.
+// transaction touches it — that transaction's Acquire and release, and
+// the manager's wait and escalation paths acting on that same call. An
+// SLI agent's holder outlives its transactions (sli.go) and runs them
+// one after another on the agent's one worker.
 // Handing a holder to another goroutine (a pooled core.Txn, the DORA
 // coordinator finishing what an executor began) goes through a
 // synchronising hand-off. Other transactions never reach it: what they
@@ -18,8 +23,8 @@ import "hydra/internal/obs"
 // The held set is also the transaction's lock cache, and it is
 // hierarchical: a request its own set already covers — the name itself,
 // or for a row the table above it — is answered from it (covers) and
-// never reaches the lock table — within one transaction what SLI's
-// agent cache does across transactions.
+// never reaches the lock table. An SLI agent's holder keeps its table
+// intents across transactions, so its set answers them there too.
 //
 // Engine transactions create one holder per worker context and Reset
 // it between transactions, so steady-state acquisition performs no
@@ -27,6 +32,10 @@ import "hydra/internal/obs"
 type Holder struct {
 	m  *Manager
 	id uint64
+	// gen is an SLI agent's transaction serial, which Agent.Begin
+	// bumps; 0 for a transaction's own holder, whose id is its own. A
+	// waits-for edge names a transaction by both (Manager.holderNode).
+	gen atomic.Uint64
 
 	// clock, when set, receives the transaction's lock-wait time:
 	// the manager's blocking path already measures the wait for its
@@ -118,7 +127,7 @@ func (h *Holder) Held(name Name) Mode { return h.held[name] }
 // (X any row mode; S and SIX a read) — however the table lock was come
 // by. Such a request changes nothing at the lock table (the grant stays
 // what it is, nobody is woken or blocked), so the acquire paths answer
-// it here: before the partition mutex, before the heat table.
+// it here, before the partition mutex.
 // lock.acquires counts it as a request all the same; lock.table_ops
 // does not.
 //
@@ -169,13 +178,6 @@ func (h *Holder) note(name Name, mode Mode) {
 	if name.Level == LevelTable {
 		h.tab, h.tabMode = name.Table, mode
 	}
-}
-
-// forget drops name from the set without touching the lock table: the
-// grant has moved to another owner (sli.go).
-func (h *Holder) forget(name Name) {
-	delete(h.held, name)
-	h.tabMode = None
 }
 
 // take detaches and returns the held set, clearing the holder's

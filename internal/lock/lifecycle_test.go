@@ -154,95 +154,9 @@ func TestWaiterRemovalRegrantsOnDeadlock(t *testing.T) {
 	assertTablesEmpty(t, m)
 }
 
-// TestHeatBoundedUnderDistinctNameChurn churns conflicts over far
-// more distinct row names than heatCap and asserts the bounded heat
-// table stays under its cap — while hot classification of a genuinely
-// hot intent-lock name still works afterwards.
-func TestHeatBoundedUnderDistinctNameChurn(t *testing.T) {
-	m := NewManager(Options{HotThreshold: 4}) // one partition: worst case for the bound
-	waitWaits := func(want uint64) {
-		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for m.StatsSnapshot().Waits < want {
-			if time.Now().After(deadline) {
-				t.Fatalf("conflict never registered (waits < %d)", want)
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	h1, h2 := m.NewHolder(1), m.NewHolder(2)
-	for i := 0; i < 3*heatCap; i++ {
-		r := RowName(1, uint64(i))
-		if err := h1.Acquire(r, X); err != nil {
-			t.Fatal(err)
-		}
-		prev := m.StatsSnapshot().Waits
-		done := make(chan error, 1)
-		go func() { done <- h2.Acquire(r, S) }()
-		waitWaits(prev + 1) // the conflict (and its heat bump) is recorded
-		h1.ReleaseAll()
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		h2.ReleaseAll()
-	}
-	p := &m.parts[0]
-	p.mu.Lock()
-	n := len(p.heat)
-	p.mu.Unlock()
-	if n > heatCap {
-		t.Fatalf("heat table grew to %d entries, cap %d", n, heatCap)
-	}
-	if m.StatsSnapshot().HeatEvictions == 0 {
-		t.Fatal("no heat evictions recorded despite churn past the cap")
-	}
-
-	// A genuinely hot intent name is bumped on every table pass and
-	// must classify hot despite the churned table.
-	tbl := TableName(9)
-	for i := 0; i < m.opts.HotThreshold; i++ {
-		h1.Reset(uint64(100 + i))
-		if err := h1.Acquire(tbl, IX); err != nil {
-			t.Fatal(err)
-		}
-		h1.ReleaseAll()
-	}
-	if got := m.contentionOf(tbl); got < m.opts.HotThreshold {
-		t.Fatalf("hot intent lock heat = %d, want >= %d (SLI would miss it)", got, m.opts.HotThreshold)
-	}
-	assertTablesEmpty(t, m)
-}
-
-// TestHeatDecayHalvesAndDrops drives one decay sweep directly: counts
-// halve and entries that reach zero leave the table, so a once-hot
-// name cools off instead of occupying its slot forever.
-func TestHeatDecayHalvesAndDrops(t *testing.T) {
-	m := NewManager(Options{})
-	p := &m.parts[0]
-	hot, cold, next := RowName(1, 1), RowName(1, 2), RowName(1, 3)
-	p.mu.Lock()
-	p.heat[hot] = 8
-	p.heat[cold] = 1
-	p.heatTicks = heatDecayEvery - 1
-	m.bumpHeat(p, next) // crosses the interval: sweep runs first
-	gotHot := p.heat[hot]
-	_, coldAlive := p.heat[cold]
-	gotNext := p.heat[next]
-	p.mu.Unlock()
-	if gotHot != 4 {
-		t.Fatalf("hot count after decay = %d, want 4", gotHot)
-	}
-	if coldAlive {
-		t.Fatal("count-1 entry survived a decay sweep")
-	}
-	if gotNext != 1 {
-		t.Fatalf("bumped name after decay = %d, want 1", gotNext)
-	}
-}
-
 // TestRetiredHeadRecyclesClean pins the recycle protocol: a retired
-// head popped for a different name must carry no stale grants, queue,
-// or contention, and must enforce conflicts like a fresh head.
+// head popped for a different name must carry no stale grants or
+// queue, and must enforce conflicts like a fresh head.
 func TestRetiredHeadRecyclesClean(t *testing.T) {
 	m := NewManager(Options{})
 	h1, h2, h3 := m.NewHolder(1), m.NewHolder(2), m.NewHolder(3)
@@ -267,13 +181,13 @@ func TestRetiredHeadRecyclesClean(t *testing.T) {
 	p.mu.Lock()
 	lh := p.table[b]
 	phantom := len(lh.granted) != 1 || lh.granted[2] == None
-	stale := lh.contention != 0 || len(lh.queue) != 0
+	stale := len(lh.queue) != 0
 	p.mu.Unlock()
 	if phantom {
 		t.Fatal("recycled head carries phantom grants")
 	}
 	if stale {
-		t.Fatal("recycled head carries stale queue/contention state")
+		t.Fatal("recycled head carries a stale queue")
 	}
 
 	// The S on the recycled head must block a writer like any other.

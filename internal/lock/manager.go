@@ -29,17 +29,11 @@ type Options struct {
 	// WaitTimeout bounds any single lock wait; 0 means no timeout
 	// (deadlock detection alone breaks cycles). Default 0.
 	WaitTimeout time.Duration
-	// HotThreshold is the contention count past which SLI considers a
-	// lock hot. Default 4.
-	HotThreshold int
 }
 
 func (o *Options) fill() {
 	if o.Partitions <= 0 {
 		o.Partitions = 1
-	}
-	if o.HotThreshold <= 0 {
-		o.HotThreshold = 4
 	}
 }
 
@@ -49,7 +43,6 @@ func (o *Options) fill() {
 type Stats struct {
 	Acquires   uint64 `json:"acquires"`  // logical acquisitions requested
 	TableOps   uint64 `json:"table_ops"` // acquisitions that reached the lock table
-	Inherited  uint64 `json:"inherited"` // acquisitions satisfied from an SLI agent cache
 	Waits      uint64 `json:"waits"`     // acquisitions that blocked
 	Deadlocks  uint64 `json:"deadlocks"`
 	Timeouts   uint64 `json:"timeouts"`
@@ -64,12 +57,10 @@ type Stats struct {
 	// Lock-head lifecycle: HeadAllocs counts fresh lockHead
 	// allocations on table misses, HeadRecycles misses served from the
 	// partition freelist instead, HeadRetires empty heads returned to
-	// it. HeatEvictions counts heat-table entries dropped to keep the
-	// per-partition conflict history under its cap.
-	HeadAllocs    uint64 `json:"head_allocs"`
-	HeadRecycles  uint64 `json:"head_recycles"`
-	HeadRetires   uint64 `json:"head_retires"`
-	HeatEvictions uint64 `json:"heat_evictions"`
+	// it.
+	HeadAllocs   uint64 `json:"head_allocs"`
+	HeadRecycles uint64 `json:"head_recycles"`
+	HeadRetires  uint64 `json:"head_retires"`
 	// Bypasses counts logical acquisitions the MVCC snapshot-read path
 	// skipped entirely: reads that, on the locked path, would have gone
 	// through Acquire but instead resolved against version chains.
@@ -78,11 +69,16 @@ type Stats struct {
 
 type waiter struct {
 	txn     uint64
+	gen     uint64 // the holder's transaction serial (Holder.gen)
 	mode    Mode
 	upgrade bool
 	// since is the obs.Now() stamp at enqueue; the stall flight
 	// recorder scans it to find waiters older than its threshold.
 	since int64
+	// on lists the transactions w waits for: its waits-for edges, in
+	// its stripe of the graph while it waits. Set before it is
+	// published there, never changed after.
+	on    []wfNode
 	ready chan error
 }
 
@@ -91,9 +87,6 @@ type lockHead struct {
 	// grant costs no allocation once the (recycled) head's map has room.
 	granted map[uint64]Mode
 	queue   []*waiter
-	// contention is a decaying count of observed conflicts, used by
-	// SLI to classify locks as hot.
-	contention int
 	// free links retired heads into the partition's Treiber-stack
 	// freelist. Accessed only with atomics: the pusher publishes
 	// through it after p.mu is released, and the popper (under p.mu)
@@ -104,15 +97,6 @@ type lockHead struct {
 type partition struct {
 	mu    invariant.Mutex[invariant.LockPart]
 	table map[Name]*lockHead
-	// heat persists observed conflict counts per name, surviving lock
-	// head reclamation; SLI consults it to classify hot locks. Striped
-	// with the partition so it rides the same mutex instead of a
-	// global one. Bounded: admission past heatCap evicts a cold entry,
-	// and every heatDecayEvery bumps the whole table halves (see
-	// bumpHeat), so churning row conflicts cannot grow it forever.
-	heat map[Name]int
-	// heatTicks counts bumps since the last decay sweep (under mu).
-	heatTicks int
 	// free is the top of the partition's lock-free freelist of retired
 	// lockHeads. Pushes (retire) are lock-free CAS prepends from any
 	// goroutine after it has unlinked the head from table and released
@@ -122,57 +106,7 @@ type partition struct {
 	// occur — concurrent pushes only ever prepend in front of the
 	// observed top.
 	free unsafe.Pointer // *lockHead
-	_    [24]byte       // pad to a cache line so adjacent partitions don't false-share
-}
-
-// Heat-table bounds. heatCap is the per-partition entry cap;
-// heatDecayEvery is the bump count between halving sweeps (the decay
-// that lets a once-hot name cool off and leave the table); heatProbe
-// is how many randomly-iterated entries an over-cap admission
-// examines to pick an eviction victim.
-const (
-	heatCap        = 512
-	heatDecayEvery = 8192
-	heatProbe      = 8
-)
-
-// bumpHeat increments name's observed-conflict count in the bounded
-// heat table. Called with p.mu held. Every heatDecayEvery bumps the
-// whole table halves and zeroed entries drop out, so heat is a
-// decaying count, not an append-only one; when an admission would
-// push the table past heatCap, the coldest of heatProbe sampled
-// entries (map iteration order is randomized) is evicted instead of
-// growing. Genuinely hot names are bumped far more often than they
-// are halved or sampled, so SLI's hot-lock classification survives
-// the bound.
-func (m *Manager) bumpHeat(p *partition, name Name) {
-	p.heatTicks++
-	if p.heatTicks >= heatDecayEvery {
-		p.heatTicks = 0
-		for n, v := range p.heat {
-			if v >>= 1; v == 0 {
-				delete(p.heat, n)
-			} else {
-				p.heat[n] = v
-			}
-		}
-	}
-	if _, ok := p.heat[name]; !ok && len(p.heat) >= heatCap {
-		var victim Name
-		coldest := int(^uint(0) >> 1)
-		probed := 0
-		for n, v := range p.heat {
-			if v < coldest {
-				victim, coldest = n, v
-			}
-			if probed++; probed >= heatProbe {
-				break
-			}
-		}
-		delete(p.heat, victim)
-		m.stats.heatEvictions.Inc()
-	}
-	p.heat[name]++
+	_    [40]byte       // pad to a cache line so adjacent partitions don't false-share
 }
 
 // takeHeadLocked returns an empty lockHead for a table miss: a
@@ -192,7 +126,7 @@ func (m *Manager) takeHeadLocked(p *partition) *lockHead {
 			atomic.StorePointer(&lh.free, nil)
 			m.stats.headRecycles.Inc()
 			invariant.PoolGot("lock.takeHeadLocked(recycle)", lh)
-			invariant.Assert(len(lh.granted) == 0 && len(lh.queue) == 0 && lh.contention == 0,
+			invariant.Assert(len(lh.granted) == 0 && len(lh.queue) == 0,
 				"recycled lock head carries stale state")
 			return lh
 		}
@@ -213,7 +147,6 @@ func (m *Manager) retireHead(p *partition, lh *lockHead) {
 	invariant.Assert(len(lh.granted) == 0 && len(lh.queue) == 0,
 		"retiring a non-empty lock head")
 	lh.queue = nil // drop the backing array: it may pin waiter objects
-	lh.contention = 0
 	m.stats.headRetires.Inc()
 	invariant.PoolPut("lock.retireHead", lh)
 	for {
@@ -242,18 +175,25 @@ const wfStripes = 64
 
 type wfStripe struct {
 	mu sync.Mutex
-	// edges maps txn -> txns it waits on, for transactions hashed to
-	// this stripe.
-	edges map[uint64]map[uint64]bool
-	_     [40]byte
+	// waiting maps each waiting transaction hashed to this stripe to
+	// its waiter, whose on are its out-edges. A transaction waits for
+	// one lock at a time.
+	waiting map[uint64]*waiter
+	_       [40]byte
 }
+
+// wfNode names a transaction in the waits-for graph: the id its locks
+// are granted to, and the holder's transaction serial. An SLI agent's
+// id outlives its transactions, and an edge left from one of them must
+// not close a cycle with the next.
+type wfNode struct{ txn, gen uint64 }
 
 func wfIdx(txn uint64) int {
 	return int((txn * 0x9e3779b97f4a7c15) >> 58)
 }
 
 // Manager is the lock table. Aside from the partitioned table itself,
-// all bookkeeping is striped (waits-for graph, heat) or carried by the
+// all bookkeeping is striped (waits-for graph) or carried by the
 // caller (held sets, escalation counts — see Holder), so acquiring and
 // releasing never take a manager-global mutex. Transactions reach it
 // through a Holder (NewHolder) or an SLI Agent (NewAgent).
@@ -264,24 +204,22 @@ type Manager struct {
 	// wf is the sharded deadlock-detection graph.
 	wf [wfStripes]wfStripe
 
-	// agents maps SLI agent pseudo-transactions to their reclaim
-	// flag; registration is rare, lookups on the wait path are
-	// lock-free.
-	agents sync.Map // uint64 -> *atomic.Bool
+	// agents maps SLI agent ids to their agents; registration is rare,
+	// lookups on the wait path are lock-free.
+	agents sync.Map // uint64 -> *Agent
 
 	// stats are striped cumulative counters (obs.Counter), so the
 	// bookkeeping of a decentralized lock table is not itself a
 	// centralized cache line. StatsSnapshot sums the stripes with
 	// atomic loads.
 	stats struct {
-		acquires, tableOps, inherited obs.Counter
-		waits, deadlocks, timeouts    obs.Counter
-		upgrades, releaseAll          obs.Counter
-		escalations, escalatedAcqs    obs.Counter
-		escalationRefusals            obs.Counter
-		headAllocs, headRecycles      obs.Counter
-		headRetires, heatEvictions    obs.Counter
-		bypasses                      obs.Counter
+		acquires, tableOps         obs.Counter
+		waits, deadlocks, timeouts obs.Counter
+		upgrades, releaseAll       obs.Counter
+		escalations, escalatedAcqs obs.Counter
+		escalationRefusals         obs.Counter
+		headAllocs, headRecycles   obs.Counter
+		headRetires, bypasses      obs.Counter
 	}
 
 	// waitProf is the time-to-acquire distribution of transactional
@@ -299,10 +237,9 @@ func NewManager(opts Options) *Manager {
 	}
 	for i := range m.parts {
 		m.parts[i].table = make(map[Name]*lockHead)
-		m.parts[i].heat = make(map[Name]int)
 	}
 	for i := range m.wf {
-		m.wf[i].edges = make(map[uint64]map[uint64]bool)
+		m.wf[i].waiting = make(map[uint64]*waiter)
 	}
 	return m
 }
@@ -316,13 +253,6 @@ func (m *Manager) acquireTable(h *Holder, name Name, mode Mode) error {
 	txn := h.id
 	p := m.part(name)
 	p.mu.Lock()
-	if name.Level != LevelRow {
-		// Heat tracks how often coarse-grained names pass through the
-		// table; SLI classifies frequently re-acquired intent locks as
-		// inheritance candidates. (Intent modes are mutually
-		// compatible, so conflict counts alone would never find them.)
-		m.bumpHeat(p, name)
-	}
 	lh := p.table[name]
 	if lh == nil {
 		lh = m.takeHeadLocked(p)
@@ -394,9 +324,7 @@ func (m *Manager) wait(p *partition, lh *lockHead, name Name, h *Holder, mode Mo
 func (m *Manager) waitInner(p *partition, lh *lockHead, name Name, h *Holder, mode Mode, upgrade bool, start int64) error {
 	m.stats.waits.Inc()
 	txn := h.id
-	lh.contention++
-	m.bumpHeat(p, name)
-	w := &waiter{txn: txn, mode: mode, upgrade: upgrade, since: start, ready: make(chan error, 1)}
+	w := &waiter{txn: txn, gen: h.gen.Load(), mode: mode, upgrade: upgrade, since: start, ready: make(chan error, 1)}
 	if upgrade {
 		// Upgraders go first to shrink the conversion window.
 		lh.queue = append([]*waiter{w}, lh.queue...)
@@ -407,10 +335,10 @@ func (m *Manager) waitInner(p *partition, lh *lockHead, name Name, h *Holder, mo
 	// Record waits-for edges and check for a cycle before sleeping.
 	// An upgrader waits only on current holders; a plain waiter also
 	// waits on everyone queued ahead of it.
-	blockers := make([]uint64, 0, len(lh.granted))
+	w.on = make([]wfNode, 0, len(lh.granted))
 	for t := range lh.granted {
 		if t != txn {
-			blockers = append(blockers, t)
+			w.on = append(w.on, m.holderNode(t, name.Level == LevelTable))
 		}
 	}
 	if !upgrade {
@@ -419,17 +347,13 @@ func (m *Manager) waitInner(p *partition, lh *lockHead, name Name, h *Holder, mo
 				break
 			}
 			if qw.txn != txn {
-				blockers = append(blockers, qw.txn)
+				w.on = append(w.on, wfNode{qw.txn, qw.gen})
 			}
 		}
 	}
 	p.mu.Unlock()
 
-	// If any blocker is an SLI agent's retained lock, ask the agent
-	// to surrender it at its next transaction boundary.
-	m.flagAgentsAmong(blockers)
-
-	if m.addWaitEdges(txn, blockers) {
+	if m.addWaitEdges(w) {
 		// Cycle: abort self as victim — unless the grant already
 		// arrived, in which case there is no wait and no deadlock.
 		m.clearWaitEdges(txn)
@@ -501,48 +425,39 @@ func (m *Manager) removeWaiter(p *partition, name Name, lh *lockHead, w *waiter)
 	return removed
 }
 
-// addWaitEdges installs txn->blockers edges and reports whether doing
-// so creates a cycle reachable back to txn. The graph is sharded: an
+// addWaitEdges installs w's edges and reports whether doing so creates
+// a cycle reachable back to its transaction. The graph is sharded: an
 // edge lives in its source transaction's stripe, and the cycle DFS
 // locks one stripe at a time, so detection never serializes unrelated
 // waiters behind a global graph mutex. If a cycle exists, the
 // transaction that installs its last edge sees every edge of the
 // cycle (each was installed before that DFS began), so the cycle is
 // still always detected by at least one participant.
-func (m *Manager) addWaitEdges(txn uint64, blockers []uint64) bool {
+func (m *Manager) addWaitEdges(w *waiter) bool {
+	txn := w.txn
 	st := &m.wf[wfIdx(txn)]
 	st.mu.Lock()
-	set := st.edges[txn]
-	if set == nil {
-		set = make(map[uint64]bool)
-		st.edges[txn] = set
-	}
-	for _, b := range blockers {
-		set[b] = true
-	}
-	// Seed the DFS with a snapshot of txn's full out-edge set.
-	stack := make([]uint64, 0, len(set))
-	for b := range set {
-		stack = append(stack, b)
-	}
+	st.waiting[txn] = w
 	st.mu.Unlock()
 
 	// DFS from txn looking for a path back to txn.
-	seen := map[uint64]bool{}
+	self := wfNode{txn, w.gen}
+	stack := append([]wfNode(nil), w.on...)
+	seen := map[wfNode]bool{}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if cur == txn {
+		if cur == self {
 			return true
 		}
 		if seen[cur] {
 			continue
 		}
 		seen[cur] = true
-		cs := &m.wf[wfIdx(cur)]
+		cs := &m.wf[wfIdx(cur.txn)]
 		cs.mu.Lock()
-		for nb := range cs.edges[cur] {
-			stack = append(stack, nb)
+		if cw := cs.waiting[cur.txn]; cw != nil && cw.gen == cur.gen {
+			stack = append(stack, cw.on...)
 		}
 		cs.mu.Unlock()
 	}
@@ -552,7 +467,7 @@ func (m *Manager) addWaitEdges(txn uint64, blockers []uint64) bool {
 func (m *Manager) clearWaitEdges(txn uint64) {
 	st := &m.wf[wfIdx(txn)]
 	st.mu.Lock()
-	delete(st.edges, txn)
+	delete(st.waiting, txn)
 	st.mu.Unlock()
 }
 
@@ -594,27 +509,28 @@ func (m *Manager) grantWaitersLocked(lh *lockHead) {
 	}
 }
 
-// contentionOf reports the cumulative conflict count for name.
-func (m *Manager) contentionOf(name Name) int {
-	p := m.part(name)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.heat[name]
-}
-
-// flagAgentsAmong sets the reclaim flag of every registered agent in
-// ids, so retained locks blocking real transactions are surrendered
-// at the next boundary. Agent ids live in their own range, so the
-// common all-real-transactions case never touches the agent map.
-func (m *Manager) flagAgentsAmong(ids []uint64) {
-	for _, id := range ids {
-		if id < agentIDBase {
-			continue
-		}
-		if f, ok := m.agents.Load(id); ok {
-			f.(*atomic.Bool).Store(true)
-		}
+// holderNode returns the waits-for node of owner, which holds a grant
+// on the head a waiter queues on; the partition mutex is held. Agent
+// ids live in their own range, so the common no-agent case never
+// touches the agent map.
+//
+// An agent holds a row only for its running transaction, so the serial
+// read here is that transaction's. A table it may keep across its
+// boundaries, so a waiter on one (table) also flags it to release
+// everything at its next boundary. The flag is stored before the
+// serial is read, and Agent.Begin bumps the serial before it reads the
+// flag: a transaction that begins still keeping the table is the one
+// the edge names.
+func (m *Manager) holderNode(owner uint64, table bool) wfNode {
+	if owner < agentIDBase {
+		return wfNode{txn: owner}
 	}
+	v, _ := m.agents.Load(owner) // registered while it holds a grant
+	a := v.(*Agent)
+	if table {
+		a.reclaim.Store(true)
+	}
+	return wfNode{owner, a.h.gen.Load()}
 }
 
 // WaitHist returns a snapshot of the transactional lock-wait
@@ -655,15 +571,10 @@ func (m *Manager) WaitsForSnapshot() map[uint64][]uint64 {
 	for i := range m.wf {
 		st := &m.wf[i]
 		st.mu.Lock()
-		for txn, set := range st.edges {
-			if len(set) == 0 {
-				continue
+		for txn, w := range st.waiting {
+			for _, n := range w.on {
+				out[txn] = append(out[txn], n.txn)
 			}
-			bl := make([]uint64, 0, len(set))
-			for b := range set {
-				bl = append(bl, b)
-			}
-			out[txn] = bl
 		}
 		st.mu.Unlock()
 	}
@@ -676,7 +587,6 @@ func (m *Manager) StatsSnapshot() Stats {
 	return Stats{
 		Acquires:           m.stats.acquires.Load(),
 		TableOps:           m.stats.tableOps.Load(),
-		Inherited:          m.stats.inherited.Load(),
 		Waits:              m.stats.waits.Load(),
 		Deadlocks:          m.stats.deadlocks.Load(),
 		Timeouts:           m.stats.timeouts.Load(),
@@ -688,7 +598,6 @@ func (m *Manager) StatsSnapshot() Stats {
 		HeadAllocs:         m.stats.headAllocs.Load(),
 		HeadRecycles:       m.stats.headRecycles.Load(),
 		HeadRetires:        m.stats.headRetires.Load(),
-		HeatEvictions:      m.stats.heatEvictions.Load(),
 		Bypasses:           m.stats.bypasses.Load(),
 	}
 }

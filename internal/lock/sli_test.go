@@ -1,182 +1,153 @@
 package lock
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
 
-// heatUp drives enough conflict on a name to cross the hot threshold.
-func heatUp(t *testing.T, m *Manager, name Name) {
+// keep runs one agent transaction that takes tbl in mode and commits,
+// and fails unless the agent keeps the intent lock.
+func keep(t *testing.T, a *Agent, tbl Name, mode Mode) {
 	t.Helper()
-	a, b := m.NewHolder(0), m.NewHolder(0)
-	for i := 0; i < 10; i++ {
-		a.Reset(uint64(9000 + i*2))
-		b.Reset(uint64(9001 + i*2))
-		if err := a.Acquire(name, S); err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- b.Acquire(name, X) }() // conflicts: contention++
-		time.Sleep(2 * time.Millisecond)
-		a.ReleaseAll()
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		b.ReleaseAll()
+	a.Begin(nil)
+	if err := a.Acquire(tbl, mode); err != nil {
+		t.Fatal(err)
+	}
+	a.Commit()
+	if got := a.h.Held(tbl); got != mode {
+		t.Fatalf("agent keeps %v on %s after commit, want %v", got, tbl, mode)
 	}
 }
 
-func TestSLIInheritsHotIntentLocks(t *testing.T) {
-	m := NewManager(Options{HotThreshold: 2})
-	tbl := TableName(5)
-	heatUp(t, m, tbl)
+// tableOps returns the lock-table visits so far.
+func tableOps(m *Manager) uint64 { return m.StatsSnapshot().TableOps }
 
+func TestSLIInheritsHotIntentLocks(t *testing.T) {
+	m := NewManager(Options{})
+	tbl := TableName(5)
 	a := m.NewAgent()
 	defer a.Close()
 
-	// First transaction acquires through the table and commits; the
-	// hot IX lock should be inherited by the agent.
-	h := m.NewHolder(100)
-	if err := a.Acquire(h, tbl, IX); err != nil {
+	// The first transaction takes the table IX and a row through the
+	// table and commits: the agent keeps the IX, not the row.
+	a.Begin(nil)
+	if err := a.Acquire(tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Acquire(h, RowName(5, 1), X); err != nil {
+	if err := a.Acquire(RowName(5, 1), X); err != nil {
 		t.Fatal(err)
 	}
-	a.OnCommit(h)
-	if a.InheritedCount() != 1 {
-		t.Fatalf("inherited %d locks, want 1 (the hot table IX)", a.InheritedCount())
+	a.Commit()
+	if a.h.Held(tbl) != IX || a.h.Held(RowName(5, 1)) != None {
+		t.Fatalf("after commit: table %v, row %v; want IX kept and the row released", a.h.Held(tbl), a.h.Held(RowName(5, 1)))
 	}
-	// Row lock must have been fully released, not inherited.
 	other := m.NewHolder(200)
 	if err := other.Acquire(RowName(5, 1), X); err != nil {
 		t.Fatal(err)
 	}
 	other.ReleaseAll()
 
-	// Subsequent transactions on the same agent skip the table.
+	// Later transactions on the same agent skip the table: their
+	// requests are counted and covered.
 	before := m.StatsSnapshot()
-	for txn := uint64(101); txn <= 110; txn++ {
-		h.Reset(txn)
-		if err := a.Acquire(h, tbl, IX); err != nil {
+	for i := 0; i < 10; i++ {
+		a.Begin(nil)
+		if err := a.Acquire(tbl, IX); err != nil {
 			t.Fatal(err)
 		}
-		a.OnCommit(h)
+		a.Commit()
 	}
 	after := m.StatsSnapshot()
-	if hits := after.Inherited - before.Inherited; hits != 10 {
-		t.Fatalf("inherited hits = %d, want 10", hits)
+	if covered := (after.Acquires - before.Acquires) - (after.TableOps - before.TableOps); covered != 10 {
+		t.Fatalf("covered acquisitions = %d, want 10", covered)
 	}
-	if tableOps := after.TableOps - before.TableOps; tableOps != 0 {
-		t.Fatalf("table ops = %d during inherited acquisitions, want 0", tableOps)
+	if ops := after.TableOps - before.TableOps; ops != 0 {
+		t.Fatalf("table ops = %d during kept acquisitions, want 0", ops)
 	}
 }
 
 func TestSLIIntentLocksStayCompatibleAcrossAgents(t *testing.T) {
-	m := NewManager(Options{HotThreshold: 1})
+	m := NewManager(Options{})
 	tbl := TableName(6)
-	heatUp(t, m, tbl)
-
 	a1, a2 := m.NewAgent(), m.NewAgent()
 	defer a1.Close()
 	defer a2.Close()
-
-	h1, h2 := m.NewHolder(300), m.NewHolder(301)
-	if err := a1.Acquire(h1, tbl, IX); err != nil {
-		t.Fatal(err)
-	}
-	a1.OnCommit(h1)
-	if err := a2.Acquire(h2, tbl, IX); err != nil {
-		t.Fatal(err) // IX + IX compatible even with a1's retained lock
-	}
-	a2.OnCommit(h2)
-	if a1.InheritedCount() == 0 || a2.InheritedCount() == 0 {
-		t.Fatal("both agents should retain the hot IX")
+	keep(t, a1, tbl, IX)
+	keep(t, a2, tbl, IX) // IX + IX compatible with a1's kept lock
+	if a1.h.Held(tbl) != IX {
+		t.Fatal("the first agent lost its IX")
 	}
 }
 
 func TestSLIReclaimOnConflict(t *testing.T) {
-	m := NewManager(Options{HotThreshold: 1})
+	m := NewManager(Options{})
 	tbl := TableName(7)
-	heatUp(t, m, tbl)
-
 	a := m.NewAgent()
 	defer a.Close()
-	h := m.NewHolder(400)
-	if err := a.Acquire(h, tbl, IX); err != nil {
-		t.Fatal(err)
-	}
-	a.OnCommit(h)
-	if a.InheritedCount() != 1 {
-		t.Fatal("setup: lock not inherited")
-	}
+	keep(t, a, tbl, IX)
 
-	// Another transaction wants table X: blocked by the agent's
-	// retained IX.
+	// Another transaction wants table X: blocked by the agent's kept
+	// IX.
 	got := make(chan error, 1)
 	other := m.NewHolder(500)
 	go func() { got <- other.Acquire(tbl, X) }()
+	waitQueueLen(t, m, tbl, 1)
 	select {
 	case <-got:
-		t.Fatal("X granted while agent retained IX")
+		t.Fatal("X granted while agent kept IX")
 	case <-time.After(20 * time.Millisecond):
 	}
 
-	// The agent's next boundary must surrender the retained lock.
-	h.Reset(401)
-	if err := a.Acquire(h, RowName(7, 1), X); err != nil {
-		t.Fatal(err)
-	}
-	a.OnCommit(h)
+	// The agent's next boundary must surrender the kept lock.
+	a.Begin(nil)
 	select {
 	case err := <-got:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("agent never surrendered retained lock")
+		t.Fatal("agent never surrendered its kept lock")
 	}
-	if a.InheritedCount() != 0 {
-		t.Fatal("cache not cleared after reclaim")
+	if a.h.Held(tbl) != None {
+		t.Fatal("kept IX survived the reclaim")
 	}
+	a.Commit()
 	other.ReleaseAll()
 }
 
 func TestSLIDoesNotInheritRowOrExclusive(t *testing.T) {
-	m := NewManager(Options{HotThreshold: 1})
-	row := RowName(8, 1)
-	heatUp(t, m, row)
-	tbl := TableName(8)
-	heatUp(t, m, tbl)
-
+	m := NewManager(Options{})
+	row, tbl := RowName(8, 1), TableName(8)
 	a := m.NewAgent()
 	defer a.Close()
-	h := m.NewHolder(600)
-	if err := a.Acquire(h, row, X); err != nil {
+	a.Begin(nil)
+	if err := a.Acquire(row, X); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Acquire(h, tbl, S); err != nil { // S is not an intent mode
+	if err := a.Acquire(tbl, S); err != nil { // S is not an intent mode
 		t.Fatal(err)
 	}
-	a.OnCommit(h)
-	if a.InheritedCount() != 0 {
-		t.Fatalf("agent inherited %d non-intent locks", a.InheritedCount())
+	a.Commit()
+	if a.h.Held(row) != None || a.h.Held(tbl) != None {
+		t.Fatalf("agent keeps row %v, table %v; want neither", a.h.Held(row), a.h.Held(tbl))
 	}
+	assertTablesEmpty(t, m)
 }
 
 func TestSLIAbortReleasesEverything(t *testing.T) {
-	m := NewManager(Options{HotThreshold: 1})
+	m := NewManager(Options{})
 	tbl := TableName(10)
-	heatUp(t, m, tbl)
 	a := m.NewAgent()
 	defer a.Close()
-	h := m.NewHolder(700)
-	if err := a.Acquire(h, tbl, IX); err != nil {
+	keep(t, a, tbl, IX)
+	a.Begin(nil)
+	if err := a.Acquire(RowName(10, 1), X); err != nil {
 		t.Fatal(err)
 	}
-	a.OnAbort(h)
-	if a.InheritedCount() != 0 {
-		t.Fatal("abort inherited locks")
+	a.Abort()
+	if a.h.Held(tbl) != None {
+		t.Fatal("abort kept the intent lock")
 	}
 	// Table must be immediately lockable in X.
 	other := m.NewHolder(701)
@@ -184,64 +155,42 @@ func TestSLIAbortReleasesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	other.ReleaseAll()
+	assertTablesEmpty(t, m)
 }
 
-// TestSLIInheritedHitNotesHolder pins the bookkeeping contract of a
-// cache-satisfied Agent.Acquire: the transaction logically holds the
-// lock (Holder.Held reports it) even though the table grant belongs
-// to the agent, and the commit boundary neither drops the agent's
-// retained grant nor leaves the name in the holder's set.
+// TestSLIInheritedHitNotesHolder pins the bookkeeping of a kept lock:
+// the agent's set reports it, a request it covers never visits the
+// table, the commit boundary keeps it, and the grant is real.
 func TestSLIInheritedHitNotesHolder(t *testing.T) {
-	m := NewManager(Options{HotThreshold: 2})
+	m := NewManager(Options{})
 	tbl := TableName(11)
-	heatUp(t, m, tbl)
-
 	a := m.NewAgent()
 	defer a.Close()
+	keep(t, a, tbl, IX)
 
-	h := m.NewHolder(900)
-	if err := a.Acquire(h, tbl, IX); err != nil {
+	a.Begin(nil)
+	ops := tableOps(m)
+	if err := a.Acquire(tbl, IS); err != nil { // IX covers IS
 		t.Fatal(err)
 	}
-	a.OnCommit(h)
-	if a.InheritedCount() != 1 {
-		t.Fatal("setup: hot IX not inherited")
-	}
-
-	// Second transaction on the same holder: the acquire is satisfied
-	// from the agent cache, never visiting the table.
-	h.Reset(901)
-	before := m.StatsSnapshot()
-	if err := a.Acquire(h, tbl, IX); err != nil {
+	if err := a.Acquire(tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	after := m.StatsSnapshot()
-	if after.Inherited != before.Inherited+1 {
-		t.Fatalf("acquire was not cache-satisfied (inherited %d -> %d)",
-			before.Inherited, after.Inherited)
+	if got := tableOps(m); got != ops {
+		t.Fatalf("covered requests visited the table %d times", got-ops)
 	}
-	if got := h.Held(tbl); got != IX {
-		t.Fatalf("Holder.Held after inherited hit = %v, want IX", got)
-	}
-
-	// The boundary releases h's logical hold; the agent's real table
-	// grant and cache entry must survive it.
-	a.OnCommit(h)
-	if a.InheritedCount() != 1 {
-		t.Fatal("commit of an inherited hit dropped the agent's retained lock")
-	}
-	if got := h.Held(tbl); got != None {
-		t.Fatalf("Holder.Held after commit = %v, want None", got)
+	a.Commit()
+	if got := a.h.Held(tbl); got != IX {
+		t.Fatalf("Held after commit = %v, want IX", got)
 	}
 
-	// The retained grant is real: it still blocks a table X until the
-	// agent lets go.
+	// The kept grant still blocks a table X until the agent lets go.
 	got := make(chan error, 1)
 	other := m.NewHolder(950)
 	go func() { got <- other.Acquire(tbl, X) }()
 	select {
 	case <-got:
-		t.Fatal("X granted past the agent's retained IX")
+		t.Fatal("X granted past the agent's kept IX")
 	case <-time.After(20 * time.Millisecond):
 	}
 	a.ReleaseInherited()
@@ -252,73 +201,184 @@ func TestSLIInheritedHitNotesHolder(t *testing.T) {
 }
 
 // A transaction served by an agent asks for a table lock the agent's
-// inherited grant conflicts with — a scan's S or a table X after a
-// write under the inherited IX. The agent never waits, so queueing
-// behind it would never end; the transaction takes the agent's grant
-// over and upgrades it, and waits only for other owners: a second
-// agent's IX blocks the X as it would anyone's.
+// kept grant conflicts with — a scan's S or a table X after a write
+// under the kept IX. That is an upgrade of the agent's own grant, so
+// the transaction never queues behind its own agent; it waits only for
+// other owners: a second agent's IX blocks the X as it would anyone's.
 func TestSLITransactionDoesNotWaitOnItsOwnAgent(t *testing.T) {
 	// The timeout only bounds the failure.
-	m := NewManager(Options{HotThreshold: 1, WaitTimeout: 2 * time.Second})
+	m := NewManager(Options{WaitTimeout: 2 * time.Second})
 	tbl := TableName(12)
-	heatUp(t, m, tbl)
 	a1, a2 := m.NewAgent(), m.NewAgent()
 	defer a1.Close()
 	defer a2.Close()
-	h := m.NewHolder(1000)
-	for _, a := range []*Agent{a1, a2} {
-		if err := a.Acquire(h, tbl, IX); err != nil {
-			t.Fatal(err)
-		}
-		a.OnCommit(h)
-		if a.InheritedCount() != 1 {
-			t.Fatal("setup: hot IX not inherited")
-		}
-	}
+	keep(t, a1, tbl, IX)
 
 	// Alone but for its own agent: S, then X, at once.
-	a2.ReleaseInherited()
-	h.Reset(1001)
-	if err := a1.Acquire(h, tbl, IX); err != nil { // from the cache
+	a1.Begin(nil)
+	if err := a1.Acquire(tbl, IX); err != nil { // covered
 		t.Fatal(err)
 	}
 	waits := m.StatsSnapshot().Waits
 	start := time.Now()
-	if err := a1.Acquire(h, tbl, S); err != nil {
+	if err := a1.Acquire(tbl, S); err != nil {
 		t.Fatal(err)
 	}
-	if err := a1.Acquire(h, tbl, X); err != nil {
+	if err := a1.Acquire(tbl, X); err != nil {
 		t.Fatal(err)
 	}
-	if d := time.Since(start); d > time.Second || h.Held(tbl) != X || a1.InheritedCount() != 0 {
-		t.Fatalf("after %v: table %v, agent retains %d; want X at once and the grant taken over", d, h.Held(tbl), a1.InheritedCount())
+	if d := time.Since(start); d > time.Second || a1.h.Held(tbl) != X {
+		t.Fatalf("after %v: table %v; want X at once", d, a1.h.Held(tbl))
 	}
 	if got := m.StatsSnapshot().Waits; got != waits {
 		t.Fatalf("the transaction waited %d times beside its own agent", got-waits)
 	}
-	a1.OnCommit(h)
+	a1.Commit()
+	if a1.h.Held(tbl) != None {
+		t.Fatal("the agent kept a table X")
+	}
 
-	// Another agent's retained IX blocks the same X until that agent
-	// lets go.
-	h.Reset(1002)
-	if err := a2.Acquire(h, tbl, IX); err != nil {
-		t.Fatal(err)
-	}
-	a2.OnCommit(h)
-	if a2.InheritedCount() != 1 {
-		t.Fatal("setup: second agent did not inherit")
-	}
-	h.Reset(1003)
+	// Another agent's kept IX blocks the same X until that agent lets
+	// go.
+	keep(t, a2, tbl, IX)
+	a1.Begin(nil)
 	got := make(chan error, 1)
-	go func() { got <- a1.Acquire(h, tbl, X) }()
+	go func() { got <- a1.Acquire(tbl, X) }()
 	select {
 	case err := <-got:
-		t.Fatalf("X granted past another agent's retained IX: %v", err)
+		t.Fatalf("X granted past another agent's kept IX: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	a2.ReleaseInherited()
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
-	a1.OnCommit(h)
+	a1.Commit()
+}
+
+// Two agents' transactions that each hold a row the other asks for are
+// a deadlock, found as one: the waits-for edges name the agents.
+func TestSLIAgentsDeadlockOnRows(t *testing.T) {
+	m := NewManager(Options{WaitTimeout: 10 * time.Second}) // bounds the failure
+	a1, a2 := m.NewAgent(), m.NewAgent()
+	defer a1.Close()
+	defer a2.Close()
+	r1, r2 := RowName(13, 1), RowName(13, 2)
+	for _, x := range []struct {
+		a   *Agent
+		row Name
+	}{{a1, r1}, {a2, r2}} {
+		x.a.Begin(nil)
+		if err := x.a.Acquire(TableName(13), IX); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.a.Acquire(x.row, X); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := make(chan error, 1)
+	go func() { first <- a1.Acquire(r2, X) }()
+	waitQueueLen(t, m, r2, 1)
+	start := time.Now()
+	err := a2.Acquire(r1, X)
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("the cycle's second wait = %v after %v, want ErrDeadlock", err, time.Since(start))
+	}
+	a2.Abort()
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	a1.Commit()
+	if st := m.StatsSnapshot(); st.Deadlocks != 1 || st.Timeouts != 0 {
+		t.Fatalf("deadlocks %d, timeouts %d; want 1, 0", st.Deadlocks, st.Timeouts)
+	}
+}
+
+// A wait on a row an agent's transaction holds ends at its commit, and
+// leaves the agent its kept intent lock: only table waits reclaim.
+func TestSLIRowWaitKeepsIntents(t *testing.T) {
+	m := NewManager(Options{WaitTimeout: 2 * time.Second}) // bounds the failure
+	tbl, row := TableName(14), RowName(14, 1)
+	a := m.NewAgent()
+	defer a.Close()
+	keep(t, a, tbl, IX)
+	a.Begin(nil)
+	if err := a.Acquire(row, X); err != nil {
+		t.Fatal(err)
+	}
+	other := m.NewHolder(1400)
+	if err := other.Acquire(tbl, IX); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() { got <- other.Acquire(row, X) }()
+	waitQueueLen(t, m, row, 1)
+	a.Commit()
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	other.ReleaseAll()
+	a.Begin(nil)
+	ops := tableOps(m)
+	if err := a.Acquire(tbl, IX); err != nil {
+		t.Fatal(err)
+	}
+	if a.h.Held(tbl) != IX || tableOps(m) != ops {
+		t.Fatal("a row wait made the agent drop its kept IX")
+	}
+	a.Commit()
+}
+
+// A waits-for edge left by a waiter that outlasts the agent transaction
+// it named does not close a cycle with the agent's next one. B waits
+// for a row behind C while an agent's first transaction holds it; the
+// commit grants C, and B keeps waiting with its edge to the agent. The
+// agent's second transaction then waits for a row B holds: a wait, not
+// a deadlock, which ends when C and B are done.
+func TestSLIStaleEdgeIsNotACycle(t *testing.T) {
+	m := NewManager(Options{WaitTimeout: 10 * time.Second}) // bounds the failure
+	r, q := RowName(15, 1), RowName(15, 2)
+	a := m.NewAgent()
+	defer a.Close()
+	b, c := m.NewHolder(1501), m.NewHolder(1502)
+	a.Begin(nil)
+	if err := a.Acquire(r, X); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Acquire(q, X); err != nil {
+		t.Fatal(err)
+	}
+	cGot, bGot := make(chan error, 1), make(chan error, 1)
+	go func() { cGot <- c.Acquire(r, X) }()
+	waitQueueLen(t, m, r, 1)
+	go func() { bGot <- b.Acquire(r, X) }()
+	waitQueueLen(t, m, r, 2)
+	time.Sleep(5 * time.Millisecond) // past B's edge building
+	a.Commit()
+	if err := <-cGot; err != nil {
+		t.Fatal(err)
+	}
+
+	a.Begin(nil)
+	aGot := make(chan error, 1)
+	go func() { aGot <- a.Acquire(q, X) }()
+	waitQueueLen(t, m, q, 1)
+	select {
+	case err := <-aGot:
+		t.Fatalf("the agent's second transaction: %v, want a wait", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	c.ReleaseAll()
+	if err := <-bGot; err != nil {
+		t.Fatal(err)
+	}
+	b.ReleaseAll()
+	if err := <-aGot; err != nil {
+		t.Fatal(err)
+	}
+	a.Commit()
+	if d := m.StatsSnapshot().Deadlocks; d != 0 {
+		t.Fatalf("%d deadlocks, want 0", d)
+	}
+	assertTablesEmpty(t, m)
 }

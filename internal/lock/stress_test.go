@@ -10,20 +10,20 @@ import (
 )
 
 // TestManagerConcurrentStress drives every public entry point of the
-// manager — holder acquisition, SLI agents with inheritance and
+// manager — holder acquisition, SLI agents with kept intents and
 // reclaim, escalation, and ReleaseAll — from many goroutines at once,
-// each with its one holder. Meant for -race: the striped waits-for
-// graph, the per-partition heat maps and the agents' reclaim flags all
-// see cross-goroutine traffic here, and a holder touched by a second
-// goroutine would show up as a race.
+// each with its one holder or agent. Meant for -race: the striped
+// waits-for graph, the lock-head freelist and the agents' reclaim
+// flags and transaction serials all see cross-goroutine traffic here,
+// agents' grants outlive their transactions, and a holder touched by a
+// second goroutine would show up as a race.
 func TestManagerConcurrentStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
 	m := NewManager(Options{
-		Partitions:   64,
-		WaitTimeout:  2 * time.Second,
-		HotThreshold: 2,
+		Partitions:  64,
+		WaitTimeout: 2 * time.Second,
 	})
 	const (
 		workers = 8
@@ -48,23 +48,29 @@ func TestManagerConcurrentStress(t *testing.T) {
 			h := m.NewHolder(0)
 			for i := 0; i < iters; i++ {
 				h.Reset(uint64(w)<<32 | uint64(i+1))
+				if agent != nil {
+					agent.Begin(nil)
+				}
 				acquire := func(name Name, mode Mode) error {
 					if agent != nil {
-						return agent.Acquire(h, name, mode)
+						return agent.Acquire(name, mode)
 					}
 					return h.Acquire(name, mode)
 				}
-				release := func() {
-					if agent != nil {
-						agent.OnCommit(h)
-					} else {
+				release := func(ok bool) {
+					switch {
+					case agent == nil:
 						h.ReleaseAll()
+					case ok:
+						agent.Commit()
+					default:
+						agent.Abort()
 					}
 				}
 				// One iteration in eight is a bulk burst over private
 				// rows, whose 64th makes the holder try for the table
 				// lock: refused while another worker's (or an agent's
-				// inherited) intent lock is on the shared table, granted
+				// kept) intent lock is on the shared table, granted
 				// — and then in everybody's way — when not, as on the
 				// worker's own table half the bursts go to.
 				table := uint32(1 + r.Intn(tables))
@@ -100,7 +106,7 @@ func TestManagerConcurrentStress(t *testing.T) {
 						ok = false
 					}
 				}
-				release()
+				release(ok)
 			}
 		}(w)
 	}
@@ -109,8 +115,8 @@ func TestManagerConcurrentStress(t *testing.T) {
 		t.Errorf("escalations %d, refusals %d: the bulk bursts never drove both outcomes", st.Escalations, st.EscalationRefusals)
 	}
 
-	// Everything must be released or inherited by compatible agent
-	// grants: a fresh transaction can take X on every table.
+	// Everything must be released, the closed agents' kept intents
+	// too: a fresh transaction can take X on every table.
 	h := m.NewHolder(1)
 	for table := uint32(1); table <= tables+workers; table++ {
 		if err := h.Acquire(TableName(table), X); err != nil {
@@ -123,8 +129,7 @@ func TestManagerConcurrentStress(t *testing.T) {
 // TestLockHeadRecyclingStress churns the full head lifecycle under
 // -race: tiny wait timeouts fire removeWaiter constantly, a small hot
 // key set keeps heads flipping between live and retired, and every
-// path that retires a head (releaseOne, removeWaiter, transfer's
-// missing-grant branch) races against the freelist pops of concurrent
+// path that retires a head (releaseOne, removeWaiter) races against the freelist pops of concurrent
 // misses. The retire hand-off publishes heads through a CAS on the
 // partition freelist, so any touch of recycled state outside the
 // protocol shows up as a race or a hydradebug pool assertion.

@@ -27,11 +27,11 @@ type censusWorkload struct {
 	txn         bool // BEGIN; SET account, teller, branch, history; COMMIT
 	frames      int  // the buffer pool
 	ops         int  // measured ops
-	// The pinned counts per op: lock acquisitions, log bytes per byte of
-	// value written, and request lines; and the ranked-lock entries per
-	// op, per latch tier.
-	acquires, logPerUserByte, lines float64
-	tiers                           map[string]float64
+	// The pinned counts per op: lock acquisitions, log records, log
+	// bytes per byte of value written, and request lines; and the
+	// ranked-lock entries per op, per latch tier.
+	acquires, records, logPerUserByte, lines float64
+	tiers                                    map[string]float64
 }
 
 type censusTable struct {
@@ -136,7 +136,10 @@ const warmupOps = 72
 // benchmark workloads (ROADMAP item 26(a)): one client's ops, sent
 // through dispatch on one goroutine to an engine over a file log, in
 // the benchmark's server configuration. Per op: lock acquisitions
-// (lock.acquires_per_op, 2/2/2/10), log bytes per byte of value written
+// (lock.acquires_per_op, 2/2/2/10), log records (0/2/0.392/5.0139: a SET
+// logs its update and its commit, mixed_cold's 196 SETs in 1000 ops, and
+// a txn_hot op four rows and a commit, with a chain extension one op in
+// 72), log bytes per byte of value written
 // (wal.bytes_per_user_byte, 0/3.2700/2.1270/2.6949) and request lines
 // (server.round_trips_per_op, 1/1/1/6), what the live benchmark run
 // reads. A txn_hot op logs three 286 B updates, a 178 B insert and a
@@ -164,16 +167,16 @@ func TestWireCensus(t *testing.T) {
 	}
 	for _, w := range []censusWorkload{
 		{name: "get_hot", tables: []censusTable{{"kv", 20000}}, valueSize: 100, getPermille: 1000, frames: 4096, ops: 2000,
-			acquires: 2, logPerUserByte: 0, lines: 1,
+			acquires: 2, records: 0, logPerUserByte: 0, lines: 1,
 			tiers: map[string]float64{"frame_latch": 2.982, "lock_part": 4, "pool_shard": 5.964}},
 		{name: "set_durable", tables: []censusTable{{"kv", 20000}}, valueSize: 100, frames: 4096, ops: 200,
-			acquires: 2, logPerUserByte: 3.2700, lines: 1,
+			acquires: 2, records: 2, logPerUserByte: 3.2700, lines: 1,
 			tiers: map[string]float64{"frame_latch": 2.96, "lock_part": 4, "pool_shard": 5.92, "wal_device": 2, "wal_log": 2}},
 		{name: "mixed_cold", tables: []censusTable{{"kv", 24000}}, valueSize: 1000, getPermille: 800, frames: 1024, ops: 1000,
-			acquires: 2, logPerUserByte: 2.1270, lines: 1,
+			acquires: 2, records: 0.392, logPerUserByte: 2.1270, lines: 1,
 			tiers: map[string]float64{"frame_latch": 2.991, "lock_part": 4, "pool_shard": 7.274, "wal_device": 0.392, "wal_log": 0.392}},
 		{name: "txn_hot", tables: []censusTable{{"account", 10000}, {"teller", 10}, {"branch", 1}, {"history", 0}}, valueSize: 100, txn: true, frames: 4096, ops: 720,
-			acquires: 10, logPerUserByte: 2.6949, lines: 6,
+			acquires: 10, records: 3610.0 / 720, logPerUserByte: 2.6949, lines: 6,
 			tiers: map[string]float64{"frame_latch": 6452.0 / 720, "heap_tail": 740.0 / 720, "lock_part": 16, "pool_shard": 12928.0 / 720,
 				"wal_device": 2, "wal_log": 3610.0 / 720}},
 	} {
@@ -239,6 +242,7 @@ func TestWireCensus(t *testing.T) {
 				got, want float64
 			}{
 				{"lock.acquires_per_op", float64(after.Lock.Acquires-before.Lock.Acquires) / ops, w.acquires},
+				{"log records per op", float64(la.Inserts-lb.Inserts) / ops, w.records},
 				{"wal.bytes_per_user_byte", logPerUserByte, w.logPerUserByte},
 				{"server.round_trips_per_op", float64(cc.lines) / ops, w.lines},
 			} {

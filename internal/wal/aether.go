@@ -72,8 +72,11 @@ func (ca *consArray) join(n, max uint64) (s *caslot, offset uint64, leader bool)
 			if s.word.CompareAndSwap(w, caPack(caOpen, caSize(w)+n)) {
 				return s, caSize(w), false
 			}
-		default: // closed or full: move to the next slot
-			i++
+		default: // closed or full: move to the next slot, yielding
+			// once a lap: the slots free only as their groups finish
+			if i++; i%uint64(len(ca.slots)) == 0 {
+				runtime.Gosched()
+			}
 		}
 	}
 }
