@@ -73,11 +73,18 @@ lint:
 # TestPinUnderRaces: no lock
 # orders a snapshot pin against the floor or the oldest-pin mirror
 # either, only the pin's re-check (Engine.pin), and its oracle fails a
-# prune whose horizon passes a pin that passed that re-check. Under the
-# tag it checks the latch order of the pin, raise and expiry paths; it
-# then runs three times under the race detector, whose timing is where
-# it catches E22's seed E (the tag's slower run did not). With it run
-# three times TestManagerConcurrentStress: an SLI agent owns its
+# prune whose horizon passes a pin that passed that re-check and is not
+# past MaxSnapshotAge. Under the tag it checks the latch order of the
+# pin and raise paths and catches E22's seed E with the pin's
+# oldestSnap test dropped; it then runs three times under the race
+# detector, whose timing is where it catches seed E's other forms. With it run the TestExpiry tests: a snapshot past
+# MaxSnapshotAge is expired by its age alone, and a read, a scan chunk
+# or an SI commit checks that age after it has read, never only before;
+# each test expires the snapshot inside that window (a recycled slot,
+# before a read's chain resolve, between two scan chunks, before an SI
+# commit's validation) while the GC prunes what it would read, and the
+# race detector watches those paths. And three times
+# TestManagerConcurrentStress: an SLI agent owns its
 # transactions' grants and keeps their table intents, so one id waits,
 # blocks and retires lock heads transaction after transaction, and the
 # waits-for graph must tell its transactions apart. Last,
@@ -91,7 +98,7 @@ stress:
 	$(GO) test -tags hydradebug -count=300 -run TestCheckpointDuringTraffic ./internal/core/
 	$(GO) test -tags hydradebug -count=100 -run TestCreateTableDuringCheckpoints ./internal/core/
 	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill|TestFrontierUnderRaces|TestWaitUnderRaces|TestPinUnderRaces' ./internal/core/ ./internal/wal/
-	$(GO) test -race -count=3 -run 'TestPinUnderRaces|TestManagerConcurrentStress' ./internal/core/ ./internal/lock/
+	$(GO) test -race -count=3 -run 'TestPinUnderRaces|TestExpiry|TestManagerConcurrentStress' ./internal/core/ ./internal/lock/
 	$(GO) test -race -count=1 -run 'TestRootSplitUnderTraffic|TestConcurrentMixedWorkload' ./internal/btree/
 
 # fuzz-smoke runs the wire tokeniser's differential fuzz target for

@@ -84,14 +84,15 @@ type Config struct {
 	// by read-mostly workloads.
 	MVCC bool
 
-	// MaxSnapshotAge, when positive, bounds how long one snapshot pin
-	// may hold the version-chain GC watermark. A pin older than this is
-	// expired by the engine (checked as version-installing writers
-	// finish, so expiry triggers exactly when chains are growing): the
-	// watermark advances, dead versions sweep, and the expired
-	// transaction's next read or commit fails with ErrSnapshotExpired
-	// (retryable). 0 — the default — never expires a pin; long analytic
-	// snapshots then stall GC for their whole lifetime.
+	// MaxSnapshotAge, when positive, is a snapshot transaction's
+	// deadline: once it is older than this it is expired. Its pin stops
+	// holding the version-chain GC watermark (a raise sampled as
+	// version-installing writers finish passes it, so dead versions
+	// sweep exactly when chains are growing), and its next read or
+	// commit fails with ErrSnapshotExpired (retryable) — whether or not
+	// a raise has passed its pin yet. 0 — the default — never expires a
+	// snapshot; long analytic snapshots then stall GC for their whole
+	// lifetime.
 	MaxSnapshotAge time.Duration
 }
 
@@ -163,8 +164,9 @@ var (
 	// (first committer wins). Retryable: Exec re-runs the body on a
 	// fresh snapshot, like deadlock/timeout victims on the locked path.
 	ErrWriteConflict = errors.New("core: snapshot write conflict (first committer wins)")
-	// ErrSnapshotExpired reports that the transaction's snapshot pin
-	// was expired by Config.MaxSnapshotAge to unblock version-chain GC.
+	// ErrSnapshotExpired reports that the transaction's snapshot
+	// outlived Config.MaxSnapshotAge, and with it its hold on
+	// version-chain GC.
 	// Retryable: a fresh snapshot starts at the current floor.
 	ErrSnapshotExpired = errors.New("core: snapshot expired (Config.MaxSnapshotAge)")
 )

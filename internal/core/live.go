@@ -1,8 +1,8 @@
 // The live registry: one slot for each transaction that pins a snapshot
 // or logs, from its pin or its first write to its finish. A checkpoint
-// reads the slots' first LSNs; the GC's oldest-pin recompute, the
-// MaxSnapshotAge expirer and the stats read their pins. Each of them
-// walks the slots, which hold only atomics; no lock guards the list.
+// reads the slots' first LSNs; the GC's oldest-pin recompute and the
+// stats read their pins. Each of them walks the slots, which hold only
+// atomics; no lock guards the list.
 //
 // The list is the record list of Michael's hazard pointers (IEEE TPDS
 // 2004): a slot is claimed by CAS of its owner, released by storing 0
@@ -27,13 +27,8 @@ type liveSlot struct {
 	first atomic.Uint64
 	pin   atomic.Uint64 // the owner's snapshot; noSnapshot when none (mvcc.go)
 	born  atomic.Int64  // the owner's begin stamp, stored before its pin
-	// expired is the id of the transaction whose pin the MaxSnapshotAge
-	// expirer expired: a pin counts as expired only while it equals the
-	// owner, so an expiry that lands after its transaction left is
-	// harmless to whoever claims the slot next.
-	expired atomic.Uint64
-	next    *liveSlot // set before the slot is published, never changed
-	_       [16]byte
+	next  *liveSlot     // set before the slot is published, never changed
+	_     [24]byte
 }
 
 // liveList is the registry: a list of slots, pushed at the head.
@@ -84,24 +79,24 @@ func (l *liveList) oldestFirst() wal.LSN {
 	return m
 }
 
-// livePin returns s's pin, noSnapshot when it has none or the expirer
-// expired it. It reads the owner before the pin and the expiry mark: a
-// pin stored after the owner was read belongs to a pinner whose re-check
-// a raise walking now is in flight for (see Engine.pin).
-func (s *liveSlot) livePin() uint64 {
-	id := s.owner.Load()
-	if p := s.pin.Load(); p != noSnapshot && s.expired.Load() != id {
+// livePin returns s's pin, noSnapshot when it has none or it is overdue:
+// its owner began before bornAfter (Engine.cutoff). It reads the pin
+// before the begin stamp, which the pinner stores first, so the stamp
+// is the pin's own or that of an owner who claimed the slot after the
+// pin's owner left, when the pin holds nothing any more.
+func (s *liveSlot) livePin(bornAfter int64) uint64 {
+	if p := s.pin.Load(); p != noSnapshot && s.born.Load() >= bornAfter {
 		return p
 	}
 	return noSnapshot
 }
 
-// oldestPin returns the lowest unexpired pin of the registry,
-// noSnapshot when there is none.
-func (l *liveList) oldestPin() uint64 {
+// oldestPin returns the lowest pin of the registry not overdue at
+// bornAfter, noSnapshot when there is none.
+func (l *liveList) oldestPin(bornAfter int64) uint64 {
 	m := noSnapshot
 	for s := l.head.Load(); s != nil; s = s.next {
-		m = min(m, s.livePin())
+		m = min(m, s.livePin(bornAfter))
 	}
 	return m
 }

@@ -53,6 +53,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -129,7 +130,7 @@ type verTable struct {
 	// only grows.
 	snapFloor atomic.Uint64
 
-	// oldestSnap mirrors the lowest unexpired pin of the live registry
+	// oldestSnap mirrors the lowest live pin of the live registry
 	// so the install-path watermark read walks nothing: noSnapshot when
 	// nothing is pinned. A pinner lowers it, a raise recomputes it, and
 	// raising counts the raises in flight (see Engine.pin).
@@ -148,12 +149,9 @@ type verTable struct {
 	siBegins    obs.Counter // SI writer transactions begun
 	siCommits   obs.Counter // SI writers committed (validation passed)
 	siConflicts obs.Counter // SI writers aborted by first-committer-wins
-	snapExpired obs.Counter // pins expired by Config.MaxSnapshotAge
+	snapExpired obs.Counter // snapshot transactions that left past Config.MaxSnapshotAge
 
-	// expireTick samples the MaxSnapshotAge check off the writer
-	// finish path: one registry scan per expireEvery version-installing
-	// transactions, not one per commit.
-	expireTick atomic.Uint32
+	expireTick atomic.Uint32 // version-installing finishes, sampled by expireEvery
 }
 
 func newVerTable() *verTable {
@@ -214,8 +212,23 @@ func (e *Engine) join(t *Txn) {
 // last held is never owned by another transaction's id.
 func (t *Txn) joined() bool { return t.slot != nil && t.slot.owner.Load() == t.id }
 
-// expired reports whether the MaxSnapshotAge expirer dropped t's pin.
-func (t *Txn) expired() bool { return t.slot.expired.Load() == t.id }
+// cutoff returns the begin stamp below which a snapshot is overdue,
+// older than Config.MaxSnapshotAge, now: MinInt64, with no clock read,
+// when there is no age. The clock is monotonic: overdue stays overdue.
+func (e *Engine) cutoff() int64 {
+	if e.cfg.MaxSnapshotAge <= 0 {
+		return math.MinInt64
+	}
+	return obs.Now() - int64(e.cfg.MaxSnapshotAge)
+}
+
+// expired reports whether t's snapshot is overdue. Its reads check it
+// after they read, never only before (see Engine.pin).
+func (t *Txn) expired() bool { return t.clock.StartTime() < t.e.cutoff() }
+
+// testHookPinned, when set, runs between a pinner's store and its
+// re-check: tests use it to yield there.
+var testHookPinned func()
 
 // pin registers t's snapshot s, the floor it advances, in t's slot. No
 // lock freezes the floor while it does, so the pin validates itself.
@@ -227,11 +240,12 @@ func (t *Txn) expired() bool { return t.slot.expired.Load() == t.id }
 //     oldestSnap <= s; snapFloor <= s. If any check fails it retries
 //     with a fresh s.
 //
-// A raise (Engine.raise: the oldest pin left, or the expirer expired
-// pins) increments raising, reads oldestSnap, walks the slots for the
-// lowest unexpired pin and CASes oldestSnap to it, then decrements
-// raising. So once the re-check passes, no watermark() can pass s while
-// the pin is unexpired:
+// A raise (Engine.raise: the oldest pin left, or the writers' sampled
+// tick) increments raising, reads oldestSnap and the clock, walks the
+// slots for the lowest pin not overdue at that clock read (older than
+// Config.MaxSnapshotAge) and CASes oldestSnap to it, then decrements
+// raising. So once the re-check passes, no watermark() can pass s
+// unless a raise found it overdue:
 //
 //   - one whose floor load came before the floor check reads a floor
 //     no higher than s, and returns no more than that floor (the floor
@@ -241,12 +255,18 @@ func (t *Txn) expired() bool { return t.slot.expired.Load() == t.id }
 //     its CAS before the oldestSnap check, which saw the value it left
 //     at or below s. A raise in flight at the raising check fails it. A
 //     raise that began after it walks the slots after s was stored, and
-//     lowers oldestSnap no higher than s. Nothing else raises it.
+//     lowers oldestSnap no higher than s unless s was overdue at its
+//     clock read. Nothing else raises it.
 //
 // Dropping the raising check lets a raise whose walk missed s CAS over
 // the lowered value after the oldestSnap check; dropping the floor
 // check lets a pin register below a floor whose watermark was already
 // taken.
+//
+// An overdue pin may be passed: every prune beyond it follows the raise
+// that passed it, so a read that observed the prune checks, after it
+// read (snapshotRead, each chunk of snapshotScan, applyWriteSet after
+// validation), a later clock, and fails with ErrSnapshotExpired.
 func (e *Engine) pin(t *Txn) {
 	vt, sl := e.mvcc, t.slot
 	sl.born.Store(t.clock.StartTime())
@@ -256,6 +276,9 @@ func (e *Engine) pin(t *Txn) {
 		t.pinLow = min(t.pinLow, s)
 		sl.pin.Store(s)
 		for o := vt.oldestSnap.Load(); o > s && !vt.oldestSnap.CompareAndSwap(o, s); o = vt.oldestSnap.Load() {
+		}
+		if testHookPinned != nil {
+			testHookPinned()
 		}
 		if vt.raising.Load() == 0 && vt.oldestSnap.Load() <= s && vt.snapFloor.Load() <= s {
 			t.snap = s
@@ -268,36 +291,37 @@ func (e *Engine) pin(t *Txn) {
 // leave releases t's slot and, on an MVCC engine, advances the floor to
 // the filled frontier — past the outcome record t appended once the log
 // before it has filled, which a commit's flush wait already ensured — so
-// writers keep GC moving. A snapshot transaction then raises
-// oldestSnap, sweeping the chains under a watermark that advanced, when
-// oldestSnap may be one of its own pins (it lies at or above the first
-// one it tried) or a raise is in flight whose walk may have read its
-// pin: either way no later raise would be left to correct it.
+// writers keep GC moving. A snapshot transaction that leaves overdue
+// counts as expired; it then raises oldestSnap when oldestSnap may be
+// one of its own pins (it lies at or above the first one it tried) or a
+// raise is in flight whose walk may have read its pin: either way no
+// later raise would be left to correct it.
 func (e *Engine) leave(t *Txn) {
 	vt := e.mvcc
 	t.slot.release()
 	if e.cfg.MVCC {
 		e.advanceFloor()
 	}
+	if t.mode.snapshot && t.expired() {
+		vt.snapExpired.Inc()
+	}
 	if t.mode.snapshot && (vt.raising.Load() > 0 || vt.oldestSnap.Load() >= t.pinLow) {
-		if w := e.raise(); w != 0 {
-			vt.sweep(w)
-		}
+		e.raise()
 	}
 }
 
-// raise recomputes oldestSnap from the slots after a pin left or
-// expired (see Engine.pin). A CAS that fails means oldestSnap moved
-// since it was read, so the raise reads and walks again: a pinner
-// lowered it, and the walk now sees that pin, or another raise set it
-// from a walk that may have seen a pin since gone. It returns the new GC
-// horizon when the watermark advanced, 0 when it did not.
-func (e *Engine) raise() (sweepTo uint64) {
+// raise recomputes oldestSnap from the slots after a pin left or went
+// overdue (see Engine.pin), and sweeps the chains when the watermark
+// advanced. A CAS that fails means oldestSnap moved since it was read,
+// so the raise reads and walks again: a pinner lowered it, and the walk
+// now sees that pin, or another raise set it from a walk that may have
+// seen a pin since gone.
+func (e *Engine) raise() {
 	vt := e.mvcc
 	vt.raising.Add(1)
-	o, m := vt.oldestSnap.Load(), e.live.oldestPin()
+	o, m := vt.oldestSnap.Load(), e.live.oldestPin(e.cutoff())
 	for m != o && !vt.oldestSnap.CompareAndSwap(o, m) {
-		o, m = vt.oldestSnap.Load(), e.live.oldestPin()
+		o, m = vt.oldestSnap.Load(), e.live.oldestPin(e.cutoff())
 	}
 	if m == noSnapshot {
 		// Read before the decrement, like the walk: a pinner whose
@@ -306,9 +330,8 @@ func (e *Engine) raise() (sweepTo uint64) {
 	}
 	vt.raising.Add(-1)
 	if m > o {
-		return m
+		vt.sweep(m)
 	}
-	return 0
 }
 
 // install records a version node for (table, key) with the given
@@ -488,8 +511,8 @@ func (vt *verTable) hasConflict(table uint32, key uint64, snap uint64, c *obs.Ph
 	return conflict
 }
 
-// expireEvery samples the MaxSnapshotAge scan: one registry walk per
-// this many version-installing transactions.
+// expireEvery samples the raise that passes pins past MaxSnapshotAge:
+// one per this many version-installing transactions.
 const expireEvery = 64
 
 // retireAborted prunes the chains an aborted transaction touched.
@@ -564,7 +587,7 @@ type MvccStats struct {
 	SIBegins         uint64 `json:"si_begins"`          // snapshot-isolation writers begun
 	SICommits        uint64 `json:"si_commits"`         // SI writers committed
 	SIConflictAborts uint64 `json:"si_conflict_aborts"` // SI writers aborted by first-committer-wins
-	SnapshotsExpired uint64 `json:"snapshots_expired"`  // pins expired by Config.MaxSnapshotAge
+	SnapshotsExpired uint64 `json:"snapshots_expired"`  // snapshot transactions that left past Config.MaxSnapshotAge
 
 	ActiveSnapshots     int   `json:"active_snapshots" metric:"gauge"`       // snapshots currently pinned
 	OldestSnapshotAgeNs int64 `json:"oldest_snapshot_age_ns" metric:"gauge"` // age of the oldest pinned snapshot
@@ -589,9 +612,9 @@ func (e *Engine) mvccStats() MvccStats {
 		SIConflictAborts: vt.siConflicts.Load(),
 		SnapshotsExpired: vt.snapExpired.Load(),
 	}
-	now := obs.Now()
+	now, bornAfter := obs.Now(), e.cutoff()
 	for s := e.live.head.Load(); s != nil; s = s.next {
-		if s.livePin() != noSnapshot {
+		if s.livePin(bornAfter) != noSnapshot {
 			st.ActiveSnapshots++
 			st.OldestSnapshotAgeNs = max(st.OldestSnapshotAgeNs, now-s.born.Load())
 		}

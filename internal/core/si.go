@@ -44,7 +44,6 @@ import (
 	"sort"
 
 	"hydra/internal/lock"
-	"hydra/internal/obs"
 )
 
 // siWrite kinds: the net effect a buffered key carries.
@@ -101,9 +100,6 @@ func (t *Txn) siDelete(tbl *Table, key uint64) error {
 // touch, which is also when base is fixed and the key joins siKeys
 // (the scan overlay iterates it; commit sorts it).
 func (t *Txn) siBuffer(tbl *Table, key uint64, kind byte, wantPresent bool, value []byte) error {
-	if t.expired() {
-		return ErrSnapshotExpired
-	}
 	k := verKey{table: tbl.ID, key: key}
 	w, staged := t.writeSet[k]
 	present := w.kind == siWritePut
@@ -202,9 +198,6 @@ func (t *Txn) siScan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte
 // validation (nothing reached the heap), the normal undo path after a
 // partial apply.
 func (t *Txn) applyWriteSet() error {
-	if t.expired() {
-		return ErrSnapshotExpired
-	}
 	keys := t.siKeys
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
@@ -223,12 +216,19 @@ func (t *Txn) applyWriteSet() error {
 	}
 	// First-committer-wins validation under the row X locks: see
 	// verTable.hasConflict for why the chain head check is sufficient
-	// and why the pin makes it sound against GC.
+	// and why the pin makes it sound against GC — while the snapshot is
+	// not overdue, which is checked after validation (Engine.pin).
+	if testHookSnapshotRead != nil {
+		testHookSnapshotRead()
+	}
 	for _, k := range keys {
 		if t.e.mvcc.hasConflict(k.table, k.key, t.snap, &t.clock) {
 			t.e.mvcc.siConflicts.Inc()
 			return ErrWriteConflict
 		}
+	}
+	if t.expired() {
+		return ErrSnapshotExpired
 	}
 	// Validation passed under the X locks, so for every written key the
 	// heap state equals the snapshot state and the staged existence
@@ -251,60 +251,4 @@ func (t *Txn) applyWriteSet() error {
 		}
 	}
 	return nil
-}
-
-// maybeExpireSnapshots samples the MaxSnapshotAge scan from the
-// writer finish path (outside every latch): one registry walk per
-// expireEvery version-installing transactions.
-func (e *Engine) maybeExpireSnapshots() {
-	if e.cfg.MaxSnapshotAge <= 0 {
-		return
-	}
-	if e.mvcc.expireTick.Add(1)%expireEvery != 0 {
-		return
-	}
-	e.expireStaleSnapshots()
-}
-
-// testHookExpire, when set, runs between the expirer's read of a slot
-// and its mark: tests use it to recycle the slot in between.
-var testHookExpire func()
-
-// expireStaleSnapshots expires every snapshot pin older than
-// Config.MaxSnapshotAge, its age the slot's begin stamp. The slot is
-// marked with the owner's id and stays claimed — a checkpoint may still
-// need its first LSN — but its pin stops holding the watermark (dead
-// versions sweep), and the owner fails its next read or commit with
-// ErrSnapshotExpired. The mark is a CAS from the value read to the
-// owner read, so one that lands after the owner left names a
-// transaction the slot no longer holds. Returns how many pins were
-// marked.
-func (e *Engine) expireStaleSnapshots() int {
-	now, n := obs.Now(), 0
-	for s := e.live.head.Load(); s != nil; s = s.next {
-		// Owner, then pin, then begin stamp: a pin read after the owner
-		// is that owner's or a later one's, and its stamp was stored
-		// before it.
-		id := s.owner.Load()
-		if id == 0 || s.pin.Load() == noSnapshot {
-			continue
-		}
-		if age := now - s.born.Load(); age <= int64(e.cfg.MaxSnapshotAge) {
-			continue
-		}
-		x := s.expired.Load()
-		if testHookExpire != nil {
-			testHookExpire()
-		}
-		if x != id && s.expired.CompareAndSwap(x, id) {
-			n++
-		}
-	}
-	if n > 0 {
-		e.mvcc.snapExpired.Add(uint64(n))
-		if w := e.raise(); w != 0 {
-			e.mvcc.sweep(w)
-		}
-	}
-	return n
 }

@@ -491,9 +491,11 @@ func TestSIRetryNeverTouchesForeignTxn(t *testing.T) {
 	}
 }
 
-// A pin older than MaxSnapshotAge is expired: the watermark advances
-// (GC reclaims the chains it pinned) and the owner's next read fails
-// with ErrSnapshotExpired.
+// A snapshot past MaxSnapshotAge is expired by its age alone: its next
+// read or scan fails with ErrSnapshotExpired before any raise passes its
+// pin. The next raise (here called directly; writers sample one) lets
+// the watermark pass the pin, so GC reclaims the chains it held, and
+// the transaction counts as expired once, when it leaves.
 func TestMaxSnapshotAgeExpiresPin(t *testing.T) {
 	cfg := mvccConfig()
 	cfg.MaxSnapshotAge = time.Nanosecond
@@ -509,36 +511,41 @@ func TestMaxSnapshotAgeExpiresPin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := e.expireStaleSnapshots(); n != 1 {
-		t.Fatalf("expired %d pins, want 1", n)
-	}
 	if _, err := s.Read(tbl, 1); !errors.Is(err, ErrSnapshotExpired) {
 		t.Fatalf("read on expired snapshot: %v", err)
 	}
 	if err := s.Scan(tbl, 0, 10, func(uint64, []byte) bool { return true }); !errors.Is(err, ErrSnapshotExpired) {
 		t.Fatalf("scan on expired snapshot: %v", err)
 	}
-	st := e.StatsSnapshot().Mvcc
-	if st.SnapshotsExpired != 1 {
-		t.Fatalf("SnapshotsExpired = %d, want 1", st.SnapshotsExpired)
+	if st := e.StatsSnapshot().Mvcc; st.LiveNodes == 0 {
+		t.Fatal("the chains went before any raise passed the pin")
 	}
+	e.raise()
+	st := e.StatsSnapshot().Mvcc
 	if st.ActiveSnapshots != 0 {
 		t.Fatalf("ActiveSnapshots = %d, want 0", st.ActiveSnapshots)
 	}
 	if st.LiveNodes != 0 {
-		t.Fatalf("LiveNodes = %d after expiry sweep, want 0", st.LiveNodes)
+		t.Fatalf("LiveNodes = %d after the raise, want 0", st.LiveNodes)
 	}
-	// Retiring the expired handle is clean (the pin is already gone).
+	if st.SnapshotsExpired != 0 {
+		t.Fatalf("SnapshotsExpired = %d before the transaction left, want 0", st.SnapshotsExpired)
+	}
+	// Retiring the expired handle is clean.
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	if n := e.StatsSnapshot().Mvcc.SnapshotsExpired; n != 1 {
+		t.Fatalf("SnapshotsExpired = %d, want 1", n)
+	}
 }
 
-// An expired SI writer fails at commit with the retryable error; the
-// caller's Abort then releases everything.
+// An SI writer that goes past MaxSnapshotAge after its writes fails at
+// commit with the retryable error; the caller's Abort then releases
+// everything.
 func TestMaxSnapshotAgeExpiresSIWriter(t *testing.T) {
 	cfg := mvccConfig()
-	cfg.MaxSnapshotAge = time.Nanosecond
+	cfg.MaxSnapshotAge = time.Hour
 	e := memEngine(t, cfg)
 	tbl, _ := e.CreateTable("t")
 	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("v0")) }); err != nil {
@@ -548,9 +555,7 @@ func TestMaxSnapshotAgeExpiresSIWriter(t *testing.T) {
 	if err := s.Update(tbl, 1, []byte("mine")); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.expireStaleSnapshots(); n != 1 {
-		t.Fatalf("expired %d pins, want 1", n)
-	}
+	backdate(s, 2*time.Hour)
 	if err := s.Commit(); !errors.Is(err, ErrSnapshotExpired) {
 		t.Fatalf("commit on expired snapshot: %v", err)
 	}
@@ -569,10 +574,14 @@ func TestMaxSnapshotAgeExpiresSIWriter(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if n := e.StatsSnapshot().Mvcc.SnapshotsExpired; n != 1 {
+		t.Fatalf("SnapshotsExpired = %d, want 1", n)
+	}
 }
 
-// The expiry check is sampled from the writer publish path: enough
-// version-installing commits trip it without any explicit call.
+// Writers sample a raise as they finish: enough version-installing
+// commits let the GC pass an overdue pin that is still open, with no
+// explicit call. The transaction counts as expired when it leaves.
 func TestMaxSnapshotAgeSampledFromWriters(t *testing.T) {
 	cfg := mvccConfig()
 	cfg.MaxSnapshotAge = time.Nanosecond
@@ -581,13 +590,19 @@ func TestMaxSnapshotAgeSampledFromWriters(t *testing.T) {
 	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("v0")) }); err != nil {
 		t.Fatal(err)
 	}
-	e.Begin(Intent{ReadOnly: true})
+	s := e.Begin(Intent{ReadOnly: true})
 	for i := 0; i < 2*expireEvery; i++ {
 		if err := e.Exec(func(tx *Txn) error { return tx.Update(tbl, 1, []byte{byte(i)}) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := e.StatsSnapshot().Mvcc; st.SnapshotsExpired == 0 {
-		t.Fatalf("sampled expiry never fired: %+v", st)
+	if st := e.StatsSnapshot().Mvcc; st.GCNodes == 0 || st.LiveNodes >= expireEvery {
+		t.Fatalf("the sampled raise never passed the overdue pin: %+v", st)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.StatsSnapshot().Mvcc.SnapshotsExpired; n != 1 {
+		t.Fatalf("SnapshotsExpired = %d, want 1", n)
 	}
 }

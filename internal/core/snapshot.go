@@ -62,61 +62,59 @@ func indexReadErr(err error, tbl *Table, key uint64) error {
 // the reader observed had installed its node before the reader's S
 // latch was granted — and the node outlives the writer (commit AND
 // abort stamp it in place rather than unlinking), so the check cannot
-// miss it.
-func (t *Txn) snapshotRead(tbl *Table, key uint64) ([]byte, error) {
-	if t.expired() {
-		// The MaxSnapshotAge expirer dropped this transaction's pin;
-		// its chains may already be swept, so reads must stop.
-		return nil, ErrSnapshotExpired
+// miss it — while the snapshot is not overdue: the read checks that
+// after it has read, when whatever pruned its chains would show
+// (Engine.pin).
+func (t *Txn) snapshotRead(tbl *Table, key uint64) (val []byte, err error) {
+	defer func() {
+		if t.expired() {
+			val, err = nil, ErrSnapshotExpired
+		}
+	}()
+	if testHookSnapshotRead != nil {
+		testHookSnapshotRead()
 	}
 	e := t.e
 	e.mvcc.snapReads.Inc()
 	// Bypass accounting: the locked path would have taken IS(table) +
 	// S(row).
 	e.locks.NoteBypass(2)
-	resolveChain := func() ([]byte, error, bool) {
-		val, blocked := e.mvcc.resolve(tbl.ID, key, t.snap, &t.clock)
-		if !blocked {
-			return nil, nil, false
-		}
-		e.mvcc.chainReads.Inc()
-		if val == nil {
-			return nil, notFound(tbl, key), true
-		}
-		return append([]byte(nil), rowValue(val)...), nil, true
-	}
+	// found stays false when the key is absent from the index (it never
+	// existed, or a newer transaction deleted it) or its row vanished
+	// between the index probe and the heap read (a concurrent delete or
+	// move): the chain decides, as it does on a page a versioned write
+	// touched.
+	var rec []byte
+	var epoch uint32
+	found := false
 	packed, err := tbl.Index.GetC(key, &t.clock)
-	if err != nil {
-		if !errors.Is(err, btree.ErrNotFound) {
-			return nil, indexReadErr(err, tbl, key)
-		}
-		// Absent from the index: either never existed, or a newer
-		// transaction deleted it — the chain decides.
-		if v, cerr, ok := resolveChain(); ok {
-			return v, cerr
-		}
-		return nil, notFound(tbl, key)
-	}
-	rec, epoch, err := tbl.Heap.ReadVersionedC(heap.Unpack(packed), &t.clock)
-	if err != nil {
-		if !errors.Is(err, heap.ErrNotFound) {
+	if err == nil {
+		rec, epoch, err = tbl.Heap.ReadVersionedC(heap.Unpack(packed), &t.clock)
+		if found = err == nil; !found && !errors.Is(err, heap.ErrNotFound) {
 			return nil, err
 		}
-		// The row vanished between index probe and heap read (deleted
-		// or moved by a concurrent writer); its chain has the snapshot
-		// view.
-		if v, cerr, ok := resolveChain(); ok {
-			return v, cerr
-		}
-		return nil, notFound(tbl, key)
+	} else if !errors.Is(err, btree.ErrNotFound) {
+		return nil, indexReadErr(err, tbl, key)
 	}
-	if epoch != 0 {
-		if v, cerr, ok := resolveChain(); ok {
-			return v, cerr
+	if !found || epoch != 0 {
+		if v, blocked := e.mvcc.resolve(tbl.ID, key, t.snap, &t.clock); blocked {
+			e.mvcc.chainReads.Inc()
+			if v == nil {
+				return nil, notFound(tbl, key)
+			}
+			return append([]byte(nil), rowValue(v)...), nil
 		}
+	}
+	if !found {
+		return nil, notFound(tbl, key)
 	}
 	return rowValue(rec), nil
 }
+
+// testHookSnapshotRead, when set, runs where a snapshot read has
+// begun and not yet read, and before applyWriteSet's validation: tests
+// use it to expire the snapshot in between.
+var testHookSnapshotRead func()
 
 // snapScanChunk bounds the rows a snapshot scan buffers per merge
 // round; it is a variable only so tests can shrink it to exercise
@@ -145,11 +143,9 @@ var snapScanChunk = 512
 // collect does not override them: any write that changed a walked row
 // after its read — including a now-rolled-back abort, whose nodes are
 // stamped in place rather than unlinked — still blocks the chain at
-// collect time.
+// collect time. An overdue snapshot's chains may be pruned, so each
+// chunk checks it after its collect, before it emits (Engine.pin).
 func (t *Txn) snapshotScan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte) bool) error {
-	if t.expired() {
-		return ErrSnapshotExpired
-	}
 	e := t.e
 	e.mvcc.snapReads.Inc()
 	e.locks.NoteBypass(1) // the locked path's table S lock
@@ -194,6 +190,9 @@ func (t *Txn) snapshotScan(tbl *Table, lo, hi uint64, fn func(key uint64, value 
 			spanHi = last
 		}
 		pre, extras := e.mvcc.collectRange(tbl.ID, cursor, spanHi, t.snap, &t.clock)
+		if t.expired() {
+			return ErrSnapshotExpired
+		}
 		if len(pre) > 0 {
 			e.mvcc.chainReads.Add(uint64(len(pre)))
 		}
@@ -212,16 +211,14 @@ func (t *Txn) snapshotScan(tbl *Table, lo, hi uint64, fn func(key uint64, value 
 			if ei < len(extras) && extras[ei] == r.key {
 				ei++ // emitted via the override below, not as an extra
 			}
+			rec := r.rec
 			if v, chained := pre[r.key]; chained {
 				if v == nil {
 					continue // created after the snapshot: invisible
 				}
-				if !fn(r.key, rowValue(v)) {
-					return nil
-				}
-				continue
+				rec = v
 			}
-			if !fn(r.key, rowValue(r.rec)) {
+			if !fn(r.key, rowValue(rec)) {
 				return nil
 			}
 		}

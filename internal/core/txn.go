@@ -72,7 +72,7 @@ type txnMode struct {
 // executor and back, but nothing runs two of its operations at once.
 // While it is in the engine's live registry (live.go), it holds a slot
 // there, where a checkpoint reads its first LSN and the GC's oldest-pin
-// recompute and the MaxSnapshotAge expirer its pin and begin stamp.
+// recompute its pin and begin stamp.
 //
 // Handles are recycled through a per-engine pool: Begin draws a
 // retired Txn (with its lock holder, undo slice, and encode scratch
@@ -101,10 +101,7 @@ type Txn struct {
 	verNodes []*verNode
 	// Snapshot-mode write buffering (see si.go): writes fold into
 	// writeSet and reach the heap only inside Commit, after
-	// first-committer-wins validation. The MaxSnapshotAge expirer marks
-	// the slot with the transaction's id (expired): the pin stops
-	// holding the watermark, and the transaction observes the mark on its
-	// next read or commit as ErrSnapshotExpired.
+	// first-committer-wins validation.
 	writeSet map[verKey]siWrite
 	siKeys   []verKey // insertion-ordered writeSet keys (scan overlay, commit sort scratch)
 	// clock accumulates the transaction's critical-path breakdown. It
@@ -326,12 +323,10 @@ func (t *Txn) finish(state txnState, lsn wal.LSN) {
 		clear(t.writeSet)
 	}
 	t.siKeys = t.siKeys[:0]
-	// Version-installing writers are when chains grow; sample the
-	// MaxSnapshotAge check here so a stuck pin is expired exactly when
-	// it is holding garbage live (and never from inside a latch
-	// critical section).
-	if t.verTxn != nil {
-		e.maybeExpireSnapshots()
+	// Chains grow with version-installing writers: one in expireEvery
+	// raises, passing pins past MaxSnapshotAge so their versions sweep.
+	if t.verTxn != nil && e.cfg.MaxSnapshotAge > 0 && e.mvcc.expireTick.Add(1)%expireEvery == 0 {
+		e.raise()
 	}
 	t.arenaReset()
 	t.absent = absentKey{}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // Enabled reports whether the assertions are compiled in.
@@ -20,10 +21,14 @@ var (
 	owned = map[any]string{}
 )
 
-// gid parses the calling goroutine's id out of the runtime.Stack
-// header ("goroutine N [...]"). Slow, which is fine: this file only
-// exists under the hydradebug tag.
+// gid returns the calling goroutine's id: a load from its runtime
+// record at goidOff where getg has a stub (gid_amd64.s), else parsed
+// out of the runtime.Stack header ("goroutine N [...]"), which costs
+// microseconds.
 func gid() uint64 {
+	if goidOff != 0 {
+		return *(*uint64)(unsafe.Add(getg(), goidOff))
+	}
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
 	var id uint64
@@ -34,6 +39,26 @@ func gid() uint64 {
 		id = id*10 + uint64(c-'0')
 	}
 	return id
+}
+
+// goidOff is where a goroutine's runtime record keeps its id: the first
+// offset, of its first 256 bytes, at which two fresh goroutines' records
+// hold the ids their stacks print. 0 when none does or getg has no stub.
+var goidOff uintptr
+
+func init() {
+	// holdsID reports whether a fresh goroutine's record holds, at
+	// off, the id gid parses out of its stack.
+	holdsID := func(off uintptr) bool {
+		ok := make(chan bool)
+		go func() { ok <- *(*uint64)(unsafe.Add(getg(), off)) == gid() }()
+		return <-ok
+	}
+	for off := uintptr(8); getg() != nil && off < 256 && goidOff == 0; off += 8 {
+		if holdsID(off) && holdsID(off) {
+			goidOff = off
+		}
+	}
 }
 
 // acquired records that the calling goroutine is taking a lock of

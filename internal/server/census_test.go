@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"hydra/internal/core"
-	"hydra/internal/invariant"
 	"hydra/internal/obs"
 	"hydra/internal/rng"
 	"hydra/internal/wal"
@@ -162,9 +161,6 @@ const warmupOps = 72
 // against the flushes and records it saw instead, as core's census
 // does: a tick flush is the flusher's, not an op's.
 func TestWireCensus(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("the latch-order checks parse a stack per lock: the loads take minutes, and no pinned count depends on them")
-	}
 	for _, w := range []censusWorkload{
 		{name: "get_hot", tables: []censusTable{{"kv", 20000}}, valueSize: 100, getPermille: 1000, frames: 4096, ops: 2000,
 			acquires: 2, records: 0, logPerUserByte: 0, lines: 1,
