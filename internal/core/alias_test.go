@@ -21,7 +21,7 @@ func TestWritesDoNotAliasCallerBuffer(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Scalable()
-			cfg.MVCC = tc.mvcc
+			tc.configure(&cfg)
 			e := memEngine(t, cfg)
 			tbl, _ := e.CreateTable("t")
 			if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("base")) }); err != nil {
@@ -86,7 +86,7 @@ func TestMissingKeyError(t *testing.T) {
 	for _, tc := range modeCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Scalable()
-			cfg.MVCC = tc.mvcc
+			tc.configure(&cfg)
 			e := memEngine(t, cfg)
 			tbl, _ := e.CreateTable("t")
 			tx := e.Begin(tc.open(t, e))

@@ -211,8 +211,9 @@ type Engine struct {
 	aborts  obs.Counter
 	// absentMemoHits counts inserts that skipped their duplicate probe
 	// (Txn.absent).
-	absentMemoHits obs.Counter
-	closed         atomic.Bool
+	absentMemoHits   obs.Counter
+	durableReadWaits obs.Counter // Txn.readsDurable's waits
+	closed           atomic.Bool
 
 	// live is the registry of live transactions (live.go): one joins at
 	// its snapshot pin or its first write, whichever comes first (join),
@@ -533,13 +534,16 @@ func (e *Engine) Close() error {
 
 // Stats aggregates subsystem counters, one metric group per member.
 type Stats struct {
-	Commits uint64       `json:"commits"`
-	Aborts  uint64       `json:"aborts"`
-	Lock    lock.Stats   `json:"lock"`
-	Log     wal.Stats    `json:"log"`
-	Buffer  buffer.Stats `json:"buffer"`
-	Mvcc    MvccStats    `json:"mvcc"`
-	Index   IndexStats   `json:"index"`
+	Commits uint64 `json:"commits"`
+	Aborts  uint64 `json:"aborts"`
+	// DurableReadWaits counts commits that logged nothing and waited
+	// for what they read to be durable (Txn.readsDurable).
+	DurableReadWaits uint64       `json:"durable_read_waits"`
+	Lock             lock.Stats   `json:"lock"`
+	Log              wal.Stats    `json:"log"`
+	Buffer           buffer.Stats `json:"buffer"`
+	Mvcc             MvccStats    `json:"mvcc"`
+	Index            IndexStats   `json:"index"`
 }
 
 // IndexStats is the index group: every table's index summed, and the
@@ -552,13 +556,14 @@ type IndexStats struct {
 // StatsSnapshot returns engine-wide counters.
 func (e *Engine) StatsSnapshot() Stats {
 	return Stats{
-		Commits: e.commits.Load(),
-		Aborts:  e.aborts.Load(),
-		Lock:    e.locks.StatsSnapshot(),
-		Log:     e.log.StatsSnapshot(),
-		Buffer:  e.pool.StatsSnapshot(),
-		Mvcc:    e.mvccStats(),
-		Index:   e.indexStats(),
+		Commits:          e.commits.Load(),
+		Aborts:           e.aborts.Load(),
+		DurableReadWaits: e.durableReadWaits.Load(),
+		Lock:             e.locks.StatsSnapshot(),
+		Log:              e.log.StatsSnapshot(),
+		Buffer:           e.pool.StatsSnapshot(),
+		Mvcc:             e.mvccStats(),
+		Index:            e.indexStats(),
 	}
 }
 

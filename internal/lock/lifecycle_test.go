@@ -52,41 +52,42 @@ func assertTablesEmpty(t *testing.T, m *Manager) {
 // admitted immediately — the holder never releases during the test,
 // so only the removal-path regrant can wake it.
 func TestWaiterRemovalRegrantsOnTimeout(t *testing.T) {
-	m := NewManager(Options{WaitTimeout: 300 * time.Millisecond})
-	h1, h2, h3 := m.NewHolder(1), m.NewHolder(2), m.NewHolder(3)
-	r := RowName(1, 1)
-	if err := h1.Acquire(r, S); err != nil {
-		t.Fatal(err)
-	}
-	xErr := make(chan error, 1)
-	go func() { xErr <- h2.Acquire(r, X) }()
-	waitQueueLen(t, m, r, 1)
-
-	// Stagger the S so its own timeout budget outlives the victim's by
-	// a wide margin: its grant must come from the regrant, not be a
-	// photo finish with its own timer.
-	time.Sleep(150 * time.Millisecond)
-	sErr := make(chan error, 1)
-	go func() { sErr <- h3.Acquire(r, S) }()
-	waitQueueLen(t, m, r, 2)
-
-	if err := <-xErr; !errors.Is(err, ErrTimeout) {
-		t.Fatalf("victim X: err = %v, want ErrTimeout", err)
-	}
-	select {
-	case err := <-sErr:
-		if err != nil {
-			t.Fatalf("compatible S behind the timed-out X: %v", err)
+	eachManager(t, Options{WaitTimeout: 300 * time.Millisecond}, func(t *testing.T, m *Manager) {
+		h1, h2, h3 := m.NewHolder(1), m.NewHolder(2), m.NewHolder(3)
+		r := RowName(1, 1)
+		if err := h1.Acquire(r, S); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("S behind the timed-out X never granted (regrant missing)")
-	}
-	if h1.Held(r) != S {
-		t.Fatal("holder's S was disturbed")
-	}
-	h1.ReleaseAll()
-	h3.ReleaseAll()
-	assertTablesEmpty(t, m)
+		xErr := make(chan error, 1)
+		go func() { xErr <- h2.Acquire(r, X) }()
+		waitQueueLen(t, m, r, 1)
+
+		// Stagger the S so its own timeout budget outlives the victim's by
+		// a wide margin: its grant must come from the regrant, not be a
+		// photo finish with its own timer.
+		time.Sleep(150 * time.Millisecond)
+		sErr := make(chan error, 1)
+		go func() { sErr <- h3.Acquire(r, S) }()
+		waitQueueLen(t, m, r, 2)
+
+		if err := <-xErr; !errors.Is(err, ErrTimeout) {
+			t.Fatalf("victim X: err = %v, want ErrTimeout", err)
+		}
+		select {
+		case err := <-sErr:
+			if err != nil {
+				t.Fatalf("compatible S behind the timed-out X: %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("S behind the timed-out X never granted (regrant missing)")
+		}
+		if h1.Held(r) != S {
+			t.Fatal("holder's S was disturbed")
+		}
+		h1.ReleaseAll()
+		h3.ReleaseAll()
+		assertTablesEmpty(t, m)
+	})
 }
 
 // TestWaiterRemovalRegrantsOnDeadlock is the deadlock variant: the
@@ -97,61 +98,63 @@ func TestWaiterRemovalRegrantsOnTimeout(t *testing.T) {
 // cycle DFS must visit, parking the victim between its enqueue and
 // its removal.
 func TestWaiterRemovalRegrantsOnDeadlock(t *testing.T) {
-	m := NewManager(Options{}) // no timeout: only the deadlock path may remove
-	r, r2 := RowName(1, 1), RowName(1, 2)
-	t1 := uint64(1)
-	t2 := uint64(2)
-	for wfIdx(t2) == wfIdx(t1) {
-		t2++
-	}
-	h1, h2, h3 := m.NewHolder(t1), m.NewHolder(t2), m.NewHolder(t2+1)
-
-	if err := h2.Acquire(r2, X); err != nil {
-		t.Fatal(err)
-	}
-	if err := h1.Acquire(r, S); err != nil {
-		t.Fatal(err)
-	}
-	// t1 blocks on r2, installing the t1 -> t2 half of the cycle.
-	t1Err := make(chan error, 1)
-	go func() { t1Err <- h1.Acquire(r2, X) }()
-	waitQueueLen(t, m, r2, 1)
-
-	// Park the victim's upcoming DFS: discovering the cycle requires
-	// reading t1's out-edges, which live in the stripe we now hold.
-	st := &m.wf[wfIdx(t1)]
-	st.mu.Lock()
-	t2Err := make(chan error, 1)
-	go func() { t2Err <- h2.Acquire(r, X) }()
-	waitQueueLen(t, m, r, 1)
-	t3Err := make(chan error, 1)
-	go func() { t3Err <- h3.Acquire(r, S) }()
-	waitQueueLen(t, m, r, 2)
-	st.mu.Unlock()
-
-	if err := <-t2Err; !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("victim X: err = %v, want ErrDeadlock", err)
-	}
-	select {
-	case err := <-t3Err:
-		if err != nil {
-			t.Fatalf("compatible S behind the deadlock victim: %v", err)
+	eachManager(t, Options{}, func(t *testing.T, m *Manager) {
+		// No timeout: only the deadlock path may remove.
+		r, r2 := RowName(1, 1), RowName(1, 2)
+		t1 := uint64(1)
+		t2 := uint64(2)
+		for wfIdx(t2) == wfIdx(t1) {
+			t2++
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("S behind the deadlock victim never granted (regrant missing)")
-	}
-	if got := m.StatsSnapshot().Deadlocks; got != 1 {
-		t.Fatalf("deadlocks = %d, want 1", got)
-	}
+		h1, h2, h3 := m.NewHolder(t1), m.NewHolder(t2), m.NewHolder(t2+1)
 
-	// Victim aborts: its release unblocks t1's wait on r2.
-	h2.ReleaseAll()
-	if err := <-t1Err; err != nil {
-		t.Fatal(err)
-	}
-	h1.ReleaseAll()
-	h3.ReleaseAll()
-	assertTablesEmpty(t, m)
+		if err := h2.Acquire(r2, X); err != nil {
+			t.Fatal(err)
+		}
+		if err := h1.Acquire(r, S); err != nil {
+			t.Fatal(err)
+		}
+		// t1 blocks on r2, installing the t1 -> t2 half of the cycle.
+		t1Err := make(chan error, 1)
+		go func() { t1Err <- h1.Acquire(r2, X) }()
+		waitQueueLen(t, m, r2, 1)
+
+		// Park the victim's upcoming DFS: discovering the cycle requires
+		// reading t1's out-edges, which live in the stripe we now hold.
+		st := &m.wf[wfIdx(t1)]
+		st.mu.Lock()
+		t2Err := make(chan error, 1)
+		go func() { t2Err <- h2.Acquire(r, X) }()
+		waitQueueLen(t, m, r, 1)
+		t3Err := make(chan error, 1)
+		go func() { t3Err <- h3.Acquire(r, S) }()
+		waitQueueLen(t, m, r, 2)
+		st.mu.Unlock()
+
+		if err := <-t2Err; !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("victim X: err = %v, want ErrDeadlock", err)
+		}
+		select {
+		case err := <-t3Err:
+			if err != nil {
+				t.Fatalf("compatible S behind the deadlock victim: %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("S behind the deadlock victim never granted (regrant missing)")
+		}
+		if got := m.StatsSnapshot().Deadlocks; got != 1 {
+			t.Fatalf("deadlocks = %d, want 1", got)
+		}
+
+		// Victim aborts: its release unblocks t1's wait on r2.
+		h2.ReleaseAll()
+		if err := <-t1Err; err != nil {
+			t.Fatal(err)
+		}
+		h1.ReleaseAll()
+		h3.ReleaseAll()
+		assertTablesEmpty(t, m)
+	})
 }
 
 // TestRetiredHeadRecyclesClean pins the recycle protocol: a retired

@@ -51,33 +51,44 @@ func (m *Manager) NewAgent() *Agent {
 // releases the kept locks first.
 func (a *Agent) Begin(c *obs.PhaseClock) {
 	a.h.gen.Add(1) // before the flag is read: see Manager.holderNode
+	a.h.dep = 0
 	if a.reclaim.Swap(false) {
 		a.h.ReleaseAll()
 	}
 	a.h.SetClock(c)
 }
 
+// Dep returns what the running transaction's reads may depend on
+// (Holder.Dep).
+func (a *Agent) Dep() uint64 { return a.h.dep }
+
 // Acquire obtains name in mode for the running transaction, in the
 // agent's name; Holder.Acquire states the blocking and error contract.
 func (a *Agent) Acquire(name Name, mode Mode) error { return a.h.Acquire(name, mode) }
 
-// Commit ends the running transaction: it releases everything but the
-// table IS and IX entries, which stay without touching the table, or
-// everything if a reclaim is flagged.
-func (a *Agent) Commit() {
+// Commit ends the running transaction, whose durability target under
+// early lock release is mark (Holder.ReleaseCommitted; 0 otherwise): it
+// releases everything but the table IS and IX entries, which stay
+// without touching the table, or everything if a reclaim is flagged. A
+// kept count cannot be named to flag a reclaim (Manager.holderNode), so
+// one whose table's head bit is set — someone there drains the counts —
+// goes too.
+func (a *Agent) Commit(mark uint64) {
 	h := a.h
 	if a.reclaim.Swap(false) {
-		h.ReleaseAll()
+		h.ReleaseCommitted(mark)
 		return
 	}
 	h.m.stats.releaseAll.Add(1)
 	names, modes := h.take()
 	for i, name := range names {
-		if mode := modes[i]; name.Level == LevelTable && (mode == IS || mode == IX) {
+		mode := modes[i]
+		if md := mode &^ counted; name.Level == LevelTable && (md == IS || md == IX) &&
+			(mode == md || h.m.word(name).Load()&headBit == 0) {
 			h.held[name] = mode
 			continue
 		}
-		h.m.releaseOne(h.id, name)
+		h.release(name, mode, mark)
 	}
 }
 

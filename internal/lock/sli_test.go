@@ -14,7 +14,7 @@ func keep(t *testing.T, a *Agent, tbl Name, mode Mode) {
 	if err := a.Acquire(tbl, mode); err != nil {
 		t.Fatal(err)
 	}
-	a.Commit()
+	a.Commit(0)
 	if got := a.h.Held(tbl); got != mode {
 		t.Fatalf("agent keeps %v on %s after commit, want %v", got, tbl, mode)
 	}
@@ -38,7 +38,7 @@ func TestSLIInheritsHotIntentLocks(t *testing.T) {
 	if err := a.Acquire(RowName(5, 1), X); err != nil {
 		t.Fatal(err)
 	}
-	a.Commit()
+	a.Commit(0)
 	if a.h.Held(tbl) != IX || a.h.Held(RowName(5, 1)) != None {
 		t.Fatalf("after commit: table %v, row %v; want IX kept and the row released", a.h.Held(tbl), a.h.Held(RowName(5, 1)))
 	}
@@ -56,7 +56,7 @@ func TestSLIInheritsHotIntentLocks(t *testing.T) {
 		if err := a.Acquire(tbl, IX); err != nil {
 			t.Fatal(err)
 		}
-		a.Commit()
+		a.Commit(0)
 	}
 	after := m.StatsSnapshot()
 	if covered := (after.Acquires - before.Acquires) - (after.TableOps - before.TableOps); covered != 10 {
@@ -112,7 +112,7 @@ func TestSLIReclaimOnConflict(t *testing.T) {
 	if a.h.Held(tbl) != None {
 		t.Fatal("kept IX survived the reclaim")
 	}
-	a.Commit()
+	a.Commit(0)
 	other.ReleaseAll()
 }
 
@@ -128,7 +128,7 @@ func TestSLIDoesNotInheritRowOrExclusive(t *testing.T) {
 	if err := a.Acquire(tbl, S); err != nil { // S is not an intent mode
 		t.Fatal(err)
 	}
-	a.Commit()
+	a.Commit(0)
 	if a.h.Held(row) != None || a.h.Held(tbl) != None {
 		t.Fatalf("agent keeps row %v, table %v; want neither", a.h.Held(row), a.h.Held(tbl))
 	}
@@ -179,7 +179,7 @@ func TestSLIInheritedHitNotesHolder(t *testing.T) {
 	if got := tableOps(m); got != ops {
 		t.Fatalf("covered requests visited the table %d times", got-ops)
 	}
-	a.Commit()
+	a.Commit(0)
 	if got := a.h.Held(tbl); got != IX {
 		t.Fatalf("Held after commit = %v, want IX", got)
 	}
@@ -233,7 +233,7 @@ func TestSLITransactionDoesNotWaitOnItsOwnAgent(t *testing.T) {
 	if got := m.StatsSnapshot().Waits; got != waits {
 		t.Fatalf("the transaction waited %d times beside its own agent", got-waits)
 	}
-	a1.Commit()
+	a1.Commit(0)
 	if a1.h.Held(tbl) != None {
 		t.Fatal("the agent kept a table X")
 	}
@@ -253,7 +253,7 @@ func TestSLITransactionDoesNotWaitOnItsOwnAgent(t *testing.T) {
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
-	a1.Commit()
+	a1.Commit(0)
 }
 
 // Two agents' transactions that each hold a row the other asks for are
@@ -288,7 +288,7 @@ func TestSLIAgentsDeadlockOnRows(t *testing.T) {
 	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
-	a1.Commit()
+	a1.Commit(0)
 	if st := m.StatsSnapshot(); st.Deadlocks != 1 || st.Timeouts != 0 {
 		t.Fatalf("deadlocks %d, timeouts %d; want 1, 0", st.Deadlocks, st.Timeouts)
 	}
@@ -313,7 +313,7 @@ func TestSLIRowWaitKeepsIntents(t *testing.T) {
 	got := make(chan error, 1)
 	go func() { got <- other.Acquire(row, X) }()
 	waitQueueLen(t, m, row, 1)
-	a.Commit()
+	a.Commit(0)
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestSLIRowWaitKeepsIntents(t *testing.T) {
 	if a.h.Held(tbl) != IX || tableOps(m) != ops {
 		t.Fatal("a row wait made the agent drop its kept IX")
 	}
-	a.Commit()
+	a.Commit(0)
 }
 
 // A waits-for edge left by a waiter that outlasts the agent transaction
@@ -354,7 +354,7 @@ func TestSLIStaleEdgeIsNotACycle(t *testing.T) {
 	go func() { bGot <- b.Acquire(r, X) }()
 	waitQueueLen(t, m, r, 2)
 	time.Sleep(5 * time.Millisecond) // past B's edge building
-	a.Commit()
+	a.Commit(0)
 	if err := <-cGot; err != nil {
 		t.Fatal(err)
 	}
@@ -376,9 +376,67 @@ func TestSLIStaleEdgeIsNotACycle(t *testing.T) {
 	if err := <-aGot; err != nil {
 		t.Fatal(err)
 	}
-	a.Commit()
+	a.Commit(0)
 	if d := m.StatsSnapshot().Deadlocks; d != 0 {
 		t.Fatalf("%d deadlocks, want 0", d)
 	}
 	assertTablesEmpty(t, m)
+}
+
+// Under the scalable manager an agent keeps its intent as a count on
+// the table's word, which no waiter can name to flag the agent. A Scan
+// that queues sets the word's head bit instead, and the agent's next
+// commit finds it and drops the count rather than keep it — whether
+// the Scan queued while the agent's transaction ran or while the agent
+// was idle.
+func TestSLIKeptCountYieldsToAHead(t *testing.T) {
+	m := NewManager(Options{Partitions: 16, WaitTimeout: 2 * time.Second})
+	tbl := TableName(7)
+	a := m.NewAgent()
+	defer a.Close()
+	keep(t, a, tbl, IX)
+	if a.h.held[tbl] != IX|counted {
+		t.Fatalf("kept %v, want a counted IX", a.h.held[tbl])
+	}
+	scan := func() chan error {
+		got := make(chan error, 1)
+		go func() {
+			h := m.NewHolder(500)
+			err := h.Acquire(tbl, S)
+			h.ReleaseAll()
+			got <- err
+		}()
+		waitQueueLen(t, m, tbl, 1)
+		return got
+	}
+
+	// Queued while a transaction ran: it keeps its count to its end.
+	a.Begin(nil)
+	got := scan()
+	if err := a.Acquire(RowName(7, 1), X); err != nil {
+		t.Fatal(err)
+	}
+	a.Commit(0)
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	if a.h.Held(tbl) != None {
+		t.Fatal("the agent kept its count past a commit that found the head bit set")
+	}
+
+	// Queued while the agent was idle: its next transaction runs on
+	// the kept count, and its commit gives it up.
+	keep(t, a, tbl, IX)
+	got = scan()
+	a.Begin(nil)
+	if err := a.Acquire(tbl, IX); err != nil { // covered by the kept count
+		t.Fatal(err)
+	}
+	a.Commit(0)
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	if a.h.Held(tbl) != None {
+		t.Fatal("a commit kept a count the head drains")
+	}
 }

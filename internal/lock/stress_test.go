@@ -10,12 +10,13 @@ import (
 )
 
 // TestManagerConcurrentStress drives every public entry point of the
-// manager — holder acquisition, SLI agents with kept intents and
-// reclaim, escalation, and ReleaseAll — from many goroutines at once,
-// each with its one holder or agent. Meant for -race: the striped
-// waits-for graph, the lock-head freelist and the agents' reclaim
-// flags and transaction serials all see cross-goroutine traffic here,
-// agents' grants outlive their transactions, and a holder touched by a
+// manager — holder acquisition, counted and granted table intents, SLI
+// agents with kept intents and reclaim, escalation, and ReleaseAll —
+// from many goroutines at once, each with its one holder or agent.
+// Meant for -race: the striped waits-for graph, the lock heads' spare
+// lists, the tables' intent words and the agents' reclaim flags and
+// transaction serials all see cross-goroutine traffic here, agents'
+// kept counts outlive their transactions, and a holder touched by a
 // second goroutine would show up as a race.
 func TestManagerConcurrentStress(t *testing.T) {
 	if testing.Short() {
@@ -62,7 +63,7 @@ func TestManagerConcurrentStress(t *testing.T) {
 					case agent == nil:
 						h.ReleaseAll()
 					case ok:
-						agent.Commit()
+						agent.Commit(0)
 					default:
 						agent.Abort()
 					}
@@ -116,7 +117,7 @@ func TestManagerConcurrentStress(t *testing.T) {
 	}
 
 	// Everything must be released, the closed agents' kept intents
-	// too: a fresh transaction can take X on every table.
+	// and every count too: a fresh transaction can take X on every table.
 	h := m.NewHolder(1)
 	for table := uint32(1); table <= tables+workers; table++ {
 		if err := h.Acquire(TableName(table), X); err != nil {
