@@ -172,13 +172,19 @@ func (vt *verTable) shard(k verKey) *verShard {
 // advanceFloor moves the snapshot floor up to the log's filled
 // frontier less one, and returns that value: every record below
 // FilledLSN has stamped its nodes, and a record that starts exactly at
-// it may be stamped but not yet filled. A fresh log (FilledLSN 0) gives
-// 0. The floor is an atomic max, so a stale frontier never moves it
-// back.
+// it may be stamped but not yet filled. Under SyncCommit the frontier
+// is the durable one, which never passes the filled one, so a snapshot
+// holds only commits a crash keeps and its reads wait for no flush
+// (Txn.readsDurable). A fresh log (frontier 0) gives 0. The floor is
+// an atomic max, so a stale frontier never moves it back.
 func (e *Engine) advanceFloor() uint64 {
+	f := e.log.FilledLSN()
+	if e.cfg.SyncCommit {
+		f = e.log.FlushedLSN()
+	}
 	var s uint64
-	if f := uint64(e.log.FilledLSN()); f > 0 {
-		s = f - 1
+	if f > 0 {
+		s = uint64(f) - 1
 	}
 	fl := &e.mvcc.snapFloor
 	for cur := fl.Load(); cur < s && !fl.CompareAndSwap(cur, s); cur = fl.Load() {
@@ -289,10 +295,10 @@ func (e *Engine) pin(t *Txn) {
 }
 
 // leave releases t's slot and, on an MVCC engine, advances the floor to
-// the filled frontier — past the outcome record t appended once the log
-// before it has filled, which a commit's flush wait already ensured — so
-// writers keep GC moving. A snapshot transaction that leaves overdue
-// counts as expired; it then raises oldestSnap when oldestSnap may be
+// the log's frontier — past the outcome record t appended once the log
+// before it has filled (under SyncCommit, flushed), which a commit's
+// flush wait already ensured — so writers keep GC moving. A snapshot
+// transaction that leaves overdue counts as expired; it then raises oldestSnap when oldestSnap may be
 // one of its own pins (it lies at or above the first one it tried) or a
 // raise is in flight whose walk may have read its pin: either way no
 // later raise would be left to correct it.
@@ -517,8 +523,9 @@ const expireEvery = 64
 
 // retireAborted prunes the chains an aborted transaction touched.
 // Called from finish after leave: the end record stamped the nodes and
-// leave moved the floor to the filled frontier, past the end record
-// unless an earlier record is still being copied in. So with no
+// leave moved the floor to the log's frontier, past the end record
+// unless an earlier record is still being copied in (under SyncCommit
+// finish waited for the end record's flush first). So with no
 // snapshot pinned the aborted nodes — and any dead tail below them — go
 // at once; with an older snapshot pinned they stay, blocking its
 // readers onto the restored before-images, until sweep or a later
