@@ -60,7 +60,7 @@ func TestWritesDoNotAliasCallerBuffer(t *testing.T) {
 					}
 				}
 				return nil
-			}, tc.open(t, e)); err != nil {
+			}, tc.intent); err != nil {
 				t.Fatal(err)
 			}
 			if err := e.Exec(func(tx *Txn) error {
@@ -89,7 +89,7 @@ func TestMissingKeyError(t *testing.T) {
 			tc.configure(&cfg)
 			e := memEngine(t, cfg)
 			tbl, _ := e.CreateTable("t")
-			tx := e.Begin(tc.open(t, e))
+			tx := e.Begin(tc.intent)
 			defer tx.Abort()
 			check := func(what string, err error) {
 				t.Helper()

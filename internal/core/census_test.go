@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"hydra/internal/lock"
 	"hydra/internal/obs"
 	"hydra/internal/wal"
 )
@@ -78,11 +77,8 @@ func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 // knocks the constructs out to: one tree-lock entry an operation (its
 // Coarse index), one frame latch (the heap page's; a Coarse index takes
 // none), and lock_part 4: its one partition grants the intent at the
-// table's head. The agent rows run the update and the locked GET
-// through one SLI agent, which keeps the table's intent count between
-// transactions: lock_part 2 as well, without the count's two atomics.
-// The lock-tier registry is process-global, so the test must not run in
-// parallel with others.
+// table's head. The lock-tier registry is process-global, so the test
+// must not run in parallel with others.
 func TestAutocommitCriticalSections(t *testing.T) {
 	read := map[string]float64{"frame_latch": 2.94, "lock_part": 2, "pool_shard": 5.88}
 	update := with(read, map[string]float64{"wal_device": 2, "wal_log": 2})
@@ -110,8 +106,6 @@ func TestAutocommitCriticalSections(t *testing.T) {
 			"frame_latch": 5.88, "mvcc_shard": 4, "pool_shard": 11.76})},
 		{"Conventional update", Conventional, false, Intent{}, true, with(update, coarse)},
 		{"Conventional locked GET", Conventional, false, Intent{}, false, with(read, coarse)},
-		{"agent update", Scalable, false, Intent{Agent: new(lock.Agent)}, true, update},
-		{"agent locked GET", Scalable, false, Intent{Agent: new(lock.Agent)}, false, read},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg()
@@ -133,8 +127,7 @@ func with(m, over map[string]float64) map[string]float64 {
 
 // criticalSections loads 1000 rows into a fresh engine and returns the
 // ranked-lock entries per autocommit transaction of one primary-key
-// update (write) or GET, begun with intent; an intent with an Agent
-// gets a live agent of the engine in its place. One transaction runs
+// update (write) or GET, begun with intent. One transaction runs
 // before the window: under -mvcc the load leaves a chain per row, and
 // the first SI commit's sweep visits every shard to prune them.
 func criticalSections(t *testing.T, cfg Config, intent Intent, write bool) map[string]float64 {
@@ -143,10 +136,6 @@ func criticalSections(t *testing.T, cfg Config, intent Intent, write bool) map[s
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if intent.Agent != nil {
-		intent.Agent = e.Locks().NewAgent()
-		defer intent.Agent.Close()
-	}
 	tbl, err := e.CreateTable("t")
 	if err != nil {
 		t.Fatal(err)

@@ -622,34 +622,6 @@ func TestFileBackedEngine(t *testing.T) {
 	})
 }
 
-func TestSLIAgentTransactions(t *testing.T) {
-	cfg := Scalable()
-	e := memEngine(t, cfg)
-	tbl, _ := e.CreateTable("t")
-	agent := e.Locks().NewAgent()
-	for i := uint64(0); i < 20; i++ {
-		tx := e.Begin(Intent{Agent: agent})
-		if err := tx.Insert(tbl, i, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A retiring agent must surrender its inherited locks; otherwise a
-	// table-S requester would wait for the agent's next transaction
-	// boundary (which never comes).
-	agent.Close()
-	e.Exec(func(tx *Txn) error {
-		n := 0
-		tx.Scan(tbl, 0, ^uint64(0), func(uint64, []byte) bool { n++; return true })
-		if n != 20 {
-			t.Fatalf("scan found %d", n)
-		}
-		return nil
-	})
-}
-
 func TestEngineClosedRejectsWork(t *testing.T) {
 	e, err := Open(Conventional())
 	if err != nil {

@@ -212,7 +212,7 @@ type Engine struct {
 	// absentMemoHits counts inserts that skipped their duplicate probe
 	// (Txn.absent).
 	absentMemoHits   obs.Counter
-	durableReadWaits obs.Counter // Txn.readsDurable's waits
+	durableReadWaits obs.Counter // Engine.WaitReadsDurable's waits
 	closed           atomic.Bool
 
 	// live is the registry of live transactions (live.go): one joins at
@@ -537,7 +537,7 @@ type Stats struct {
 	Commits uint64 `json:"commits"`
 	Aborts  uint64 `json:"aborts"`
 	// DurableReadWaits counts commits that logged nothing and waited
-	// for what they read to be durable (Txn.readsDurable).
+	// for what they read to be durable (Engine.WaitReadsDurable).
 	DurableReadWaits uint64       `json:"durable_read_waits"`
 	Lock             lock.Stats   `json:"lock"`
 	Log              wal.Stats    `json:"log"`
@@ -575,7 +575,7 @@ func (e *Engine) indexStats() IndexStats {
 	return st
 }
 
-// Locks exposes the lock manager (SLI agents, experiments).
+// Locks exposes the lock manager (the server's lock surfaces, tools).
 func (e *Engine) Locks() *lock.Manager { return e.locks }
 
 // Log exposes the log manager (experiments and tools).

@@ -16,9 +16,8 @@ import (
 // transactions of every size trade row locks for table locks and are
 // refused: eight workers run transactions of 1 to 200 operations over
 // two tables under every Intent that takes locks (plain 2PL, read-only
-// IS/S, optimistic without MVCC — 2PL again — and an SLI agent), and
-// every operation is checked against a table the test keeps beside the
-// engine: who has written each key and not yet finished, and the value
+// IS/S, and optimistic without MVCC — 2PL again), and every operation
+// is checked against a table the test keeps beside the engine: who has written each key and not yet finished, and the value
 // last committed under it. No two live transactions may both have
 // written a key, and no read may return anything but the committed
 // value (or the reader's own write) — whether the lock that protects
@@ -68,11 +67,9 @@ func TestIsolationHoldsAcrossEscalation(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rng.New(uint64(w)*6151 + 29)
-			agent := e.Locks().NewAgent()
-			defer agent.Close()
 			value := make([]byte, 8)
 			for i := 0; i < txns; i++ {
-				intent := []Intent{{}, {ReadOnly: true}, {Optimistic: true}, {Agent: agent}}[r.Intn(4)]
+				intent := []Intent{{}, {ReadOnly: true}, {Optimistic: true}}[r.Intn(3)]
 				start := time.Now()
 				tx := e.Begin(intent)
 				me := tx.ID()
@@ -127,11 +124,6 @@ func TestIsolationHoldsAcrossEscalation(t *testing.T) {
 				} else if err := tx.Commit(); err != nil {
 					t.Errorf("worker %d txn %d: commit: %v", w, i, err)
 					return
-				}
-				// An agent keeps hot intent locks between transactions,
-				// and while it does nobody escalates on those tables.
-				if r.Bool(0.5) {
-					agent.ReleaseInherited()
 				}
 				// Think for a few transactions' worth of time, however
 				// fast the host: two workers or so are busy at a time,

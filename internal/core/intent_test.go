@@ -74,22 +74,10 @@ type modeCase struct {
 	name   string
 	mvcc   bool
 	intent Intent
-	agent  bool        // the test adds an SLI agent to intent
 	head   bool        // one lock partition: table intents are grants at the head
 	path   obs.TxnPath // phase-profile tag of the mechanism chosen
 	snap   bool        // pins a snapshot (lock-free reads)
 	locks  bool        // reads and writes go through the lock manager
-}
-
-// open returns the case's Intent for e, with a live agent when the
-// case wants one.
-func (tc modeCase) open(t *testing.T, e *Engine) Intent {
-	in := tc.intent
-	if tc.agent {
-		in.Agent = e.Locks().NewAgent()
-		t.Cleanup(in.Agent.Close)
-	}
-	return in
 }
 
 // configure sets the case's MVCC and lock partitions on cfg.
@@ -116,7 +104,6 @@ func modeCases() []modeCase {
 				path: snapPath(obs.PathROSnap), snap: mvcc, locks: !mvcc},
 			modeCase{name: "optimistic" + sfx, mvcc: mvcc, intent: Intent{Optimistic: true},
 				path: snapPath(obs.PathSIWrite), snap: mvcc, locks: !mvcc},
-			modeCase{name: "agent" + sfx, mvcc: mvcc, agent: true, path: obs.PathConv, locks: true},
 			modeCase{name: "head" + sfx, mvcc: mvcc, head: true, path: obs.PathConv, locks: true},
 			modeCase{name: "owned" + sfx, mvcc: mvcc, intent: Intent{Owned: obs.PathDoraSingle},
 				path: obs.PathDoraSingle},
@@ -152,7 +139,6 @@ func TestIntentModes(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			intent := tc.open(t, e)
 			value := func(key uint64) string {
 				var v []byte
 				err := e.Exec(func(tx *Txn) (err error) { v, err = tx.Read(tbl, key); return })
@@ -180,7 +166,7 @@ func TestIntentModes(t *testing.T) {
 							what, tx.path, tx.mode.snapshot, tx.SnapshotLSN(), tc.path, tc.snap)
 					}
 					return fn(tx)
-				}, intent)
+				}, tc.intent)
 				if !errors.Is(err, wantErr) {
 					t.Fatalf("%s: Exec = %v, want %v", what, err, wantErr)
 				}
@@ -224,7 +210,7 @@ func TestIntentModes(t *testing.T) {
 				return rows, err
 			}
 
-			if intent.ReadOnly {
+			if tc.intent.ReadOnly {
 				// The intent, not the mechanism, refuses writes: the
 				// snapshot and the IS/S fallback behave alike.
 				step("read-only refuses writes", nil, 1, 0, 0, func(tx *Txn) error {
@@ -281,7 +267,7 @@ func TestIntentModes(t *testing.T) {
 			attempts := 0
 			step("deadlock victim", nil, 1, 1, 1, func(tx *Txn) error {
 				if attempts++; attempts == 1 {
-					if !intent.ReadOnly {
+					if !tc.intent.ReadOnly {
 						if err := tx.Update(tbl, 2, []byte("victim")); err != nil {
 							return err
 						}
@@ -295,7 +281,7 @@ func TestIntentModes(t *testing.T) {
 				t.Errorf("first retry slept as attempt %d", sleeps[0])
 			}
 			step("error aborts", errBoom, 0, 1, 0, func(tx *Txn) error {
-				if !intent.ReadOnly {
+				if !tc.intent.ReadOnly {
 					if err := tx.Update(tbl, 2, []byte("doomed")); err != nil {
 						return err
 					}
@@ -339,7 +325,7 @@ func TestFailedCommitLeavesTxnActive(t *testing.T) {
 			if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("base")) }); err != nil {
 				t.Fatal(err)
 			}
-			tx := e.Begin(tc.open(t, e))
+			tx := e.Begin(tc.intent)
 			if err := tx.Update(tbl, 1, []byte("lost")); err != nil {
 				t.Fatal(err)
 			}

@@ -175,8 +175,8 @@ func (vt *verTable) shard(k verKey) *verShard {
 // it may be stamped but not yet filled. Under SyncCommit the frontier
 // is the durable one, which never passes the filled one, so a snapshot
 // holds only commits a crash keeps and its reads wait for no flush
-// (Txn.readsDurable). A fresh log (frontier 0) gives 0. The floor is
-// an atomic max, so a stale frontier never moves it back.
+// (Engine.WaitReadsDurable). A fresh log (frontier 0) gives 0. The
+// floor is an atomic max, so a stale frontier never moves it back.
 func (e *Engine) advanceFloor() uint64 {
 	f := e.log.FilledLSN()
 	if e.cfg.SyncCommit {

@@ -10,10 +10,10 @@ import (
 )
 
 // TestConcurrentCommitAbortStress hammers the whole commit pipeline —
-// Begin, logging, group-commit waits, lock ReleaseAll, SLI inheritance
-// and lock escalation — from many goroutines at once. It exists to be
-// run under -race: the pooled Txn handles, caller-owned lock holders
-// and keyed flush waiters all cross goroutines here.
+// Begin, logging, group-commit waits, lock ReleaseAll and lock
+// escalation — from many goroutines at once. It exists to be run under
+// -race: the pooled Txn handles, caller-owned lock holders and keyed
+// flush waiters all cross goroutines here.
 func TestConcurrentCommitAbortStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -58,22 +58,9 @@ func TestConcurrentCommitAbortStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rng.New(uint64(w)*7919 + 13)
-			// Odd workers run their transactions through an SLI agent,
-			// even workers release straight to the lock table, so both
-			// ReleaseAll paths run concurrently.
-			var agent *lock.Agent
-			if w%2 == 1 {
-				agent = e.Locks().NewAgent()
-				defer agent.Close()
-			}
 			base := uint64(w+1) << 32
 			for i := 0; i < iters; i++ {
-				var tx *Txn
-				if agent != nil {
-					tx = e.Begin(Intent{Agent: agent})
-				} else {
-					tx = e.Begin()
-				}
+				tx := e.Begin()
 				failed := false
 				step := func(err error) {
 					if err == nil || failed {

@@ -40,13 +40,10 @@ const (
 //	Owned       no locks: the caller owns the data, either way
 //
 // ReadOnly refuses writes with ErrReadOnlyTxn whichever mechanism
-// serves it. Agent takes whatever lock traffic remains in an SLI agent's
-// name instead of the transaction's own (one agent per worker
-// goroutine): the agent owns the grants and keeps the table intents.
+// serves it.
 type Intent struct {
 	ReadOnly   bool
 	Optimistic bool
-	Agent      *lock.Agent
 	// Owned, when non-zero, declares that the caller guarantees
 	// isolation by construction (DORA: each datum is accessed only while
 	// its partition's executor is held — by that executor, or by a
@@ -246,9 +243,6 @@ func (e *Engine) Begin(opts ...Intent) *Txn {
 	if len(opts) == 1 {
 		t.mode.Intent = opts[0]
 		t.mode.snapshot = e.cfg.MVCC && t.mode.Owned == 0 && (t.mode.ReadOnly || t.mode.Optimistic)
-		if a := t.mode.Agent; a != nil {
-			a.Begin(&t.clock)
-		}
 	}
 	t.lastLSN = wal.NilLSN
 	t.snap = 0
@@ -349,7 +343,7 @@ func (t *Txn) finish(state txnState, lsn wal.LSN) {
 // MUST be released on every path, or the lock table and the GC
 // watermark stay held for the life of the process.
 func (t *Txn) retire(state txnState) {
-	t.releaseLocks(state == txnAborted, 0)
+	t.locks.ReleaseAll()
 	t.finish(state, wal.NilLSN)
 }
 
@@ -365,9 +359,6 @@ func (t *Txn) Clock() *obs.PhaseClock { return &t.clock }
 func (t *Txn) acquire(name lock.Name, mode lock.Mode) error {
 	if t.mode.Owned != 0 {
 		return nil
-	}
-	if t.mode.Agent != nil {
-		return t.mode.Agent.Acquire(name, mode)
 	}
 	return t.locks.Acquire(name, mode)
 }
@@ -708,7 +699,7 @@ func (t *Txn) CommitAsync() (wal.LSN, error) {
 		}
 	}
 	if !t.logged() {
-		if err := t.readsDurable(); err != nil {
+		if err := t.e.WaitReadsDurable(t.locks.Dep(), &t.clock); err != nil {
 			return wal.NilLSN, err
 		}
 		t.retire(txnCommitted)
@@ -726,7 +717,7 @@ func (t *Txn) CommitAsync() (wal.LSN, error) {
 		e.mvcc.siCommits.Inc()
 	}
 	if e.cfg.ELR {
-		t.releaseLocks(false, uint64(commitLSN)+1) // see readsDurable
+		t.locks.ReleaseCommitted(uint64(commitLSN) + 1) // see WaitReadsDurable
 	}
 	return commitLSN, nil
 }
@@ -745,7 +736,7 @@ func (t *Txn) CommitWait(commitLSN wal.LSN) error {
 		}
 	}
 	if !e.cfg.ELR {
-		t.releaseLocks(false, 0)
+		t.locks.ReleaseAll()
 	}
 	t.finish(txnCommitted, commitLSN)
 	return nil
@@ -819,40 +810,20 @@ func (t *Txn) appendOutcome(kind wal.RecType) (wal.LSN, error) {
 	return lsn, err
 }
 
-// releaseLocks releases the transaction's locks, mark being its
-// durability target under early lock release (Holder.ReleaseCommitted;
-// 0 otherwise).
-func (t *Txn) releaseLocks(aborting bool, mark uint64) {
-	if a := t.mode.Agent; a != nil {
-		if aborting {
-			a.Abort()
-		} else {
-			a.Commit(mark)
-		}
-		return
-	}
-	t.locks.ReleaseCommitted(mark)
-}
-
-// readsDurable makes a commit that logged nothing wait until what it
-// read is durable, or a crash could take back a value it answered
-// with: the commits its lock grants noted under early lock release
-// (Holder.Dep). A snapshot needs no wait: under SyncCommit it is pinned
-// at the durable frontier (Engine.advanceFloor).
-func (t *Txn) readsDurable() error {
-	e := t.e
-	if !e.cfg.SyncCommit {
-		return nil // a commit promises no durability either
-	}
-	dep := t.locks.Dep()
-	if a := t.mode.Agent; a != nil {
-		dep = a.Dep()
-	}
-	if dep <= uint64(e.log.FlushedLSN()) {
-		return nil
+// WaitReadsDurable makes a transaction that logged nothing wait until
+// what it read is durable, or a crash could take back a value it
+// answered with. dep is the highest durability target (commit LSN + 1)
+// of the commits it may have read (0: none): for a locked transaction
+// what its grants noted under early lock release (Holder.Dep), for
+// DORA's owned ones their executors' marks. A snapshot needs no wait:
+// under SyncCommit it is pinned at the durable frontier
+// (Engine.advanceFloor). The wait's time goes to c (nil: nowhere).
+func (e *Engine) WaitReadsDurable(dep uint64, c *obs.PhaseClock) error {
+	if !e.cfg.SyncCommit || dep <= uint64(e.log.FlushedLSN()) {
+		return nil // without SyncCommit a commit promises no durability either
 	}
 	e.durableReadWaits.Inc()
-	return e.log.WaitFlushedC(wal.LSN(dep-1), &t.clock)
+	return e.log.WaitFlushedC(wal.LSN(dep-1), c)
 }
 
 // applyOp redoes a logged row operation (forward or compensation) on

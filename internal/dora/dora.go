@@ -30,6 +30,14 @@
 //     releases the claims (partition-level early lock release) and
 //     only then waits for durability.
 //
+// Durability: a transaction that logged nothing may have read what an
+// earlier one committed on its partitions and released before the
+// flush. Each executor keeps a mark, the commit LSN + 1 of the last
+// write committed on its partition; a read-only transaction's reply
+// carries the marks of the partitions it held, and its coordinator
+// waits for the durable frontier to pass them
+// (core.Engine.WaitReadsDurable), as it does for a writer's commit.
+//
 // Isolation: a cross-partition transaction holds each partition it
 // touches from before its first action until its commit record is
 // appended — strict two-phase locking at partition granularity, with
@@ -148,6 +156,12 @@ type executor struct {
 	// it belongs to the executor rather than the context so a token can
 	// only ever wake the executor it was meant for.
 	release chan struct{}
+	// mark is the durability target (commit LSN + 1) of the last write
+	// committed on the partition: what a read there may depend on.
+	// Only the partition's holder touches it — the executor, or a
+	// coordinator while it claims the executor — and the claim's
+	// acknowledgement and release order the two.
+	mark uint64
 }
 
 // txnCtx is the pooled per-transaction coordination block. One lives
@@ -164,6 +178,7 @@ type txnCtx struct {
 	// send (which publishes the writes).
 	err       error
 	commitLSN wal.LSN
+	dep       uint64 // a read-only commit's executor mark
 
 	touched []uint64 // executor bitmask (cross path)
 }
@@ -225,7 +240,7 @@ func (d *Engine) run(ex *executor) {
 			// The same stamp feeds the transaction's phase clock: inbox
 			// delay is DORA's queue-wait phase.
 			j.ctx.tx.Clock().Add(obs.PhaseQueueWait, now-j.enq)
-			d.runWhole(j)
+			d.runWhole(ex, j)
 		}
 	}
 }
@@ -244,6 +259,7 @@ func (d *Engine) getCtx() *txnCtx {
 	invariant.PoolGot("dora.getCtx", c)
 	c.err = nil
 	c.commitLSN = wal.NilLSN
+	c.dep = 0
 	clear(c.touched)
 	return c
 }
@@ -312,8 +328,9 @@ func (d *Engine) ExecSingle(a Action) error {
 // runWholeTxn submits a whole single-partition transaction to its
 // owning executor and waits for the reply. The executor runs every
 // action and the commit-record append, or the abort; the coordinator
-// only waits for durability (CommitWait), keeping the executor free
-// to serve its partition while the group commit flushes.
+// only waits for durability (CommitWait, or for a read-only commit
+// what it read), keeping the executor free to serve its partition
+// while the group commit flushes.
 func (d *Engine) runWholeTxn(home int, j job) error {
 	c := d.getCtx()
 	c.tx = d.core.Begin(core.Intent{Owned: obs.PathDoraSingle})
@@ -327,19 +344,17 @@ func (d *Engine) runWholeTxn(home int, j job) error {
 	}
 	d.singleTxns.Inc()
 	<-c.wake
-	err, lsn := c.err, c.commitLSN
+	err, lsn, dep := c.err, c.commitLSN, c.dep
 	d.putCtx(c)
-	if err != nil || lsn == wal.NilLSN {
-		return err // aborted, or read-only and fully committed
-	}
-	return commitWait(tx, lsn)
+	return d.durable(tx, lsn, dep, err)
 }
 
 // runWhole executes a single-partition transaction end to end on its
-// executor: all actions, then the commit-record append, or a full
+// executor ex: all actions, then the commit-record append, or a full
 // abort on failure. Either way the core transaction is retired here
-// but for the durability wait the reply's LSN owes.
-func (d *Engine) runWhole(j job) {
+// but for the durability wait the reply owes: a write raises ex's mark
+// to its commit, and a read-only commit takes the mark into the reply.
+func (d *Engine) runWhole(ex *executor, j job) {
 	c := j.ctx
 	var err error
 	if j.fn != nil {
@@ -348,6 +363,10 @@ func (d *Engine) runWhole(j job) {
 		err = d.runPhases(j.phases, c.tx)
 	}
 	c.commitLSN, c.err = commitAsync(c.tx, err)
+	if c.commitLSN != wal.NilLSN {
+		ex.mark = uint64(c.commitLSN) + 1
+	}
+	c.dep = ex.mark
 	c.wake <- struct{}{}
 }
 
@@ -371,12 +390,9 @@ func (d *Engine) execCross(phases []Phase) error {
 		err = d.runPhases(phases, tx)
 	}
 	lsn, err := commitAsync(tx, err)
-	d.release(c)
+	dep := d.release(c, lsn)
 	d.putCtx(c)
-	if err != nil || lsn == wal.NilLSN {
-		return err
-	}
-	return commitWait(tx, lsn)
+	return d.durable(tx, lsn, dep, err)
 }
 
 // claim takes every executor marked in c.touched, one at a time in
@@ -399,14 +415,23 @@ func (d *Engine) claim(c *txnCtx) error {
 	return nil
 }
 
-// release ends the claims on every executor marked in c.touched.
-func (d *Engine) release(c *txnCtx) {
+// release ends the claims on every executor marked in c.touched,
+// first raising each one's mark to lsn's if the transaction committed
+// writes there (lsn not NilLSN). It returns the highest mark: what the
+// transaction may have read.
+func (d *Engine) release(c *txnCtx, lsn wal.LSN) (dep uint64) {
 	for w, word := range c.touched {
 		for word != 0 {
-			d.exec[w<<6+bits.TrailingZeros64(word)].release <- struct{}{}
+			ex := d.exec[w<<6+bits.TrailingZeros64(word)]
+			if lsn != wal.NilLSN {
+				ex.mark = uint64(lsn) + 1
+			}
+			dep = max(dep, ex.mark)
+			ex.release <- struct{}{}
 			word &= word - 1
 		}
 	}
+	return dep
 }
 
 // runPhases runs every action of phases in order on tx and stops at
@@ -460,10 +485,20 @@ func abortAfter(tx *core.Txn, err error) error {
 	return err
 }
 
-// commitWait finishes a split commit on the coordinator. Like every
-// core commit call, a CommitWait that fails leaves the transaction
-// active, so it is aborted here rather than leaked.
-func commitWait(tx *core.Txn, lsn wal.LSN) error {
+// durable finishes a split commit on the coordinator: what commitAsync
+// left of it (lsn, err), dep being the marks of the executors the
+// transaction held. A write waits for its commit record (CommitWait;
+// like every core commit call, one that fails leaves the transaction
+// active, so it is aborted here rather than leaked), a read-only
+// commit for what it read: never on an executor, which does not wait
+// for a flush.
+func (d *Engine) durable(tx *core.Txn, lsn wal.LSN, dep uint64, err error) error {
+	switch {
+	case err != nil:
+		return err
+	case lsn == wal.NilLSN:
+		return d.core.WaitReadsDurable(dep, nil) // tx is retired
+	}
 	if err := tx.CommitWait(lsn); err != nil {
 		return abortAfter(tx, err)
 	}

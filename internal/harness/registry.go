@@ -17,7 +17,7 @@ func All() []Experiment {
 		{"e2", "log insert scalability (Aether)", E2},
 		{"e3", "spin vs block critical sections", E3},
 		{"e4", "TPC-B: single-thread vs scalable", E4},
-		{"e5", "counted intents and speculative lock inheritance", E5},
+		{"e5", "counted intents vs intent grants at the table head", E5},
 		{"e6", "CMP analytical model", E6},
 		{"e7", "staged engine shared scans", E7},
 		{"e8", "ELR commit path and ARIES restart", E8},

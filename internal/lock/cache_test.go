@@ -2,7 +2,6 @@ package lock
 
 import (
 	"testing"
-	"time"
 
 	"hydra/internal/invariant"
 )
@@ -103,54 +102,6 @@ func TestEscalationCountsDistinctRows(t *testing.T) {
 		}
 		h.ReleaseAll()
 	})
-}
-
-// A transaction that holds a lock only through its agent's kept grant
-// keeps it to its end: a conflicting waiter makes the agent surrender
-// at the boundary, not under the running transaction.
-func TestSLIReclaimWaitsForBoundary(t *testing.T) {
-	// The timeout only bounds the failure: without the rule under test
-	// the transaction's own next table request queues behind the X.
-	m := NewManager(Options{WaitTimeout: 2 * time.Second})
-	tbl := TableName(7)
-	a := m.NewAgent()
-	defer a.Close()
-	keep(t, a, tbl, IX)
-
-	a.Begin(nil)
-	if err := a.Acquire(tbl, IX); err != nil { // covered by the kept IX
-		t.Fatal(err)
-	}
-	got := make(chan error, 1)
-	other := m.NewHolder(500)
-	go func() { got <- other.Acquire(tbl, X) }()
-	waitQueueLen(t, m, tbl, 1) // queued, and the agent flagged
-	for k := uint64(0); k < 3; k++ {
-		if err := a.Acquire(RowName(7, k), X); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Acquire(tbl, IX); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-got:
-		t.Fatal("table X granted while a running transaction held IX through the agent")
-	case <-time.After(20 * time.Millisecond):
-	}
-	a.Commit(0)
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("agent never surrendered the kept lock at the boundary")
-	}
-	if a.h.Held(tbl) != None {
-		t.Fatal("the flagged agent kept its IX past the commit")
-	}
-	other.ReleaseAll()
 }
 
 // Steady state, a transaction's lock traffic allocates nothing: grants

@@ -234,6 +234,53 @@ func TestUpgraderAheadOfAQueueDeadlocks(t *testing.T) {
 	})
 }
 
+// A transaction that holds a table intent — a count on the table's
+// word, or under one partition a grant at its head — and asks for S or
+// X on that table (a scan, or a table X after a write) upgrades its own
+// lock: it never waits on itself, only on other transactions. Alone it
+// gets S and then X at once; another transaction's IX blocks the X
+// until it is released.
+func TestUpgradeWaitsOnlyForOtherIntents(t *testing.T) {
+	eachManager(t, Options{WaitTimeout: 2 * time.Second}, func(t *testing.T, m *Manager) {
+		tbl := TableName(12)
+		h, other := m.NewHolder(1), m.NewHolder(2)
+		if err := h.Acquire(tbl, IX); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		for _, md := range []Mode{S, X} {
+			if err := h.Acquire(tbl, md); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d, waits := time.Since(start), m.StatsSnapshot().Waits; d > time.Second || waits != 0 || h.Held(tbl) != X {
+			t.Fatalf("alone after %v and %d waits: table %v; want X at once", d, waits, h.Held(tbl))
+		}
+		h.ReleaseAll()
+
+		if err := h.Acquire(tbl, IX); err != nil {
+			t.Fatal(err)
+		}
+		if err := other.Acquire(tbl, IX); err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan error, 1)
+		go func() { got <- h.Acquire(tbl, X) }()
+		waitQueueLen(t, m, tbl, 1)
+		select {
+		case err := <-got:
+			t.Fatalf("X granted past another transaction's IX: %v", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		other.ReleaseAll()
+		if err := <-got; err != nil {
+			t.Fatal(err)
+		}
+		h.ReleaseAll()
+		assertTablesEmpty(t, m)
+	})
+}
+
 // tableOracle is what TestIntentCounterUnderRaces holds the manager
 // to: every table mode a transaction holds is registered after its
 // grant and dropped before its release, so the oracle's view is always

@@ -119,11 +119,6 @@ func TestEscalationRefusedWhileTableIsShared(t *testing.T) {
 			}
 			return func() { other.ReleaseAll() }
 		}},
-		{"an SLI agent's inherited IX", func(t *testing.T, m *Manager) func() {
-			a := m.NewAgent()
-			keep(t, a, TableName(3), IX)
-			return a.Close
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eachManager(t, Options{}, func(t *testing.T, m *Manager) {
@@ -163,48 +158,6 @@ func TestEscalationRefusedWhileTableIsShared(t *testing.T) {
 			})
 		})
 	}
-}
-
-// A transaction an agent serves escalates the agent's grant when it is
-// alone on the table, its own agent's kept IX included, and is refused
-// beside another agent's kept IX.
-func TestAgentServedTransactionEscalatesAlone(t *testing.T) {
-	m := NewManager(Options{})
-	a, other := m.NewAgent(), m.NewAgent()
-	defer a.Close()
-	defer other.Close()
-	bulk := func() {
-		t.Helper()
-		a.Begin(nil)
-		for k := uint64(1); k <= 64; k++ {
-			if err := a.Acquire(TableName(3), IX); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Acquire(RowName(3, k), X); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	keep(t, a, TableName(3), IX)
-	bulk()
-	st := m.StatsSnapshot()
-	if st.Escalations != 1 || st.EscalationRefusals != 0 || a.h.Held(TableName(3)) != X {
-		t.Fatalf("alone: escalations %d, refusals %d, table %v; want 1, 0, X",
-			st.Escalations, st.EscalationRefusals, a.h.Held(TableName(3)))
-	}
-	a.Commit(0)
-	if a.h.Held(TableName(3)) != None {
-		t.Fatal("the agent kept the escalated X")
-	}
-
-	keep(t, other, TableName(3), IX)
-	bulk()
-	st = m.StatsSnapshot()
-	if st.Escalations != 1 || st.EscalationRefusals != 1 || a.h.Held(TableName(3)) != IX || a.h.Held(RowName(3, 64)) != X {
-		t.Fatalf("beside another agent: escalations %d, refusals %d, table %v, row 64 %v; want 1, 1, IX, X",
-			st.Escalations, st.EscalationRefusals, a.h.Held(TableName(3)), a.h.Held(RowName(3, 64)))
-	}
-	a.Commit(0)
 }
 
 // Two bulk writers on one table: each holds IX, each comes to 64 rows

@@ -1,43 +1,32 @@
 package lock
 
-import (
-	"sync/atomic"
-
-	"hydra/internal/obs"
-)
+import "hydra/internal/obs"
 
 // Holder is a transaction's private lock context: the set of locks it
 // holds and the row counts escalation goes by, carried by the
 // transaction itself instead of living in a manager-global map.
 //
-// A holder has one owner and no mutex. Only the goroutine running its
-// transaction touches it — that transaction's Acquire and release, and
-// the manager's wait and escalation paths acting on that same call. An
-// SLI agent's holder outlives its transactions (sli.go) and runs them
-// one after another on the agent's one worker.
-// Handing a holder to another goroutine (a pooled core.Txn, the DORA
-// coordinator finishing what an executor began) goes through a
-// synchronising hand-off. Other transactions never reach it: what they
-// share is the lock table, which has its own partition mutexes.
+// A holder has one owner and no mutex, and lives exactly as long as its
+// transaction. Only the goroutine running that transaction touches it —
+// its Acquire and release, and the manager's wait and escalation paths
+// acting on that same call. Handing a holder to another goroutine (a
+// pooled core.Txn, the DORA coordinator finishing what an executor
+// began) goes through a synchronising hand-off. Other transactions
+// never reach it: what they share is the lock table, which has its own
+// partition mutexes.
 //
 // The held set is also the transaction's lock cache, and it is
 // hierarchical: a request its own set already covers — the name itself,
 // or for a row the table above it — is answered from it (covers) and
 // never reaches the lock table. A table intent the manager took as a
-// count (counter.go) is in the set like a grant, flagged counted. An
-// SLI agent's holder keeps its table intents across transactions, so
-// its set answers them there too.
+// count (counter.go) is in the set like a grant, flagged counted.
 //
 // Engine transactions create one holder per worker context and Reset
 // it between transactions, so steady-state acquisition performs no
 // map allocation and touches no manager-global synchronization.
 type Holder struct {
-	m  *Manager
-	id uint64
-	// gen is an SLI agent's transaction serial, which Agent.Begin
-	// bumps; 0 for a transaction's own holder, whose id is its own. A
-	// waits-for edge names a transaction by both (Manager.holderNode).
-	gen atomic.Uint64
+	m   *Manager
+	id  uint64
 	dep uint64 // see Dep
 
 	// clock, when set, receives the transaction's lock-wait time:
@@ -123,30 +112,25 @@ func (h *Holder) ReleaseAll() []Name { return h.ReleaseCommitted(0) }
 // mark to it, and for a table SIX or X every partition's, so a later
 // reader of what this transaction wrote notes it with its grant (Dep).
 func (h *Holder) ReleaseCommitted(mark uint64) []Name {
-	h.m.stats.releaseAll.Add(1)
+	m := h.m
+	m.stats.releaseAll.Add(1)
 	names, modes := h.take()
 	for i, name := range names {
-		h.release(name, modes[i], mark)
-	}
-	return names
-}
-
-// release drops one lock of the set take detached, first raising the
-// marks it covers to mark if it is an X or SIX (ReleaseCommitted).
-func (h *Holder) release(name Name, mode Mode, mark uint64) {
-	m := h.m
-	if mode&counted != 0 {
-		m.uncount(name, mode&^counted)
-		return
-	}
-	if mark != 0 && (mode == X || mode == SIX) {
-		ps := m.covered(name)
-		for i := range ps {
-			for cur := ps[i].mark.Load(); cur < mark && !ps[i].mark.CompareAndSwap(cur, mark); cur = ps[i].mark.Load() {
+		mode := modes[i]
+		if mode&counted != 0 {
+			m.uncount(name, mode&^counted)
+			continue
+		}
+		if mark != 0 && (mode == X || mode == SIX) {
+			ps := m.covered(name)
+			for j := range ps {
+				for cur := ps[j].mark.Load(); cur < mark && !ps[j].mark.CompareAndSwap(cur, mark); cur = ps[j].mark.Load() {
+				}
 			}
 		}
+		m.releaseOne(h.id, name)
 	}
-	m.releaseOne(h.id, name)
+	return names
 }
 
 // Dep returns the highest partition mark the transaction's grants

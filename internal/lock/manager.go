@@ -68,7 +68,6 @@ type Stats struct {
 
 type waiter struct {
 	txn     uint64
-	gen     uint64 // the holder's transaction serial (Holder.gen)
 	mode    Mode
 	upgrade bool
 	own     Mode // the intent it holds as a count, which moves into its grant
@@ -79,7 +78,7 @@ type waiter struct {
 	// on lists the transactions w waits for: its waits-for edges, in
 	// its stripe of the graph while it waits. Set before it is
 	// published there, never changed after.
-	on    []wfNode
+	on    []uint64
 	ready chan struct{}
 }
 
@@ -144,12 +143,6 @@ type wfStripe struct {
 	_       [40]byte
 }
 
-// wfNode names a transaction in the waits-for graph: the id its locks
-// are granted to, and the holder's transaction serial. An SLI agent's
-// id outlives its transactions, and an edge left from one of them must
-// not close a cycle with the next.
-type wfNode struct{ txn, gen uint64 }
-
 func wfIdx(txn uint64) int {
 	return int((txn * 0x9e3779b97f4a7c15) >> 58)
 }
@@ -158,7 +151,7 @@ func wfIdx(txn uint64) int {
 // all bookkeeping is striped (waits-for graph) or carried by the
 // caller (held sets, escalation counts — see Holder), so acquiring and
 // releasing never take a manager-global mutex. Transactions reach it
-// through a Holder (NewHolder) or an SLI Agent (NewAgent).
+// through a Holder (NewHolder).
 type Manager struct {
 	opts  Options
 	parts []partition
@@ -169,10 +162,6 @@ type Manager struct {
 
 	// wf is the sharded deadlock-detection graph.
 	wf [wfStripes]wfStripe
-
-	// agents maps SLI agent ids to their agents; registration is rare,
-	// lookups on the wait path are lock-free.
-	agents sync.Map // uint64 -> *Agent
 
 	// stats are striped cumulative counters (obs.Counter), so the
 	// bookkeeping of a decentralized lock table is not itself a
@@ -299,7 +288,7 @@ func (m *Manager) wait(p *partition, lh *lockHead, name Name, h *Holder, mode Mo
 	}()
 	m.stats.waits.Inc()
 	txn := h.id
-	w := &waiter{txn: txn, gen: h.gen.Load(), mode: mode, upgrade: upgrade, own: own, since: start, ready: make(chan struct{}, 1)}
+	w := &waiter{txn: txn, mode: mode, upgrade: upgrade, own: own, since: start, ready: make(chan struct{}, 1)}
 	w.anon = lh.word != nil && !countsAdmit(lh.word.Load(), own, mode)
 	if upgrade {
 		// Upgraders go first to shrink the conversion window.
@@ -311,10 +300,10 @@ func (m *Manager) wait(p *partition, lh *lockHead, name Name, h *Holder, mode Mo
 	// Record waits-for edges and check for a cycle before sleeping.
 	// An upgrader waits only on current holders; a plain waiter also
 	// waits on everyone queued ahead of it.
-	w.on = make([]wfNode, 0, len(lh.granted))
+	w.on = make([]uint64, 0, len(lh.granted))
 	for t := range lh.granted {
 		if t != txn {
-			w.on = append(w.on, m.holderNode(t, name.Level == LevelTable))
+			w.on = append(w.on, t)
 		}
 	}
 	if !upgrade {
@@ -323,7 +312,7 @@ func (m *Manager) wait(p *partition, lh *lockHead, name Name, h *Holder, mode Mo
 				break
 			}
 			if qw.txn != txn {
-				w.on = append(w.on, wfNode{qw.txn, qw.gen})
+				w.on = append(w.on, qw.txn)
 			}
 		}
 	}
@@ -409,23 +398,22 @@ func (m *Manager) addWaitEdges(w *waiter) {
 // nothing, such as an autocommit read queued behind a draining Scan,
 // is never the victim.
 func (m *Manager) cycle(w *waiter, h *Holder, jumped bool) bool {
-	self := wfNode{w.txn, w.gen}
-	stack := append([]wfNode(nil), w.on...)
-	seen := map[wfNode]bool{}
+	stack := append([]uint64(nil), w.on...)
+	seen := map[uint64]bool{}
 	suspect := w.anon
 	for len(stack) > 0 && !suspect {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if cur == self {
+		if cur == w.txn {
 			return true
 		}
 		if seen[cur] {
 			continue
 		}
 		seen[cur] = true
-		cs := &m.wf[wfIdx(cur.txn)]
+		cs := &m.wf[wfIdx(cur)]
 		cs.mu.Lock()
-		if cw := cs.waiting[cur.txn]; cw != nil && cw.gen == cur.gen {
+		if cw := cs.waiting[cur]; cw != nil {
 			suspect = cw.anon
 			stack = append(stack, cw.on...)
 		}
@@ -440,12 +428,11 @@ func (m *Manager) cycle(w *waiter, h *Holder, jumped bool) bool {
 // is anonymous. Only a suspect asks (cycle), so the walk over every
 // stripe is off the common path.
 func (m *Manager) exposed(w *waiter, counts bool) bool {
-	self := wfNode{w.txn, w.gen}
 	for i := range m.wf {
 		st := &m.wf[i]
 		st.mu.Lock()
 		for _, x := range st.waiting {
-			if x != w && (counts && x.anon || slices.Contains(x.on, self)) {
+			if x != w && (counts && x.anon || slices.Contains(x.on, w.txn)) {
 				st.mu.Unlock()
 				return true
 			}
@@ -521,32 +508,6 @@ func (m *Manager) grantWaitersLocked(lh *lockHead) {
 	}
 }
 
-// holderNode returns the waits-for node of owner, which holds a grant
-// on the head a waiter queues on; the partition mutex is held. Agent
-// ids live in their own range, so the common no-agent case never
-// touches the agent map.
-//
-// An agent holds a row only for its running transaction, so the serial
-// read here is that transaction's. A table it may keep across its
-// boundaries, so a waiter on one (table) also flags it to release
-// everything at its next boundary. The flag is stored before the
-// serial is read, and Agent.Begin bumps the serial before it reads the
-// flag: a transaction that begins still keeping the table is the one
-// the edge names. An agent keeping a table intent as a count is not
-// named here: its next commit finds the table word's head bit set
-// instead (Agent.Commit).
-func (m *Manager) holderNode(owner uint64, table bool) wfNode {
-	if owner < agentIDBase {
-		return wfNode{txn: owner}
-	}
-	v, _ := m.agents.Load(owner) // registered while it holds a grant
-	a := v.(*Agent)
-	if table {
-		a.reclaim.Store(true)
-	}
-	return wfNode{owner, a.h.gen.Load()}
-}
-
 // WaitHist returns a snapshot of the transactional lock-wait
 // distribution (time from conflict to grant, victims included).
 func (m *Manager) WaitHist() hist.H { return m.waitProf.Snapshot() }
@@ -581,9 +542,7 @@ func (m *Manager) WaitsForSnapshot() map[uint64][]uint64 {
 		st := &m.wf[i]
 		st.mu.Lock()
 		for txn, w := range st.waiting {
-			for _, n := range w.on {
-				out[txn] = append(out[txn], n.txn)
-			}
+			out[txn] = append(out[txn], w.on...)
 		}
 		st.mu.Unlock()
 	}

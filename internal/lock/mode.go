@@ -1,11 +1,9 @@
 // Package lock implements the transactional lock manager: a
 // hierarchical two-phase-locking table with intention modes, FIFO
 // queuing, deadlock detection, and the scalability optimizations the
-// paper's line of work develops — partitioned lock tables whose table
+// paper's line of work develops: partitioned lock tables whose table
 // intent locks are counts on one atomic word per table (counter.go),
-// and Speculative Lock Inheritance (SLI), under which agent threads
-// carry hot, compatible locks from one transaction to the next without
-// touching the table.
+// which every transaction takes and drops without touching the table.
 //
 // Locking is "by definition centralized" (the paper's phrase): every
 // transaction visits the same table structures, so at high thread

@@ -10,14 +10,12 @@ import (
 )
 
 // TestManagerConcurrentStress drives every public entry point of the
-// manager — holder acquisition, counted and granted table intents, SLI
-// agents with kept intents and reclaim, escalation, and ReleaseAll —
-// from many goroutines at once, each with its one holder or agent.
-// Meant for -race: the striped waits-for graph, the lock heads' spare
-// lists, the tables' intent words and the agents' reclaim flags and
-// transaction serials all see cross-goroutine traffic here, agents'
-// kept counts outlive their transactions, and a holder touched by a
-// second goroutine would show up as a race.
+// manager — holder acquisition, counted and granted table intents,
+// escalation, and ReleaseAll — from many goroutines at once, each with
+// its one holder. Meant for -race: the striped waits-for graph, the
+// lock heads' spare lists and the tables' intent words all see
+// cross-goroutine traffic here, and a holder touched by a second
+// goroutine would show up as a race.
 func TestManagerConcurrentStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -41,37 +39,13 @@ func TestManagerConcurrentStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rng.New(uint64(w)*104729 + 7)
-			var agent *Agent
-			if w%2 == 1 {
-				agent = m.NewAgent()
-				defer agent.Close()
-			}
 			h := m.NewHolder(0)
 			for i := 0; i < iters; i++ {
 				h.Reset(uint64(w)<<32 | uint64(i+1))
-				if agent != nil {
-					agent.Begin(nil)
-				}
-				acquire := func(name Name, mode Mode) error {
-					if agent != nil {
-						return agent.Acquire(name, mode)
-					}
-					return h.Acquire(name, mode)
-				}
-				release := func(ok bool) {
-					switch {
-					case agent == nil:
-						h.ReleaseAll()
-					case ok:
-						agent.Commit(0)
-					default:
-						agent.Abort()
-					}
-				}
 				// One iteration in eight is a bulk burst over private
 				// rows, whose 64th makes the holder try for the table
-				// lock: refused while another worker's (or an agent's
-				// kept) intent lock is on the shared table, granted
+				// lock: refused while another worker's intent lock is
+				// on the shared table, granted
 				// — and then in everybody's way — when not, as on the
 				// worker's own table half the bursts go to.
 				table := uint32(1 + r.Intn(tables))
@@ -83,7 +57,7 @@ func TestManagerConcurrentStress(t *testing.T) {
 					}
 				}
 				ok := true
-				if err := acquire(TableName(table), IX); err != nil {
+				if err := h.Acquire(TableName(table), IX); err != nil {
 					if !expected(err) {
 						t.Errorf("worker %d iter %d: table IX: %v", w, i, err)
 					}
@@ -100,14 +74,14 @@ func TestManagerConcurrentStress(t *testing.T) {
 					if r.Bool(0.3) {
 						mode = X
 					}
-					if err := acquire(RowName(table, key), mode); err != nil {
+					if err := h.Acquire(RowName(table, key), mode); err != nil {
 						if !expected(err) {
 							t.Errorf("worker %d iter %d: row: %v", w, i, err)
 						}
 						ok = false
 					}
 				}
-				release(ok)
+				h.ReleaseAll()
 			}
 		}(w)
 	}
@@ -116,8 +90,8 @@ func TestManagerConcurrentStress(t *testing.T) {
 		t.Errorf("escalations %d, refusals %d: the bulk bursts never drove both outcomes", st.Escalations, st.EscalationRefusals)
 	}
 
-	// Everything must be released, the closed agents' kept intents
-	// and every count too: a fresh transaction can take X on every table.
+	// Everything must be released, every count too: a fresh
+	// transaction can take X on every table.
 	h := m.NewHolder(1)
 	for table := uint32(1); table <= tables+workers; table++ {
 		if err := h.Acquire(TableName(table), X); err != nil {

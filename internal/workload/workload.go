@@ -27,9 +27,9 @@ type Executor interface {
 
 // TxnExecutor is the thread-to-transaction model: any worker runs any
 // transaction through Engine.Exec, and Intent says how it is isolated
-// — the zero Intent is the conventional centralized lock manager,
-// Agent routes lock acquisition through SLI, Optimistic and ReadOnly
-// let the engine pick snapshot isolation when it has MVCC.
+// — the zero Intent is two-phase locking through the lock manager,
+// Optimistic and ReadOnly let the engine pick snapshot isolation when
+// it has MVCC.
 type TxnExecutor struct {
 	Engine *core.Engine
 	Intent core.Intent

@@ -70,29 +70,6 @@ func TestTATPWithDORA(t *testing.T) {
 	}
 }
 
-func TestTATPWithSLIAgent(t *testing.T) {
-	e := newEngine(t)
-	w, err := SetupTATP(e, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent := e.Locks().NewAgent()
-	x := TxnExecutor{Engine: e, Intent: core.Intent{Agent: agent}}
-	src := rng.New(3)
-	for i := 0; i < 1000; i++ {
-		if err := w.RunOne(src, x); err != nil {
-			t.Fatalf("txn %d: %v", i, err)
-		}
-	}
-	// Retire the agent before the table-scanning invariant check: a
-	// parked agent holds its inherited intent locks until its next
-	// transaction boundary, and there will not be one.
-	agent.Close()
-	if err := w.Check(e); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTPCBConservation(t *testing.T) {
 	e := newEngine(t)
 	w, err := SetupTPCB(e, 2, 4, 100)
