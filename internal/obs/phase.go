@@ -35,8 +35,8 @@ const (
 	// goroutine's in-flight load of the same page.
 	PhaseBufMissIO
 	// PhaseLogInsert is time blocked inserting into the WAL ring —
-	// buffer-full waits, insert-mutex contention, consolidation-array
-	// group waits. The uncontended reserve-copy path contributes zero.
+	// buffer-full and lapping-ticket waits, contention on Serial's
+	// copy lock, consolidation-array group waits. The uncontended reserve-copy path contributes zero.
 	PhaseLogInsert
 	// PhaseFlushWait is commit durability wait: time parked in
 	// WaitFlushed until the flusher advances the durable LSN past the

@@ -9,12 +9,11 @@ import (
 )
 
 // consArray is the consolidation array of the Aether log protocol.
-// Concurrent inserters that would otherwise queue on the allocation
-// mutex instead combine their requests in a slot: the first arrival
-// (the group leader) acquires the mutex once and allocates space for
-// the whole group; every member then copies its record into its own
-// sub-range concurrently. Mutex acquisitions per record approach
-// 1/group-size under load.
+// Concurrent inserters that would otherwise each reserve log space
+// instead combine their requests in a slot: the first arrival (the
+// group leader) reserves space for the whole group with one add; every
+// member then copies its record into its own sub-range concurrently.
+// Reservations per record approach 1/group-size under load.
 type consArray struct {
 	slots []caslot
 	rr    atomic.Uint64 // round-robin slot cursor
@@ -55,8 +54,8 @@ func newConsArray(n int) *consArray {
 
 // join attempts to enter a consolidation group with a request of n
 // bytes. It returns (slot, offset, leader): offset is the caller's
-// displacement within the group allocation; leader reports whether
-// the caller must perform the group's allocation.
+// displacement within the group reservation; leader reports whether
+// the caller must make the group's reservation.
 // max bounds the group size so one group can always fit in the ring.
 func (ca *consArray) join(n, max uint64) (s *caslot, offset uint64, leader bool) {
 	i := ca.rr.Add(1)
@@ -82,8 +81,8 @@ func (ca *consArray) join(n, max uint64) (s *caslot, offset uint64, leader bool)
 }
 
 // close transitions the leader's slot to closed and returns the final
-// group size. Only the leader calls it, exactly once, while holding
-// the allocation mutex.
+// group size. Only the leader calls it, exactly once, before it
+// reserves the group's space.
 func (ca *consArray) close(s *caslot) uint64 {
 	for {
 		w := s.word.Load()
@@ -98,7 +97,7 @@ func (ca *consArray) publish(s *caslot, base uint64) {
 	s.base.Store(base + 1)
 }
 
-// caPoisonBase is the published base marking a failed allocation: the
+// caPoisonBase is the published base marking a failed reservation: the
 // leader could not reserve ring space (flusher death or close), so
 // the group has no LSNs. Members must not copy, and every member
 // still calls finish so the slot recycles.
@@ -144,20 +143,16 @@ func (ca *consArray) finish(s *caslot, groupSize, n uint64) (ticket uint64, last
 }
 
 // insertConsolidated is the CD insert path: consolidation array in
-// front of a decoupled (copy-outside-mutex) buffer fill.
+// front of a decoupled (copy outside any lock) buffer fill.
 func (l *Log) insertConsolidated(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, error) {
 	n := uint64(len(rec))
 	s, offset, leader := l.ca.join(n, uint64(l.opts.BufferSize)/4)
 	var base uint64
 	var groupSize uint64
 	if leader {
-		t0 := l.lockInsertMu(c)
-		l.stats.mutexAcquires.Inc()
 		groupSize = l.ca.close(s) // no more joiners past this point
 		var err error
-		base, s.ticket, err = l.allocateLocked(groupSize, c, &t0)
-		l.mu.Unlock()
-		l.noteInsertWait(c, t0)
+		base, s.ticket, err = l.reserve(groupSize, c)
 		if err != nil {
 			// The group got no ring space. Members are spinning in
 			// waitBase: a plain return would leave them spinning

@@ -33,10 +33,10 @@ func BenchmarkFlushWrapVectored(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Rewind the log to the same wrapped region each iteration so
 		// the flush shape is identical and the device never grows.
-		l.next = startAt
+		setNext(l, startAt)
 		l.fr.filled.Store(startAt)
 		l.flushed.Store(startAt)
-		if _, err := l.insertSerial(rec, nil, nil); err != nil {
+		if _, err := l.Insert(rec); err != nil {
 			b.Fatal(err)
 		}
 		if err := l.flushOnce(causeDemand); err != nil {

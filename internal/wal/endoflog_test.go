@@ -433,7 +433,7 @@ func TestRingPressureKicksFlusher(t *testing.T) {
 // flush when the gap closes, not at the next tick.
 func TestGapCloserPassesTheKickOn(t *testing.T) {
 	l := newStoppedLog(t, NewMem(), Options{Kind: Decoupled})
-	l.next, l.tickets = 200, 2
+	l.res.Store(2<<l.lsnBits | 200)
 	l.filled(1, 200) // the committer's own record, [100, 200), out of order
 	l.parked.Add(1)  // ...and it is now waiting
 	select {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"hydra/internal/rng"
 )
 
 // newStoppedLog builds a Log with no background flusher, so tests can
@@ -16,6 +18,9 @@ func newStoppedLog(t testing.TB, dev Device, opts Options) *Log {
 	return newLog(dev, opts, 0)
 }
 
+// setNext makes lsn the next LSN l reserves, keeping its ticket count.
+func setNext(l *Log, lsn uint64) { l.res.Store(l.res.Load()>>l.lsnBits<<l.lsnBits | lsn) }
+
 // A wrap-around flush region must go down as ONE vectored submission
 // (two (offset, buffer) pairs), not two sequential writes.
 func TestFlushWrapAroundSingleSubmission(t *testing.T) {
@@ -26,7 +31,7 @@ func TestFlushWrapAroundSingleSubmission(t *testing.T) {
 	// Park the log frontier near the end of the ring so the next
 	// record wraps.
 	startAt := ringSize - 64
-	l.next = startAt
+	setNext(l, startAt)
 	l.fr.filled.Store(startAt)
 	l.flushed.Store(startAt)
 	// The device already "contains" the log prefix.
@@ -40,7 +45,7 @@ func TestFlushWrapAroundSingleSubmission(t *testing.T) {
 	if _, err := Encode(&Record{Type: RecUpdate, TxnID: 7, Payload: payload}, rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.insertSerial(rec, nil, nil); err != nil {
+	if _, err := l.Insert(rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.flushOnce(causeDemand); err != nil {
@@ -72,7 +77,7 @@ func TestFlushWrapAroundSingleSubmission(t *testing.T) {
 
 // Regression: a dead flusher must not leave ring-full inserters hung.
 // Once, flusher() failed commit waiters but not the goroutines parked
-// in allocateLocked, which waited forever on a frontier that could no
+// for ring room, which waited forever on a frontier that could no
 // longer advance.
 func TestFlusherDeathUnblocksRingFullInserters(t *testing.T) {
 	for _, kind := range BufferKinds() {
@@ -134,6 +139,141 @@ func TestFlusherDeathUnblocksRingFullInserters(t *testing.T) {
 				t.Fatalf("Close on poisoned log: %v", err)
 			}
 		})
+	}
+}
+
+// TestDeadLogEndsEveryReservation races reservations that wait for
+// ring room and reservations that wait for head against the log's
+// death. On the minimum ring with two marks, inserters append records
+// of up to 128 KiB, which keep the ring full, and of under 200 B, whose
+// tickets run a ring of marks past head; the device fails under them,
+// or Close runs. A reservation that fails leaves a gap no copy fills,
+// and a ticket a ring past it waits on a head that never passes it: so
+// both waits must end on a dead log, every inserter returning and Close
+// returning. The device then holds whole records only, below the first
+// gap: a scan ends at the durable frontier with no ErrCorrupt, and
+// finds exactly the records appended below it.
+func TestDeadLogEndsEveryReservation(t *testing.T) {
+	defer func(n int) { frontierMarks = n }(frontierMarks)
+	frontierMarks = 2
+	for _, kind := range BufferKinds() {
+		for _, poison := range []bool{true, false} {
+			name := kind.String() + "/close"
+			if poison {
+				name = kind.String() + "/poison"
+			}
+			t.Run(name, func(t *testing.T) {
+				for life := uint64(1); life <= 10 && !t.Failed(); life++ {
+					endReservations(t, kind, poison, rng.New(life))
+				}
+			})
+		}
+	}
+}
+
+// endReservations runs one log to its death: its device fails past a
+// random offset (poison), or Close runs after a random delay.
+func endReservations(t *testing.T, kind BufferKind, poison bool, src *rng.Source) {
+	dev := NewMem()
+	bang := errors.New("disk on fire")
+	if poison {
+		dev.FailAfter(int64(1+src.Intn(2<<20)), bang)
+	}
+	l, err := New(dev, Options{Kind: kind, BufferSize: EncodedSize(MaxPayload), SyncOnFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inserters = 12
+	type appended struct {
+		lsn          LSN
+		page, length uint64
+	}
+	recs := make([][]appended, inserters)
+	errs := make(chan error, inserters)
+	for i := range recs {
+		src := src.Split(uint64(i))
+		go func() {
+			payload := make([]byte, MaxPayload/2)
+			for j := uint64(0); ; j++ {
+				n := src.Intn(200)
+				if src.Intn(8) == 0 {
+					n = MaxPayload/4 + src.Intn(MaxPayload/4)
+				}
+				lsn, err := l.AppendFields(RecUpdate, uint64(i), NilLSN, j, 0, payload[:n])
+				if err != nil {
+					errs <- err
+					return
+				}
+				recs[i] = append(recs[i], appended{lsn, j, uint64(EncodedSize(n))})
+			}
+		}()
+	}
+	closed := make(chan error, 1)
+	closeLog := func() { go func() { closed <- l.Close() }() }
+	if !poison {
+		time.Sleep(time.Duration(src.Intn(2000)) * time.Microsecond)
+		closeLog()
+	}
+	deadline := time.After(10 * time.Second)
+	for i := 0; i < inserters; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrClosed) && (!poison || !errors.Is(err, bang)) {
+				t.Fatalf("insert: %v", err)
+			}
+			if poison && i == 0 {
+				closeLog() // races the inserters still waiting
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d inserters still waiting 10 s after the log died", inserters-i, inserters)
+		}
+	}
+	select {
+	case err := <-closed:
+		if poison && !errors.Is(err, bang) || !poison && err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-deadline:
+		t.Fatal("Close still running 10 s after the log died")
+	}
+
+	// The flusher may still be in a flush it began before Close: hold
+	// off flushes while reading the device. A write that failed may
+	// have stored some of its bytes, so the device can reach past the
+	// durable frontier, but not past the filled one, which stops in
+	// front of the first gap.
+	l.flushOnceMu.Lock()
+	defer l.flushOnceMu.Unlock()
+	durable, filled := uint64(l.FlushedLSN()), uint64(l.FilledLSN())
+	all := map[LSN]appended{}
+	for _, rs := range recs {
+		for _, r := range rs {
+			all[r.lsn] = r
+		}
+	}
+	sc, err := NewScanner(dev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for ; sc.Next(); found++ {
+		r := sc.Record()
+		if a, ok := all[r.LSN]; !ok || a.page != r.PageID || a.length != uint64(EncodedSize(len(r.Payload))) {
+			t.Fatalf("the device holds a record at %d that no inserter appended there", r.LSN)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	end, below := uint64(sc.Pos()), 0
+	for _, r := range all {
+		if uint64(r.lsn)+r.length <= end {
+			below++
+		}
+	}
+	if end < durable || end > filled || found != below {
+		t.Fatalf("scan found %d records ending at %d; %d were appended below it (durable frontier %d, filled %d)",
+			found, end, below, durable, filled)
 	}
 }
 

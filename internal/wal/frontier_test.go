@@ -13,30 +13,34 @@ import (
 	"hydra/internal/rng"
 )
 
-// TestFrontierUnderRaces races completions in both out-of-order insert
-// algorithms. Writers append records of random size and yield at random
-// between their copy and their completion, while a watcher loads
-// FilledLSN: it must never fall back, must always sit on a record
-// boundary (where the log opened, or the end of an appended record),
-// and must end at the log's end. The second ring holds fewer marks than
-// there are writers, so reservations must wait for head rather than
-// lap it: no ticket is ever issued a ring's length past head.
+// TestFrontierUnderRaces races completions in every insert algorithm.
+// Writers append records of random size and yield at random between
+// their copy and their completion, while a watcher loads FilledLSN: it
+// must never fall back, must always sit on a record boundary (where the
+// log opened, or the end of an appended record), and must end at the
+// log's end. Between its copy and its completion a record is not
+// filled: the frontier must not have passed its start, nor the LSN the
+// reservation word issues next. The second ring holds fewer marks than
+// there are writers, and the word counts tickets modulo twice the
+// marks, 4: the ticket field wraps thousands of times, and tickets far
+// more than 4 past head are issued, which must wait for head rather
+// than lap it. A lapping ticket overwrites a mark head has not passed:
+// the frontier stalls, or jumps over a record not yet copied.
 func TestFrontierUnderRaces(t *testing.T) {
 	const writers, per = 8, 1000
 	for _, marks := range []int{frontierMarks, 2} {
-		for _, kind := range []BufferKind{Decoupled, Consolidated} {
+		for _, kind := range BufferKinds() {
 			t.Run(fmt.Sprintf("%s/marks=%d", kind, marks), func(t *testing.T) {
 				defer func(n int) { frontierMarks = n }(frontierMarks)
 				frontierMarks = marks
 				l := newTestLog(t, kind, NewMem())
 				defer l.Close()
-				var lapped atomic.Bool
-				testHookPlaced = func() {
-					l.mu.Lock()
-					if l.tickets-l.fr.head.Load() > uint64(len(l.fr.marks)) {
-						lapped.Store(true)
+				var jumped atomic.Bool
+				testHookPlaced = func(lsn uint64) {
+					f := uint64(l.FilledLSN())
+					if f > lsn || f > uint64(l.NextLSN()) {
+						jumped.Store(true)
 					}
-					l.mu.Unlock()
 					if rand.IntN(2) == 0 {
 						runtime.Gosched()
 					}
@@ -87,7 +91,7 @@ func TestFrontierUnderRaces(t *testing.T) {
 				case <-finished:
 				case <-time.After(time.Minute):
 					// A lapped mark is lost: head never passes its slot.
-					t.Fatalf("writers stalled (a ticket issued a ring past head: %v)", lapped.Load())
+					t.Fatalf("writers stalled (the frontier passed a record being copied: %v)", jumped.Load())
 				}
 				done.Store(true)
 				<-watched
@@ -95,8 +99,20 @@ func TestFrontierUnderRaces(t *testing.T) {
 				if err := errors.Join(errs...); err != nil {
 					t.Fatal(err)
 				}
-				if lapped.Load() {
-					t.Errorf("a ticket was issued more than %d past head", marks)
+				if jumped.Load() {
+					t.Error("the filled frontier passed a record that was still being copied")
+				}
+				// Every reservation took a ticket from the word, which
+				// holds their count modulo twice the marks.
+				mod := 2 * uint64(marks)
+				reservations := l.StatsSnapshot().MutexAcquires
+				if tk := l.res.Load() >> l.lsnBits; tk != reservations%mod {
+					t.Errorf("ticket field %d after %d reservations, want their count modulo %d", tk, reservations, mod)
+				}
+				if wraps := reservations / mod; marks == 2 && wraps == 0 {
+					t.Errorf("%d reservations never wrapped the ticket field", reservations)
+				} else {
+					t.Logf("%d reservations wrapped the ticket field %d times", reservations, wraps)
 				}
 				if f, n := l.FilledLSN(), l.NextLSN(); f != n {
 					t.Fatalf("filled frontier %d, log end %d: a record was never filled", f, n)

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,18 +18,18 @@ import (
 type BufferKind int
 
 const (
-	// Serial is the conventional design: one mutex protects both LSN
-	// allocation and the copy into the log buffer, so the critical
+	// Serial is the conventional design: every record copies into
+	// the log buffer under one mutex (wal.Log.mu), so the critical
 	// section grows with record size.
 	Serial BufferKind = iota
-	// Decoupled holds the mutex only to allocate the LSN range; the
-	// copy happens outside, with out-of-order completion tracking
+	// Decoupled reserves its LSN range with one atomic add and copies
+	// outside any lock, with out-of-order completion tracking
 	// (Aether's "D" variant).
 	Decoupled
 	// Consolidated adds the consolidation array in front of the
 	// decoupled path: concurrent inserters combine into a single
-	// allocation, so mutex acquisitions per record approach zero
-	// under load (Aether's "CD" variant).
+	// reservation, so reservations per record approach zero under
+	// load (Aether's "CD" variant).
 	Consolidated
 )
 
@@ -86,7 +87,7 @@ type Stats struct {
 	InsertedBytes uint64 `json:"inserted_bytes"`
 	Flushes       uint64 `json:"flushes"` // flush IOs issued
 	FlushedBytes  uint64 `json:"flushed_bytes"`
-	MutexAcquires uint64 `json:"mutex_acquires"` // allocation-mutex acquisitions (consolidation wins show here)
+	MutexAcquires uint64 `json:"mutex_acquires"` // reservations of log space, one atomic add each; a Serial record also enters the copy mutex once (consolidation wins show here)
 	GroupInserts  uint64 `json:"group_inserts"`  // records that joined a consolidation group led by another
 	FlushWrites   uint64 `json:"flush_writes"`   // write submissions issued by the flusher (a vectored submission counts once)
 	FlushSyncs    uint64 `json:"flush_syncs"`    // Device.Sync calls issued by the flusher
@@ -112,9 +113,14 @@ type Log struct {
 	opts Options
 	dev  Device
 
-	mu      invariant.Mutex[invariant.WALLog] // guards next, tickets and space accounting
-	next    uint64                            // next LSN to allocate (logical byte offset)
-	tickets uint64                            // next reservation's ticket in fr
+	// res issues reservations: one Add(1<<lsnBits | n) returns the
+	// next LSN in the low lsnBits bits and the next ticket in fr in the
+	// bits above, where it counts modulo 2 × frontierMarks. An LSN is
+	// thus limited to 2^lsnBits bytes of log: 2 PiB at 4096 marks.
+	res     atomic.Uint64
+	lsnBits uint
+
+	mu invariant.Mutex[invariant.WALLog] // Serial's copy lock, held around place and filled
 
 	ring ringBuf
 	fr   *frontier
@@ -220,12 +226,13 @@ func newLog(dev Device, opts Options, end uint64) *Log {
 	l := &Log{
 		opts: opts,
 		dev:  dev,
-		next: end,
 		ring: ringBuf{buf: make([]byte, opts.BufferSize), mask: uint64(opts.BufferSize) - 1},
 		fr:   newFrontier(end),
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
+	l.lsnBits = uint(64 - bits.Len64(l.fr.tmask))
+	l.res.Store(end)
 	l.flushed.Store(end)
 	if opts.Kind == Consolidated {
 		l.ca = newConsArray(consSlots)
@@ -276,7 +283,7 @@ func (l *Log) AppendFields(typ RecType, txnID uint64, prev LSN, pageID uint64, u
 // non-nil stamp receives the record's LSN before the record joins the
 // filled prefix (see Log.place): once FilledLSN has passed the record,
 // the stamp is visible to whoever loaded it. Time the insert
-// spends blocked (ring full, allocation-mutex contention,
+// spends blocked (ring full, a lapping ticket, Serial's copy lock,
 // consolidation-group waits) is attributed to the clock's log-insert
 // phase. Nil for both makes it identical to AppendFields.
 func (l *Log) AppendFieldsC(typ RecType, txnID uint64, prev LSN, pageID uint64, undoNext LSN, payload []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, error) {
@@ -317,19 +324,29 @@ func (l *Log) insert(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, 
 		// records here keeps inserters from filling it and hanging.
 		return 0, err
 	}
-	if len(rec) == 0 || len(rec) > l.opts.BufferSize/2 {
+	if len(rec) < headerSize || len(rec) > l.opts.BufferSize/2 {
 		return 0, fmt.Errorf("wal: record size %d out of range", len(rec))
 	}
-	switch l.opts.Kind {
-	case Serial:
-		return l.insertSerial(rec, stamp, c)
-	case Decoupled:
-		return l.insertDecoupled(rec, stamp, c)
-	case Consolidated:
+	if l.opts.Kind == Consolidated {
 		return l.insertConsolidated(rec, stamp, c)
-	default:
-		panic("wal: unknown buffer kind")
 	}
+	n := uint64(len(rec))
+	lsn, ticket, err := l.reserve(n, c)
+	if err != nil {
+		return 0, err
+	}
+	if l.opts.Kind == Serial {
+		t0 := l.lockInsertMu(c)
+		l.place(lsn, rec, stamp) // copy under the mutex: the serial pathology
+		l.filled(ticket, lsn+n)
+		l.mu.Unlock()
+		l.noteInsertWait(c, t0)
+	} else {
+		l.place(lsn, rec, stamp)
+		l.filled(ticket, lsn+n)
+	}
+	l.noteInsert(n)
+	return LSN(lsn), nil
 }
 
 // poisoned returns the flusher's fatal error, if it died.
@@ -347,104 +364,54 @@ func (l *Log) poison(err error) {
 	l.flusherErr.CompareAndSwap(nil, err)
 }
 
-// allocateLocked reserves n bytes of log space and their ticket in the
-// fill frontier, blocking while the ring is full or the ticket would
-// lap the frontier's ring. Caller must hold l.mu; both waits release
-// it. A full ring waits in waitFor for the durable frontier to free n
-// bytes, and fails when the flusher has died or the log is closing:
-// that frontier will never advance again. A failed reservation holds
-// no ticket.
-//
-// When clocking (c != nil), a wait stamps *t0 if the caller arrived
-// with an uncontended stamp (0), extending the span the caller
-// finalizes with noteInsertWait after Unlock — this keeps every clock
-// read out of the allocation critical section.
-func (l *Log) allocateLocked(n uint64, c *obs.PhaseClock, t0 *int64) (lsn, ticket uint64, err error) {
-	for {
-		if l.next+n-l.flushed.Load() > uint64(l.opts.BufferSize) {
-			if err := l.poisoned(); err != nil {
-				return 0, 0, err
-			}
-			if l.closed.Load() {
-				return 0, 0, ErrClosed
-			}
-			if c != nil && *t0 == 0 {
-				*t0 = obs.Now()
-			}
-			target := l.next + n - uint64(l.opts.BufferSize)
-			l.mu.Unlock()
-			err := l.waitFor(target, causePressure)
-			l.mu.Lock()
-			if err != nil {
-				return 0, 0, err
-			}
-			continue
-		}
-		if t := l.tickets; l.fr.full(t) {
-			// A writer at head is still copying. Completions take no
-			// lock: wait for head without l.mu, which the flusher and
-			// the other allocators may take meanwhile.
-			if c != nil && *t0 == 0 {
-				*t0 = obs.Now()
-			}
-			l.mu.Unlock()
-			for l.fr.full(t) {
-				runtime.Gosched()
-			}
-			l.mu.Lock()
-			continue
-		}
-		break
-	}
-	lsn, ticket = l.next, l.tickets
-	l.next += n
-	l.tickets++
+// reserve issues n bytes of log space and their ticket in the fill
+// frontier with one add on res, then waits outside any lock: while the
+// ticket would lap the frontier's ring of marks, then while the ring
+// has no room for the bytes. Both waits fail once the log is dead
+// (poisoned, or closed with its final flush made), and only a dead log
+// fails them: a reservation that fails after its add never completes
+// its ticket, so it leaves a gap the filled frontier never passes, and
+// the tickets a ring past it wait on a head that never moves. Time
+// spent waiting goes to the clock's log-insert phase.
+func (l *Log) reserve(n uint64, c *obs.PhaseClock) (lsn, ticket uint64, err error) {
+	l.stats.mutexAcquires.Inc()
+	add := uint64(1)<<l.lsnBits | n
+	w := l.res.Add(add) - add
+	lsn, ticket = w&(uint64(1)<<l.lsnBits-1), w>>l.lsnBits
+	size, end := uint64(l.opts.BufferSize), lsn+n
 	// Inserts alone never start a flush — the commit record that
 	// follows a transaction's first records would miss it — except to
 	// keep a filling ring from becoming a full one.
-	if l.next-l.flushed.Load() > uint64(l.opts.BufferSize)/2 {
+	if end-l.flushed.Load() > size/2 {
 		l.kickFlusher(causePressure)
+	}
+	if end-l.flushed.Load() <= size && !l.fr.full(ticket, lsn) {
+		return lsn, ticket, nil
+	}
+	if c != nil {
+		t0 := obs.Now()
+		defer func() { c.Add(obs.PhaseLogInsert, obs.Now()-t0) }()
+	}
+	for l.fr.full(ticket, lsn) {
+		// An earlier reservation has not completed: it is copying, or
+		// waiting for room, or failed on a dead log.
+		if err := l.deadErr(); err != nil {
+			return 0, 0, err
+		}
+		runtime.Gosched()
+	}
+	if end-l.flushed.Load() > size {
+		if err := l.waitFor(end-size, causePressure); err != nil {
+			return 0, 0, err
+		}
 	}
 	return lsn, ticket, nil
 }
 
-func (l *Log) insertSerial(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, error) {
-	n := uint64(len(rec))
-	t0 := l.lockInsertMu(c)
-	l.stats.mutexAcquires.Inc()
-	lsn, ticket, err := l.allocateLocked(n, c, &t0)
-	if err != nil {
-		l.mu.Unlock()
-		l.noteInsertWait(c, t0)
-		return 0, err
-	}
-	l.place(lsn, rec, stamp) // copy under the mutex: the serial pathology
-	l.filled(ticket, lsn+n)
-	l.mu.Unlock()
-	l.noteInsertWait(c, t0)
-	l.noteInsert(n)
-	return LSN(lsn), nil
-}
-
-func (l *Log) insertDecoupled(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, error) {
-	n := uint64(len(rec))
-	t0 := l.lockInsertMu(c)
-	l.stats.mutexAcquires.Inc()
-	lsn, ticket, err := l.allocateLocked(n, c, &t0)
-	l.mu.Unlock()
-	l.noteInsertWait(c, t0)
-	if err != nil {
-		return 0, err
-	}
-	l.place(lsn, rec, stamp) // outside the mutex
-	l.filled(ticket, lsn+n)
-	l.noteInsert(n)
-	return LSN(lsn), nil
-}
-
-// testHookPlaced, when set, runs between a writer's place and its
-// reservation's completion: tests use it to reorder completions.
-var testHookPlaced func()
+// testHookPlaced, when set, runs between a writer's place of the
+// record at lsn and its reservation's completion: tests use it to
+// reorder completions.
+var testHookPlaced func(lsn uint64)
 
 // place copies rec into the ring at lsn, then stores stamp, before the
 // reservation completes: so every record below FilledLSN has stored
@@ -457,7 +424,7 @@ func (l *Log) place(lsn uint64, rec []byte, stamp *atomic.Uint64) {
 		stamp.Store(lsn)
 	}
 	if testHookPlaced != nil {
-		testHookPlaced()
+		testHookPlaced(lsn)
 	}
 }
 
@@ -471,15 +438,14 @@ func (l *Log) filled(ticket, end uint64) {
 	}
 }
 
-// lockInsertMu acquires the allocation mutex for an insert path. With
-// a clock, the try-first fast path costs one extra branch when the
-// mutex is free; a contended acquisition returns its start stamp so
-// the caller can finalize the attribution with noteInsertWait AFTER
-// releasing the mutex — no clock read ever executes inside the
-// allocation critical section, which is the log's serialization
-// bottleneck under load. Returns 0 when there is nothing to attribute.
+// lockInsertMu acquires Serial's copy lock. With a clock, the
+// try-first fast path costs one extra branch when the mutex is free; a
+// contended acquisition returns its start stamp so the caller can
+// finalize the attribution with noteInsertWait AFTER releasing the
+// mutex — no clock read ever executes inside the copy's critical
+// section. Returns 0 when there is nothing to attribute.
 //
-//hydra:vet:nonpropagating -- returns holding l.mu for the caller's insert critical section
+//hydra:vet:nonpropagating -- returns holding l.mu for the caller's copy critical section
 func (l *Log) lockInsertMu(c *obs.PhaseClock) int64 {
 	if c == nil {
 		l.mu.Lock()
@@ -493,7 +459,7 @@ func (l *Log) lockInsertMu(c *obs.PhaseClock) int64 {
 	return t0
 }
 
-// noteInsertWait attributes a contended insert-mutex acquisition that
+// noteInsertWait attributes a contended copy-lock acquisition that
 // lockInsertMu stamped. Called after l.mu.Unlock(), so the measured
 // span covers wait plus the caller's (short) critical section; the
 // uncontended path attributes nothing.
@@ -531,11 +497,7 @@ func (l *Log) FilledLSN() LSN { return LSN(l.fr.Filled()) }
 
 // NextLSN returns the next LSN to be allocated (the current end of
 // the log stream).
-func (l *Log) NextLSN() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return LSN(l.next)
-}
+func (l *Log) NextLSN() LSN { return LSN(l.res.Load() & (uint64(1)<<l.lsnBits - 1)) }
 
 // commitWaiter is one goroutine parked on the durable frontier (a
 // committer or a ring-full inserter): ch receives exactly one value,
@@ -667,9 +629,7 @@ func (l *Log) CommitWaiters() int { return int(l.parked.Load()) }
 
 // Flush forces all filled records to stable storage before returning.
 func (l *Log) Flush() error {
-	l.mu.Lock()
-	target := l.next
-	l.mu.Unlock()
+	target := uint64(l.NextLSN())
 	if target == 0 {
 		return nil
 	}
