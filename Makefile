@@ -106,7 +106,14 @@ lint:
 # the word slice) race those steps, and the oracle fails any instant at
 # which a table holds incompatible modes, counted and granted together;
 # deadlock detection must break every cycle, so a lock timeout fails it.
-# Last,
+# With them three times TestDeadlockDetection, the three count-edge
+# tests (a Scan draining a counted writer, counted writers that scan, an
+# upgrader ahead of a queue) and the TestSchedule single-goroutine
+# schedules: a lock request is decided under its partition mutex —
+# granted, queued with its waits-for edges, or refused as the deadlock
+# victim before it queues — so the request that closes a cycle must be
+# refused at once; the goroutine tests race those decisions under the
+# race detector, and the schedules step through each one. Last,
 # the root-split stress runs under the race detector, at the full depth
 # the tag's run stops short of: writers grow an empty tree, in both
 # modes, three levels deep (the root splits in place as a leaf, then as
@@ -117,7 +124,7 @@ stress:
 	$(GO) test -tags hydradebug -count=300 -run TestCheckpointDuringTraffic ./internal/core/
 	$(GO) test -tags hydradebug -count=100 -run TestCreateTableDuringCheckpoints ./internal/core/
 	$(GO) test -tags hydradebug -count=3 -run 'TestStressSnapshotScanNoTearing|TestStressSnapshotNeverSeesAborted|TestSIHotKeyStress|TestStampPrecedesFill|TestFrontierUnderRaces|TestDeadLogEndsEveryReservation|TestWaitUnderRaces|TestPinUnderRaces' ./internal/core/ ./internal/wal/
-	$(GO) test -race -count=3 -run 'TestPinUnderRaces|TestExpiry|TestManagerConcurrentStress|TestIntentCounterUnderRaces' ./internal/core/ ./internal/lock/
+	$(GO) test -race -count=3 -run 'TestPinUnderRaces|TestExpiry|TestManagerConcurrentStress|TestIntentCounterUnderRaces|TestDeadlockDetection|TestScanDrainingACountedWriterDeadlocks|TestCountedWritersThatScanDeadlock|TestUpgraderAheadOfAQueueDeadlocks|TestSchedule' ./internal/core/ ./internal/lock/
 	$(GO) test -race -count=1 -run 'TestRootSplitUnderTraffic|TestConcurrentMixedWorkload' ./internal/btree/
 
 # fuzz-smoke runs the wire tokeniser's differential fuzz target for

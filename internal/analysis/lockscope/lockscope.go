@@ -34,9 +34,9 @@
 //     under it is the design, not an accident. Such locks are not
 //     guards for this analyzer.
 //   - //hydra:vet:nonpropagating on a function excludes it from
-//     may-block summaries: it either releases the caller's lock
-//     before blocking (lock.Manager.wait) or its channel operations
-//     are guaranteed non-blocking (capacity-1 single-send protocols).
+//     may-block summaries: it releases the caller's lock before
+//     blocking, returns holding one for its caller, or its channel
+//     operations are guaranteed non-blocking (capacity-1 single-send).
 package lockscope
 
 import (

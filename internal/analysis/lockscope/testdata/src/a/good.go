@@ -93,8 +93,8 @@ func (d *segdev) syncDirty() error {
 	return nil
 }
 
-// handoff releases the caller's lock before blocking, like
-// lock.Manager.wait; the marker keeps it out of may-block summaries.
+// handoff releases the caller's lock before blocking; the marker keeps
+// it out of may-block summaries.
 //
 //hydra:vet:nonpropagating -- releases s.mu before blocking on ch
 func handoff(s *shard, ch chan int) {

@@ -200,7 +200,7 @@ func TestUpgraderAheadOfAQueueDeadlocks(t *testing.T) {
 			x.ReleaseAll() // the victim aborts, a survivor commits
 			errs <- err
 		}
-		// A victim leaves its queue at once, so count the waits begun.
+		// A victim never enters the queue, so count the waits begun.
 		waits := func(n uint64) {
 			for deadline := time.Now().Add(time.Second); m.StatsSnapshot().Waits < n; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {

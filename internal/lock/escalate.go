@@ -10,9 +10,10 @@ package lock
 // the intent word, which the attempt sets the head bit to judge),
 // while anybody is queued there, or when the transaction holds no
 // intent on the table. A refused transaction takes the row lock it
-// came for: tryEscalate never enqueues, sleeps or adds a waits-for
-// edge, so it cannot close a cycle, as the blocking escalation it
-// replaced did for two bulk writers by construction.
+// came for: tryEscalate (Manager.request, refusing where others wait)
+// never enqueues, sleeps or adds a waits-for edge, so it cannot close a
+// cycle, as the blocking escalation it replaced did for two bulk
+// writers by construction.
 
 // tryEscalate converts h's own intent lock on table to the mode that
 // covers row requests of rowMode, if no other grant or count conflicts
@@ -24,28 +25,12 @@ func (m *Manager) tryEscalate(h *Holder, table uint32, rowMode Mode) bool {
 		want = X
 	}
 	name := TableName(table)
-	held, own := h.heldAt(name)
-	m.stats.tableOps.Inc()
-	p := m.part(name)
-	p.mu.Lock()
-	lh := p.table[name]
-	if lh == nil && held != None {
-		lh = m.takeHeadLocked(p, name) // held by a count alone
-	}
-	if lh != nil {
-		if lh.word != nil {
-			lh.word.Or(headBit)
-		}
-		if target := Supremum(held, want); held != None && len(lh.queue) == 0 && lh.admits(target, h.id, own) {
-			lh.grantLocked(h.id, target, own)
-			p.mu.Unlock()
-			h.note(name, target)
+	if h.Held(name) != None {
+		if _, err := m.request(h, name, want, true); err == nil {
 			m.stats.escalations.Add(1)
 			return true
 		}
-		m.settleLocked(p, name, lh)
 	}
-	p.mu.Unlock()
 	m.stats.escalationRefusals.Add(1)
 	return false
 }

@@ -90,16 +90,28 @@ func (h *Holder) SetClock(c *obs.PhaseClock) { h.clock = c }
 // manager's WaitTimeout; either way the transaction must abort and
 // release everything it holds.
 func (h *Holder) Acquire(name Name, mode Mode) error {
+	w, err := h.try(name, mode)
+	if w == nil {
+		return err
+	}
+	return h.m.wait(h, name, w)
+}
+
+// try is Acquire up to its wait, and never blocks: it answers the
+// request from the holder's set, by escalation, by a count or at the
+// lock table, refuses it as the deadlock victim, or returns the waiter
+// it queued, for which Acquire waits.
+func (h *Holder) try(name Name, mode Mode) (*waiter, error) {
 	m := h.m
 	m.stats.acquires.Add(1)
-	covered, try := h.covers(name, mode)
-	if covered || try && m.tryEscalate(h, name.Table, mode) {
-		return nil
+	covered, esc := h.covers(name, mode)
+	if covered || esc && m.tryEscalate(h, name.Table, mode) {
+		return nil, nil
 	}
 	if name.Level == LevelTable && m.count(h, name, mode) {
-		return nil
+		return nil, nil
 	}
-	return m.acquireTable(h, name, mode)
+	return m.request(h, name, mode, false)
 }
 
 // ReleaseAll drops every lock the holder has (2PL release phase) and

@@ -8,8 +8,6 @@ import (
 
 // waitQueueLen polls until name's queue holds at least n waiters
 // (white-box: the test shares the package and may peek under p.mu).
-//
-//hydra:vet:nonpropagating -- the deadlock-variant test polls while deliberately holding a waits-for stripe to park the victim's DFS; the stripe is never taken inside this helper
 func waitQueueLen(t *testing.T, m *Manager, name Name, n int) {
 	t.Helper()
 	p := m.part(name)
@@ -83,73 +81,6 @@ func TestWaiterRemovalRegrantsOnTimeout(t *testing.T) {
 		}
 		if h1.Held(r) != S {
 			t.Fatal("holder's S was disturbed")
-		}
-		h1.ReleaseAll()
-		h3.ReleaseAll()
-		assertTablesEmpty(t, m)
-	})
-}
-
-// TestWaiterRemovalRegrantsOnDeadlock is the deadlock variant: the
-// victim X self-aborts out of the queue and the compatible S behind
-// it must be admitted. A deadlock victim normally removes itself
-// immediately after enqueueing; to queue the S behind it
-// deterministically, the test holds the waits-for stripe the victim's
-// cycle DFS must visit, parking the victim between its enqueue and
-// its removal.
-func TestWaiterRemovalRegrantsOnDeadlock(t *testing.T) {
-	eachManager(t, Options{}, func(t *testing.T, m *Manager) {
-		// No timeout: only the deadlock path may remove.
-		r, r2 := RowName(1, 1), RowName(1, 2)
-		t1 := uint64(1)
-		t2 := uint64(2)
-		for wfIdx(t2) == wfIdx(t1) {
-			t2++
-		}
-		h1, h2, h3 := m.NewHolder(t1), m.NewHolder(t2), m.NewHolder(t2+1)
-
-		if err := h2.Acquire(r2, X); err != nil {
-			t.Fatal(err)
-		}
-		if err := h1.Acquire(r, S); err != nil {
-			t.Fatal(err)
-		}
-		// t1 blocks on r2, installing the t1 -> t2 half of the cycle.
-		t1Err := make(chan error, 1)
-		go func() { t1Err <- h1.Acquire(r2, X) }()
-		waitQueueLen(t, m, r2, 1)
-
-		// Park the victim's upcoming DFS: discovering the cycle requires
-		// reading t1's out-edges, which live in the stripe we now hold.
-		st := &m.wf[wfIdx(t1)]
-		st.mu.Lock()
-		t2Err := make(chan error, 1)
-		go func() { t2Err <- h2.Acquire(r, X) }()
-		waitQueueLen(t, m, r, 1)
-		t3Err := make(chan error, 1)
-		go func() { t3Err <- h3.Acquire(r, S) }()
-		waitQueueLen(t, m, r, 2)
-		st.mu.Unlock()
-
-		if err := <-t2Err; !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("victim X: err = %v, want ErrDeadlock", err)
-		}
-		select {
-		case err := <-t3Err:
-			if err != nil {
-				t.Fatalf("compatible S behind the deadlock victim: %v", err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("S behind the deadlock victim never granted (regrant missing)")
-		}
-		if got := m.StatsSnapshot().Deadlocks; got != 1 {
-			t.Fatalf("deadlocks = %d, want 1", got)
-		}
-
-		// Victim aborts: its release unblocks t1's wait on r2.
-		h2.ReleaseAll()
-		if err := <-t1Err; err != nil {
-			t.Fatal(err)
 		}
 		h1.ReleaseAll()
 		h3.ReleaseAll()

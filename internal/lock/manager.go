@@ -19,6 +19,7 @@ var (
 	ErrDeadlock = errors.New("lock: deadlock detected")
 	// ErrTimeout aborts a request that waited past the configured bound.
 	ErrTimeout = errors.New("lock: wait timed out")
+	errRefused = errors.New("lock: escalation refused")
 )
 
 // Options configures a Manager.
@@ -37,7 +38,7 @@ type Options struct {
 type Stats struct {
 	Acquires   uint64 `json:"acquires"`  // logical acquisitions requested
 	TableOps   uint64 `json:"table_ops"` // acquisitions that reached the lock table
-	Waits      uint64 `json:"waits"`     // acquisitions that blocked
+	Waits      uint64 `json:"waits"`     // acquisitions not granted at once (victims too)
 	Deadlocks  uint64 `json:"deadlocks"`
 	Timeouts   uint64 `json:"timeouts"`
 	Upgrades   uint64 `json:"upgrades"`
@@ -67,11 +68,10 @@ type Stats struct {
 }
 
 type waiter struct {
-	txn     uint64
-	mode    Mode
-	upgrade bool
-	own     Mode // the intent it holds as a count, which moves into its grant
-	anon    bool // counts blocked it at enqueue (cycle)
+	txn  uint64
+	mode Mode // what it is granted: the supremum with what it holds
+	own  Mode // the intent it holds as a count, which moves into its grant
+	anon bool // counts blocked it at enqueue (cycle)
 	// since is the obs.Now() stamp at enqueue; the stall flight
 	// recorder scans it to find waiters older than its threshold.
 	since int64
@@ -217,12 +217,21 @@ func (m *Manager) covered(n Name) []partition {
 	return m.parts[i : i+1]
 }
 
-func (m *Manager) acquireTable(h *Holder, name Name, mode Mode) error {
+// request decides a request for name in mode that reaches the lock
+// table, under name's partition mutex and without waiting. It grants
+// the request; or refuses it as the deadlock victim, having installed
+// the waiter's edges and searched from them (cycle) before the waiter
+// would enter the queue, so a victim never queues; or queues the
+// waiter, edges installed, and returns it for wait. An escalation
+// (never) is the same decision, refused (errRefused) where another
+// request would queue or go ahead of queued waiters.
+func (m *Manager) request(h *Holder, name Name, mode Mode, never bool) (*waiter, error) {
 	m.stats.tableOps.Inc()
 	txn := h.id
 	held, own := h.heldAt(name)
 	p := m.part(name)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	lh := p.table[name]
 	if lh == nil {
 		lh = m.takeHeadLocked(p, name)
@@ -233,21 +242,55 @@ func (m *Manager) acquireTable(h *Holder, name Name, mode Mode) error {
 
 	// A transaction that holds the name — by a grant here or by a
 	// count — asks for the supremum (covers answered any request it
-	// already held), judged against the others only, and waits at the
-	// head of the queue if it must.
+	// already held), judged against the others only, and goes ahead of
+	// the queue.
 	target := Supremum(held, mode)
-	upgrade := held != None
-	if (upgrade || len(lh.queue) == 0) && lh.admits(target, txn, own) {
-		if upgrade {
+	upgrade, queued := held != None, len(lh.queue) > 0
+	if (!queued || upgrade && !never) && lh.admits(target, txn, own) {
+		if upgrade && !never {
 			m.stats.upgrades.Add(1)
 		}
 		lh.grantLocked(txn, target, own)
 		m.settleLocked(p, name, lh)
-		p.mu.Unlock()
 		h.note(name, target)
-		return nil
+		return nil, nil
 	}
-	return m.wait(p, lh, name, h, target, upgrade, own)
+	if never {
+		m.settleLocked(p, name, lh)
+		return nil, errRefused
+	}
+
+	m.stats.waits.Inc()
+	w := &waiter{txn: txn, mode: target, own: own, since: obs.Now(), ready: make(chan struct{}, 1)}
+	w.anon = lh.word != nil && !countsAdmit(lh.word.Load(), own, target)
+	// An upgrader waits only on current holders; a plain waiter also
+	// waits on everyone queued ahead of it.
+	w.on = make([]uint64, 0, len(lh.granted)+len(lh.queue))
+	for t := range lh.granted {
+		if t != txn {
+			w.on = append(w.on, t)
+		}
+	}
+	if !upgrade {
+		for _, qw := range lh.queue {
+			w.on = append(w.on, qw.txn)
+		}
+	}
+	m.addWaitEdges(w)
+	// An upgrader goes ahead of the waiters already queued, which then
+	// wait on it without an edge that names it.
+	if m.cycle(w, h, upgrade && queued) {
+		m.clearWaitEdges(txn)
+		m.stats.deadlocks.Add(1)
+		m.settleLocked(p, name, lh)
+		return nil, fmt.Errorf("%w: txn %d on %s (%s)", ErrDeadlock, txn, name, target)
+	}
+	if upgrade {
+		lh.queue = slices.Insert(lh.queue, 0, w)
+	} else {
+		lh.queue = append(lh.queue, w)
+	}
+	return w, nil
 }
 
 // admits reports whether target is compatible with every grant other
@@ -272,111 +315,63 @@ func (h *lockHead) grantLocked(txn uint64, target, own Mode) {
 	h.granted[txn] = target
 }
 
-// wait enqueues h's transaction and blocks until granted, feeding
-// the wait into the manager's time-to-acquire histogram, the phase
-// clock and the event tracer. Called with p.mu held; returns with it
-// released.
-//
-//hydra:vet:nonpropagating -- releases the caller's p.mu before blocking on the ready channel
-func (m *Manager) wait(p *partition, lh *lockHead, name Name, h *Holder, mode Mode, upgrade bool, own Mode) error {
-	start := obs.Now()
-	defer func() {
-		waited := obs.Now() - start
-		m.waitProf.ObserveNanos(waited)
-		h.clock.Add(obs.PhaseLockWait, waited)
-		obs.TraceEvent(obs.EvLockWait, h.id, name.hash(), uint64(waited))
-	}()
-	m.stats.waits.Inc()
-	txn := h.id
-	w := &waiter{txn: txn, mode: mode, upgrade: upgrade, own: own, since: start, ready: make(chan struct{}, 1)}
-	w.anon = lh.word != nil && !countsAdmit(lh.word.Load(), own, mode)
-	if upgrade {
-		// Upgraders go first to shrink the conversion window.
-		lh.queue = append([]*waiter{w}, lh.queue...)
-	} else {
-		lh.queue = append(lh.queue, w)
+// wait blocks h's transaction until w, which request queued for it on
+// name, is granted, or past the manager's WaitTimeout, and feeds the
+// wait into the manager's time-to-acquire histogram, the phase clock
+// and the event tracer. It holds no lock while it blocks.
+func (m *Manager) wait(h *Holder, name Name, w *waiter) error {
+	var timeout <-chan time.Time
+	if m.opts.WaitTimeout > 0 {
+		t := time.NewTimer(m.opts.WaitTimeout)
+		defer t.Stop()
+		timeout = t.C
 	}
-
-	// Record waits-for edges and check for a cycle before sleeping.
-	// An upgrader waits only on current holders; a plain waiter also
-	// waits on everyone queued ahead of it.
-	w.on = make([]uint64, 0, len(lh.granted))
-	for t := range lh.granted {
-		if t != txn {
-			w.on = append(w.on, t)
+	var err error
+	select {
+	case <-w.ready:
+	case <-timeout:
+		if m.removeWaiter(name, w) {
+			m.stats.timeouts.Add(1)
+			err = fmt.Errorf("%w: txn %d on %s (%s)", ErrTimeout, h.id, name, w.mode)
+		} else {
+			<-w.ready // granted as it timed out
 		}
 	}
-	if !upgrade {
-		for _, qw := range lh.queue {
-			if qw == w {
-				break
-			}
-			if qw.txn != txn {
-				w.on = append(w.on, qw.txn)
-			}
-		}
+	waited := obs.Now() - w.since
+	m.waitProf.ObserveNanos(waited)
+	h.clock.Add(obs.PhaseLockWait, waited)
+	obs.TraceEvent(obs.EvLockWait, h.id, name.hash(), uint64(waited))
+	if err == nil {
+		h.note(name, w.mode)
 	}
-	// An upgrader goes ahead of the waiters already queued, which then
-	// wait on it without an edge that names it.
-	jumped := upgrade && len(lh.queue) > 1
-	m.addWaitEdges(w)
-	p.mu.Unlock()
-
-	// A victim of a cycle, or of the timeout, leaves the queue — unless
-	// its grant already arrived, in which case it did not have to wait.
-	var give error
-	if m.cycle(w, h, jumped) {
-		give = ErrDeadlock
-	} else {
-		var timeout <-chan time.Time
-		if m.opts.WaitTimeout > 0 {
-			t := time.NewTimer(m.opts.WaitTimeout)
-			defer t.Stop()
-			timeout = t.C
-		}
-		select {
-		case <-w.ready:
-		case <-timeout:
-			give = ErrTimeout
-		}
-	}
-	m.clearWaitEdges(txn)
-	if give != nil {
-		if m.removeWaiter(p, name, lh, w) {
-			if give == ErrDeadlock {
-				m.stats.deadlocks.Add(1)
-			} else {
-				m.stats.timeouts.Add(1)
-			}
-			return fmt.Errorf("%w: txn %d on %s (%s)", give, txn, name, mode)
-		}
-		<-w.ready
-	}
-	h.note(name, mode)
-	return nil
+	return err
 }
 
-// removeWaiter deletes w from the queue, reporting whether it was
-// still queued (false means it was already granted or failed). A
-// timed-out or deadlock-victim waiter may have been the only thing
-// blocking compatible waiters queued behind it (admission is FIFO
-// from the front), so removal settles the head like a release.
-func (m *Manager) removeWaiter(p *partition, name Name, lh *lockHead, w *waiter) bool {
+// removeWaiter takes a timed-out w out of name's queue and the
+// waits-for graph, reporting whether it was still queued (false: its
+// grant came first). It may have been the only thing blocking
+// compatible waiters queued behind it (admission is FIFO from the
+// front), so removal settles the head like a release.
+func (m *Manager) removeWaiter(name Name, w *waiter) bool {
+	p := m.part(name)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	lh := p.table[name] // w's grant or w keeps it linked
 	i := slices.Index(lh.queue, w)
-	if i >= 0 {
-		lh.queue = slices.Delete(lh.queue, i, i+1)
-		m.settleLocked(p, name, lh)
+	if i < 0 {
+		return false
 	}
-	return i >= 0
+	lh.queue = slices.Delete(lh.queue, i, i+1)
+	m.clearWaitEdges(w.txn)
+	m.settleLocked(p, name, lh)
+	return true
 }
 
 // addWaitEdges installs w's edges in its transaction's stripe of the
 // waits-for graph, which is sharded so that deadlock bookkeeping from
 // unrelated transactions never touches the same mutex. It runs under
-// the partition mutex of the head w queues on, so a waiter that queues
-// behind w later finds w's edges in its own search (cycle).
+// the partition mutex of the head w would queue on, before w's search,
+// so a waiter that queues behind w later finds w's edges in its own.
 func (m *Manager) addWaitEdges(w *waiter) {
 	st := &m.wf[wfIdx(w.txn)]
 	st.mu.Lock()
@@ -504,12 +499,14 @@ func (m *Manager) grantWaitersLocked(lh *lockHead) {
 		}
 		lh.grantLocked(w.txn, target, w.own)
 		lh.queue = lh.queue[1:]
+		m.clearWaitEdges(w.txn)
 		w.ready <- struct{}{}
 	}
 }
 
 // WaitHist returns a snapshot of the transactional lock-wait
-// distribution (time from conflict to grant, victims included).
+// distribution (time from enqueue to grant or timeout; a deadlock
+// victim never waits).
 func (m *Manager) WaitHist() hist.H { return m.waitProf.Snapshot() }
 
 // OldestWaiterAge returns the age in nanoseconds of the oldest

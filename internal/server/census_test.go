@@ -28,11 +28,13 @@ type censusWorkload struct {
 	txn         bool // BEGIN; SET account, teller, branch, history; COMMIT
 	frames      int  // the buffer pool
 	ops         int  // measured ops
+	mvcc        bool // the server's -mvcc: autocommit GETs are snapshot reads
 	// The pinned counts per op: lock acquisitions, log records, log
-	// bytes per byte of value written, and request lines; and the
-	// ranked-lock entries per op, per latch tier.
-	acquires, records, logPerUserByte, lines, allocs float64
-	tiers                                            map[string]float64
+	// bytes per byte of value written, request lines, allocations and
+	// durable_read_waits; and the ranked-lock entries per op, per latch
+	// tier.
+	acquires, records, logPerUserByte, lines, allocs, readWaits float64
+	tiers                                                       map[string]float64
 }
 
 type censusTable struct {
@@ -172,6 +174,17 @@ const warmupOps = 72
 // window the flusher's 1 ms tick entered has its log tiers checked
 // against the flushes and records it saw instead, as core's census
 // does: a tick flush is the flusher's, not an op's.
+//
+// The _mvcc rows are the same workloads on a server run with -mvcc
+// (ROADMAP item 34(a)). An autocommit GET is a snapshot read: no lock
+// acquisition, no lock_part entry, one mvcc_shard entry, and no
+// durable_read_waits, its snapshot being pinned at the durable
+// frontier; get_hot's tiers are its locked row's less lock_part, plus
+// mvcc_shard. A write installs a version under one mvcc_shard entry per
+// row and allocates more (4 per SET against 1, 8650 per 720 txn_hot
+// ops against 2890); its locks, log records and log bytes are the
+// locked rows'. durable_read_waits is pinned on every row: 0, the
+// census's one client having waited for each of its commits.
 func TestWireCensus(t *testing.T) {
 	for _, w := range []censusWorkload{
 		{name: "get_hot", tables: []censusTable{{"kv", 20000}}, valueSize: 100, getPermille: 1000, frames: 4096, ops: 2000,
@@ -187,11 +200,25 @@ func TestWireCensus(t *testing.T) {
 			acquires: 10, records: 3610.0 / 720, logPerUserByte: 2.6949, lines: 6, allocs: 2890.0 / 720,
 			tiers: map[string]float64{"frame_latch": 6452.0 / 720, "heap_tail": 740.0 / 720, "lock_part": 8, "pool_shard": 12928.0 / 720,
 				"wal_device": 2}},
+		{name: "get_hot_mvcc", tables: []censusTable{{"kv", 20000}}, valueSize: 100, getPermille: 1000, frames: 4096, ops: 2000, mvcc: true,
+			acquires: 0, records: 0, logPerUserByte: 0, lines: 1, allocs: 1,
+			tiers: map[string]float64{"frame_latch": 2.982, "mvcc_shard": 1, "pool_shard": 5.964}},
+		{name: "set_durable_mvcc", tables: []censusTable{{"kv", 20000}}, valueSize: 100, frames: 4096, ops: 200, mvcc: true,
+			acquires: 2, records: 2, logPerUserByte: 3.2700, lines: 1, allocs: 4,
+			tiers: map[string]float64{"frame_latch": 2.96, "lock_part": 2, "mvcc_shard": 1, "pool_shard": 5.92, "wal_device": 2}},
+		{name: "mixed_cold_mvcc", tables: []censusTable{{"kv", 24000}}, valueSize: 1000, getPermille: 800, frames: 1024, ops: 1000, mvcc: true,
+			acquires: 0.392, records: 0.392, logPerUserByte: 2.1270, lines: 1, allocs: 1.588,
+			tiers: map[string]float64{"frame_latch": 2.991, "lock_part": 0.392, "mvcc_shard": 1, "pool_shard": 7.274, "wal_device": 0.392}},
+		{name: "txn_hot_mvcc", tables: []censusTable{{"account", 10000}, {"teller", 10}, {"branch", 1}, {"history", 0}}, valueSize: 100, txn: true, frames: 4096, ops: 720, mvcc: true,
+			acquires: 10, records: 3610.0 / 720, logPerUserByte: 2.6949, lines: 6, allocs: 8650.0 / 720,
+			tiers: map[string]float64{"frame_latch": 6452.0 / 720, "heap_tail": 740.0 / 720, "lock_part": 8, "mvcc_shard": 4, "pool_shard": 12928.0 / 720,
+				"wal_device": 2}},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			cfg := core.Scalable()
 			cfg.Dir = t.TempDir()
 			cfg.Frames = w.frames
+			cfg.MVCC = w.mvcc
 			e, err := core.Open(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -267,6 +294,7 @@ func TestWireCensus(t *testing.T) {
 				{"wal.bytes_per_user_byte", logPerUserByte, w.logPerUserByte},
 				{"server.round_trips_per_op", float64(cc.lines) / ops, w.lines},
 				{"allocations per op", float64(mallocs) / ops, w.allocs},
+				{"durable_read_waits per op", float64(after.DurableReadWaits-before.DurableReadWaits) / ops, w.readWaits},
 			} {
 				if m.name == "allocations per op" && (invariant.Enabled || raceEnabled) {
 					continue // the hydradebug assertions allocate; -race drops pooled handles

@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,13 +239,10 @@ func endReservations(t *testing.T, kind BufferKind, poison bool, src *rng.Source
 		t.Fatal("Close still running 10 s after the log died")
 	}
 
-	// The flusher may still be in a flush it began before Close: hold
-	// off flushes while reading the device. A write that failed may
-	// have stored some of its bytes, so the device can reach past the
-	// durable frontier, but not past the filled one, which stops in
-	// front of the first gap.
-	l.flushOnceMu.Lock()
-	defer l.flushOnceMu.Unlock()
+	// Close waited for the flusher, so the device is still. A write
+	// that failed may have stored some of its bytes, so the device can
+	// reach past the durable frontier, but not past the filled one,
+	// which stops in front of the first gap.
 	durable, filled := uint64(l.FlushedLSN()), uint64(l.FilledLSN())
 	all := map[LSN]appended{}
 	for _, rs := range recs {
@@ -274,6 +273,83 @@ func endReservations(t *testing.T, kind BufferKind, poison bool, src *rng.Source
 	if end < durable || end > filled || found != below {
 		t.Fatalf("scan found %d records ending at %d; %d were appended below it (durable frontier %d, filled %d)",
 			found, end, below, durable, filled)
+	}
+}
+
+// closeWatch counts the writes and syncs its device takes once closed
+// is set.
+type closeWatch struct {
+	*MemDevice
+	closed atomic.Bool
+	late   atomic.Int64
+}
+
+func (d *closeWatch) note() {
+	if d.closed.Load() {
+		d.late.Add(1)
+	}
+}
+
+func (d *closeWatch) WriteAt(b []byte, off int64) (int, error) {
+	d.note()
+	return d.MemDevice.WriteAt(b, off)
+}
+
+func (d *closeWatch) WriteVec(offs []int64, bufs [][]byte) (int, error) {
+	d.note()
+	return d.MemDevice.WriteVec(offs, bufs)
+}
+
+func (d *closeWatch) Sync() error {
+	d.note()
+	return d.MemDevice.Sync()
+}
+
+// Close returns only after the flusher has: the device, which an engine
+// closes next, takes no write once Close has returned. Inserters append
+// and kick the flusher until the log refuses them, so a kick may be
+// pending beside the closed done when the flusher last selects, and
+// records filled after Close's final flush give that late flush
+// something to write. A log with no flusher closes too.
+func TestCloseWaitsForTheFlusher(t *testing.T) {
+	const lives, inserters = 100, 4
+	src := rng.New(7)
+	devs := make([]*closeWatch, lives)
+	for i := range devs {
+		dev := &closeWatch{MemDevice: NewMem()}
+		devs[i] = dev
+		l, err := New(dev, Options{Kind: BufferKinds()[i%len(BufferKinds())], SyncOnFlush: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := range inserters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if _, err := l.AppendFields(RecUpdate, uint64(w), NilLSN, 0, 0, []byte("x")); err != nil {
+						return
+					}
+					l.kickFlusher(causeDemand)
+				}
+			}()
+		}
+		time.Sleep(time.Duration(src.Intn(300)) * time.Microsecond)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		dev.closed.Store(true)
+		wg.Wait()
+	}
+	time.Sleep(20 * time.Millisecond) // a flusher Close left running writes by now
+	for i, dev := range devs {
+		if n := dev.late.Load(); n != 0 {
+			t.Fatalf("life %d: the device took %d writes and syncs after Close returned", i, n)
+		}
+	}
+	if err := newStoppedLog(t, NewMem(), Options{}).Close(); err != nil {
+		t.Fatalf("closing a log with no flusher: %v", err)
 	}
 }
 

@@ -140,6 +140,7 @@ type Log struct {
 	kick        chan struct{}
 	kickCause   atomic.Uint32 // flushCause bits of the kicks since the flusher last woke
 	done        chan struct{}
+	stopped     chan struct{} // closed as the flusher returns; nil: no flusher (newLog)
 	closed      atomic.Bool
 	flushOnceMu sync.Mutex   // serializes flushOnce (flusher vs Close) and the waiter sweeps
 	flusherErr  atomic.Value // error from a failed flush, poisons the log
@@ -216,6 +217,7 @@ func NewFrom(dev Device, opts Options, from LSN) (*Log, error) {
 		return nil, err
 	}
 	l := newLog(dev, opts, uint64(end))
+	l.stopped = make(chan struct{})
 	go l.flusher()
 	return l, nil
 }
@@ -636,7 +638,7 @@ func (l *Log) Flush() error {
 	return l.WaitFlushed(LSN(target - 1))
 }
 
-// Close flushes and stops the background flusher.
+// Close flushes, stops the background flusher and waits for it to return.
 func (l *Log) Close() error {
 	if l.closed.Swap(true) {
 		return nil
@@ -648,6 +650,9 @@ func (l *Log) Close() error {
 		l.poison(flushErr)
 	}
 	close(l.done)
+	if l.stopped != nil {
+		<-l.stopped // even a flush it began on a kick taken over done ends first
+	}
 	// Any waiter the final drain did not satisfy can never be: fail
 	// it with the flusher's error, or ErrClosed.
 	werr := flushErr
@@ -690,6 +695,7 @@ func (l *Log) StatsSnapshot() Stats {
 // that arrived while the device was busy share the next sync. That is
 // the whole group-commit policy — there is no gather delay to tune.
 func (l *Log) flusher() {
+	defer close(l.stopped)
 	ticker := time.NewTicker(l.opts.FlushInterval)
 	defer ticker.Stop()
 	for {

@@ -54,6 +54,7 @@ func raceWaits(t *testing.T, kind BufferKind, src *rng.Source, failAt, size int)
 	opts := Options{Kind: kind, BufferSize: 4 << 10, SyncOnFlush: true}
 	opts.fill()
 	l := newLog(dev, opts, 0) // below New's minimum ring, so that 1 KiB records fill it
+	l.stopped = make(chan struct{})
 	go l.flusher()
 	dead := false
 	for r := 0; r < waitRounds && !dead; r++ {
