@@ -196,9 +196,11 @@ bench-dora:
 # over a pipe: on the memory store, and as load500/file on real files
 # behind a 32-frame pool, which adds ns/row, allocs/row and the two
 # counts of E18 and E19 — store_writes/page and table_ops/row — and
-# fails when a loaded page is written more than 1.05 times or a loaded
+# fails when a loaded page is written more than 1.05 times, a loaded
 # row visits the lock table more than 0.15 times (65 visits per batch:
-# the loader holds its table in X from the 64th row on). Both load500
+# the loader holds its table in X from the 64th row on) or a loaded row
+# allocates more than 0.75 times, counted after an untimed warm-up
+# batch. Both load500
 # shapes print index_descents/row and fail past 0.05: a loaded row
 # enters the index at its last leaf (E20; three walks a row before).
 # The figures in EXPERIMENTS.md E17 to E20 come from this target.
@@ -219,9 +221,11 @@ bench-btree:
 # iteration: it catches benchmarks that crash or no longer build
 # without paying for a timed run (CI's guard against bench rot).
 # ./... picks up the WAL flush benchmarks (bench_test.go) and
-# bench-wire's BenchmarkDispatch too (load500 is one whole batch, and
+# bench-wire's BenchmarkDispatch too (load500 is one whole batch after
+# an untimed one, and
 # load500/file fails on a page written twice or a loader that keeps
-# locking its table row by row — the count gates of E18 and E19, which
+# locking its table row by row or allocates past 0.75 a row — the count
+# gates of E18 and E19 and the allocation gate, the first two of which
 # the lock package's Churn500 repeats without the engine — and both
 # load500 shapes on a row that walks the index from the root, E20's
 # gate, which the btree benchmarks repeat without the engine at enough

@@ -80,7 +80,8 @@ func TestWritesDoNotAliasCallerBuffer(t *testing.T) {
 // A miss is reported through the same sentinels and with the same text
 // as ever, under every intent, although nothing is formatted until
 // Error is called; Update on a missing key — the first half of every
-// wire SET of a new row — allocates the error and nothing else.
+// wire SET of a new row — allocates nothing, its error being the one
+// the handle keeps.
 func TestMissingKeyError(t *testing.T) {
 	const text = "core: key not found: table t key 9"
 	for _, tc := range modeCases() {
@@ -107,16 +108,37 @@ func TestMissingKeyError(t *testing.T) {
 			if invariant.Enabled || raceEnabled {
 				return
 			}
-			// Under snapshot isolation the snapshot probe and the write
-			// set each report the miss.
-			most := 1.0
-			if tc.snap {
-				most = 2
-			}
 			value := bytes.Repeat([]byte("v"), 100)
-			if n := testing.AllocsPerRun(200, func() { err = tx.Update(tbl, 9, value) }); n > most {
-				t.Errorf("Update of a missing key: %v allocations, want <= %v", n, most)
+			if n := testing.AllocsPerRun(200, func() { err = tx.Update(tbl, 9, value) }); n > 0 {
+				t.Errorf("Update of a missing key: %v allocations, want 0", n)
 			}
 		})
+	}
+}
+
+// The missing-key error Exec returns keeps its text after the recycled
+// handle has missed another key in a transaction that committed.
+func TestExecMissKeepsItsText(t *testing.T) {
+	e := memEngine(t, Scalable())
+	tbl, _ := e.CreateTable("t")
+	read := func(key uint64) func(tx *Txn) error {
+		return func(tx *Txn) error {
+			_, err := tx.Read(tbl, key)
+			return err
+		}
+	}
+	err := e.Exec(read(9))
+	for i := 0; i < 10; i++ {
+		if err := e.Exec(func(tx *Txn) error {
+			if err := read(11)(tx); !errors.Is(err, ErrNotFound) {
+				return err
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := "core: key not found: table t key 9"; err == nil || err.Error() != want {
+		t.Fatalf("Exec's miss reads %v, want %q", err, want)
 	}
 }

@@ -66,7 +66,7 @@ type siWrite struct {
 func (t *Txn) siRead(tbl *Table, key uint64) ([]byte, error) {
 	if w, ok := t.writeSet[verKey{table: tbl.ID, key: key}]; ok {
 		if w.kind == siWriteDelete {
-			return nil, notFound(tbl, key)
+			return nil, t.notFound(tbl, key)
 		}
 		return append([]byte(nil), w.value...), nil
 	}
@@ -115,7 +115,7 @@ func (t *Txn) siBuffer(tbl *Table, key uint64, kind byte, wantPresent bool, valu
 		if present {
 			return fmt.Errorf("%w: table %s key %d", ErrExists, tbl.Name, key)
 		}
-		return notFound(tbl, key)
+		return t.notFound(tbl, key)
 	}
 	w.kind, w.value = kind, nil
 	if kind == siWritePut {

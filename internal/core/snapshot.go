@@ -38,17 +38,26 @@ func (e *notFoundError) Error() string {
 
 func (e *notFoundError) Unwrap() error { return ErrNotFound }
 
-func notFound(tbl *Table, key uint64) error {
-	return &notFoundError{tbl: tbl, key: key}
+// notFound returns the error for t's miss of key in tbl: the one the
+// handle keeps, filled again at each miss, so that an Update of an
+// absent key allocates nothing. An abort lets the error go with the
+// transaction (finish), because Exec returns it after the handle is
+// recycled.
+func (t *Txn) notFound(tbl *Table, key uint64) error {
+	if t.miss == nil {
+		t.miss = new(notFoundError)
+	}
+	*t.miss = notFoundError{tbl: tbl, key: key}
+	return t.miss
 }
 
 // indexReadErr distinguishes a true index miss from an infrastructure
 // failure (buffer-pool IO error, WAL-poison shutdown surfacing through
 // a page read): only the former becomes ErrNotFound; everything else
 // propagates as the fault it is.
-func indexReadErr(err error, tbl *Table, key uint64) error {
+func (t *Txn) indexReadErr(err error, tbl *Table, key uint64) error {
 	if errors.Is(err, btree.ErrNotFound) {
-		return notFound(tbl, key)
+		return t.notFound(tbl, key)
 	}
 	return fmt.Errorf("core: table %s key %d: index read: %w", tbl.Name, key, err)
 }
@@ -94,19 +103,19 @@ func (t *Txn) snapshotRead(tbl *Table, key uint64) (val []byte, err error) {
 			return nil, err
 		}
 	} else if !errors.Is(err, btree.ErrNotFound) {
-		return nil, indexReadErr(err, tbl, key)
+		return nil, t.indexReadErr(err, tbl, key)
 	}
 	if !found || epoch != 0 {
 		if v, blocked := e.mvcc.resolve(tbl.ID, key, t.snap, &t.clock); blocked {
 			e.mvcc.chainReads.Inc()
 			if v == nil {
-				return nil, notFound(tbl, key)
+				return nil, t.notFound(tbl, key)
 			}
 			return append([]byte(nil), rowValue(v)...), nil
 		}
 	}
 	if !found {
-		return nil, notFound(tbl, key)
+		return nil, t.notFound(tbl, key)
 	}
 	return rowValue(rec), nil
 }

@@ -75,7 +75,9 @@ type txnMode struct {
 // retired Txn (with its lock holder, undo slice, and encode scratch
 // already allocated) and finish returns it. A handle must therefore
 // never be used after Commit or Abort returns — it may already be
-// another transaction.
+// another transaction. A missing-key error it returns holds until the
+// handle's next miss or its Commit, after which the handle may fill it
+// again; an Abort, and so Exec's error, leaves it be.
 type Txn struct {
 	e     *Engine
 	id    uint64
@@ -126,6 +128,8 @@ type Txn struct {
 	// zero value is no key. A partition-owned transaction holds no row
 	// lock, so it never has one and never writes the field.
 	absent absentKey
+	// miss is the missing-key error the handle fills (notFound).
+	miss *notFoundError
 }
 
 // absentKey names a row the transaction knows to be absent.
@@ -331,6 +335,9 @@ func (t *Txn) finish(state txnState, lsn wal.LSN) {
 	}
 	t.arenaReset()
 	t.absent = absentKey{}
+	if state == txnAborted {
+		t.miss = nil // the abort's error may be it
+	}
 	invariant.PoolPut("core.finish", t)
 	e.txnPool.Put(t)
 	counter.Inc()
@@ -456,7 +463,7 @@ func (t *Txn) lockedRead(tbl *Table, key uint64, tableMode, rowMode lock.Mode) (
 	}
 	packed, err := tbl.Index.GetC(key, &t.clock)
 	if err != nil {
-		return nil, indexReadErr(err, tbl, key)
+		return nil, t.indexReadErr(err, tbl, key)
 	}
 	rec, err := tbl.Heap.ReadC(heap.Unpack(packed), &t.clock)
 	if err != nil {
@@ -540,7 +547,7 @@ func (t *Txn) insert(tbl *Table, key uint64, value []byte) error {
 	} else if !errors.Is(err, btree.ErrNotFound) {
 		// An infrastructure failure (IO error, poisoned WAL) must not
 		// masquerade as "key absent" and let the insert proceed.
-		return indexReadErr(err, tbl, key)
+		return t.indexReadErr(err, tbl, key)
 	}
 	rec := t.arenaRowRecord(key, value)
 	op := OpRecord{Op: OpInsert, Table: tbl.ID, Key: key, After: rec}
@@ -571,7 +578,7 @@ func (t *Txn) update(tbl *Table, key uint64, value []byte) error {
 		if errors.Is(err, btree.ErrNotFound) && t.mode.Owned == 0 && !t.mode.snapshot {
 			t.absent = absentKey{tbl, key}
 		}
-		return indexReadErr(err, tbl, key)
+		return t.indexReadErr(err, tbl, key)
 	}
 	rid := heap.Unpack(packed)
 	rec := t.arenaRowRecord(key, value)
@@ -616,7 +623,7 @@ func (t *Txn) delete(tbl *Table, key uint64) error {
 	}
 	packed, err := tbl.Index.GetC(key, &t.clock)
 	if err != nil {
-		return indexReadErr(err, tbl, key)
+		return t.indexReadErr(err, tbl, key)
 	}
 	rid := heap.Unpack(packed)
 	op := OpRecord{Op: OpDelete, Table: tbl.ID, Key: key, RID: rid}

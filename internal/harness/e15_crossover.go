@@ -7,7 +7,6 @@ import (
 
 	"hydra/internal/core"
 	"hydra/internal/dora"
-	"hydra/internal/txnsim"
 	"hydra/internal/wal"
 	"hydra/internal/workload"
 )
@@ -159,29 +158,6 @@ func E15(s Scale) (*Report, error) {
 		}
 	}
 
-	// The measured table cannot show the multi-core side of the
-	// crossover on a narrow machine: lock-manager latch contention and
-	// parked-waiter convoys need critical sections from different
-	// hardware contexts genuinely overlapping. The discrete-event
-	// simulator regenerates that shape deterministically, against the
-	// strongest conventional baseline (a 16-way partitioned lock
-	// table), on a simulated 8-core CMP.
-	simFracs := []float64{0, 0.2, 0.5, 0.8, 0.95}
-	simP := txnsim.DefaultParams(8)
-	simP.LockPartitions = 16
-	simConv, simDora := txnsim.SweepSkew(simP, 8, simFracs, 40000)
-	simTab := &Table{
-		Title:   "simulated 8-core CMP, 16-way partitioned lock table, txns per Mcycle",
-		Columns: []string{"hot-frac", "lock-mgr", "dora", "dora/lock", "lock-wait"},
-	}
-	for i, h := range simFracs {
-		simTab.AddRow(fmt.Sprintf("%.2f", h),
-			F(simConv[i].TxnsPerMCycle), F(simDora[i].TxnsPerMCycle),
-			fmt.Sprintf("%.2fx", simDora[i].TxnsPerMCycle/simConv[i].TxnsPerMCycle),
-			fmt.Sprintf("%.0f%%", simConv[i].LockWaitFrac*100))
-	}
-	rep.Tab = append(rep.Tab, simTab)
-
 	st := mv.e.StatsSnapshot()
 	rep.Notes = append(rep.Notes,
 		"expected shape: dora/lock < 1 at hot-frac 0 (dispatch overhead, no contention to remove) and > 1 on the right edge (hot rows serialize on their executor instead of the lock manager); si/locked ≈ 1 at hot-frac 0 (validation is cheap, conflicts absent) and degrading as the hot set concentrates, with the conflict-rate column climbing in step — the locked cell pays the same contention as lock waits instead",
@@ -190,8 +166,7 @@ func E15(s Scale) (*Report, error) {
 			st.Mvcc.SIBegins, st.Mvcc.SICommits, st.Mvcc.SIConflictAborts, st.Lock.Bypasses),
 		fmt.Sprintf("locked/si group-insert ratio by hot-frac: %v (log records of the MVCC engine that joined a consolidation group another record led)", groups),
 		"write counters conserved on all three engines",
-		fmt.Sprintf("ran with GOMAXPROCS=%d; wider machines push the measured crossover left", runtime.GOMAXPROCS(0)),
-		"simulated table: skew re-concentrates latch traffic on the hot rows' stripes and every contended row transfer costs a park/unpark, while DORA's hot executor serves its backlog by batched drain — no lock manager anywhere on the path")
+		fmt.Sprintf("ran with GOMAXPROCS=%d; wider machines push the measured crossover left; EXPERIMENTS.md E1 says why no model stands in for them", runtime.GOMAXPROCS(0)))
 	return rep, nil
 }
 

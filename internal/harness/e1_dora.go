@@ -7,7 +7,6 @@ import (
 	"hydra/internal/core"
 	"hydra/internal/dora"
 	"hydra/internal/rng"
-	"hydra/internal/txnsim"
 	"hydra/internal/workload"
 )
 
@@ -115,29 +114,9 @@ func E1(s Scale) (*Report, error) {
 		return nil, err
 	}
 
-	// The phenomenon DORA removes — lock-manager latch contention —
-	// needs genuinely parallel cores. The discrete-event simulator
-	// regenerates the multi-core shape deterministically.
-	sim := &Table{
-		Title:   "simulated CMP (discrete-event): txns per Mcycle",
-		Columns: []string{"cores", "conventional", "lock-wait frac", "dora", "dora/conv"},
-	}
-	simCores := []int{1, 2, 4, 8, 16, 32, 64}
-	if s == Full {
-		simCores = append(simCores, 128)
-	}
-	convSim, doraSim := txnsim.Sweep(txnsim.DefaultParams(1), simCores, 40000)
-	for i, n := range simCores {
-		sim.AddRow(fmt.Sprintf("%d", n),
-			F(convSim[i].TxnsPerMCycle),
-			fmt.Sprintf("%.2f", convSim[i].LockWaitFrac),
-			F(doraSim[i].TxnsPerMCycle),
-			fmt.Sprintf("%.2fx", doraSim[i].TxnsPerMCycle/convSim[i].TxnsPerMCycle))
-	}
-	rep.Tab = append(rep.Tab, sim)
 	rep.Notes = append(rep.Notes,
 		"expected shape: conventional flattens/degrades as cores grow (lock-table latches serialize); DORA keeps rising and wins past the crossover",
-		fmt.Sprintf("measured table ran with GOMAXPROCS=%d; on a single hardware context lock-table critical sections never overlap, so DORA pays its dispatch cost without its contention win — the simulated table (substituting for the missing cores) carries the multi-core shape", runtime.GOMAXPROCS(0)),
+		fmt.Sprintf("measured with GOMAXPROCS=%d; the many-core side of the shape needs more hardware contexts than this run had; EXPERIMENTS.md E1 says why no model stands in for them", runtime.GOMAXPROCS(0)),
 		"workload invariants verified after the sweep on both systems")
 	return rep, nil
 }

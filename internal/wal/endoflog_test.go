@@ -396,7 +396,7 @@ func TestUnawaitedRecordsFlushOnTick(t *testing.T) {
 // Inserts start a flush only to relieve the ring: one that crosses half
 // occupancy kicks the flusher, one below it does not.
 func TestRingPressureKicksFlusher(t *testing.T) {
-	l := newStoppedLog(t, NewMem(), Options{Kind: Decoupled, BufferSize: 512 << 10})
+	l := newStoppedLog(t, NewMem(), Options{Kind: Consolidated, BufferSize: 512 << 10})
 	rec := make([]byte, EncodedSize(MaxPayload/2))
 	if _, err := Encode(&Record{Type: RecUpdate, Payload: bytes.Repeat([]byte("p"), MaxPayload/2)}, rec); err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func TestRingPressureKicksFlusher(t *testing.T) {
 // A committer parked behind another writer's unfilled gap gets its
 // flush when the gap closes, not at the next tick.
 func TestGapCloserPassesTheKickOn(t *testing.T) {
-	l := newStoppedLog(t, NewMem(), Options{Kind: Decoupled})
+	l := newStoppedLog(t, NewMem(), Options{Kind: Consolidated})
 	l.res.Store(2<<l.lsnBits | 200)
 	l.filled(1, 200) // the committer's own record, [100, 200), out of order
 	l.parked.Add(1)  // ...and it is now waiting

@@ -22,19 +22,16 @@ const (
 	// the log buffer under one mutex (wal.Log.mu), so the critical
 	// section grows with record size.
 	Serial BufferKind = iota
-	// Decoupled reserves its LSN range with one atomic add and copies
-	// outside any lock, with out-of-order completion tracking
-	// (Aether's "D" variant).
-	Decoupled
-	// Consolidated adds the consolidation array in front of the
-	// decoupled path: concurrent inserters combine into a single
-	// reservation, so reservations per record approach zero under
-	// load (Aether's "CD" variant).
+	// Consolidated puts the consolidation array in front of a
+	// reservation of one atomic add: concurrent inserters combine into
+	// a single reservation, so reservations per record approach zero
+	// under load, and each copies outside any lock, with out-of-order
+	// completion tracking (Aether's "CD" variant).
 	Consolidated
 )
 
 var bufferKindNames = map[BufferKind]string{
-	Serial: "serial", Decoupled: "decoupled", Consolidated: "consolidated",
+	Serial: "serial", Consolidated: "consolidated",
 }
 
 func (k BufferKind) String() string {
@@ -45,7 +42,7 @@ func (k BufferKind) String() string {
 }
 
 // BufferKinds lists the insert algorithms in sweep order.
-func BufferKinds() []BufferKind { return []BufferKind{Serial, Decoupled, Consolidated} }
+func BufferKinds() []BufferKind { return []BufferKind{Serial, Consolidated} }
 
 // Options configures a Log.
 type Options struct {
@@ -337,16 +334,11 @@ func (l *Log) insert(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, 
 	if err != nil {
 		return 0, err
 	}
-	if l.opts.Kind == Serial {
-		t0 := l.lockInsertMu(c)
-		l.place(lsn, rec, stamp) // copy under the mutex: the serial pathology
-		l.filled(ticket, lsn+n)
-		l.mu.Unlock()
-		l.noteInsertWait(c, t0)
-	} else {
-		l.place(lsn, rec, stamp)
-		l.filled(ticket, lsn+n)
-	}
+	t0 := l.lockInsertMu(c)
+	l.place(lsn, rec, stamp) // copy under the mutex: the serial pathology
+	l.filled(ticket, lsn+n)
+	l.mu.Unlock()
+	l.noteInsertWait(c, t0)
 	l.noteInsert(n)
 	return LSN(lsn), nil
 }

@@ -437,7 +437,7 @@ func TestLogResumeAppendsAfterExisting(t *testing.T) {
 	l.Append(&Record{Type: RecUpdate, TxnID: 1, Payload: []byte("first")})
 	l.Close()
 
-	l2 := newTestLog(t, Decoupled, dev)
+	l2 := newTestLog(t, Consolidated, dev)
 	l2.Append(&Record{Type: RecUpdate, TxnID: 2, Payload: []byte("second")})
 	l2.Close()
 
