@@ -116,21 +116,21 @@ func TestMissingKeyError(t *testing.T) {
 	}
 }
 
-// The missing-key error Exec returns keeps its text after the recycled
-// handle has missed another key in a transaction that committed.
+// The missing-key error Exec returns from an Update keeps its text
+// after the recycled handle has missed another key in a transaction
+// that committed.
 func TestExecMissKeepsItsText(t *testing.T) {
 	e := memEngine(t, Scalable())
 	tbl, _ := e.CreateTable("t")
-	read := func(key uint64) func(tx *Txn) error {
+	update := func(key uint64) func(tx *Txn) error {
 		return func(tx *Txn) error {
-			_, err := tx.Read(tbl, key)
-			return err
+			return tx.Update(tbl, key, []byte("v"))
 		}
 	}
-	err := e.Exec(read(9))
+	err := e.Exec(update(9))
 	for i := 0; i < 10; i++ {
 		if err := e.Exec(func(tx *Txn) error {
-			if err := read(11)(tx); !errors.Is(err, ErrNotFound) {
+			if err := update(11)(tx); !errors.Is(err, ErrNotFound) {
 				return err
 			}
 			return nil

@@ -39,7 +39,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -66,7 +65,7 @@ type siWrite struct {
 func (t *Txn) siRead(tbl *Table, key uint64) ([]byte, error) {
 	if w, ok := t.writeSet[verKey{table: tbl.ID, key: key}]; ok {
 		if w.kind == siWriteDelete {
-			return nil, t.notFound(tbl, key)
+			return nil, notFound(tbl, key)
 		}
 		return append([]byte(nil), w.value...), nil
 	}
@@ -104,18 +103,21 @@ func (t *Txn) siBuffer(tbl *Table, key uint64, kind byte, wantPresent bool, valu
 	w, staged := t.writeSet[k]
 	present := w.kind == siWritePut
 	if !staged {
-		_, err := t.snapshotRead(tbl, key)
-		if err != nil && !errors.Is(err, ErrNotFound) {
+		_, found, err := t.snapshotLookup(tbl, key)
+		if err != nil {
 			return err
 		}
-		present = err == nil
+		present = found
 		w = siWrite{tbl: tbl, base: present}
 	}
 	if present != wantPresent {
 		if present {
 			return fmt.Errorf("%w: table %s key %d", ErrExists, tbl.Name, key)
 		}
-		return t.notFound(tbl, key)
+		if kind == siWritePut {
+			return t.updateMiss(tbl, key)
+		}
+		return notFound(tbl, key)
 	}
 	w.kind, w.value = kind, nil
 	if kind == siWritePut {

@@ -38,12 +38,16 @@ func (e *notFoundError) Error() string {
 
 func (e *notFoundError) Unwrap() error { return ErrNotFound }
 
-// notFound returns the error for t's miss of key in tbl: the one the
-// handle keeps, filled again at each miss, so that an Update of an
-// absent key allocates nothing. An abort lets the error go with the
-// transaction (finish), because Exec returns it after the handle is
-// recycled.
-func (t *Txn) notFound(tbl *Table, key uint64) error {
+func notFound(tbl *Table, key uint64) error {
+	return &notFoundError{tbl: tbl, key: key}
+}
+
+// updateMiss returns the error for an Update of t's that missed key in
+// tbl: the one the handle keeps, filled again at each such miss, so
+// that the miss of a wire SET's Update-then-Insert allocates nothing.
+// An abort lets the error go with the transaction (finish), because
+// Exec returns it after the handle is recycled.
+func (t *Txn) updateMiss(tbl *Table, key uint64) error {
 	if t.miss == nil {
 		t.miss = new(notFoundError)
 	}
@@ -55,9 +59,9 @@ func (t *Txn) notFound(tbl *Table, key uint64) error {
 // failure (buffer-pool IO error, WAL-poison shutdown surfacing through
 // a page read): only the former becomes ErrNotFound; everything else
 // propagates as the fault it is.
-func (t *Txn) indexReadErr(err error, tbl *Table, key uint64) error {
+func indexReadErr(err error, tbl *Table, key uint64) error {
 	if errors.Is(err, btree.ErrNotFound) {
-		return t.notFound(tbl, key)
+		return notFound(tbl, key)
 	}
 	return fmt.Errorf("core: table %s key %d: index read: %w", tbl.Name, key, err)
 }
@@ -74,10 +78,20 @@ func (t *Txn) indexReadErr(err error, tbl *Table, key uint64) error {
 // miss it — while the snapshot is not overdue: the read checks that
 // after it has read, when whatever pruned its chains would show
 // (Engine.pin).
-func (t *Txn) snapshotRead(tbl *Table, key uint64) (val []byte, err error) {
+func (t *Txn) snapshotRead(tbl *Table, key uint64) ([]byte, error) {
+	val, found, err := t.snapshotLookup(tbl, key)
+	if err == nil && !found {
+		err = notFound(tbl, key)
+	}
+	return val, err
+}
+
+// snapshotLookup is snapshotRead with a miss reported as found false
+// and no error, for the SI write path, which only tests for it.
+func (t *Txn) snapshotLookup(tbl *Table, key uint64) (val []byte, found bool, err error) {
 	defer func() {
 		if t.expired() {
-			val, err = nil, ErrSnapshotExpired
+			val, found, err = nil, false, ErrSnapshotExpired
 		}
 	}()
 	if testHookSnapshotRead != nil {
@@ -95,29 +109,28 @@ func (t *Txn) snapshotRead(tbl *Table, key uint64) (val []byte, err error) {
 	// touched.
 	var rec []byte
 	var epoch uint32
-	found := false
 	packed, err := tbl.Index.GetC(key, &t.clock)
 	if err == nil {
 		rec, epoch, err = tbl.Heap.ReadVersionedC(heap.Unpack(packed), &t.clock)
 		if found = err == nil; !found && !errors.Is(err, heap.ErrNotFound) {
-			return nil, err
+			return nil, false, err
 		}
 	} else if !errors.Is(err, btree.ErrNotFound) {
-		return nil, t.indexReadErr(err, tbl, key)
+		return nil, false, indexReadErr(err, tbl, key)
 	}
 	if !found || epoch != 0 {
 		if v, blocked := e.mvcc.resolve(tbl.ID, key, t.snap, &t.clock); blocked {
 			e.mvcc.chainReads.Inc()
 			if v == nil {
-				return nil, t.notFound(tbl, key)
+				return nil, false, nil
 			}
-			return append([]byte(nil), rowValue(v)...), nil
+			return append([]byte(nil), rowValue(v)...), true, nil
 		}
 	}
 	if !found {
-		return nil, t.notFound(tbl, key)
+		return nil, false, nil
 	}
-	return rowValue(rec), nil
+	return rowValue(rec), true, nil
 }
 
 // testHookSnapshotRead, when set, runs where a snapshot read has

@@ -75,9 +75,8 @@ type txnMode struct {
 // retired Txn (with its lock holder, undo slice, and encode scratch
 // already allocated) and finish returns it. A handle must therefore
 // never be used after Commit or Abort returns — it may already be
-// another transaction. A missing-key error it returns holds until the
-// handle's next miss or its Commit, after which the handle may fill it
-// again; an Abort, and so Exec's error, leaves it be.
+// another transaction. Nor may a missing-key error from Update be read
+// after Commit (see Update).
 type Txn struct {
 	e     *Engine
 	id    uint64
@@ -128,7 +127,7 @@ type Txn struct {
 	// zero value is no key. A partition-owned transaction holds no row
 	// lock, so it never has one and never writes the field.
 	absent absentKey
-	// miss is the missing-key error the handle fills (notFound).
+	// miss is the missing-key error an Update fills (updateMiss).
 	miss *notFoundError
 }
 
@@ -463,7 +462,7 @@ func (t *Txn) lockedRead(tbl *Table, key uint64, tableMode, rowMode lock.Mode) (
 	}
 	packed, err := tbl.Index.GetC(key, &t.clock)
 	if err != nil {
-		return nil, t.indexReadErr(err, tbl, key)
+		return nil, indexReadErr(err, tbl, key)
 	}
 	rec, err := tbl.Heap.ReadC(heap.Unpack(packed), &t.clock)
 	if err != nil {
@@ -488,7 +487,10 @@ func (t *Txn) Insert(tbl *Table, key uint64, value []byte) error {
 }
 
 // Update replaces the value of an existing row; a missing key fails
-// with ErrNotFound. value is copied as by Insert.
+// with ErrNotFound. value is copied as by Insert. The missing-key error
+// is the handle's own: it holds until the transaction's next Update
+// miss or its Commit, after which a recycled handle fills it again. An
+// Abort, and so the error Exec returns, leaves it to the caller.
 func (t *Txn) Update(tbl *Table, key uint64, value []byte) error {
 	if err := t.checkWrite(); err != nil {
 		return err
@@ -547,7 +549,7 @@ func (t *Txn) insert(tbl *Table, key uint64, value []byte) error {
 	} else if !errors.Is(err, btree.ErrNotFound) {
 		// An infrastructure failure (IO error, poisoned WAL) must not
 		// masquerade as "key absent" and let the insert proceed.
-		return t.indexReadErr(err, tbl, key)
+		return indexReadErr(err, tbl, key)
 	}
 	rec := t.arenaRowRecord(key, value)
 	op := OpRecord{Op: OpInsert, Table: tbl.ID, Key: key, After: rec}
@@ -575,10 +577,13 @@ func (t *Txn) update(tbl *Table, key uint64, value []byte) error {
 		// in between, and this transaction's own next write statement,
 		// whichever it is, drops the note. A transaction whose lock set
 		// does not hold the row (Intent.Owned, snapshot mode) takes none.
-		if errors.Is(err, btree.ErrNotFound) && t.mode.Owned == 0 && !t.mode.snapshot {
+		if !errors.Is(err, btree.ErrNotFound) {
+			return indexReadErr(err, tbl, key)
+		}
+		if t.mode.Owned == 0 && !t.mode.snapshot {
 			t.absent = absentKey{tbl, key}
 		}
-		return t.indexReadErr(err, tbl, key)
+		return t.updateMiss(tbl, key)
 	}
 	rid := heap.Unpack(packed)
 	rec := t.arenaRowRecord(key, value)
@@ -623,7 +628,7 @@ func (t *Txn) delete(tbl *Table, key uint64) error {
 	}
 	packed, err := tbl.Index.GetC(key, &t.clock)
 	if err != nil {
-		return t.indexReadErr(err, tbl, key)
+		return indexReadErr(err, tbl, key)
 	}
 	rid := heap.Unpack(packed)
 	op := OpRecord{Op: OpDelete, Table: tbl.ID, Key: key, RID: rid}

@@ -346,13 +346,13 @@ const loadRows = 500
 
 // loadBatches sends one untimed warm-up batch and then b.N loader
 // batches — BEGIN; loadRows x SET of a new 1000-byte row; COMMIT — into
-// the table kv through handle over a pipe, reporting ns/row, allocs/row
-// and index_descents/row of the timed batches beside the per-batch
-// figures, and failing past 0.05 descents a row (two for the first row
-// of an empty table, then one per leaf split; it was 3.00). It returns
-// allocs/row, counted after the warm-up: that batch fills the pools and
-// grows the buffers a first batch allocates, so the figure holds at one
-// iteration.
+// the table kv through handle over a pipe, reporting ns/row and
+// allocs/row of the timed batches and index_descents/row of all of
+// them beside the per-batch figures, and failing past 0.05 descents a
+// row (two for the first row of an empty table, then one per leaf
+// split; it was 3.00). It returns allocs/row, counted after the
+// warm-up: that batch fills the pools and grows the buffers a first
+// batch allocates, so the figure holds at one iteration.
 func loadBatches(b *testing.B, e *core.Engine) float64 {
 	client, srv := net.Pipe()
 	done := make(chan struct{})
@@ -393,10 +393,10 @@ func loadBatches(b *testing.B, e *core.Engine) float64 {
 			b.Fatal(err)
 		}
 	}
+	walks := e.StatsSnapshot().Index.Descents
 	send(0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	walks := e.StatsSnapshot().Index.Descents
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {
@@ -408,7 +408,7 @@ func loadBatches(b *testing.B, e *core.Engine) float64 {
 	allocs := float64(after.Mallocs-before.Mallocs) / rows
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
 	b.ReportMetric(allocs, "allocs/row")
-	descents := float64(e.StatsSnapshot().Index.Descents-walks) / rows
+	descents := float64(e.StatsSnapshot().Index.Descents-walks) / float64((b.N+1)*loadRows)
 	b.ReportMetric(descents, "index_descents/row")
 	if descents > 0.05 {
 		b.Fatalf("a loaded row costs %.3f index descents, want <= 0.05", descents)
