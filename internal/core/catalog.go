@@ -3,10 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
+	"hydra/internal/btree"
 	"hydra/internal/buffer"
-	"hydra/internal/heap"
 	"hydra/internal/latch"
 	"hydra/internal/page"
 	"hydra/internal/wal"
@@ -18,6 +20,33 @@ type TableMeta struct {
 	ID        uint32
 	HeapFirst page.ID
 	Name      string
+}
+
+// catalog is the engine's tables, published whole in Engine.cat and
+// never changed after, so a lookup is one atomic load. Each creation,
+// new or redone, publishes a copy with its table added under page 0's
+// X latch, which orders them; restart first publishes page 0's own.
+type catalog struct {
+	byName map[string]*Table
+	byID   []*Table // table i at byID[i-1]: ids are dense from 1
+}
+
+// table returns the table with id, or nil.
+func (c *catalog) table(id uint32) *Table {
+	if id == 0 || int(id) > len(c.byID) {
+		return nil
+	}
+	return c.byID[id-1]
+}
+
+// add adds t to an unpublished catalog. t must take the next id.
+func (c *catalog) add(t *Table) error {
+	if int(t.ID) != len(c.byID)+1 {
+		return fmt.Errorf("core: table %d (%s) follows table %d in the catalog", t.ID, t.Name, len(c.byID))
+	}
+	c.byName[t.Name] = t
+	c.byID = append(c.byID, t)
+	return nil
 }
 
 // encodeCatalog serializes the table list for the meta page:
@@ -125,11 +154,12 @@ func (e *Engine) writeMeta(master wal.LSN) error {
 
 // applyCreate applies the OpCreate record logged at lsn to the meta
 // page and the new heap's head page, both pinned and X-latched by the
-// caller, who also holds e.mu. It formats the head and adds the table
-// to the catalog, each only if the page's LSN shows the record missing,
-// stamps lsn on what it changes, and installs the table (without an
-// index). CreateTable and restart's redo both apply the record here.
-func (e *Engine) applyCreate(meta, head *buffer.Frame, op *OpRecord, lsn uint64) (*Table, error) {
+// caller. It formats the head and adds the table to the catalog, each
+// only if the page's LSN shows the record missing, stamps lsn on what
+// it changes, and publishes the table with index idx if the catalog
+// lacks it. CreateTable and restart's redo (idx nil: restart rebuilds
+// every index before Open returns) both apply the record here.
+func (e *Engine) applyCreate(meta, head *buffer.Frame, op *OpRecord, lsn uint64, idx *btree.Tree) (*Table, error) {
 	m := TableMeta{ID: op.Table, HeapFirst: op.RID.Page, Name: string(op.After)}
 	if head.Page.LSN() < lsn {
 		head.Page.Format(m.HeapFirst, page.TypeHeap)
@@ -147,12 +177,17 @@ func (e *Engine) applyCreate(meta, head *buffer.Frame, op *OpRecord, lsn uint64)
 		meta.Page.SetLSN(lsn)
 		e.pool.Replayed(meta, lsn)
 	}
-	t := e.tablesByID[m.ID]
-	if t == nil {
-		t = &Table{ID: m.ID, Name: m.Name, Heap: heap.Attach(e.pool, m.HeapFirst)}
-		e.installTableLocked(t)
+	old := e.cat.Load()
+	if t := old.table(m.ID); t != nil {
+		return t, nil
 	}
-	e.nextTableID = max(e.nextTableID, m.ID)
+	// A copy for add to change: old stays as its readers found it.
+	cat := &catalog{byName: maps.Clone(old.byName), byID: slices.Clip(old.byID)}
+	t := e.newTable(m, idx)
+	if err := cat.add(t); err != nil {
+		return nil, err
+	}
+	e.cat.Store(cat)
 	return t, nil
 }
 

@@ -116,9 +116,7 @@ func TestRestartRefusesParentFormatCheckpoint(t *testing.T) {
 	if err := e.log.WaitFlushed(end); err != nil {
 		t.Fatal(err)
 	}
-	e.mu.Lock()
 	err = e.writeMeta(begin)
-	e.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,9 +326,7 @@ func TestCheckpointWindowCommitIsNoLoser(t *testing.T) {
 	if err := e.log.WaitFlushed(end); err != nil {
 		t.Fatal(err)
 	}
-	e.mu.Lock()
 	err = e.writeMeta(start)
-	e.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -440,7 +440,7 @@ func TestCrashMidAbortResumesUndo(t *testing.T) {
 	inv := last.op.inverse()
 	clr, err := e.log.Append(&wal.Record{
 		Type: wal.RecCLR, TxnID: tx.id, PrevLSN: tx.lastLSN,
-		PageID: uint64(inv.RID.Page), UndoNext: last.prev, Payload: encodeOp(&inv),
+		PageID: uint64(inv.RID.Page), UndoNext: last.prev, Payload: encodeOp(nil, &inv),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -449,3 +449,112 @@ func TestCreateTableDuringCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Creators race to create one name while readers look tables up and
+// read the index statistics, and checkpoints run back to back. Page 0's
+// X latch orders the creates: in each round exactly one succeeds, the
+// rest get ErrTableExists having allocated nothing, so the store grows
+// by the winner's heap head and index root alone. A table is published
+// with its index, so no lookup, Tables or StatsSnapshot finds it
+// without one.
+func TestRacingCreatesOfOneName(t *testing.T) {
+	const rounds, creators, readers = 20, 6, 2
+	e, err := Open(Scalable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	old, err := e.CreateTable("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertRows(t, e, old, 0, 100)
+
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(1 + readers)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer bg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, tbl := range e.Tables() {
+					if tbl.Index == nil {
+						t.Errorf("Tables lists %s without its index", tbl.Name)
+						return
+					}
+				}
+				if tbl, err := e.Table(fmt.Sprintf("new%d", i%rounds)); err == nil && tbl.Index == nil {
+					t.Errorf("Table(%s) has no index", tbl.Name)
+					return
+				}
+				e.StatsSnapshot() // sums every published table's index
+				if err := e.Exec(func(tx *Txn) error {
+					_, err := tx.Read(old, uint64(i%100))
+					return err
+				}, Intent{ReadOnly: true}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		name := fmt.Sprintf("new%d", round)
+		before, _ := e.store.NumPages()
+		var won atomic.Int32
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for c := 0; c < creators; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				switch tbl, err := e.CreateTable(name); {
+				case err == nil:
+					won.Add(1)
+					if tbl.Index == nil {
+						t.Errorf("CreateTable(%s) returned no index", name)
+					}
+				case !errors.Is(err, ErrTableExists):
+					t.Errorf("CreateTable(%s): %v, want ErrTableExists", name, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := won.Load(); n != 1 {
+			t.Errorf("round %d: %d creates of %s succeeded, want 1", round, n, name)
+		}
+		if after, _ := e.store.NumPages(); after != before+2 {
+			t.Errorf("round %d: the store grew by %d pages, want 2 (a heap head and an index root)", round, after-before)
+		}
+	}
+	close(stop)
+	bg.Wait()
+	if n := len(e.Tables()); n != rounds+1 {
+		t.Fatalf("%d tables, want %d", n, rounds+1)
+	}
+	if err := e.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}

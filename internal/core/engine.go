@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,15 +195,9 @@ type Engine struct {
 	// populated when cfg.MVCC is on.
 	mvcc *verTable
 
-	// mu guards the catalog maps, and orders table creations: each
-	// appends its OpCreate record and applies it to page 0 under it. It
-	// is a rare-operation lock, not a hot-path guard; no create syncs
-	// under it.
-	//hydra:vet:coarse -- catalog/DDL lock: a table creation allocates its pages, fetches page 0 and appends its record under it, so a victim write-back in NewPage (or a miss in Fetch) can do IO here; it forces no page and waits for no flush, and DDL is rare
-	mu          invariant.RWMutex[invariant.EngineMu]
-	tables      map[string]*Table
-	tablesByID  map[uint32]*Table
-	nextTableID uint32
+	// cat is the catalog (catalog.go): replaced whole by the holder of
+	// page 0's X latch, read with one load.
+	cat atomic.Pointer[catalog]
 
 	txnSeq atomic.Uint64
 	// commits/aborts are striped (obs.Counter): every worker bumps one
@@ -302,12 +298,11 @@ func (l poolLog) Frontier() uint64 { return uint64(l.e.log.FilledLSN()) }
 func OpenWith(cfg Config, store buffer.PageStore, dev wal.Device) (*Engine, error) {
 	cfg.fill()
 	e := &Engine{
-		cfg:        cfg,
-		store:      store,
-		logDev:     dev,
-		tables:     make(map[string]*Table),
-		tablesByID: make(map[uint32]*Table),
+		cfg:    cfg,
+		store:  store,
+		logDev: dev,
 	}
+	e.cat.Store(&catalog{byName: map[string]*Table{}})
 	e.pool = buffer.NewPool(store, buffer.Options{
 		Frames:    cfg.Frames,
 		Shards:    cfg.BufferShards,
@@ -403,12 +398,28 @@ func (e *Engine) CreateTable(name string) (*Table, error) {
 	return t, nil
 }
 
-// createTable is CreateTable up to the durability wait, under e.mu.
+// createTable is CreateTable up to the durability wait. Page 0's X
+// latch orders it against every other creation: the name check, the
+// id, the record and the publish all happen under it.
 func (e *Engine) createTable(name string) (t *Table, lsn wal.LSN, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.tables[name]; ok {
+	meta, err := e.pool.Fetch(metaPageID)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer e.pool.Unpin(meta, true)
+	meta.Latch.Acquire(latch.Exclusive)
+	defer meta.Latch.Release(latch.Exclusive)
+	cat := e.cat.Load()
+	if _, ok := cat.byName[name]; ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrTableExists, name)
+	}
+	// Once logged, the record must apply: the catalog has to fit.
+	rec, err := meta.Page.Read(0)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: meta page has no catalog record: %w", err)
+	}
+	if len(rec)+14+len(name) > page.MaxRecordSize {
+		return nil, 0, fmt.Errorf("core: catalog too large for meta page: %w", page.ErrPageFull)
 	}
 	head, err := e.pool.NewPage(page.TypeHeap)
 	if err != nil {
@@ -419,41 +430,27 @@ func (e *Engine) createTable(name string) (t *Table, lsn wal.LSN, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	op := OpRecord{Op: OpCreate, Table: e.nextTableID + 1, RID: heap.RID{Page: head.ID()}, After: []byte(name)}
-	err = e.withCreatePages(&op, func(meta, head *buffer.Frame) error {
-		// Once logged, the record must apply: the catalog has to fit.
-		rec, err := meta.Page.Read(0)
-		if err != nil {
-			return fmt.Errorf("core: meta page has no catalog record: %w", err)
-		}
-		if len(rec)+14+len(name) > page.MaxRecordSize {
-			return fmt.Errorf("core: catalog too large for meta page: %w", page.ErrPageFull)
-		}
-		e.pool.WillLog(meta)
-		e.pool.WillLog(head)
-		if lsn, err = e.log.Append(&wal.Record{
-			Type:    wal.RecUpdate,
-			TxnID:   0, // system action, never undone
-			PrevLSN: wal.NilLSN,
-			PageID:  uint64(head.ID()),
-			Payload: encodeOp(&op),
-		}); err != nil {
-			return err
-		}
-		t, err = e.applyCreate(meta, head, &op, uint64(lsn))
-		return err
-	})
-	if err != nil {
+	op := OpRecord{Op: OpCreate, Table: uint32(len(cat.byID)) + 1, RID: heap.RID{Page: head.ID()}, After: []byte(name)}
+	head.Latch.Acquire(latch.Exclusive)
+	defer head.Latch.Release(latch.Exclusive)
+	e.pool.WillLog(meta)
+	e.pool.WillLog(head)
+	if lsn, err = e.log.Append(&wal.Record{
+		Type:    wal.RecUpdate,
+		TxnID:   0, // system action, never undone
+		PrevLSN: wal.NilLSN,
+		PageID:  uint64(head.ID()),
+		Payload: encodeOp(nil, &op),
+	}); err != nil {
 		return nil, 0, err
 	}
-	t.Index = idx
-	return t, lsn, nil
+	t, err = e.applyCreate(meta, head, &op, uint64(lsn), idx)
+	return t, lsn, err
 }
 
-// withCreatePages runs fn on the two pages an OpCreate record changes,
-// page 0 and op's heap head page, pinned and X-latched, and unpins them
-// dirty.
-func (e *Engine) withCreatePages(op *OpRecord, fn func(meta, head *buffer.Frame) error) error {
+// redoCreate applies the OpCreate record op, logged at lsn, to page 0
+// and op's heap head page, pinned and X-latched, and unpins them dirty.
+func (e *Engine) redoCreate(op *OpRecord, lsn uint64) error {
 	meta, err := e.pool.Fetch(metaPageID)
 	if err != nil {
 		return err
@@ -468,56 +465,49 @@ func (e *Engine) withCreatePages(op *OpRecord, fn func(meta, head *buffer.Frame)
 	defer meta.Latch.Release(latch.Exclusive)
 	head.Latch.Acquire(latch.Exclusive)
 	defer head.Latch.Release(latch.Exclusive)
-	return fn(meta, head)
+	_, err = e.applyCreate(meta, head, op, lsn, nil)
+	return err
 }
 
-// installTableLocked registers t and wires its logging hooks.
-func (e *Engine) installTableLocked(t *Table) {
-	tableID := t.ID
+// newTable returns the table m describes, with index idx and its
+// logging hooks wired.
+func (e *Engine) newTable(m TableMeta, idx *btree.Tree) *Table {
+	t := &Table{ID: m.ID, Name: m.Name, Heap: heap.Attach(e.pool, m.HeapFirst), Index: idx}
 	t.Heap.SetExtendHook(func(oldTail, newTail page.ID) (uint64, error) {
 		rec := OpRecord{
 			Op:    OpExtend,
-			Table: tableID,
+			Table: m.ID,
 			Key:   uint64(newTail),
 			RID:   heap.RID{Page: oldTail},
 		}
+		var buf [29]byte // an OpExtend record has no images
 		lsn, err := e.log.Append(&wal.Record{
 			Type:    wal.RecUpdate,
 			TxnID:   0, // system action, never undone
 			PrevLSN: wal.NilLSN,
 			PageID:  uint64(oldTail),
-			Payload: encodeOp(&rec),
+			Payload: encodeOp(buf[:0], &rec),
 		})
 		return uint64(lsn), err
 	})
 	if e.cfg.MVCC {
 		t.Heap.SetVersioned(true)
 	}
-	e.tables[t.Name] = t
-	e.tablesByID[t.ID] = t
+	return t
 }
 
 // Table returns the named table.
 func (e *Engine) Table(name string) (*Table, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t, ok := e.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
+	if t := e.cat.Load().byName[name]; t != nil {
+		return t, nil
 	}
-	return t, nil
+	// The error keeps a copy, so name does not escape: a caller's
+	// string(b) of a name up to 32 bytes is built on its stack.
+	return nil, fmt.Errorf("%w: %s", ErrNoTable, strings.Clone(name))
 }
 
-// Tables lists the catalog.
-func (e *Engine) Tables() []*Table {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		out = append(out, t)
-	}
-	return out
-}
+// Tables lists the catalog in id order.
+func (e *Engine) Tables() []*Table { return slices.Clone(e.cat.Load().byID) }
 
 // Close flushes and shuts down. The engine is unusable afterwards. It
 // closes the log, the log device and the store whatever the flush
@@ -569,7 +559,7 @@ func (e *Engine) StatsSnapshot() Stats {
 
 func (e *Engine) indexStats() IndexStats {
 	st := IndexStats{AbsentMemoHits: e.absentMemoHits.Load()}
-	for _, t := range e.Tables() {
+	for _, t := range e.cat.Load().byID {
 		st.Add(t.Index.StatsSnapshot())
 	}
 	return st

@@ -47,15 +47,12 @@ type OpRecord struct {
 	After  []byte
 }
 
-// encodeOp serializes an OpRecord:
+// encodeOp serializes an OpRecord into buf, which it overwrites
+// (growing it if needed), and returns the encoded slice, so hot paths
+// can amortize the allocation across a transaction's operations:
 //
 //	op(1) table(4) key(8) rid(8) beforeLen(4) before afterLen(4) after
-func encodeOp(r *OpRecord) []byte { return encodeOpTo(nil, r) }
-
-// encodeOpTo is encodeOp into a reusable buffer: it overwrites buf
-// (growing it if needed) and returns the encoded slice, so hot paths
-// can amortize the allocation across a transaction's operations.
-func encodeOpTo(buf []byte, r *OpRecord) []byte {
+func encodeOp(buf []byte, r *OpRecord) []byte {
 	need := 1 + 4 + 8 + 8 + 4 + len(r.Before) + 4 + len(r.After)
 	if cap(buf) < need {
 		buf = make([]byte, need)

@@ -18,7 +18,7 @@ func TestOpEncodeDecodeRoundTrip(t *testing.T) {
 		Before: []byte("before"),
 		After:  []byte("after-image"),
 	}
-	got, err := decodeOp(encodeOp(&r))
+	got, err := decodeOp(encodeOp(nil, &r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestOpEncodeDecodeQuick(t *testing.T) {
 			RID:    heap.RID{Page: page.ID(pg), Slot: slot},
 			Before: before, After: after,
 		}
-		got, err := decodeOp(encodeOp(&r))
+		got, err := decodeOp(encodeOp(nil, &r))
 		return err == nil && got.Key == key && got.RID == r.RID &&
 			bytes.Equal(got.Before, before) && bytes.Equal(got.After, after)
 	}
@@ -52,13 +52,13 @@ func TestDecodeOpErrors(t *testing.T) {
 		t.Error("short payload accepted")
 	}
 	r := OpRecord{Op: OpInsert, After: []byte("xxxx")}
-	enc := encodeOp(&r)
+	enc := encodeOp(nil, &r)
 	if _, err := decodeOp(enc[:len(enc)-2]); err == nil {
 		t.Error("truncated after-image accepted")
 	}
 	// Truncate inside the before-image length prefix region.
 	r2 := OpRecord{Op: OpUpdate, Before: []byte("aaaaaaaa"), After: []byte("b")}
-	enc2 := encodeOp(&r2)
+	enc2 := encodeOp(nil, &r2)
 	if _, err := decodeOp(enc2[:23]); err == nil {
 		t.Error("truncated before-image accepted")
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hydra/internal/btree"
-	"hydra/internal/buffer"
 	"hydra/internal/heap"
 	"hydra/internal/page"
 	"hydra/internal/wal"
@@ -47,13 +46,13 @@ func (e *Engine) analyze() (analysis, error) {
 	if err != nil {
 		return analysis{}, err
 	}
-	e.mu.Lock()
+	cat := &catalog{byName: make(map[string]*Table, len(metas))}
 	for _, m := range metas {
-		t := &Table{ID: m.ID, Name: m.Name, Heap: heap.Attach(e.pool, m.HeapFirst)}
-		e.installTableLocked(t)
-		e.nextTableID = max(e.nextTableID, m.ID)
+		if err := cat.add(e.newTable(m, nil)); err != nil {
+			return analysis{}, err
+		}
 	}
-	e.mu.Unlock()
+	e.cat.Store(cat)
 
 	start := master
 	if start == wal.NilLSN {
@@ -166,13 +165,7 @@ func (e *Engine) recover(an analysis) error {
 	}
 
 	// --- Rebuild: indexes are derived from heap contents. ---
-	e.mu.RLock()
-	tables := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
-	for _, t := range tables {
+	for _, t := range e.cat.Load().byID {
 		if err := t.Heap.RefreshTail(); err != nil {
 			return fmt.Errorf("refresh tail of %s: %w", t.Name, err)
 		}
@@ -233,21 +226,13 @@ func (e *Engine) redo(start wal.LSN, rep *Recovery) error {
 		}
 		if op.Op == OpCreate {
 			// applyCreate gates each of its two pages by its LSN.
-			e.mu.Lock()
-			err := e.withCreatePages(&op, func(meta, head *buffer.Frame) error {
-				_, err := e.applyCreate(meta, head, &op, uint64(r.LSN))
-				return err
-			})
-			e.mu.Unlock()
-			if err != nil {
+			if err := e.redoCreate(&op, uint64(r.LSN)); err != nil {
 				return fmt.Errorf("redo create at %d: %w", r.LSN, err)
 			}
 			rep.Redone++
 			continue
 		}
-		e.mu.RLock()
-		tbl := e.tablesByID[op.Table]
-		e.mu.RUnlock()
+		tbl := e.cat.Load().table(op.Table)
 		if tbl == nil {
 			return fmt.Errorf("redo references unknown table %d", op.Table)
 		}

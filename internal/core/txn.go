@@ -389,7 +389,7 @@ func (t *Txn) logOp(op *OpRecord) (wal.LSN, error) {
 	prev := t.lastLSN
 	// The payload is copied into the log ring before AppendFields
 	// returns, so the scratch buffer is safely reused per op.
-	t.enc = encodeOpTo(t.enc, op)
+	t.enc = encodeOp(t.enc, op)
 	lsn, err := t.e.log.AppendFieldsC(wal.RecUpdate, t.id, prev, uint64(op.RID.Page), 0, t.enc, nil, &t.clock)
 	if err != nil {
 		return 0, err

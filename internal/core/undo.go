@@ -55,10 +55,8 @@ func (c *undoCtx) forget(table uint32, key uint64) {
 // this compensation. It returns the CLR's LSN (the transaction's new
 // chain tail).
 func (e *Engine) undoOp(txnID uint64, inv *OpRecord, prevLSN, undoNext wal.LSN, maintainIndex bool, uc *undoCtx) (wal.LSN, error) {
-	e.mu.RLock()
-	tbl, ok := e.tablesByID[inv.Table]
-	e.mu.RUnlock()
-	if !ok {
+	tbl := e.cat.Load().table(inv.Table)
+	if tbl == nil {
 		return 0, fmt.Errorf("%w: id %d", ErrNoTable, inv.Table)
 	}
 	var clr wal.LSN
@@ -69,7 +67,7 @@ func (e *Engine) undoOp(txnID uint64, inv *OpRecord, prevLSN, undoNext wal.LSN, 
 			PrevLSN:  prevLSN,
 			PageID:   uint64(inv.RID.Page),
 			UndoNext: undoNext,
-			Payload:  encodeOp(inv),
+			Payload:  encodeOp(nil, inv),
 		})
 		clr = lsn
 		return uint64(lsn), err

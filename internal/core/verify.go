@@ -16,14 +16,7 @@ func (e *Engine) Verify() error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	e.mu.RLock()
-	tables := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
-
-	for _, t := range tables {
+	for _, t := range e.cat.Load().byID {
 		heapRows := make(map[uint64]heap.RID)
 		var dupErr error
 		err := t.Heap.Scan(func(rid heap.RID, rec []byte) bool {

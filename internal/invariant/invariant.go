@@ -49,7 +49,6 @@ func declare(rank int, site, label string) *tier {
 // ranks, and its /metrics label. DESIGN.md §6 documents it.
 var (
 	engineCkpt = declare(10, "core.Engine.ckptMu", "engine_ckpt")
-	engineMu   = declare(20, "core.Engine.mu", "engine_mu")
 	treeMu     = declare(40, "btree.Tree.mu", "tree")
 	lockPart   = declare(50, "lock.partition.mu", "lock_part")
 	frameLatch = declare(60, "buffer.Frame.Latch", "frame_latch")
@@ -63,7 +62,6 @@ var (
 
 type (
 	EngineCkpt struct{}
-	EngineMu   struct{}
 	Tree       struct{}
 	LockPart   struct{}
 	FrameLatch struct{}
@@ -76,7 +74,6 @@ type (
 )
 
 func (EngineCkpt) tier() *tier { return engineCkpt }
-func (EngineMu) tier() *tier   { return engineMu }
 func (Tree) tier() *tier       { return treeMu }
 func (LockPart) tier() *tier   { return lockPart }
 func (FrameLatch) tier() *tier { return frameLatch }

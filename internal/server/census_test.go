@@ -153,10 +153,10 @@ const warmupOps = 72
 // data, every miss an eviction, in a second of load.
 //
 // And the heap allocations per op (ROADMAP item 26(a)), of the server
-// and the engine alike (the client's lines allocate nothing): 1/1/1/
-// 3.0139. A GET's one is the row copy it answers with and a SET's the
-// heap's log callback; a txn_hot op pays that for each of its three
-// updates and a chain extension's one in 72 ops. The history row's
+// and the engine alike (the client's lines allocate nothing): 1/1/1/3.
+// A GET's one is the row copy it answers with and a SET's the heap's
+// log callback; a txn_hot op pays that for each of its three updates.
+// A chain extension's record is encoded on the stack. The history row's
 // missing key (the upsert's Update miss) allocates nothing: its error
 // is the one the transaction handle keeps. The window runs
 // on one P with the collector off, as testing.AllocsPerRun does, so the
@@ -164,7 +164,7 @@ const warmupOps = 72
 //
 // It also pins the ranked-lock entries per op of each latch tier,
 // counted between two tier reads that leave the window's StatsSnapshot
-// calls outside (each enters engine_mu). The wire adds no lock to
+// calls outside. The wire adds no lock to
 // TestAutocommitCriticalSections' rows: get_hot's frame_latch 2.982 and
 // pool_shard 5.964 against its locked GET's 2.94 and 5.88 come from the
 // table, 20 000 rows to its 1 000 (over 20 000 rows that census reads
@@ -182,8 +182,8 @@ const warmupOps = 72
 // durable_read_waits, its snapshot being pinned at the durable
 // frontier; get_hot's tiers are its locked row's less lock_part, plus
 // mvcc_shard. A write installs a version under one mvcc_shard entry per
-// row and allocates more (4 per SET against 1, 7930 per 720 txn_hot
-// ops against 2170); its locks, log records and log bytes are the
+// row and allocates more (4 per SET against 1, 11 per txn_hot op
+// against 3); its locks, log records and log bytes are the
 // locked rows'. durable_read_waits is pinned on every row: 0, the
 // census's one client having waited for each of its commits.
 func TestWireCensus(t *testing.T) {
@@ -198,7 +198,7 @@ func TestWireCensus(t *testing.T) {
 			acquires: 2, records: 0.392, logPerUserByte: 2.1270, lines: 1, allocs: 1,
 			tiers: map[string]float64{"frame_latch": 2.991, "lock_part": 2, "pool_shard": 7.274, "wal_device": 0.392}},
 		{name: "txn_hot", tables: []censusTable{{"account", 10000}, {"teller", 10}, {"branch", 1}, {"history", 0}}, valueSize: 100, txn: true, frames: 4096, ops: 720,
-			acquires: 10, records: 3610.0 / 720, logPerUserByte: 2.6949, lines: 6, allocs: 2170.0 / 720,
+			acquires: 10, records: 3610.0 / 720, logPerUserByte: 2.6949, lines: 6, allocs: 3,
 			tiers: map[string]float64{"frame_latch": 6452.0 / 720, "heap_tail": 740.0 / 720, "lock_part": 8, "pool_shard": 12928.0 / 720,
 				"wal_device": 2}},
 		{name: "get_hot_mvcc", tables: []censusTable{{"kv", 20000}}, valueSize: 100, getPermille: 1000, frames: 4096, ops: 2000, mvcc: true,
@@ -211,7 +211,7 @@ func TestWireCensus(t *testing.T) {
 			acquires: 0.392, records: 0.392, logPerUserByte: 2.1270, lines: 1, allocs: 1.588,
 			tiers: map[string]float64{"frame_latch": 2.991, "lock_part": 0.392, "mvcc_shard": 1, "pool_shard": 7.274, "wal_device": 0.392}},
 		{name: "txn_hot_mvcc", tables: []censusTable{{"account", 10000}, {"teller", 10}, {"branch", 1}, {"history", 0}}, valueSize: 100, txn: true, frames: 4096, ops: 720, mvcc: true,
-			acquires: 10, records: 3610.0 / 720, logPerUserByte: 2.6949, lines: 6, allocs: 7930.0 / 720,
+			acquires: 10, records: 3610.0 / 720, logPerUserByte: 2.6949, lines: 6, allocs: 11,
 			tiers: map[string]float64{"frame_latch": 6452.0 / 720, "heap_tail": 740.0 / 720, "lock_part": 8, "mvcc_shard": 4, "pool_shard": 12928.0 / 720,
 				"wal_device": 2}},
 	} {

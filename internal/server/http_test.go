@@ -221,7 +221,7 @@ func TestEveryLatchTierExposed(t *testing.T) {
 
 	tiers := obs.LatchTiers()
 	for _, old := range []string{
-		"engine_ckpt", "engine_mu", "tree", "lock_part", "frame_latch",
+		"engine_ckpt", "tree", "lock_part", "frame_latch",
 		"pool_shard", "wal_log", "wal_device", "dora_queue", "mvcc_shard",
 	} {
 		if !slices.Contains(tiers, old) {

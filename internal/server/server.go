@@ -290,10 +290,6 @@ type conn struct {
 	w      *bufio.Writer
 	txn    *core.Txn // the open explicit transaction, or nil (autocommit)
 	rows   []byte    // a SCAN's rows, built while the scan holds its latches
-	// tables memoises the catalog by name, so resolving a request's
-	// table costs a map probe with no string built (tables are never
-	// dropped, so an entry cannot go stale).
-	tables map[string]*core.Table
 }
 
 // newConn returns a session whose replies go to w.
@@ -302,7 +298,6 @@ func (s *Server) newConn(w io.Writer) *conn {
 		engine: s.engine,
 		fr:     s.fr,
 		w:      bufio.NewWriter(w),
-		tables: make(map[string]*core.Table),
 	}
 }
 
@@ -477,13 +472,9 @@ func (c *conn) stats(a fields) error {
 // target resolves the table and key that open every data verb's
 // fields.
 func (c *conn) target(a fields) (*core.Table, uint64, error) {
-	tbl := c.tables[string(a[0])]
-	if tbl == nil {
-		var err error
-		if tbl, err = c.engine.Table(string(a[0])); err != nil {
-			return nil, 0, err
-		}
-		c.tables[tbl.Name] = tbl
+	tbl, err := c.engine.Table(string(a[0]))
+	if err != nil {
+		return nil, 0, err
 	}
 	key, err := strconv.ParseUint(string(a[1]), 10, 64)
 	if err != nil {
