@@ -7,11 +7,20 @@ build:
 
 # loc prints the non-test Go line counts the line gates (ROADMAP 22)
 # go by: internal/lock, internal/core, the two together, internal/wal,
-# and the whole module. It prints and gates nothing.
+# and the whole module. With BASE=<rev> (CI passes origin/main on a pull
+# request) it first prints the same counts for that revision, extracted
+# with git archive into a temporary directory that it then removes. It
+# prints and gates nothing.
 loc:
 	@n() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './.git/*' -exec cat {} + | wc -l; }; \
-	l=$$(n internal/lock); c=$$(n internal/core); \
-	echo "non-test Go lines: internal/lock $$l, internal/core $$c, lock+core $$((l + c)), internal/wal $$(n internal/wal), repo $$(n .)"
+	counts() { l=$$(n internal/lock); c=$$(n internal/core); \
+		echo "non-test Go lines$$1: internal/lock $$l, internal/core $$c, lock+core $$((l + c)), internal/wal $$(n internal/wal), repo $$(n .)"; }; \
+	if [ -n "$(BASE)" ]; then \
+		git rev-parse -q --verify "$(BASE)^{commit}" >/dev/null || { echo "loc: unknown revision $(BASE)" >&2; exit 1; }; \
+		d=$$(mktemp -d); git archive "$(BASE)" | tar -x -C "$$d"; \
+		(cd "$$d" && counts " at $(BASE)"); rm -rf "$$d"; \
+	fi; \
+	counts ""
 
 test:
 	$(GO) test ./...

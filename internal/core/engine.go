@@ -7,7 +7,7 @@
 //     table, serial log buffer, unpartitioned buffer pool, coarse
 //     index locking. Fastest at one thread.
 //   - Scalable (the "multi-threaded Lernaean Hydra"): partitioned
-//     lock table, Aether-style consolidated log inserts, partitioned
+//     lock table, decoupled (lock-free) log inserts, partitioned
 //     buffer pool, latch-crabbing indexes, early lock release.
 //
 // Every experiment in EXPERIMENTS.md runs the same workload against
@@ -120,7 +120,7 @@ func Scalable() Config {
 		Frames:         4096,
 		BufferShards:   16,
 		LatchKind:      latch.Spinning,
-		LogKind:        wal.Consolidated,
+		LogKind:        wal.Decoupled,
 		LockPartitions: 16,
 		LockTimeout:    2 * time.Second,
 		IndexMode:      btree.Crabbing,

@@ -213,6 +213,61 @@ func TestSIFirstCommitterWins(t *testing.T) {
 	}
 }
 
+// TestOptimisticAdmitsWriteSkew pins snapshot isolation's known
+// anomaly: commit validates only the write set, so two optimistic
+// transactions that each read keys 1 and 2 (both 1, invariant x + y ≥ 1)
+// and each set a different one to 0 both commit, and the store breaks
+// the invariant. ROADMAP item 37 (read validation) inverts this test:
+// the second commit must then fail with ErrWriteConflict.
+func TestOptimisticAdmitsWriteSkew(t *testing.T) {
+	e := mvccEngine(t)
+	tbl, _ := e.CreateTable("t")
+	if err := e.Exec(func(tx *Txn) error {
+		if err := tx.Insert(tbl, 1, []byte{1}); err != nil {
+			return err
+		}
+		return tx.Insert(tbl, 2, []byte{1})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sum := func(tx *Txn) int {
+		t.Helper()
+		n := 0
+		for k := uint64(1); k <= 2; k++ {
+			v, err := tx.Read(tbl, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += int(v[0])
+		}
+		return n
+	}
+	t1 := e.Begin(Intent{Optimistic: true})
+	t2 := e.Begin(Intent{Optimistic: true})
+	for i, tx := range []*Txn{t1, t2} {
+		if sum(tx) != 2 {
+			t.Fatal("a snapshot does not see x + y = 2")
+		}
+		if err := tx.Update(tbl, uint64(i+1), []byte{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := t1.Commit(); err != nil {
+		t.Fatalf("first commit: %v", err)
+	}
+	if err := t2.Commit(); err != nil {
+		t.Fatalf("second commit: %v (write skew is no longer admitted: invert this test)", err)
+	}
+	if err := e.Exec(func(tx *Txn) error {
+		if n := sum(tx); n != 0 {
+			return fmt.Errorf("x + y = %d after both commits, want the skewed 0", n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // An SI abort before commit leaves no trace: nothing logged, no
 // version nodes installed, data untouched.
 func TestSIAbortReleasesNothingIntoChains(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"hydra/internal/core"
 	"hydra/internal/dora"
-	"hydra/internal/wal"
 	"hydra/internal/workload"
 )
 
@@ -102,7 +101,7 @@ func E15(s Scale) (*Report, error) {
 		return float64(ops) / dur.Seconds(), nil
 	}
 
-	var rates, groups []string
+	var rates []string
 	for _, hotFrac := range hotFracs {
 		conv.w.HotFrac, mv.w.HotFrac, ds.w.HotFrac = hotFrac, hotFrac, hotFrac
 		seed := uint64(hotFrac*1000) << 16
@@ -113,7 +112,6 @@ func E15(s Scale) (*Report, error) {
 		}
 
 		mv.w.SIFrac = 0
-		start := mv.e.StatsSnapshot()
 		lockedTPS, err := runCell("locked", mv.w, workload.TxnExecutor{Engine: mv.e}, seed)
 		if err != nil {
 			return nil, err
@@ -145,8 +143,6 @@ func E15(s Scale) (*Report, error) {
 			fmt.Sprintf("%.2fx", siTPS/lockedTPS),
 			fmt.Sprintf("%.1f%%", rate*100))
 		rates = append(rates, fmt.Sprintf("%.2f: %.1f%%", hotFrac, rate*100))
-		groups = append(groups, fmt.Sprintf("%.2f: %.4f/%.4f", hotFrac,
-			groupInsertRatio(start.Log, before.Log), groupInsertRatio(before.Log, after.Log)))
 	}
 	rep.Tab = append(rep.Tab, tab)
 
@@ -164,17 +160,7 @@ func E15(s Scale) (*Report, error) {
 		fmt.Sprintf("si conflict-abort rate by hot-frac: %v (commit attempts lost to first-committer-wins, after Exec's retries succeeded or gave up)", rates),
 		fmt.Sprintf("si totals: begins=%d commits=%d conflict_aborts=%d; lock_bypasses=%d (reads the SI path never sent to the lock manager)",
 			st.Mvcc.SIBegins, st.Mvcc.SICommits, st.Mvcc.SIConflictAborts, st.Lock.Bypasses),
-		fmt.Sprintf("locked/si group-insert ratio by hot-frac: %v (log records of the MVCC engine that joined a consolidation group another record led)", groups),
 		"write counters conserved on all three engines",
 		fmt.Sprintf("ran with GOMAXPROCS=%d; wider machines push the measured crossover left; EXPERIMENTS.md E1 says why no model stands in for them", runtime.GOMAXPROCS(0)))
 	return rep, nil
-}
-
-// groupInsertRatio is the share of the log records inserted between a
-// and b that joined a consolidation group another record led.
-func groupInsertRatio(a, b wal.Stats) float64 {
-	if n := b.Inserts - a.Inserts; n > 0 {
-		return float64(b.GroupInserts-a.GroupInserts) / float64(n)
-	}
-	return 0
 }

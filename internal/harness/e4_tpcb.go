@@ -74,7 +74,7 @@ func E4(s Scale) (*Report, error) {
 		}
 	}
 	rep.Notes = append(rep.Notes,
-		"expected shape: conventional leads (ratio < 1) at 1 thread — it pays no partitioning or consolidation overhead — and falls behind (ratio > 1) as threads grow",
+		"expected shape: conventional leads (ratio < 1) at 1 thread — it pays no partitioning overhead — and falls behind (ratio > 1) as threads grow",
 		"TPC-B balance invariants verified on both engines after the sweep")
 	return rep, nil
 }

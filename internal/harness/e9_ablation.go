@@ -41,7 +41,7 @@ func E9(s Scale) (*Report, error) {
 	}
 	variants := []variant{
 		{"scalable (all on)", func(*core.Config) {}},
-		{"- consolidated log (serial)", func(c *core.Config) { c.LogKind = wal.Serial }},
+		{"- decoupled log (serial)", func(c *core.Config) { c.LogKind = wal.Serial }},
 		{"- lock partitioning (1 part)", func(c *core.Config) { c.LockPartitions = 1 }},
 		{"- buffer sharding (1 shard)", func(c *core.Config) { c.BufferShards = 1 }},
 		{"- early lock release", func(c *core.Config) { c.ELR = false }},
@@ -110,7 +110,7 @@ func E9(s Scale) (*Report, error) {
 	rep.Tab = append(rep.Tab, tab)
 	rep.Notes = append(rep.Notes,
 		"expected shape ON MULTI-CONTEXT HARDWARE: each knockout costs throughput; the constructs whose loss hurts most are the workload's bottlenecks",
-		"expected shape ON A SINGLE HARDWARE CONTEXT: several knockouts *help* — spinning, consolidation grouping, and crabbing pay pure overhead when nothing runs in parallel; this is exactly claim C3's tradeoff seen from its other side",
+		"expected shape ON A SINGLE HARDWARE CONTEXT: several knockouts *help* — spinning and crabbing pay pure overhead when nothing runs in parallel; this is exactly claim C3's tradeoff seen from its other side",
 		"each trial runs the variants in a rotated order; vs scalable is the median of the per-trial ratios",
 		"TPC-B balance invariants verified for every variant")
 	return rep, nil

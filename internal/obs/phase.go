@@ -36,7 +36,7 @@ const (
 	PhaseBufMissIO
 	// PhaseLogInsert is time blocked inserting into the WAL ring —
 	// buffer-full and lapping-ticket waits, contention on Serial's
-	// copy lock, consolidation-array group waits. The uncontended reserve-copy path contributes zero.
+	// copy lock. The uncontended reserve-copy path contributes zero.
 	PhaseLogInsert
 	// PhaseFlushWait is commit durability wait: time parked in
 	// WaitFlushed until the flusher advances the durable LSN past the

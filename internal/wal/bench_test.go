@@ -213,7 +213,7 @@ func BenchmarkCommitFileDevice(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/%dB/%dcommitters", sh.name, row, committers), func(b *testing.B) {
 					dev := sh.open(b, b.TempDir())
 					defer dev.Close()
-					l, err := New(dev, Options{Kind: Consolidated, SyncOnFlush: true})
+					l, err := New(dev, Options{Kind: Decoupled, SyncOnFlush: true})
 					if err != nil {
 						b.Fatal(err)
 					}

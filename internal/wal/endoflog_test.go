@@ -78,7 +78,7 @@ func TestResumeAfterTornTailMem(t *testing.T) {
 func TestResumeAfterTornTailFile(t *testing.T) {
 	eachShape(t, 128, func(t *testing.T, sh devShape, dir string) {
 		d := sh.open(t, dir)
-		l := newTestLog(t, Consolidated, d)
+		l := newTestLog(t, Decoupled, d)
 		commitN(t, l, 0, 6) // 306 bytes: segments 0, 128, 256
 		kill(t, l, d)
 		// Tear txn 3 (bytes 153..204): its second half and everything
@@ -89,7 +89,7 @@ func TestResumeAfterTornTailFile(t *testing.T) {
 		sh.plainWrite(t, dir, make([]byte, 6*recLen-(last+recLen/2)), last+recLen/2)
 
 		d = sh.open(t, dir)
-		l = newTestLog(t, Consolidated, d)
+		l = newTestLog(t, Decoupled, d)
 		if got := l.NextLSN(); got != last {
 			t.Fatalf("resumed at %d, want %d", got, last)
 		}
@@ -102,7 +102,7 @@ func TestResumeAfterTornTailFile(t *testing.T) {
 
 		d = sh.open(t, dir)
 		defer d.Close()
-		l = newTestLog(t, Consolidated, d)
+		l = newTestLog(t, Decoupled, d)
 		defer l.Close()
 		wantTxns(t, d, 0, 1, 2, 10, 11, 12)
 	})
@@ -116,7 +116,7 @@ func TestCrashAtEveryAppend(t *testing.T) {
 		for k := 0; k <= 6; k++ {
 			dir := t.TempDir()
 			dev := sh.open(t, dir)
-			l := newTestLog(t, Consolidated, dev)
+			l := newTestLog(t, Decoupled, dev)
 			var ids []uint64
 			if k > 0 {
 				commitN(t, l, 0, k)
@@ -132,7 +132,7 @@ func TestCrashAtEveryAppend(t *testing.T) {
 			wantTxns(t, dev, ids...)
 
 			// New finds the same end and makes it the device's.
-			l = newTestLog(t, Consolidated, dev)
+			l = newTestLog(t, Decoupled, dev)
 			end := int64(k * recLen)
 			if got := int64(l.NextLSN()); got != end {
 				t.Fatalf("k=%d: resumed at %d, want %d", k, got, end)
@@ -184,7 +184,7 @@ func TestCrashWithEmptyPreallocatedSuccessor(t *testing.T) {
 	sh := devShapes(128)[1]
 	dir := t.TempDir()
 	d := sh.open(t, dir)
-	l := newTestLog(t, Consolidated, d)
+	l := newTestLog(t, Decoupled, d)
 	commitN(t, l, 0, 2) // 102 bytes, all in segment 0
 	kill(t, l, d)
 	succ, _ := sh.file(dir, 128)
@@ -197,7 +197,7 @@ func TestCrashWithEmptyPreallocatedSuccessor(t *testing.T) {
 		t.Fatalf("device size %d before the scan, want the end of the successor, 256", sz)
 	}
 	wantTxns(t, d, 0, 1)
-	l = newTestLog(t, Consolidated, d)
+	l = newTestLog(t, Decoupled, d)
 	if got := l.NextLSN(); got != 2*recLen {
 		t.Fatalf("resumed at %d, want %d", got, 2*recLen)
 	}
@@ -372,7 +372,7 @@ func TestSerialCommitsCostOneSyncEach(t *testing.T) {
 // the FlushInterval tick.
 func TestUnawaitedRecordsFlushOnTick(t *testing.T) {
 	dev := NewMem()
-	l, err := New(dev, Options{Kind: Consolidated, SyncOnFlush: true, FlushInterval: 2 * time.Millisecond})
+	l, err := New(dev, Options{Kind: Decoupled, SyncOnFlush: true, FlushInterval: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestUnawaitedRecordsFlushOnTick(t *testing.T) {
 // Inserts start a flush only to relieve the ring: one that crosses half
 // occupancy kicks the flusher, one below it does not.
 func TestRingPressureKicksFlusher(t *testing.T) {
-	l := newStoppedLog(t, NewMem(), Options{Kind: Consolidated, BufferSize: 512 << 10})
+	l := newStoppedLog(t, NewMem(), Options{Kind: Decoupled, BufferSize: 512 << 10})
 	rec := make([]byte, EncodedSize(MaxPayload/2))
 	if _, err := Encode(&Record{Type: RecUpdate, Payload: bytes.Repeat([]byte("p"), MaxPayload/2)}, rec); err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func TestRingPressureKicksFlusher(t *testing.T) {
 // A committer parked behind another writer's unfilled gap gets its
 // flush when the gap closes, not at the next tick.
 func TestGapCloserPassesTheKickOn(t *testing.T) {
-	l := newStoppedLog(t, NewMem(), Options{Kind: Consolidated})
+	l := newStoppedLog(t, NewMem(), Options{Kind: Decoupled})
 	l.res.Store(2<<l.lsnBits | 200)
 	l.filled(1, 200) // the committer's own record, [100, 200), out of order
 	l.parked.Add(1)  // ...and it is now waiting

@@ -246,7 +246,7 @@ func TestFileDeviceAsLogDevice(t *testing.T) {
 	eachShape(t, 128, func(t *testing.T, sh devShape, dir string) {
 		d := sh.open(t, dir)
 		defer d.Close()
-		l := newTestLog(t, Consolidated, d)
+		l := newTestLog(t, Decoupled, d)
 		for i := 0; i < 200; i++ {
 			lsn, err := l.Append(&Record{Type: RecUpdate, TxnID: uint64(i), Payload: bytes.Repeat([]byte("p"), 100)})
 			if err != nil {
@@ -614,7 +614,7 @@ func TestFileDeviceExtendsPerChunk(t *testing.T) {
 	}
 }
 
-// -race stress over the full path — Consolidated inserts through
+// -race stress over the full path — Decoupled inserts through
 // vectored flushes into the device while TruncateBefore rotates old
 // segments out underneath.
 func TestFileDeviceVectoredTruncateStress(t *testing.T) {
@@ -622,7 +622,7 @@ func TestFileDeviceVectoredTruncateStress(t *testing.T) {
 	eachShape(t, segSize, func(t *testing.T, sh devShape, dir string) {
 		d := sh.open(t, dir)
 		defer d.Close()
-		l, err := New(d, Options{Kind: Consolidated, BufferSize: 1 << 20, SyncOnFlush: true, FlushInterval: 100 * time.Microsecond})
+		l, err := New(d, Options{Kind: Decoupled, BufferSize: 1 << 20, SyncOnFlush: true, FlushInterval: 100 * time.Microsecond})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,16 +22,14 @@ const (
 	// the log buffer under one mutex (wal.Log.mu), so the critical
 	// section grows with record size.
 	Serial BufferKind = iota
-	// Consolidated puts the consolidation array in front of a
-	// reservation of one atomic add: concurrent inserters combine into
-	// a single reservation, so reservations per record approach zero
-	// under load, and each copies outside any lock, with out-of-order
-	// completion tracking (Aether's "CD" variant).
-	Consolidated
+	// Decoupled reserves with the same one atomic add and copies
+	// outside any lock; the fill frontier's done marks track the
+	// out-of-order completions (Aether's decoupled buffer fill).
+	Decoupled
 )
 
 var bufferKindNames = map[BufferKind]string{
-	Serial: "serial", Consolidated: "consolidated",
+	Serial: "serial", Decoupled: "decoupled",
 }
 
 func (k BufferKind) String() string {
@@ -42,7 +40,7 @@ func (k BufferKind) String() string {
 }
 
 // BufferKinds lists the insert algorithms in sweep order.
-func BufferKinds() []BufferKind { return []BufferKind{Serial, Consolidated} }
+func BufferKinds() []BufferKind { return []BufferKind{Serial, Decoupled} }
 
 // Options configures a Log.
 type Options struct {
@@ -58,9 +56,6 @@ type Options struct {
 	// for durability; disable only in CPU-bound experiments).
 	SyncOnFlush bool
 }
-
-// consSlots is the consolidation array width.
-const consSlots = 8
 
 func (o *Options) fill() {
 	if o.BufferSize <= 0 {
@@ -84,8 +79,8 @@ type Stats struct {
 	InsertedBytes uint64 `json:"inserted_bytes"`
 	Flushes       uint64 `json:"flushes"` // flush IOs issued
 	FlushedBytes  uint64 `json:"flushed_bytes"`
-	MutexAcquires uint64 `json:"mutex_acquires"` // reservations of log space, one atomic add each; a Serial record also enters the copy mutex once (consolidation wins show here)
-	GroupInserts  uint64 `json:"group_inserts"`  // records that joined a consolidation group led by another
+	MutexAcquires uint64 `json:"mutex_acquires"` // reservations of log space, one atomic add each, one per record; a Serial record also enters the copy mutex once
+	GroupInserts  uint64 `json:"group_inserts"`  // retired with the consolidation array: always 0, kept while the benchmark reads it
 	FlushWrites   uint64 `json:"flush_writes"`   // write submissions issued by the flusher (a vectored submission counts once)
 	FlushSyncs    uint64 `json:"flush_syncs"`    // Device.Sync calls issued by the flusher
 
@@ -121,7 +116,6 @@ type Log struct {
 
 	ring ringBuf
 	fr   *frontier
-	ca   *consArray
 
 	flushed atomic.Uint64 // durable LSN frontier
 
@@ -147,13 +141,13 @@ type Log struct {
 	vecOffs []int64
 	vecBufs [][]byte
 
-	// stats are striped cumulative counters (obs.Counter): the log is
-	// the construct the consolidation array decentralizes, so its own
-	// bookkeeping must not reintroduce a shared hot word.
+	// stats are striped cumulative counters (obs.Counter): every insert
+	// counts, and a shared counter word would be a second hot cache line
+	// beside the reservation word res.
 	stats struct {
 		inserts, insertedBytes  obs.Counter
 		flushes, flushedBytes   obs.Counter
-		mutexAcquires, groupIns obs.Counter
+		mutexAcquires           obs.Counter
 		flushWrites, flushSyncs obs.Counter
 		flushesBy               [numFlushCauses]obs.Counter
 	}
@@ -233,9 +227,6 @@ func newLog(dev Device, opts Options, end uint64) *Log {
 	l.lsnBits = uint(64 - bits.Len64(l.fr.tmask))
 	l.res.Store(end)
 	l.flushed.Store(end)
-	if opts.Kind == Consolidated {
-		l.ca = newConsArray(consSlots)
-	}
 	return l
 }
 
@@ -281,10 +272,10 @@ func (l *Log) AppendFields(typ RecType, txnID uint64, prev LSN, pageID uint64, u
 // AppendFieldsC is AppendFields with a stamp and a phase clock. A
 // non-nil stamp receives the record's LSN before the record joins the
 // filled prefix (see Log.place): once FilledLSN has passed the record,
-// the stamp is visible to whoever loaded it. Time the insert
-// spends blocked (ring full, a lapping ticket, Serial's copy lock,
-// consolidation-group waits) is attributed to the clock's log-insert
-// phase. Nil for both makes it identical to AppendFields.
+// the stamp is visible to whoever loaded it. Time the insert spends
+// blocked (ring full, a lapping ticket, Serial's copy lock) is
+// attributed to the clock's log-insert phase. Nil for both makes it
+// identical to AppendFields.
 func (l *Log) AppendFieldsC(typ RecType, txnID uint64, prev LSN, pageID uint64, undoNext LSN, payload []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, error) {
 	size := EncodedSize(len(payload))
 	buf := encBufPool.Get().(*[]byte)
@@ -323,22 +314,28 @@ func (l *Log) insert(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, 
 		// records here keeps inserters from filling it and hanging.
 		return 0, err
 	}
-	if len(rec) < headerSize || len(rec) > l.opts.BufferSize/2 {
+	// Any record up to a whole ring fits: reserve waits for room until
+	// the durable frontier is at most one ring behind the record's end,
+	// so a record as large as the ring waits until everything before it
+	// is durable.
+	if len(rec) < headerSize || len(rec) > l.opts.BufferSize {
 		return 0, fmt.Errorf("wal: record size %d out of range", len(rec))
-	}
-	if l.opts.Kind == Consolidated {
-		return l.insertConsolidated(rec, stamp, c)
 	}
 	n := uint64(len(rec))
 	lsn, ticket, err := l.reserve(n, c)
 	if err != nil {
 		return 0, err
 	}
-	t0 := l.lockInsertMu(c)
-	l.place(lsn, rec, stamp) // copy under the mutex: the serial pathology
-	l.filled(ticket, lsn+n)
-	l.mu.Unlock()
-	l.noteInsertWait(c, t0)
+	if l.opts.Kind == Decoupled {
+		l.place(lsn, rec, stamp)
+		l.filled(ticket, lsn+n)
+	} else {
+		t0 := l.lockInsertMu(c)
+		l.place(lsn, rec, stamp) // copy under the mutex: the serial pathology
+		l.filled(ticket, lsn+n)
+		l.mu.Unlock()
+		l.noteInsertWait(c, t0)
+	}
 	l.noteInsert(n)
 	return LSN(lsn), nil
 }
@@ -669,7 +666,6 @@ func (l *Log) StatsSnapshot() Stats {
 		Flushes:       l.stats.flushes.Load(),
 		FlushedBytes:  l.stats.flushedBytes.Load(),
 		MutexAcquires: l.stats.mutexAcquires.Load(),
-		GroupInserts:  l.stats.groupIns.Load(),
 		FlushWrites:   l.stats.flushWrites.Load(),
 		FlushSyncs:    l.stats.flushSyncs.Load(),
 

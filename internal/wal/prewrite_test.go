@@ -51,7 +51,7 @@ const strideSegSize = 2*prewriteStride + prewriteStride/2
 func TestPrewriteKeepsFrontierAheadOfLog(t *testing.T) {
 	eachShape(t, strideSegSize, func(t *testing.T, sh devShape, dir string) {
 		d := sh.open(t, dir)
-		l := newTestLog(t, Consolidated, d)
+		l := newTestLog(t, Decoupled, d)
 		src := rngNew(22)
 		var ids []uint64
 		var last LSN
@@ -189,7 +189,7 @@ func TestCrashAroundStrideCrossing(t *testing.T) {
 
 				d := sh.open(t, dir)
 				wantTxns(t, d, want...)
-				l, err := NewFrom(d, Options{Kind: Consolidated, BufferSize: 1 << 20, SyncOnFlush: true}, 0)
+				l, err := NewFrom(d, Options{Kind: Decoupled, BufferSize: 1 << 20, SyncOnFlush: true}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,13 +219,13 @@ func TestCrashAroundStrideCrossing(t *testing.T) {
 func TestPrewriteAfterReopen(t *testing.T) {
 	eachShape(t, strideSegSize, func(t *testing.T, sh devShape, dir string) {
 		d := sh.open(t, dir)
-		l := newTestLog(t, Consolidated, d)
+		l := newTestLog(t, Decoupled, d)
 		commitN(t, l, 0, 5)
 		end := int64(5 * recLen)
 		kill(t, l, d)
 
 		d = sh.open(t, dir)
-		l = newTestLog(t, Consolidated, d) // finds the end, calls SetEnd
+		l = newTestLog(t, Decoupled, d) // finds the end, calls SetEnd
 		if s := d.segs[0]; s.alloc != end || s.written != end {
 			t.Fatalf("after the cut at %d: file size %d, written frontier %d", end, s.alloc, s.written)
 		}
@@ -262,7 +262,7 @@ func TestFailedPrewritePoisonsLog(t *testing.T) {
 	eachShape(t, strideSegSize, func(t *testing.T, sh devShape, dir string) {
 		d := sh.open(t, dir)
 		defer d.Close()
-		l := newTestLog(t, Consolidated, d)
+		l := newTestLog(t, Decoupled, d)
 		// One record that all but fills the first stride, durable.
 		lsn, err := l.Append(&Record{Type: RecCommit, TxnID: 1, Payload: make([]byte, prewriteStride-1000)})
 		if err != nil {

@@ -1,10 +1,10 @@
 // Package wal implements an ARIES-style write-ahead log. It provides
 // both a conventional serial log buffer (one mutex guards allocation
 // and copy — the "seemingly serial operation" the paper calls out)
-// and a scalable one modelled on Aether: a consolidation array that
-// merges concurrent insertions into group allocations, decoupled
-// buffer fill so the critical section excludes the memcpy, and a
-// pipelined flush daemon with group commit.
+// and a scalable one modelled on Aether and ERMIA: one atomic add
+// reserves a record's space, the decoupled buffer fill copies it
+// outside any lock, and a flush daemon makes the filled prefix durable
+// with group commit.
 package wal
 
 import (

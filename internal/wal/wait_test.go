@@ -18,20 +18,14 @@ import (
 // may return nil while the durable frontier is at or below its record,
 // and none may hang. The poisoned runs are 20 logs whose device fails
 // within their first rounds: the round the flusher dies in must still
-// end, every goroutine returning nil or the device's error. The
-// consolidated log also runs rounds of 2 KiB records: above the group
-// bound (a quarter of the ring), each leads a group alone, and inserters
-// that find every slot taken go round the slots until one frees.
+// end, every goroutine returning nil or the device's error.
 func TestWaitUnderRaces(t *testing.T) {
 	for _, kind := range BufferKinds() {
 		src := rng.New(uint64(kind) + 1)
-		t.Run(kind.String(), func(t *testing.T) { raceWaits(t, kind, src, 0, 0) })
-		if kind == Consolidated {
-			t.Run(kind.String()+"/2KiB", func(t *testing.T) { raceWaits(t, kind, src, 0, 2<<10-EncodedSize(0)) })
-		}
+		t.Run(kind.String(), func(t *testing.T) { raceWaits(t, kind, src, 0) })
 		t.Run(kind.String()+"/poisoned", func(t *testing.T) {
 			for life := 0; life < 20 && !t.Failed(); life++ {
-				raceWaits(t, kind, src, 1+src.Intn(4*waitRoundBytes), 0)
+				raceWaits(t, kind, src, 1+src.Intn(4*waitRoundBytes))
 			}
 		})
 	}
@@ -44,8 +38,8 @@ const (
 
 // raceWaits runs the rounds on a new log whose device fails past
 // failAt, if failAt > 0, until the log dies. Each record's payload is
-// size bytes, or 1 to waitMaxPayload if size is 0.
-func raceWaits(t *testing.T, kind BufferKind, src *rng.Source, failAt, size int) {
+// 1 to waitMaxPayload bytes.
+func raceWaits(t *testing.T, kind BufferKind, src *rng.Source, failAt int) {
 	dev := NewMem()
 	bang := errors.New("disk on fire")
 	if failAt > 0 {
@@ -60,11 +54,7 @@ func raceWaits(t *testing.T, kind BufferKind, src *rng.Source, failAt, size int)
 	for r := 0; r < waitRounds && !dead; r++ {
 		errs := make(chan error, waitWorkers)
 		for w := 0; w < waitWorkers; w++ {
-			n := size
-			if n == 0 {
-				n = 1 + src.Intn(waitMaxPayload)
-			}
-			payload := make([]byte, n)
+			payload := make([]byte, 1+src.Intn(waitMaxPayload))
 			go func() { errs <- commitAndWait(l, uint64(w), payload) }()
 		}
 		deadline := time.After(10 * time.Second)

@@ -276,7 +276,7 @@ func TestWaitFlushedGroupCommit(t *testing.T) {
 	// A slow device forces concurrent committers to pile up behind
 	// one IO, which is exactly when group commit must batch them.
 	dev.SyncFn = func() { time.Sleep(2 * time.Millisecond) }
-	l := newTestLog(t, Consolidated, dev)
+	l := newTestLog(t, Decoupled, dev)
 	const n = 64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -363,8 +363,8 @@ func TestInsertSizeValidation(t *testing.T) {
 	if _, err := l.Insert(nil); err == nil {
 		t.Error("empty insert accepted")
 	}
-	if _, err := l.Insert(make([]byte, 1<<20)); err == nil {
-		t.Error("oversized insert accepted")
+	if _, err := l.Insert(make([]byte, l.opts.BufferSize+1)); err == nil {
+		t.Error("insert larger than the ring accepted")
 	}
 }
 
@@ -392,7 +392,7 @@ func TestFileDeviceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := New(dev, Options{Kind: Consolidated, BufferSize: 1 << 20, SyncOnFlush: true})
+	l, err := New(dev, Options{Kind: Decoupled, BufferSize: 1 << 20, SyncOnFlush: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestLogResumeAppendsAfterExisting(t *testing.T) {
 	l.Append(&Record{Type: RecUpdate, TxnID: 1, Payload: []byte("first")})
 	l.Close()
 
-	l2 := newTestLog(t, Consolidated, dev)
+	l2 := newTestLog(t, Decoupled, dev)
 	l2.Append(&Record{Type: RecUpdate, TxnID: 2, Payload: []byte("second")})
 	l2.Close()
 
@@ -450,100 +450,72 @@ func TestLogResumeAppendsAfterExisting(t *testing.T) {
 	}
 }
 
-func TestStatsCounting(t *testing.T) {
-	dev := NewMem()
-	l := newTestLog(t, Consolidated, dev)
-	const workers = 8
-	const perWorker = 2000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				l.Append(&Record{Type: RecUpdate, TxnID: uint64(w), Payload: []byte("p")})
+// TestMaxRecordOnTheSmallestRing: a MaxPayload record is legal on the
+// smallest ring New accepts, one that holds just that record. The record
+// goes in behind a small one, so it must wait until the small one is
+// durable and then wrap the ring; both read back intact.
+func TestMaxRecordOnTheSmallestRing(t *testing.T) {
+	for _, kind := range BufferKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			dev := NewMem()
+			l, err := New(dev, Options{Kind: kind, BufferSize: EncodedSize(MaxPayload), SyncOnFlush: true})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	st := l.StatsSnapshot()
-	l.Close()
-	if st.Inserts != workers*perWorker {
-		t.Fatalf("inserts = %d, want %d", st.Inserts, workers*perWorker)
-	}
-	// Leaders + joiners must account for every insert.
-	if st.MutexAcquires+st.GroupInserts != st.Inserts {
-		t.Fatalf("mutex acquires %d + group joins %d != inserts %d",
-			st.MutexAcquires, st.GroupInserts, st.Inserts)
-	}
-}
-
-// Deterministic consolidation-array mechanics: members joining an
-// open group get correct displacements; close freezes the size;
-// publish releases waiters; the last finish recycles the slot.
-func TestConsArrayGroupMechanics(t *testing.T) {
-	ca := newConsArray(1)
-	s, off, leader := ca.join(100, 1<<20)
-	if !leader || off != 0 {
-		t.Fatalf("first joiner: leader=%v off=%d", leader, off)
-	}
-	s2, off2, leader2 := ca.join(50, 1<<20)
-	if leader2 || s2 != s || off2 != 100 {
-		t.Fatalf("second joiner: leader=%v off=%d", leader2, off2)
-	}
-	s3, off3, leader3 := ca.join(25, 1<<20)
-	if leader3 || off3 != 150 {
-		t.Fatalf("third joiner: leader=%v off=%d", leader3, off3)
-	}
-	_ = s3
-	if size := ca.close(s); size != 175 {
-		t.Fatalf("group size = %d, want 175", size)
-	}
-	// After close, a new arrival must not join this group; with a
-	// single slot it spins, so verify via the packed word instead.
-	if st := caStatus(s.word.Load()); st != caClosed {
-		t.Fatalf("slot status = %d, want closed", st)
-	}
-	s.ticket = 7
-	ca.publish(s, 4096)
-	if got, ok := ca.waitBase(s); !ok || got != 4096 {
-		t.Fatalf("published base = %d (ok=%v), want 4096", got, ok)
-	}
-	for _, n := range []uint64{100, 50} {
-		if _, last := ca.finish(s, 175, n); last {
-			t.Fatal("a member that did not close the group got its ticket")
-		}
-	}
-	if st := caStatus(s.word.Load()); st != caClosed {
-		t.Fatal("slot recycled before all members finished")
-	}
-	if ticket, last := ca.finish(s, 175, 25); !last || ticket != 7 {
-		t.Fatalf("closing member got ticket %d (last=%v), want 7", ticket, last)
-	}
-	if st := caStatus(s.word.Load()); st != caFree {
-		t.Fatal("slot not recycled after last member finished")
-	}
-	// Recycled slot accepts a fresh group.
-	_, off4, leader4 := ca.join(10, 1<<20)
-	if !leader4 || off4 != 0 {
-		t.Fatal("recycled slot did not accept a new leader")
+			big := bytes.Repeat([]byte("m"), MaxPayload)
+			if _, err := l.Append(&Record{Type: RecUpdate, TxnID: 1, Payload: []byte("small")}); err != nil {
+				t.Fatal(err)
+			}
+			lsn, err := l.Append(&Record{Type: RecUpdate, TxnID: 2, Payload: big})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.WaitFlushed(lsn); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := scanAll(dev, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 2 || recs[0].TxnID != 1 || !bytes.Equal(recs[1].Payload, big) {
+				t.Fatalf("read back %d records, want the small one and the %d-byte one", len(recs), MaxPayload)
+			}
+		})
 	}
 }
 
-// A member whose request would blow the group cap must overflow to
-// another slot rather than join.
-func TestConsArrayGroupCap(t *testing.T) {
-	ca := newConsArray(2)
-	s1, _, leader := ca.join(100, 120)
-	if !leader {
-		t.Fatal("expected leadership of empty array")
-	}
-	s2, off, leader2 := ca.join(50, 120) // 100+50 > 120: must go elsewhere
-	if s2 == s1 {
-		t.Fatal("joiner exceeded group cap")
-	}
-	if !leader2 || off != 0 {
-		t.Fatalf("overflow joiner should lead a new group: leader=%v off=%d", leader2, off)
+// TestStatsCounting: every record is one reservation, and no record
+// joins a group (GroupInserts is retired and reads 0).
+func TestStatsCounting(t *testing.T) {
+	for _, kind := range BufferKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			l := newTestLog(t, kind, NewMem())
+			const workers = 8
+			const perWorker = 2000
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWorker; i++ {
+						l.Append(&Record{Type: RecUpdate, TxnID: uint64(w), Payload: []byte("p")})
+					}
+				}(w)
+			}
+			wg.Wait()
+			st := l.StatsSnapshot()
+			l.Close()
+			if st.Inserts != workers*perWorker {
+				t.Fatalf("inserts = %d, want %d", st.Inserts, workers*perWorker)
+			}
+			if st.MutexAcquires != st.Inserts || st.GroupInserts != 0 {
+				t.Fatalf("reservations %d, group inserts %d for %d inserts; want one reservation a record and no group",
+					st.MutexAcquires, st.GroupInserts, st.Inserts)
+			}
+		})
 	}
 }
 
