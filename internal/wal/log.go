@@ -314,11 +314,12 @@ func (l *Log) insert(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, 
 		// records here keeps inserters from filling it and hanging.
 		return 0, err
 	}
-	// Any record up to a whole ring fits: reserve waits for room until
-	// the durable frontier is at most one ring behind the record's end,
-	// so a record as large as the ring waits until everything before it
-	// is durable.
-	if len(rec) < headerSize || len(rec) > l.opts.BufferSize {
+	// The scanner's limit binds: it takes any record longer than
+	// EncodedSize(MaxPayload) for a torn one, so the log must not make
+	// such a record durable. New refuses a ring smaller than that, and
+	// reserve waits for room until the durable frontier is at most one
+	// ring behind the record's end, so every record admitted here fits.
+	if len(rec) < headerSize || len(rec) > EncodedSize(MaxPayload) {
 		return 0, fmt.Errorf("wal: record size %d out of range", len(rec))
 	}
 	n := uint64(len(rec))
@@ -326,13 +327,13 @@ func (l *Log) insert(rec []byte, stamp *atomic.Uint64, c *obs.PhaseClock) (LSN, 
 	if err != nil {
 		return 0, err
 	}
-	if l.opts.Kind == Decoupled {
-		l.place(lsn, rec, stamp)
-		l.filled(ticket, lsn+n)
-	} else {
-		t0 := l.lockInsertMu(c)
-		l.place(lsn, rec, stamp) // copy under the mutex: the serial pathology
-		l.filled(ticket, lsn+n)
+	var t0 int64
+	if l.opts.Kind == Serial {
+		t0 = l.lockInsertMu(c) // copy under the mutex: the serial pathology
+	}
+	l.place(lsn, rec, stamp)
+	l.filled(ticket, lsn+n)
+	if l.opts.Kind == Serial {
 		l.mu.Unlock()
 		l.noteInsertWait(c, t0)
 	}

@@ -363,8 +363,13 @@ func TestInsertSizeValidation(t *testing.T) {
 	if _, err := l.Insert(nil); err == nil {
 		t.Error("empty insert accepted")
 	}
-	if _, err := l.Insert(make([]byte, l.opts.BufferSize+1)); err == nil {
-		t.Error("insert larger than the ring accepted")
+	if _, err := l.Insert(make([]byte, 1<<20)); err == nil {
+		t.Error("oversized insert accepted")
+	}
+	// The scanner takes a longer record for a torn one, so the log
+	// must refuse it on any ring, however large.
+	if _, err := l.Insert(make([]byte, EncodedSize(MaxPayload)+1)); err == nil {
+		t.Error("insert longer than the scanner reads accepted")
 	}
 }
 
